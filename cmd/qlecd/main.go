@@ -4,23 +4,25 @@
 // results content-addressed on disk — identical submissions never
 // simulate twice, across restarts included.
 //
-// With -self plus -peers or -join, daemons form a cooperating fleet:
-// sweep jobs split into content-addressed cells that idle peers steal
-// over HTTP (TTL leases re-pool a dead peer's cells), and the result
-// cache is shared via a consistent-hash ring, so a config computed
-// anywhere is a cache hit everywhere (see README "Running a fleet").
+// Sweep jobs and batches split into content-addressed cells that a
+// pool of cell executors drains. With -self plus -peers or -join,
+// daemons form a cooperating fleet: idle peers steal cells over HTTP
+// (TTL leases re-pool a dead peer's cells), and the result cache is
+// shared via a consistent-hash ring, so a config computed anywhere is a
+// cache hit everywhere (see README "Running a fleet"). A daemon started
+// without -self is a fleet of one.
 //
 // Usage:
 //
 //	qlecd [-addr :8080] [-data-dir qlecd-data] [-workers 2]
-//	      [-sim-workers 0] [-queue 256] [-retries 1]
+//	      [-queue 256] [-retries 1]
 //	      [-drain-timeout 30s] [-log-level info] [-log-format text]
 //	      [-self http://host:8080] [-peers url,url] [-join url]
 //	      [-cell-workers 0] [-lease-ttl 15s]
 //	      [-trace-history 64] [-audit-history 64] [-profile-history 32]
 //	      [-runtime-sample 10s] [-auto-profile 5m]
 //	      [-scale-slo 0] [-scale-fast-window 1m] [-scale-slow-window 5m]
-//	      [-scale-hysteresis 30s] [-scale-hook CMD]
+//	      [-scale-hysteresis 30s]
 //	      [-pprof] [-pprof-block] [-pprof-mutex] [-version] [-quiet]
 //
 // API (see README "Running as a service" for curl examples):
@@ -61,6 +63,8 @@
 //	GET    /version             build/VCS metadata
 //	GET    /debug/pprof/        profiling endpoints (with -pprof)
 //
+// -cell-workers 0 sizes the cell-executor pool to GOMAXPROCS.
+//
 // The fleet-internal endpoints (POST /v1/fleet/join, /v1/fleet/steal,
 // /v1/fleet/complete, /v1/fleet/renew, GET/PUT /v1/fleet/cache/{hash})
 // are how peers exchange work and results; they are not client API.
@@ -94,7 +98,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		dataDir      = flag.String("data-dir", "qlecd-data", "job/result store directory (empty = in-memory only)")
 		workers      = flag.Int("workers", 2, "concurrent simulation jobs")
-		simWorkers   = flag.Int("sim-workers", 0, "per-job sweep parallelism override (0 = as submitted)")
 		queueLimit   = flag.Int("queue", 256, "maximum queued jobs before 503")
 		retries      = flag.Int("retries", 1, "re-queues per job on transient failure")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
@@ -107,7 +110,7 @@ func main() {
 		self        = flag.String("self", "", "this daemon's base URL as peers reach it (enables fleet mode)")
 		peersFlag   = flag.String("peers", "", "comma-separated peer base URLs to start the fleet roster with")
 		join        = flag.String("join", "", "existing fleet member to join through (adopts its roster)")
-		cellWorkers = flag.Int("cell-workers", 0, "fleet cell executors (0 = same as -workers)")
+		cellWorkers = flag.Int("cell-workers", 0, "sweep/batch cell executors (0 = GOMAXPROCS)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
 		traceHistory   = flag.Int("trace-history", 64, "per-job trace recorders retained (FIFO eviction)")
@@ -120,7 +123,6 @@ func main() {
 		scaleFastWindow = flag.Duration("scale-fast-window", time.Minute, "advisor fast burn-rate window")
 		scaleSlowWindow = flag.Duration("scale-slow-window", 5*time.Minute, "advisor slow burn-rate window")
 		scaleHysteresis = flag.Duration("scale-hysteresis", 30*time.Second, "how long a lower recommendation must hold before publishing")
-		scaleHook       = flag.String("scale-hook", "", "shell command run when the recommendation changes to a non-zero delta (QLECD_SCALE_DELTA/QLECD_SCALE_REASON exported)")
 	)
 	logCfg := cli.LogFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
@@ -160,7 +162,6 @@ func main() {
 	srv, err := service.New(service.Options{
 		DataDir:               *dataDir,
 		Workers:               *workers,
-		SimWorkers:            *simWorkers,
 		QueueLimit:            *queueLimit,
 		MaxRetries:            *retries,
 		Logger:                logger,
@@ -176,7 +177,6 @@ func main() {
 			Join:        *join,
 			CellWorkers: *cellWorkers,
 			LeaseTTL:    *leaseTTL,
-			ScaleHook:   *scaleHook,
 			Advisor: fleet.AdvisorConfig{
 				SLO:        *scaleSLO,
 				FastWindow: *scaleFastWindow,

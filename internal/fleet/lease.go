@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Cell is one unit of distributable work: a content hash plus the
+// Cell is one unit of pooled work: a content hash plus the
 // serialized cell request (a service.Request — the fleet layer never
 // decodes it, so the package stays free of service imports).
 type Cell struct {
@@ -40,9 +40,9 @@ type Lease struct {
 // cells under TTL. All methods are safe for concurrent use.
 type Table struct {
 	mu      sync.Mutex
-	pending []string             // FIFO of hashes
-	cells   map[string]Cell      // every live cell (pending or leased)
-	leases  map[string]lease     // lease ID → grant
+	pending []string         // FIFO of hashes
+	cells   map[string]Cell  // every live cell (pending or leased)
+	leases  map[string]lease // lease ID → grant
 	byHash  map[string]string
 	offered map[string]time.Time // when each cell last entered the pending pool
 	nextID  int

@@ -221,14 +221,11 @@ func (s *Server) openBatches() int {
 	return n
 }
 
-// batchEntry is one config still executing: its plan, the futures of
-// its unresolved cells, and the outcome slots.
+// batchEntry is one config still executing: its index and its cells
+// in the pool.
 type batchEntry struct {
-	idx      int
-	plan     *cellPlan
-	futures  map[int]*cellFuture
-	outcomes []*ResultEnvelope
-	usage    prof.Usage // summed cell bills as futures resolve
+	idx   int
+	cells *pooledCells
 }
 
 // runBatch drives one batch to completion: resolve or schedule every
@@ -299,10 +296,13 @@ func (s *Server) runBatch(id string) {
 		c.Error = errMsg
 		if usage != nil && !usage.IsZero() {
 			c.Resources = usage
-			if b.Resources == nil {
-				b.Resources = &prof.Usage{}
+			// Copy on write: batch views handed out earlier share the
+			// old rollup.
+			total := *usage
+			if b.Resources != nil {
+				total.Add(*b.Resources)
 			}
-			b.Resources.Add(*usage)
+			b.Resources = &total
 		}
 		b.ConfigsDone++
 		if state == StateFailed {
@@ -332,7 +332,7 @@ func (s *Server) runBatch(id string) {
 		}
 		env, hit := s.cache.peek(hash)
 		proxied := false
-		if !hit && s.fleet != nil {
+		if !hit {
 			env, hit = s.fleet.proxyFetch(ctx, hash)
 			proxied = hit
 		}
@@ -345,43 +345,21 @@ func (s *Server) runBatch(id string) {
 			finishConfig(i, StateFailed, false, false, err.Error(), nil)
 			continue
 		}
-		e := &batchEntry{
-			idx:      i,
-			plan:     plan,
-			futures:  make(map[int]*cellFuture),
-			outcomes: make([]*ResultEnvelope, len(plan.cells)),
-		}
-		resolved := 0
-		for ci, cellHash := range plan.hashes {
-			if cenv, ok := s.cache.peek(cellHash); ok {
-				e.outcomes[ci] = cenv
-				resolved++
-				continue
-			}
-			f, serr := s.fleet.schedule(plan.cells[ci], cellHash, trace)
-			if serr != nil {
-				err = serr
-				break
-			}
-			e.futures[ci] = f
-		}
+		cells, err := s.fleet.poolCells(plan, trace)
 		if err != nil {
-			for _, f := range e.futures {
-				s.fleet.release(f)
-			}
 			finishConfig(i, StateFailed, false, false, err.Error(), nil)
 			continue
 		}
 		s.mu.Lock()
 		b.CellsTotal += len(plan.cells)
-		b.CellsDone += resolved
+		b.CellsDone += len(plan.cells) - cells.pending
 		s.mu.Unlock()
-		entries = append(entries, e)
+		entries = append(entries, &batchEntry{idx: i, cells: cells})
 	}
 	if batchSC.Valid() {
 		scheduled := 0
 		for _, e := range entries {
-			scheduled += len(e.futures)
+			scheduled += e.cells.pending
 		}
 		s.fleet.spans.Span(batchSC.Child(), "batch fan-out", "batch", fanStart, time.Now(),
 			map[string]any{"batch": id, "configs": len(reqs), "pooled": scheduled})
@@ -389,46 +367,19 @@ func (s *Server) runBatch(id string) {
 	hub.publish(progressEvent())
 
 	// Phase 2: collect, assemble, publish — in submission order.
-	interrupted := false
+	cellDone := func() {
+		s.mu.Lock()
+		b.CellsDone++
+		s.mu.Unlock()
+		hub.publish(progressEvent())
+	}
 	for _, e := range entries {
-		var cellErr error
-		for ci := 0; ci < len(e.plan.cells) && !interrupted; ci++ {
-			f := e.futures[ci]
-			if f == nil {
-				continue
-			}
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				interrupted = true
-				continue
-			}
-			delete(e.futures, ci)
-			if f.usage != nil {
-				e.usage.Add(*f.usage)
-			}
-			if f.err != nil && cellErr == nil {
-				cellErr = fmt.Errorf("cell %s: %w", f.hash[:12], f.err)
-			}
-			e.outcomes[ci] = f.env
-			s.mu.Lock()
-			b.CellsDone++
-			s.mu.Unlock()
-			hub.publish(progressEvent())
+		env, err := s.fleet.awaitCells(ctx, e.cells, cellDone)
+		if ctx.Err() != nil {
+			continue // shutdown: the config resumes on the next start
 		}
-		if interrupted {
-			for _, f := range e.futures {
-				s.fleet.release(f)
-			}
-			continue
-		}
-		if cellErr != nil {
-			finishConfig(e.idx, StateFailed, false, false, cellErr.Error(), &e.usage)
-			continue
-		}
-		env, err := e.plan.assemble(e.outcomes)
 		if err != nil {
-			finishConfig(e.idx, StateFailed, false, false, err.Error(), &e.usage)
+			finishConfig(e.idx, StateFailed, false, false, err.Error(), &e.cells.usage)
 			continue
 		}
 		s.mu.Lock()
@@ -438,13 +389,11 @@ func (s *Server) runBatch(id string) {
 		if perr := s.cache.put(hash, env, true); perr != nil {
 			s.log.Error("batch: cache config result", "batch", id, "hash", hash, "err", perr)
 		}
-		if s.fleet != nil {
-			s.fleet.replicateToOwner(ctx, hash, env)
-		}
-		finishConfig(e.idx, StateDone, false, false, "", &e.usage)
+		s.fleet.replicateToOwner(ctx, hash, env)
+		finishConfig(e.idx, StateDone, false, false, "", &e.cells.usage)
 	}
 
-	if interrupted || ctx.Err() != nil {
+	if ctx.Err() != nil {
 		// Shutdown mid-batch: stay running on disk, resume next start.
 		persist(true)
 		s.log.Info("batch interrupted by shutdown; persisted for resume", "batch", id)

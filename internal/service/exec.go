@@ -33,20 +33,18 @@ func auditFromContext(ctx context.Context) *audit.Recorder {
 	return rec
 }
 
-// Execute is the production RunFunc: it dispatches a request to the
-// experiment harness entry point its kind names, wiring per-round
-// progress (KindOne, via the sim.Observer hook) or per-cell sweep
-// progress (the runner.Progress hook) into the event stream.
+// Execute is the production RunFunc. It runs the two kinds that
+// execute as one unit: KindOne, with per-round progress (the
+// sim.Observer hook) wired into the event stream, and KindCell, one
+// sweep cell. Sweep kinds never reach a RunFunc: the worker decomposes
+// them into cells and runs those through the cell pool (DESIGN.md §14).
 //
 // When the context carries an obs registry/trace recorder (the qlecd
 // worker installs both), KindOne rounds additionally feed live
-// simulation gauges and per-round trace spans, and sweeps emit per-cell
-// progress gauges and instants. Sweep cells run with observers stripped
-// (the harness's sweepOptions), so round-level gauges are a KindOne
-// feature by design — sweeps report at cell granularity.
+// simulation gauges and per-round trace spans. Cells run with observers
+// stripped, so round-level gauges are a KindOne feature by design —
+// sweeps report at cell granularity.
 func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, error) {
-	reg := obs.MetricsFromContext(ctx)
-	rec := obs.TraceFromContext(ctx)
 	cfg := req.Config
 	env := &ResultEnvelope{Kind: req.Kind}
 	switch req.Kind {
@@ -61,7 +59,8 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 				Done:      snap.Done,
 			}})
 		}
-		if reg != nil {
+		if reg := obs.MetricsFromContext(ctx); reg != nil {
+			rec := obs.TraceFromContext(ctx)
 			collector := obs.NewSimCollector(reg, string(req.Protocols[0]),
 				cfg.InitialEnergy*energy.Joules(cfg.N), cfg.K)
 			base := observer
@@ -83,11 +82,11 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 		}
 		env.One = res
 	case KindCell:
-		// One sweep cell: the replication pair exactly as the in-process
-		// sweep path runs it (hooks are stripped by Normalize, matching
-		// the harness's sweepOptions), so a cell executed here — possibly
-		// on a different daemon — feeds the same Assemble step with the
-		// same bytes.
+		// One sweep cell: the replication pair exactly as the library's
+		// sweeps run it (hooks are stripped by Normalize, matching the
+		// harness's sweepOptions), so a cell executed here — possibly on
+		// a different daemon — feeds the same Assemble step with the same
+		// bytes.
 		spec := experiment.CellSpec{
 			Protocol: req.Protocols[0],
 			Lambda:   req.Lambda,
@@ -99,50 +98,10 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 			return nil, err
 		}
 		env.Cell = &cell
-	case KindFig3:
-		cfg.Progress = sweepProgress(publish, reg, rec)
-		out, err := cfg.RunFig3(ctx, req.Protocols)
-		if err != nil {
-			return nil, err
-		}
-		env.Fig3 = out
-	case KindKSweep:
-		cfg.Progress = sweepProgress(publish, reg, rec)
-		out, err := cfg.RunKSweep(ctx, req.Protocols[0], req.Ks, req.Lambda)
-		if err != nil {
-			return nil, err
-		}
-		env.KSweep = out
-	case KindNSweep:
-		cfg.Progress = sweepProgress(publish, reg, rec)
-		out, err := cfg.RunNSweep(ctx, req.Protocols[0], req.Ns, req.Lambda)
-		if err != nil {
-			return nil, err
-		}
-		env.NSweep = out
 	default:
 		return nil, &badKindError{kind: req.Kind}
 	}
 	return env, nil
-}
-
-func sweepProgress(publish func(Event), reg *obs.Registry, rec *obs.TraceRecorder) func(done, total int) {
-	var doneG, totalG *obs.Gauge
-	if reg != nil {
-		doneG = reg.Gauge("qlec_sweep_cells_done",
-			"Sweep cells completed in the currently executing sweep job.")
-		totalG = reg.Gauge("qlec_sweep_cells_total",
-			"Sweep cells in the currently executing sweep job.")
-	}
-	return func(done, total int) {
-		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
-		if reg != nil {
-			doneG.Set(float64(done))
-			totalG.Set(float64(total))
-		}
-		rec.Instant(fmt.Sprintf("cell %d/%d", done, total), "sweep",
-			map[string]any{"done": done, "total": total})
-	}
 }
 
 type badKindError struct{ kind JobKind }

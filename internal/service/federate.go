@@ -35,25 +35,23 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) {
 	instances := []obs.Instance{{Name: s.fleet.self, Exp: selfExp}}
 	up := map[string]float64{s.fleet.self: 1}
 
-	if s.fleet.enabled {
-		for _, peer := range s.fleet.members.ReadyOthers() {
-			ctx, cancel := context.WithTimeout(r.Context(), federateScrapeTimeout)
-			body, err := s.fleet.peers.MetricsText(ctx, peer)
-			cancel()
-			if err != nil {
-				s.log.Warn("federate: scrape peer", "peer", peer, "err", err)
-				up[peer] = 0
-				continue
-			}
-			exp, err := obs.ParseExposition(bytes.NewReader(body))
-			if err != nil {
-				s.log.Warn("federate: parse peer metrics", "peer", peer, "err", err)
-				up[peer] = 0
-				continue
-			}
-			instances = append(instances, obs.Instance{Name: peer, Exp: exp})
-			up[peer] = 1
+	for _, peer := range s.fleet.members.ReadyOthers() {
+		ctx, cancel := context.WithTimeout(r.Context(), federateScrapeTimeout)
+		body, err := s.fleet.peers.MetricsText(ctx, peer)
+		cancel()
+		if err != nil {
+			s.log.Warn("federate: scrape peer", "peer", peer, "err", err)
+			up[peer] = 0
+			continue
 		}
+		exp, err := obs.ParseExposition(bytes.NewReader(body))
+		if err != nil {
+			s.log.Warn("federate: parse peer metrics", "peer", peer, "err", err)
+			up[peer] = 0
+			continue
+		}
+		instances = append(instances, obs.Instance{Name: peer, Exp: exp})
+		up[peer] = 1
 	}
 
 	// The peer-up series already carry their instance label, so the

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"os/exec"
-	"strconv"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,24 +16,26 @@ import (
 )
 
 // FleetOptions configures a daemon's membership in a qlecd fleet
-// (DESIGN.md §14). The zero value runs standalone: the cell scheduler
-// still powers batches and sweep decomposition locally, but no peer
-// traffic happens.
+// (DESIGN.md §14). The zero value runs standalone — a fleet of one: the
+// same cell pool runs every sweep and batch, and with no other member
+// there is nobody to steal from, proxy to or replicate to.
 type FleetOptions struct {
 	// Self is this daemon's advertised base URL (http://host:port).
-	// Setting it enables fleet mode; required when Peers or Join is set.
+	// Required when Peers or Join is set; without it the daemon refuses
+	// joins and stays a fleet of one.
 	Self string
 	// Peers lists peer base URLs known at startup.
 	Peers []string
 	// Join is an existing peer to join through: the daemon announces
 	// itself there and adopts the returned roster.
 	Join string
-	// CellWorkers sizes the cell-executor pool; default Workers.
+	// CellWorkers sizes the cell-executor pool; default GOMAXPROCS.
 	CellWorkers int
 	// LeaseTTL is how long a granted cell may run between renewals
 	// before it returns to the pool; default 15s.
 	LeaseTTL time.Duration
-	// StealInterval is the idle executor's poll cadence; default 200ms.
+	// StealInterval is the idle executor's steal cadence; default 200ms.
+	// Cells offered locally wake an idle executor at once.
 	StealInterval time.Duration
 	// ProbeInterval is the peer health-probe cadence; default 1s.
 	ProbeInterval time.Duration
@@ -45,22 +45,16 @@ type FleetOptions struct {
 	Advisor fleet.AdvisorConfig
 	// AdvisorInterval is the advisor's sampling cadence; default 1s.
 	AdvisorInterval time.Duration
-	// ScaleHook, when set, is a shell command run (via `sh -c`) whenever
-	// the advisor's recommendation changes to a non-zero delta. The
-	// recommendation is exported in QLECD_SCALE_DELTA / QLECD_SCALE_REASON
-	// environment variables; booting or retiring peers stays the hook's
-	// business.
-	ScaleHook string
 }
 
 // fleetRuntime is the per-daemon fleet engine: the consistent-hash
 // membership, the coordinator-side cell pool, the executor pool that
 // drains it (and steals from peers when it runs dry), and the futures
 // that let sweep jobs and batches wait for cells wherever they run.
+// A standalone daemon runs the same engine over a membership of one.
 type fleetRuntime struct {
 	s       *Server
 	self    string
-	enabled bool
 	members *fleet.Membership
 	table   *fleet.Table
 	peers   *fleet.Client
@@ -72,6 +66,11 @@ type fleetRuntime struct {
 
 	mu      sync.Mutex
 	futures map[string]*cellFuture
+	// wake nudges idle executors when a cell is offered locally, so it
+	// starts at once instead of at the next steal tick. One slot per
+	// executor: a burst of offers wakes them all, and a full buffer
+	// means every executor already has a wake-up pending.
+	wake chan struct{}
 
 	fm       *obs.FleetMetrics
 	stealIdx uint64 // round-robin cursor over ready peers; guarded by mu
@@ -80,10 +79,8 @@ type fleetRuntime struct {
 	// traces; peers collect them via GET /v1/fleet/trace/{traceID}.
 	spans *obs.TraceStore
 
-	advisor       *fleet.Advisor
-	advisorEvery  time.Duration
-	scaleHook     string
-	lastHookDelta int // guarded by mu
+	advisor      *fleet.Advisor
+	advisorEvery time.Duration
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -109,7 +106,7 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		return nil, errors.New("service: fleet peers configured without a self URL (set -self)")
 	}
 	if opt.CellWorkers <= 0 {
-		opt.CellWorkers = s.opt.Workers
+		opt.CellWorkers = runtime.GOMAXPROCS(0)
 	}
 	if opt.LeaseTTL <= 0 {
 		opt.LeaseTTL = 15 * time.Second
@@ -130,7 +127,6 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 	r := &fleetRuntime{
 		s:            s,
 		self:         self,
-		enabled:      opt.Self != "",
 		table:        fleet.NewTable(),
 		peers:        fleet.NewClient(opt.PeerTimeout),
 		ttl:          opt.LeaseTTL,
@@ -138,28 +134,22 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		cellWorkers:  opt.CellWorkers,
 		joinTarget:   opt.Join,
 		futures:      make(map[string]*cellFuture),
+		wake:         make(chan struct{}, opt.CellWorkers),
 		fm:           obs.NewFleetMetrics(s.reg),
 		spans:        obs.NewTraceStore(self, 0, 0),
 		advisor:      fleet.NewAdvisor(opt.Advisor),
 		advisorEvery: opt.AdvisorInterval,
-		scaleHook:    opt.ScaleHook,
 		stop:         make(chan struct{}),
 	}
-	probe := fleet.ProbeFunc(nil)
-	if r.enabled {
-		probe = func(ctx context.Context, peer string) error {
-			return r.peers.Ready(ctx, peer)
-		}
-	}
-	r.members = fleet.NewMembership(self, probe, opt.ProbeInterval)
+	r.members = fleet.NewMembership(self, r.peers.Ready, opt.ProbeInterval)
 	for _, p := range opt.Peers {
 		r.members.Add(p)
 	}
 	return r, nil
 }
 
-// start launches the executor pool, the lease-expiry sweeper and (in
-// fleet mode) the membership prober and the join announcement.
+// start launches the executor pool, the lease-expiry sweeper, the
+// membership prober and (with -join) the join announcement.
 func (r *fleetRuntime) start() {
 	for i := 0; i < r.cellWorkers; i++ {
 		r.wg.Add(1)
@@ -180,15 +170,13 @@ func (r *fleetRuntime) start() {
 			r.advisorLoop()
 		}()
 	}
-	if r.enabled {
-		r.members.Start()
-		if r.joinTarget != "" {
-			r.wg.Add(1)
-			go func() {
-				defer r.wg.Done()
-				r.join()
-			}()
-		}
+	r.members.Start()
+	if r.joinTarget != "" {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.join()
+		}()
 	}
 }
 
@@ -262,6 +250,10 @@ func (r *fleetRuntime) schedule(req Request, hash, trace string) (*cellFuture, e
 		return nil, fmt.Errorf("service: encode cell spec: %w", err)
 	}
 	if r.table.Offer(fleet.Cell{Hash: hash, Spec: spec, Trace: trace}) {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
 		if sc, ok := obs.ParseTraceParent(trace); ok {
 			r.spans.Instant(sc, "cell pooled "+shortHash(hash), "pool", map[string]any{"hash": hash})
 		}
@@ -325,7 +317,8 @@ func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string,
 }
 
 // executorLoop is one cell executor: drain the local pool, then steal
-// from ready peers, then idle briefly.
+// from ready peers, then idle until a local offer or the next steal
+// tick.
 func (r *fleetRuntime) executorLoop() {
 	for {
 		select {
@@ -343,13 +336,16 @@ func (r *fleetRuntime) executorLoop() {
 			return
 		case <-r.s.hardCtx.Done():
 			return
+		case <-r.wake:
 		case <-time.After(r.stealEvery):
 		}
 	}
 }
 
 // runOneCell executes at most one cell (local first, stolen second) and
-// reports whether it found work.
+// reports whether it found work. Only a steal round that reached a
+// ready peer and came back empty counts as starvation: a fleet of one
+// has nobody to steal from, so idling there is not a scale signal.
 func (r *fleetRuntime) runOneCell() bool {
 	if leases := r.table.Acquire(r.self, 1, r.ttl, time.Now()); len(leases) > 0 {
 		r.fm.CellsExecuted.With("local").Inc()
@@ -357,13 +353,11 @@ func (r *fleetRuntime) runOneCell() bool {
 		r.executeLocal(leases[0])
 		return true
 	}
-	if !r.enabled || r.s.draining.Load() {
-		r.fm.StealStarvation.Inc()
+	if r.s.draining.Load() {
 		return false
 	}
 	peer := r.nextStealTarget()
 	if peer == "" {
-		r.fm.StealStarvation.Inc()
 		return false
 	}
 	grants, err := r.peers.Steal(r.s.hardCtx, peer, r.self, 1)
@@ -517,9 +511,6 @@ func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultE
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if r.s.opt.SimWorkers > 0 {
-		req.Config.Workers = r.s.opt.SimWorkers
-	}
 	bracket := prof.Begin()
 	env, err := r.s.opt.Run(obs.ContextWithMetrics(ctx, r.s.reg), req, func(Event) {})
 	usage := bracket.EndWith(r.s.sampler)
@@ -590,8 +581,7 @@ func maxDuration(a, b time.Duration) time.Duration {
 }
 
 // advisorLoop samples the daemon's load on a fixed cadence and feeds
-// the autoscale advisor; recommendation changes to a non-zero delta
-// fire the scale hook.
+// the autoscale advisor.
 func (r *fleetRuntime) advisorLoop() {
 	t := time.NewTicker(r.advisorEvery)
 	defer t.Stop()
@@ -616,17 +606,13 @@ func (r *fleetRuntime) observeAdvisor(now time.Time) {
 	qw := r.s.om.queueWait.Snapshot()
 	cw := r.fm.CellWait.Snapshot()
 	pending, _, _ := r.table.Stats()
-	ready := 1 // self
-	if r.enabled {
-		ready += len(r.members.ReadyOthers())
-	}
 	sample := fleet.Sample{
 		At:          now,
 		WaitCount:   qw.Count + cw.Count,
 		WaitOverSLO: (qw.Count - qw.CountAtMost(sloSec)) + (cw.Count - cw.CountAtMost(sloSec)),
 		Starved:     uint64(r.fm.StealStarvation.Value()),
 		Backlog:     r.s.queue.depth() + pending,
-		ReadyPeers:  ready,
+		ReadyPeers:  1 + len(r.members.ReadyOthers()), // self + others
 		Workers:     r.s.opt.Workers + r.cellWorkers,
 		BusyWorkers: int(r.s.om.busyWorkers.Value()),
 	}
@@ -636,7 +622,6 @@ func (r *fleetRuntime) observeAdvisor(now time.Time) {
 		r.s.log.Info("fleet: scale recommendation changed",
 			"delta", adv.Delta, "reason", adv.Reason,
 			"fastBurn", adv.FastBurn, "slowBurn", adv.SlowBurn)
-		r.fireScaleHook(adv)
 		r.noteScaleFlip(prev, adv)
 	}
 }
@@ -657,44 +642,10 @@ func (r *fleetRuntime) noteScaleFlip(prev int, adv fleet.Advice) {
 	}
 }
 
-// fireScaleHook runs the configured -scale-hook command asynchronously
-// with the recommendation in its environment. Only non-zero deltas
-// fire: returning to zero means "stop scaling", which needs no action.
-func (r *fleetRuntime) fireScaleHook(adv fleet.Advice) {
-	r.mu.Lock()
-	fire := r.scaleHook != "" && adv.Delta != 0 && adv.Delta != r.lastHookDelta
-	r.lastHookDelta = adv.Delta
-	r.mu.Unlock()
-	if !fire {
-		return
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		ctx, cancel := context.WithTimeout(r.s.hardCtx, 30*time.Second)
-		defer cancel()
-		cmd := exec.CommandContext(ctx, "/bin/sh", "-c", r.scaleHook)
-		cmd.Env = append(os.Environ(),
-			"QLECD_SCALE_DELTA="+strconv.Itoa(adv.Delta),
-			"QLECD_SCALE_REASON="+adv.Reason,
-			"QLECD_SELF="+r.self,
-		)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			r.s.log.Warn("fleet: scale hook failed", "err", err, "output", string(out))
-			return
-		}
-		r.s.log.Info("fleet: scale hook ran", "delta", adv.Delta)
-	}()
-}
-
 // proxyFetch asks the hash's ring owner for a cached result; a hit is
 // adopted into the local memory cache. Misses (including "we are the
-// owner" and standalone mode) report false.
+// owner", which a fleet of one always is) report false.
 func (r *fleetRuntime) proxyFetch(ctx context.Context, hash string) (*ResultEnvelope, bool) {
-	if !r.enabled {
-		return nil, false
-	}
 	owner := r.members.Owner(hash)
 	if owner == "" || owner == r.self {
 		return nil, false
@@ -729,7 +680,7 @@ func (r *fleetRuntime) proxyFetch(ctx context.Context, hash string) (*ResultEnve
 // future lookup fleet-wide resolves in one proxy hop. Best-effort: the
 // local (persisted) copy is authoritative for this daemon either way.
 func (r *fleetRuntime) replicateToOwner(ctx context.Context, hash string, env *ResultEnvelope) {
-	if !r.enabled || env == nil {
+	if env == nil {
 		return
 	}
 	owner := r.members.Owner(hash)
@@ -754,98 +705,115 @@ func (r *fleetRuntime) replicateToOwner(ctx context.Context, hash string, env *R
 	r.fm.CacheReplications.Inc()
 }
 
-// runSweep executes a sweep request through the cell pool: decompose,
-// resolve-or-schedule every cell, wait in assembly order while
-// publishing per-cell progress, then fold. The plan and the fold are
-// the same code the in-process path runs, so the result is
-// byte-identical to a single-daemon execution no matter where the
-// cells ran. The returned usage sums the cells' execution bills
-// wherever they ran (cache hits contribute zero).
-func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, prof.Usage, error) {
-	var usage prof.Usage
-	plan, err := planCells(req)
-	if err != nil {
-		return nil, usage, err
-	}
-	total := len(plan.cells)
-	outcomes := make([]*ResultEnvelope, total)
-	futures := make(map[int]*cellFuture)
-	released := false
-	releaseAll := func() {
-		if released {
-			return
-		}
-		released = true
-		for _, f := range futures {
-			r.release(f)
-		}
-	}
-	defer releaseAll()
+// pooledCells is one plan's cells on their way through the pool: the
+// outcomes known so far, the futures of the rest, and the summed
+// execution bills of the cells that have resolved.
+type pooledCells struct {
+	plan     *cellPlan
+	outcomes []*ResultEnvelope
+	futures  []*cellFuture // nil where the outcome is known
+	pending  int           // non-nil futures at pooling time
+	usage    prof.Usage
+}
 
-	done := 0
-	progress := func() {
-		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
+// poolCells resolves each of plan's cells from the local cache or
+// schedules its future under trace. On error nothing stays scheduled.
+func (r *fleetRuntime) poolCells(plan *cellPlan, trace string) (*pooledCells, error) {
+	p := &pooledCells{
+		plan:     plan,
+		outcomes: make([]*ResultEnvelope, len(plan.cells)),
+		futures:  make([]*cellFuture, len(plan.cells)),
 	}
-	// Cells inherit the sweep's trace: every executor (local or thief)
-	// parses this traceparent and records its spans under one trace ID.
-	sweepSC := obs.SpanFromContext(ctx)
-	trace := sweepSC.TraceParent()
-	fanStart := time.Now()
 	for i, hash := range plan.hashes {
 		if env, ok := r.s.cache.peek(hash); ok {
-			outcomes[i] = env
-			done++
+			p.outcomes[i] = env
 			continue
 		}
 		f, err := r.schedule(plan.cells[i], hash, trace)
 		if err != nil {
-			return nil, usage, err
+			r.releaseCells(p)
+			return nil, err
 		}
-		futures[i] = f
+		p.futures[i] = f
+		p.pending++
 	}
-	if sweepSC.Valid() {
-		r.spans.Span(sweepSC.Child(), "sweep fan-out", "sweep", fanStart, time.Now(),
-			map[string]any{"cells": total, "pooled": len(futures)})
-	}
-	progress()
-	for i := 0; i < total; i++ {
-		f := futures[i]
+	return p, nil
+}
+
+// awaitCells waits for the pooled cells in assembly order, adding up
+// their bills and calling onCell after each, then folds the outcomes.
+// It stops at the first failed cell or when ctx ends; either way the
+// cells still unresolved are released (pending ones leave the pool,
+// leased ones run on and are cached).
+func (r *fleetRuntime) awaitCells(ctx context.Context, p *pooledCells, onCell func()) (*ResultEnvelope, error) {
+	defer r.releaseCells(p)
+	for i, f := range p.futures {
 		if f == nil {
-			continue // cache hit
+			continue
 		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, usage, ctx.Err()
+			return nil, ctx.Err()
 		}
+		p.futures[i] = nil
 		if f.usage != nil {
-			usage.Add(*f.usage)
+			p.usage.Add(*f.usage)
 		}
 		if f.err != nil {
-			return nil, usage, fmt.Errorf("service: cell %s: %w", f.hash[:12], f.err)
+			return nil, fmt.Errorf("service: cell %s: %w", shortHash(f.hash), f.err)
 		}
-		outcomes[i] = f.env
-		done++
-		progress()
+		p.outcomes[i] = f.env
+		onCell()
 	}
-	releaseAll()
-	env, err := plan.assemble(outcomes)
-	return env, usage, err
+	return p.plan.assemble(p.outcomes)
 }
 
-// distributable reports whether a request should route through the cell
-// pool instead of the monolithic RunFunc. Sweeps distribute when fleet
-// mode is on; KindOne keeps the direct path (round streaming, audit
-// recorder and trace hooks are single-run features).
-func (r *fleetRuntime) distributable(kind JobKind) bool {
-	if !r.enabled {
-		return false
+// releaseCells drops this plan's interest in its unresolved cells.
+func (r *fleetRuntime) releaseCells(p *pooledCells) {
+	for i, f := range p.futures {
+		if f != nil {
+			r.release(f)
+			p.futures[i] = nil
+		}
 	}
-	switch kind {
-	case KindFig3, KindKSweep, KindNSweep:
-		return true
+}
+
+// runSweep executes a sweep request through the cell pool: decompose,
+// pool every cell, wait in assembly order while publishing per-cell
+// progress, then fold. The plan and the fold are the library's own
+// cell builders and Assemble steps, so the result is byte-identical to
+// Config.RunFig3/RunKSweep/RunNSweep no matter where the cells ran. The
+// returned usage sums the cells' execution bills wherever they ran
+// (cache hits contribute zero).
+func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, prof.Usage, error) {
+	plan, err := planCells(req)
+	if err != nil {
+		return nil, prof.Usage{}, err
 	}
-	return false
+	// Cells inherit the sweep's trace: every executor (local or thief)
+	// parses this traceparent and records its spans under one trace ID.
+	sweepSC := obs.SpanFromContext(ctx)
+	fanStart := time.Now()
+	p, err := r.poolCells(plan, sweepSC.TraceParent())
+	if err != nil {
+		return nil, prof.Usage{}, err
+	}
+	total := len(plan.cells)
+	if sweepSC.Valid() {
+		r.spans.Span(sweepSC.Child(), "sweep fan-out", "sweep", fanStart, time.Now(),
+			map[string]any{"cells": total, "pooled": p.pending})
+	}
+	done := total - p.pending
+	progress := func() {
+		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
+	}
+	progress()
+	env, err := r.awaitCells(ctx, p, func() {
+		done++
+		progress()
+	})
+	return env, p.usage, err
 }
 
 // --- HTTP handlers (mounted by Server.Handler under /v1/fleet) ---
@@ -872,6 +840,12 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
+	if s.opt.Fleet.Self == "" {
+		// Peers could not reach back to a daemon with no advertised URL,
+		// yet its executors would start stealing from the joiner.
+		writeErr(w, http.StatusBadRequest, "join: this daemon runs standalone (started without -self)")
+		return
+	}
 	var req fleet.JoinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode join: %v", err)

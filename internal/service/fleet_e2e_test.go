@@ -120,25 +120,29 @@ func fleetSweepCfg() experiment.Config {
 	return cfg
 }
 
-// runReference executes req on a plain standalone server and returns
-// its result envelope as canonical JSON — the byte-identity baseline.
-func runReference(t *testing.T, req service.Request) []byte {
+// libraryEnvelope runs a sweep request through the experiment library
+// itself — Config.RunFig3/RunKSweep/RunNSweep on the normalized request,
+// no daemon involved — and returns the result envelope a daemon must
+// serve for it, as JSON: the byte-identity baseline for pooled sweeps.
+func libraryEnvelope(t *testing.T, req service.Request) []byte {
 	t.Helper()
-	_, cl := newTestServer(t, service.Options{Workers: 2})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	j, err := cl.Submit(ctx, req)
+	n := req.Normalize()
+	hash, err := n.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := cl.Wait(ctx, j.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	env := service.ResultEnvelope{Kind: n.Kind, Hash: hash}
+	switch n.Kind {
+	case service.KindFig3:
+		env.Fig3, err = n.Config.RunFig3(ctx, n.Protocols)
+	case service.KindKSweep:
+		env.KSweep, err = n.Config.RunKSweep(ctx, n.Protocols[0], n.Ks, n.Lambda)
+	case service.KindNSweep:
+		env.NSweep, err = n.Config.RunNSweep(ctx, n.Protocols[0], n.Ns, n.Lambda)
+	default:
+		t.Fatalf("libraryEnvelope: %q is not a sweep kind", n.Kind)
 	}
-	if done.State != service.StateDone {
-		t.Fatalf("reference job %s (error %q), want done", done.State, done.Error)
-	}
-	env, err := cl.Result(ctx, done.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +155,14 @@ func runReference(t *testing.T, req service.Request) []byte {
 
 // TestFleetSweepDistributesAndMatchesLocal is the headline fleet
 // contract: a 3-daemon fleet executes one sweep's cells on at least two
-// peers, and the merged result is byte-identical to a single-daemon run
-// of the same request.
+// peers, and the merged result is byte-identical to the library's.
 func TestFleetSweepDistributesAndMatchesLocal(t *testing.T) {
 	req := service.Request{
 		Kind:      service.KindFig3,
 		Config:    fleetSweepCfg(),
 		Protocols: []experiment.ProtocolID{experiment.QLEC, experiment.LEACH},
 	}
-	want := runReference(t, req)
+	want := libraryEnvelope(t, req)
 
 	n1 := startFleetNode(t, service.Options{Workers: 1}, service.FleetOptions{CellWorkers: 1})
 	n2 := startFleetNode(t, service.Options{Workers: 1}, service.FleetOptions{Join: n1.url, CellWorkers: 1})
@@ -189,7 +192,7 @@ func TestFleetSweepDistributesAndMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("fleet sweep result differs from the single-daemon run\nfleet: %.200s\nlocal: %.200s", got, want)
+		t.Errorf("fleet sweep result differs from the library's\nfleet:   %.200s\nlibrary: %.200s", got, want)
 	}
 
 	executors := 0
@@ -264,8 +267,8 @@ func TestFleetProxyCacheHits(t *testing.T) {
 
 // TestFleetPeerKillRecovery: a peer steals cells and dies without
 // completing them; their leases expire, the cells re-pool, surviving
-// peers finish them, and the merged result still matches a
-// single-daemon run bit for bit. No cell is lost.
+// peers finish them, and the merged result still matches the library's
+// bit for bit. No cell is lost.
 func TestFleetPeerKillRecovery(t *testing.T) {
 	cfg := fleetSweepCfg()
 	req := service.Request{
@@ -273,7 +276,7 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 		Config:    cfg,
 		Protocols: []experiment.ProtocolID{experiment.QLEC},
 	}
-	want := runReference(t, req)
+	want := libraryEnvelope(t, req)
 
 	ttl := 400 * time.Millisecond
 	n1 := startFleetNode(t, service.Options{Workers: 1},
@@ -323,7 +326,7 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("post-recovery result differs from the single-daemon run\nfleet: %.200s\nlocal: %.200s", got, want)
+		t.Errorf("post-recovery result differs from the library's\nfleet:   %.200s\nlibrary: %.200s", got, want)
 	}
 	// No lost cells: the pool is empty once the job is done.
 	f := n1.fleet(t)

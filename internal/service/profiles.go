@@ -55,7 +55,7 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	art = s.profiles.Add(art)
 	resp := profileCaptureResponse{Profiles: []prof.Artifact{artifactMeta(art)}}
 
-	if body.Fleet && s.fleet.enabled {
+	if body.Fleet {
 		req := fleet.ProfileCaptureRequest{Kind: body.Kind, Seconds: body.Seconds}
 		for _, peer := range s.fleet.members.ReadyOthers() {
 			ctx, cancel := context.WithTimeout(s.hardCtx, peerCaptureTimeout(dur))
@@ -95,7 +95,7 @@ func (s *Server) handleProfileList(w http.ResponseWriter, r *http.Request) {
 			arts[i].Instance = s.fleet.self
 		}
 	}
-	if r.URL.Query().Get("fleet") != "" && s.fleet.enabled {
+	if r.URL.Query().Get("fleet") != "" {
 		for _, peer := range s.fleet.members.ReadyOthers() {
 			ctx, cancel := context.WithTimeout(s.hardCtx, 3*time.Second)
 			pas, err := s.fleet.peers.Profiles(ctx, peer)

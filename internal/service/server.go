@@ -33,10 +33,6 @@ type Options struct {
 	// MaxRetries is how many times a transiently-failed job re-enters
 	// the queue before failing terminally. Default 1.
 	MaxRetries int
-	// SimWorkers, when positive, overrides each job's Config.Workers so
-	// a W-worker pool doesn't fan every sweep out across every CPU.
-	// Zero honours the submitted configuration.
-	SimWorkers int
 	// Run executes jobs; default Execute. Tests substitute stubs.
 	Run RunFunc
 	// Logger receives structured operational logs; default discards.
@@ -62,8 +58,9 @@ type Options struct {
 	// at most one capture pair per trigger reason per gap. Zero keeps the
 	// 5-minute default; negative disables auto-capture.
 	AutoProfileMinGap time.Duration
-	// Fleet configures peer-to-peer work stealing and the shared result
-	// cache (DESIGN.md §14). The zero value runs standalone.
+	// Fleet configures the cell pool, peer-to-peer work stealing and the
+	// shared result cache (DESIGN.md §14). The zero value runs a fleet
+	// of one.
 	Fleet FleetOptions
 }
 
@@ -681,9 +678,6 @@ func (s *Server) handleBatchTrace(w http.ResponseWriter, r *http.Request) {
 // partial trace, never an error.
 func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 	spans := s.fleet.spans.Spans(traceID)
-	if !s.fleet.enabled {
-		return spans
-	}
 	for _, peer := range s.fleet.members.ReadyOthers() {
 		ctx, cancel := context.WithTimeout(s.hardCtx, 2*time.Second)
 		ps, err := s.fleet.peers.TraceSpans(ctx, peer, traceID)
@@ -751,26 +745,25 @@ func (s *Server) Metrics() Metrics {
 		}
 	}
 	s.mu.Unlock()
-	if fr := s.fleet; fr != nil && fr.enabled {
-		pending, leased, expired := fr.table.Stats()
-		ready, total := 0, 0
-		for _, p := range fr.members.Peers() {
-			total++
-			if p.Ready {
-				ready++
-			}
+	fr := s.fleet
+	pending, leased, expired := fr.table.Stats()
+	ready, total := 0, 0
+	for _, p := range fr.members.Peers() {
+		total++
+		if p.Ready {
+			ready++
 		}
-		m.Fleet = &FleetSnapshot{
-			Self:          fr.self,
-			PeersReady:    ready,
-			PeersTotal:    total,
-			CellsPending:  pending,
-			CellsLeased:   leased,
-			LeaseExpiries: expired,
-			CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
-			CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
-			ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
-		}
+	}
+	m.Fleet = &FleetSnapshot{
+		Self:          fr.self,
+		PeersReady:    ready,
+		PeersTotal:    total,
+		CellsPending:  pending,
+		CellsLeased:   leased,
+		LeaseExpiries: expired,
+		CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
+		CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
+		ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
 	}
 	return m
 }

@@ -426,8 +426,8 @@ type Metrics struct {
 	Draining       bool  `json:"draining"`
 	// Batches counts batch records by lifecycle state.
 	Batches map[JobState]int `json:"batches,omitempty"`
-	// Fleet summarizes the cell pool and peer roster (present when the
-	// daemon runs in fleet mode).
+	// Fleet summarizes the cell pool and peer roster (a standalone
+	// daemon reports a roster of one).
 	Fleet *FleetSnapshot `json:"fleet,omitempty"`
 }
 

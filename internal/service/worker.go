@@ -32,27 +32,25 @@ func (s *Server) runJob(id string) {
 		s.mu.Unlock()
 		return
 	}
-	if s.fleet.enabled {
-		// Fleet dedupe: the hash's ring owner may already hold this
-		// result (computed by any peer). Fetching it installs it in the
-		// local cache, so the late-dedupe check below answers the job
-		// without recomputing. Network happens outside the server lock.
-		hash, traceID := j.Hash, j.TraceID
+	// Fleet dedupe: the hash's ring owner may already hold this result
+	// (computed by any peer). Fetching it installs it in the local cache,
+	// so the late-dedupe check below answers the job without recomputing.
+	// Network happens outside the server lock.
+	hash, traceID := j.Hash, j.TraceID
+	s.mu.Unlock()
+	if _, ok := s.cache.peek(hash); !ok {
+		fetchCtx := s.hardCtx
+		if traceID != "" {
+			fetchCtx = obs.ContextWithSpan(fetchCtx,
+				obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()})
+		}
+		s.fleet.proxyFetch(fetchCtx, hash)
+	}
+	s.mu.Lock()
+	j = s.jobs[id]
+	if j == nil || j.State != StateQueued { // cancelled while unlocked
 		s.mu.Unlock()
-		if _, ok := s.cache.peek(hash); !ok {
-			fetchCtx := s.hardCtx
-			if traceID != "" {
-				fetchCtx = obs.ContextWithSpan(fetchCtx,
-					obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()})
-			}
-			s.fleet.proxyFetch(fetchCtx, hash)
-		}
-		s.mu.Lock()
-		j = s.jobs[id]
-		if j == nil || j.State != StateQueued { // cancelled while unlocked
-			s.mu.Unlock()
-			return
-		}
+		return
 	}
 	hub := s.hubs[id]
 	if hub == nil {
@@ -97,9 +95,6 @@ func (s *Server) runJob(id string) {
 		cancel()
 	}
 	req := j.Request
-	if s.opt.SimWorkers > 0 {
-		req.Config.Workers = s.opt.SimWorkers
-	}
 	rid := j.RequestID
 	attempt := j.Attempts
 	s.persistLocked(j)
@@ -133,15 +128,16 @@ func (s *Server) runJob(id string) {
 	var env *ResultEnvelope
 	var err error
 	var usage prof.Usage
-	if s.fleet.distributable(req.Kind) {
-		// Fleet mode: sweeps decompose into content-addressed cells that
-		// local executors and stealing peers drain in parallel; the
-		// reassembled result is byte-identical to a local run. The usage
-		// bill is the sum of the cells' bills wherever they executed —
-		// NOT a process-wide bracket here, which would double-count the
+	switch req.Kind {
+	case KindFig3, KindKSweep, KindNSweep:
+		// Sweeps decompose into content-addressed cells that local
+		// executors (and, in a fleet, stealing peers) drain in parallel;
+		// the reassembled result is byte-identical to the library's. The
+		// usage bill is the sum of the cells' bills wherever they executed
+		// — NOT a process-wide bracket here, which would double-count the
 		// local cell executors and charge this job for its neighbours.
 		env, usage, err = s.fleet.runSweep(ctx, req, hub.publish)
-	} else {
+	default:
 		// Direct runs get a process-wide bracket; this daemon burned the
 		// cycles, so it also owns the cost-counter increment.
 		bracket := prof.Begin()
@@ -181,11 +177,12 @@ func (s *Server) runJob(id string) {
 	now := time.Now().UTC()
 	if !usage.IsZero() {
 		// Accumulate across attempts: a retried job's bill includes the
-		// failed attempts that preceded success.
-		if j.Resources == nil {
-			j.Resources = &prof.Usage{}
+		// failed attempts that preceded success. Copy on write — job views
+		// handed out earlier share the old pointer.
+		if j.Resources != nil {
+			usage.Add(*j.Resources)
 		}
-		j.Resources.Add(usage)
+		j.Resources = &usage
 	}
 	var requeue, closeHub bool
 	switch {
@@ -237,10 +234,10 @@ func (s *Server) runJob(id string) {
 	s.mu.Unlock()
 
 	if state == StateDone && env != nil {
-		// Make the finished result proxy-visible fleet-wide (a no-op in
-		// standalone mode or when this daemon owns the hash). Outside the
-		// server lock: this is a network call. The job ctx is cancelled by
-		// now, so the replication span rides on hardCtx.
+		// Make the finished result proxy-visible fleet-wide (a no-op when
+		// this daemon owns the hash, as a fleet of one always does).
+		// Outside the server lock: this is a network call. The job ctx is
+		// cancelled by now, so the replication span rides on hardCtx.
 		repCtx := s.hardCtx
 		if jobSC.Valid() {
 			repCtx = obs.ContextWithSpan(repCtx, jobSC)
