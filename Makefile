@@ -49,7 +49,7 @@ bench:
 # `make bench-json BENCHTIME=2s` for stable local timings.
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_PR2.json
-HOT_BENCH = ^(BenchmarkFig3aPacketDeliveryRate|BenchmarkRunnerOverhead|BenchmarkKSweepParallel|BenchmarkDecide|BenchmarkSelectPaperScale|BenchmarkSelectImproved)$$
+HOT_BENCH = ^(BenchmarkFig3aPacketDeliveryRate|BenchmarkRunnerOverhead|BenchmarkKSweepParallel|BenchmarkDecide|BenchmarkDecideFig4|BenchmarkSelectPaperScale|BenchmarkSelectImproved)$$
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -benchtime $(BENCHTIME) \

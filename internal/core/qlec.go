@@ -196,9 +196,9 @@ func (q *QLEC) StartRound(round int) []int {
 	if q.cfg.DisableQLearning {
 		q.nearest = cluster.AssignNearest(q.net, q.heads)
 	} else {
-		// Arm the learner's per-round geometry cache for this head set.
-		// StartRound runs after any inter-round movement, so positions
-		// are frozen for the epoch's lifetime.
+		// Arm the learner's action rows for this head set. StartRound
+		// runs after any inter-round movement, so positions are frozen
+		// for the epoch's lifetime.
 		q.learner.BeginEpoch(q.heads)
 	}
 	return q.heads
@@ -217,7 +217,7 @@ func (q *QLEC) NextHop(node int) int {
 }
 
 // InvalidateGeometry implements cluster.GeometryInvalidator: the engine
-// moved nodes, so the learner's memoized link costs are stale.
+// moved nodes, so the link costs in the learner's action rows are stale.
 func (q *QLEC) InvalidateGeometry() {
 	if !q.cfg.DisableQLearning {
 		q.learner.InvalidateGeometry()

@@ -143,11 +143,10 @@ type Learner struct {
 	// links holds the flattened per-link EWMA success estimates, indexed
 	// from*stride + (to+1) with stride = N+1 (column 0 is the base
 	// station, BSID = −1). NaN marks a link with no observations yet —
-	// LinkP then reports the optimistic prior. Decide probes every head
-	// per packet, so this dense O(1) lookup replaces a map probe on the
-	// hottest path in the simulator; the O(N²) memory (8 bytes per
-	// directed link, ~67 MB at the §5.3 scale of 2896 nodes) is the
-	// accepted trade-off (DESIGN.md §8).
+	// LinkP then reports the optimistic prior. It is the canonical link
+	// state: Observe writes it, and LinkP and action-row fills read it.
+	// The O(N²) memory (8 bytes per directed link, ~67 MB at the §5.3
+	// scale of 2896 nodes) is the accepted trade-off (DESIGN.md §8).
 	links  []float64
 	stride int
 
@@ -155,28 +154,27 @@ type Learner struct {
 	// used to normalize y(·) into [0,1].
 	yNorm float64
 
-	// Per-epoch geometry cache for Decide. y(from, to) is a pure
-	// function of node positions, which only change between rounds, yet
-	// the un-cached path recomputed it (a sqrt and the amplifier power
-	// law) for every action of every packet's Decide call. BeginEpoch
-	// arms the cache for one head set; each node's row of y values —
-	// [BS, heads[0], heads[1], ...] — fills lazily on its first Decide
-	// of the epoch and is reused for the rest. Cached and fresh values
-	// are bit-identical (same pure computation), so results are
-	// unchanged.
-	yEpoch   uint64
-	yHeads   []int
-	yStamp   []uint64
-	yRows    []float64
-	yScratch []float64
+	// Head-compact action rows for Decide. BeginEpoch arms them for one
+	// head set — a round's elected heads. Node i's row holds one action
+	// per target in [BS, heads[0], heads[1], ...]: y(i, ·), a pure
+	// function of positions, which only change between rounds, and
+	// P(i, ·), the link estimate with the prior already substituted. A
+	// row fills from the dense tables on the node's first Decide of the
+	// epoch, and Observe keeps its P entries current, so Decide streams
+	// k+1 contiguous entries instead of probing the O(N²) table per
+	// head. Bumping epoch expires every row at once.
+	epoch   uint64
+	armed   bool
+	heads   []int             // the armed head set
+	headBat []*energy.Battery // headBat[j] is heads[j]'s battery, read for x(heads[j])
+	col     []int             // target id+1 → its column in a row (BS 0, heads 1..k), −1 for the rest
+	stamp   []uint64          // stamp[i] == epoch: node i's row is live
+	rows    []action          // N rows of width k+1, node-major
 
-	// yPair memoizes y(from, to) per link across epochs: positions only
-	// change under mobility, which the engine reports via
-	// InvalidateGeometry (cluster.GeometryInvalidator), so in a static
-	// network each link's cost is computed exactly once for the run.
-	// Dense (N+1)-stride layout with to==BSID at column 0; NaN marks an
-	// uncomputed cell. Allocated on first BeginEpoch.
-	yPair []float64
+	// scratch and scratchBat hold the row of a Decide call whose head
+	// set is not the armed one, filled the same way for that call only.
+	scratch    []action
+	scratchBat []*energy.Battery
 
 	updates   uint64
 	lastDelta float64
@@ -234,13 +232,22 @@ func NewLearner(w *network.Network, model energy.Model, bits int, params Params)
 	return l, nil
 }
 
+// action is one entry of an action row: the normalized Eq. (18) cost
+// y(from, to) and the link estimate P(from, to).
+type action struct{ y, p float64 }
+
 // x returns the normalized residual energy of a node, or 1 for the
 // mains-powered base station.
 func (l *Learner) x(id int) float64 {
 	if id == network.BSID {
 		return 1
 	}
-	b := l.net.Nodes[id].Battery
+	return xOf(l.net.Nodes[id].Battery)
+}
+
+// xOf is the residual energy of a battery as a fraction of its initial
+// charge.
+func xOf(b *energy.Battery) float64 {
 	return float64(b.Residual()) / float64(b.Initial())
 }
 
@@ -281,123 +288,127 @@ func (l *Learner) rewardFailure(from, to int) float64 {
 
 // q evaluates Eq. (15)+(16) for one state-action pair.
 func (l *Learner) q(from, to int) float64 {
-	return l.qHoisted(from, to, l.x(from), l.v[from], l.y(from, to))
+	a := action{y: l.y(from, to), p: l.LinkP(from, to)}
+	if to == network.BSID {
+		return l.qAction(a, l.x(from), l.v[from], 1, l.vBS, l.params.L)
+	}
+	return l.qAction(a, l.x(from), l.v[from], l.x(to), l.v[to], 0)
 }
 
-// qHoisted is q with the from-side invariants — x(from) and V*(from),
-// identical for every action probed by one Decide call — and the
-// geometry cost y supplied by the caller (Decide reads it from the
-// per-epoch cache). The arithmetic is term-for-term the same expression
-// as the pre-flattening rewardSuccess/rewardFailure/q composition, so
-// results stay byte-identical (the determinism-preservation rule of
-// DESIGN.md §8); the transmission cost y is evaluated once instead of
-// once per reward term.
-func (l *Learner) qHoisted(from, to int, xFrom, vFrom, y float64) float64 {
-	p := l.LinkP(from, to)
-	rs := -l.params.G + l.params.Alpha1*(xFrom+l.x(to)) - l.params.Alpha2*y
-	if to == network.BSID {
-		rs -= l.params.L
-	}
-	rf := -l.params.G + l.params.Beta1*xFrom - l.params.Beta2*y
-	rt := p*rs + (1-p)*rf
-	var vTo float64
-	if to == network.BSID {
-		vTo = l.vBS
-	} else {
-		vTo = l.v[to]
-	}
-	return rt + l.params.Gamma*(p*vTo+(1-p)*vFrom)
+// qAction is q for one action-row entry: the from-side invariants —
+// x(from) and V*(from), identical for every action probed by one Decide
+// call — and the target's x and V are supplied by the caller, and
+// penalty is Eq. (19)'s l for the BS action and 0 for a head. The
+// arithmetic is term-for-term the same expression as the
+// rewardSuccess/rewardFailure/q composition (subtracting a zero penalty
+// leaves every value's bits unchanged), so results stay byte-identical
+// (the determinism-preservation rule of DESIGN.md §8); the transmission
+// cost y is evaluated once instead of once per reward term.
+func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) float64 {
+	rs := -l.params.G + l.params.Alpha1*(xFrom+xTo) - l.params.Alpha2*a.y - penalty
+	rf := -l.params.G + l.params.Beta1*xFrom - l.params.Beta2*a.y
+	rt := a.p*rs + (1-a.p)*rf
+	return rt + l.params.Gamma*(a.p*vTo+(1-a.p)*vFrom)
 }
 
-// BeginEpoch arms the geometry cache for one action set — typically a
-// round's elected heads. Until the next BeginEpoch, Decide(from, heads)
-// calls whose heads match the epoch's set read y(from, ·) from a cached
-// per-node row instead of recomputing it per packet. Callers whose node
-// positions can change (a mobility model) must call BeginEpoch again
-// afterwards — QLEC does so every round from StartRound, which runs
-// after any movement. Passing nil disarms the cache.
+// BeginEpoch arms the action rows for one head set — typically a round's
+// elected heads — and expires every row filled so far. Until the next
+// BeginEpoch, Decide(from, heads) calls whose heads match the epoch's set
+// read their actions from from's row, filled on its first such call.
+// Callers whose node positions can change (a mobility model) must call
+// BeginEpoch or InvalidateGeometry afterwards — QLEC arms every round
+// from StartRound, which runs after any movement. Passing nil, or a head
+// set naming a node twice (one column per node could not hold both),
+// disarms the rows, and every Decide fills a scratch row instead.
 func (l *Learner) BeginEpoch(heads []int) {
-	l.yEpoch++
-	l.yHeads = append(l.yHeads[:0], heads...)
+	l.epoch++
+	if l.armed {
+		for _, h := range l.heads {
+			l.col[h+1] = -1
+		}
+		l.armed = false
+	}
 	if heads == nil {
-		l.yHeads = nil
 		return
 	}
 	n := len(l.v)
-	if len(l.yStamp) != n {
-		l.yStamp = make([]uint64, n)
+	if l.col == nil {
+		l.stamp = make([]uint64, n)
+		l.col = make([]int, n+1)
+		for i := range l.col {
+			l.col[i] = -1
+		}
+		l.col[0] = 0 // the BS column
 	}
+	for j, h := range heads {
+		if l.col[h+1] >= 0 { // h named twice: disarm
+			for _, h := range heads[:j] {
+				l.col[h+1] = -1
+			}
+			return
+		}
+		l.col[h+1] = j + 1
+	}
+	l.armed = true
+	l.heads = append(l.heads[:0], heads...)
+	l.headBat = l.batteries(l.headBat, heads)
 	need := n * (len(heads) + 1)
-	if cap(l.yRows) < need {
-		l.yRows = make([]float64, need)
+	if cap(l.rows) < need {
+		l.rows = make([]action, need)
 	}
-	l.yRows = l.yRows[:need]
-	if l.yPair == nil {
-		l.yPair = make([]float64, n*(n+1))
-		l.invalidatePairs()
-	}
+	l.rows = l.rows[:need]
 }
 
 // InvalidateGeometry implements cluster.GeometryInvalidator for the
-// learner: node positions changed, so every memoized link cost is
-// stale. Per-epoch rows need no touch — the next BeginEpoch (which
-// always follows a mobility step before any Decide) re-stamps them.
+// learner: node positions changed, so every row's y values are stale.
+// Bumping the epoch expires the rows; each refills on its node's next
+// Decide.
 func (l *Learner) InvalidateGeometry() {
-	l.invalidatePairs()
+	l.epoch++
 }
 
-func (l *Learner) invalidatePairs() {
-	for i := range l.yPair {
-		l.yPair[i] = math.NaN()
-	}
-}
-
-// yMemo returns y(from, to) through the cross-epoch link memo.
-func (l *Learner) yMemo(from, to int) float64 {
-	cell := from*(len(l.v)+1) + to + 1
-	v := l.yPair[cell]
-	if v != v { // NaN: not yet computed for the current geometry
-		v = l.y(from, to)
-		l.yPair[cell] = v
-	}
-	return v
-}
-
-// yFor returns the y(from, ·) row for the action set [BS, heads...],
-// served from the epoch cache when armed for exactly this head set and
-// computed into a per-call scratch otherwise.
-func (l *Learner) yFor(from int, heads []int) []float64 {
+// actionRow returns from's row for the action set [BS, heads...] and the
+// heads' batteries: the epoch's row when heads is the armed set, filled
+// on from's first call of the epoch, and a fresh fill into scratch
+// otherwise.
+func (l *Learner) actionRow(from int, heads []int) ([]action, []*energy.Battery) {
 	w := len(heads) + 1
-	if l.yHeads != nil && slicesEqual(l.yHeads, heads) {
-		row := l.yRows[from*w : (from+1)*w]
-		if l.yStamp[from] != l.yEpoch {
-			l.fillY(row, from, heads)
-			l.yStamp[from] = l.yEpoch
+	if l.armed && slicesEqual(l.heads, heads) {
+		row := l.rows[from*w : (from+1)*w]
+		if l.stamp[from] != l.epoch {
+			l.fillRow(row, from, heads)
+			l.stamp[from] = l.epoch
 		}
-		return row
+		return row, l.headBat
 	}
-	if cap(l.yScratch) < w {
-		l.yScratch = make([]float64, w)
+	if cap(l.scratch) < w {
+		l.scratch = make([]action, w)
 	}
-	row := l.yScratch[:w]
-	l.fillY(row, from, heads)
-	return row
+	row := l.scratch[:w]
+	l.fillRow(row, from, heads)
+	l.scratchBat = l.batteries(l.scratchBat, heads)
+	return row, l.scratchBat
 }
 
-// fillY computes row = [y(from, BS), y(from, heads[0]), ...], reading
-// each link through the cross-epoch memo when it is allocated.
-func (l *Learner) fillY(row []float64, from int, heads []int) {
-	if l.yPair != nil {
-		row[0] = l.yMemo(from, network.BSID)
-		for j, h := range heads {
-			row[j+1] = l.yMemo(from, h)
-		}
-		return
-	}
-	row[0] = l.y(from, network.BSID)
+// fillRow computes row = [a(from, BS), a(from, heads[0]), ...] from the
+// geometry and the dense link table.
+func (l *Learner) fillRow(row []action, from int, heads []int) {
+	row[0] = action{y: l.y(from, network.BSID), p: l.LinkP(from, network.BSID)}
 	for j, h := range heads {
-		row[j+1] = l.y(from, h)
+		row[j+1] = action{y: l.y(from, h), p: l.LinkP(from, h)}
 	}
+}
+
+// batteries refills dst with the batteries of heads, in order.
+func (l *Learner) batteries(dst []*energy.Battery, heads []int) []*energy.Battery {
+	if cap(dst) < len(heads) {
+		dst = make([]*energy.Battery, len(heads))
+	}
+	dst = dst[:len(heads)]
+	for j, h := range heads {
+		dst[j] = l.net.Nodes[h].Battery
+	}
+	return dst
 }
 
 func slicesEqual(a, b []int) bool {
@@ -437,27 +448,30 @@ func (l *Learner) SetExploration(s *rng.Stream) { l.explore = s }
 func (l *Learner) Decide(from int, heads []int) int {
 	// Invariants of the from side — its normalized residual energy and
 	// current V — are identical for every probed action; hoist them out
-	// of the per-head loop. The decision-observer captures below consume
-	// no randomness and change no arithmetic, so observed and unobserved
-	// runs stay byte-identical.
+	// of the per-head loop. A head's x and V are read fresh on every
+	// call: its battery drains and its V updates mid-round. The
+	// decision-observer captures below consume no randomness and change
+	// no arithmetic, so observed and unobserved runs stay byte-identical.
 	xFrom := l.x(from)
 	vFrom := l.v[from]
 	var rec *Decision
 	if l.decObs != nil {
 		rec = &Decision{Node: from, VBefore: vFrom, EpsRoll: math.NaN()}
 	}
-	ys := l.yFor(from, heads)
+	row, bats := l.actionRow(from, heads)
 	best := network.BSID
-	bestQ := l.qHoisted(from, network.BSID, xFrom, vFrom, ys[0])
+	bestQ := l.qAction(row[0], xFrom, vFrom, 1, l.vBS, l.params.L)
 	if rec != nil {
 		rec.Candidates = append(rec.Candidates, network.BSID)
 		rec.QValues = append(rec.QValues, bestQ)
 	}
+	others := len(heads)
 	for j, h := range heads {
 		if h == from {
+			others--
 			continue
 		}
-		q := l.qHoisted(from, h, xFrom, vFrom, ys[j+1])
+		q := l.qAction(row[j+1], xFrom, vFrom, xOf(bats[j]), l.v[h], 0)
 		if rec != nil {
 			rec.Candidates = append(rec.Candidates, h)
 			rec.QValues = append(rec.QValues, q)
@@ -475,26 +489,18 @@ func (l *Learner) Decide(from int, heads []int) int {
 		if rec != nil {
 			rec.EpsRoll = roll
 		}
-		if roll < l.params.Epsilon {
-			candidates := len(heads)
+		if roll < l.params.Epsilon && others > 0 {
+			j := l.explore.Intn(others)
 			for _, h := range heads {
 				if h == from {
-					candidates--
+					continue
 				}
-			}
-			if candidates > 0 {
-				j := l.explore.Intn(candidates)
-				for _, h := range heads {
-					if h == from {
-						continue
-					}
-					if j == 0 {
-						chosen = h
-						explored = true
-						break
-					}
-					j--
+				if j == 0 {
+					chosen = h
+					explored = true
+					break
 				}
+				j--
 			}
 		}
 	}
@@ -520,7 +526,9 @@ func better(candidate, incumbent int) bool {
 // Observe folds a transmission outcome into the link estimator —
 // the ACK-driven learning step of §4.2. The inlined update is the same
 // arithmetic as stats.EWMA: first contact seeds the estimate with the
-// prior so one failure does not zero it, then folds the outcome.
+// prior so one failure does not zero it, then folds the outcome. When
+// from's action row is live and to is one of its targets, the row's
+// entry takes the new estimate too.
 func (l *Learner) Observe(from, to int, success bool) {
 	i := from*l.stride + to + 1
 	p := l.links[i]
@@ -532,6 +540,11 @@ func (l *Learner) Observe(from, to int, success bool) {
 		x = 1
 	}
 	l.links[i] = p + l.params.LinkAlpha*(x-p)
+	if l.armed && l.stamp[from] == l.epoch {
+		if c := l.col[to+1]; c >= 0 {
+			l.rows[from*(len(l.heads)+1)+c].p = l.links[i]
+		}
+	}
 	if l.outObs != nil {
 		r := l.rewardFailure(from, to)
 		if success {
