@@ -336,12 +336,35 @@ func TestCoverageRadiusExposed(t *testing.T) {
 	}
 }
 
+// selectRounds is the round block one BenchmarkSelectImproved op
+// times: the length of the §5.3 Fig. 4 run.
+const selectRounds = 20
+
+// BenchmarkSelectImproved times improved-DEEC head selection at the §5.3
+// scale (2896 nodes, k=272). Every op is the same block: rounds
+// 0..selectRounds−1 from a fresh lottery stream and no head history,
+// reset outside the timer. ns/round is the per-round cost.
 func BenchmarkSelectImproved(b *testing.B) {
-	w, _ := network.Deploy(network.Deployment{N: 2896, Side: 1000, InitialEnergy: 5}, rng.New(1))
-	s, _ := NewSelector(w, ImprovedConfig(272, 1000, 0), rng.New(2))
+	w, err := network.Deploy(network.Deployment{N: 2896, Side: 1000, InitialEnergy: 5}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSelector(w, ImprovedConfig(272, 1000, 0), rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Select(i % 1000)
+		b.StopTimer()
+		s.rnd = rng.New(2)
+		for _, n := range w.Nodes {
+			n.LastCHRound = -1
+		}
+		b.StartTimer()
+		for r := 0; r < selectRounds; r++ {
+			s.Select(r)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*selectRounds), "ns/round")
 }

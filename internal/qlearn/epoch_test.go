@@ -2,6 +2,7 @@ package qlearn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"qlec/internal/dataset"
@@ -14,11 +15,9 @@ import (
 // fig4Heads is the §5.3 cluster count k_opt.
 const fig4Heads = 272
 
-// fig4Learner builds a learner at the Fig. 4 shape — the synthetic
-// 2896-node set at seed 2019 — with a fixed set of 272 heads spread
-// evenly over the ids and some link history toward them and the BS. It
-// returns the learner (not armed), the heads and the other nodes.
-func fig4Learner(tb testing.TB) (l *Learner, heads, members []int) {
+// fig4Net builds the Fig. 4 network: the synthetic 2896-node set at
+// seed 2019.
+func fig4Net(tb testing.TB) *network.Network {
 	tb.Helper()
 	ds, err := dataset.Synthesize(dataset.DefaultSynthConfig())
 	if err != nil {
@@ -28,7 +27,17 @@ func fig4Learner(tb testing.TB) (l *Learner, heads, members []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l, err = NewLearner(w, energy.DefaultModel(), 4000, DefaultParams())
+	return w
+}
+
+// fig4Learner builds a learner at the Fig. 4 shape with a fixed set of
+// 272 heads spread evenly over the ids and some link history toward
+// them and the BS. It returns the learner (not armed), the heads and
+// the other nodes.
+func fig4Learner(tb testing.TB) (l *Learner, heads, members []int) {
+	tb.Helper()
+	w := fig4Net(tb)
+	l, err := NewLearner(w, energy.DefaultModel(), 4000, DefaultParams())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -109,6 +118,45 @@ func TestDecideAllocs(t *testing.T) {
 	}
 }
 
+// TestLinkStoreAllocs pins the link store's memory: NewLearner at the
+// Fig. 4 shape allocates O(N) bytes, not an entry per directed pair
+// (2896·2897 float64s would be 67 MB), and Observe on a link already
+// seen allocates nothing, armed or not.
+func TestLinkStoreAllocs(t *testing.T) {
+	w := fig4Net(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewLearner(w, energy.DefaultModel(), 4000, DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	b := after.TotalAlloc - before.TotalAlloc
+	if b > 1<<20 {
+		t.Errorf("NewLearner at N=%d allocated %d bytes, want under 1 MB", w.N(), b)
+	}
+	t.Logf("NewLearner at N=%d: %d bytes", w.N(), b)
+
+	l, heads, members := fig4Learner(t)
+	m := members[0]
+	for _, to := range []int{network.BSID, heads[0], heads[1]} {
+		l.Observe(m, to, true)
+	}
+	i := 0
+	observe := func() {
+		l.Observe(m, heads[i%2], i%3 != 0)
+		l.Observe(m, network.BSID, false)
+		i++
+	}
+	if a := testing.AllocsPerRun(200, observe); a != 0 {
+		t.Errorf("Observe on seen links: %v allocs/op, want 0", a)
+	}
+	l.BeginEpoch(heads)
+	l.Decide(m, heads) // makes m's row live, so Observe updates it too
+	if a := testing.AllocsPerRun(200, observe); a != 0 {
+		t.Errorf("Observe on seen links with a live row: %v allocs/op, want 0", a)
+	}
+}
+
 // fuzzBytes hands out the fuzz input one byte at a time, then zeros.
 type fuzzBytes []byte
 
@@ -121,15 +169,17 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// FuzzDecideEpoch is the oracle for the action rows: it decodes the
-// input into a sequence of BeginEpoch, Decide, Observe, UpdateHeadValue,
-// node moves with InvalidateGeometry, and battery draws over a small
-// network, and runs it on a learner that is armed by every BeginEpoch
-// and on one that is never armed (every Decide fills a scratch row from
-// the dense tables). Both share the network, the parameters, twin
-// exploration streams and a decision observer. After every operation
-// the chosen targets, every V, every link estimate and the observed
-// Decision records must be bit-equal.
+// FuzzDecideEpoch is the oracle for the action rows and the link
+// store: it decodes the input into a sequence of BeginEpoch, Decide,
+// Observe, UpdateHeadValue, node moves with InvalidateGeometry, and
+// battery draws over a small network, and runs it on a learner that is
+// armed by every BeginEpoch and on one that is never armed (every
+// Decide fills a scratch row by looking up each link). Both share the
+// network, the parameters, twin exploration streams and a decision
+// observer. After every operation the chosen targets, every V and the
+// observed Decision records must be bit-equal, and both learners'
+// estimate for every directed link must equal a reference map that
+// applies the same prior-then-EWMA update.
 func FuzzDecideEpoch(f *testing.F) {
 	f.Add([]byte{30, 7, 1, 0, 3, 2, 2, 9, 1, 2, 1, 9, 3, 0, 2, 1, 3, 1, 0, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -152,6 +202,7 @@ func FuzzDecideEpoch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := map[[2]int]float64{} // the reference link estimates
 		var decA, decP []Decision
 		armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
 		plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
@@ -204,6 +255,15 @@ func FuzzDecideEpoch(f *testing.F) {
 				from, to, ok := node(), target(), in.next()%3 != 0
 				armed.Observe(from, to, ok)
 				plain.Observe(from, to, ok)
+				q, seen := ref[[2]int{from, to}]
+				if !seen {
+					q = p.InitialLinkP
+				}
+				x := 0.0
+				if ok {
+					x = 1
+				}
+				ref[[2]int{from, to}] = q + p.LinkAlpha*(x-q)
 			case 4:
 				h := target()
 				if h == network.BSID {
@@ -225,8 +285,13 @@ func FuzzDecideEpoch(f *testing.F) {
 					t.Fatalf("op %d: V(%d) = %v armed, %v unarmed", op, i, a, b)
 				}
 				for to := network.BSID; to < n; to++ {
-					if a, b := armed.LinkP(i, to), plain.LinkP(i, to); math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("op %d: LinkP(%d, %d) = %v armed, %v unarmed", op, i, to, a, b)
+					want, seen := ref[[2]int{i, to}]
+					if !seen {
+						want = p.InitialLinkP
+					}
+					a, b := armed.LinkP(i, to), plain.LinkP(i, to)
+					if math.Float64bits(a) != math.Float64bits(want) || math.Float64bits(b) != math.Float64bits(want) {
+						t.Fatalf("op %d: LinkP(%d, %d) = %v armed, %v unarmed, want %v", op, i, to, a, b, want)
 					}
 				}
 			}

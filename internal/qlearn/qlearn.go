@@ -126,7 +126,7 @@ func (p Params) Validate() error {
 }
 
 // Learner holds the Q-learning state for an entire network: V values per
-// node and link-probability estimators per directed link. One Learner
+// node and link-probability estimators per observed link. One Learner
 // serves all nodes (the paper's nodes each keep their own table; pooling
 // them in one struct is an implementation convenience — no information
 // crosses nodes that the paper doesn't allow, since Q computation for
@@ -140,15 +140,12 @@ type Learner struct {
 
 	v   []float64 // V*(b_i), indexed by node id
 	vBS float64   // V*(h_BS), terminal, stays 0
-	// links holds the flattened per-link EWMA success estimates, indexed
-	// from*stride + (to+1) with stride = N+1 (column 0 is the base
-	// station, BSID = −1). NaN marks a link with no observations yet —
-	// LinkP then reports the optimistic prior. It is the canonical link
-	// state: Observe writes it, and LinkP and action-row fills read it.
-	// The O(N²) memory (8 bytes per directed link, ~67 MB at the §5.3
-	// scale of 2896 nodes) is the accepted trade-off (DESIGN.md §8).
-	links  []float64
-	stride int
+	// links is the canonical link state: the EWMA success estimate of
+	// every link its sender has observed, and nothing for the rest — a
+	// missing link reads as the optimistic prior. Observe writes it, and
+	// LinkP and action-row fills read it. Memory is O(N + observed
+	// links) rather than one entry per directed pair (DESIGN.md §8).
+	links linkStore
 
 	// yNorm is the Eq. (18) cost of the longest possible in-box hop,
 	// used to normalize y(·) into [0,1].
@@ -159,10 +156,13 @@ type Learner struct {
 	// per target in [BS, heads[0], heads[1], ...]: y(i, ·), a pure
 	// function of positions, which only change between rounds, and
 	// P(i, ·), the link estimate with the prior already substituted. A
-	// row fills from the dense tables on the node's first Decide of the
-	// epoch, and Observe keeps its P entries current, so Decide streams
-	// k+1 contiguous entries instead of probing the O(N²) table per
-	// head. Bumping epoch expires every row at once.
+	// row fills on the node's first Decide of the epoch — y from the
+	// geometry, P as the prior overlaid with the node's observed links
+	// that have a column — and Observe keeps its P entries current, so
+	// Decide streams k+1 contiguous entries instead of probing the link
+	// store per head. Bumping epoch expires every row at once. The rows
+	// are the learner's largest state, N·(k+1) entries (≈12.6 MB at the
+	// §5.3 shape).
 	epoch   uint64
 	armed   bool
 	heads   []int             // the armed head set
@@ -218,13 +218,9 @@ func NewLearner(w *network.Network, model energy.Model, bits int, params Params)
 		model:    model.Calc(),
 		bits:     bits,
 		v:        make([]float64, w.N()),
-		links:    make([]float64, w.N()*(w.N()+1)),
-		stride:   w.N() + 1,
+		links:    newLinkStore(w.N()),
 		yNorm:    float64(model.TxAmplifier(bits, ref)),
 		maxDelta: newDeltaWindow(64),
-	}
-	for i := range l.links {
-		l.links[i] = math.NaN()
 	}
 	if l.yNorm <= 0 {
 		return nil, fmt.Errorf("qlearn: degenerate deployment box (size %v)", size)
@@ -266,7 +262,7 @@ func (l *Learner) y(from, to int) float64 {
 // LinkP returns the node's current estimate of the link success
 // probability to target.
 func (l *Learner) LinkP(from, to int) float64 {
-	if p := l.links[from*l.stride+to+1]; !math.IsNaN(p) {
+	if p, ok := l.links.lookup(from, to); ok {
 		return p
 	}
 	return l.params.InitialLinkP
@@ -376,7 +372,16 @@ func (l *Learner) actionRow(from int, heads []int) ([]action, []*energy.Battery)
 	if l.armed && slicesEqual(l.heads, heads) {
 		row := l.rows[from*w : (from+1)*w]
 		if l.stamp[from] != l.epoch {
-			l.fillRow(row, from, heads)
+			// A sparse block overlays its entries on a row filled with
+			// the prior, in O(k + seen); a direct block is looked up per
+			// target, in O(k).
+			targets, off, sparse := l.links.sparse(from)
+			l.fillRow(row, from, heads, !sparse)
+			for i, t := range targets {
+				if c := l.col[t+1]; c >= 0 {
+					row[c].p = l.links.p[off+i]
+				}
+			}
 			l.stamp[from] = l.epoch
 		}
 		return row, l.headBat
@@ -385,17 +390,25 @@ func (l *Learner) actionRow(from int, heads []int) ([]action, []*energy.Battery)
 		l.scratch = make([]action, w)
 	}
 	row := l.scratch[:w]
-	l.fillRow(row, from, heads)
+	l.fillRow(row, from, heads, true)
 	l.scratchBat = l.batteries(l.scratchBat, heads)
 	return row, l.scratchBat
 }
 
-// fillRow computes row = [a(from, BS), a(from, heads[0]), ...] from the
-// geometry and the dense link table.
-func (l *Learner) fillRow(row []action, from int, heads []int) {
-	row[0] = action{y: l.y(from, network.BSID), p: l.LinkP(from, network.BSID)}
+// fillRow computes row = [a(from, BS), a(from, heads[0]), ...]: y from
+// the geometry, and P looked up per target when lookup is set, else the
+// prior, for the caller to overlay with the links from has observed.
+func (l *Learner) fillRow(row []action, from int, heads []int, lookup bool) {
+	p := l.params.InitialLinkP
+	if lookup {
+		p = l.LinkP(from, network.BSID)
+	}
+	row[0] = action{y: l.y(from, network.BSID), p: p}
 	for j, h := range heads {
-		row[j+1] = action{y: l.y(from, h), p: l.LinkP(from, h)}
+		if lookup {
+			p = l.LinkP(from, h)
+		}
+		row[j+1] = action{y: l.y(from, h), p: p}
 	}
 }
 
@@ -530,19 +543,20 @@ func better(candidate, incumbent int) bool {
 // from's action row is live and to is one of its targets, the row's
 // entry takes the new estimate too.
 func (l *Learner) Observe(from, to int, success bool) {
-	i := from*l.stride + to + 1
-	p := l.links[i]
-	if math.IsNaN(p) {
-		p = l.params.InitialLinkP
+	slot, seen := l.links.slot(from, to)
+	p := l.params.InitialLinkP
+	if seen {
+		p = *slot
 	}
 	x := 0.0
 	if success {
 		x = 1
 	}
-	l.links[i] = p + l.params.LinkAlpha*(x-p)
+	p += l.params.LinkAlpha * (x - p)
+	*slot = p
 	if l.armed && l.stamp[from] == l.epoch {
 		if c := l.col[to+1]; c >= 0 {
-			l.rows[from*(len(l.heads)+1)+c].p = l.links[i]
+			l.rows[from*(len(l.heads)+1)+c].p = p
 		}
 	}
 	if l.outObs != nil {
@@ -550,7 +564,7 @@ func (l *Learner) Observe(from, to int, success bool) {
 		if success {
 			r = l.rewardSuccess(from, to)
 		}
-		l.outObs(Outcome{From: from, To: to, Success: success, LinkP: l.links[i], Reward: r})
+		l.outObs(Outcome{From: from, To: to, Success: success, LinkP: p, Reward: r})
 	}
 }
 
