@@ -23,7 +23,7 @@ race:
 # exposition-lint e2e tests in internal/service/obs_test.go, and the
 # protocol registry (init-time registration + RWMutex lookups).
 race-service:
-	$(GO) test -race -count=2 ./internal/service/... ./internal/runner ./internal/obs ./internal/protocol/... ./internal/sim
+	$(GO) test -race -count=2 ./internal/service/... ./internal/runner ./internal/obs ./internal/protocol/...
 
 # Run the simulation daemon locally (Ctrl-C drains; second Ctrl-C
 # force-quits). See README "Running as a service" for the API.

@@ -140,11 +140,6 @@ func (p *KMeans) StartRound(round int) []int {
 // rerouting ever.
 func (p *KMeans) NextHop(node int) int { return p.hop[node] }
 
-// StaticHops implements cluster.StaticRouter: the assignment is fixed
-// for the round and k-means never learns, so independent clusters may
-// run on parallel simulation lanes.
-func (p *KMeans) StaticHops() []int { return p.hop }
-
 // OnOutcome implements cluster.Protocol: k-means does not learn.
 func (p *KMeans) OnOutcome(node, target int, success bool) {}
 
@@ -378,10 +373,6 @@ func (p *LEACH) StartRound(round int) []int {
 
 // NextHop implements cluster.Protocol.
 func (p *LEACH) NextHop(node int) int { return p.hop[node] }
-
-// StaticHops implements cluster.StaticRouter: nearest-head assignment
-// is fixed for the round and LEACH never learns.
-func (p *LEACH) StaticHops() []int { return p.hop }
 
 // OnOutcome implements cluster.Protocol: LEACH does not learn.
 func (p *LEACH) OnOutcome(node, target int, success bool) {}

@@ -87,20 +87,10 @@ type Protocol interface {
 	RelayMode() RelayMode
 }
 
-// StaticRouter is an optional Protocol extension for protocols whose
-// routing is a fixed member→target map for the whole round — no
-// rerouting on retry, no learning from outcomes. The simulation engine
-// uses it to run independent clusters on parallel goroutines between
-// CH-selection barriers (see sim.Config.ClusterWorkers): with a static
-// map the engine can partition nodes by target before the round's event
-// loop starts.
-//
-// Contract: the returned slice has one entry per node — the value
-// NextHop would return for that node at any point during the current
-// round (a head node id or network.BSID) — and is valid until the next
-// StartRound. Implementations must tolerate OnOutcome not being called
-// for transmissions simulated on parallel lanes; a protocol that learns
-// from outcomes must not implement StaticRouter.
+// StaticRouter is a retired optional Protocol extension that exposed a
+// round's fixed member→target map. Nothing in this module implements or
+// consumes it any more; the type stays only because the separate bench
+// module still names it.
 type StaticRouter interface {
 	StaticHops() []int
 }

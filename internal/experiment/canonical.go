@@ -24,9 +24,12 @@ import (
 // round-trip formatting (strconv 'g'), which is deterministic across
 // platforms.
 //
-// Deliberately excluded: Tracer, Observer, Progress (observation hooks;
-// no effect on results) and Workers (scheduling knob; results are
-// schedule-independent by runner.Map's determinism contract).
+// Deliberately excluded: Tracer, Observer, Audit, Progress (observation
+// hooks; no effect on results), Workers (scheduling knob; results are
+// schedule-independent by runner.Map's determinism contract) and the
+// unexported enduranceNoStop (set only by the tournament harness).
+// TestCanonicalMirrorsComplete holds this list and fails on any other
+// field of Config, sim.Config or energy.Model that lacks a mirror.
 
 // canonicalSim mirrors sim.Config field-for-field in frozen order.
 type canonicalSim struct {

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"qlec/internal/dataset"
+	"qlec/internal/energy"
 	"qlec/internal/sim"
 )
 
@@ -50,6 +52,48 @@ func TestHashIgnoresExecutionKnobs(t *testing.T) {
 	mod.Tracer = func(sim.TraceEvent) {}
 	if mod.Hash() != h {
 		t.Fatal("execution knobs leaked into the hash")
+	}
+}
+
+// canonicalExclusions lists every field of a mirrored struct that is
+// deliberately absent from its canonical mirror, with the reason it
+// cannot change results. Keys are "<struct>.<field>" as reported by
+// TestCanonicalMirrorsComplete.
+var canonicalExclusions = map[string]string{
+	"Config.Tracer":          "observation hook; no effect on results",
+	"Config.Observer":        "observation hook; no effect on results",
+	"Config.Audit":           "flight recorder hook; no effect on results",
+	"Config.Workers":         "scheduling knob; runner.Map results are schedule-independent",
+	"Config.Progress":        "observation hook; no effect on results",
+	"Config.enduranceNoStop": "unexported; set only by the tournament harness, never by a submitted job",
+}
+
+// TestCanonicalMirrorsComplete: every field of Config, sim.Config and
+// energy.Model must have a same-named field in its canonical mirror,
+// unless canonicalExclusions says why it may not. A field added to one
+// of those structs without a mirror entry would let configurations that
+// simulate differently share a cache key.
+func TestCanonicalMirrorsComplete(t *testing.T) {
+	used := map[string]bool{}
+	check := func(name string, src, mirror reflect.Type) {
+		for i := 0; i < src.NumField(); i++ {
+			key := name + "." + src.Field(i).Name
+			if _, ok := canonicalExclusions[key]; ok {
+				used[key] = true
+				continue
+			}
+			if _, ok := mirror.FieldByName(src.Field(i).Name); !ok {
+				t.Errorf("%s has no field in %s: mirror it or add it to canonicalExclusions with a reason", key, mirror.Name())
+			}
+		}
+	}
+	check("Config", reflect.TypeOf(Config{}), reflect.TypeOf(canonicalConfig{}))
+	check("sim.Config", reflect.TypeOf(sim.Config{}), reflect.TypeOf(canonicalSim{}))
+	check("energy.Model", reflect.TypeOf(energy.Model{}), reflect.TypeOf(canonicalModel{}))
+	for key := range canonicalExclusions {
+		if !used[key] {
+			t.Errorf("canonicalExclusions names %s, which is not a field any more", key)
+		}
 	}
 }
 

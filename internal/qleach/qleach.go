@@ -67,8 +67,6 @@ type Protocol struct {
 
 	isHead  []bool
 	nearest cluster.Assignment
-	// hop is the frozen member→target map for the round (StaticRouter).
-	hop []int
 	// lastCH[i] is the last round node i served as a sector head; the
 	// lottery's epoch eligibility reads it. Kept protocol-local (unlike
 	// LEACH/DEEC's shared network stamp) so the sectored epochs are
@@ -164,23 +162,8 @@ func (p *Protocol) StartRound(round int) []int {
 		p.lastCH[h] = round
 	}
 	p.nearest = cluster.AssignNearest(p.net, heads)
-	if p.hop == nil {
-		p.hop = make([]int, p.net.N())
-	}
-	for id := range p.hop {
-		if p.isHead[id] {
-			p.hop[id] = network.BSID
-		} else {
-			p.hop[id] = p.nearest.Head[id]
-		}
-	}
 	return heads
 }
-
-// StaticHops implements cluster.StaticRouter: the routing is frozen at
-// StartRound (heads to the BS, members to their nearest head), so the
-// simulator may run clusters on parallel lanes.
-func (p *Protocol) StaticHops() []int { return p.hop }
 
 // electSector runs one sector's lottery and pins the count to quota.
 func (p *Protocol) electSector(round int, members []int, quota int) []int {

@@ -133,28 +133,3 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
-
-// StaticHops must agree with NextHop for every node, every round: it is
-// the frozen map the simulator's parallel cluster lanes route by.
-func TestStaticHopsMatchesNextHop(t *testing.T) {
-	w := uniformNet(t, 80, 33)
-	p, err := New(w, Config{K: 8, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ cluster.StaticRouter = p
-	for round := 0; round < 5; round++ {
-		p.StartRound(round)
-		hops := p.StaticHops()
-		if len(hops) != w.N() {
-			t.Fatalf("round %d: StaticHops len %d, want %d", round, len(hops), w.N())
-		}
-		for id := range hops {
-			if hops[id] != p.NextHop(id) {
-				t.Fatalf("round %d node %d: StaticHops %d != NextHop %d",
-					round, id, hops[id], p.NextHop(id))
-			}
-		}
-		p.EndRound(round)
-	}
-}

@@ -84,18 +84,6 @@ func (s *Stream) Split(index uint64) *Stream {
 	return New(sm.Next())
 }
 
-// SplitN returns the first n child streams Split(0) … Split(n−1) as one
-// contiguous value slice — the allocation-friendly shape for per-node
-// sub-streams (one backing array instead of n pointer-chased heap
-// objects). Like Split, it does not consume randomness from the parent.
-func (s *Stream) SplitN(n int) []Stream {
-	out := make([]Stream, n)
-	for i := range out {
-		out[i] = *s.Split(uint64(i))
-	}
-	return out
-}
-
 func fnv64a(name string) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -8,7 +8,7 @@ import (
 	"qlec/internal/network"
 )
 
-// fixedProto is a zero-allocation StaticRouter: fixed heads, hop map
+// fixedProto is a zero-allocation protocol: fixed heads, hop map
 // computed once. It isolates the round kernel's own allocation behavior
 // from per-round protocol work (real selectors re-cluster every round).
 type fixedProto struct {
@@ -19,7 +19,6 @@ type fixedProto struct {
 func (p *fixedProto) Name() string                        { return "fixed" }
 func (p *fixedProto) StartRound(round int) []int          { return p.heads }
 func (p *fixedProto) NextHop(node int) int                { return p.hop[node] }
-func (p *fixedProto) StaticHops() []int                   { return p.hop }
 func (p *fixedProto) OnOutcome(node, target int, ok bool) {}
 func (p *fixedProto) EndRound(round int)                  {}
 func (p *fixedProto) RelayMode() cluster.RelayMode        { return cluster.HoldAndBurst }

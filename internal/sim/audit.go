@@ -108,8 +108,7 @@ func (e *Engine) auditEnergy(cause EnergyCause, id int, drawn energy.Joules, pkt
 }
 
 // auditEnergyAt emits a ledger entry at an explicit time — the lane's
-// virtual clock for event-loop draws. Auditing forces the serial
-// kernel, so the single caller goroutine invariant of Auditor holds.
+// virtual clock for event-loop draws.
 func (e *Engine) auditEnergyAt(t float64, cause EnergyCause, id int, drawn energy.Joules, pkt packet.ID, hasPkt bool) {
 	e.auditor.AuditEnergy(EnergyEntry{
 		Time: t, Round: e.curRound, Node: id, Cause: cause,

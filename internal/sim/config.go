@@ -101,18 +101,6 @@ type Config struct {
 	// DisableControlTraffic turns off the per-round HELLO/advertisement
 	// energy overhead (used by ablations isolating data-plane costs).
 	DisableControlTraffic bool
-	// ClusterWorkers enables the parallel round kernel: values ≥ 2 let
-	// the engine simulate independent clusters on that many goroutines
-	// between CH-selection barriers, for protocols whose routing is a
-	// fixed member→head map for the whole round (cluster.StaticRouter,
-	// HoldAndBurst). Results are deterministic for any worker count but
-	// not bit-identical to the serial schedule (cross-cluster event
-	// interleaving, and therefore link-draw and float-accumulation
-	// order, differs — see DESIGN.md §13). 0 or 1 (the default) keeps
-	// the byte-exact serial kernel. Rounds with a tracer, an auditor,
-	// contention, shadowing, or a learning protocol fall back to serial
-	// automatically.
-	ClusterWorkers int
 	// Seed drives all simulator randomness (traffic timing, link draws).
 	Seed uint64
 }
@@ -205,9 +193,6 @@ func (c Config) Validate() error {
 	}
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("sim: RetryBackoff must be non-negative, got %v", c.RetryBackoff)
-	}
-	if c.ClusterWorkers < 0 {
-		return fmt.Errorf("sim: ClusterWorkers must be non-negative, got %d", c.ClusterWorkers)
 	}
 	return nil
 }

@@ -18,13 +18,10 @@ import (
 
 // Engine runs one protocol over one network for a number of rounds.
 //
-// The engine owns the shared, protocol-independent state of a run —
-// batteries, head queues, RNG streams, accumulators — while the event
-// loop itself lives in the lane kernel (lane.go): one serial lane that
-// replays the historical single-heap schedule byte for byte, or, when
-// Config.ClusterWorkers enables it and the protocol qualifies, one lane
-// per cluster running concurrently between CH-selection barriers
-// (parallel.go).
+// The engine owns the protocol-independent state of a run — batteries,
+// head queues, RNG streams, accumulators — while the round's event loop
+// lives in the lane (lane.go), which replays the historical single-heap
+// schedule byte for byte.
 type Engine struct {
 	cfg   Config
 	net   *network.Network
@@ -33,27 +30,11 @@ type Engine struct {
 	calc  energy.Calc // model with the crossover distance precomputed
 
 	nodeGen []*rng.Stream // per-node traffic timing streams
-	link    *rng.Stream   // link success draws (serial schedule)
+	link    *rng.Stream   // link success draws, in event order
 
-	// nodeLink holds per-node link-draw sub-streams, materialized on the
-	// first parallel round: cross-cluster event interleaving must not
-	// perturb the sequence any one transmitter sees, so each node draws
-	// from its own stream there. The serial kernel keeps the single
-	// shared stream in event order for byte-compatibility with the
-	// historical schedule.
-	nodeLink []rng.Stream
-
-	// main is the serial lane: it owns every node and points its metric
-	// sinks straight at the engine's accumulators, reproducing the
-	// historical event loop exactly.
+	// main is the event loop: it owns every node and writes straight
+	// into the engine's accumulators.
 	main lane
-
-	// lanes and sinks are the parallel round kernel's per-cluster lanes
-	// and their private metric sinks, reused across rounds. laneOf is the
-	// node→lane partition scratch.
-	lanes  []*lane
-	sinks  []laneSinks
-	laneOf []int32
 
 	// Per-round head state, indexed by node id. servicePending[h]
 	// reports that an evService event for head h is sitting in the heap;
@@ -111,16 +92,15 @@ type Engine struct {
 	posBuf   []geom.Vec3
 	headsBuf []int
 
-	// Per-round link-geometry cache (serial lane only). The hop distance
-	// and the base channel probability LinkPMax·exp(−(d/LinkRef)²) are
-	// pure functions of positions that are frozen for the round, yet the
-	// hot path recomputed the sqrt on every transmit and the exp on
-	// every arrival. Rows are indexed from·(K+1)+slot where slot 0 is
+	// Per-round link-geometry cache. The hop distance and the base
+	// channel probability LinkPMax·exp(−(d/LinkRef)²) are pure functions
+	// of positions that are frozen for the round, yet the hot path
+	// recomputed the sqrt on every transmit and the exp on every
+	// arrival. Rows are indexed from·(K+1)+slot where slot 0 is
 	// the BS and slot 1+j is geomHeads[j]; cells fill lazily (stamped
 	// with geomRound) so only links actually exercised pay the math.
 	// Cached and fresh values are bit-identical — the same expressions
 	// on the same inputs — so results are unchanged (DESIGN.md §8).
-	// Parallel lanes bypass the cache: the lazy fill would race.
 	geomHeads []int
 	geomSlot  []int32 // node id → row slot, -1 when not a head this round
 	geomStamp []uint32
@@ -171,17 +151,7 @@ func NewEngine(w *network.Network, proto cluster.Protocol, model energy.Model, c
 		servicePending: make([]bool, w.N()),
 		fused:          make([]fusedBuf, w.N()),
 	}
-	// The serial lane writes straight into the engine's accumulators so
-	// observation order — and therefore every Welford intermediate —
-	// matches the historical single-heap loop exactly.
 	e.main.e = e
-	e.main.link = e.link
-	e.main.round = &e.round
-	e.main.breakdown = &e.breakdown
-	e.main.latency = &e.latency
-	e.main.access = &e.access
-	e.main.hopsAcc = &e.hops
-	e.main.roundLat = &e.roundLat
 	traffic := rng.NewNamed(cfg.Seed, "sim/traffic")
 	e.nodeGen = make([]*rng.Stream, w.N())
 	for i := range e.nodeGen {
@@ -224,8 +194,7 @@ func (e *Engine) shadowFactor(from, target int) float64 {
 
 // drawControl bills a control-plane battery draw (head advertisements,
 // member receptions). Control traffic happens at the CH-selection
-// barrier, outside any lane's event loop, so it writes the engine's
-// breakdown directly.
+// barrier, outside the round's event loop.
 func (e *Engine) drawControl(id int, amount energy.Joules) {
 	d := e.net.Nodes[id].Battery.Draw(amount)
 	e.breakdown.Control += d
@@ -308,11 +277,7 @@ func (e *Engine) runRound(r int) []int {
 		e.chargeControl(heads)
 	}
 
-	if e.parallelEligible() {
-		e.runLanesParallel(heads, roundStart, roundEnd)
-	} else {
-		e.runSerial(heads, roundStart, roundEnd)
-	}
+	e.runEvents(heads, roundStart, roundEnd)
 
 	e.proto.EndRound(r)
 
@@ -331,12 +296,11 @@ func (e *Engine) runRound(r int) []int {
 	return heads
 }
 
-// runSerial executes the round on the single serial lane: every node on
-// one event heap, the shared link stream drawn in event order — the
-// historical schedule, byte for byte.
-func (e *Engine) runSerial(heads []int, roundStart, roundEnd float64) {
+// runEvents executes the round's event loop: every alive node on one
+// event heap, the link stream drawn in event order — the historical
+// schedule, byte for byte.
+func (e *Engine) runEvents(heads []int, roundStart, roundEnd float64) {
 	l := &e.main
-	l.par = false
 	l.hold = e.proto.RelayMode() == cluster.HoldAndBurst
 	l.now = roundStart
 	l.inFlight = 0

@@ -25,7 +25,7 @@ func TestServiceTieDoesNotDoubleSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.setupHeads([]int{10})
-	e.main.hold = true // runSerial caches the protocol's HoldAndBurst mode per round
+	e.main.hold = true // runEvents caches the protocol's HoldAndBurst mode per round
 
 	// First packet arrives at t=0 and arms the pipeline.
 	e.queues[10].Push(packet.Packet{ID: 1, Bits: cfg.Bits})

@@ -199,7 +199,7 @@ func genLess(a, b genPoint) bool {
 
 // sortGen sorts a generation schedule by (t, node). It replaces
 // slices.SortFunc in buildGen: the generic sort routes every comparison
-// through a closure, and at one sort per lane per round that indirection
+// through a closure, and at one sort per round that indirection
 // was a measurable slice of the kernel's profile. The algorithm is a
 // median-of-three quicksort with an insertion-sort cutoff; any correct
 // sort yields the identical schedule (keys repeat only for identical

@@ -7,36 +7,17 @@ import (
 	"qlec/internal/metrics"
 	"qlec/internal/network"
 	"qlec/internal/packet"
-	"qlec/internal/rng"
-	"qlec/internal/stats"
 )
 
-// lane is one event-processing kernel: the event heap, the generation
-// schedule, the virtual clock, and the metric sinks for a set of nodes
-// it owns exclusively.
-//
-// The engine always has one lane — Engine.main — which owns every node
-// and writes straight into the engine's accumulators; that path is
-// byte-identical to the historical single-heap event loop. When the
-// parallel round kernel is eligible (see Engine.parallelPlan), the
-// engine instead builds one lane per cluster plus a base-station lane,
-// runs them on Config.ClusterWorkers goroutines between the CH-selection
-// barriers, and merges their private sinks in lane-index order — which
-// is what makes the parallel results deterministic for any worker
-// count, though not bit-identical to the serial schedule (event
-// interleaving across clusters, and therefore floating-point
-// accumulation order, differs; see DESIGN.md §13).
-//
-// Node state on the engine (batteries, queues, fused buffers,
-// servicePending, shadow rows, per-node RNG streams) is partitioned by
-// lane: every write a lane performs lands on a node it owns, so lanes
-// share no mutable state and need no locks.
+// lane is the round's event-processing kernel: the event heap, the
+// generation schedule and the virtual clock. Engine.main is the only
+// lane. It owns every node and writes straight into the engine's
+// accumulators, so observation order — and therefore every Welford
+// intermediate — matches the historical single-heap event loop exactly.
 type lane struct {
-	e   *Engine
-	par bool // parallel lane: static hops, per-node link streams, no callbacks
+	e *Engine
 
-	nodes []int32 // node ids owned by this lane (generation sources)
-	hops  []int   // static per-node targets for the round (par only)
+	nodes []int32 // node ids alive at round start (generation sources)
 	hold  bool    // RelayMode cached for the round
 
 	events   eventHeap
@@ -48,36 +29,6 @@ type lane struct {
 	inFlight  int
 	nextPkt   packet.ID
 	bsPending bool
-	link      *rng.Stream // shared link stream (serial lane only)
-
-	// Metric sinks. The serial lane points these at the engine's own
-	// accumulators so observation order — and therefore every Welford
-	// intermediate — matches the historical loop exactly; parallel lanes
-	// point them at a private laneSinks merged after the barrier.
-	round     *metrics.RoundStats
-	breakdown *metrics.EnergyBreakdown
-	latency   *stats.Accumulator
-	access    *stats.Accumulator
-	hopsAcc   *stats.Accumulator
-	roundLat  *stats.Accumulator
-}
-
-// laneSinks is the private per-round metric storage of one parallel
-// lane, merged into the engine's accumulators in lane-index order after
-// the round barrier.
-type laneSinks struct {
-	round     metrics.RoundStats
-	breakdown metrics.EnergyBreakdown
-	latency   stats.Accumulator
-	access    stats.Accumulator
-	hopsAcc   stats.Accumulator
-	roundLat  stats.Accumulator
-}
-
-func (l *lane) push(ev event) {
-	ev.seq = l.seq
-	l.seq++
-	l.events.Push(ev)
 }
 
 // pushAt schedules a new event in place: the slab slot is built where
@@ -95,8 +46,8 @@ func (l *lane) pushAt(t float64, kind eventKind) *event {
 	return ev
 }
 
-// trace emits an event if a tracer is installed. Tracing forces the
-// serial kernel, so l.now and curRound are the engine's clock.
+// trace emits an event, stamped with the lane clock and the current
+// round, if a tracer is installed.
 func (l *lane) trace(ev TraceEvent) {
 	if l.e.tracer != nil {
 		ev.Time = l.now
@@ -110,11 +61,10 @@ func (l *lane) trace(ev TraceEvent) {
 // the audit ledger sees every joule. The ledger records the amount the
 // battery actually drew (clamped at empty), not the amount requested.
 // pkt/hasPkt attribute the draw to a packet where one exists; aggregate
-// draws (burst transmissions) pass hasPkt=false. Auditing forces the
-// serial kernel, so the nil check never races.
+// draws (burst transmissions) pass hasPkt=false.
 func (l *lane) drawTx(id int, amount energy.Joules, pkt packet.ID, hasPkt bool) {
 	d := l.e.net.Nodes[id].Battery.Draw(amount)
-	l.breakdown.Tx += d
+	l.e.breakdown.Tx += d
 	if l.e.auditor != nil {
 		l.e.auditEnergyAt(l.now, CauseTx, id, d, pkt, hasPkt)
 	}
@@ -122,7 +72,7 @@ func (l *lane) drawTx(id int, amount energy.Joules, pkt packet.ID, hasPkt bool) 
 
 func (l *lane) drawRx(id int, amount energy.Joules, pkt packet.ID, hasPkt bool) {
 	d := l.e.net.Nodes[id].Battery.Draw(amount)
-	l.breakdown.Rx += d
+	l.e.breakdown.Rx += d
 	if l.e.auditor != nil {
 		l.e.auditEnergyAt(l.now, CauseRx, id, d, pkt, hasPkt)
 	}
@@ -130,7 +80,7 @@ func (l *lane) drawRx(id int, amount energy.Joules, pkt packet.ID, hasPkt bool) 
 
 func (l *lane) drawFusion(id int, amount energy.Joules, pkt packet.ID, hasPkt bool) {
 	d := l.e.net.Nodes[id].Battery.Draw(amount)
-	l.breakdown.Fusion += d
+	l.e.breakdown.Fusion += d
 	if l.e.auditor != nil {
 		l.e.auditEnergyAt(l.now, CauseFusion, id, d, pkt, hasPkt)
 	}
@@ -138,14 +88,14 @@ func (l *lane) drawFusion(id int, amount energy.Joules, pkt packet.ID, hasPkt bo
 
 // geom returns the hop distance and the base channel probability
 // LinkPMax·exp(−(d/LinkRef)²) for a (from, target) link, served from
-// the engine's per-round cache when this is the serial lane and the
-// target is the BS or one of the round's heads (slot 0 and slots 1+j
-// respectively; see Engine.armGeom). Anything else — parallel lanes,
-// stub protocols routing to non-heads, tests that skip setupHeads —
-// computes directly. Cached and fresh values are bit-identical.
+// the engine's per-round cache when the target is the BS or one of the
+// round's heads (slot 0 and slots 1+j respectively; see
+// Engine.armGeom). Anything else — stub protocols routing to non-heads,
+// tests that skip setupHeads — computes directly. Cached and fresh
+// values are bit-identical.
 func (l *lane) geom(from, target int) (float64, float64) {
 	e := l.e
-	if !l.par && e.geomSlot != nil {
+	if e.geomSlot != nil {
 		slot := int32(0)
 		if target != network.BSID {
 			slot = e.geomSlot[target]
@@ -169,10 +119,8 @@ func (l *lane) geom(from, target int) (float64, float64) {
 
 // linkP returns the link success probability from node `from` to
 // `target` given the base channel probability pBase (from geom),
-// including the persistent per-link shadowing factor when enabled.
-// Contention counts only this lane's in-flight transmissions; a
-// positive ContentionGamma therefore forces the serial kernel, where
-// the lane's count is the global one.
+// including the persistent per-link shadowing factor when enabled and
+// the contention penalty for the round's other in-flight transmissions.
 func (l *lane) linkP(from, target int, pBase float64) float64 {
 	e := l.e
 	p := pBase
@@ -188,35 +136,6 @@ func (l *lane) linkP(from, target int, pBase float64) float64 {
 		p *= math.Exp(-e.cfg.ContentionGamma * float64(l.inFlight-1))
 	}
 	return p
-}
-
-// linkFloat draws the next link-success uniform. The serial lane uses
-// the single shared stream in event order (the historical sequence);
-// parallel lanes draw from the transmitter's own sub-stream so the
-// sequence each node sees is independent of cross-cluster interleaving.
-func (l *lane) linkFloat(from int) float64 {
-	if l.par {
-		return l.e.nodeLink[from].Float64()
-	}
-	return l.link.Float64()
-}
-
-// target returns where `from` forwards its current packet: the
-// protocol's live choice on the serial lane, the round's static hop map
-// on parallel lanes.
-func (l *lane) target(from int) int {
-	if l.par {
-		return l.hops[from]
-	}
-	return l.e.proto.NextHop(from)
-}
-
-// outcome reports a transmission result to the protocol. Parallel lanes
-// skip it — the StaticRouter contract requires tolerating that.
-func (l *lane) outcome(node, target int, success bool) {
-	if !l.par {
-		l.e.proto.OnOutcome(node, target, success)
-	}
 }
 
 // buildGen pre-draws every node's Poisson generation chain for the
@@ -292,7 +211,7 @@ func (l *lane) handleGenerate(id int) {
 	}
 	pkt := packet.Packet{ID: l.nextPkt, Source: id, Bits: e.cfg.Bits, Born: l.now}
 	l.nextPkt++
-	l.round.Generated++
+	e.round.Generated++
 	l.trace(TraceEvent{Kind: TraceGenerate, Packet: pkt.ID, Node: id})
 
 	if e.isHead[id] {
@@ -313,7 +232,7 @@ func (l *lane) handleGenerate(id int) {
 // outcome after the serialization delay.
 func (l *lane) transmit(pkt packet.Packet, from, attempt int) {
 	e := l.e
-	target := l.target(from)
+	target := e.proto.NextHop(from)
 	d, _ := l.geom(from, target)
 	l.drawTx(from, e.calc.Tx(pkt.Bits, d), pkt.ID, true)
 	l.inFlight++
@@ -327,7 +246,7 @@ func (l *lane) handleArrive(ev *event) {
 	e := l.e
 	from, target := ev.node, ev.target
 	_, pBase := l.geom(from, target)
-	linkOK := l.linkFloat(from) < l.linkP(from, target, pBase)
+	linkOK := e.link.Float64() < l.linkP(from, target, pBase)
 	if l.inFlight > 0 {
 		l.inFlight--
 	}
@@ -366,13 +285,13 @@ func (l *lane) handleArrive(ev *event) {
 			reason = metrics.DropDead
 		}
 	}
-	l.outcome(from, target, success)
+	e.proto.OnOutcome(from, target, success)
 	if success {
 		l.trace(TraceEvent{Kind: TraceAccept, Packet: ev.pkt.ID, Node: from, Target: target, Attempt: ev.attempt})
 		// First radio hop accepted: record access latency (the routing-
 		// controlled part of delay; see metrics.Result.Access).
 		if ev.pkt.Hops == 0 {
-			l.access.Observe(l.now - ev.pkt.Born)
+			e.access.Observe(l.now - ev.pkt.Born)
 		}
 		return
 	}
@@ -386,8 +305,7 @@ func (l *lane) handleArrive(ev *event) {
 }
 
 // handleRetry re-launches a failed packet; the protocol may pick a
-// different target this time (QLEC's reroute — static-hop lanes resend
-// to the same target).
+// different target this time (QLEC's reroute).
 func (l *lane) handleRetry(ev *event) {
 	if !l.e.alive(ev.node) {
 		l.drop(metrics.DropDead, ev.pkt, ev.node)
@@ -412,8 +330,7 @@ func (l *lane) scheduleService(head int) {
 }
 
 // scheduleBSService starts the base station's receive pipeline if idle;
-// same pending-flag discipline as scheduleService. Only the lane that
-// owns the BS queue (the serial lane, or parallel lane 0) calls it.
+// same pending-flag discipline as scheduleService.
 func (l *lane) scheduleBSService() {
 	if l.bsPending || l.e.bsQueue.Len() == 0 {
 		return
@@ -482,41 +399,35 @@ func (l *lane) afterService(head int, pkt packet.Packet) {
 // drop abandons a packet, recording the reason in metrics and the
 // trace.
 func (l *lane) drop(reason metrics.DropReason, pkt packet.Packet, node int) {
-	l.round.Dropped[reason]++
+	l.e.round.Dropped[reason]++
 	l.trace(TraceEvent{Kind: TraceDrop, Packet: pkt.ID, Node: node, Reason: reason.String()})
 }
 
 // deliver records a packet's arrival at the base station.
 func (l *lane) deliver(pkt packet.Packet) {
 	l.trace(TraceEvent{Kind: TraceDeliver, Packet: pkt.ID, Node: pkt.Source})
-	l.round.Delivered++
+	e := l.e
+	e.round.Delivered++
 	lat := l.now - pkt.Born
-	l.latency.Observe(lat)
-	l.roundLat.Observe(lat)
-	l.hopsAcc.Observe(float64(pkt.Hops))
+	e.latency.Observe(lat)
+	e.roundLat.Observe(lat)
+	e.hops.Observe(float64(pkt.Hops))
 }
 
 // endOfRound flushes remaining queue contents and performs the
-// HoldAndBurst delivery toward the BS — the serial lane's form, walking
-// every head. Parallel lanes call drainBS/finishHead for their own
-// slice of this work instead.
+// HoldAndBurst delivery toward the BS, walking every head. Packets the
+// BS accepted but had not finished processing when the round ended were
+// received, so their processing spills past the boundary.
 func (l *lane) endOfRound(heads []int) {
-	l.drainBS()
-	for _, h := range heads {
-		l.finishHead(h)
-	}
-}
-
-// drainBS completes processing of packets the BS accepted but had not
-// finished when the round ended (they were received; processing spills
-// past the boundary).
-func (l *lane) drainBS() {
 	for {
 		pkt, ok := l.e.bsQueue.Pop()
 		if !ok {
-			return
+			break
 		}
 		l.deliver(pkt)
+	}
+	for _, h := range heads {
+		l.finishHead(h)
 	}
 }
 
@@ -568,8 +479,8 @@ func (l *lane) burst(head int) {
 			break
 		}
 		l.drawTx(head, e.calc.Tx(aggBits, d), 0, false)
-		ok := l.linkFloat(head) < l.linkP(head, network.BSID, pBase)
-		l.outcome(head, network.BSID, ok)
+		ok := e.link.Float64() < l.linkP(head, network.BSID, pBase)
+		e.proto.OnOutcome(head, network.BSID, ok)
 		if ok {
 			delivered = true
 			break
@@ -594,8 +505,7 @@ func (l *lane) burst(head int) {
 // forwardChainInstant pushes a leftover fused packet through the
 // protocol's relay chain at round end, paying per-hop energy and taking
 // per-hop loss draws, without queueing (generation has stopped; queues
-// are drained). ForwardPerPacket protocols are never parallel-eligible,
-// so this only runs on the serial lane.
+// are drained).
 func (l *lane) forwardChainInstant(head int, pkt packet.Packet) {
 	e := l.e
 	bits := pkt.Bits
@@ -613,8 +523,8 @@ func (l *lane) forwardChainInstant(head int, pkt packet.Packet) {
 		ok := false
 		for attempt := 0; attempt <= e.cfg.MaxRetries && !ok; attempt++ {
 			l.drawTx(holder, e.calc.Tx(bits, d), pkt.ID, true)
-			ok = l.linkFloat(holder) < l.linkP(holder, target, pBase)
-			l.outcome(holder, target, ok)
+			ok = e.link.Float64() < l.linkP(holder, target, pBase)
+			e.proto.OnOutcome(holder, target, ok)
 		}
 		if !ok {
 			l.drop(metrics.DropLink, pkt, holder)
@@ -630,20 +540,4 @@ func (l *lane) forwardChainInstant(head int, pkt packet.Packet) {
 	}
 	// Routing loop guard: a protocol that cycles loses the packet.
 	l.drop(metrics.DropLink, pkt, holder)
-}
-
-// reset prepares a parallel lane for a round.
-func (l *lane) reset(roundStart float64, hops []int, pktBase packet.ID) {
-	l.par = true
-	l.hold = true
-	l.hops = hops
-	l.nodes = l.nodes[:0]
-	l.events.Reset()
-	l.genSched = l.genSched[:0]
-	l.genIdx = 0
-	l.seq = 0
-	l.now = roundStart
-	l.inFlight = 0
-	l.nextPkt = pktBase
-	l.bsPending = false
 }

@@ -49,32 +49,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation, or 0 before any observation.
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Merge folds another accumulator into this one using the parallel
-// Welford combination (Chan et al. 1979), as if every observation of b
-// had been Observed after a's. The simulator's parallel round kernel
-// merges per-lane accumulators with it; merging in a fixed lane order
-// keeps the floating-point result deterministic.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	a.n = n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
 // Summary converts the accumulator into a Summary.
 func (a *Accumulator) Summary() Summary {
 	s := Summary{N: a.n, Mean: a.mean, Min: a.min, Max: a.max}

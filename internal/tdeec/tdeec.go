@@ -80,8 +80,6 @@ type Protocol struct {
 	heads   []int
 	isHead  []bool
 	nearest cluster.Assignment
-	// hop is the frozen member→target map for the round (StaticRouter).
-	hop []int
 }
 
 // New builds a T-DEEC protocol over the network.
@@ -229,23 +227,8 @@ func (p *Protocol) StartRound(round int) []int {
 	}
 	p.heads = heads
 	p.nearest = cluster.AssignNearest(p.net, heads)
-	if p.hop == nil {
-		p.hop = make([]int, p.net.N())
-	}
-	for id := range p.hop {
-		if p.isHead[id] {
-			p.hop[id] = network.BSID
-		} else {
-			p.hop[id] = p.nearest.Head[id]
-		}
-	}
 	return heads
 }
-
-// StaticHops implements cluster.StaticRouter: the routing is frozen at
-// StartRound (heads to the BS, members to their nearest head), so the
-// simulator may run clusters on parallel lanes.
-func (p *Protocol) StaticHops() []int { return p.hop }
 
 // NextHop implements cluster.Protocol: heads burst to the BS, members
 // use nearest-head assignment.

@@ -122,28 +122,3 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
-
-// StaticHops must agree with NextHop for every node, every round: it is
-// the frozen map the simulator's parallel cluster lanes route by.
-func TestStaticHopsMatchesNextHop(t *testing.T) {
-	w := threeTierNet(t, 31)
-	p, err := New(w, Config{K: 5, TotalRounds: 100, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ cluster.StaticRouter = p
-	for round := 0; round < 5; round++ {
-		p.StartRound(round)
-		hops := p.StaticHops()
-		if len(hops) != w.N() {
-			t.Fatalf("round %d: StaticHops len %d, want %d", round, len(hops), w.N())
-		}
-		for id := range hops {
-			if hops[id] != p.NextHop(id) {
-				t.Fatalf("round %d node %d: StaticHops %d != NextHop %d",
-					round, id, hops[id], p.NextHop(id))
-			}
-		}
-		p.EndRound(round)
-	}
-}
