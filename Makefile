@@ -182,7 +182,7 @@ fleet-e2e:
 	test -n "$$B" || { echo "fleet-e2e: batch submission failed" >&2; cat $$DATA/n1.log; exit 1; }; \
 	echo "fleet-e2e: batch $$B submitted (25 cells across 3 configs)"; \
 	STOLE=; for i in $$(seq 1 200); do \
-		if curl -s $$U3/metrics.json | grep -q '"cellsStolen": *[1-9]'; then STOLE=1; break; fi; sleep 0.1; \
+		if curl -s $$U3/metrics | grep -Eq '^qlecd_fleet_cells_stolen_in_total [1-9]'; then STOLE=1; break; fi; sleep 0.1; \
 	done; \
 	test -n "$$STOLE" || { echo "fleet-e2e: peer 3 never stole a cell" >&2; cat $$DATA/n3.log; exit 1; }; \
 	echo "fleet-e2e: peer 3 stole work; checking observability mid-batch"; \

@@ -19,7 +19,7 @@
 //	      [-drain-timeout 30s] [-log-level info] [-log-format text]
 //	      [-self http://host:8080] [-peers url,url] [-join url]
 //	      [-cell-workers 0] [-lease-ttl 15s]
-//	      [-trace-history 64] [-audit-history 64] [-profile-history 32]
+//	      [-trace-history 256] [-audit-history 64] [-profile-history 32]
 //	      [-runtime-sample 10s] [-auto-profile 5m]
 //	      [-scale-slo 0] [-scale-fast-window 1m] [-scale-slow-window 5m]
 //	      [-scale-hysteresis 30s]
@@ -59,7 +59,6 @@
 //	GET    /metrics             Prometheus text exposition
 //	GET    /metrics/federate    fleet-merged exposition (all ready peers;
 //	                            watch it live with cmd/qlecstat)
-//	GET    /metrics.json        legacy JSON counter snapshot
 //	GET    /version             build/VCS metadata
 //	GET    /debug/pprof/        profiling endpoints (with -pprof)
 //
@@ -113,7 +112,7 @@ func main() {
 		cellWorkers = flag.Int("cell-workers", 0, "sweep/batch cell executors (0 = GOMAXPROCS)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
-		traceHistory   = flag.Int("trace-history", 64, "per-job trace recorders retained (FIFO eviction)")
+		traceHistory   = flag.Int("trace-history", 256, "traces retained in the span store (FIFO eviction; each keeps up to 20000 spans)")
 		auditHistory   = flag.Int("audit-history", 64, "per-job audit artifacts retained (FIFO eviction)")
 		profileHistory = flag.Int("profile-history", 32, "captured profile artifacts retained (FIFO eviction)")
 		runtimeSample  = flag.Duration("runtime-sample", 10*time.Second, "runtime sampler cadence behind qlecd_runtime_* and /v1/runtime (0 = off)")

@@ -208,16 +208,19 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		var rec *obs.TraceRecorder
+		// Rounds record under one fresh trace, with no span IDs of
+		// their own: the same span model a daemon serves.
+		var spans *obs.TraceStore
+		sc := obs.SpanContext{TraceID: obs.NewSpanContext().TraceID}
 		if *chromePath != "" {
-			rec = obs.NewTraceRecorder(0)
+			spans = obs.NewTraceStore("qlecsim", 1, 0)
 		}
-		if !*quiet || rec != nil {
+		if !*quiet || spans != nil {
 			prev := time.Now()
 			s.Config.Observer = func(snap sim.RoundSnapshot) {
-				if rec != nil {
+				if spans != nil {
 					now := time.Now()
-					rec.Span(fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
+					spans.Span(sc, fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
 						map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
 					prev = now
 				}
@@ -239,20 +242,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "qlecsim: run stopped early (%v) after %d rounds in %v; partial results follow\n",
 				err, res.Rounds, time.Since(start).Round(time.Millisecond))
 		}
-		if rec != nil {
+		if spans != nil {
 			fh, err := os.Create(*chromePath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "qlecsim:", err)
 				os.Exit(1)
 			}
-			if err := rec.WriteJSON(fh); err == nil {
+			recorded := spans.Spans(sc.TraceID)
+			if err := obs.WriteChromeTrace(fh, recorded); err == nil {
 				err = fh.Close()
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "qlecsim:", err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events)\n", *chromePath, rec.Len())
+			fmt.Fprintf(os.Stderr, "wrote %s (%d events)\n", *chromePath, len(recorded))
 		}
 	}
 	if flushTrace != nil {

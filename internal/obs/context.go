@@ -36,13 +36,15 @@ func MetricsFromContext(ctx context.Context) *Registry {
 	return r
 }
 
-// ContextWithTrace attaches a span recorder for the current job.
-func ContextWithTrace(ctx context.Context, t *TraceRecorder) context.Context {
+// ContextWithTrace attaches the span store the current job records
+// into; the job's own span travels separately via ContextWithSpan.
+func ContextWithTrace(ctx context.Context, t *TraceStore) context.Context {
 	return context.WithValue(ctx, ctxKeyTrace, t)
 }
 
-// TraceFromContext returns the recorder, or nil (tracing off).
-func TraceFromContext(ctx context.Context) *TraceRecorder {
-	t, _ := ctx.Value(ctxKeyTrace).(*TraceRecorder)
+// TraceFromContext returns the span store, or nil (tracing off; a nil
+// store's methods are no-ops).
+func TraceFromContext(ctx context.Context) *TraceStore {
+	t, _ := ctx.Value(ctxKeyTrace).(*TraceStore)
 	return t
 }

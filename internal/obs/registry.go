@@ -2,8 +2,9 @@
 // Prometheus-text-format metric registry (counters, gauges, histograms,
 // label vectors, callback collectors), structured-logging helpers over
 // log/slog with X-Request-ID propagation, an HTTP middleware that ties
-// the two together, a lightweight span tracer exporting Chrome
-// trace_event JSON (loadable in chrome://tracing / Perfetto), and an
+// the two together, a bounded span store exporting Chrome
+// trace_event JSON (loadable in chrome://tracing / Perfetto), the
+// FIFO-bounded map that store and qlecd's artifact tables share, and an
 // adapter that turns the simulation engine's per-round Observer stream
 // into live protocol gauges.
 //

@@ -26,11 +26,13 @@ type SpanRecord struct {
 	Args     map[string]any `json:"args,omitempty"`
 }
 
-// Default TraceStore bounds: traces are evicted FIFO past MaxStoreTraces
-// and each trace keeps at most MaxStoreSpans records.
+// Default TraceStore bounds: traces are evicted FIFO past
+// DefaultStoreTraces, and each trace keeps at most DefaultStoreSpans
+// records. A `one` job records a span per round, so a longer run keeps
+// its first rounds and reports the rest as dropped.
 const (
 	DefaultStoreTraces = 256
-	DefaultStoreSpans  = 4096
+	DefaultStoreSpans  = 20000
 )
 
 // TraceStore holds the spans this instance recorded, grouped by trace
@@ -38,13 +40,17 @@ const (
 // It is the per-daemon half of cross-peer tracing: every peer keeps its
 // own store, and whoever serves the merged view fans out to collect.
 type TraceStore struct {
-	instance  string
-	mu        sync.Mutex
-	byTrace   map[string][]SpanRecord
-	order     []string
-	maxTraces int
-	maxSpans  int
-	dropped   uint64
+	instance string
+	mu       sync.Mutex // guards the traceSpans held in traces
+	traces   *Bounded[string, *traceSpans]
+	maxSpans int
+}
+
+// traceSpans is one trace's records plus the count refused past the
+// per-trace cap.
+type traceSpans struct {
+	spans   []SpanRecord
+	dropped int
 }
 
 // NewTraceStore returns a store labelling every span with instance.
@@ -57,22 +63,21 @@ func NewTraceStore(instance string, maxTraces, maxSpans int) *TraceStore {
 		maxSpans = DefaultStoreSpans
 	}
 	return &TraceStore{
-		instance:  instance,
-		byTrace:   make(map[string][]SpanRecord),
-		maxTraces: maxTraces,
-		maxSpans:  maxSpans,
+		instance: instance,
+		traces:   NewBounded[string, *traceSpans](maxTraces, nil, "", ""),
+		maxSpans: maxSpans,
 	}
 }
 
-// Span records a complete span under sc's trace. No-op on an invalid
-// context or nil store, so callers never need to guard.
+// Span records a complete span under sc's trace. No-op without a trace
+// ID or on a nil store, so callers never need to guard.
 func (s *TraceStore) Span(sc SpanContext, name, cat string, start, end time.Time, args map[string]any) {
 	if s == nil || sc.TraceID == "" {
 		return
 	}
 	dur := end.Sub(start).Microseconds()
 	if dur < 1 {
-		dur = 1
+		dur = 1 // zero-duration spans render invisibly in trace viewers
 	}
 	s.add(SpanRecord{
 		TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: sc.Parent,
@@ -96,29 +101,40 @@ func (s *TraceStore) Instant(sc SpanContext, name, cat string, args map[string]a
 func (s *TraceStore) add(r SpanRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	spans, ok := s.byTrace[r.TraceID]
+	t, ok := s.traces.Get(r.TraceID)
 	if !ok {
-		for len(s.order) >= s.maxTraces {
-			delete(s.byTrace, s.order[0])
-			s.order = s.order[1:]
-		}
-		s.order = append(s.order, r.TraceID)
+		t = &traceSpans{}
+		s.traces.Put(r.TraceID, t)
 	}
-	if len(spans) >= s.maxSpans {
-		s.dropped++
+	if len(t.spans) >= s.maxSpans {
+		t.dropped++
 		return
 	}
-	s.byTrace[r.TraceID] = append(spans, r)
+	t.spans = append(t.spans, r)
 }
 
-// Spans returns a copy of the records held for one trace.
+// Spans returns a copy of the records held for one trace. A trace that
+// reached the per-trace cap ends in a "spans dropped" instant whose
+// args.dropped counts the refused records.
 func (s *TraceStore) Spans(traceID string) []SpanRecord {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]SpanRecord(nil), s.byTrace[traceID]...)
+	t, ok := s.traces.Get(traceID)
+	if !ok {
+		return nil
+	}
+	out := append([]SpanRecord(nil), t.spans...)
+	if t.dropped > 0 {
+		out = append(out, SpanRecord{
+			TraceID: traceID, Name: "spans dropped (trace cap reached)", Cat: "meta",
+			Instance: s.instance, Phase: "i", StartUS: t.spans[len(t.spans)-1].StartUS,
+			Args: map[string]any{"dropped": t.dropped},
+		})
+	}
+	return out
 }
 
 // Traces returns the number of distinct traces currently held.
@@ -126,9 +142,21 @@ func (s *TraceStore) Traces() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byTrace)
+	return s.traces.Len()
+}
+
+// traceEvent is one entry in the Chrome trace_event format. ph "X" is a
+// complete span (ts+dur), "i" an instant, "M" metadata.
+type traceEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Phase string         `json:"ph"`
+	TS    int64          `json:"ts"`            // microseconds since trace start
+	Dur   int64          `json:"dur,omitempty"` // microseconds
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"` // instant scope
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // WriteChromeTrace merges span records — typically gathered from

@@ -36,33 +36,20 @@ func (a *Artifact) meta() Artifact {
 	return m
 }
 
-// Store holds captured profiles FIFO-capped at max, mirroring the
-// trace and audit tables: old artifacts are dropped as new ones
-// arrive, and qlecd_profiles_held reports the current count.
+// Store holds captured profiles FIFO-capped at max, in the same
+// bounded map as the trace and audit tables: old artifacts are dropped
+// as new ones arrive, and qlecd_profiles_held reports the current count.
 type Store struct {
-	mu   sync.Mutex
-	arts []*Artifact
-	max  int
+	mu   sync.Mutex // orders ID assignment with insertion
 	seq  uint64
+	arts *obs.Bounded[string, *Artifact]
 }
 
 // NewStore creates a store capped at max artifacts (min 1) and
 // registers the qlecd_profiles_held gauge on reg.
 func NewStore(max int, reg *obs.Registry) *Store {
-	if max < 1 {
-		max = 1
-	}
-	st := &Store{max: max}
-	if reg != nil {
-		reg.GaugeFunc("qlecd_profiles_held",
-			"Profile artifacts currently held in the in-memory store.",
-			func() float64 {
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				return float64(len(st.arts))
-			})
-	}
-	return st
+	return &Store{arts: obs.NewBounded[string, *Artifact](max, reg, "qlecd_profiles_held",
+		"Profile artifacts currently held in the in-memory store.")}
 }
 
 // Add assigns an ID and inserts the artifact, evicting the oldest
@@ -76,20 +63,16 @@ func (st *Store) Add(a *Artifact) *Artifact {
 		a.CreatedAt = time.Now()
 	}
 	a.SizeBytes = len(a.Data)
-	st.arts = append(st.arts, a)
-	if over := len(st.arts) - st.max; over > 0 {
-		st.arts = append([]*Artifact(nil), st.arts[over:]...)
-	}
+	st.arts.Put(a.ID, a)
 	return a
 }
 
 // List returns artifact metadata, newest first, without payloads.
 func (st *Store) List() []Artifact {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Artifact, 0, len(st.arts))
-	for i := len(st.arts) - 1; i >= 0; i-- {
-		out = append(out, st.arts[i].meta())
+	arts := st.arts.Values()
+	out := make([]Artifact, 0, len(arts))
+	for i := len(arts) - 1; i >= 0; i-- {
+		out = append(out, arts[i].meta())
 	}
 	return out
 }
@@ -97,25 +80,16 @@ func (st *Store) List() []Artifact {
 // Get returns the artifact with the given ID (payload included), or
 // nil. An empty id returns the newest artifact, if any.
 func (st *Store) Get(id string) *Artifact {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if id == "" {
-		if len(st.arts) == 0 {
+		arts := st.arts.Values()
+		if len(arts) == 0 {
 			return nil
 		}
-		return st.arts[len(st.arts)-1]
+		return arts[len(arts)-1]
 	}
-	for _, a := range st.arts {
-		if a.ID == id {
-			return a
-		}
-	}
-	return nil
+	a, _ := st.arts.Get(id)
+	return a
 }
 
 // Len reports the current artifact count.
-func (st *Store) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.arts)
-}
+func (st *Store) Len() int { return st.arts.Len() }

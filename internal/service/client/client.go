@@ -293,16 +293,6 @@ func (c *Client) Protocols(ctx context.Context) ([]protocol.Info, error) {
 	return infos, nil
 }
 
-// Metrics fetches the daemon's operational counters (the JSON snapshot;
-// /metrics itself is the Prometheus exposition).
-func (c *Client) Metrics(ctx context.Context) (*service.Metrics, error) {
-	var m service.Metrics
-	if err := c.do(ctx, http.MethodGet, "/metrics.json", nil, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // Health probes /healthz (process liveness; stays 200 while draining).
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)

@@ -21,7 +21,7 @@ type RunFunc func(ctx context.Context, req Request, publish func(Event)) (*Resul
 // auditCtxKey carries the per-job flight recorder from the worker to
 // Execute. A context key (rather than a Request field) keeps the
 // recorder out of the job's serialized, content-addressed form, the
-// same way the obs registry and trace recorder travel.
+// same way the obs registry and span store travel.
 type auditCtxKey struct{}
 
 func contextWithAudit(ctx context.Context, rec *audit.Recorder) context.Context {
@@ -39,9 +39,10 @@ func auditFromContext(ctx context.Context) *audit.Recorder {
 // sweep cell. Sweep kinds never reach a RunFunc: the worker decomposes
 // them into cells and runs those through the cell pool (DESIGN.md §14).
 //
-// When the context carries an obs registry/trace recorder (the qlecd
-// worker installs both), KindOne rounds additionally feed live
-// simulation gauges and per-round trace spans. Cells run with observers
+// When the context carries an obs registry (the qlecd worker installs
+// one, with its span store and the job's span), KindOne rounds
+// additionally feed live simulation gauges and per-round trace spans
+// parented on the job span. Cells run with observers
 // stripped, so round-level gauges are a KindOne feature by design —
 // sweeps report at cell granularity.
 func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, error) {
@@ -60,7 +61,11 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 			}})
 		}
 		if reg := obs.MetricsFromContext(ctx); reg != nil {
-			rec := obs.TraceFromContext(ctx)
+			spans := obs.TraceFromContext(ctx)
+			// Rounds get no span ID of their own: nothing is parented
+			// under a round, and that keeps crypto/rand out of the loop.
+			job := obs.SpanFromContext(ctx)
+			round := obs.SpanContext{TraceID: job.TraceID, Parent: job.SpanID}
 			collector := obs.NewSimCollector(reg, string(req.Protocols[0]),
 				cfg.InitialEnergy*energy.Joules(cfg.N), cfg.K)
 			base := observer
@@ -68,7 +73,7 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 			observer = func(snap sim.RoundSnapshot) {
 				now := time.Now()
 				collector.Observe(snap)
-				rec.Span(fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
+				spans.Span(round, fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
 					map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
 				prev = now
 				base(snap)

@@ -75,7 +75,8 @@ type fleetRuntime struct {
 	fm       *obs.FleetMetrics
 	stealIdx uint64 // round-robin cursor over ready peers; guarded by mu
 
-	// spans holds the spans this daemon recorded into distributed
+	// spans holds every span this daemon recorded — jobs and their
+	// rounds, cells, fleet calls — for the Options.TraceHistory newest
 	// traces; peers collect them via GET /v1/fleet/trace/{traceID}.
 	spans *obs.TraceStore
 
@@ -136,7 +137,7 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		futures:      make(map[string]*cellFuture),
 		wake:         make(chan struct{}, opt.CellWorkers),
 		fm:           obs.NewFleetMetrics(s.reg),
-		spans:        obs.NewTraceStore(self, 0, 0),
+		spans:        obs.NewTraceStore(self, s.opt.TraceHistory, 0),
 		advisor:      fleet.NewAdvisor(opt.Advisor),
 		advisorEvery: opt.AdvisorInterval,
 		stop:         make(chan struct{}),

@@ -40,19 +40,6 @@ func (n *fleetNode) kill() {
 	})
 }
 
-// fleet fetches the node's fleet metrics slice.
-func (n *fleetNode) fleet(t *testing.T) *service.FleetSnapshot {
-	t.Helper()
-	m, err := n.cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Fleet == nil {
-		t.Fatal("fleet metrics absent on a fleet-mode node")
-	}
-	return m.Fleet
-}
-
 // startFleetNode boots a daemon whose advertised fleet identity is its
 // own listener URL. The listener is created first (its address goes
 // into FleetOptions.Self), then the Server, then the handler is patched
@@ -98,7 +85,7 @@ func waitForRoster(t *testing.T, nodes ...*fleetNode) {
 	t.Helper()
 	waitFor(t, func() bool {
 		for _, n := range nodes {
-			if f := n.fleet(t); f.PeersReady < len(nodes) {
+			if metricSum(t, n.cl, "qlecd_fleet_peers_ready") < float64(len(nodes)) {
 				return false
 			}
 		}
@@ -197,7 +184,7 @@ func TestFleetSweepDistributesAndMatchesLocal(t *testing.T) {
 
 	executors := 0
 	for _, n := range []*fleetNode{n1, n2, n3} {
-		if n.fleet(t).CellsExecuted > 0 {
+		if metricSum(t, n.cl, "qlecd_fleet_cells_executed_total") > 0 {
 			executors++
 		}
 	}
@@ -249,19 +236,15 @@ func TestFleetProxyCacheHits(t *testing.T) {
 		if !fin.CacheHit {
 			t.Fatalf("config %d on B recomputed instead of hitting the shared cache", i)
 		}
-		if b.fleet(t).ProxyHits >= 1 {
+		if metricSum(t, b.cl, "qlecd_fleet_proxy_hits_fetched_total") >= 1 {
 			break
 		}
 	}
-	mb, err := b.cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if sims := metricSum(t, b.cl, "qlecd_simulations_total"); sims != 0 {
+		t.Errorf("B ran %v simulations, want 0 (every config was computed on A)", sims)
 	}
-	if mb.SimulationsRun != 0 {
-		t.Errorf("B ran %d simulations, want 0 (every config was computed on A)", mb.SimulationsRun)
-	}
-	if mb.Fleet.ProxyHits < 1 {
-		t.Errorf("B proxied %d cache hits from the ring owner, want >= 1", mb.Fleet.ProxyHits)
+	if hits := metricSum(t, b.cl, "qlecd_fleet_proxy_hits_fetched_total"); hits < 1 {
+		t.Errorf("B proxied %v cache hits from the ring owner, want >= 1", hits)
 	}
 }
 
@@ -302,7 +285,7 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 	}
 
 	// Wait until the victim actually holds stolen work, then kill it.
-	waitFor(t, func() bool { return victim.fleet(t).CellsStolen >= 1 },
+	waitFor(t, func() bool { return metricSum(t, victim.cl, "qlecd_fleet_cells_stolen_in_total") >= 1 },
 		"victim never stole a cell")
 	victim.kill()
 
@@ -314,8 +297,8 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 		t.Fatalf("job after peer kill: %s (error %q), want done", done.State, done.Error)
 	}
 
-	if exp := n1.fleet(t).LeaseExpiries; exp < 1 {
-		t.Errorf("coordinator recorded %d lease expiries, want >= 1 (the dead peer's cells must re-pool)", exp)
+	if exp := metricSum(t, n1.cl, "qlecd_fleet_lease_expiries_total"); exp < 1 {
+		t.Errorf("coordinator recorded %v lease expiries, want >= 1 (the dead peer's cells must re-pool)", exp)
 	}
 	env, err := n1.cl.Result(ctx, done.Hash)
 	if err != nil {
@@ -329,8 +312,8 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 		t.Errorf("post-recovery result differs from the library's\nfleet:   %.200s\nlibrary: %.200s", got, want)
 	}
 	// No lost cells: the pool is empty once the job is done.
-	f := n1.fleet(t)
-	if f.CellsPending != 0 || f.CellsLeased != 0 {
-		t.Errorf("pool not drained after completion: %d pending, %d leased", f.CellsPending, f.CellsLeased)
+	pending, leased := metricSum(t, n1.cl, "qlecd_fleet_cells_pending"), metricSum(t, n1.cl, "qlecd_fleet_cells_leased")
+	if pending != 0 || leased != 0 {
+		t.Errorf("pool not drained after completion: %v pending, %v leased", pending, leased)
 	}
 }

@@ -1,18 +1,13 @@
 package service
 
 import (
-	"sync"
-
-	"qlec/internal/audit"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 )
 
 // serverMetrics holds qlecd's operational instruments. Scrape-time
 // state (queue depth, job-table counts, cache counters) is exported via
-// callback collectors reading the server's existing atomics, so the
-// Prometheus view and the legacy /metrics.json snapshot can never
-// disagree.
+// callback collectors reading the server's existing atomics.
 type serverMetrics struct {
 	queueWait   *obs.Histogram    // seconds from submit to first execution start
 	jobDuration *obs.HistogramVec // {kind, state} execution wall time
@@ -75,10 +70,6 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { _, m := s.cache.stats(); return float64(m) })
 	r.CounterFunc("qlecd_simulations_total", "Simulations actually executed (cache hits excluded).",
 		func() float64 { return float64(s.simsRun.Load()) })
-	r.GaugeFunc("qlecd_traces_held", "Per-job trace recorders currently retained (FIFO-capped by -trace-history).",
-		func() float64 { return float64(s.traces.len()) })
-	r.GaugeFunc("qlecd_audits_held", "Per-job audit artifacts currently retained (FIFO-capped by -audit-history).",
-		func() float64 { return float64(s.audits.len()) })
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
 		st := st
 		r.GaugeFunc("qlecd_jobs", "Jobs in the table, by lifecycle state.",
@@ -121,8 +112,8 @@ func protocolLabel(req Request) string {
 	}
 }
 
-// newFleetCollectors exports the fleet pool and roster as callback
-// collectors over the runtime's own state, mirroring serverMetrics'
+// newFleetCollectors exports the fleet pool, roster and span store as
+// callback collectors over the runtime's own state, mirroring serverMetrics'
 // pattern (the event counters live in obs.FleetMetrics).
 func newFleetCollectors(r *obs.Registry, s *Server) {
 	r.GaugeFunc("qlecd_fleet_cells_pending", "Cells awaiting a lease in the local pool.",
@@ -141,58 +132,13 @@ func newFleetCollectors(r *obs.Registry, s *Server) {
 			}
 			return float64(n)
 		})
+	r.GaugeFunc("qlecd_traces_held", "Traces currently retained in the span store (FIFO-capped by -trace-history).",
+		func() float64 { return float64(s.fleet.spans.Traces()) })
 	r.GaugeFunc("qlecd_batches_open", "Batches not yet in a terminal state.",
 		func() float64 { return float64(s.openBatches()) })
 	r.GaugeFunc("qlecd_fleet_scale_recommendation",
 		"Autoscale advisor recommendation: peers to add (positive) or remove (negative); 0 when satisfied or disabled.",
 		func() float64 { return float64(s.fleet.advisor.Current().Delta) })
-}
-
-// defaultHistory is the default FIFO cap on retained per-job trace
-// recorders and audit artifacts; Options.TraceHistory/AuditHistory
-// raise or lower it per deployment.
-const defaultHistory = 64
-
-// traceTable is the bounded per-job trace store behind
-// GET /v1/jobs/{id}/trace; older traces age out FIFO once their cap is
-// reached.
-type traceTable struct {
-	mu    sync.Mutex
-	byJob map[string]*obs.TraceRecorder
-	order []string
-	max   int
-}
-
-func newTraceTable(max int) *traceTable {
-	if max <= 0 {
-		max = defaultHistory
-	}
-	return &traceTable{byJob: make(map[string]*obs.TraceRecorder), max: max}
-}
-
-func (t *traceTable) put(id string, rec *obs.TraceRecorder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byJob[id]; !ok {
-		t.order = append(t.order, id)
-	}
-	t.byJob[id] = rec
-	for len(t.order) > t.max {
-		delete(t.byJob, t.order[0])
-		t.order = t.order[1:]
-	}
-}
-
-func (t *traceTable) get(id string) *obs.TraceRecorder {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byJob[id]
-}
-
-func (t *traceTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byJob)
 }
 
 // serviceAuditEntries/serviceAuditDecisions size the per-job recorder
@@ -203,44 +149,3 @@ const (
 	serviceAuditEntries   = 1 << 14
 	serviceAuditDecisions = 1 << 12
 )
-
-// auditTable is the bounded per-job artifact store behind
-// GET /v1/jobs/{id}/audit; like traces, older artifacts age out FIFO.
-type auditTable struct {
-	mu    sync.Mutex
-	byJob map[string]*audit.Artifact
-	order []string
-	max   int
-}
-
-func newAuditTable(max int) *auditTable {
-	if max <= 0 {
-		max = defaultHistory
-	}
-	return &auditTable{byJob: make(map[string]*audit.Artifact), max: max}
-}
-
-func (t *auditTable) put(id string, a *audit.Artifact) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byJob[id]; !ok {
-		t.order = append(t.order, id)
-	}
-	t.byJob[id] = a
-	for len(t.order) > t.max {
-		delete(t.byJob, t.order[0])
-		t.order = t.order[1:]
-	}
-}
-
-func (t *auditTable) get(id string) *audit.Artifact {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byJob[id]
-}
-
-func (t *auditTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byJob)
-}

@@ -2,8 +2,8 @@ package service_test
 
 // Observability end-to-end tests: Prometheus scrapes against a live
 // server (including mid-job, asserting round-level sim gauges appear),
-// exposition linting, Chrome-trace download, request-ID correlation,
-// and the /version and /metrics.json endpoints.
+// exposition linting, Chrome-trace download and retention, request-ID
+// correlation, and the /version endpoint.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"qlec/internal/audit"
+	"qlec/internal/experiment"
 	"qlec/internal/metrics"
 	"qlec/internal/obs"
 	"qlec/internal/service"
@@ -82,7 +83,7 @@ func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 			MeanQ: 0.3, Epsilon: 0.1, HasQ: true,
 		}
 		collector.Observe(snap)
-		obs.TraceFromContext(ctx).Instant("stub round", "sim", nil)
+		obs.TraceFromContext(ctx).Instant(obs.SpanFromContext(ctx), "stub round", "sim", nil)
 		close(running)
 		select {
 		case <-release:
@@ -100,6 +101,7 @@ func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 
 	out := scrape(t, base)
 	for _, want := range []string{
+		"qlecd_workers 1",
 		"qlecd_workers_busy 1",
 		`qlecd_jobs{state="running"} 1`,
 		"qlecd_queue_depth 0",
@@ -206,6 +208,84 @@ func TestTraceEndpointRealJob(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("trace for unknown job = %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// runOne submits a single run and waits for it to finish.
+func runOne(t *testing.T, cl *client.Client, cfg experiment.Config) *service.Job {
+	t.Helper()
+	ctx := context.Background()
+	j, err := cl.Submit(ctx, oneRequest(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := cl.Wait(ctx, j.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != service.StateDone || done.CacheHit {
+		t.Fatalf("job %s (cache hit %v), want an executed done job", done.State, done.CacheHit)
+	}
+	return done
+}
+
+// TestRoundSpansParentedOnJob: a single run's per-round spans live in
+// the daemon's span store under the job's trace, each parented on the
+// job span.
+func TestRoundSpansParentedOnJob(t *testing.T) {
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
+	j := runOne(t, cl, tinyCfg())
+	var spans []obs.SpanRecord
+	if err := json.Unmarshal(httpGet(t, base+"/v1/fleet/trace/"+j.TraceID), &spans); err != nil {
+		t.Fatal(err)
+	}
+	var job obs.SpanRecord
+	for _, r := range spans {
+		if strings.HasPrefix(r.Name, "job ") {
+			job = r
+		}
+	}
+	if job.SpanID == "" {
+		t.Fatalf("no job span with a span ID among %d records", len(spans))
+	}
+	rounds := 0
+	for _, r := range spans {
+		if !strings.HasPrefix(r.Name, "round ") {
+			continue
+		}
+		rounds++
+		if r.Parent != job.SpanID || r.TraceID != j.TraceID {
+			t.Errorf("%s: trace %s parent %q, want trace %s parent %q",
+				r.Name, r.TraceID, r.Parent, j.TraceID, job.SpanID)
+		}
+	}
+	if rounds == 0 {
+		t.Errorf("no round spans among %d records", len(spans))
+	}
+}
+
+// TestTraceRetention: Options.TraceHistory caps the traces a daemon
+// keeps; the oldest job's trace ages out first.
+func TestTraceRetention(t *testing.T) {
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, TraceHistory: 2})
+	var jobs []*service.Job
+	for i := 0; i < 3; i++ {
+		cfg := tinyCfg()
+		cfg.Rounds = 2 + i // distinct configs: every job executes
+		jobs = append(jobs, runOne(t, cl, cfg))
+	}
+	for i, want := range []int{http.StatusNotFound, http.StatusOK, http.StatusOK} {
+		resp, err := http.Get(base + "/v1/jobs/" + jobs[i].ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("trace of job %d = %d, want %d", i+1, resp.StatusCode, want)
+		}
+	}
+	if held := metricSum(t, cl, "qlecd_traces_held"); held != 2 {
+		t.Errorf("qlecd_traces_held = %v, want 2", held)
 	}
 }
 
@@ -352,8 +432,8 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 }
 
-func TestVersionAndMetricsJSON(t *testing.T) {
-	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
+func TestVersion(t *testing.T) {
+	_, _, base := newObsTestServer(t, service.Options{Workers: 1})
 
 	resp, err := http.Get(base + "/version")
 	if err != nil {
@@ -366,15 +446,5 @@ func TestVersionAndMetricsJSON(t *testing.T) {
 	}
 	if bi.GoVersion == "" {
 		t.Error("/version goVersion empty")
-	}
-
-	// The legacy JSON snapshot lives on at /metrics.json, and the typed
-	// client follows it.
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Workers != 1 {
-		t.Errorf("metrics.json workers = %d, want 1", m.Workers)
 	}
 }

@@ -110,11 +110,7 @@ func TestSubmitAliasSharesCacheWithCanonicalID(t *testing.T) {
 	if j2.Hash != j1.Hash {
 		t.Fatalf("alias hash %s != canonical hash %s", j1.Hash, j2.Hash)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SimulationsRun != 1 {
-		t.Fatalf("simulations run = %d, want 1", m.SimulationsRun)
+	if sims := metricSum(t, cl, "qlecd_simulations_total"); sims != 1 {
+		t.Fatalf("simulations run = %v, want 1", sims)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qlec/internal/audit"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 	"qlec/internal/protocol"
@@ -42,10 +43,11 @@ type Options struct {
 	Metrics *obs.Registry
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
 	Pprof bool
-	// TraceHistory bounds retained per-job trace recorders (FIFO
-	// eviction); default 64.
+	// TraceHistory bounds the traces the span store retains (FIFO
+	// eviction); default obs.DefaultStoreTraces (256).
 	TraceHistory int
-	// AuditHistory bounds retained per-job audit artifacts; default 64.
+	// AuditHistory bounds retained per-job audit artifacts (FIFO
+	// eviction); default 64.
 	AuditHistory int
 	// ProfileHistory bounds retained profile artifacts (FIFO eviction);
 	// default 32.
@@ -85,7 +87,6 @@ type Server struct {
 
 	fleet *fleetRuntime
 
-	start    time.Time
 	simsRun  atomic.Int64
 	draining atomic.Bool
 
@@ -93,8 +94,7 @@ type Server struct {
 	reg    *obs.Registry
 	om     *serverMetrics
 	httpm  *obs.HTTPMetrics
-	traces *traceTable
-	audits *auditTable
+	audits *obs.Bounded[string, *audit.Artifact]
 
 	sampler  *prof.Sampler
 	profiles *prof.Store
@@ -140,12 +140,15 @@ func New(opt Options) (*Server, error) {
 		batches:     make(map[string]*Batch),
 		batchHubs:   make(map[string]*eventHub),
 		nextBatchID: 1,
-		start:       time.Now(),
 		log:         opt.Logger,
 		reg:         opt.Metrics,
-		traces:      newTraceTable(opt.TraceHistory),
-		audits:      newAuditTable(opt.AuditHistory),
 	}
+	auditMax := opt.AuditHistory
+	if auditMax <= 0 {
+		auditMax = 64
+	}
+	s.audits = obs.NewBounded[string, *audit.Artifact](auditMax, s.reg, "qlecd_audits_held",
+		"Per-job audit artifacts currently retained (FIFO-capped by -audit-history).")
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	profMax := opt.ProfileHistory
 	if profMax <= 0 {
@@ -272,7 +275,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.reg)
 	mux.HandleFunc("GET /metrics/federate", s.handleFederate)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /version", s.handleVersion)
 	if s.opt.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -611,10 +613,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace implements GET /v1/jobs/{id}/trace: the job's span
 // recording as Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto). The view is fleet-merged: the local recorder's spans plus
-// every span any peer recorded under the job's trace ID, one lane per
-// daemon. Traces exist for executed jobs only (not cache hits) and age
-// out FIFO after Options.TraceHistory jobs.
+// Perfetto) — every span any peer recorded under the job's trace ID,
+// one lane per daemon. Traces age out FIFO after Options.TraceHistory
+// traces.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -628,20 +629,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	rec := s.traces.get(id)
-	var spans []obs.SpanRecord
-	if rec != nil {
-		spans = rec.Export(traceID, s.fleet.self)
-	}
-	if traceID != "" {
-		spans = append(spans, s.collectFleetSpans(traceID)...)
-	}
-	if len(spans) == 0 {
-		writeErr(w, http.StatusNotFound, "no trace for job %q (not executed yet, or aged out)", id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteChromeTrace(w, spans)
+	s.serveTrace(w, traceID, "job", id)
 }
 
 // handleBatchTrace implements GET /v1/batches/{id}/trace: the merged
@@ -660,12 +648,18 @@ func (s *Server) handleBatchTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no batch %q", id)
 		return
 	}
+	s.serveTrace(w, traceID, "batch", id)
+}
+
+// serveTrace renders one trace's fleet-wide spans as Chrome JSON, or
+// 404s when no daemon holds any (a pre-trace record, or aged out).
+func (s *Server) serveTrace(w http.ResponseWriter, traceID, what, id string) {
 	var spans []obs.SpanRecord
 	if traceID != "" {
 		spans = s.collectFleetSpans(traceID)
 	}
 	if len(spans) == 0 {
-		writeErr(w, http.StatusNotFound, "no trace for batch %q (pre-trace record, or spans aged out)", id)
+		writeErr(w, http.StatusNotFound, "no trace for %s %q (pre-trace record, or spans aged out)", what, id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -695,7 +689,7 @@ func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 // artifact of an executed KindOne job (energy ledger, decision records,
 // conservation report — cmd/qlecaudit consumes it). Like traces,
 // artifacts exist for executed jobs only (not cache hits or sweeps) and
-// age out FIFO after maxAudits jobs.
+// age out FIFO after Options.AuditHistory jobs.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -705,8 +699,8 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	art := s.audits.get(id)
-	if art == nil {
+	art, ok := s.audits.Get(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, "no audit for job %q (not an executed single run, or aged out)", id)
 		return
 	}
@@ -715,61 +709,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, obs.Version())
-}
-
-// Metrics snapshots the operational counters (served at /metrics.json;
-// /metrics is the Prometheus exposition).
-func (s *Server) Metrics() Metrics {
-	hits, misses := s.cache.stats()
-	m := Metrics{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Workers:        s.opt.Workers,
-		QueueDepth:     s.queue.depth(),
-		Jobs:           make(map[JobState]int),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		SimulationsRun: s.simsRun.Load(),
-		Draining:       s.draining.Load(),
-	}
-	if total := hits + misses; total > 0 {
-		m.CacheHitRate = float64(hits) / float64(total)
-	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		m.Jobs[j.State]++
-	}
-	if len(s.batches) > 0 {
-		m.Batches = make(map[JobState]int)
-		for _, b := range s.batches {
-			m.Batches[b.State]++
-		}
-	}
-	s.mu.Unlock()
-	fr := s.fleet
-	pending, leased, expired := fr.table.Stats()
-	ready, total := 0, 0
-	for _, p := range fr.members.Peers() {
-		total++
-		if p.Ready {
-			ready++
-		}
-	}
-	m.Fleet = &FleetSnapshot{
-		Self:          fr.self,
-		PeersReady:    ready,
-		PeersTotal:    total,
-		CellsPending:  pending,
-		CellsLeased:   leased,
-		LeaseExpiries: expired,
-		CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
-		CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
-		ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
-	}
-	return m
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 // Drain gracefully shuts the pool down: new submissions get 503,

@@ -281,7 +281,8 @@ type Job struct {
 	RequestID string `json:"requestId,omitempty"`
 	// TraceID is the distributed trace this job's spans record under —
 	// extracted from the submission's traceparent header, or minted at
-	// submission. Like RequestID it is not part of the job's identity.
+	// submission (at dequeue for a record persisted before jobs carried
+	// one). Like RequestID it is not part of the job's identity.
 	TraceID string `json:"traceId,omitempty"`
 	// CancelRequested is set once DELETE has been observed; the job
 	// reaches StateCancelled at the next round boundary.
@@ -409,37 +410,4 @@ func IsTransient(err error) bool {
 	}
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
-}
-
-// Metrics is the /metrics payload.
-type Metrics struct {
-	UptimeSeconds float64          `json:"uptimeSeconds"`
-	Workers       int              `json:"workers"`
-	QueueDepth    int              `json:"queueDepth"`
-	Jobs          map[JobState]int `json:"jobs"`
-	CacheHits     int64            `json:"cacheHits"`
-	CacheMisses   int64            `json:"cacheMisses"`
-	CacheHitRate  float64          `json:"cacheHitRate"`
-	// SimulationsRun counts completed executions — the number that must
-	// NOT grow when a duplicate submission hits the cache.
-	SimulationsRun int64 `json:"simulationsRun"`
-	Draining       bool  `json:"draining"`
-	// Batches counts batch records by lifecycle state.
-	Batches map[JobState]int `json:"batches,omitempty"`
-	// Fleet summarizes the cell pool and peer roster (a standalone
-	// daemon reports a roster of one).
-	Fleet *FleetSnapshot `json:"fleet,omitempty"`
-}
-
-// FleetSnapshot is the fleet slice of /metrics.json.
-type FleetSnapshot struct {
-	Self          string `json:"self"`
-	PeersReady    int    `json:"peersReady"`
-	PeersTotal    int    `json:"peersTotal"`
-	CellsPending  int    `json:"cellsPending"`
-	CellsLeased   int    `json:"cellsLeased"`
-	LeaseExpiries uint64 `json:"leaseExpiries"`
-	CellsExecuted int64  `json:"cellsExecuted"`
-	CellsStolen   int64  `json:"cellsStolen"`
-	ProxyHits     int64  `json:"proxyHits"`
 }

@@ -10,10 +10,13 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,13 +136,10 @@ func TestEndToEndCacheFlow(t *testing.T) {
 		t.Fatalf("result envelope = %+v, want a %d-round single-run payload", env, req.Config.Rounds)
 	}
 
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SimulationsRun != 1 || m.CacheMisses != 1 || m.CacheHits != 0 {
-		t.Fatalf("after first run: sims=%d misses=%d hits=%d, want 1/1/0",
-			m.SimulationsRun, m.CacheMisses, m.CacheHits)
+	sims, misses, hits := metricSum(t, cl, "qlecd_simulations_total"),
+		metricSum(t, cl, "qlecd_cache_misses_total"), metricSum(t, cl, "qlecd_cache_hits_total")
+	if sims != 1 || misses != 1 || hits != 0 {
+		t.Fatalf("after first run: sims=%v misses=%v hits=%v, want 1/1/0", sims, misses, hits)
 	}
 
 	// Identical resubmission: immediately done, same hash, new job id,
@@ -157,15 +157,11 @@ func TestEndToEndCacheFlow(t *testing.T) {
 	if j2.ID == j1.ID {
 		t.Fatal("resubmission reused the job id")
 	}
-	m, err = cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if sims := metricSum(t, cl, "qlecd_simulations_total"); sims != 1 {
+		t.Fatalf("resubmission re-simulated: qlecd_simulations_total = %v", sims)
 	}
-	if m.SimulationsRun != 1 {
-		t.Fatalf("resubmission re-simulated: simulationsRun = %d", m.SimulationsRun)
-	}
-	if m.CacheHits != 1 {
-		t.Fatalf("cacheHits = %d, want 1", m.CacheHits)
+	if hits := metricSum(t, cl, "qlecd_cache_hits_total"); hits != 1 {
+		t.Fatalf("qlecd_cache_hits_total = %v, want 1", hits)
 	}
 
 	// A cache-hit job never had a live stream; its events endpoint still
@@ -360,12 +356,8 @@ func TestTransientRetry(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("run function called %d times, want 2", got)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SimulationsRun != 1 {
-		t.Fatalf("simulationsRun = %d, want 1 (failed attempts don't count)", m.SimulationsRun)
+	if sims := metricSum(t, cl, "qlecd_simulations_total"); sims != 1 {
+		t.Fatalf("qlecd_simulations_total = %v, want 1 (failed attempts don't count)", sims)
 	}
 }
 
@@ -591,12 +583,9 @@ func TestRestartServesCachedResults(t *testing.T) {
 	if err != nil || env.One == nil {
 		t.Fatalf("result after restart: %+v, %v", env, err)
 	}
-	m, err := cl2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheHits != 1 || m.SimulationsRun != 0 {
-		t.Fatalf("post-restart metrics: hits=%d sims=%d, want 1/0", m.CacheHits, m.SimulationsRun)
+	hits, sims := metricSum(t, cl2, "qlecd_cache_hits_total"), metricSum(t, cl2, "qlecd_simulations_total")
+	if hits != 1 || sims != 0 {
+		t.Fatalf("post-restart metrics: hits=%v sims=%v, want 1/0", hits, sims)
 	}
 }
 
@@ -634,6 +623,24 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatalf("drain = %v, want deadline exceeded", err)
 	}
 	ts1.Close()
+	// Strip the trace ID, as on a record persisted before jobs carried
+	// one: the resumed run must mint a trace and still serve it.
+	path := filepath.Join(dir, "jobs", j.ID+".json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	delete(rec, "traceId")
+	if raw, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// The next process reloads the interrupted job as queued and
 	// executes it (this time with the real engine).
@@ -657,6 +664,17 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	}
 	if _, err := cl2.Result(ctx, fin.Hash); err != nil {
 		t.Fatalf("result after resume: %v", err)
+	}
+	if fin.TraceID == "" {
+		t.Fatal("resumed pre-trace job has no trace ID")
+	}
+	resp, err := http.Get(ts2.URL + "/v1/jobs/" + j.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of resumed pre-trace job = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -687,12 +705,8 @@ func TestInflightCoalescing(t *testing.T) {
 	if j2.ID != j1.ID {
 		t.Fatalf("duplicate submission created job %s, want coalescing onto %s", j2.ID, j1.ID)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheHits != 1 {
-		t.Fatalf("coalesced submission not counted as a hit: %d", m.CacheHits)
+	if hits := metricSum(t, cl, "qlecd_cache_hits_total"); hits != 1 {
+		t.Fatalf("coalesced submission not counted as a hit: %v", hits)
 	}
 	close(release)
 	if _, err := cl.Wait(ctx, j1.ID, 5*time.Millisecond); err != nil {

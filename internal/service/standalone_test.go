@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"qlec/internal/experiment"
+	"qlec/internal/fleet"
 	"qlec/internal/obs"
 	"qlec/internal/service"
 	"qlec/internal/service/client"
@@ -29,6 +30,19 @@ func scrapeMetrics(t *testing.T, cl *client.Client) *obs.Exposition {
 		t.Fatal(err)
 	}
 	return exp
+}
+
+// metricSum sums every sample of one counter or gauge family in a
+// daemon's /metrics exposition, across label sets; 0 when absent.
+func metricSum(t *testing.T, cl *client.Client, family string) float64 {
+	t.Helper()
+	var sum float64
+	if f := scrapeMetrics(t, cl).Family(family); f != nil {
+		for _, s := range f.Samples {
+			sum += s.Value
+		}
+	}
+	return sum
 }
 
 // sampleValue reads the sample named name in family, restricted to the
@@ -110,8 +124,7 @@ func TestStandaloneSweepsMatchLibrary(t *testing.T) {
 func TestStandaloneIdleNoStarvation(t *testing.T) {
 	_, cl := newTestServer(t, service.Options{Workers: 1})
 	time.Sleep(time.Second)
-	const c = "qlecd_fleet_steal_starvation_total"
-	if v := sampleValue(scrapeMetrics(t, cl), c, c, ""); v != 0 {
+	if v := metricSum(t, cl, "qlecd_fleet_steal_starvation_total"); v != 0 {
 		t.Errorf("idle standalone daemon counted %v steal starvations, want 0", v)
 	}
 }
@@ -162,11 +175,11 @@ func TestStandaloneRefusesJoin(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("join on a standalone daemon: %d, want 400", resp.StatusCode)
 	}
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
+	var st fleet.Status
+	if err := json.Unmarshal(httpGet(t, cl.BaseURL()+"/v1/fleet"), &st); err != nil {
 		t.Fatal(err)
 	}
-	if m.Fleet == nil || m.Fleet.PeersTotal != 1 {
-		t.Errorf("roster after a refused join = %+v, want self only", m.Fleet)
+	if len(st.Peers) != 1 {
+		t.Errorf("roster after a refused join = %+v, want self only", st.Peers)
 	}
 }

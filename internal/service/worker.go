@@ -36,15 +36,16 @@ func (s *Server) runJob(id string) {
 	// (computed by any peer). Fetching it installs it in the local cache,
 	// so the late-dedupe check below answers the job without recomputing.
 	// Network happens outside the server lock.
+	if j.TraceID == "" {
+		// A record persisted before jobs carried trace IDs: mint one now
+		// (persisted with the running state below) so its spans are served.
+		j.TraceID = obs.NewSpanContext().TraceID
+	}
 	hash, traceID := j.Hash, j.TraceID
 	s.mu.Unlock()
 	if _, ok := s.cache.peek(hash); !ok {
-		fetchCtx := s.hardCtx
-		if traceID != "" {
-			fetchCtx = obs.ContextWithSpan(fetchCtx,
-				obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()})
-		}
-		s.fleet.proxyFetch(fetchCtx, hash)
+		s.fleet.proxyFetch(obs.ContextWithSpan(s.hardCtx,
+			obs.SpanContext{TraceID: traceID, SpanID: obs.NewSpanID()}), hash)
 	}
 	s.mu.Lock()
 	j = s.jobs[id]
@@ -73,11 +74,8 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	// jobSC anchors every span this job produces — locally and on any
-	// peer that steals its cells — to the trace ID minted at submission.
-	var jobSC obs.SpanContext
-	if j.TraceID != "" {
-		jobSC = obs.SpanContext{TraceID: j.TraceID, SpanID: obs.NewSpanID()}
-	}
+	// peer that steals its cells — to the job's trace ID.
+	jobSC := obs.SpanContext{TraceID: j.TraceID, SpanID: obs.NewSpanID()}
 	if j.Attempts == 0 {
 		// First execution attempt: the submit→dequeue gap is the queue
 		// wait (retries would double-count their failed run time).
@@ -101,14 +99,10 @@ func (s *Server) runJob(id string) {
 	s.mu.Unlock()
 
 	log := s.log.With("job", id, "kind", string(req.Kind), "requestId", rid)
-	rec := obs.NewTraceRecorder(0)
-	s.traces.put(id, rec)
 	ctx = obs.ContextWithRequestID(ctx, rid)
 	ctx = obs.ContextWithMetrics(ctx, s.reg)
-	ctx = obs.ContextWithTrace(ctx, rec)
-	if jobSC.Valid() {
-		ctx = obs.ContextWithSpan(ctx, jobSC)
-	}
+	ctx = obs.ContextWithTrace(ctx, s.fleet.spans)
+	ctx = obs.ContextWithSpan(ctx, jobSC)
 	var arec *audit.Recorder
 	if req.Kind == KindOne {
 		// Single simulations get a flight recorder (sweeps strip hooks per
@@ -155,7 +149,7 @@ func (s *Server) runJob(id string) {
 		// Rounds == 0 means the RunFunc never drove the recorder (stub
 		// runners in tests): nothing worth serving.
 		if art := arec.Artifact(); art.Report.Rounds > 0 {
-			s.audits.put(id, art)
+			s.audits.Put(id, art)
 			var anomalies uint64
 			for _, n := range art.Report.AnomalyCounts {
 				anomalies += n
@@ -238,14 +232,10 @@ func (s *Server) runJob(id string) {
 		// this daemon owns the hash, as a fleet of one always does).
 		// Outside the server lock: this is a network call. The job ctx is
 		// cancelled by now, so the replication span rides on hardCtx.
-		repCtx := s.hardCtx
-		if jobSC.Valid() {
-			repCtx = obs.ContextWithSpan(repCtx, jobSC)
-		}
-		s.fleet.replicateToOwner(repCtx, hash, env)
+		s.fleet.replicateToOwner(obs.ContextWithSpan(s.hardCtx, jobSC), hash, env)
 	}
 
-	rec.Span("job "+id, "job", runStart, runStart.Add(elapsed),
+	s.fleet.spans.Span(jobSC, "job "+id, "job", runStart, runStart.Add(elapsed),
 		map[string]any{"kind": string(req.Kind), "state": string(state), "requestId": rid})
 	if state.Terminal() {
 		s.om.jobsTotal.With(string(state)).Inc()
