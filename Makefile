@@ -147,10 +147,12 @@ tournament-demo:
 # peer's cells. Any data race crashes a daemon and fails the target.
 # Before the kill, the observability surface is checked mid-batch: the
 # federated /metrics/federate scrape must pass the exposition linter
-# (qlecstat -check), a fleet-wide CPU capture through qlecprof must
-# return non-empty profiles from at least two peers (the newest is
-# saved to figs/fleet-profile.pprof and uploaded as a CI artifact), and
-# the batch's merged Chrome trace — saved to figs/fleet-trace.json and
+# (qlecstat -check); two concurrent 1 s CPU profiles fetched from
+# peers 1 and 3 through the stdlib /debug/pprof/profile endpoint (the
+# daemons run with -pprof) must read as CPU profiles under
+# `go tool pprof -top` (saved to figs/fleet-profile.pprof and
+# figs/fleet-profile-3.pprof, uploaded as CI artifacts); and the
+# batch's merged Chrome trace — saved to figs/fleet-trace.json and
 # uploaded as a CI artifact — must span at least two daemon lanes
 # (qlectrace -chrome), proving cross-peer trace propagation through a
 # real steal. See README "Observing a fleet"/"Profiling a fleet" and
@@ -164,13 +166,12 @@ fleet-e2e:
 	$(GO) build -race -o figs/.qlecd-fleet ./cmd/qlecd
 	$(GO) build -o figs/.qlecstat-fleet ./cmd/qlecstat
 	$(GO) build -o figs/.qlectrace-fleet ./cmd/qlectrace
-	$(GO) build -o figs/.qlecprof-fleet ./cmd/qlecprof
 	@set -e; \
 	DATA=$$(mktemp -d); trap 'kill $$P1 $$P2 $$P3 2>/dev/null || true; rm -rf $$DATA' EXIT INT TERM; \
 	U1=http://$(FLEET_HOST):$(FLEET_P1); U2=http://$(FLEET_HOST):$(FLEET_P2); U3=http://$(FLEET_HOST):$(FLEET_P3); \
-	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P1) -data-dir $$DATA/n1 -workers 1 -cell-workers 1 -lease-ttl 2s -self $$U1 >$$DATA/n1.log 2>&1 & P1=$$!; \
-	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P2) -data-dir $$DATA/n2 -lease-ttl 2s -self $$U2 -join $$U1 >$$DATA/n2.log 2>&1 & P2=$$!; \
-	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P3) -data-dir $$DATA/n3 -lease-ttl 2s -self $$U3 -join $$U1 >$$DATA/n3.log 2>&1 & P3=$$!; \
+	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P1) -data-dir $$DATA/n1 -workers 1 -cell-workers 1 -lease-ttl 2s -pprof -self $$U1 >$$DATA/n1.log 2>&1 & P1=$$!; \
+	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P2) -data-dir $$DATA/n2 -lease-ttl 2s -pprof -self $$U2 -join $$U1 >$$DATA/n2.log 2>&1 & P2=$$!; \
+	figs/.qlecd-fleet -addr $(FLEET_HOST):$(FLEET_P3) -data-dir $$DATA/n3 -lease-ttl 2s -pprof -self $$U3 -join $$U1 >$$DATA/n3.log 2>&1 & P3=$$!; \
 	for U in $$U1 $$U2 $$U3; do until curl -sf $$U/readyz >/dev/null 2>&1; do sleep 0.2; done; done; \
 	until [ "$$(curl -s $$U1/v1/fleet | grep -c '"ready": *true')" = 3 ]; do sleep 0.2; done; \
 	echo "fleet-e2e: 3 peers ready"; \
@@ -187,12 +188,15 @@ fleet-e2e:
 	test -n "$$STOLE" || { echo "fleet-e2e: peer 3 never stole a cell" >&2; cat $$DATA/n3.log; exit 1; }; \
 	echo "fleet-e2e: peer 3 stole work; checking observability mid-batch"; \
 	figs/.qlecstat-fleet -addr $$U1 -check || { echo "fleet-e2e: federated scrape failed lint" >&2; exit 1; }; \
-	figs/.qlecprof-fleet capture -addr $$U1 -fleet -kind cpu -seconds 1 -min 2 \
-		|| { echo "fleet-e2e: fleet CPU capture did not cover 2 peers" >&2; exit 1; }; \
-	figs/.qlecprof-fleet fetch -addr $$U1 -id latest -o figs/fleet-profile.pprof \
-		|| { echo "fleet-e2e: profile fetch failed" >&2; exit 1; }; \
-	test -s figs/fleet-profile.pprof || { echo "fleet-e2e: fetched profile is empty" >&2; exit 1; }; \
-	echo "fleet-e2e: mid-batch CPU profiles captured on >=2 peers (figs/fleet-profile.pprof)"; \
+	curl -sf "$$U1/debug/pprof/profile?seconds=1" -o figs/fleet-profile.pprof & C1=$$!; \
+	curl -sf "$$U3/debug/pprof/profile?seconds=1" -o figs/fleet-profile-3.pprof & C3=$$!; \
+	wait $$C1 || { echo "fleet-e2e: CPU profile fetch from peer 1 failed" >&2; exit 1; }; \
+	wait $$C3 || { echo "fleet-e2e: CPU profile fetch from peer 3 failed" >&2; exit 1; }; \
+	for F in figs/fleet-profile.pprof figs/fleet-profile-3.pprof; do \
+		$(GO) tool pprof -top $$F 2>/dev/null | grep -q '^Type: cpu' \
+			|| { echo "fleet-e2e: $$F does not read as a CPU profile" >&2; exit 1; }; \
+	done; \
+	echo "fleet-e2e: mid-batch CPU profiles read from peers 1 and 3 (figs/fleet-profile.pprof, figs/fleet-profile-3.pprof)"; \
 	TRACE_OK=; for i in $$(seq 1 150); do \
 		curl -s $$U1/v1/batches/$$B/trace > figs/fleet-trace.json; \
 		if figs/.qlectrace-fleet -chrome figs/fleet-trace.json 2>/dev/null | grep -Eq '^lanes: ([2-9]|[1-9][0-9]+)$$'; then TRACE_OK=1; break; fi; \

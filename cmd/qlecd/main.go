@@ -19,10 +19,7 @@
 //	      [-drain-timeout 30s] [-log-level info] [-log-format text]
 //	      [-self http://host:8080] [-peers url,url] [-join url]
 //	      [-cell-workers 0] [-lease-ttl 15s]
-//	      [-trace-history 256] [-audit-history 64] [-profile-history 32]
-//	      [-runtime-sample 10s] [-auto-profile 5m]
-//	      [-scale-slo 0] [-scale-fast-window 1m] [-scale-slow-window 5m]
-//	      [-scale-hysteresis 30s]
+//	      [-trace-history 256] [-audit-history 64]
 //	      [-pprof] [-pprof-block] [-pprof-mutex] [-version] [-quiet]
 //
 // API (see README "Running as a service" for curl examples):
@@ -45,22 +42,14 @@
 //	GET    /healthz             liveness (always 200 while the process
 //	                            serves; use /readyz for drain state)
 //	GET    /readyz              readiness (503 once draining begins)
-//	GET    /v1/fleet            peer roster + work-pool counters (+ the
-//	                            autoscale advisor's advice with -scale-slo)
+//	GET    /v1/fleet            peer roster + work-pool counters
 //	GET    /v1/batches/{id}/trace fleet-merged Chrome trace of a batch
-//	POST   /v1/profiles         capture a profile now (cpu/heap/goroutine/
-//	                            block/mutex; fleet=true fans out to peers)
-//	GET    /v1/profiles         captured-profile metadata (?fleet=1 merges
-//	                            every ready peer's listing)
-//	GET    /v1/profiles/{id}    raw profile bytes ("latest" = newest;
-//	                            fetch and inspect with cmd/qlecprof)
-//	GET    /v1/runtime          continuous runtime-sampler trend (heap,
-//	                            GC, scheduler latency)
 //	GET    /metrics             Prometheus text exposition
 //	GET    /metrics/federate    fleet-merged exposition (all ready peers;
 //	                            watch it live with cmd/qlecstat)
 //	GET    /version             build/VCS metadata
-//	GET    /debug/pprof/        profiling endpoints (with -pprof)
+//	GET    /debug/pprof/        profiling endpoints (with -pprof; read
+//	                            with go tool pprof)
 //
 // -cell-workers 0 sizes the cell-executor pool to GOMAXPROCS.
 //
@@ -87,7 +76,6 @@ import (
 	"time"
 
 	"qlec/internal/cli"
-	"qlec/internal/fleet"
 	"qlec/internal/obs"
 	"qlec/internal/service"
 )
@@ -101,8 +89,8 @@ func main() {
 		retries      = flag.Int("retries", 1, "re-queues per job on transient failure")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		enablePprof  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		pprofBlock   = flag.Bool("pprof-block", false, "enable runtime block profiling (rate 1) so block captures have data")
-		pprofMutex   = flag.Bool("pprof-mutex", false, "enable runtime mutex profiling (fraction 1) so mutex captures have data")
+		pprofBlock   = flag.Bool("pprof-block", false, "enable runtime block profiling (rate 1) so /debug/pprof/block has data")
+		pprofMutex   = flag.Bool("pprof-mutex", false, "enable runtime mutex profiling (fraction 1) so /debug/pprof/mutex has data")
 		version      = flag.Bool("version", false, "print build/VCS metadata and exit")
 		quiet        = flag.Bool("quiet", false, "suppress the operational log")
 
@@ -112,16 +100,8 @@ func main() {
 		cellWorkers = flag.Int("cell-workers", 0, "sweep/batch cell executors (0 = GOMAXPROCS)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
-		traceHistory   = flag.Int("trace-history", 256, "traces retained in the span store (FIFO eviction; each keeps up to 20000 spans)")
-		auditHistory   = flag.Int("audit-history", 64, "per-job audit artifacts retained (FIFO eviction)")
-		profileHistory = flag.Int("profile-history", 32, "captured profile artifacts retained (FIFO eviction)")
-		runtimeSample  = flag.Duration("runtime-sample", 10*time.Second, "runtime sampler cadence behind qlecd_runtime_* and /v1/runtime (0 = off)")
-		autoProfile    = flag.Duration("auto-profile", 5*time.Minute, "min gap between anomaly-triggered profile captures per reason (negative = off)")
-
-		scaleSLO        = flag.Duration("scale-slo", 0, "queue-wait SLO driving the autoscale advisor (0 = advisor off)")
-		scaleFastWindow = flag.Duration("scale-fast-window", time.Minute, "advisor fast burn-rate window")
-		scaleSlowWindow = flag.Duration("scale-slow-window", 5*time.Minute, "advisor slow burn-rate window")
-		scaleHysteresis = flag.Duration("scale-hysteresis", 30*time.Second, "how long a lower recommendation must hold before publishing")
+		traceHistory = flag.Int("trace-history", 256, "traces retained in the span store (FIFO eviction; each keeps up to 20000 spans)")
+		auditHistory = flag.Int("audit-history", 64, "per-job audit artifacts retained (FIFO eviction)")
 	)
 	logCfg := cli.LogFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
@@ -159,29 +139,20 @@ func main() {
 		}
 	}
 	srv, err := service.New(service.Options{
-		DataDir:               *dataDir,
-		Workers:               *workers,
-		QueueLimit:            *queueLimit,
-		MaxRetries:            *retries,
-		Logger:                logger,
-		Pprof:                 *enablePprof,
-		TraceHistory:          *traceHistory,
-		AuditHistory:          *auditHistory,
-		ProfileHistory:        *profileHistory,
-		RuntimeSampleInterval: *runtimeSample,
-		AutoProfileMinGap:     *autoProfile,
+		DataDir:      *dataDir,
+		Workers:      *workers,
+		QueueLimit:   *queueLimit,
+		MaxRetries:   *retries,
+		Logger:       logger,
+		Pprof:        *enablePprof,
+		TraceHistory: *traceHistory,
+		AuditHistory: *auditHistory,
 		Fleet: service.FleetOptions{
 			Self:        *self,
 			Peers:       peers,
 			Join:        *join,
 			CellWorkers: *cellWorkers,
 			LeaseTTL:    *leaseTTL,
-			Advisor: fleet.AdvisorConfig{
-				SLO:        *scaleSLO,
-				FastWindow: *scaleFastWindow,
-				SlowWindow: *scaleSlowWindow,
-				Hysteresis: *scaleHysteresis,
-			},
 		},
 	})
 	if err != nil {

@@ -2,8 +2,8 @@
 // endpoint: it polls GET /metrics/federate on one daemon (which scrapes
 // and merges every ready peer) plus the /v1/fleet roster, and renders
 // per-peer load — queue depth, busy workers, pending cells, steal
-// traffic, queue-wait quantiles — alongside fleet-wide totals and the
-// autoscale advisor's current recommendation.
+// traffic, queue-wait quantiles, runtime gauges — alongside fleet-wide
+// totals.
 //
 // Usage:
 //
@@ -148,9 +148,8 @@ func snapshot(ctx context.Context, hc *http.Client, base string) (string, error)
 	queue := gaugeByInstance(exp, "qlecd_queue_depth")
 	busy := gaugeByInstance(exp, "qlecd_workers_busy")
 	pendingCells := gaugeByInstance(exp, "qlecd_fleet_cells_pending")
-	scale := gaugeByInstance(exp, "qlecd_fleet_scale_recommendation")
-	// Runtime-sampler gauges; absent entirely when a daemon runs with
-	// -runtime-sample 0, so missing entries render as "-".
+	// Runtime gauges; a peer that is down contributes none, so missing
+	// entries render as "-".
 	goroutines := gaugeByInstance(exp, "qlecd_runtime_goroutines")
 	heapLive := gaugeByInstance(exp, "qlecd_runtime_heap_live_bytes")
 	gcFrac := gaugeByInstance(exp, "qlecd_runtime_gc_cpu_fraction")
@@ -218,20 +217,6 @@ func snapshot(ctx context.Context, hc *http.Client, base string) (string, error)
 			{"open batches", fmt.Sprintf("%d", st.OpenBatches)},
 		}))
 	b.WriteString("\n")
-
-	if st.Advice != nil {
-		delta := st.Advice.Delta
-		verdict := "steady"
-		if delta > 0 {
-			verdict = fmt.Sprintf("SCALE UP +%d", delta)
-		} else if delta < 0 {
-			verdict = fmt.Sprintf("scale down %d", delta)
-		}
-		fmt.Fprintf(&b, "\nadvisor: %s (burn %.2f/%.2f vs %.3gs SLO)\n  %s\n",
-			verdict, st.Advice.FastBurn, st.Advice.SlowBurn, st.Advice.SLOSeconds, st.Advice.Reason)
-	} else if v, ok := anyGauge(scale); ok {
-		fmt.Fprintf(&b, "\nscale recommendation: %+.0f\n", v)
-	}
 	return b.String(), nil
 }
 
@@ -247,13 +232,6 @@ func gaugeByInstance(exp *obs.Exposition, name string) map[string]float64 {
 		out[s.Label(obs.InstanceLabel)] = s.Value
 	}
 	return out
-}
-
-func anyGauge(m map[string]float64) (float64, bool) {
-	for _, v := range m {
-		return v, true
-	}
-	return 0, false
 }
 
 // counterTotal sums a merged counter family across its series.

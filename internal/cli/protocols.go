@@ -27,12 +27,6 @@ func ResolveProtocol(name string) (string, error) {
 	return "", fmt.Errorf("unknown protocol %q", name)
 }
 
-// ProtocolIDs returns the comma-joined canonical ids, for flag usage
-// strings.
-func ProtocolIDs() string {
-	return strings.Join(protocol.IDs(), ", ")
-}
-
 // FormatProtocols renders the registry roster as a fixed-width table:
 // one row per registered protocol with its aliases, paper reference
 // and default parameters.

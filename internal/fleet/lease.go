@@ -32,7 +32,7 @@ type Lease struct {
 	Expires time.Time `json:"expires"`
 	// Waited is how long the cell sat in the pending pool before this
 	// lease — the queue-wait signal the coordinator feeds its cell-wait
-	// histogram (and through it the autoscale advisor).
+	// histogram.
 	Waited time.Duration `json:"waited,omitempty"`
 }
 

@@ -46,13 +46,6 @@ type CompleteRequest struct {
 	Usage *prof.Usage `json:"usage,omitempty"`
 }
 
-// ProfileCaptureRequest asks a peer to capture one profile into its
-// local artifact store (the body of POST /v1/profiles).
-type ProfileCaptureRequest struct {
-	Kind    string  `json:"kind"`
-	Seconds float64 `json:"seconds,omitempty"`
-}
-
 // RenewRequest extends held leases.
 type RenewRequest struct {
 	Worker   string   `json:"worker"`
@@ -78,9 +71,6 @@ type Status struct {
 	CellsLeased  int         `json:"cellsLeased"`
 	LeaseExpiry  uint64      `json:"leaseExpiries"`
 	OpenBatches  int         `json:"openBatches"`
-	// Advice is the autoscale advisor's current recommendation; absent
-	// when no SLO is configured.
-	Advice *Advice `json:"advice,omitempty"`
 }
 
 // Client is the thin HTTP client daemons use to talk to each other. It
@@ -220,34 +210,6 @@ func (c *Client) TraceSpans(ctx context.Context, peer, traceID string) ([]obs.Sp
 		return nil, err
 	}
 	return spans, nil
-}
-
-// CaptureProfile asks a peer to capture one profile into its own
-// artifact store; the returned metadata carries the peer-local ID to
-// fetch it with. CPU captures block for the sampling window, so the
-// caller's ctx should allow for it.
-func (c *Client) CaptureProfile(ctx context.Context, peer string, req ProfileCaptureRequest) (*prof.Artifact, error) {
-	// The endpoint answers with the capture-response envelope; a
-	// non-fleet request holds exactly the one local artifact.
-	var resp struct {
-		Profiles []prof.Artifact `json:"profiles"`
-	}
-	if err := c.do(ctx, http.MethodPost, peer, "/v1/profiles", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Profiles) == 0 {
-		return nil, fmt.Errorf("fleet: peer %s returned no captured profile", peer)
-	}
-	return &resp.Profiles[0], nil
-}
-
-// Profiles lists a peer's held profile artifacts (metadata only).
-func (c *Client) Profiles(ctx context.Context, peer string) ([]prof.Artifact, error) {
-	var list []prof.Artifact
-	if err := c.do(ctx, http.MethodGet, peer, "/v1/profiles", nil, &list); err != nil {
-		return nil, err
-	}
-	return list, nil
 }
 
 // MetricsText fetches a peer's raw Prometheus exposition for the

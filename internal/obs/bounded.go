@@ -6,7 +6,7 @@ import "sync"
 // a Put of a new key would exceed the cap, the oldest insertion is
 // evicted (plain FIFO: reads do not refresh an entry, and rewriting a
 // held key keeps its place). It backs every retained-artifact table in
-// qlecd: traces, audits and profiles.
+// qlecd: traces and audits.
 type Bounded[K comparable, V any] struct {
 	mu    sync.Mutex
 	byKey map[K]V

@@ -30,11 +30,10 @@ type FleetMetrics struct {
 	CellsCompleted *Counter
 	// StealStarvation counts executor polls that found no work anywhere:
 	// the local pool was empty and the steal round came back empty-handed.
-	// Its rate is the advisor's scale-down signal.
 	StealStarvation *Counter
 	// CellWait observes how long each cell sat pooled before an executor
 	// acquired it — the fleet-level analogue of the job queue-wait
-	// histogram, and the advisor's scale-up signal for batch work.
+	// histogram.
 	CellWait *Histogram
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // TestFleetMetricsExposition: the qlecd_fleet_* family set renders a
-// lint-clean exposition with every series the federation and advisor
-// layers depend on.
+// lint-clean exposition with every series the federation layer and
+// qlecstat depend on.
 func TestFleetMetricsExposition(t *testing.T) {
 	r := NewRegistry()
 	fm := NewFleetMetrics(r)
@@ -51,16 +51,6 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 	if err := LintExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("fleet exposition fails lint: %v\n%s", err, text)
-	}
-
-	// The advisor reads over-SLO counts off the snapshot: with a 0.1s SLO
-	// one of the two observations is over.
-	snap := fm.CellWait.Snapshot()
-	if snap.Count != 2 {
-		t.Fatalf("snapshot count = %d, want 2", snap.Count)
-	}
-	if under := snap.CountAtMost(0.1); under != 1 {
-		t.Fatalf("CountAtMost(0.1) = %d, want 1", under)
 	}
 }
 

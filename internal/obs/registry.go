@@ -238,50 +238,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.c.hist.count.Load() }
 
-// HistogramSnapshot is a point-in-time copy of a histogram's state,
-// used by the fleet advisor to compute over-SLO burn rates without
-// round-tripping through the text exposition.
-type HistogramSnapshot struct {
-	Upper  []float64 // declared upper bounds, +Inf excluded
-	Counts []uint64  // per-bucket (non-cumulative) counts, same length as Upper
-	Inf    uint64    // observations above the last bound
-	Count  uint64
-	Sum    float64
-}
-
-// Snapshot copies the histogram's current buckets. The per-bucket loads
-// are individually atomic; a snapshot taken concurrently with Observe
-// may be off by the in-flight sample, which is fine for rate math.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	d := h.c.hist
-	s := HistogramSnapshot{
-		Upper:  d.upper,
-		Counts: make([]uint64, len(d.counts)),
-		Inf:    d.inf.Load(),
-		Count:  d.count.Load(),
-		Sum:    math.Float64frombits(d.sumBits.Load()),
-	}
-	for i := range d.counts {
-		s.Counts[i] = d.counts[i].Load()
-	}
-	return s
-}
-
-// CountAtMost returns how many observations fell into buckets whose
-// upper bound is <= le — i.e. observations known to be within an SLO
-// that coincides with a bucket boundary. SLOs between boundaries are
-// conservatively rounded down to the previous bound.
-func (s HistogramSnapshot) CountAtMost(le float64) uint64 {
-	var n uint64
-	for i, ub := range s.Upper {
-		if ub > le {
-			break
-		}
-		n += s.Counts[i]
-	}
-	return n
-}
-
 // Counter registers (or fetches) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return &Counter{r.lookup(name, help, "counter", nil, nil).childFor(nil)}

@@ -100,21 +100,6 @@ func (q *Queue) Pop() (p Packet, ok bool) {
 	return p, true
 }
 
-// DrainAll removes and returns every queued packet in FIFO order.
-func (q *Queue) DrainAll() []Packet {
-	if q.n == 0 {
-		return nil
-	}
-	out := make([]Packet, 0, q.n)
-	for {
-		p, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, p)
-	}
-}
-
 // Reset empties the queue and clears the drop/push counters, retaining
 // the ring storage for reuse.
 func (q *Queue) Reset() {

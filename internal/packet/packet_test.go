@@ -59,25 +59,6 @@ func TestNegativeCapacityPanics(t *testing.T) {
 	NewQueue(-1)
 }
 
-func TestDrainAll(t *testing.T) {
-	q := NewQueue(5)
-	for i := 0; i < 4; i++ {
-		q.Push(Packet{ID: ID(i)})
-	}
-	got := q.DrainAll()
-	if len(got) != 4 {
-		t.Fatalf("drained %d packets", len(got))
-	}
-	for i, p := range got {
-		if p.ID != ID(i) {
-			t.Fatalf("drain order wrong at %d: %v", i, p.ID)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatal("queue not empty after drain")
-	}
-}
-
 func TestReset(t *testing.T) {
 	q := NewQueue(1)
 	q.Push(Packet{ID: 1})

@@ -1,27 +1,24 @@
-// Package prof is the continuous-profiling and resource-attribution
-// layer for qlecd (DESIGN.md §16). It has three parts:
+// Package prof is the resource-attribution layer for qlecd
+// (DESIGN.md §16). It has two parts:
 //
 //   - Bracket / Usage: cheap begin/end deltas (CPU seconds via
 //     getrusage, alloc bytes / GC cycles / live heap via
-//     runtime/metrics) used to attribute cost to every job and sweep
-//     cell the daemon executes.
-//   - Sampler: a background loop over runtime/metrics that feeds
-//     qlecd_runtime_* gauges and histograms plus a bounded in-memory
-//     ring for trend queries (GET /v1/runtime).
-//   - Store / Capture / AutoCapturer: a FIFO-capped in-memory store of
-//     pprof artifacts (cpu/heap/goroutine/block/mutex) behind
-//     POST/GET /v1/profiles, with rate-limited capture-on-anomaly
-//     driven by the autoscale advisor.
+//     runtime/metrics) used to bill every job and sweep cell the
+//     daemon executes.
+//   - RegisterRuntime: qlecd_runtime_* gauges that read
+//     runtime/metrics when /metrics is scraped.
 //
+// Profiles are not kept here: a daemon started with -pprof serves
+// net/http/pprof under /debug/pprof, read with go tool pprof.
 // Everything is stdlib-only and registers into the internal/obs
-// registry. Nothing here touches the simulation hot path: a daemon
-// with the sampler disabled and no brackets active pays nothing, and
-// the bench binaries never import this package's runtime loop.
+// registry. Nothing here touches the simulation hot path.
 package prof
 
 import (
 	"runtime/metrics"
 	"time"
+
+	"qlec/internal/obs"
 )
 
 // Usage is the resource bill for one unit of executed work (a job or
@@ -43,10 +40,9 @@ type Usage struct {
 	// (/gc/heap/allocs:bytes), which runtime/metrics tracks
 	// accurately between GCs.
 	AllocBytes uint64 `json:"allocBytes"`
-	// PeakHeapDelta is the observed growth of the live heap over the
-	// bracket: max(live seen during/after bracket) - live at start,
-	// floored at zero. Without a running Sampler only the endpoint is
-	// seen, making this a lower bound on the true peak.
+	// PeakHeapDelta is live heap at End minus live heap at Begin,
+	// floored at zero: endpoint growth, so a lower bound on the peak
+	// growth during the bracket.
 	PeakHeapDelta uint64 `json:"peakHeapDelta"`
 	// GCCount is the number of completed GC cycles during the bracket.
 	GCCount uint64 `json:"gcCount"`
@@ -104,23 +100,9 @@ func Begin() *Bracket {
 	return b
 }
 
-// Start returns the wall-clock instant the bracket began.
-func (b *Bracket) Start() time.Time { return b.start }
-
-// PeakSource supplies an observed live-heap high-water mark since a
-// given instant; *Sampler implements it. A nil source (or one with no
-// samples in the window) degrades to the bracket's endpoint reading.
-type PeakSource interface {
-	PeakHeapSince(t time.Time) (bytes uint64, ok bool)
-}
-
 // End closes the bracket and returns the bill. Safe to call once;
 // subsequent calls return a zero Usage.
-func (b *Bracket) End() Usage { return b.EndWith(nil) }
-
-// EndWith closes the bracket, consulting ps (may be nil) for a live-
-// heap peak observed during the bracket window.
-func (b *Bracket) EndWith(ps PeakSource) Usage {
+func (b *Bracket) End() Usage {
 	if b == nil || b.completed {
 		return Usage{}
 	}
@@ -138,14 +120,39 @@ func (b *Bracket) EndWith(ps PeakSource) Usage {
 	if g := b.samples[1].Value.Uint64(); g > b.gcCycles {
 		u.GCCount = g - b.gcCycles
 	}
-	peak := b.samples[2].Value.Uint64()
-	if ps != nil {
-		if p, ok := ps.PeakHeapSince(b.start); ok && p > peak {
-			peak = p
-		}
-	}
-	if peak > b.heapLive {
-		u.PeakHeapDelta = peak - b.heapLive
+	if h := b.samples[2].Value.Uint64(); h > b.heapLive {
+		u.PeakHeapDelta = h - b.heapLive
 	}
 	return u
+}
+
+// RegisterRuntime registers the qlecd_runtime_* gauges on reg. Each
+// reads runtime/metrics when /metrics is scraped; nothing runs between
+// scrapes.
+func RegisterRuntime(reg *obs.Registry) {
+	count := func(name string) func() float64 {
+		return func() float64 { return float64(readMetric(name).Uint64()) }
+	}
+	reg.GaugeFunc("qlecd_runtime_heap_live_bytes", "Bytes of live heap objects at scrape time.",
+		count("/memory/classes/heap/objects:bytes"))
+	reg.GaugeFunc("qlecd_runtime_heap_goal_bytes", "GC heap goal at scrape time.",
+		count("/gc/heap/goal:bytes"))
+	reg.GaugeFunc("qlecd_runtime_goroutines", "Goroutine count at scrape time.",
+		count("/sched/goroutines:goroutines"))
+	reg.GaugeFunc("qlecd_runtime_gc_cpu_fraction",
+		"Fraction of CPU time spent in GC since process start (refreshes at GC boundaries).",
+		func() float64 {
+			tot := readMetric("/cpu/classes/total:cpu-seconds").Float64()
+			if tot <= 0 {
+				return 0
+			}
+			return readMetric("/cpu/classes/gc/total:cpu-seconds").Float64() / tot
+		})
+}
+
+// readMetric reads one runtime/metrics sample.
+func readMetric(name string) metrics.Value {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value
 }

@@ -2,9 +2,7 @@ package prof
 
 import (
 	"bytes"
-	"context"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -59,184 +57,25 @@ func TestUsageAddAndIsZero(t *testing.T) {
 	}
 }
 
-func TestStoreFIFOCap(t *testing.T) {
+func TestRegisterRuntime(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := NewStore(3, reg)
-	var ids []string
-	for i := 0; i < 5; i++ {
-		a := st.Add(&Artifact{Kind: "heap", Format: "text", Reason: "manual",
-			Data: []byte{byte(i)}})
-		ids = append(ids, a.ID)
-	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (FIFO cap)", st.Len())
-	}
-	if st.Get(ids[0]) != nil || st.Get(ids[1]) != nil {
-		t.Fatal("oldest artifacts should have been evicted")
-	}
-	if got := st.Get(""); got == nil || got.ID != ids[4] {
-		t.Fatalf("Get(\"\") = %v, want newest %s", got, ids[4])
-	}
-	list := st.List()
-	if len(list) != 3 || list[0].ID != ids[4] || list[2].ID != ids[2] {
-		t.Fatalf("List order wrong: %+v", list)
-	}
-	for _, m := range list {
-		if m.Data != nil {
-			t.Fatal("List must omit payloads")
-		}
-		if m.SizeBytes != 1 {
-			t.Fatalf("SizeBytes = %d, want 1", m.SizeBytes)
-		}
-	}
+	RegisterRuntime(reg)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("exposition: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "qlecd_profiles_held 3") {
-		t.Fatalf("exposition missing qlecd_profiles_held 3:\n%s", buf.String())
-	}
-}
-
-func TestCaptureKinds(t *testing.T) {
-	if _, err := Capture(context.Background(), "bogus", 0); err == nil {
-		t.Fatal("expected error for invalid kind")
-	}
-	heap, err := Capture(context.Background(), "heap", 0)
+	exp, err := obs.ParseExposition(&buf)
 	if err != nil {
-		t.Fatalf("heap capture: %v", err)
+		t.Fatal(err)
 	}
-	if heap.Format != "text" || len(heap.Data) == 0 {
-		t.Fatalf("heap artifact: format=%q size=%d", heap.Format, len(heap.Data))
-	}
-	p, err := ParseText(bytes.NewReader(heap.Data))
-	if err != nil {
-		t.Fatalf("parse heap capture: %v", err)
-	}
-	if p.Kind != "heap" {
-		t.Fatalf("parsed kind = %q, want heap", p.Kind)
-	}
-	gor, err := Capture(context.Background(), "goroutine", 0)
-	if err != nil {
-		t.Fatalf("goroutine capture: %v", err)
-	}
-	gp, err := ParseText(bytes.NewReader(gor.Data))
-	if err != nil {
-		t.Fatalf("parse goroutine capture: %v", err)
-	}
-	if gp.Kind != "goroutine" || len(gp.Entries) == 0 {
-		t.Fatalf("goroutine profile: kind=%q entries=%d", gp.Kind, len(gp.Entries))
-	}
-}
-
-func TestCaptureCPU(t *testing.T) {
-	a, err := Capture(context.Background(), "cpu", 150*time.Millisecond)
-	if err != nil {
-		t.Fatalf("cpu capture: %v", err)
-	}
-	if a.Format != "pprof" || len(a.Data) < 2 {
-		t.Fatalf("cpu artifact: format=%q size=%d", a.Format, len(a.Data))
-	}
-	// StartCPUProfile writes a gzipped protobuf.
-	if a.Data[0] != 0x1f || a.Data[1] != 0x8b {
-		t.Fatalf("cpu capture not gzip-framed: % x", a.Data[:2])
-	}
-	if a.DurationSeconds <= 0 {
-		t.Fatalf("DurationSeconds = %v", a.DurationSeconds)
-	}
-}
-
-func TestAutoCapturerDedupeAndRateLimit(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := NewStore(8, reg)
-	ac := NewAutoCapturer(context.Background(), st, reg, time.Hour)
-	ac.SetCPUDuration(120 * time.Millisecond)
-	if !ac.Trigger("scale-up") {
-		t.Fatal("first trigger should start a capture")
-	}
-	if ac.Trigger("scale-up") {
-		t.Fatal("second trigger within MinGap must be suppressed")
-	}
-	ac.Wait()
-	// Same reason still rate-limited after completion.
-	if ac.Trigger("scale-up") {
-		t.Fatal("trigger after completion but within MinGap must be suppressed")
-	}
-	// A different reason is allowed once nothing is in flight.
-	if !ac.Trigger("queue-slo-burn") {
-		t.Fatal("different reason should capture")
-	}
-	ac.Wait()
-	list := st.List()
-	if len(list) != 4 {
-		t.Fatalf("store has %d artifacts, want 4 (cpu+heap per trigger): %+v", len(list), list)
-	}
-	kinds := map[string]int{}
-	for _, a := range list {
-		kinds[a.Kind]++
-		if a.Reason != "scale-up" && a.Reason != "queue-slo-burn" {
-			t.Fatalf("unexpected reason %q", a.Reason)
+	for _, name := range []string{"qlecd_runtime_heap_live_bytes", "qlecd_runtime_heap_goal_bytes", "qlecd_runtime_goroutines"} {
+		f := exp.Family(name)
+		if f == nil || len(f.Samples) != 1 || f.Samples[0].Value <= 0 {
+			t.Fatalf("%s: want one positive sample, got %+v", name, f)
 		}
 	}
-	if kinds["cpu"] != 2 || kinds["heap"] != 2 {
-		t.Fatalf("kind mix = %v", kinds)
-	}
-}
-
-func TestSamplerRingAndPeak(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := NewSampler(reg, SamplerOptions{RingSize: 2})
-	start := time.Now()
-	s.SampleNow()
-	sink = sink[:0]
-	for i := 0; i < 32; i++ {
-		sink = append(sink, make([]byte, 128*1024))
-	}
-	row := s.SampleNow()
-	if row.HeapLiveBytes == 0 || row.Goroutines <= 0 {
-		t.Fatalf("implausible sample: %+v", row)
-	}
-	if got := len(s.Trend()); got != 2 {
-		t.Fatalf("ring len = %d, want 2", got)
-	}
-	s.SampleNow() // wraps
-	if got := len(s.Trend()); got != 2 {
-		t.Fatalf("ring len after wrap = %d, want 2", got)
-	}
-	if _, ok := s.PeakHeapSince(start); !ok {
-		t.Fatal("PeakHeapSince should see samples taken after start")
-	}
-	if _, ok := s.PeakHeapSince(time.Now().Add(time.Hour)); ok {
-		t.Fatal("PeakHeapSince in the future should report no samples")
-	}
-	var nilSampler *Sampler
-	if _, ok := nilSampler.PeakHeapSince(start); ok {
-		t.Fatal("nil sampler must report no samples")
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("exposition: %v", err)
-	}
-	for _, want := range []string{
-		"qlecd_runtime_heap_live_bytes",
-		"qlecd_runtime_goroutines",
-		"qlecd_runtime_gc_cpu_fraction",
-		"qlecd_runtime_sched_latency_seconds",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %s", want)
-		}
-	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := NewSampler(reg, SamplerOptions{Interval: 5 * time.Millisecond, RingSize: 16})
-	s.Start()
-	time.Sleep(30 * time.Millisecond)
-	s.Stop()
-	s.Stop() // idempotent
-	if len(s.Trend()) == 0 {
-		t.Fatal("background loop produced no samples")
+	f := exp.Family("qlecd_runtime_gc_cpu_fraction")
+	if f == nil || len(f.Samples) != 1 || f.Samples[0].Value < 0 || f.Samples[0].Value > 1 {
+		t.Fatalf("qlecd_runtime_gc_cpu_fraction: want one sample in [0,1], got %+v", f)
 	}
 }

@@ -537,11 +537,11 @@ func better(candidate, incumbent int) bool {
 }
 
 // Observe folds a transmission outcome into the link estimator —
-// the ACK-driven learning step of §4.2. The inlined update is the same
-// arithmetic as stats.EWMA: first contact seeds the estimate with the
-// prior so one failure does not zero it, then folds the outcome. When
-// from's action row is live and to is one of its targets, the row's
-// entry takes the new estimate too.
+// the ACK-driven learning step of §4.2. The update is an exponentially
+// weighted moving average, p += LinkAlpha·(outcome − p): first contact
+// seeds the estimate with the prior so one failure does not zero it,
+// then folds the outcome. When from's action row is live and to is one
+// of its targets, the row's entry takes the new estimate too.
 func (l *Learner) Observe(from, to int, success bool) {
 	slot, seen := l.links.slot(from, to)
 	p := l.params.InitialLinkP

@@ -41,10 +41,6 @@ type FleetOptions struct {
 	ProbeInterval time.Duration
 	// PeerTimeout bounds each peer HTTP call; default 10s.
 	PeerTimeout time.Duration
-	// Advisor configures the autoscale advisor (zero SLO = disabled).
-	Advisor fleet.AdvisorConfig
-	// AdvisorInterval is the advisor's sampling cadence; default 1s.
-	AdvisorInterval time.Duration
 }
 
 // fleetRuntime is the per-daemon fleet engine: the consistent-hash
@@ -79,9 +75,6 @@ type fleetRuntime struct {
 	// rounds, cells, fleet calls — for the Options.TraceHistory newest
 	// traces; peers collect them via GET /v1/fleet/trace/{traceID}.
 	spans *obs.TraceStore
-
-	advisor      *fleet.Advisor
-	advisorEvery time.Duration
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -122,25 +115,20 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 	if self == "" {
 		self = "local"
 	}
-	if opt.AdvisorInterval <= 0 {
-		opt.AdvisorInterval = time.Second
-	}
 	r := &fleetRuntime{
-		s:            s,
-		self:         self,
-		table:        fleet.NewTable(),
-		peers:        fleet.NewClient(opt.PeerTimeout),
-		ttl:          opt.LeaseTTL,
-		stealEvery:   opt.StealInterval,
-		cellWorkers:  opt.CellWorkers,
-		joinTarget:   opt.Join,
-		futures:      make(map[string]*cellFuture),
-		wake:         make(chan struct{}, opt.CellWorkers),
-		fm:           obs.NewFleetMetrics(s.reg),
-		spans:        obs.NewTraceStore(self, s.opt.TraceHistory, 0),
-		advisor:      fleet.NewAdvisor(opt.Advisor),
-		advisorEvery: opt.AdvisorInterval,
-		stop:         make(chan struct{}),
+		s:           s,
+		self:        self,
+		table:       fleet.NewTable(),
+		peers:       fleet.NewClient(opt.PeerTimeout),
+		ttl:         opt.LeaseTTL,
+		stealEvery:  opt.StealInterval,
+		cellWorkers: opt.CellWorkers,
+		joinTarget:  opt.Join,
+		futures:     make(map[string]*cellFuture),
+		wake:        make(chan struct{}, opt.CellWorkers),
+		fm:          obs.NewFleetMetrics(s.reg),
+		spans:       obs.NewTraceStore(self, s.opt.TraceHistory, 0),
+		stop:        make(chan struct{}),
 	}
 	r.members = fleet.NewMembership(self, r.peers.Ready, opt.ProbeInterval)
 	for _, p := range opt.Peers {
@@ -164,13 +152,6 @@ func (r *fleetRuntime) start() {
 		defer r.wg.Done()
 		r.expiryLoop()
 	}()
-	if r.advisor.Enabled() {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.advisorLoop()
-		}()
-	}
 	r.members.Start()
 	if r.joinTarget != "" {
 		r.wg.Add(1)
@@ -514,7 +495,7 @@ func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultE
 	}
 	bracket := prof.Begin()
 	env, err := r.s.opt.Run(obs.ContextWithMetrics(ctx, r.s.reg), req, func(Event) {})
-	usage := bracket.EndWith(r.s.sampler)
+	usage := bracket.End()
 	r.s.om.accountUsage("cell", protocolLabel(req), usage)
 	if err != nil {
 		return nil, &usage, err
@@ -579,68 +560,6 @@ func maxDuration(a, b time.Duration) time.Duration {
 		return a
 	}
 	return b
-}
-
-// advisorLoop samples the daemon's load on a fixed cadence and feeds
-// the autoscale advisor.
-func (r *fleetRuntime) advisorLoop() {
-	t := time.NewTicker(r.advisorEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-r.s.hardCtx.Done():
-			return
-		case now := <-t.C:
-			r.observeAdvisor(now)
-		}
-	}
-}
-
-// observeAdvisor takes one load sample: over-SLO counts come from the
-// job queue-wait and fleet cell-wait histograms (an observation is over
-// the SLO when it fell in a bucket above the SLO bound — SLOs between
-// bucket bounds are conservatively rounded down).
-func (r *fleetRuntime) observeAdvisor(now time.Time) {
-	sloSec := r.advisor.SLO().Seconds()
-	qw := r.s.om.queueWait.Snapshot()
-	cw := r.fm.CellWait.Snapshot()
-	pending, _, _ := r.table.Stats()
-	sample := fleet.Sample{
-		At:          now,
-		WaitCount:   qw.Count + cw.Count,
-		WaitOverSLO: (qw.Count - qw.CountAtMost(sloSec)) + (cw.Count - cw.CountAtMost(sloSec)),
-		Starved:     uint64(r.fm.StealStarvation.Value()),
-		Backlog:     r.s.queue.depth() + pending,
-		ReadyPeers:  1 + len(r.members.ReadyOthers()), // self + others
-		Workers:     r.s.opt.Workers + r.cellWorkers,
-		BusyWorkers: int(r.s.om.busyWorkers.Value()),
-	}
-	prev := r.advisor.Current().Delta
-	adv := r.advisor.Observe(sample)
-	if adv.Delta != prev {
-		r.s.log.Info("fleet: scale recommendation changed",
-			"delta", adv.Delta, "reason", adv.Reason,
-			"fastBurn", adv.FastBurn, "slowBurn", adv.SlowBurn)
-		r.noteScaleFlip(prev, adv)
-	}
-}
-
-// noteScaleFlip auto-captures a CPU+heap profile pair the moment the
-// advisor flips from "fine/shrink" to "add peers" — the point where
-// the queue-wait SLO burn crossed both thresholds and the daemon is
-// provably saturated, i.e. exactly when a profile of the saturation
-// is worth keeping. The AutoCapturer dedupes and rate-limits, so a
-// flapping advisor cannot flood the store.
-func (r *fleetRuntime) noteScaleFlip(prev int, adv fleet.Advice) {
-	if adv.Delta <= 0 || prev > 0 {
-		return
-	}
-	if r.s.autoProf.Trigger("scale-up") {
-		r.s.log.Info("fleet: auto-capturing cpu+heap profiles on scale-up flip",
-			"delta", adv.Delta, "reason", adv.Reason)
-	}
 }
 
 // proxyFetch asks the hash's ring owner for a cached result; a hit is
@@ -821,7 +740,7 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 
 func (s *Server) fleetStatus() fleet.Status {
 	pending, leased, expired := s.fleet.table.Stats()
-	st := fleet.Status{
+	return fleet.Status{
 		Self:         s.fleet.self,
 		Peers:        s.fleet.members.Peers(),
 		CellsPending: pending,
@@ -829,11 +748,6 @@ func (s *Server) fleetStatus() fleet.Status {
 		LeaseExpiry:  expired,
 		OpenBatches:  s.openBatches(),
 	}
-	if s.fleet.advisor.Enabled() {
-		adv := s.fleet.advisor.Current()
-		st.Advice = &adv
-	}
-	return st
 }
 
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {

@@ -136,9 +136,6 @@ func newFleetCollectors(r *obs.Registry, s *Server) {
 		func() float64 { return float64(s.fleet.spans.Traces()) })
 	r.GaugeFunc("qlecd_batches_open", "Batches not yet in a terminal state.",
 		func() float64 { return float64(s.openBatches()) })
-	r.GaugeFunc("qlecd_fleet_scale_recommendation",
-		"Autoscale advisor recommendation: peers to add (positive) or remove (negative); 0 when satisfied or disabled.",
-		func() float64 { return float64(s.fleet.advisor.Current().Delta) })
 }
 
 // serviceAuditEntries/serviceAuditDecisions size the per-job recorder

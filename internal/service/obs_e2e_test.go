@@ -1,8 +1,7 @@
 package service_test
 
-// Fleet observability end-to-end tests: cross-peer trace propagation,
-// the federation endpoint and the autoscale advisor, all over real
-// listeners under the race detector (same harness as fleet_e2e_test.go).
+// Fleet observability end-to-end tests: cross-peer trace propagation
+// and the federation endpoint, all over real listeners under the race detector (same harness as fleet_e2e_test.go).
 
 import (
 	"bytes"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"qlec/internal/experiment"
-	"qlec/internal/fleet"
 	"qlec/internal/obs"
 	"qlec/internal/service"
 	"qlec/internal/service/client"
@@ -161,76 +159,6 @@ func TestFleetTraceAndFederation(t *testing.T) {
 		if s.Value != 1 {
 			t.Errorf("peer %s reported down in a healthy fleet", s.Label(obs.InstanceLabel))
 		}
-	}
-}
-
-// TestFleetAdvisorFlip drives queue wait past a tiny SLO and watches
-// the published recommendation flip positive, then — once the queue
-// drains and the hysteresis window passes — return to zero.
-func TestFleetAdvisorFlip(t *testing.T) {
-	n := startFleetNode(t, service.Options{
-		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
-			select {
-			case <-time.After(30 * time.Millisecond):
-				return &service.ResultEnvelope{Kind: req.Kind}, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		},
-	}, service.FleetOptions{
-		AdvisorInterval: 10 * time.Millisecond,
-		Advisor: fleet.AdvisorConfig{
-			SLO:        5 * time.Millisecond,
-			FastWindow: 40 * time.Millisecond,
-			SlowWindow: 80 * time.Millisecond,
-			Hysteresis: 100 * time.Millisecond,
-		},
-	})
-
-	advice := func() *fleet.Advice {
-		var st fleet.Status
-		if err := json.Unmarshal(httpGet(t, n.url+"/v1/fleet"), &st); err != nil {
-			t.Fatal(err)
-		}
-		return st.Advice
-	}
-	if advice() == nil {
-		t.Fatal("/v1/fleet carries no advice with an SLO configured")
-	}
-
-	// One worker, 30ms per job: everything behind the head waits far
-	// over the 5ms SLO.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	ids := make([]string, 0, 8)
-	for i := 0; i < 8; i++ {
-		cfg := tinyCfg()
-		cfg.Rounds = 2 + i
-		j, err := n.cl.Submit(ctx, oneRequest(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
-	}
-	waitFor(t, func() bool {
-		a := advice()
-		return a != nil && a.Delta > 0
-	}, "advisor never recommended scaling up under sustained over-SLO queue wait")
-
-	for _, id := range ids {
-		if _, err := n.cl.Wait(ctx, id, 5*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drained: burn rates fall to zero, and after the hysteresis hold
-	// the recommendation must relax back to steady.
-	waitFor(t, func() bool {
-		a := advice()
-		return a != nil && a.Delta == 0
-	}, "recommendation never relaxed to zero after the queue drained")
-	if a := advice(); a != nil && a.Delta != 0 {
-		t.Fatalf("delta = %d after drain, want 0 (reason %q)", a.Delta, a.Reason)
 	}
 }
 

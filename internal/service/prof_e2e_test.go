@@ -1,11 +1,10 @@
 package service_test
 
 // Profiling & resource-attribution end-to-end tests: per-job usage
-// bills in the job record and terminal SSE event, the profile capture
-// API (standalone and fleet-wide), the runtime-sampler endpoint, and
-// the headline cost-federation contract — the federated job-cost
-// counters equal the per-peer sums exactly, because cost is counted
-// once, where execution happened.
+// bills in the job record and terminal SSE event, the scrape-time
+// runtime gauges and /debug/pprof, and the cost-federation contract —
+// the federated job-cost counters equal the sums of the per-peer
+// counters, because cost is counted once, where execution happened.
 
 import (
 	"bytes"
@@ -13,13 +12,11 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
 	"qlec/internal/experiment"
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 	"qlec/internal/service"
 )
 
@@ -124,94 +121,48 @@ func testServerURL(t *testing.T, cl interface{ BaseURL() string }) string {
 	return cl.BaseURL()
 }
 
-// TestProfileCaptureAPI: capture, list, fetch; FIFO retention caps the
-// store and the gauge reports it.
-func TestProfileCaptureAPI(t *testing.T) {
-	_, cl := newTestServer(t, service.Options{Workers: 1, ProfileHistory: 2})
+// TestRuntimeGaugesAndProfiling: a default server serves the
+// qlecd_runtime_* gauges on /metrics, read at scrape time; the retired
+// runtime-trend and profile-artifact routes under /v1 are gone;
+// profiles come from /debug/pprof, which only Options.Pprof mounts.
+func TestRuntimeGaugesAndProfiling(t *testing.T) {
+	_, cl := newTestServer(t, service.Options{})
 	base := testServerURL(t, cl)
-
-	var ids []string
-	for i := 0; i < 3; i++ {
-		var resp struct {
-			Profiles []prof.Artifact `json:"profiles"`
-		}
-		httpPostJSON(t, base+"/v1/profiles", map[string]any{"kind": "goroutine"}, &resp)
-		if len(resp.Profiles) != 1 {
-			t.Fatalf("capture %d returned %d profiles, want 1", i, len(resp.Profiles))
-		}
-		a := resp.Profiles[0]
-		if a.Kind != "goroutine" || a.Format != "text" || a.SizeBytes == 0 {
-			t.Fatalf("capture %d artifact = %+v, want non-empty goroutine text", i, a)
-		}
-		ids = append(ids, a.ID)
-	}
-
-	var list []prof.Artifact
-	if err := json.Unmarshal(httpGet(t, base+"/v1/profiles"), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 {
-		t.Fatalf("store holds %d artifacts, want 2 (FIFO cap)", len(list))
-	}
-	if list[0].ID != ids[2] || list[1].ID != ids[1] {
-		t.Errorf("list = [%s %s], want newest first [%s %s]", list[0].ID, list[1].ID, ids[2], ids[1])
-	}
-
-	// The evicted artifact 404s; "latest" resolves to the newest; raw
-	// bytes parse as a goroutine text profile.
-	if resp, err := http.Get(base + "/v1/profiles/" + ids[0]); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("evicted artifact GET = %d, want 404", resp.StatusCode)
-		}
-	}
-	raw := httpGet(t, base+"/v1/profiles/latest")
-	tp, err := prof.ParseText(bytes.NewReader(raw))
+	exp, err := obs.ParseExposition(bytes.NewReader(httpGet(t, base+"/metrics")))
 	if err != nil {
-		t.Fatalf("fetched profile does not parse: %v", err)
+		t.Fatal(err)
 	}
-	if tp.Kind != "goroutine" || len(tp.Entries) == 0 {
-		t.Errorf("parsed profile kind=%q entries=%d, want goroutine with entries", tp.Kind, len(tp.Entries))
-	}
-
-	if !strings.Contains(string(httpGet(t, base+"/metrics")), "qlecd_profiles_held 2") {
-		t.Error("qlecd_profiles_held gauge does not report 2 retained artifacts")
-	}
-}
-
-// TestRuntimeEndpoint: /v1/runtime answers even with sampling disabled
-// (one on-demand sample), and with sampling on the trend accumulates.
-func TestRuntimeEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, service.Options{
-		Workers:               1,
-		RuntimeSampleInterval: 5 * time.Millisecond,
-	})
-	base := testServerURL(t, cl)
-	waitFor(t, func() bool {
-		var trend struct {
-			IntervalSeconds float64              `json:"intervalSeconds"`
-			Samples         []prof.RuntimeSample `json:"samples"`
+	for _, name := range []string{"qlecd_runtime_heap_live_bytes", "qlecd_runtime_heap_goal_bytes", "qlecd_runtime_goroutines"} {
+		f := exp.Family(name)
+		if f == nil || len(f.Samples) != 1 || f.Samples[0].Value <= 0 {
+			t.Errorf("%s: want one positive sample, got %+v", name, f)
 		}
-		if err := json.Unmarshal(httpGet(t, base+"/v1/runtime"), &trend); err != nil {
+	}
+	if f := exp.Family("qlecd_runtime_gc_cpu_fraction"); f == nil || len(f.Samples) != 1 {
+		t.Errorf("qlecd_runtime_gc_cpu_fraction: want one sample, got %+v", f)
+	}
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return trend.IntervalSeconds > 0 && len(trend.Samples) >= 3 &&
-			trend.Samples[0].HeapLiveBytes > 0 && trend.Samples[0].Goroutines > 0
-	}, "runtime trend never accumulated samples")
-
-	// The sampler also exports the qlecd_runtime_* gauge family.
-	metrics := string(httpGet(t, base+"/metrics"))
-	for _, name := range []string{
-		"qlecd_runtime_heap_live_bytes",
-		"qlecd_runtime_goroutines",
-		"qlecd_runtime_sched_latency_seconds",
-		"qlecd_runtime_gc_pause_seconds",
-	} {
-		if !strings.Contains(metrics, name) {
-			t.Errorf("/metrics missing %s", name)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, retired := range []string{"runtime", "profiles"} {
+		if code := status(base + "/v1/" + retired); code != http.StatusNotFound {
+			t.Errorf("GET /v1/%s = %d, want 404", retired, code)
 		}
+	}
+	if code := status(base + "/debug/pprof/heap"); code != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/heap without Pprof = %d, want 404", code)
+	}
+
+	_, pcl := newTestServer(t, service.Options{Pprof: true})
+	heap := httpGet(t, testServerURL(t, pcl)+"/debug/pprof/heap")
+	if len(heap) < 2 || heap[0] != 0x1f || heap[1] != 0x8b {
+		t.Errorf("/debug/pprof/heap with Pprof is not a gzipped profile (%d bytes)", len(heap))
 	}
 }
 
@@ -284,56 +235,6 @@ func TestFleetCostFederation(t *testing.T) {
 		}
 		if name == "qlecd_job_alloc_bytes_total" && (perPeer <= 0 || series == 0) {
 			t.Errorf("per-peer %s sum = %g over %d series, want positive (cells executed somewhere)", name, perPeer, series)
-		}
-	}
-}
-
-// TestFleetProfileCapture: one capture request with fleet=true
-// snapshots every ready daemon; the merged listing shows artifacts
-// held on distinct instances.
-func TestFleetProfileCapture(t *testing.T) {
-	n1 := startFleetNode(t, service.Options{Workers: 1}, service.FleetOptions{})
-	n2 := startFleetNode(t, service.Options{Workers: 1}, service.FleetOptions{Join: n1.url})
-	waitForRoster(t, n1, n2)
-
-	var resp struct {
-		Profiles []prof.Artifact   `json:"profiles"`
-		Errors   map[string]string `json:"errors"`
-	}
-	httpPostJSON(t, n1.url+"/v1/profiles",
-		map[string]any{"kind": "goroutine", "fleet": true}, &resp)
-	if len(resp.Errors) > 0 {
-		t.Fatalf("fleet capture errors: %v", resp.Errors)
-	}
-	instances := map[string]bool{}
-	for _, a := range resp.Profiles {
-		if a.SizeBytes == 0 {
-			t.Errorf("empty capture %s on %s", a.ID, a.Instance)
-		}
-		instances[a.Instance] = true
-	}
-	if len(instances) < 2 {
-		t.Fatalf("fleet capture reached %d instances (%v), want >= 2", len(instances), instances)
-	}
-
-	var list []prof.Artifact
-	if err := json.Unmarshal(httpGet(t, n1.url+"/v1/profiles?fleet=1"), &list); err != nil {
-		t.Fatal(err)
-	}
-	listed := map[string]bool{}
-	for _, a := range list {
-		listed[a.Instance] = true
-	}
-	if len(listed) < 2 {
-		t.Errorf("merged listing covers %d instances (%v), want >= 2", len(listed), listed)
-	}
-	// And the remote artifact is fetchable from the daemon that holds it.
-	for _, a := range resp.Profiles {
-		if a.Instance == n2.url {
-			raw := httpGet(t, n2.url+"/v1/profiles/"+a.ID)
-			if _, err := prof.ParseText(bytes.NewReader(raw)); err != nil {
-				t.Errorf("peer-held artifact %s does not parse: %v", a.ID, err)
-			}
 		}
 	}
 }

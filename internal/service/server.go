@@ -49,21 +49,15 @@ type Options struct {
 	// AuditHistory bounds retained per-job audit artifacts (FIFO
 	// eviction); default 64.
 	AuditHistory int
-	// ProfileHistory bounds retained profile artifacts (FIFO eviction);
-	// default 32.
-	ProfileHistory int
-	// RuntimeSampleInterval is the cadence of the continuous runtime
-	// sampler behind qlecd_runtime_* and GET /v1/runtime. Zero disables
-	// sampling (and its — already tiny — overhead) entirely.
-	RuntimeSampleInterval time.Duration
-	// AutoProfileMinGap rate-limits anomaly-triggered profile captures:
-	// at most one capture pair per trigger reason per gap. Zero keeps the
-	// 5-minute default; negative disables auto-capture.
-	AutoProfileMinGap time.Duration
 	// Fleet configures the cell pool, peer-to-peer work stealing and the
 	// shared result cache (DESIGN.md §14). The zero value runs a fleet
 	// of one.
 	Fleet FleetOptions
+
+	// Deprecated: no effect; kept only because bench/daemon.go sets them.
+	ProfileHistory        int
+	RuntimeSampleInterval time.Duration
+	AutoProfileMinGap     time.Duration
 }
 
 // Server is the qlecd core: job table, queue, worker pool, cache,
@@ -95,10 +89,6 @@ type Server struct {
 	om     *serverMetrics
 	httpm  *obs.HTTPMetrics
 	audits *obs.Bounded[string, *audit.Artifact]
-
-	sampler  *prof.Sampler
-	profiles *prof.Store
-	autoProf *prof.AutoCapturer // nil-safe; nil when auto-capture is disabled
 
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
@@ -150,15 +140,7 @@ func New(opt Options) (*Server, error) {
 	s.audits = obs.NewBounded[string, *audit.Artifact](auditMax, s.reg, "qlecd_audits_held",
 		"Per-job audit artifacts currently retained (FIFO-capped by -audit-history).")
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	profMax := opt.ProfileHistory
-	if profMax <= 0 {
-		profMax = 32
-	}
-	s.profiles = prof.NewStore(profMax, s.reg)
-	s.sampler = prof.NewSampler(s.reg, prof.SamplerOptions{Interval: opt.RuntimeSampleInterval})
-	if opt.AutoProfileMinGap >= 0 {
-		s.autoProf = prof.NewAutoCapturer(s.hardCtx, s.profiles, s.reg, opt.AutoProfileMinGap)
-	}
+	prof.RegisterRuntime(s.reg)
 	if opt.DataDir != "" {
 		store, err := OpenStore(opt.DataDir)
 		if err != nil {
@@ -191,7 +173,6 @@ func New(opt Options) (*Server, error) {
 		}()
 	}
 	s.fleet.start()
-	s.sampler.Start()
 	return s, nil
 }
 
@@ -267,10 +248,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fleet/cache/{hash}", s.handleFleetCacheGet)
 	mux.HandleFunc("PUT /v1/fleet/cache/{hash}", s.handleFleetCachePut)
 	mux.HandleFunc("GET /v1/fleet/trace/{trace}", s.handleFleetTrace)
-	mux.HandleFunc("POST /v1/profiles", s.handleProfileCapture)
-	mux.HandleFunc("GET /v1/profiles", s.handleProfileList)
-	mux.HandleFunc("GET /v1/profiles/{id}", s.handleProfileGet)
-	mux.HandleFunc("GET /v1/runtime", s.handleRuntime)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.reg)
@@ -736,8 +713,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	// goroutines) has drained — they are what completes the futures
 	// those consumers wait on.
 	s.fleet.stopWork()
-	s.sampler.Stop()
-	s.autoProf.Wait()
 	s.closeHubs()
 	return err
 }
@@ -751,8 +726,6 @@ func (s *Server) Close() {
 	s.hardCancel()
 	s.wg.Wait()
 	s.fleet.stopWork()
-	s.sampler.Stop()
-	s.autoProf.Wait()
 	s.closeHubs()
 }
 

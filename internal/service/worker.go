@@ -136,7 +136,7 @@ func (s *Server) runJob(id string) {
 		// cycles, so it also owns the cost-counter increment.
 		bracket := prof.Begin()
 		env, err = s.opt.Run(ctx, req, hub.publish)
-		usage = bracket.EndWith(s.sampler)
+		usage = bracket.End()
 		s.om.accountUsage(string(req.Kind), protocolLabel(req), usage)
 	}
 	elapsed := time.Since(runStart)

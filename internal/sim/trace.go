@@ -77,17 +77,3 @@ func JSONLTracer(w io.Writer) (Tracer, func() error) {
 	}
 	return tracer, func() error { return firstErr }
 }
-
-// CountingTracer tallies events by kind — the cheap tracer used in
-// tests and quick diagnostics.
-type CountingTracer struct {
-	Counts map[TraceKind]int
-}
-
-// NewCountingTracer returns an empty tally.
-func NewCountingTracer() *CountingTracer {
-	return &CountingTracer{Counts: make(map[TraceKind]int)}
-}
-
-// Trace implements Tracer (use ct.Trace as the function value).
-func (ct *CountingTracer) Trace(ev TraceEvent) { ct.Counts[ev.Kind]++ }

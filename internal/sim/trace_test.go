@@ -9,6 +9,19 @@ import (
 	"qlec/internal/energy"
 )
 
+// CountingTracer tallies events by kind.
+type CountingTracer struct {
+	Counts map[TraceKind]int
+}
+
+// NewCountingTracer returns an empty tally.
+func NewCountingTracer() *CountingTracer {
+	return &CountingTracer{Counts: make(map[TraceKind]int)}
+}
+
+// Trace implements Tracer (use ct.Trace as the function value).
+func (ct *CountingTracer) Trace(ev TraceEvent) { ct.Counts[ev.Kind]++ }
+
 func TestCountingTracerConsistentWithMetrics(t *testing.T) {
 	w := paperNet(t, 50)
 	proto := &stubProtocol{net: w, heads: []int{10, 30, 50, 70, 90}}

@@ -1,8 +1,6 @@
 // Package stats supplies the numeric tooling the QLEC reproduction needs:
 // descriptive statistics with confidence intervals for multi-seed
-// experiment replication, exponentially weighted moving averages for the
-// link-quality estimator of §4.2, histograms, and spatial-uniformity
-// measures (coefficient of variation over bins, Moran's I) used to back
+// experiment replication, and spatial-uniformity measures (coefficient of variation over bins, Moran's I) used to back
 // Figure 4's claim that QLEC spreads energy consumption evenly.
 //
 // The reproduction band for this paper flags "weak numeric/plotting
@@ -70,13 +68,30 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return s.StdDev / s.Mean
 }
 
-// CI95HalfWidth returns the half-width of a normal-approximation 95 %
-// confidence interval for the mean (1.96·s/√n). It returns 0 for n < 2.
+// CI95HalfWidth returns the half-width of a Student-t 95 % confidence
+// interval for the mean, t₀.₉₇₅,ₙ₋₁·s/√n. It returns 0 for n < 2.
 func (s Summary) CI95HalfWidth() float64 {
 	if s.N < 2 {
 		return 0
 	}
-	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
+	return tQuantile975(s.N-1) * s.StdDev / math.Sqrt(float64(s.N))
+}
+
+// t975 holds Student's t two-sided 95 % critical values (the 0.975
+// quantile) for df = 1..30.
+var t975 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// tQuantile975 returns t₀.₉₇₅ at df degrees of freedom (df ≥ 1): the
+// table value up to df 30, the normal 1.96 above it.
+func tQuantile975(df int) float64 {
+	if df <= len(t975) {
+		return t975[df-1]
+	}
+	return 1.96
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
@@ -103,103 +118,3 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// EWMA is an exponentially weighted moving average. QLEC's link-quality
-// estimator (§4.2: "the link probability can be estimated by the ratio
-// between the successfully transmitted packets and all the packets sent
-// recently") is implemented as an EWMA of success indicators so old
-// history decays.
-type EWMA struct {
-	alpha float64
-	value float64
-	seen  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent observations more. Panics outside (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if !(alpha > 0 && alpha <= 1) {
-		panic(fmt.Sprintf("stats: EWMA alpha %v outside (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds x into the average. The first observation initializes
-// the value directly.
-func (e *EWMA) Observe(x float64) {
-	if !e.seen {
-		e.value = x
-		e.seen = true
-		return
-	}
-	e.value += e.alpha * (x - e.value)
-}
-
-// Value returns the current average and whether any observation was made.
-func (e *EWMA) Value() (float64, bool) { return e.value, e.seen }
-
-// ValueOr returns the current average, or def before any observation.
-func (e *EWMA) ValueOr(def float64) float64 {
-	if !e.seen {
-		return def
-	}
-	return e.value
-}
-
-// Histogram is a fixed-range, equal-width histogram.
-type Histogram struct {
-	lo, hi  float64
-	counts  []int
-	under   int
-	over    int
-	total   int
-	samples float64
-}
-
-// NewHistogram returns a histogram over [lo, hi) with the given number of
-// equal-width bins. Panics on bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if !(hi > lo) {
-		panic(fmt.Sprintf("stats: histogram range [%v, %v) is empty", lo, hi))
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, bins)}
-}
-
-// Observe adds x. Values outside [lo, hi) land in underflow/overflow.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	h.samples += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int(float64(len(h.counts)) * (x - h.lo) / (h.hi - h.lo))
-		if i == len(h.counts) { // guard float round-up at the edge
-			i--
-		}
-		h.counts[i]++
-	}
-}
-
-// Counts returns the per-bin counts (shared slice; do not mutate).
-func (h *Histogram) Counts() []int { return h.counts }
-
-// Under and Over return the out-of-range tallies.
-func (h *Histogram) Under() int { return h.under }
-
-// Over returns the overflow tally.
-func (h *Histogram) Over() int { return h.over }
-
-// Total returns the number of observations, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.counts))
-	return h.lo + w*(float64(i)+0.5)
-}
