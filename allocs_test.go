@@ -10,7 +10,8 @@ import (
 // TestFig3aQLECAllocs pins allocations per run of the Fig3a QLEC cells
 // that BenchmarkFig3aPacketDeliveryRate times (benchConfig, seed 1).
 // Allocation counts are deterministic, so unlike ns/op they can be a
-// plain test. The limits are the counts measured when the pin landed.
+// plain test. The limits are the measured counts; lower them when a
+// change allocates less, never raise them.
 // TestGoldenMetricsTable2Defaults pins the same runs' delivered
 // packets (so pdr) and energy exactly.
 func TestFig3aQLECAllocs(t *testing.T) {
@@ -18,7 +19,7 @@ func TestFig3aQLECAllocs(t *testing.T) {
 	for _, c := range []struct {
 		lambda float64
 		limit  float64
-	}{{8, 636}, {2, 686}} {
+	}{{8, 635}, {2, 681}} {
 		var err error
 		got := testing.AllocsPerRun(10, func() {
 			if _, e := cfg.RunOne(context.Background(), experiment.QLEC, c.lambda, 1, false); e != nil {

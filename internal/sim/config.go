@@ -8,7 +8,7 @@
 // the protocol's choosing; heads fuse received data (50 % compression,
 // Table 2) and deliver it to the base station. Inside a round, packet
 // transmission, ACKs, retries, head-queue service and overflow run on an
-// event heap so that congestion — the force that bends Figure 3(a) — is
+// event queue so that congestion — the force that bends Figure 3(a) — is
 // produced by actual queueing rather than assumed.
 //
 // Everything protocol-independent (radio energy, link loss, queue
@@ -191,7 +191,7 @@ func (c Config) Validate() error {
 	if c.MobilityPause < 0 {
 		return fmt.Errorf("sim: negative mobility pause %v", c.MobilityPause)
 	}
-	if c.RetryBackoff < 0 {
+	if !(c.RetryBackoff >= 0) {
 		return fmt.Errorf("sim: RetryBackoff must be non-negative, got %v", c.RetryBackoff)
 	}
 	return nil

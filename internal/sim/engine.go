@@ -37,7 +37,7 @@ type Engine struct {
 	main lane
 
 	// Per-round head state, indexed by node id. servicePending[h]
-	// reports that an evService event for head h is sitting in the heap;
+	// reports that an evService event for head h is sitting in the queue;
 	// the fusion pipeline is re-armed only when it is clear, so an
 	// arrival landing at exactly the pending completion time cannot
 	// start a second concurrent service chain.
@@ -297,7 +297,7 @@ func (e *Engine) runRound(r int) []int {
 }
 
 // runEvents executes the round's event loop: every alive node on one
-// event heap, the link stream drawn in event order — the historical
+// event queue, the link stream drawn in event order — the historical
 // schedule, byte for byte.
 func (e *Engine) runEvents(heads []int, roundStart, roundEnd float64) {
 	l := &e.main

@@ -39,11 +39,7 @@ func TestServiceTieDoesNotDoubleSchedule(t *testing.T) {
 	e.main.scheduleService(10)
 
 	services := 0
-	for {
-		ev, ok := e.main.events.Pop()
-		if !ok {
-			break
-		}
+	for ev := e.main.events.Pop(); ev != nil; ev = e.main.events.Pop() {
 		if ev.kind == evService {
 			services++
 		}
@@ -61,9 +57,8 @@ func TestServiceTieDoesNotDoubleSchedule(t *testing.T) {
 	if !e.servicePending[10] {
 		t.Fatal("service chain not re-armed with packets still queued")
 	}
-	ev, ok := e.main.events.Pop()
-	if !ok || ev.kind != evService {
-		t.Fatalf("re-armed event missing or wrong kind: %+v ok=%v", ev, ok)
+	if ev := e.main.events.Pop(); ev == nil || ev.kind != evService {
+		t.Fatalf("re-armed event missing or wrong kind: %+v", ev)
 	}
 }
 

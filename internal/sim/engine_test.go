@@ -73,6 +73,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LinkPMax = 0 },
 		func(c *Config) { c.LinkRef = 0 },
 		func(c *Config) { c.RetryBackoff = -1 },
+		func(c *Config) { c.RetryBackoff = math.NaN() }, // a NaN delay would open an event class per retry
 	} {
 		c := DefaultConfig()
 		mut(&c)

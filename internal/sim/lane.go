@@ -9,7 +9,7 @@ import (
 	"qlec/internal/packet"
 )
 
-// lane is the round's event-processing kernel: the event heap, the
+// lane is the round's event-processing kernel: the event queue, the
 // generation schedule and the virtual clock. Engine.main is the only
 // lane. It owns every node and writes straight into the engine's
 // accumulators, so observation order — and therefore every Welford
@@ -20,9 +20,11 @@ type lane struct {
 	nodes []int32 // node ids alive at round start (generation sources)
 	hold  bool    // RelayMode cached for the round
 
-	events   eventHeap
+	events   eventQueue
 	genSched []genPoint // flat per-round generation schedule, sorted by (t, node)
 	genIdx   int        // next unprocessed genSched entry
+	genTmp   []genPoint // bucketSortGen scratch, reused across rounds
+	genCount []int32    // bucketSortGen bucket starts, reused across rounds
 
 	seq       uint64
 	now       float64
@@ -31,18 +33,13 @@ type lane struct {
 	bsPending bool
 }
 
-// pushAt schedules a new event in place: the slab slot is built where
-// it will live, so scheduling copies only the fields the caller sets
-// instead of the whole event twice. Callers fill the returned slot's
-// remaining fields immediately; the (t, seq) ordering key is already
-// published.
-func (l *lane) pushAt(t float64, kind eventKind) *event {
-	ev, idx := l.events.Alloc()
-	ev.t = t
-	ev.seq = l.seq
+// pushAt schedules a new event d seconds from now, built in place in
+// its delay class's ring. Callers fill the returned slot's remaining
+// fields immediately; the (t, seq) ordering key is already set.
+func (l *lane) pushAt(d float64, kind eventKind) *event {
+	ev := l.events.Push(l.now, d, l.seq)
 	ev.kind = kind
 	l.seq++
-	l.events.Commit(t, ev.seq, idx)
 	return ev
 }
 
@@ -140,7 +137,7 @@ func (l *lane) linkP(from, target int, pBase float64) float64 {
 
 // buildGen pre-draws every node's Poisson generation chain for the
 // round into the flat schedule and sorts it by (t, node). Drawing the
-// whole chain at once replaces one heap push+pop per generation event
+// whole chain at once replaces one queue push+pop per generation event
 // with an index increment; each per-node stream sees exactly the draws,
 // in exactly the order, that the event-driven schedule performed (the
 // old loop drew a node's next gap while processing the previous
@@ -160,7 +157,7 @@ func (l *lane) buildGen(roundStart, roundEnd float64) {
 			t += gens[id].ExpFloat64() * mean
 		}
 	}
-	sortGen(l.genSched)
+	l.bucketSortGen(roundStart, roundEnd)
 }
 
 // drain runs the lane's event loop to completion: generation cursors
@@ -170,7 +167,6 @@ func (l *lane) buildGen(roundStart, roundEnd float64) {
 // construction, and in-flight transmissions and queue service run to
 // completion (the queues drain in bounded time once generation ceases).
 func (l *lane) drain(roundEnd float64) {
-	var ev event
 	for {
 		genOK := l.genIdx < len(l.genSched)
 		evT, evOK := l.events.PeekT()
@@ -185,15 +181,15 @@ func (l *lane) drain(roundEnd float64) {
 		} else if !evOK {
 			break
 		}
-		l.events.PopInto(&ev)
+		ev := l.events.Pop()
 		l.now = ev.t
 		switch ev.kind {
 		case evArrive:
-			l.handleArrive(&ev)
+			l.handleArrive(ev)
 		case evRetry:
-			l.handleRetry(&ev)
+			l.handleRetry(ev)
 		case evService:
-			l.handleService(&ev)
+			l.handleService(ev)
 		}
 	}
 	if l.now < roundEnd {
@@ -237,7 +233,7 @@ func (l *lane) transmit(pkt packet.Packet, from, attempt int) {
 	l.drawTx(from, e.calc.Tx(pkt.Bits, d), pkt.ID, true)
 	l.inFlight++
 	l.trace(TraceEvent{Kind: TraceSend, Packet: pkt.ID, Node: from, Target: target, Attempt: attempt})
-	ev := l.pushAt(l.now+e.cfg.TxDelay(pkt.Bits), evArrive)
+	ev := l.pushAt(e.cfg.TxDelay(pkt.Bits), evArrive)
 	ev.node, ev.target, ev.attempt, ev.pkt = from, target, attempt, pkt
 }
 
@@ -297,7 +293,7 @@ func (l *lane) handleArrive(ev *event) {
 	}
 	l.trace(TraceEvent{Kind: TraceReject, Packet: ev.pkt.ID, Node: from, Target: target, Attempt: ev.attempt, Reason: reason.String()})
 	if ev.attempt < e.cfg.MaxRetries && e.alive(from) {
-		re := l.pushAt(l.now+e.cfg.RetryBackoff, evRetry)
+		re := l.pushAt(e.cfg.RetryBackoff, evRetry)
 		re.node, re.attempt, re.pkt = from, ev.attempt+1, ev.pkt
 		return
 	}
@@ -326,7 +322,7 @@ func (l *lane) scheduleService(head int) {
 		return // chain already running, or nothing to serve
 	}
 	e.servicePending[head] = true
-	l.pushAt(l.now+e.cfg.ServiceTime, evService).node = head
+	l.pushAt(e.cfg.ServiceTime, evService).node = head
 }
 
 // scheduleBSService starts the base station's receive pipeline if idle;
@@ -336,7 +332,7 @@ func (l *lane) scheduleBSService() {
 		return
 	}
 	l.bsPending = true
-	l.pushAt(l.now+l.e.cfg.BSServiceTime, evService).node = network.BSID
+	l.pushAt(l.e.cfg.BSServiceTime, evService).node = network.BSID
 }
 
 // handleService fuses the packet at the head's queue front, or completes
@@ -350,7 +346,7 @@ func (l *lane) handleService(ev *event) {
 		}
 		if e.bsQueue.Len() > 0 {
 			l.bsPending = true
-			l.pushAt(l.now+e.cfg.BSServiceTime, evService).node = network.BSID
+			l.pushAt(e.cfg.BSServiceTime, evService).node = network.BSID
 		}
 		return
 	}
@@ -372,7 +368,7 @@ func (l *lane) handleService(ev *event) {
 	}
 	if q.Len() > 0 {
 		e.servicePending[head] = true
-		l.pushAt(l.now+e.cfg.ServiceTime, evService).node = head
+		l.pushAt(e.cfg.ServiceTime, evService).node = head
 	}
 }
 
