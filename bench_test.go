@@ -15,6 +15,7 @@
 //	BenchmarkFig3bTotalEnergy        — Fig. 3(b)
 //	BenchmarkFig3cLifespan           — Fig. 3(c)
 //	BenchmarkFig4LargeScale          — Fig. 4
+//	BenchmarkFig4ScaleN10k           — Fig. 4 pipeline at N=10⁴ (scale rung)
 //	BenchmarkTheorem1OptimalK        — Theorem 1 vs brute-force argmin
 //	BenchmarkLemma1MeanSqDist        — Lemma 1 Monte-Carlo check
 //	BenchmarkRunningTimeOKX          — §4.3 O(kX): X to convergence vs k
@@ -25,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"qlec/internal/cluster"
@@ -191,6 +193,38 @@ func BenchmarkFig4LargeScale(b *testing.B) {
 	b.ReportMetric(res.BinnedCV, "binnedCV")
 	b.ReportMetric(res.Gini, "gini")
 	b.ReportMetric(res.MoranI, "moranI")
+}
+
+// BenchmarkFig4ScaleN10k is the scale rung above Fig. 4: one op is
+// RunFig4 on the synthetic set at N=10⁴ with Theorem 1's k for that N
+// at the §5.3 geometry, k = 272·(10⁴/2896)^{3/5} ≈ 572, for 2 rounds
+// at dataset seed 2019. Besides time and B/op it reports live-MB, the
+// heap the finished run's result still holds after a GC; the learner
+// rows and engine caches are released with the run.
+func BenchmarkFig4ScaleN10k(b *testing.B) {
+	cfg := experiment.PaperFig4Config()
+	cfg.Synth.N = 10000
+	cfg.Synth.Seed = 2019
+	cfg.K = 572
+	cfg.Rounds = 2
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var res *experiment.Fig4Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = experiment.RunFig4(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	runtime.KeepAlive(res)
+	b.ReportMetric(live/(1<<20), "live-MB")
 }
 
 // BenchmarkTheorem1OptimalK evaluates the closed form and cross-checks

@@ -202,3 +202,35 @@ func TestTopSpenders(t *testing.T) {
 		t.Fatalf("TopSpenders(0) returned %d rows, want all 4", len(all))
 	}
 }
+
+// TestRecorderPreservesResult: attaching the recorder installs a
+// decision observer, which sends every Decide through the exhaustive
+// scan instead of the screened argmax. At a head count where the screen
+// skips most heads (N=300, k=30), the run's Result must still be
+// byte-identical with and without the recorder.
+func TestRecorderPreservesResult(t *testing.T) {
+	run := func(rec *audit.Recorder) []byte {
+		c := experiment.PaperConfig()
+		c.N = 300
+		c.K = 30
+		c.Seeds = []uint64{3}
+		c.Audit = rec
+		res, err := c.RunOne(context.Background(), experiment.QLEC, 4, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	rec := audit.New(audit.Options{})
+	plain, audited := run(nil), run(rec)
+	if rec.Report().Decisions == 0 {
+		t.Fatal("the recorder observed no decisions")
+	}
+	if !bytes.Equal(plain, audited) {
+		t.Fatalf("Result differs with the recorder attached:\nwithout %s\nwith    %s", plain, audited)
+	}
+}

@@ -52,15 +52,17 @@ func (sc SpanContext) TraceParent() string {
 	return "00-" + sc.TraceID + "-" + sc.SpanID + "-01"
 }
 
-// ParseTraceParent parses a traceparent header value. Unknown versions
-// are accepted as long as the trace/span IDs are well-formed, matching
-// the W3C forward-compatibility rule.
+// ParseTraceParent parses a traceparent header value. Version 00 must
+// have exactly four fields; a later version may append more, which are
+// ignored, matching the W3C forward-compatibility rule. In every version
+// the flags field is two hex digits and the trace/span IDs are
+// well-formed; version ff is invalid.
 func ParseTraceParent(s string) (SpanContext, bool) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 4 {
+	if len(parts) < 4 || (parts[0] == "00" && len(parts) != 4) {
 		return SpanContext{}, false
 	}
-	if !isHex(parts[0], 2) || parts[0] == "ff" {
+	if !isHex(parts[0], 2) || parts[0] == "ff" || !isHex(strings.ToLower(parts[3]), 2) {
 		return SpanContext{}, false
 	}
 	sc := SpanContext{TraceID: strings.ToLower(parts[1]), SpanID: strings.ToLower(parts[2])}

@@ -90,8 +90,10 @@ func BenchmarkDecideFig4(b *testing.B) {
 }
 
 // TestDecideAllocs pins Decide at zero allocations: through armed rows
-// at the Fig. 4 shape, through the scratch row once the first call has
-// sized it, and with a decision observer installed and then removed.
+// at the Fig. 4 shape, both when the screen evaluates one head exactly
+// and when loosened bounds make it evaluate every head, through the
+// scratch row once the first call has sized it, and with a decision
+// observer installed and then removed.
 func TestDecideAllocs(t *testing.T) {
 	l, heads, members := fig4Learner(t)
 	l.BeginEpoch(heads)
@@ -101,6 +103,31 @@ func TestDecideAllocs(t *testing.T) {
 		i++
 	}); a != 0 {
 		t.Errorf("armed Decide at the Fig. 4 shape: %v allocs/op, want 0", a)
+	}
+
+	// k = 10⁶ is far above any head's K = α₁·x + γ·V ≤ 0.05 and any
+	// row's cost, so every bound reaches the best Q and every head is
+	// evaluated exactly; each exact evaluation restores its column's k.
+	const loose = 1e6
+	loosen := func() {
+		for j := range l.cols {
+			l.cols[j].k = loose
+		}
+		l.kmax = loose
+	}
+	loosen()
+	l.Decide(members[0], heads)
+	for j, c := range l.cols {
+		if c.k == loose {
+			t.Fatalf("column %d (head %d) was not evaluated exactly under a loosened bound", j, c.id)
+		}
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		loosen()
+		l.Decide(members[i%len(members)], heads)
+		i++
+	}); a != 0 {
+		t.Errorf("armed Decide evaluating every head exactly: %v allocs/op, want 0", a)
 	}
 
 	w := testNet(t, 30, 12)
@@ -115,6 +142,69 @@ func TestDecideAllocs(t *testing.T) {
 	u.SetDecisionObserver(nil)
 	if a := testing.AllocsPerRun(200, func() { u.Decide(6, small) }); a != 0 {
 		t.Errorf("Decide with the observer removed: %v allocs/op, want 0", a)
+	}
+}
+
+// TestDecideScreenTies pins the screened argmax's tie-breaking to the
+// exhaustive scan's: between heads with bit-equal Q the lower id wins
+// whatever the column order, and a head whose Q equals the BS's beats
+// the BS.
+func TestDecideScreenTies(t *testing.T) {
+	m := geom.Vec3{X: 100, Y: 100, Z: 100}
+	bs := geom.Vec3{X: 20, Y: 30}
+	pos := []geom.Vec3{
+		m,                                     // 0: the member
+		m.Add(geom.Vec3{X: 10}),               // 1 and 2: mirror images about the member
+		m.Add(geom.Vec3{X: -10}),              //
+		m.Add(geom.Vec3{Y: 60}),               // 3: a farther head
+		bs,                                    // 4: a head on the BS
+		m.Add(geom.Vec3{X: 90, Y: 90, Z: 90}), // 5: a head farther than the BS
+	}
+	energies := []energy.Joules{5, 5, 5, 5, 5, 5}
+	w, err := network.FromPositions(pos, energies, geom.Cube(200), bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.L = 0 // so that the head on the BS ties the BS
+	learner := func(observe bool) *Learner {
+		l, err := NewLearner(w, energy.DefaultModel(), 4000, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observe {
+			l.SetDecisionObserver(func(Decision) {})
+		}
+		return l
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	probe := learner(false)
+	if q1, q2 := probe.QValue(0, 1), probe.QValue(0, 2); !same(q1, q2) {
+		t.Fatalf("mirror heads: Q = %v and %v, want bit-equal", q1, q2)
+	}
+	if qh, qb := probe.QValue(0, 4), probe.QValue(0, network.BSID); !same(qh, qb) {
+		t.Fatalf("head on the BS: Q = %v, BS Q = %v, want bit-equal", qh, qb)
+	}
+	for _, c := range []struct {
+		heads []int
+		want  int
+	}{
+		{[]int{1, 2, 3}, 1},
+		{[]int{2, 1, 3}, 1},
+		{[]int{3, 2, 1, 5}, 1},
+		{[]int{4}, 4},
+		{[]int{5, 4}, 4},
+	} {
+		screened, scanned := learner(false), learner(true)
+		screened.BeginEpoch(c.heads)
+		scanned.BeginEpoch(c.heads)
+		got, ref := screened.Decide(0, c.heads), scanned.Decide(0, c.heads)
+		if got != c.want || ref != c.want {
+			t.Errorf("heads %v: screened Decide = %d, exhaustive %d, want %d", c.heads, got, ref, c.want)
+		}
+		if !same(screened.V(0), scanned.V(0)) {
+			t.Errorf("heads %v: V after Decide = %v screened, %v exhaustive", c.heads, screened.V(0), scanned.V(0))
+		}
 	}
 }
 
@@ -169,15 +259,18 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// FuzzDecideEpoch is the oracle for the action rows and the link
-// store: it decodes the input into a sequence of BeginEpoch, Decide,
-// Observe, UpdateHeadValue, node moves with InvalidateGeometry, and
-// battery draws over a small network, and runs it on a learner that is
-// armed by every BeginEpoch and on one that is never armed (every
-// Decide fills a scratch row by looking up each link). Both share the
-// network, the parameters, twin exploration streams and a decision
-// observer. After every operation the chosen targets, every V and the
-// observed Decision records must be bit-equal, and both learners'
+// FuzzDecideEpoch is the oracle for the action rows, the screened
+// argmax and the link store: it decodes the input into a sequence of
+// BeginEpoch, Decide, Observe, UpdateHeadValue, node moves with
+// InvalidateGeometry, and battery draws over a small network, and runs
+// it on three learners: one armed by every BeginEpoch with no decision
+// observer, so its Decide screens heads by an upper bound and evaluates
+// few of them exactly; one armed the same way with a decision observer,
+// so its Decide evaluates every head; and one that is never armed
+// (every Decide fills a scratch row by looking up each link). All share
+// the network, the parameters and triplet exploration streams. After
+// every operation the chosen targets, every V and the two observed
+// learners' Decision records must be bit-equal, and every learner's
 // estimate for every directed link must equal a reference map that
 // applies the same prior-then-EWMA update.
 func FuzzDecideEpoch(f *testing.F) {
@@ -194,21 +287,22 @@ func FuzzDecideEpoch(f *testing.F) {
 		if in.next()%2 == 1 {
 			p.Epsilon = 0.3
 		}
-		armed, err := NewLearner(w, energy.DefaultModel(), 4000, p)
-		if err != nil {
-			t.Fatal(err)
+		var ls [3]*Learner
+		for i := range ls {
+			if ls[i], err = NewLearner(w, energy.DefaultModel(), 4000, p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		plain, err := NewLearner(w, energy.DefaultModel(), 4000, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		screened, armed, plain := ls[0], ls[1], ls[2]
+		names := [...]string{"screened", "armed", "unarmed"}
 		ref := map[[2]int]float64{} // the reference link estimates
 		var decA, decP []Decision
 		armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
 		plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
 		if p.Epsilon > 0 {
-			armed.SetExploration(rng.NewNamed(seed, "explore"))
-			plain.SetExploration(rng.NewNamed(seed, "explore"))
+			for _, l := range ls {
+				l.SetExploration(rng.NewNamed(seed, "explore"))
+			}
 		}
 
 		// node draws an id; target draws the BS, a current or previous
@@ -241,6 +335,7 @@ func FuzzDecideEpoch(f *testing.F) {
 						cur[j] = node()
 					}
 				}
+				screened.BeginEpoch(cur)
 				armed.BeginEpoch(cur)
 			case 1, 2:
 				heads := cur
@@ -248,13 +343,15 @@ func FuzzDecideEpoch(f *testing.F) {
 					heads = prev
 				}
 				from := node()
-				if a, b := armed.Decide(from, heads), plain.Decide(from, heads); a != b {
-					t.Fatalf("op %d: Decide(%d, %v) = %d armed, %d unarmed", op, from, heads, a, b)
+				s, a, b := screened.Decide(from, heads), armed.Decide(from, heads), plain.Decide(from, heads)
+				if s != a || a != b {
+					t.Fatalf("op %d: Decide(%d, %v) = %d screened, %d armed, %d unarmed", op, from, heads, s, a, b)
 				}
 			case 3:
 				from, to, ok := node(), target(), in.next()%3 != 0
-				armed.Observe(from, to, ok)
-				plain.Observe(from, to, ok)
+				for _, l := range ls {
+					l.Observe(from, to, ok)
+				}
 				q, seen := ref[[2]int{from, to}]
 				if !seen {
 					q = p.InitialLinkP
@@ -269,29 +366,33 @@ func FuzzDecideEpoch(f *testing.F) {
 				if h == network.BSID {
 					h = node()
 				}
-				armed.UpdateHeadValue(h)
-				plain.UpdateHeadValue(h)
+				for _, l := range ls {
+					l.UpdateHeadValue(h)
+				}
 			case 5:
 				id := node()
 				d := float64(in.next()) - 128
 				w.Nodes[id].Pos = w.Nodes[id].Pos.Add(geom.Vec3{X: d / 4, Y: -d / 8, Z: d / 16})
-				armed.InvalidateGeometry()
-				plain.InvalidateGeometry()
+				for _, l := range ls {
+					l.InvalidateGeometry()
+				}
 			case 6:
 				w.Nodes[node()].Battery.Draw(energy.Joules(in.next()) / 64)
 			}
 			for i := 0; i < n; i++ {
-				if a, b := armed.V(i), plain.V(i); math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("op %d: V(%d) = %v armed, %v unarmed", op, i, a, b)
+				s, a, b := screened.V(i), armed.V(i), plain.V(i)
+				if math.Float64bits(s) != math.Float64bits(a) || math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("op %d: V(%d) = %v screened, %v armed, %v unarmed", op, i, s, a, b)
 				}
 				for to := network.BSID; to < n; to++ {
 					want, seen := ref[[2]int{i, to}]
 					if !seen {
 						want = p.InitialLinkP
 					}
-					a, b := armed.LinkP(i, to), plain.LinkP(i, to)
-					if math.Float64bits(a) != math.Float64bits(want) || math.Float64bits(b) != math.Float64bits(want) {
-						t.Fatalf("op %d: LinkP(%d, %d) = %v armed, %v unarmed, want %v", op, i, to, a, b, want)
+					for k, l := range ls {
+						if got := l.LinkP(i, to); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("op %d: LinkP(%d, %d) = %v %s, want %v", op, i, to, got, names[k], want)
+						}
 					}
 				}
 			}

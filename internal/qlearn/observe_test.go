@@ -58,9 +58,12 @@ func TestDecisionObserverCapture(t *testing.T) {
 // TestDecisionObserverPreservesDecisions: installing the observer must
 // not perturb decisions, V updates, or the exploration RNG stream —
 // observed and unobserved learners given identical histories must make
-// byte-identical choices.
+// byte-identical choices. That holds unarmed, and armed, where the
+// observer also switches Decide from the screened argmax to the
+// exhaustive scan; epochs re-arm every 50 steps, and head values
+// update mid-epoch.
 func TestDecisionObserverPreservesDecisions(t *testing.T) {
-	run := func(observe bool) ([]int, []float64) {
+	run := func(observe, arm bool) ([]int, []float64) {
 		w := testNet(t, 20, 11)
 		p := DefaultParams()
 		p.Epsilon = 0.3
@@ -77,6 +80,12 @@ func TestDecisionObserverPreservesDecisions(t *testing.T) {
 		var picks []int
 		var vs []float64
 		for i := 0; i < 200; i++ {
+			if arm && i%50 == 0 {
+				l.BeginEpoch(heads)
+			}
+			if i%30 == 29 {
+				l.UpdateHeadValue(heads[i%len(heads)])
+			}
 			from := 4 + i%10
 			to := l.Decide(from, heads)
 			l.Observe(from, to, i%3 != 0)
@@ -85,12 +94,14 @@ func TestDecisionObserverPreservesDecisions(t *testing.T) {
 		}
 		return picks, vs
 	}
-	basePicks, baseVs := run(false)
-	obsPicks, obsVs := run(true)
-	for i := range basePicks {
-		if basePicks[i] != obsPicks[i] || baseVs[i] != obsVs[i] {
-			t.Fatalf("step %d: observed (%d, %v) != unobserved (%d, %v)",
-				i, obsPicks[i], obsVs[i], basePicks[i], baseVs[i])
+	basePicks, baseVs := run(false, false)
+	for _, c := range []struct{ observe, arm bool }{{true, false}, {false, true}, {true, true}} {
+		picks, vs := run(c.observe, c.arm)
+		for i := range basePicks {
+			if basePicks[i] != picks[i] || math.Float64bits(baseVs[i]) != math.Float64bits(vs[i]) {
+				t.Fatalf("observed=%v armed=%v, step %d: (%d, %v) != unobserved unarmed (%d, %v)",
+					c.observe, c.arm, i, picks[i], vs[i], basePicks[i], baseVs[i])
+			}
 		}
 	}
 }

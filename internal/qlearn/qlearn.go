@@ -36,6 +36,7 @@ import (
 	"math"
 
 	"qlec/internal/energy"
+	"qlec/internal/geom"
 	"qlec/internal/network"
 	"qlec/internal/rng"
 )
@@ -163,18 +164,19 @@ type Learner struct {
 	// store per head. Bumping epoch expires every row at once. The rows
 	// are the learner's largest state, N·(k+1) entries (≈12.6 MB at the
 	// §5.3 shape).
-	epoch   uint64
-	armed   bool
-	heads   []int             // the armed head set
-	headBat []*energy.Battery // headBat[j] is heads[j]'s battery, read for x(heads[j])
-	col     []int             // target id+1 → its column in a row (BS 0, heads 1..k), −1 for the rest
-	stamp   []uint64          // stamp[i] == epoch: node i's row is live
-	rows    []action          // N rows of width k+1, node-major
+	epoch uint64
+	armed bool
+	set   []int     // the caller's head slice, recognized by identity (BeginEpoch)
+	cols  []headCol // cols[j] describes heads[j], column j+1 of every row
+	kmax  float64   // at least |k| of every armed column
+	col   []int     // target id+1 → its column in a row (BS 0, heads 1..k), −1 for the rest
+	stamp []uint64  // stamp[i] == epoch: node i's row is live
+	rows  []action  // N rows of width k+1, node-major
 
-	// scratch and scratchBat hold the row of a Decide call whose head
+	// scratch and scratchCols hold the row of a Decide call whose head
 	// set is not the armed one, filled the same way for that call only.
-	scratch    []action
-	scratchBat []*energy.Battery
+	scratch     []action
+	scratchCols []headCol
 
 	updates   uint64
 	lastDelta float64
@@ -232,6 +234,18 @@ func NewLearner(w *network.Network, model energy.Model, bits int, params Params)
 // y(from, to) and the link estimate P(from, to).
 type action struct{ y, p float64 }
 
+// headCol describes one head column of a row: the head's id, its
+// battery (read for x), its position (read by row fills) and k, the
+// head-side term K = α₁·x(h) + γ·V(h) of the screen in Decide. k is
+// exact when computed and an upper bound afterwards: the battery only
+// drains, and setV recomputes k whenever the head's V changes.
+type headCol struct {
+	k   float64
+	id  int
+	bat *energy.Battery
+	pos geom.Vec3
+}
+
 // x returns the normalized residual energy of a node, or 1 for the
 // mains-powered base station.
 func (l *Learner) x(id int) float64 {
@@ -250,12 +264,14 @@ func xOf(b *energy.Battery) float64 {
 // y returns the normalized Eq. (18) transmission cost from node to
 // target.
 func (l *Learner) y(from, to int) float64 {
-	var d float64
 	if to == network.BSID {
-		d = l.net.DistToBS(from)
-	} else {
-		d = l.net.Nodes[from].Pos.Dist(l.net.Nodes[to].Pos)
+		return l.cost(l.net.DistToBS(from))
 	}
+	return l.cost(l.net.Nodes[from].Pos.Dist(l.net.Nodes[to].Pos))
+}
+
+// cost is the normalized Eq. (18) cost of a hop of length d.
+func (l *Learner) cost(d float64) float64 {
 	return float64(l.model.TxAmplifier(l.bits, d)) / l.yNorm
 }
 
@@ -309,8 +325,11 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 
 // BeginEpoch arms the action rows for one head set — typically a round's
 // elected heads — and expires every row filled so far. Until the next
-// BeginEpoch, Decide(from, heads) calls whose heads match the epoch's set
-// read their actions from from's row, filled on its first such call.
+// BeginEpoch, Decide(from, heads) calls passing this same slice (same
+// backing array and length; Decide recognizes the armed set by identity,
+// in O(1)) read their actions from from's row, filled on its first such
+// call. The caller must not modify the slice while it is armed; any
+// other slice, even with equal contents, takes the scratch path.
 // Callers whose node positions can change (a mobility model) must call
 // BeginEpoch or InvalidateGeometry afterwards — QLEC arms every round
 // from StartRound, which runs after any movement. Passing nil, or a head
@@ -319,8 +338,8 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 func (l *Learner) BeginEpoch(heads []int) {
 	l.epoch++
 	if l.armed {
-		for _, h := range l.heads {
-			l.col[h+1] = -1
+		for _, c := range l.cols {
+			l.col[c.id+1] = -1
 		}
 		l.armed = false
 	}
@@ -346,8 +365,13 @@ func (l *Learner) BeginEpoch(heads []int) {
 		l.col[h+1] = j + 1
 	}
 	l.armed = true
-	l.heads = append(l.heads[:0], heads...)
-	l.headBat = l.batteries(l.headBat, heads)
+	l.set = heads
+	l.cols = l.columns(l.cols, heads)
+	l.kmax = 0
+	for j := range l.cols {
+		c := &l.cols[j]
+		l.setK(c, xOf(c.bat), l.v[c.id])
+	}
 	need := n * (len(heads) + 1)
 	if cap(l.rows) < need {
 		l.rows = make([]action, need)
@@ -358,25 +382,30 @@ func (l *Learner) BeginEpoch(heads []int) {
 // InvalidateGeometry implements cluster.GeometryInvalidator for the
 // learner: node positions changed, so every row's y values are stale.
 // Bumping the epoch expires the rows; each refills on its node's next
-// Decide.
+// Decide, from the head positions refreshed here.
 func (l *Learner) InvalidateGeometry() {
 	l.epoch++
+	if l.armed {
+		for j := range l.cols {
+			l.cols[j].pos = l.net.Nodes[l.cols[j].id].Pos
+		}
+	}
 }
 
-// actionRow returns from's row for the action set [BS, heads...] and the
-// heads' batteries: the epoch's row when heads is the armed set, filled
-// on from's first call of the epoch, and a fresh fill into scratch
-// otherwise.
-func (l *Learner) actionRow(from int, heads []int) ([]action, []*energy.Battery) {
+// actionRow returns from's row for the action set [BS, heads...], the
+// heads' columns, and whether heads is the armed set: then the row is
+// the epoch's, filled on from's first call of the epoch, and otherwise
+// a fresh fill into scratch.
+func (l *Learner) actionRow(from int, heads []int) ([]action, []headCol, bool) {
 	w := len(heads) + 1
-	if l.armed && slicesEqual(l.heads, heads) {
+	if l.armed && len(heads) == len(l.set) && (len(heads) == 0 || &heads[0] == &l.set[0]) {
 		row := l.rows[from*w : (from+1)*w]
 		if l.stamp[from] != l.epoch {
 			// A sparse block overlays its entries on a row filled with
 			// the prior, in O(k + seen); a direct block is looked up per
 			// target, in O(k).
 			targets, off, sparse := l.links.sparse(from)
-			l.fillRow(row, from, heads, !sparse)
+			l.fillRow(row, from, l.cols, !sparse)
 			for i, t := range targets {
 				if c := l.col[t+1]; c >= 0 {
 					row[c].p = l.links.p[off+i]
@@ -384,56 +413,48 @@ func (l *Learner) actionRow(from int, heads []int) ([]action, []*energy.Battery)
 			}
 			l.stamp[from] = l.epoch
 		}
-		return row, l.headBat
+		return row, l.cols, true
 	}
 	if cap(l.scratch) < w {
 		l.scratch = make([]action, w)
 	}
 	row := l.scratch[:w]
-	l.fillRow(row, from, heads, true)
-	l.scratchBat = l.batteries(l.scratchBat, heads)
-	return row, l.scratchBat
+	l.scratchCols = l.columns(l.scratchCols, heads)
+	l.fillRow(row, from, l.scratchCols, true)
+	return row, l.scratchCols, false
 }
 
-// fillRow computes row = [a(from, BS), a(from, heads[0]), ...]: y from
+// fillRow computes row = [a(from, BS), a(from, cols[0].id), ...]: y from
 // the geometry, and P looked up per target when lookup is set, else the
 // prior, for the caller to overlay with the links from has observed.
-func (l *Learner) fillRow(row []action, from int, heads []int, lookup bool) {
+func (l *Learner) fillRow(row []action, from int, cols []headCol, lookup bool) {
 	p := l.params.InitialLinkP
 	if lookup {
 		p = l.LinkP(from, network.BSID)
 	}
 	row[0] = action{y: l.y(from, network.BSID), p: p}
-	for j, h := range heads {
+	pos := l.net.Nodes[from].Pos
+	for j := range cols {
+		c := &cols[j]
 		if lookup {
-			p = l.LinkP(from, h)
+			p = l.LinkP(from, c.id)
 		}
-		row[j+1] = action{y: l.y(from, h), p: p}
+		row[j+1] = action{y: l.cost(pos.Dist(c.pos)), p: p}
 	}
 }
 
-// batteries refills dst with the batteries of heads, in order.
-func (l *Learner) batteries(dst []*energy.Battery, heads []int) []*energy.Battery {
+// columns refills dst with the columns of heads, in order, leaving k to
+// the caller.
+func (l *Learner) columns(dst []headCol, heads []int) []headCol {
 	if cap(dst) < len(heads) {
-		dst = make([]*energy.Battery, len(heads))
+		dst = make([]headCol, len(heads))
 	}
 	dst = dst[:len(heads)]
 	for j, h := range heads {
-		dst[j] = l.net.Nodes[h].Battery
+		n := l.net.Nodes[h]
+		dst[j] = headCol{id: h, bat: n.Battery, pos: n.Pos}
 	}
 	return dst
-}
-
-func slicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // QValue evaluates Eq. (15)+(16) for one state-action pair without
@@ -447,10 +468,13 @@ func (l *Learner) QValue(from, target int) float64 {
 // Required when Params.Epsilon > 0; a nil stream disables exploration.
 func (l *Learner) SetExploration(s *rng.Stream) { l.explore = s }
 
-// Decide implements Algorithm 4 for node from: it computes Q over the
-// action set (every head plus the base station), refreshes V*(from) to
-// the max, and returns the argmax target (a head id or network.BSID).
-// Ties break toward the lower id, BS last, for determinism. With
+// Decide implements Algorithm 4 for node from: it finds the max of Q
+// over the action set (every head plus the base station), refreshes
+// V*(from) to it, and returns the argmax target (a head id or
+// network.BSID). Ties break toward the lower id, BS last, for
+// determinism. On the armed head set with no decision observer, a cheap
+// upper bound rules most heads out before any exact evaluation (screen);
+// the target and V are bit-identical to evaluating every head. With
 // Epsilon > 0 and an exploration stream installed, it instead returns a
 // head sampled uniformly from the heads other than from itself with
 // probability ε (V is still refreshed from the greedy max, as in
@@ -462,37 +486,23 @@ func (l *Learner) Decide(from int, heads []int) int {
 	// Invariants of the from side — its normalized residual energy and
 	// current V — are identical for every probed action; hoist them out
 	// of the per-head loop. A head's x and V are read fresh on every
-	// call: its battery drains and its V updates mid-round. The
-	// decision-observer captures below consume no randomness and change
-	// no arithmetic, so observed and unobserved runs stay byte-identical.
+	// exact evaluation: its battery drains and its V updates mid-round.
+	// The decision-observer captures below consume no randomness and
+	// change no arithmetic, so observed and unobserved runs stay
+	// byte-identical.
 	xFrom := l.x(from)
 	vFrom := l.v[from]
 	var rec *Decision
 	if l.decObs != nil {
 		rec = &Decision{Node: from, VBefore: vFrom, EpsRoll: math.NaN()}
 	}
-	row, bats := l.actionRow(from, heads)
-	best := network.BSID
-	bestQ := l.qAction(row[0], xFrom, vFrom, 1, l.vBS, l.params.L)
-	if rec != nil {
-		rec.Candidates = append(rec.Candidates, network.BSID)
-		rec.QValues = append(rec.QValues, bestQ)
+	row, cols, armed := l.actionRow(from, heads)
+	best, bestQ, ok := 0, 0.0, false
+	if armed && rec == nil {
+		best, bestQ, ok = l.screen(from, row, cols, xFrom, vFrom)
 	}
-	others := len(heads)
-	for j, h := range heads {
-		if h == from {
-			others--
-			continue
-		}
-		q := l.qAction(row[j+1], xFrom, vFrom, xOf(bats[j]), l.v[h], 0)
-		if rec != nil {
-			rec.Candidates = append(rec.Candidates, h)
-			rec.QValues = append(rec.QValues, q)
-		}
-		if q > bestQ || (q == bestQ && better(h, best)) {
-			bestQ = q
-			best = h
-		}
+	if !ok {
+		best, bestQ = l.scan(from, row, cols, xFrom, vFrom, rec)
 	}
 	l.setV(from, bestQ)
 	chosen := best
@@ -502,18 +512,26 @@ func (l *Learner) Decide(from int, heads []int) int {
 		if rec != nil {
 			rec.EpsRoll = roll
 		}
-		if roll < l.params.Epsilon && others > 0 {
-			j := l.explore.Intn(others)
+		if roll < l.params.Epsilon {
+			others := 0
 			for _, h := range heads {
-				if h == from {
-					continue
+				if h != from {
+					others++
 				}
-				if j == 0 {
-					chosen = h
-					explored = true
-					break
+			}
+			if others > 0 {
+				j := l.explore.Intn(others)
+				for _, h := range heads {
+					if h == from {
+						continue
+					}
+					if j == 0 {
+						chosen = h
+						explored = true
+						break
+					}
+					j--
 				}
-				j--
 			}
 		}
 	}
@@ -525,6 +543,137 @@ func (l *Learner) Decide(from int, heads []int) int {
 		l.decObs(*rec)
 	}
 	return chosen
+}
+
+// scan is the exhaustive argmax of Decide: Eq. (15) evaluated for the
+// BS and then for every head other than from, in column order, each
+// probe appended to rec when a decision observer is installed. It
+// serves observed calls and calls whose head set is not armed.
+func (l *Learner) scan(from int, row []action, cols []headCol, xFrom, vFrom float64, rec *Decision) (int, float64) {
+	best := network.BSID
+	bestQ := l.qAction(row[0], xFrom, vFrom, 1, l.vBS, l.params.L)
+	if rec != nil {
+		rec.Candidates = append(rec.Candidates, network.BSID)
+		rec.QValues = append(rec.QValues, bestQ)
+	}
+	for j := range cols {
+		h := cols[j].id
+		if h == from {
+			continue
+		}
+		q := l.qAction(row[j+1], xFrom, vFrom, xOf(cols[j].bat), l.v[h], 0)
+		if rec != nil {
+			rec.Candidates = append(rec.Candidates, h)
+			rec.QValues = append(rec.QValues, q)
+		}
+		if q > bestQ || (q == bestQ && better(h, best)) {
+			bestQ = q
+			best = h
+		}
+	}
+	return best, bestQ
+}
+
+// screenSlack scales the screen's rounding allowance; see screen.
+const screenSlack = 1e-9
+
+// screen is the argmax of Decide for an armed, unobserved call: the same
+// target and the same bits of max Q as scan, with exact Eq. (15)
+// evaluations only where a cheap upper bound cannot rule a head out.
+// In real arithmetic head j's value is
+//
+//	Q_j = E + c_j + p_j·(D + K_j)
+//
+// with c_j = −G − (β₂ + p_j·(α₂−β₂))·y_j from the row entry,
+// D = (α₁−β₁)·x(from) − γ·V(from) and E = β₁·x(from) + γ·V(from) once
+// per call, and K_j = α₁·x(h_j) + γ·V(h_j) per column. A column's k is
+// at least K_j (headCol) and p_j ≥ 0, so s_j = c_j + p_j·(D + k_j) is at
+// least Q_j − E up to rounding. The allowance for rounding is
+// slack(s) = screenSlack·(base + |s|), where base sums the other
+// magnitudes that either evaluation rounds (with 4·kmax covering |k_j|);
+// it exceeds |fl(s_j + E) − fl(Q_j)| about 10⁵-fold, and s + slack(s)
+// grows with s. One pass computes every s_j and keeps the two largest;
+// the BS and the head with the largest are evaluated exactly with
+// qAction, and the others only when the second largest bound reaches
+// the best Q so far — then each head whose own bound does. Every head
+// skipped has exact Q strictly below the final best, so it could neither
+// win nor tie, and scan's rule (higher Q, then any head over the BS,
+// then the lower id) picks the maximum of a total order that does not
+// depend on which heads were evaluated or in what order. Each exact
+// evaluation refreshes its column's k. ok is false when a bound or the
+// BS value is not finite; the caller then scans.
+func (l *Learner) screen(from int, row []action, cols []headCol, xFrom, vFrom float64) (best int, bestQ float64, ok bool) {
+	pr := &l.params
+	g, b2, a2b2 := pr.G, pr.Beta2, pr.Alpha2-pr.Beta2
+	d := (pr.Alpha1-pr.Beta1)*xFrom - pr.Gamma*vFrom
+	e := pr.Beta1*xFrom + pr.Gamma*vFrom
+	base := 1 + 2*g + 4*pr.Alpha1 + 2*pr.Beta1 + 4*math.Abs(d) + 2*math.Abs(e) +
+		2*pr.Gamma*math.Abs(vFrom) + 4*l.kmax
+	skip := l.col[from+1] - 1 // from's own column, or below 0
+	hr := row[1:][:len(cols)]
+	bound := func(j int) float64 {
+		a := hr[j]
+		return -g - (b2+a.p*a2b2)*a.y + a.p*(d+cols[j].k)
+	}
+	// reaches reports whether a head with bound s may reach bestQ.
+	reaches := func(s float64) bool {
+		return s+screenSlack*(base+math.Abs(s))+e >= bestQ
+	}
+	top, s1, s2 := -1, math.Inf(-1), math.Inf(-1)
+	for j := range cols {
+		if j == skip {
+			continue
+		}
+		s := bound(j)
+		if s-s != 0 { // NaN or ±Inf
+			return 0, 0, false
+		}
+		if s > s2 {
+			if s > s1 {
+				top, s1, s2 = j, s, s1
+			} else {
+				s2 = s
+			}
+		}
+	}
+	best, bestQ = network.BSID, l.qAction(row[0], xFrom, vFrom, 1, l.vBS, pr.L)
+	if bestQ-bestQ != 0 || base-base != 0 {
+		return 0, 0, false
+	}
+	if top < 0 {
+		return best, bestQ, true
+	}
+	best, bestQ = l.verify(&cols[top], hr[top], xFrom, vFrom, best, bestQ)
+	if !reaches(s2) {
+		return best, bestQ, true
+	}
+	for j := range cols {
+		if j != skip && j != top && reaches(bound(j)) {
+			best, bestQ = l.verify(&cols[j], hr[j], xFrom, vFrom, best, bestQ)
+		}
+	}
+	return best, bestQ, true
+}
+
+// verify evaluates Eq. (15) exactly for column c with row entry a,
+// refreshes c.k from the values read, and folds the result into the
+// argmax (best, bestQ) by scan's rule.
+func (l *Learner) verify(c *headCol, a action, xFrom, vFrom float64, best int, bestQ float64) (int, float64) {
+	xTo, vTo := xOf(c.bat), l.v[c.id]
+	l.setK(c, xTo, vTo)
+	if q := l.qAction(a, xFrom, vFrom, xTo, vTo, 0); q > bestQ || (q == bestQ && better(c.id, best)) {
+		return c.id, q
+	}
+	return best, bestQ
+}
+
+// setK sets column c's k to K for residual fraction x and value v, and
+// keeps kmax at or above |k| of every armed column.
+func (l *Learner) setK(c *headCol, x, v float64) {
+	c.k = l.params.Alpha1*x + l.params.Gamma*v
+	if k := math.Abs(c.k); !(k <= l.kmax) {
+		l.kmax = k
+	}
 }
 
 // better orders candidate targets for tie-breaking: any head beats the
@@ -556,7 +705,7 @@ func (l *Learner) Observe(from, to int, success bool) {
 	*slot = p
 	if l.armed && l.stamp[from] == l.epoch {
 		if c := l.col[to+1]; c >= 0 {
-			l.rows[from*(len(l.heads)+1)+c].p = p
+			l.rows[from*(len(l.cols)+1)+c].p = p
 		}
 	}
 	if l.outObs != nil {
@@ -593,6 +742,12 @@ func (l *Learner) setV(id int, v float64) {
 	l.updates++
 	l.lastDelta = delta
 	l.maxDelta.push(delta)
+	if l.armed {
+		if j := l.col[id+1] - 1; j >= 0 { // an armed head: keep its k exact
+			c := &l.cols[j]
+			l.setK(c, xOf(c.bat), v)
+		}
+	}
 }
 
 // V returns the current V*(id) (or the BS terminal value for
