@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service serve bench bench-json bench-check figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
+.PHONY: all build test race race-service serve bench bench-pair figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
 
 all: build test
 
@@ -41,39 +41,58 @@ ci: build test race race-service
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path benchmark trajectory: run the simulator- and selection-phase
-# benchmarks with allocation stats and fold the output into a JSON file
-# (name → ns/op, B/op, allocs/op, custom metrics) via cmd/qlecbench.
-# Commit BENCH_PR2.json alongside performance PRs so regressions diff in
-# review. BENCHTIME=1x (the default) is the quick CI mode; use e.g.
-# `make bench-json BENCHTIME=2s` for stable local timings.
-BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_PR2.json
-HOT_BENCH = ^(BenchmarkFig3aPacketDeliveryRate|BenchmarkRunnerOverhead|BenchmarkKSweepParallel|BenchmarkDecide|BenchmarkDecideFig4|BenchmarkSelectPaperScale|BenchmarkSelectImproved)$$
+# Paired timing gate for the Fig. 3(a) QLEC cells (Table 2 setup, λ=8
+# and λ=2). It builds the root test binary twice, from the git revision
+# BASE (unpacked with git archive, so no worktree metadata) and from the
+# working tree, then runs the two in 10 pairs at -benchtime 1s,
+# alternating which side goes first. Each pair gives a HEAD/BASE ns/op
+# ratio per cell; the target prints every pair, both medians and nproc,
+# and fails when either median ratio exceeds 1.10. On a 2-core VM the
+# per-pair ratios of two builds of one commit spread from about 0.82 to
+# 1.19, wide enough that a median of 5 pairs would now and then pass
+# 1.10 on noise alone; hence 10. BASE defaults to HEAD, so a local run
+# compares uncommitted work with the last commit; CI passes the merge
+# base of a pull request or the parent of a push.
+BASE ?= HEAD
 
-bench-json:
-	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -benchtime $(BENCHTIME) \
-		. ./internal/qlearn ./internal/deec \
-		| $(GO) run ./cmd/qlecbench -out $(BENCH_OUT)
-	@echo wrote $(BENCH_OUT)
-
-# Regression gate: rebuild the hot-path trajectory into BENCH_PR7.json
-# and fail when the Fig3a QLEC benchmarks regress past the committed
-# PR2 baseline on ns/op or allocs/op (qlecbench -against). allocs/op is
-# stable at any benchtime; ns/op sits roughly 2x under the PR2 numbers
-# after the batched-kernel work, so the 1x CI mode has margin. The 1.10
-# default absorbs the handful of fixed-count round-setup allocations the
-# per-round geometry caches added (~3% on allocs/op, bought a ~2x ns/op
-# win); a per-packet allocation regression scales far past 10% and
-# still trips the gate.
-BENCH_TOLERANCE ?= 1.10
-
-bench-check:
-	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -benchtime $(BENCHTIME) \
-		. ./internal/qlearn ./internal/deec \
-		| $(GO) run ./cmd/qlecbench -out BENCH_PR7.json -against BENCH_PR2.json \
-			-match 'Fig3aPacketDeliveryRate/QLEC' -tolerance $(BENCH_TOLERANCE)
-	@echo wrote BENCH_PR7.json
+bench-pair:
+	@set -e; \
+	REV=$$(git rev-parse --verify "$(BASE)^{commit}"); \
+	T=$$(mktemp -d); trap 'rm -rf "$$T"' EXIT INT TERM; \
+	mkdir "$$T/base"; git archive "$$REV" | tar -x -C "$$T/base"; \
+	(cd "$$T/base" && $(GO) test -c -o "$$T/base.test" .); \
+	$(GO) test -c -o "$$T/head.test" .; \
+	run() { \
+		if [ "$$1" = base ]; then D="$$T/base"; else D=.; fi; \
+		(cd "$$D" && "$$T/$$1.test" -test.run '^$$' -test.bench '^BenchmarkFig3aPacketDeliveryRate$$/^QLEC$$' \
+			-test.benchtime 1s -test.timeout 10m) >"$$T/out" 2>&1 || { cat "$$T/out" >&2; exit 1; }; \
+		awk -v pair="$$2" -v side="$$1" -v first="$$3" '/^BenchmarkFig3aPacketDeliveryRate\/QLEC\// { \
+			for (i = 2; i < NF; i++) if ($$(i + 1) == "ns/op") ns = $$i; \
+			sub(/-[0-9]+$$/, "", $$1); sub(/.*\//, "", $$1); print pair, first, side, $$1, ns }' "$$T/out" >>"$$T/runs"; \
+	}; \
+	for P in 1 2 3 4 5 6 7 8 9 10; do \
+		if [ $$((P % 2)) = 1 ]; then run base $$P base; run head $$P base; \
+		else run head $$P head; run base $$P head; fi; \
+		echo "bench-pair: pair $$P/10 done" >&2; \
+	done; \
+	echo "bench-pair: BASE $$(git rev-parse --short "$$REV") vs working tree $$(git describe --always --dirty); nproc $$(nproc); 10 pairs at -benchtime 1s"; \
+	awk 'function median(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
+			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
+		{ ns[$$1, $$3, $$4] = $$5; first[$$1] = $$2 } \
+		END { \
+			printf "%-4s %-5s %-10s %12s %12s %9s\n", "pair", "first", "cell", "base ns/op", "head ns/op", "head/base"; \
+			split("lambda=8 lambda=2", cells, " "); bad = 0; \
+			for (c = 1; c <= 2; c++) for (p = 1; p <= 10; p++) { \
+				b = ns[p, "base", cells[c]]; h = ns[p, "head", cells[c]]; \
+				if (b == "" || h == "") { print "bench-pair: pair " p " has no " cells[c] " result on both sides"; exit 1 } \
+				r[c, p] = h / b; \
+				printf "%-4d %-5s %-10s %12d %12d %9.3f\n", p, first[p], cells[c], b, h, h / b } \
+			for (c = 1; c <= 2; c++) { \
+				for (p = 1; p <= 10; p++) a[p] = r[c, p]; \
+				m = median(a, 10); verdict = m > 1.10 ? "FAIL" : "ok"; if (m > 1.10) bad = 1; \
+				printf "median head/base %s: %.3f (limit 1.10) %s\n", cells[c], m, verdict } \
+			exit bad }' "$$T/runs"
 
 # Regenerate every figure at full scale into ./figs (a few minutes).
 figs:

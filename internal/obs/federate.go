@@ -7,6 +7,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -66,15 +67,23 @@ func (e *Exposition) Family(name string) *MetricFamily {
 	return nil
 }
 
+// maxExpositionLine bounds one line of a parsed exposition.
+const maxExpositionLine = 1 << 20
+
+// histogramSuffixes are the sample-name suffixes a histogram family owns.
+var histogramSuffixes = []string{"_bucket", "_sum", "_count"}
+
 var (
 	fedSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
 	fedLabelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
 
 // ParseExposition parses a Prometheus text exposition into its family
-// and sample structure. It is the read half of federation: lenient on
-// semantics (no cumulative-bucket checking — that is LintExposition's
-// job) but strict on syntax.
+// and sample structure. It is the read half of federation and the
+// grammar LintExposition checks against: strict on syntax (one # TYPE
+// line per family, and no family declared under a histogram's
+// _bucket/_sum/_count names) but lenient on semantics (no duplicate-
+// series or cumulative-bucket checking — that is LintExposition's job).
 func ParseExposition(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{}
 	byName := make(map[string]*MetricFamily)
@@ -89,7 +98,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 	}
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxExpositionLine) // grows on demand from 4 KB
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -103,7 +112,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 				return nil, fmt.Errorf("line %d: malformed HELP: %s", lineNo, line)
 			}
 			if len(parts) == 2 {
-				family(parts[0]).Help = unescapeHelp(parts[1])
+				family(parts[0]).Help = unescapeText(parts[1])
 			}
 			continue
 		}
@@ -117,11 +126,22 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			default:
 				return nil, fmt.Errorf("line %d: unknown TYPE %q", lineNo, parts[1])
 			}
-			f := family(parts[0])
-			if f.Type != "" && f.Type != parts[1] {
-				return nil, fmt.Errorf("line %d: conflicting TYPE for %q: %s vs %s", lineNo, parts[0], f.Type, parts[1])
+			name, typ := parts[0], parts[1]
+			f := family(name)
+			if f.Type != "" {
+				return nil, fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, name)
 			}
-			f.Type = parts[1]
+			// A histogram owns its child sample names, so no family may
+			// be declared under one: its samples would be ambiguous.
+			for _, s := range histogramSuffixes {
+				if g := byName[name+s]; typ == "histogram" && g != nil && g.Type != "" {
+					return nil, fmt.Errorf("line %d: histogram %q clashes with family %q", lineNo, name, g.Name)
+				}
+				if g := byName[strings.TrimSuffix(name, s)]; g != nil && g.Type == "histogram" {
+					return nil, fmt.Errorf("line %d: family %q clashes with histogram %q", lineNo, name, g.Name)
+				}
+			}
+			f.Type = typ
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -133,12 +153,12 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			return nil, fmt.Errorf("line %d: unparseable sample: %s", lineNo, line)
 		}
 		name, labelBlock, valStr := m[1], m[2], m[3]
-		val, err := parseSampleValue(valStr)
+		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad value %q: %v", lineNo, valStr, err)
 		}
 		famName := name
-		for _, s := range []string{"_bucket", "_sum", "_count"} {
+		for _, s := range histogramSuffixes {
 			base := strings.TrimSuffix(name, s)
 			if base != name {
 				if f, ok := byName[base]; ok && f.Type == "histogram" {
@@ -158,7 +178,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 				if lm == nil {
 					return nil, fmt.Errorf("line %d: malformed label %q", lineNo, pair)
 				}
-				labels = append(labels, Label{Name: lm[1], Value: unescapeLabelValue(lm[2])})
+				labels = append(labels, Label{Name: lm[1], Value: unescapeText(lm[2])})
 			}
 		}
 		f.Samples = append(f.Samples, Sample{Name: name, Labels: labels, Value: val})
@@ -298,7 +318,7 @@ func sortHistogramAccs(accs []*mergedSample) {
 	leVal := func(ls []Label) float64 {
 		for _, l := range ls {
 			if l.Name == "le" {
-				v, err := parseSampleValue(l.Value)
+				v, err := strconv.ParseFloat(l.Value, 64)
 				if err != nil {
 					return math.Inf(1)
 				}
@@ -393,7 +413,39 @@ func canonicalLabelKey(ls []Label) string {
 	return b.String()
 }
 
-func unescapeLabelValue(v string) string {
+// splitLabelPairs splits the interior of a label block on commas that
+// are not inside quoted values (values may contain escaped quotes).
+func splitLabelPairs(s string) []string {
+	var out []string
+	var b strings.Builder
+	inQuote := false
+	for i := 0; i < len(s); i++ {
+		ch := s[i]
+		switch {
+		case ch == '\\' && inQuote && i+1 < len(s):
+			b.WriteByte(ch)
+			i++
+			b.WriteByte(s[i])
+		case ch == '"':
+			inQuote = !inQuote
+			b.WriteByte(ch)
+		case ch == ',' && !inQuote:
+			out = append(out, b.String())
+			b.Reset()
+		default:
+			b.WriteByte(ch)
+		}
+	}
+	if b.Len() > 0 {
+		out = append(out, b.String())
+	}
+	return out
+}
+
+// unescapeText decodes a label value or HELP text in one pass: \n is a
+// newline and a backslash before any other byte stands for that byte,
+// so an escaped backslash followed by n stays a backslash and an n.
+func unescapeText(v string) string {
 	if !strings.ContainsRune(v, '\\') {
 		return v
 	}
@@ -412,13 +464,4 @@ func unescapeLabelValue(v string) string {
 		b.WriteByte(v[i])
 	}
 	return b.String()
-}
-
-func unescapeHelp(h string) string {
-	if !strings.ContainsRune(h, '\\') {
-		return h
-	}
-	h = strings.ReplaceAll(h, `\n`, "\n")
-	h = strings.ReplaceAll(h, `\\`, `\`)
-	return h
 }

@@ -1,28 +1,26 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"regexp"
-	"strconv"
 	"strings"
 )
 
 // LintExposition is a promtool-style validity check for Prometheus text
-// exposition output, used by tests and CI (no external binaries). It
-// verifies:
+// exposition output, used by tests and CI (no external binaries). The
+// syntax is ParseExposition's: every sample line parses as
+// `name[{labels}] value` after the one # TYPE line of its family,
+// metric and label names match the Prometheus grammar, and TYPE is one
+// of counter, gauge, histogram. Over the parsed families it then checks
+// that:
 //
-//   - every sample line parses as `name[{labels}] value`
-//   - every sample is preceded by # HELP and # TYPE lines for its family
-//   - metric and label names match the Prometheus grammar
-//   - TYPE is one of counter, gauge, histogram
+//   - no series appears twice (same name and label set)
+//   - every histogram bucket carries an le label
 //   - histogram bucket counts are cumulative and the +Inf bucket equals
 //     the family's _count sample
-//   - no duplicate series (same name + label block twice)
 //
 // It returns nil when the input is clean, or an error naming the first
-// offending line.
+// offence it finds.
 func LintExposition(r io.Reader) error {
 	return LintExpositions(r)
 }
@@ -34,193 +32,99 @@ func LintExposition(r io.Reader) error {
 // private one) must not let them both claim a metric name — Prometheus
 // would see a duplicate family and reject the merged scrape.
 func LintExpositions(rs ...io.Reader) error {
-	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
-	labelRe := regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
-
-	types := make(map[string]string) // family -> TYPE
-	seen := make(map[string]bool)    // full series line key
-	type histState struct {
-		lastCum  float64
-		infCum   float64
-		hasInf   bool
-		count    float64
-		hasCount bool
-	}
-	hists := make(map[string]*histState) // family + base labels (le stripped)
-
-	for ri, r := range rs {
-		loc := func(lineNo int) string {
+	owner := make(map[string]int) // family -> 1-based input that declared it
+	seen := make(map[string]bool) // series keys across every input
+	for i, r := range rs {
+		in := func(err error) error {
 			if len(rs) == 1 {
-				return fmt.Sprintf("line %d", lineNo)
+				return err
 			}
-			return fmt.Sprintf("input %d line %d", ri+1, lineNo)
+			return fmt.Errorf("input %d: %w", i+1, err)
 		}
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			line := sc.Text()
-			if line == "" {
-				continue
-			}
-			if strings.HasPrefix(line, "# HELP ") {
-				parts := strings.SplitN(line[len("# HELP "):], " ", 2)
-				if len(parts) == 0 || !metricNameRe.MatchString(parts[0]) {
-					return fmt.Errorf("%s: malformed HELP: %s", loc(lineNo), line)
-				}
-				continue
-			}
-			if strings.HasPrefix(line, "# TYPE ") {
-				parts := strings.Fields(line[len("# TYPE "):])
-				if len(parts) != 2 || !metricNameRe.MatchString(parts[0]) {
-					return fmt.Errorf("%s: malformed TYPE: %s", loc(lineNo), line)
-				}
-				switch parts[1] {
-				case "counter", "gauge", "histogram":
-				default:
-					return fmt.Errorf("%s: unknown TYPE %q", loc(lineNo), parts[1])
-				}
-				if _, dup := types[parts[0]]; dup {
-					return fmt.Errorf("%s: duplicate TYPE for %q", loc(lineNo), parts[0])
-				}
-				types[parts[0]] = parts[1]
-				continue
-			}
-			if strings.HasPrefix(line, "#") {
-				continue // other comments are legal
-			}
-
-			m := sampleRe.FindStringSubmatch(line)
-			if m == nil {
-				return fmt.Errorf("%s: unparseable sample: %s", loc(lineNo), line)
-			}
-			name, labels, valStr := m[1], m[2], m[3]
-			val, err := parseSampleValue(valStr)
-			if err != nil {
-				return fmt.Errorf("%s: bad value %q: %v", loc(lineNo), valStr, err)
-			}
-
-			family := name
-			suffix := ""
-			for _, s := range []string{"_bucket", "_sum", "_count"} {
-				base := strings.TrimSuffix(name, s)
-				if base != name && types[base] == "histogram" {
-					family, suffix = base, s
-					break
-				}
-			}
-			if _, ok := types[family]; !ok {
-				return fmt.Errorf("%s: sample %q has no preceding # TYPE", loc(lineNo), name)
-			}
-
-			var le string
-			baseLabels := labels
-			if labels != "" {
-				inner := labels[1 : len(labels)-1]
-				var kept []string
-				for _, pair := range splitLabelPairs(inner) {
-					lm := labelRe.FindStringSubmatch(pair)
-					if lm == nil {
-						return fmt.Errorf("%s: malformed label %q", loc(lineNo), pair)
-					}
-					if lm[1] == "le" && suffix == "_bucket" {
-						le = lm[2]
-						continue
-					}
-					kept = append(kept, pair)
-				}
-				baseLabels = ""
-				if len(kept) > 0 {
-					baseLabels = "{" + strings.Join(kept, ",") + "}"
-				}
-			}
-			if suffix == "_bucket" && le == "" {
-				return fmt.Errorf("%s: histogram bucket without le label", loc(lineNo))
-			}
-
-			key := name + labels
-			if seen[key] {
-				return fmt.Errorf("%s: duplicate series %s", loc(lineNo), key)
-			}
-			seen[key] = true
-
-			if types[family] == "histogram" && suffix != "" {
-				hk := family + baseLabels
-				h := hists[hk]
-				if h == nil {
-					h = &histState{}
-					hists[hk] = h
-				}
-				switch suffix {
-				case "_bucket":
-					if val < h.lastCum {
-						return fmt.Errorf("%s: non-cumulative bucket in %s", loc(lineNo), hk)
-					}
-					h.lastCum = val
-					if le == "+Inf" {
-						h.infCum, h.hasInf = val, true
-					}
-				case "_count":
-					h.count, h.hasCount = val, true
-				}
-			}
+		exp, err := ParseExposition(r)
+		if err != nil {
+			return in(err)
 		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-	}
-	for hk, h := range hists {
-		if !h.hasInf {
-			return fmt.Errorf("histogram %s missing +Inf bucket", hk)
-		}
-		if !h.hasCount {
-			return fmt.Errorf("histogram %s missing _count", hk)
-		}
-		if h.infCum != h.count {
-			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", hk, h.infCum, h.count)
+		for _, f := range exp.Families {
+			if f.Type == "" {
+				continue // HELP without TYPE declares nothing
+			}
+			if prev, dup := owner[f.Name]; dup {
+				return in(fmt.Errorf("family %q already declared by input %d", f.Name, prev))
+			}
+			owner[f.Name] = i + 1
+			if err := lintFamily(f, seen); err != nil {
+				return in(err)
+			}
 		}
 	}
 	return nil
 }
 
-func parseSampleValue(s string) (float64, error) {
-	switch s {
-	case "+Inf", "Inf":
-		return strconv.ParseFloat("+Inf", 64)
-	case "-Inf":
-		return strconv.ParseFloat("-Inf", 64)
-	case "NaN":
-		return strconv.ParseFloat("NaN", 64)
+// lintFamily checks one parsed family: no series it holds is in seen
+// (which it extends), and a histogram's children (its series with le
+// stripped) have le on every bucket, cumulative buckets, a +Inf bucket
+// and a _count equal to it.
+func lintFamily(f *MetricFamily, seen map[string]bool) error {
+	type child struct {
+		last, inf, count float64
+		hasInf, hasCount bool
 	}
-	return strconv.ParseFloat(s, 64)
-}
+	children := make(map[string]*child)
+	var order []string
+	for _, s := range f.Samples {
+		key := s.Name + canonicalLabelKey(s.Labels)
+		if seen[key] {
+			return fmt.Errorf("duplicate series %s", key)
+		}
+		seen[key] = true
 
-// splitLabelPairs splits the interior of a label block on commas that
-// are not inside quoted values (values may contain escaped quotes).
-func splitLabelPairs(s string) []string {
-	var out []string
-	var b strings.Builder
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		switch {
-		case ch == '\\' && inQuote && i+1 < len(s):
-			b.WriteByte(ch)
-			i++
-			b.WriteByte(s[i])
-		case ch == '"':
-			inQuote = !inQuote
-			b.WriteByte(ch)
-		case ch == ',' && !inQuote:
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(ch)
+		suffix := strings.TrimPrefix(s.Name, f.Name)
+		if f.Type != "histogram" || suffix == "" {
+			continue
+		}
+		le, hasLe := "", false
+		base := make([]Label, 0, len(s.Labels))
+		for _, l := range s.Labels {
+			if l.Name == "le" && suffix == "_bucket" {
+				le, hasLe = l.Value, true
+				continue
+			}
+			base = append(base, l)
+		}
+		ck := f.Name + canonicalLabelKey(base)
+		c := children[ck]
+		if c == nil {
+			c = &child{}
+			children[ck] = c
+			order = append(order, ck)
+		}
+		switch suffix {
+		case "_bucket":
+			if !hasLe {
+				return fmt.Errorf("histogram bucket %s without le label", key)
+			}
+			if s.Value < c.last {
+				return fmt.Errorf("non-cumulative bucket in %s", ck)
+			}
+			c.last = s.Value
+			if le == "+Inf" {
+				c.inf, c.hasInf = s.Value, true
+			}
+		case "_count":
+			c.count, c.hasCount = s.Value, true
 		}
 	}
-	if b.Len() > 0 {
-		out = append(out, b.String())
+	for _, ck := range order {
+		c := children[ck]
+		switch {
+		case !c.hasInf:
+			return fmt.Errorf("histogram %s missing +Inf bucket", ck)
+		case !c.hasCount:
+			return fmt.Errorf("histogram %s missing _count", ck)
+		case c.inf != c.count:
+			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", ck, c.inf, c.count)
+		}
 	}
-	return out
+	return nil
 }

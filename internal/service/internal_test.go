@@ -3,6 +3,9 @@ package service
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,6 +298,60 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, err := st.LoadResult("0000000000000000000000000000000000000000000000000000000000000000"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing result error = %v", err)
+	}
+}
+
+// TestStoreConcurrentSavesOfOneResult: duplicate completions and an
+// owner PUT racing a local completion save the same hash at once. Every
+// save must succeed, every load must see a whole envelope, and the
+// results dir must end with the one record, mode 0644.
+func TestStoreConcurrentSavesOfOneResult(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := strings.Repeat("ab", 32)
+	env := &ResultEnvelope{Kind: KindNSweep, Hash: hash, NSweep: make([]experiment.NSweepPoint, 50)}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := st.SaveResult(hash, env); err != nil {
+					t.Error(err)
+					return
+				}
+				back, err := st.LoadResult(hash)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(back.NSweep) != len(env.NSweep) {
+					t.Errorf("loaded %d points, want %d", len(back.NSweep), len(env.NSweep))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	entries, err := os.ReadDir(filepath.Join(st.Dir(), "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != hash+".json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("results dir holds %v, want only %s.json", names, hash)
+	}
+	info, err := entries[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("result file mode %v, want 0644", info.Mode().Perm())
 	}
 }
 

@@ -44,13 +44,32 @@ func (s *Store) resultPath(hash string) string {
 	return filepath.Join(s.dir, "results", hash+".json")
 }
 
-// writeAtomic writes data next to path and renames it into place.
+// writeAtomic writes data to a temp file of its own next to path and
+// renames it into place. One record can be saved by several goroutines
+// at once (a duplicate cell completion, an owner PUT racing a local
+// completion); a private temp file per call means each rename moves a
+// whole file and the last one wins. Temp names end in ".tmp", never
+// ".json", so no loader reads one.
 func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // SaveJob persists one job record.
@@ -80,7 +99,7 @@ func (s *Store) LoadJobs() ([]*Job, []error) {
 	var warns []error
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(s.dir, "jobs", name))
@@ -180,7 +199,7 @@ func (s *Store) LoadBatches() ([]*Batch, []error) {
 	var warns []error
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(s.dir, "batches", name))
