@@ -56,8 +56,8 @@ func (d *Dataset) Validate() error {
 		return err
 	}
 	for i, e := range d.Energies {
-		if e <= 0 {
-			return fmt.Errorf("dataset: node %d has non-positive energy %v", i, e)
+		if !energy.ValidCharge(e) {
+			return fmt.Errorf("dataset: node %d has energy %v, want finite and positive", i, e)
 		}
 		if !d.Positions[i].IsFinite() {
 			return fmt.Errorf("dataset: node %d has non-finite position", i)
@@ -337,8 +337,8 @@ func LoadCSV(src io.Reader) (*Dataset, error) {
 		if !p.IsFinite() {
 			return nil, fmt.Errorf("dataset: CSV row %d has non-finite position", row)
 		}
-		if vals[3] <= 0 {
-			return nil, fmt.Errorf("dataset: CSV row %d has non-positive energy %v", row, vals[3])
+		if !energy.ValidCharge(energy.Joules(vals[3])) {
+			return nil, fmt.Errorf("dataset: CSV row %d has energy %v, want finite and positive", row, vals[3])
 		}
 		d.Positions = append(d.Positions, p)
 		d.Energies = append(d.Energies, energy.Joules(vals[3]))

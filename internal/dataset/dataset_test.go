@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qlec/internal/energy"
 	"qlec/internal/geom"
 	"qlec/internal/rng"
 	"qlec/internal/stats"
@@ -222,6 +223,10 @@ func TestLoadCSVErrors(t *testing.T) {
 		"bad field":       "x,y,z,energy_j\n1,2,zz,4\n",
 		"zero energy":     "x,y,z,energy_j\n1,2,3,0\n",
 		"negative energy": "x,y,z,energy_j\n1,2,3,-1\n",
+		"NaN energy":      "x,y,z,energy_j\n1,2,3,NaN\n4,5,6,1\n",
+		"+Inf energy":     "x,y,z,energy_j\n1,2,3,+Inf\n",
+		"-Inf energy":     "x,y,z,energy_j\n1,2,3,-Inf\n",
+		"Inf energy":      "x,y,z,energy_j\n4,5,6,1\n1,2,3,Inf\n",
 		"short row":       "x,y,z,energy_j\n1,2,3\n",
 	}
 	for name, csv := range cases {
@@ -236,9 +241,63 @@ func TestDatasetValidateErrors(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Fatal("empty dataset validated")
 	}
-	good, _ := Synthesize(SynthConfig{N: 2, Side: 10, MaxHeight: 5, MeanEnergy: 1, Seed: 1})
-	good.Energies[1] = 0
-	if err := good.Validate(); err == nil {
-		t.Fatal("zero energy validated")
+	for _, e := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d, err := Synthesize(SynthConfig{N: 2, Side: 10, MaxHeight: 5, MeanEnergy: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Energies[1] = energy.Joules(e)
+		if err := d.Validate(); err == nil {
+			t.Errorf("energy %v validated", e)
+		}
 	}
+}
+
+// FuzzLoadCSV feeds arbitrary text to the x,y,z,energy_j loader. It
+// must never panic, and a dataset it accepts must come back from
+// WriteCSV and a second LoadCSV with bit-identical positions and
+// energies.
+func FuzzLoadCSV(f *testing.F) {
+	for _, s := range []string{
+		"x,y,z,energy_j\n1,2,3,0.5\n",
+		"x,y,z,energy_j\n1,2,3,NaN\n",
+		"x,y,z,energy_j\n1,2,3,NaN\n4,5,6,1\n",
+		"x,y,z,energy_j\n1,2,3,+Inf\n",
+		"x,y,z,energy_j\n1,2,3,-Inf\n",
+		"x,y,z,energy_j\nNaN,2,3,1\n",
+		"a,b,c,d\n1,2,3,4\n",
+		"x,y,z\n1,2,3\n",
+		"x,y,z,energy_j\n1,2,3\n",
+		"x,y,z,energy_j\n1,2,3,4,5\n",
+		"x,y,z,energy_j\n-0,1e-300,7.5e300,4.9e-324\n 2 , 3 ,4,1\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := LoadCSV(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := d.WriteCSV(&b); err != nil {
+			t.Fatalf("accepted dataset does not write: %v", err)
+		}
+		back, err := LoadCSV(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("written dataset does not load: %v\n%s", err, b.String())
+		}
+		if len(back.Positions) != len(d.Positions) {
+			t.Fatalf("round trip has %d rows, want %d", len(back.Positions), len(d.Positions))
+		}
+		bits := math.Float64bits
+		for i, p := range d.Positions {
+			q := back.Positions[i]
+			if bits(p.X) != bits(q.X) || bits(p.Y) != bits(q.Y) || bits(p.Z) != bits(q.Z) {
+				t.Fatalf("row %d position %v came back as %v", i, p, q)
+			}
+			if bits(float64(d.Energies[i])) != bits(float64(back.Energies[i])) {
+				t.Fatalf("row %d energy %v came back as %v", i, d.Energies[i], back.Energies[i])
+			}
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Battery tracks the residual energy of one node. Draws below the
 // remaining charge clamp to zero (the radio browns out mid-transmission);
@@ -12,12 +15,18 @@ type Battery struct {
 	consumed Joules
 }
 
+// ValidCharge reports whether e can be a battery's initial charge:
+// finite and above zero. NaN and +Inf are not.
+func ValidCharge(e Joules) bool {
+	return e > 0 && !math.IsInf(float64(e), 1)
+}
+
 // NewBattery returns a battery holding the given initial charge.
-// It panics on a non-positive charge: a sensor with no battery is a
-// configuration error, not a runtime condition.
+// It panics on a charge that is not finite and positive: a sensor with
+// no battery is a configuration error, not a runtime condition.
 func NewBattery(initial Joules) *Battery {
-	if initial <= 0 {
-		panic(fmt.Sprintf("energy: initial battery charge must be positive, got %v", initial))
+	if !ValidCharge(initial) {
+		panic(fmt.Sprintf("energy: initial battery charge must be finite and positive, got %v", initial))
 	}
 	return &Battery{initial: initial, residual: initial}
 }

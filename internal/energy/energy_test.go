@@ -240,12 +240,36 @@ func TestBatteryDeathLine(t *testing.T) {
 }
 
 func TestNewBatteryPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBattery(0) did not panic")
+	for _, e := range []Joules{0, -1, Joules(math.NaN()), Joules(math.Inf(1)), Joules(math.Inf(-1))} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBattery(%v) did not panic", e)
+				}
+			}()
+			NewBattery(e)
+		}()
+	}
+}
+
+func TestValidCharge(t *testing.T) {
+	for _, c := range []struct {
+		e    Joules
+		want bool
+	}{
+		{5, true},
+		{Joules(math.SmallestNonzeroFloat64), true},
+		{Joules(math.MaxFloat64), true},
+		{0, false},
+		{-1, false},
+		{Joules(math.NaN()), false},
+		{Joules(math.Inf(1)), false},
+		{Joules(math.Inf(-1)), false},
+	} {
+		if got := ValidCharge(c.e); got != c.want {
+			t.Errorf("ValidCharge(%v) = %v, want %v", c.e, got, c.want)
 		}
-	}()
-	NewBattery(0)
+	}
 }
 
 // Property: Tx is monotone non-decreasing in distance.

@@ -85,8 +85,8 @@ func (d Deployment) Validate() error {
 	if !(d.Side > 0) || math.IsInf(d.Side, 0) {
 		return fmt.Errorf("network: cube side must be positive and finite, got %v", d.Side)
 	}
-	if d.InitialEnergy <= 0 {
-		return fmt.Errorf("network: initial energy must be positive, got %v", d.InitialEnergy)
+	if !energy.ValidCharge(d.InitialEnergy) {
+		return fmt.Errorf("network: initial energy must be finite and positive, got %v", d.InitialEnergy)
 	}
 	if d.AdvancedFraction < 0 || d.AdvancedFraction > 1 {
 		return fmt.Errorf("network: advanced fraction %v outside [0,1]", d.AdvancedFraction)
@@ -175,8 +175,8 @@ func FromPositions(positions []geom.Vec3, energies []energy.Joules, box geom.AAB
 		if !p.IsFinite() {
 			return nil, fmt.Errorf("network: position %d not finite: %v", i, p)
 		}
-		if energies[i] <= 0 {
-			return nil, fmt.Errorf("network: energy %d not positive: %v", i, energies[i])
+		if !energy.ValidCharge(energies[i]) {
+			return nil, fmt.Errorf("network: energy %d not finite and positive: %v", i, energies[i])
 		}
 		nodes[i] = &Node{
 			ID:          i,

@@ -55,6 +55,8 @@ func TestDeployValidation(t *testing.T) {
 		{N: 10, Side: 200, InitialEnergy: 0},
 		{N: -5, Side: 200, InitialEnergy: 5},
 		{N: 10, Side: math.Inf(1), InitialEnergy: 5},
+		{N: 10, Side: 200, InitialEnergy: energy.Joules(math.NaN())},
+		{N: 10, Side: 200, InitialEnergy: energy.Joules(math.Inf(1))},
 	}
 	for i, d := range cases {
 		if _, err := Deploy(d, rng.New(1)); err == nil {
@@ -103,8 +105,10 @@ func TestFromPositionsValidation(t *testing.T) {
 	if _, err := FromPositions([]geom.Vec3{{X: math.NaN()}}, []energy.Joules{1}, box, bs); err == nil {
 		t.Fatal("NaN position accepted")
 	}
-	if _, err := FromPositions([]geom.Vec3{{}}, []energy.Joules{0}, box, bs); err == nil {
-		t.Fatal("zero energy accepted")
+	for _, e := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FromPositions([]geom.Vec3{{}, {}}, []energy.Joules{1, energy.Joules(e)}, box, bs); err == nil {
+			t.Errorf("energy %v accepted", e)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package qlearn
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qlec/internal/dataset"
@@ -67,15 +68,19 @@ func fig4Learner(tb testing.TB) (l *Learner, heads, members []int) {
 const fig4Repeats = 16384
 
 // BenchmarkDecideFig4 times one round's worth of routing decisions at
-// the Fig. 4 shape (2896 nodes, 272 heads) through the armed action
-// rows. Every op is the same block: arm the epoch, decide once for
-// every member (each call fills that member's row) and then make
-// fig4Repeats more decisions over the members (each reads a live row).
+// the Fig. 4 shape (2896 nodes, 272 heads) through the armed candidate
+// lists. Every op is the same block: arm the epoch, decide once for
+// every member (each call makes that member's list in a full pass) and
+// then make fig4Repeats more decisions over the members (each reads a
+// live list, and falls back to a full pass when its envelope cannot
+// rule the heads left out). fullpass/decide is the share of decisions
+// that ran a full pass.
 func BenchmarkDecideFig4(b *testing.B) {
 	l, heads, members := fig4Learner(b)
-	l.BeginEpoch(heads) // sizes the rows outside the timed loop
+	l.BeginEpoch(heads) // sizes the lists outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
+	full := l.stats.full
 	for i := 0; i < b.N; i++ {
 		l.BeginEpoch(heads)
 		for _, m := range members {
@@ -87,33 +92,57 @@ func BenchmarkDecideFig4(b *testing.B) {
 	}
 	decisions := float64(b.N) * float64(len(members)+fig4Repeats)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/decisions, "ns/decide")
+	b.ReportMetric(float64(l.stats.full-full)/decisions, "fullpass/decide")
 }
 
-// TestDecideAllocs pins Decide at zero allocations: through armed rows
-// at the Fig. 4 shape, both when the screen evaluates one head exactly
-// and when loosened bounds make it evaluate every head, through the
-// scratch row once the first call has sized it, and with a decision
-// observer installed and then removed.
+// TestDecideAllocs pins Decide at zero allocations: through candidate
+// lists at the Fig. 4 shape — each call a full pass that builds a
+// member's list, each call served by a live list, and each call a
+// rebuild after InvalidateGeometry — and when loosened bounds make the
+// screen evaluate every head; through the scratch row once the first
+// call has sized it; and with a decision observer installed and then
+// removed.
 func TestDecideAllocs(t *testing.T) {
 	l, heads, members := fig4Learner(t)
 	l.BeginEpoch(heads)
 	i := 0
+	full := l.stats.full
 	if a := testing.AllocsPerRun(200, func() {
 		l.Decide(members[i%len(members)], heads)
 		i++
 	}); a != 0 {
-		t.Errorf("armed Decide at the Fig. 4 shape: %v allocs/op, want 0", a)
+		t.Errorf("armed Decide building lists at the Fig. 4 shape: %v allocs/op, want 0", a)
+	}
+	if l.stats.full == full {
+		t.Fatal("no full pass ran")
+	}
+	m := members[0]
+	full = l.stats.full
+	if a := testing.AllocsPerRun(200, func() { l.Decide(m, heads) }); a != 0 {
+		t.Errorf("armed Decide from a live list: %v allocs/op, want 0", a)
+	}
+	if l.stats.full-full > 100 {
+		t.Errorf("%d of 201 decisions of one member ran a full pass, want most served by its list", l.stats.full-full)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		l.InvalidateGeometry()
+		l.Decide(m, heads)
+	}); a != 0 {
+		t.Errorf("armed Decide rebuilding an expired list: %v allocs/op, want 0", a)
 	}
 
 	// k = 10⁶ is far above any head's K = α₁·x + γ·V ≤ 0.05 and any
 	// row's cost, so every bound reaches the best Q and every head is
 	// evaluated exactly; each exact evaluation restores its column's k.
+	// Writing k here bypasses setK, so the test expires the candidate
+	// lists itself, as setK does on a rise.
 	const loose = 1e6
 	loosen := func() {
 		for j := range l.cols {
 			l.cols[j].k = loose
 		}
 		l.kmax = loose
+		l.epoch++
 	}
 	loosen()
 	l.Decide(members[0], heads)
@@ -241,9 +270,9 @@ func TestLinkStoreAllocs(t *testing.T) {
 		t.Errorf("Observe on seen links: %v allocs/op, want 0", a)
 	}
 	l.BeginEpoch(heads)
-	l.Decide(m, heads) // makes m's row live, so Observe updates it too
+	l.Decide(m, heads) // makes m's list live, so Observe updates it too
 	if a := testing.AllocsPerRun(200, observe); a != 0 {
-		t.Errorf("Observe on seen links with a live row: %v allocs/op, want 0", a)
+		t.Errorf("Observe on seen links with a live list: %v allocs/op, want 0", a)
 	}
 }
 
@@ -259,154 +288,201 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// FuzzDecideEpoch is the oracle for the action rows, the screened
+// FuzzDecideEpoch is the oracle for the candidate lists, the screened
 // argmax and the link store: it decodes the input into a sequence of
 // BeginEpoch, Decide, Observe, UpdateHeadValue, node moves with
 // InvalidateGeometry, and battery draws over a small network, and runs
-// it on three learners: one armed by every BeginEpoch with no decision
-// observer, so its Decide screens heads by an upper bound and evaluates
-// few of them exactly; one armed the same way with a decision observer,
-// so its Decide evaluates every head; and one that is never armed
-// (every Decide fills a scratch row by looking up each link). All share
-// the network, the parameters and triplet exploration streams. After
-// every operation the chosen targets, every V and the two observed
-// learners' Decision records must be bit-equal, and every learner's
-// estimate for every directed link must equal a reference map that
-// applies the same prior-then-EWMA update.
+// it on three learners (decideEpoch). listSeeds holds inputs that reach
+// each candidate-list path; TestListSeedsReachPaths pins that they do.
 func FuzzDecideEpoch(f *testing.F) {
 	f.Add([]byte{30, 7, 1, 0, 3, 2, 2, 9, 1, 2, 1, 9, 3, 0, 2, 1, 3, 1, 0, 2, 1, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzBytes(data)
-		n := 2 + in.next()%39
-		seed := uint64(in.next())
-		w, err := network.Deploy(network.Deployment{N: n, Side: 200, InitialEnergy: 5}, rng.New(seed))
-		if err != nil {
+	for _, s := range listSeeds {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { decideEpoch(t, data) })
+}
+
+// decideEpoch runs the FuzzDecideEpoch input data on three learners:
+// one armed by every BeginEpoch with no decision observer, so its
+// Decide reads candidate lists and evaluates few heads exactly; one
+// armed the same way with a decision observer, so its Decide evaluates
+// every head; and one that is never armed (every Decide fills a scratch
+// row by looking up each link). All share the network, the parameters
+// and triplet exploration streams. After every operation the chosen
+// targets, every V and the two observed learners' Decision records must
+// be bit-equal, and every learner's estimate for every directed link
+// must equal a reference map that applies the same prior-then-EWMA
+// update. It returns the first learner's candidate-list counters.
+//
+// The third byte sets ε = 0.3 when odd, and lays the nodes out on a
+// ring around node 0 when bit 1 is set. A head-set byte of 0x80 or
+// more with a nonzero count arms a wide set
+// instead: up to n distinct nodes with consecutive ids, so a set can
+// hold more heads than a candidate list. A target byte of 0x83 or more
+// that selects the fourth case draws the last Decide's return value,
+// so an exploratory pick can be observed.
+func decideEpoch(t *testing.T, data []byte) listStats {
+	in := fuzzBytes(data)
+	n := 2 + in.next()%39
+	seed := uint64(in.next())
+	w, err := network.Deploy(network.Deployment{N: n, Side: 200, InitialEnergy: 5}, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	layout := in.next()
+	if layout%2 == 1 {
+		p.Epsilon = 0.3
+	}
+	if layout&2 != 0 {
+		// A ring: node 0 at the center and the others evenly spaced
+		// around it, so node 0 sees every head at one distance, and
+		// the heads its candidate list leaves out are all but tied
+		// with the listed ones.
+		c := geom.Vec3{X: 100, Y: 100, Z: 50}
+		w.Nodes[0].Pos = c
+		for i := 1; i < n; i++ {
+			a := 2 * math.Pi * float64(i) / float64(n-1)
+			w.Nodes[i].Pos = c.Add(geom.Vec3{X: 40 * math.Cos(a), Y: 40 * math.Sin(a)})
+		}
+	}
+	var ls [3]*Learner
+	for i := range ls {
+		if ls[i], err = NewLearner(w, energy.DefaultModel(), 4000, p); err != nil {
 			t.Fatal(err)
 		}
-		p := DefaultParams()
-		if in.next()%2 == 1 {
-			p.Epsilon = 0.3
+	}
+	screened, armed, plain := ls[0], ls[1], ls[2]
+	names := [...]string{"screened", "armed", "unarmed"}
+	ref := map[[2]int]float64{} // the reference link estimates
+	var decA, decP []Decision
+	armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
+	plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
+	if p.Epsilon > 0 {
+		for _, l := range ls {
+			l.SetExploration(rng.NewNamed(seed, "explore"))
 		}
-		var ls [3]*Learner
-		for i := range ls {
-			if ls[i], err = NewLearner(w, energy.DefaultModel(), 4000, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		screened, armed, plain := ls[0], ls[1], ls[2]
-		names := [...]string{"screened", "armed", "unarmed"}
-		ref := map[[2]int]float64{} // the reference link estimates
-		var decA, decP []Decision
-		armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
-		plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
-		if p.Epsilon > 0 {
-			for _, l := range ls {
-				l.SetExploration(rng.NewNamed(seed, "explore"))
-			}
-		}
+	}
 
-		// node draws an id; target draws the BS, a current or previous
-		// head, or any node.
-		var cur, prev []int
-		node := func() int { return in.next() % n }
-		target := func() int {
-			switch in.next() % 4 {
-			case 0:
-				return network.BSID
-			case 1:
-				if len(cur) > 0 {
-					return cur[in.next()%len(cur)]
+	// node draws an id; target draws the BS, a current or previous
+	// head, the last Decide's target, or any node.
+	var cur, prev []int
+	last := network.BSID
+	node := func() int { return in.next() % n }
+	target := func() int {
+		b := in.next()
+		switch b % 4 {
+		case 0:
+			return network.BSID
+		case 1:
+			if len(cur) > 0 {
+				return cur[in.next()%len(cur)]
+			}
+		case 2:
+			if len(prev) > 0 {
+				return prev[in.next()%len(prev)]
+			}
+		case 3:
+			if b >= 0x80 {
+				return last
+			}
+		}
+		return node()
+	}
+	for op := 0; len(in) > 0; op++ {
+		switch code := in.next() % 7; code {
+		case 0:
+			prev = cur
+			cur = nil
+			b := in.next()
+			if k := b % 7; k > 0 && b >= 0x80 {
+				first, size := node(), 1+in.next()%n
+				cur = make([]int, size)
+				for j := range cur {
+					cur[j] = (first + j) % n
 				}
-			case 2:
-				if len(prev) > 0 {
-					return prev[in.next()%len(prev)]
+				if k%2 == 0 {
+					slices.Reverse(cur)
+				}
+			} else if k > 0 {
+				cur = make([]int, k)
+				for j := range cur {
+					cur[j] = node()
 				}
 			}
-			return node()
+			screened.BeginEpoch(cur)
+			armed.BeginEpoch(cur)
+		case 1, 2:
+			heads := cur
+			if code == 2 {
+				heads = prev
+			}
+			from := node()
+			s, a, b := screened.Decide(from, heads), armed.Decide(from, heads), plain.Decide(from, heads)
+			if s != a || a != b {
+				t.Fatalf("op %d: Decide(%d, %v) = %d screened, %d armed, %d unarmed", op, from, heads, s, a, b)
+			}
+			last = s
+		case 3:
+			from, to, ok := node(), target(), in.next()%3 != 0
+			for _, l := range ls {
+				l.Observe(from, to, ok)
+			}
+			q, seen := ref[[2]int{from, to}]
+			if !seen {
+				q = p.InitialLinkP
+			}
+			x := 0.0
+			if ok {
+				x = 1
+			}
+			ref[[2]int{from, to}] = q + p.LinkAlpha*(x-q)
+		case 4:
+			h := target()
+			if h == network.BSID {
+				h = node()
+			}
+			for _, l := range ls {
+				l.UpdateHeadValue(h)
+			}
+		case 5:
+			id := node()
+			d := float64(in.next()) - 128
+			w.Nodes[id].Pos = w.Nodes[id].Pos.Add(geom.Vec3{X: d / 4, Y: -d / 8, Z: d / 16})
+			for _, l := range ls {
+				l.InvalidateGeometry()
+			}
+		case 6:
+			w.Nodes[node()].Battery.Draw(energy.Joules(in.next()) / 64)
 		}
-		for op := 0; len(in) > 0; op++ {
-			switch code := in.next() % 7; code {
-			case 0:
-				prev = cur
-				cur = nil
-				if k := in.next() % 7; k > 0 {
-					cur = make([]int, k)
-					for j := range cur {
-						cur[j] = node()
-					}
-				}
-				screened.BeginEpoch(cur)
-				armed.BeginEpoch(cur)
-			case 1, 2:
-				heads := cur
-				if code == 2 {
-					heads = prev
-				}
-				from := node()
-				s, a, b := screened.Decide(from, heads), armed.Decide(from, heads), plain.Decide(from, heads)
-				if s != a || a != b {
-					t.Fatalf("op %d: Decide(%d, %v) = %d screened, %d armed, %d unarmed", op, from, heads, s, a, b)
-				}
-			case 3:
-				from, to, ok := node(), target(), in.next()%3 != 0
-				for _, l := range ls {
-					l.Observe(from, to, ok)
-				}
-				q, seen := ref[[2]int{from, to}]
+		for i := 0; i < n; i++ {
+			s, a, b := screened.V(i), armed.V(i), plain.V(i)
+			if math.Float64bits(s) != math.Float64bits(a) || math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("op %d: V(%d) = %v screened, %v armed, %v unarmed", op, i, s, a, b)
+			}
+			for to := network.BSID; to < n; to++ {
+				want, seen := ref[[2]int{i, to}]
 				if !seen {
-					q = p.InitialLinkP
+					want = p.InitialLinkP
 				}
-				x := 0.0
-				if ok {
-					x = 1
-				}
-				ref[[2]int{from, to}] = q + p.LinkAlpha*(x-q)
-			case 4:
-				h := target()
-				if h == network.BSID {
-					h = node()
-				}
-				for _, l := range ls {
-					l.UpdateHeadValue(h)
-				}
-			case 5:
-				id := node()
-				d := float64(in.next()) - 128
-				w.Nodes[id].Pos = w.Nodes[id].Pos.Add(geom.Vec3{X: d / 4, Y: -d / 8, Z: d / 16})
-				for _, l := range ls {
-					l.InvalidateGeometry()
-				}
-			case 6:
-				w.Nodes[node()].Battery.Draw(energy.Joules(in.next()) / 64)
-			}
-			for i := 0; i < n; i++ {
-				s, a, b := screened.V(i), armed.V(i), plain.V(i)
-				if math.Float64bits(s) != math.Float64bits(a) || math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("op %d: V(%d) = %v screened, %v armed, %v unarmed", op, i, s, a, b)
-				}
-				for to := network.BSID; to < n; to++ {
-					want, seen := ref[[2]int{i, to}]
-					if !seen {
-						want = p.InitialLinkP
-					}
-					for k, l := range ls {
-						if got := l.LinkP(i, to); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("op %d: LinkP(%d, %d) = %v %s, want %v", op, i, to, got, names[k], want)
-						}
+				for k, l := range ls {
+					if got := l.LinkP(i, to); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("op %d: LinkP(%d, %d) = %v %s, want %v", op, i, to, got, names[k], want)
 					}
 				}
 			}
-			if len(decA) != len(decP) {
-				t.Fatalf("op %d: %d decisions observed armed, %d unarmed", op, len(decA), len(decP))
-			}
-			for i := range decA {
-				if !sameDecision(decA[i], decP[i]) {
-					t.Fatalf("op %d: decision %d differs:\narmed   %+v\nunarmed %+v", op, i, decA[i], decP[i])
-				}
-			}
-			decA, decP = decA[:0], decP[:0]
 		}
-	})
+		if len(decA) != len(decP) {
+			t.Fatalf("op %d: %d decisions observed armed, %d unarmed", op, len(decA), len(decP))
+		}
+		for i := range decA {
+			if !sameDecision(decA[i], decP[i]) {
+				t.Fatalf("op %d: decision %d differs:\narmed   %+v\nunarmed %+v", op, i, decA[i], decP[i])
+			}
+		}
+		decA, decP = decA[:0], decP[:0]
+	}
+	return screened.stats
 }
 
 // sameDecision reports whether two Decision records are bit-equal.
@@ -423,4 +499,77 @@ func sameDecision(a, b Decision) bool {
 		}
 	}
 	return true
+}
+
+// listSeeds are FuzzDecideEpoch inputs that reach the candidate-list
+// paths; reach checks the counters each must move.
+var listSeeds = []struct {
+	name  string
+	data  []byte
+	reach func(listStats) bool
+}{
+	// ε = 0.3 on a ring of 22: node 0 decides among heads 21..1, its
+	// ACK for the pick is a failure, and its next decision finds the
+	// envelope reaching the best Q and rebuilds; without that full pass
+	// it would return the wrong head.
+	{"envelope-fallback", []byte{0x14, 0xcc, 0x03, 0x00, 0x82, 0x01, 0x14, 0x01, 0x00, 0x03, 0x00,
+		0x83, 0x2d, 0x01},
+		func(s listStats) bool { return s.fallback > 0 }},
+	// A list built, then D falls below d0 before later decisions: the
+	// envelope takes the p_min slope (the p_max slope would miss the
+	// winner).
+	{"falling-d", []byte{0x16, 0x32, 0x01, 0x00, 0x82, 0x00, 0x12, 0x01, 0x17, 0x03, 0x17, 0x83,
+		0xd8, 0x64, 0x47, 0xc9, 0x17, 0x04, 0x01, 0x17, 0x01, 0x17, 0x01, 0x17},
+		func(s listStats) bool { return s.falling > 0 }},
+	// 20 nodes, heads 0..17; member 19 builds its list, head 7 decides
+	// (its V drops to its best Q), then UpdateHeadValue(7) raises head
+	// 7's V mid-epoch, which expires member 19's list: its next
+	// decision is a full pass.
+	{"head-value-raise", []byte{0x12, 0x00, 0, 0, 0x81, 0x00, 0x11, 0x01, 0x13, 0x01, 0x07,
+		0x04, 0x01, 0x07, 0x01, 0x13},
+		func(s listStats) bool { return s.raised > 0 && s.full >= 3 }},
+	// A ring of 18, all heads: head 1's V falls (UpdateHeadValue), so
+	// node 0's list leaves it out; head 1 then decides, which raises
+	// its V back above the others' (each decides and drains its
+	// battery after), so head 1 wins node 0's last decision only if
+	// the raise expired the list.
+	{"head-decide-raise", append(append([]byte{0x10, 0x00, 0x02, 0x00, 0x81, 0x00, 0x11,
+		0x04, 0x01, 0x01, 0x01, 0x00, 0x01, 0x01}, decideAndDrain(2, 17)...), 0x01, 0x00),
+		func(s listStats) bool { return s.raised > 0 }},
+	// ε = 0.3, 20 nodes, heads 0..17; member 19 decides twice, the
+	// second pick exploring a head its list left out, and the ACK for
+	// that pick (target byte 0x83: the last Decide's target) expires
+	// the list.
+	{"explore-outside-list", []byte{0x12, 0x09, 0x01, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13, 0x01, 0x13,
+		0x03, 0x13, 0x83, 0x01},
+		func(s listStats) bool { return s.observed > 0 }},
+	// ε = 0.3 on a ring of 35: an ACK from node 0 for a head its list
+	// left out must expire the list, or node 0's next decision misses
+	// that head.
+	{"observe-left-out", []byte{0x21, 0xb3, 0x03, 0x00, 0x81, 0x01, 0x21, 0x03, 0x00, 0x01, 0xe7,
+		0x01, 0x01, 0x00, 0x03, 0x00, 0x01, 0x16, 0x07, 0x01},
+		func(s listStats) bool { return s.observed > 0 }},
+}
+
+// decideAndDrain encodes, for each node from first to last, a Decide
+// and a battery draw of 255/64 J.
+func decideAndDrain(first, last byte) []byte {
+	var d []byte
+	for j := first; j <= last; j++ {
+		d = append(d, 0x01, j, 0x06, j, 0xff)
+	}
+	return d
+}
+
+// TestListSeedsReachPaths pins each listSeeds input to the path it was
+// made for, so the seeds keep covering the candidate lists as the
+// fuzz decoding or the learner changes.
+func TestListSeedsReachPaths(t *testing.T) {
+	for _, s := range listSeeds {
+		t.Run(s.name, func(t *testing.T) {
+			if got := decideEpoch(t, s.data); !s.reach(got) {
+				t.Errorf("counters %+v miss the path", got)
+			}
+		})
+	}
 }

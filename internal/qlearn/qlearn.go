@@ -152,31 +152,36 @@ type Learner struct {
 	// used to normalize y(·) into [0,1].
 	yNorm float64
 
-	// Head-compact action rows for Decide. BeginEpoch arms them for one
-	// head set — a round's elected heads. Node i's row holds one action
-	// per target in [BS, heads[0], heads[1], ...]: y(i, ·), a pure
-	// function of positions, which only change between rounds, and
-	// P(i, ·), the link estimate with the prior already substituted. A
-	// row fills on the node's first Decide of the epoch — y from the
-	// geometry, P as the prior overlaid with the node's observed links
-	// that have a column — and Observe keeps its P entries current, so
-	// Decide streams k+1 contiguous entries instead of probing the link
-	// store per head. Bumping epoch expires every row at once. The rows
-	// are the learner's largest state, N·(k+1) entries (≈12.6 MB at the
-	// §5.3 shape).
+	// Candidate lists for Decide. BeginEpoch arms them for one head set
+	// — a round's elected heads. Node i's list holds its entry for the
+	// BS and for the candM heads whose screen bounds ranked highest at
+	// its last full pass: y(i, ·), a pure function of positions, which
+	// only change between rounds, and P(i, ·), the link estimate with
+	// the prior already substituted. Beside them it keeps an envelope
+	// that bounds every head left out at once (candRow). A full pass
+	// runs on the node's first Decide of the epoch and whenever its list
+	// has expired or its envelope cannot rule the others out; it fills
+	// a row — y from the geometry, P as the prior overlaid with the
+	// node's observed links that have a column — and ranks it. Observe
+	// keeps the listed P entries current, so most Decide calls read one
+	// node's few hundred bytes instead of a row of k+1 entries. Bumping
+	// epoch expires every list at once. The lists are the learner's
+	// largest state, N·384 B whatever k is (≈1.1 MB at the §5.3 shape).
 	epoch uint64
 	armed bool
 	set   []int     // the caller's head slice, recognized by identity (BeginEpoch)
-	cols  []headCol // cols[j] describes heads[j], column j+1 of every row
+	cols  []headCol // cols[j] describes heads[j], column j+1 of a row
 	kmax  float64   // at least |k| of every armed column
 	col   []int     // target id+1 → its column in a row (BS 0, heads 1..k), −1 for the rest
-	stamp []uint64  // stamp[i] == epoch: node i's row is live
-	rows  []action  // N rows of width k+1, node-major
+	cands []candRow // one per node
 
-	// scratch and scratchCols hold the row of a Decide call whose head
-	// set is not the armed one, filled the same way for that call only.
+	// scratch holds the row of the current Decide call when it needs
+	// one — a full pass, an observed call, or a head set that is not
+	// armed — and scratchCols that unarmed set's columns.
 	scratch     []action
 	scratchCols []headCol
+
+	stats listStats
 
 	updates   uint64
 	lastDelta float64
@@ -244,6 +249,58 @@ type headCol struct {
 	id  int
 	bat *energy.Battery
 	pos geom.Vec3
+}
+
+// candM is the length of a candidate list. It is not a knob: with
+// k ≤ candM the list is the node's whole row and Decide does a full
+// row's work, and a longer list costs more to rank and to read than
+// the full passes it saves at the §5.3 shape.
+const candM = 16
+
+// candRow is one node's candidate list for the armed head set. It is
+// live while stamp equals the learner's epoch. row[0] is the node's BS
+// entry and row[1:n+1] the entries of the listed heads. With at most
+// candM heads the list is the node's whole row: entry i+1 is column i,
+// the node's own column included (the screen skips it), and col is
+// unused. Otherwise the full pass listed the candM heads with the
+// largest bounds s_j(d0), highest first, in columns col[:n], and out
+// describes the heads left out. 48 bytes of header, 17 entries of 16
+// and candM columns of 4.
+type candRow struct {
+	stamp uint64
+	d0    float64
+	out   envelope
+	n     int
+	row   [candM + 1]action
+	col   [candM]int32
+}
+
+// envelope describes the heads a candidate list leaves out: their
+// largest bound b at d0 (−Inf when none is left out) and the range of
+// their P.
+type envelope struct{ b, pmin, pmax float64 }
+
+// leave folds a head left out, with finite bound s and link estimate
+// p, into e.
+func (e *envelope) leave(s, p float64) {
+	if s > e.b {
+		e.b = s
+	}
+	if p < e.pmin {
+		e.pmin = p
+	}
+	if p > e.pmax {
+		e.pmax = p
+	}
+}
+
+// listStats counts candidate-list events for tests and benchmarks.
+type listStats struct {
+	full     uint64 // full passes
+	fallback uint64 // full passes forced by the envelope of a live list
+	falling  uint64 // envelope tests on the p_min slope (D below d0)
+	observed uint64 // lists expired by Observe
+	raised   uint64 // epochs ended by a rise in an armed column's k
 }
 
 // x returns the normalized residual energy of a node, or 1 for the
@@ -323,18 +380,19 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 	return rt + l.params.Gamma*(a.p*vTo+(1-a.p)*vFrom)
 }
 
-// BeginEpoch arms the action rows for one head set — typically a round's
-// elected heads — and expires every row filled so far. Until the next
-// BeginEpoch, Decide(from, heads) calls passing this same slice (same
-// backing array and length; Decide recognizes the armed set by identity,
-// in O(1)) read their actions from from's row, filled on its first such
-// call. The caller must not modify the slice while it is armed; any
-// other slice, even with equal contents, takes the scratch path.
-// Callers whose node positions can change (a mobility model) must call
-// BeginEpoch or InvalidateGeometry afterwards — QLEC arms every round
-// from StartRound, which runs after any movement. Passing nil, or a head
-// set naming a node twice (one column per node could not hold both),
-// disarms the rows, and every Decide fills a scratch row instead.
+// BeginEpoch arms the candidate lists for one head set — typically a
+// round's elected heads — and expires every list built so far. Until
+// the next BeginEpoch, Decide(from, heads) calls passing this same
+// slice (same backing array and length; Decide recognizes the armed set
+// by identity, in O(1)) read their candidates from from's list, built
+// on its first such call. The caller must not modify the slice while it
+// is armed; any other slice, even with equal contents, takes the
+// scratch path. Callers whose node positions can change (a mobility
+// model) must call BeginEpoch or InvalidateGeometry afterwards — QLEC
+// arms every round from StartRound, which runs after any movement.
+// Passing nil, or a head set naming a node twice (one column per node
+// could not hold both), disarms the lists, and every Decide fills a
+// scratch row instead.
 func (l *Learner) BeginEpoch(heads []int) {
 	l.epoch++
 	if l.armed {
@@ -348,7 +406,7 @@ func (l *Learner) BeginEpoch(heads []int) {
 	}
 	n := len(l.v)
 	if l.col == nil {
-		l.stamp = make([]uint64, n)
+		l.cands = make([]candRow, n)
 		l.col = make([]int, n+1)
 		for i := range l.col {
 			l.col[i] = -1
@@ -364,7 +422,6 @@ func (l *Learner) BeginEpoch(heads []int) {
 		}
 		l.col[h+1] = j + 1
 	}
-	l.armed = true
 	l.set = heads
 	l.cols = l.columns(l.cols, heads)
 	l.kmax = 0
@@ -372,17 +429,16 @@ func (l *Learner) BeginEpoch(heads []int) {
 		c := &l.cols[j]
 		l.setK(c, xOf(c.bat), l.v[c.id])
 	}
-	need := n * (len(heads) + 1)
-	if cap(l.rows) < need {
-		l.rows = make([]action, need)
+	l.armed = true
+	if cap(l.scratch) < len(heads)+1 {
+		l.scratch = make([]action, len(heads)+1)
 	}
-	l.rows = l.rows[:need]
 }
 
 // InvalidateGeometry implements cluster.GeometryInvalidator for the
-// learner: node positions changed, so every row's y values are stale.
-// Bumping the epoch expires the rows; each refills on its node's next
-// Decide, from the head positions refreshed here.
+// learner: node positions changed, so every list's y values are stale.
+// Bumping the epoch expires the lists; each is rebuilt on its node's
+// next Decide, from the head positions refreshed here.
 func (l *Learner) InvalidateGeometry() {
 	l.epoch++
 	if l.armed {
@@ -392,36 +448,32 @@ func (l *Learner) InvalidateGeometry() {
 	}
 }
 
-// actionRow returns from's row for the action set [BS, heads...], the
-// heads' columns, and whether heads is the armed set: then the row is
-// the epoch's, filled on from's first call of the epoch, and otherwise
-// a fresh fill into scratch.
-func (l *Learner) actionRow(from int, heads []int) ([]action, []headCol, bool) {
-	w := len(heads) + 1
-	if l.armed && len(heads) == len(l.set) && (len(heads) == 0 || &heads[0] == &l.set[0]) {
-		row := l.rows[from*w : (from+1)*w]
-		if l.stamp[from] != l.epoch {
-			// A sparse block overlays its entries on a row filled with
-			// the prior, in O(k + seen); a direct block is looked up per
-			// target, in O(k).
-			targets, off, sparse := l.links.sparse(from)
-			l.fillRow(row, from, l.cols, !sparse)
-			for i, t := range targets {
-				if c := l.col[t+1]; c >= 0 {
-					row[c].p = l.links.p[off+i]
-				}
-			}
-			l.stamp[from] = l.epoch
+// armedRow fills row, of length k+1, for from over the armed columns
+// and returns it. A sparse link block overlays its entries on a row
+// filled with the prior, in O(k + seen); a direct block is looked up
+// per target, in O(k).
+func (l *Learner) armedRow(row []action, from int) []action {
+	targets, off, sparse := l.links.sparse(from)
+	l.fillRow(row, from, l.cols, !sparse)
+	for i, t := range targets {
+		if c := l.col[t+1]; c >= 0 {
+			row[c].p = l.links.p[off+i]
 		}
-		return row, l.cols, true
 	}
+	return row
+}
+
+// scratchRow fills the scratch row for from over a head set that is not
+// armed, looking each link up, and returns it with the set's columns.
+func (l *Learner) scratchRow(from int, heads []int) ([]action, []headCol) {
+	w := len(heads) + 1
 	if cap(l.scratch) < w {
 		l.scratch = make([]action, w)
 	}
 	row := l.scratch[:w]
 	l.scratchCols = l.columns(l.scratchCols, heads)
 	l.fillRow(row, from, l.scratchCols, true)
-	return row, l.scratchCols, false
+	return row, l.scratchCols
 }
 
 // fillRow computes row = [a(from, BS), a(from, cols[0].id), ...]: y from
@@ -472,9 +524,10 @@ func (l *Learner) SetExploration(s *rng.Stream) { l.explore = s }
 // over the action set (every head plus the base station), refreshes
 // V*(from) to it, and returns the argmax target (a head id or
 // network.BSID). Ties break toward the lower id, BS last, for
-// determinism. On the armed head set with no decision observer, a cheap
-// upper bound rules most heads out before any exact evaluation (screen);
-// the target and V are bit-identical to evaluating every head. With
+// determinism. On the armed head set with no decision observer, the
+// node's candidate list and a cheap upper bound rule most heads out
+// before any exact evaluation (screen); the target and V are
+// bit-identical to evaluating every head. With
 // Epsilon > 0 and an exploration stream installed, it instead returns a
 // head sampled uniformly from the heads other than from itself with
 // probability ε (V is still refreshed from the greedy max, as in
@@ -496,12 +549,19 @@ func (l *Learner) Decide(from int, heads []int) int {
 	if l.decObs != nil {
 		rec = &Decision{Node: from, VBefore: vFrom, EpsRoll: math.NaN()}
 	}
-	row, cols, armed := l.actionRow(from, heads)
+	armed := l.armed && len(heads) == len(l.set) && (len(heads) == 0 || &heads[0] == &l.set[0])
 	best, bestQ, ok := 0, 0.0, false
 	if armed && rec == nil {
-		best, bestQ, ok = l.screen(from, row, cols, xFrom, vFrom)
+		best, bestQ, ok = l.screen(from, xFrom, vFrom)
 	}
 	if !ok {
+		var row []action
+		cols := l.cols
+		if armed {
+			row = l.armedRow(l.scratch[:len(l.cols)+1], from)
+		} else {
+			row, cols = l.scratchRow(from, heads)
+		}
 		best, bestQ = l.scan(from, row, cols, xFrom, vFrom, rec)
 	}
 	l.setV(from, bestQ)
@@ -548,7 +608,8 @@ func (l *Learner) Decide(from int, heads []int) int {
 // scan is the exhaustive argmax of Decide: Eq. (15) evaluated for the
 // BS and then for every head other than from, in column order, each
 // probe appended to rec when a decision observer is installed. It
-// serves observed calls and calls whose head set is not armed.
+// serves observed calls, calls whose head set is not armed, and calls
+// the screen gives up on.
 func (l *Learner) scan(from int, row []action, cols []headCol, xFrom, vFrom float64, rec *Decision) (int, float64) {
 	best := network.BSID
 	bestQ := l.qAction(row[0], xFrom, vFrom, 1, l.vBS, l.params.L)
@@ -588,71 +649,206 @@ const screenSlack = 1e-9
 // D = (α₁−β₁)·x(from) − γ·V(from) and E = β₁·x(from) + γ·V(from) once
 // per call, and K_j = α₁·x(h_j) + γ·V(h_j) per column. A column's k is
 // at least K_j (headCol) and p_j ≥ 0, so s_j = c_j + p_j·(D + k_j) is at
-// least Q_j − E up to rounding. The allowance for rounding is
-// slack(s) = screenSlack·(base + |s|), where base sums the other
-// magnitudes that either evaluation rounds (with 4·kmax covering |k_j|);
-// it exceeds |fl(s_j + E) − fl(Q_j)| about 10⁵-fold, and s + slack(s)
-// grows with s. One pass computes every s_j and keeps the two largest;
-// the BS and the head with the largest are evaluated exactly with
-// qAction, and the others only when the second largest bound reaches
-// the best Q so far — then each head whose own bound does. Every head
-// skipped has exact Q strictly below the final best, so it could neither
-// win nor tie, and scan's rule (higher Q, then any head over the BS,
-// then the lower id) picks the maximum of a total order that does not
-// depend on which heads were evaluated or in what order. Each exact
-// evaluation refreshes its column's k. ok is false when a bound or the
-// BS value is not finite; the caller then scans.
-func (l *Learner) screen(from int, row []action, cols []headCol, xFrom, vFrom float64) (best int, bestQ float64, ok bool) {
+// least Q_j − E up to rounding (bounds.reaches holds the allowance).
+//
+// The call reads from's candidate list (candRow), built by a full pass
+// when it is not live. It evaluates the BS and the listed head with the
+// largest bound exactly, and the other listed heads only when the
+// second largest bound reaches the best Q so far — then each whose own
+// bound does. The heads left out are bounded together: a left-out
+// head's s_j(D) = s_j(d0) + p_j·(D − d0) + p_j·(k_j − k_j at the pass),
+// its k has not risen since (a rise expires every list, setK), and its
+// P has not changed (Observe expires the list first), so
+//
+//	s_j(D) ≤ b + (D − d0)·(pmax if D ≥ d0, else pmin)
+//
+// When that envelope reaches the best Q, a full pass rebuilds the list
+// at D and the call screens it again; if the envelope (now the exact
+// largest left-out bound) still reaches, every head whose own bound
+// does is evaluated from the row the pass filled. Every head skipped
+// has exact Q strictly below the final best, so it could neither win
+// nor tie, and scan's rule (higher Q, then any head over the BS, then
+// the lower id) picks the maximum of a total order that does not depend
+// on which heads were evaluated or in what order. Each exact evaluation
+// refreshes its column's k. ok is false when a bound or the BS value is
+// not finite; the caller then scans.
+func (l *Learner) screen(from int, xFrom, vFrom float64) (best int, bestQ float64, ok bool) {
 	pr := &l.params
-	g, b2, a2b2 := pr.G, pr.Beta2, pr.Alpha2-pr.Beta2
-	d := (pr.Alpha1-pr.Beta1)*xFrom - pr.Gamma*vFrom
-	e := pr.Beta1*xFrom + pr.Gamma*vFrom
-	base := 1 + 2*g + 4*pr.Alpha1 + 2*pr.Beta1 + 4*math.Abs(d) + 2*math.Abs(e) +
+	b := bounds{g: pr.G, b2: pr.Beta2, a2b2: pr.Alpha2 - pr.Beta2}
+	b.d = (pr.Alpha1-pr.Beta1)*xFrom - pr.Gamma*vFrom
+	b.e = pr.Beta1*xFrom + pr.Gamma*vFrom
+	b.base = 1 + 2*b.g + 4*pr.Alpha1 + 2*pr.Beta1 + 4*math.Abs(b.d) + 2*math.Abs(b.e) +
 		2*pr.Gamma*math.Abs(vFrom) + 4*l.kmax
+	c := &l.cands[from]
 	skip := l.col[from+1] - 1 // from's own column, or below 0
-	hr := row[1:][:len(cols)]
-	bound := func(j int) float64 {
-		a := hr[j]
-		return -g - (b2+a.p*a2b2)*a.y + a.p*(d+cols[j].k)
+	full := c.stamp != l.epoch
+	if full && !l.fullPass(c, from, skip, &b) {
+		return 0, 0, false
 	}
-	// reaches reports whether a head with bound s may reach bestQ.
-	reaches := func(s float64) bool {
-		return s+screenSlack*(base+math.Abs(s))+e >= bestQ
+	best, bestQ, rest, ok := l.screenList(c, skip, &b, xFrom, vFrom)
+	if !ok || !rest {
+		return best, bestQ, ok
 	}
-	top, s1, s2 := -1, math.Inf(-1), math.Inf(-1)
-	for j := range cols {
+	if !full {
+		l.stats.fallback++
+		if !l.fullPass(c, from, skip, &b) {
+			return 0, 0, false
+		}
+		if best, bestQ, rest, ok = l.screenList(c, skip, &b, xFrom, vFrom); !ok || !rest {
+			return best, bestQ, ok
+		}
+	}
+	// Only a list that leaves heads out gets here, and its full pass
+	// filled the scratch row.
+	hr := l.scratch[1 : len(l.cols)+1]
+	for j := range l.cols {
+		if j != skip && b.reaches(b.of(hr[j], l.cols[j].k), bestQ) {
+			best, bestQ = l.verify(&l.cols[j], hr[j], xFrom, vFrom, best, bestQ)
+		}
+	}
+	return best, bestQ, true
+}
+
+// bounds holds the per-call terms of the screen: G, β₂, α₂−β₂, D and E,
+// and base, the sum of the other magnitudes that either evaluation
+// rounds (4·kmax covering |k_j|).
+type bounds struct {
+	g, b2, a2b2 float64
+	d, e        float64
+	base        float64
+}
+
+// of is the bound s_j of a head with row entry a and column term k.
+func (b *bounds) of(a action, k float64) float64 {
+	return -b.g - (b.b2+a.p*b.a2b2)*a.y + a.p*(b.d+k)
+}
+
+// reaches reports whether a head with bound s may reach q. The rounding
+// allowance is screenSlack·(base + |s|); it exceeds
+// |fl(s_j + E) − fl(Q_j)| about 10⁵-fold, and s + allowance grows with s.
+func (b *bounds) reaches(s, q float64) bool {
+	return s+screenSlack*(b.base+math.Abs(s))+b.e >= q
+}
+
+// fullPass makes from's list c at the call's D. With at most candM
+// heads it fills the list's row directly. Otherwise it fills the
+// scratch row, ranks every head column but from's own (skip) by its
+// bound, and lists the candM highest, folding the rest into the
+// envelope. It reports false, leaving the list expired, when a bound is
+// not finite.
+func (l *Learner) fullPass(c *candRow, from, skip int, b *bounds) bool {
+	l.stats.full++
+	c.stamp = 0 // expired until the pass completes
+	c.d0 = b.d
+	out := envelope{b: math.Inf(-1), pmin: math.Inf(1), pmax: math.Inf(-1)}
+	k := len(l.cols)
+	if k <= candM {
+		l.armedRow(c.row[:k+1], from)
+		c.out, c.n = out, k
+		c.stamp = l.epoch
+		return true
+	}
+	row := l.armedRow(l.scratch[:k+1], from)
+	hr := row[1:]
+	c.row[0] = row[0]
+	// top holds the listed heads' bounds and columns, highest first.
+	var top [candM]struct {
+		s float64
+		j int
+	}
+	n := 0
+	for j := range l.cols {
 		if j == skip {
 			continue
 		}
-		s := bound(j)
+		s := b.of(hr[j], l.cols[j].k)
 		if s-s != 0 { // NaN or ±Inf
-			return 0, 0, false
+			return false
+		}
+		if n == candM {
+			if !(s > top[n-1].s) {
+				out.leave(s, hr[j].p)
+				continue
+			}
+			n-- // the lowest listed head is left out instead
+			out.leave(top[n].s, hr[top[n].j].p)
+		}
+		i := n
+		for ; i > 0 && s > top[i-1].s; i-- {
+			top[i] = top[i-1]
+		}
+		top[i].s, top[i].j = s, j
+		n++
+	}
+	for i, t := range top[:n] {
+		c.row[i+1], c.col[i] = hr[t.j], int32(t.j)
+	}
+	c.out, c.n = out, n
+	c.stamp = l.epoch
+	return true
+}
+
+// screenList screens list c for an armed call (see screen), skipping
+// from's own column skip: it returns the argmax over the BS and every
+// listed head that may reach it, and rest true when the envelope of the
+// heads left out may reach it too.
+func (l *Learner) screenList(c *candRow, skip int, b *bounds, xFrom, vFrom float64) (best int, bestQ float64, rest, ok bool) {
+	if c.out.b > math.Inf(-1) {
+		// The envelope's b and d0 are rounded like a bound's own
+		// terms; the allowance covers them for every test of the call.
+		w := *b
+		w.base += 4*math.Abs(c.d0) + 2*math.Abs(c.out.b)
+		b = &w
+	}
+	hr, cols := c.row[1:c.n+1], l.cols
+	whole := len(cols) <= candM
+	column := func(i int) int { // the column of entry i
+		if whole {
+			return i
+		}
+		return int(c.col[i])
+	}
+	top, s1, s2 := -1, math.Inf(-1), math.Inf(-1)
+	for i := range hr {
+		j := column(i)
+		if j == skip {
+			continue
+		}
+		s := b.of(hr[i], cols[j].k)
+		if s-s != 0 { // NaN or ±Inf
+			return 0, 0, false, false
 		}
 		if s > s2 {
 			if s > s1 {
-				top, s1, s2 = j, s, s1
+				top, s1, s2 = i, s, s1
 			} else {
 				s2 = s
 			}
 		}
 	}
-	best, bestQ = network.BSID, l.qAction(row[0], xFrom, vFrom, 1, l.vBS, pr.L)
-	if bestQ-bestQ != 0 || base-base != 0 {
-		return 0, 0, false
+	best, bestQ = network.BSID, l.qAction(c.row[0], xFrom, vFrom, 1, l.vBS, l.params.L)
+	if bestQ-bestQ != 0 || b.base-b.base != 0 {
+		return 0, 0, false, false
 	}
-	if top < 0 {
-		return best, bestQ, true
-	}
-	best, bestQ = l.verify(&cols[top], hr[top], xFrom, vFrom, best, bestQ)
-	if !reaches(s2) {
-		return best, bestQ, true
-	}
-	for j := range cols {
-		if j != skip && j != top && reaches(bound(j)) {
-			best, bestQ = l.verify(&cols[j], hr[j], xFrom, vFrom, best, bestQ)
+	if top >= 0 {
+		best, bestQ = l.verify(&cols[column(top)], hr[top], xFrom, vFrom, best, bestQ)
+		if b.reaches(s2, bestQ) {
+			for i := range hr {
+				if j := column(i); i != top && j != skip && b.reaches(b.of(hr[i], cols[j].k), bestQ) {
+					best, bestQ = l.verify(&cols[j], hr[i], xFrom, vFrom, best, bestQ)
+				}
+			}
 		}
 	}
-	return best, bestQ, true
+	if c.out.b > math.Inf(-1) {
+		dd, p := b.d-c.d0, c.out.pmax
+		if dd < 0 {
+			p = c.out.pmin
+			l.stats.falling++
+		}
+		rest = b.reaches(c.out.b+dd*p, bestQ)
+	}
+	return best, bestQ, rest, true
 }
 
 // verify evaluates Eq. (15) exactly for column c with row entry a,
@@ -668,10 +864,18 @@ func (l *Learner) verify(c *headCol, a action, xFrom, vFrom float64, best int, b
 }
 
 // setK sets column c's k to K for residual fraction x and value v, and
-// keeps kmax at or above |k| of every armed column.
+// keeps kmax at or above |k| of every armed column. A rise in an armed
+// column's k ends the epoch: the candidate lists' envelopes assume no
+// left-out head's k grows. QLEC raises none mid-round (heads route
+// straight to the BS, and UpdateHeadValue runs after the round).
 func (l *Learner) setK(c *headCol, x, v float64) {
-	c.k = l.params.Alpha1*x + l.params.Gamma*v
-	if k := math.Abs(c.k); !(k <= l.kmax) {
+	k := l.params.Alpha1*x + l.params.Gamma*v
+	if l.armed && k > c.k {
+		l.epoch++
+		l.stats.raised++
+	}
+	c.k = k
+	if k := math.Abs(k); !(k <= l.kmax) {
 		l.kmax = k
 	}
 }
@@ -689,8 +893,9 @@ func better(candidate, incumbent int) bool {
 // the ACK-driven learning step of §4.2. The update is an exponentially
 // weighted moving average, p += LinkAlpha·(outcome − p): first contact
 // seeds the estimate with the prior so one failure does not zero it,
-// then folds the outcome. When from's action row is live and to is one
-// of its targets, the row's entry takes the new estimate too.
+// then folds the outcome. When from's candidate list is live, a listed
+// target's entry takes the new estimate too, and a new estimate for a
+// head left out expires the list, whose envelope assumed the old one.
 func (l *Learner) Observe(from, to int, success bool) {
 	slot, seen := l.links.slot(from, to)
 	p := l.params.InitialLinkP
@@ -703,10 +908,8 @@ func (l *Learner) Observe(from, to int, success bool) {
 	}
 	p += l.params.LinkAlpha * (x - p)
 	*slot = p
-	if l.armed && l.stamp[from] == l.epoch {
-		if c := l.col[to+1]; c >= 0 {
-			l.rows[from*(len(l.cols)+1)+c].p = p
-		}
+	if l.armed && l.cands[from].stamp == l.epoch {
+		l.observeList(&l.cands[from], to, p)
 	}
 	if l.outObs != nil {
 		r := l.rewardFailure(from, to)
@@ -714,6 +917,27 @@ func (l *Learner) Observe(from, to int, success bool) {
 			r = l.rewardSuccess(from, to)
 		}
 		l.outObs(Outcome{From: from, To: to, Success: success, LinkP: p, Reward: r})
+	}
+}
+
+// observeList brings live list c up to date with estimate p for target
+// to.
+func (l *Learner) observeList(c *candRow, to int, p float64) {
+	j := l.col[to+1]
+	switch {
+	case j == 0:
+		c.row[0].p = p
+	case j > 0 && len(l.cols) <= candM: // the list is the whole row
+		c.row[j].p = p
+	case j > 0:
+		for i, cj := range c.col[:c.n] {
+			if int(cj) == j-1 {
+				c.row[i+1].p = p
+				return
+			}
+		}
+		c.stamp = 0
+		l.stats.observed++
 	}
 }
 

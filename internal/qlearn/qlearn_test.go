@@ -447,7 +447,8 @@ func TestUpdatesCountsX(t *testing.T) {
 
 // BenchmarkDecide measures the unarmed path: no BeginEpoch, so every
 // call fills the scratch row for its five heads from the geometry and
-// the dense link table. BenchmarkDecideFig4 measures the armed rows.
+// the link store. BenchmarkDecideFig4 measures the armed candidate
+// lists.
 func BenchmarkDecide(b *testing.B) {
 	w, _ := network.Deploy(network.Deployment{N: 100, Side: 200, InitialEnergy: 5}, rng.New(1))
 	l, _ := NewLearner(w, energy.DefaultModel(), 4000, DefaultParams())

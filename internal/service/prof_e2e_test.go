@@ -200,6 +200,28 @@ func TestFleetCostFederation(t *testing.T) {
 		t.Fatalf("distributed sweep job resources = %+v, want the summed cell bills", done.Resources)
 	}
 
+	// Federation scrapes only the peers n1's roster holds ready, and a
+	// loaded machine can miss a heartbeat while the sweep runs: wait
+	// (bounded) for the roster to settle, then read which scrapes
+	// succeeded from the same response the sums come from, so a dropped
+	// peer fails by name rather than as a sum mismatch.
+	waitForRoster(t, nodes...)
+	fexp, err := obs.ParseExposition(bytes.NewReader(httpGet(t, n1.url+"/metrics/federate")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := map[string]float64{}
+	if f := fexp.Family("qlecd_federate_peer_up"); f != nil {
+		for _, s := range f.Samples {
+			up[s.Label(obs.InstanceLabel)] = s.Value
+		}
+	}
+	for _, n := range nodes {
+		if v, ok := up[n.url]; !ok || v != 1 {
+			t.Fatalf("federation did not scrape peer %s (qlecd_federate_peer_up = %v, present %v)", n.url, v, ok)
+		}
+	}
+
 	for _, name := range []string{"qlecd_job_alloc_bytes_total", "qlecd_job_cpu_seconds_total"} {
 		perPeer := 0.0
 		series := 0
@@ -219,10 +241,6 @@ func TestFleetCostFederation(t *testing.T) {
 				perPeer += s.Value
 				series++
 			}
-		}
-		fexp, err := obs.ParseExposition(bytes.NewReader(httpGet(t, n1.url+"/metrics/federate")))
-		if err != nil {
-			t.Fatal(err)
 		}
 		fed := 0.0
 		if f := fexp.Family(name); f != nil {
