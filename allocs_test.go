@@ -19,7 +19,7 @@ func TestFig3aQLECAllocs(t *testing.T) {
 	for _, c := range []struct {
 		lambda float64
 		limit  float64
-	}{{8, 634}, {2, 680}} {
+	}{{8, 503}, {2, 503}} {
 		var err error
 		got := testing.AllocsPerRun(10, func() {
 			if _, e := cfg.RunOne(context.Background(), experiment.QLEC, c.lambda, 1, false); e != nil {

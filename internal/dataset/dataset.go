@@ -221,7 +221,10 @@ func Synthesize(c SynthConfig) (*Dataset, error) {
 // converts rows for the given country code into a Dataset. Capacity in MW
 // maps linearly onto energy so that the mean is meanEnergy; latitude and
 // longitude map into a Side×Side square; heights are assigned uniformly
-// in [0, maxHeight) from the provided stream, as the paper does.
+// in [0, maxHeight) from the provided stream, as the paper does. Rows
+// whose capacity is not finite and positive, or whose latitude or
+// longitude is not a coordinate (NaN, ±Inf, beyond ±90 or ±180), are
+// skipped; a returned Dataset always passes Validate.
 func LoadWRICSV(src io.Reader, country string, side, maxHeight float64, meanEnergy energy.Joules, r *rng.Stream) (*Dataset, error) {
 	rd := csv.NewReader(src)
 	rd.FieldsPerRecord = -1
@@ -233,10 +236,13 @@ func LoadWRICSV(src io.Reader, country string, side, maxHeight float64, meanEner
 	for i, name := range header {
 		col[strings.TrimSpace(strings.ToLower(name))] = i
 	}
+	width := 0 // fields a row needs to reach every column read below
 	for _, need := range []string{"country", "capacity_mw", "latitude", "longitude"} {
-		if _, ok := col[need]; !ok {
+		i, ok := col[need]
+		if !ok {
 			return nil, fmt.Errorf("dataset: WRI CSV missing column %q", need)
 		}
+		width = max(width, i+1)
 	}
 	var lats, lons, caps []float64
 	for {
@@ -247,13 +253,14 @@ func LoadWRICSV(src io.Reader, country string, side, maxHeight float64, meanEner
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading WRI row: %w", err)
 		}
-		if !strings.EqualFold(strings.TrimSpace(rec[col["country"]]), country) {
+		if len(rec) < width || !strings.EqualFold(strings.TrimSpace(rec[col["country"]]), country) {
 			continue
 		}
 		capMW, err1 := strconv.ParseFloat(strings.TrimSpace(rec[col["capacity_mw"]]), 64)
 		lat, err2 := strconv.ParseFloat(strings.TrimSpace(rec[col["latitude"]]), 64)
 		lon, err3 := strconv.ParseFloat(strings.TrimSpace(rec[col["longitude"]]), 64)
-		if err1 != nil || err2 != nil || err3 != nil || capMW <= 0 {
+		if err1 != nil || err2 != nil || err3 != nil || !energy.ValidCharge(energy.Joules(capMW)) ||
+			!(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 180) {
 			continue // the real file has gaps; skip unusable rows
 		}
 		lats, lons, caps = append(lats, lat), append(lons, lon), append(caps, capMW)
@@ -287,6 +294,11 @@ func LoadWRICSV(src io.Reader, country string, side, maxHeight float64, meanEner
 		d.Energies = append(d.Energies, energy.Joules(caps[i]/meanCap)*meanEnergy)
 	}
 	d.BS = geom.Vec3{X: side / 2, Y: side / 2, Z: maxHeight / 2}
+	// Usable rows can still give unusable nodes: capacities whose sum
+	// overflows, or one so small beside the mean that its energy is 0.
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: WRI rows for %q: %w", country, err)
+	}
 	return d, nil
 }
 

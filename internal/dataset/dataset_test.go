@@ -170,6 +170,46 @@ func TestLoadWRICSVErrors(t *testing.T) {
 	}
 }
 
+// TestLoadWRICSVSkipsUnusableRows feeds rows whose capacity, latitude
+// or longitude parses to NaN, ±Inf or a place off the globe, or that
+// stop short of the longitude column, between two good rows: each must
+// be skipped like a blank field, not poison the mean capacity or the
+// bounding box, nor index past the row.
+func TestLoadWRICSVSkipsUnusableRows(t *testing.T) {
+	const header = "country,name,capacity_mw,latitude,longitude\n"
+	for _, bad := range []string{
+		"CHN,b,NaN,31,111",
+		"CHN,b,Inf,31,111",
+		"CHN,b,+Inf,31,111",
+		"CHN,b,-Inf,31,111",
+		"CHN,b,100,NaN,111",
+		"CHN,b,100,Inf,111",
+		"CHN,b,100,31,NaN",
+		"CHN,b,100,31,-Inf",
+		"CHN,b,100,91,111",
+		"CHN,b,100,31,1e300",
+		"CHN,b,100,31",
+	} {
+		src := header + "CHN,a,100,30,110\n" + bad + "\nCHN,c,50,32,112\n"
+		d, err := LoadWRICSV(strings.NewReader(src), "CHN", 1000, 100, 5, rng.New(4))
+		if err != nil {
+			t.Errorf("%s: %v", bad, err)
+			continue
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: loaded dataset fails Validate: %v", bad, err)
+		}
+		if len(d.Energies) != 2 || d.Energies[0] != 2*d.Energies[1] {
+			t.Errorf("%s: energies %v, want the two good rows at 2:1", bad, d.Energies)
+		}
+	}
+	// Finite capacities whose sum overflows leave nothing usable.
+	src := header + "CHN,a,1e308,30,110\nCHN,b,1e308,31,111\n"
+	if _, err := LoadWRICSV(strings.NewReader(src), "CHN", 1000, 100, 5, rng.New(4)); err == nil {
+		t.Error("capacities overflowing the mean accepted")
+	}
+}
+
 func TestDatasetWriteCSV(t *testing.T) {
 	c := DefaultSynthConfig()
 	c.N = 4
@@ -298,6 +338,22 @@ func FuzzLoadCSV(f *testing.F) {
 			if bits(float64(d.Energies[i])) != bits(float64(back.Energies[i])) {
 				t.Fatalf("row %d energy %v came back as %v", i, d.Energies[i], back.Energies[i])
 			}
+		}
+	})
+}
+
+// FuzzLoadWRICSV feeds arbitrary text to the WRI loader. It must never
+// panic, and any dataset it returns must pass Validate.
+func FuzzLoadWRICSV(f *testing.F) {
+	f.Add(wriSample)
+	f.Add("country,name,capacity_mw,latitude,longitude\nCHN,a,100,30,110\nCHN,b,NaN,31,111\nCHN,c,50,32,112\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := LoadWRICSV(strings.NewReader(src), "CHN", 1000, 100, 5, rng.New(5))
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted dataset fails Validate: %v", err)
 		}
 	})
 }

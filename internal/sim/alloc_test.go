@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"qlec/internal/cluster"
 	"qlec/internal/energy"
 	"qlec/internal/network"
+	"qlec/internal/rng"
 )
 
 // fixedProto is a zero-allocation protocol: fixed heads, hop map
@@ -94,5 +97,41 @@ func TestRoundKernelAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Fatalf("steady-state round allocates %.1f objects, want <= 8", allocs)
+	}
+}
+
+// TestEngineMemoryFig4Shape pins the engine's memory at the Fig. 4
+// shape (N=2896, k=272): NewEngine plus the first Step allocates O(N)
+// bytes, with no link-geometry state per (node, head) pair. The
+// N·(k+1)·20 B cache the per-sender memo replaced was 15.8 MB on its
+// own. The protocol allocates nothing after construction, so the bytes
+// are the engine's.
+func TestEngineMemoryFig4Shape(t *testing.T) {
+	w, err := network.Deploy(network.Deployment{N: 2896, Side: 1000, InitialEnergy: 5}, rng.New(52))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := make([]int, 272)
+	for j := range heads {
+		heads[j] = j * w.N() / len(heads)
+	}
+	proto := newFixedProto(w, heads)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := NewEngine(w, proto, energy.DefaultModel(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewEngine + first Step at N=%d, k=%d: %d bytes", w.N(), len(heads), b)
+	if b > 5<<20 { // measured ≈3.9 MB; with the N·(k+1) cache ≈19.7 MB
+		t.Errorf("NewEngine + first Step at N=%d, k=%d allocated %d bytes, want under 5 MB", w.N(), len(heads), b)
 	}
 }

@@ -47,8 +47,11 @@ type Engine struct {
 	fused          []fusedBuf
 
 	// queuePool recycles head queues across rounds; without it every
-	// round allocates K fresh queues plus their ring storage.
+	// round allocates K fresh queues plus their ring storage. fusedPool
+	// does the same for the fused-packet buffers, which would otherwise
+	// stay with every node that has ever been a head.
 	queuePool []*packet.Queue
+	fusedPool [][]packet.Packet
 
 	// Base-station receive pipeline for in-round packets (direct-to-BS
 	// traffic, FCM terminal hops). Finite, per Config.BSQueueCapacity.
@@ -92,21 +95,18 @@ type Engine struct {
 	posBuf   []geom.Vec3
 	headsBuf []int
 
-	// Per-round link-geometry cache. The hop distance and the base
+	// Per-sender link-geometry memo. The hop distance and the base
 	// channel probability LinkPMax·exp(−(d/LinkRef)²) are pure functions
-	// of positions that are frozen for the round, yet the hot path
-	// recomputed the sqrt on every transmit and the exp on every
-	// arrival. Rows are indexed from·(K+1)+slot where slot 0 is
-	// the BS and slot 1+j is geomHeads[j]; cells fill lazily (stamped
-	// with geomRound) so only links actually exercised pay the math.
-	// Cached and fresh values are bit-identical — the same expressions
-	// on the same inputs — so results are unchanged (DESIGN.md §8).
-	geomHeads []int
-	geomSlot  []int32 // node id → row slot, -1 when not a head this round
-	geomStamp []uint32
+	// of positions, which only change between rounds, so each node keeps
+	// the geometry of the last link it used: a sender mostly transmits
+	// to one head per round, and a miss just recomputes and overwrites.
+	// An entry is valid while its round equals geomRound, which
+	// setupHeads bumps; round 0 never counts, so the zeroed entries of a
+	// new engine cannot hit. Memoized and fresh values are bit-identical
+	// — the same expressions on the same inputs — so results are
+	// unchanged (DESIGN.md §8).
+	geomMemo  []geomMemo
 	geomRound uint32
-	geomD     []float64
-	geomP     []float64
 
 	// breakdown tallies consumption by radio activity.
 	breakdown metrics.EnergyBreakdown
@@ -118,6 +118,15 @@ type Engine struct {
 	access   stats.Accumulator
 	hops     stats.Accumulator
 	roundLat stats.Accumulator
+}
+
+// geomMemo is one sender's most recently used link: its target, the
+// hop distance and the base channel probability, stamped with the round
+// that computed them.
+type geomMemo struct {
+	round  uint32
+	target int32
+	d, p   float64
 }
 
 // fusedBuf accumulates a head's serviced packets awaiting the
@@ -150,6 +159,7 @@ func NewEngine(w *network.Network, proto cluster.Protocol, model energy.Model, c
 		queues:         make([]*packet.Queue, w.N()),
 		servicePending: make([]bool, w.N()),
 		fused:          make([]fusedBuf, w.N()),
+		geomMemo:       make([]geomMemo, w.N()),
 	}
 	e.main.e = e
 	traffic := rng.NewNamed(cfg.Seed, "sim/traffic")
@@ -301,26 +311,14 @@ func (e *Engine) runRound(r int) []int {
 // schedule, byte for byte.
 func (e *Engine) runEvents(heads []int, roundStart, roundEnd float64) {
 	l := &e.main
-	l.hold = e.proto.RelayMode() == cluster.HoldAndBurst
-	l.now = roundStart
-	l.inFlight = 0
-	l.bsPending = false
-	l.nextPkt = e.nextPkt
-	l.events.Reset()
-	l.nodes = l.nodes[:0]
-	for id := range e.net.Nodes {
-		if e.alive(id) {
-			l.nodes = append(l.nodes, int32(id))
-		}
-	}
-	l.buildGen(roundStart, roundEnd)
+	l.begin(roundStart, roundEnd)
 	l.drain(roundEnd)
 	l.endOfRound(heads)
 	e.nextPkt = l.nextPkt
 }
 
 // setupHeads resets per-round head state, recycling last round's queues
-// through the pool instead of allocating fresh ones.
+// and fused buffers through the pools instead of allocating fresh ones.
 func (e *Engine) setupHeads(heads []int) {
 	for i := range e.isHead {
 		e.isHead[i] = false
@@ -331,7 +329,10 @@ func (e *Engine) setupHeads(heads []int) {
 			e.queues[i] = nil
 		}
 		e.fused[i].bits = 0
-		e.fused[i].pkts = e.fused[i].pkts[:0]
+		if p := e.fused[i].pkts; p != nil {
+			e.fusedPool = append(e.fusedPool, p[:0])
+			e.fused[i].pkts = nil
+		}
 	}
 	for _, h := range heads {
 		e.isHead[h] = true
@@ -341,41 +342,23 @@ func (e *Engine) setupHeads(heads []int) {
 		} else {
 			e.queues[h] = packet.NewQueue(e.cfg.QueueCapacity)
 		}
+		if n := len(e.fusedPool); n > 0 {
+			e.fused[h].pkts = e.fusedPool[n-1]
+			e.fusedPool = e.fusedPool[:n-1]
+		}
 	}
 	if e.bsQueue == nil {
 		e.bsQueue = packet.NewQueue(e.cfg.BSQueueCapacity)
 	} else {
 		e.bsQueue.Reset()
 	}
-	e.armGeom(heads)
-}
-
-// armGeom points the link-geometry cache at this round's head set and
-// invalidates every cell by bumping the round stamp.
-func (e *Engine) armGeom(heads []int) {
-	if e.geomSlot == nil {
-		e.geomSlot = make([]int32, len(e.net.Nodes))
-		for i := range e.geomSlot {
-			e.geomSlot[i] = -1
-		}
+	// Positions may have moved since the last round: retire every memo
+	// entry. On wrap-around the entries are cleared so a stamp from 2³²
+	// rounds ago cannot match again.
+	if e.geomRound++; e.geomRound == 0 {
+		clear(e.geomMemo)
+		e.geomRound = 1
 	}
-	for _, h := range e.geomHeads {
-		e.geomSlot[h] = -1
-	}
-	e.geomHeads = append(e.geomHeads[:0], heads...)
-	for j, h := range heads {
-		e.geomSlot[h] = int32(j + 1)
-	}
-	e.geomRound++
-	need := len(e.net.Nodes) * (len(heads) + 1)
-	if cap(e.geomStamp) < need {
-		e.geomStamp = make([]uint32, need)
-		e.geomD = make([]float64, need)
-		e.geomP = make([]float64, need)
-	}
-	e.geomStamp = e.geomStamp[:need]
-	e.geomD = e.geomD[:need]
-	e.geomP = e.geomP[:need]
 }
 
 // chargeControl bills the per-round control traffic: every head

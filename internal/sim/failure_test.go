@@ -277,9 +277,12 @@ func TestShadowingDisabledMatchesBaseModel(t *testing.T) {
 	e, _ := NewEngine(w, &stubProtocol{net: w, heads: []int{10}}, energy.DefaultModel(), cfg)
 	d := e.dist(3, 10)
 	want := cfg.LinkPMax * math.Exp(-(d/cfg.LinkRef)*(d/cfg.LinkRef))
-	_, pBase := e.main.geom(3, 10)
-	if math.Abs(pBase-want) > 1e-12 {
-		t.Fatalf("geom base probability = %v, want %v", pBase, want)
+	e.setupHeads([]int{10})
+	var pBase float64
+	for i := 0; i < 2; i++ { // a memo miss, then a hit
+		if _, pBase = e.main.geom(3, 10); math.Abs(pBase-want) > 1e-12 {
+			t.Fatalf("geom base probability = %v, want %v", pBase, want)
+		}
 	}
 	if got := e.main.linkP(3, 10, pBase); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("linkP with shadowing off = %v, want %v", got, want)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 
+	"qlec/internal/cluster"
 	"qlec/internal/energy"
 	"qlec/internal/metrics"
 	"qlec/internal/network"
@@ -84,34 +85,20 @@ func (l *lane) drawFusion(id int, amount energy.Joules, pkt packet.ID, hasPkt bo
 }
 
 // geom returns the hop distance and the base channel probability
-// LinkPMax·exp(−(d/LinkRef)²) for a (from, target) link, served from
-// the engine's per-round cache when the target is the BS or one of the
-// round's heads (slot 0 and slots 1+j respectively; see
-// Engine.armGeom). Anything else — stub protocols routing to non-heads,
-// tests that skip setupHeads — computes directly. Cached and fresh
-// values are bit-identical.
+// LinkPMax·exp(−(d/LinkRef)²) for a (from, target) link, served from the
+// sender's memo entry when it holds this round's geometry for the same
+// target (see Engine.geomMemo) and recomputed into it otherwise. Before
+// the first setupHeads the round stamp is 0 and nothing hits.
 func (l *lane) geom(from, target int) (float64, float64) {
 	e := l.e
-	if e.geomSlot != nil {
-		slot := int32(0)
-		if target != network.BSID {
-			slot = e.geomSlot[target]
-		}
-		if slot >= 0 {
-			cell := from*(len(e.geomHeads)+1) + int(slot)
-			if e.geomStamp[cell] != e.geomRound {
-				d := e.dist(from, target)
-				x := d / e.cfg.LinkRef
-				e.geomD[cell] = d
-				e.geomP[cell] = e.cfg.LinkPMax * math.Exp(-x*x)
-				e.geomStamp[cell] = e.geomRound
-			}
-			return e.geomD[cell], e.geomP[cell]
-		}
+	m := &e.geomMemo[from]
+	if m.target == int32(target) && m.round == e.geomRound && m.round != 0 {
+		return m.d, m.p
 	}
 	d := e.dist(from, target)
 	x := d / e.cfg.LinkRef
-	return d, e.cfg.LinkPMax * math.Exp(-x*x)
+	*m = geomMemo{round: e.geomRound, target: int32(target), d: d, p: e.cfg.LinkPMax * math.Exp(-x*x)}
+	return m.d, m.p
 }
 
 // linkP returns the link success probability from node `from` to
@@ -133,6 +120,26 @@ func (l *lane) linkP(from, target int, pBase float64) float64 {
 		p *= math.Exp(-e.cfg.ContentionGamma * float64(l.inFlight-1))
 	}
 	return p
+}
+
+// begin resets the lane for a round: an empty event queue at
+// roundStart, the alive nodes as generation sources and their pre-drawn
+// generation schedule.
+func (l *lane) begin(roundStart, roundEnd float64) {
+	e := l.e
+	l.hold = e.proto.RelayMode() == cluster.HoldAndBurst
+	l.now = roundStart
+	l.inFlight = 0
+	l.bsPending = false
+	l.nextPkt = e.nextPkt
+	l.events.Reset()
+	l.nodes = l.nodes[:0]
+	for id := range e.net.Nodes {
+		if e.alive(id) {
+			l.nodes = append(l.nodes, int32(id))
+		}
+	}
+	l.buildGen(roundStart, roundEnd)
 }
 
 // buildGen pre-draws every node's Poisson generation chain for the
@@ -229,20 +236,22 @@ func (l *lane) handleGenerate(id int) {
 func (l *lane) transmit(pkt packet.Packet, from, attempt int) {
 	e := l.e
 	target := e.proto.NextHop(from)
-	d, _ := l.geom(from, target)
+	d, pBase := l.geom(from, target)
 	l.drawTx(from, e.calc.Tx(pkt.Bits, d), pkt.ID, true)
 	l.inFlight++
 	l.trace(TraceEvent{Kind: TraceSend, Packet: pkt.ID, Node: from, Target: target, Attempt: attempt})
 	ev := l.pushAt(e.cfg.TxDelay(pkt.Bits), evArrive)
-	ev.node, ev.target, ev.attempt, ev.pkt = from, target, attempt, pkt
+	ev.node, ev.target, ev.attempt, ev.pkt, ev.pBase = from, target, attempt, pkt, pBase
 }
 
-// handleArrive resolves a transmission attempt at its target.
+// handleArrive resolves a transmission attempt at its target. The base
+// channel probability rides on the event from transmit: drain runs a
+// round's events to completion and nodes move only between rounds, so
+// the geometry cannot have changed while the arrival was pending.
 func (l *lane) handleArrive(ev *event) {
 	e := l.e
 	from, target := ev.node, ev.target
-	_, pBase := l.geom(from, target)
-	linkOK := e.link.Float64() < l.linkP(from, target, pBase)
+	linkOK := e.link.Float64() < l.linkP(from, target, ev.pBase)
 	if l.inFlight > 0 {
 		l.inFlight--
 	}

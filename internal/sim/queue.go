@@ -28,9 +28,10 @@ type event struct {
 	seq  uint64 // tie-break so equal-time events order deterministically
 	kind eventKind
 
-	node    int // generator / retrier / servicing head
-	target  int // transmission target (evArrive)
-	attempt int // transmission attempt number, 0-based
+	node    int     // generator / retrier / servicing head
+	target  int     // transmission target (evArrive)
+	attempt int     // transmission attempt number, 0-based
+	pBase   float64 // base channel probability of the link (evArrive)
 	pkt     packet.Packet
 }
 
