@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service serve bench bench-pair figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
+.PHONY: all build test race race-service serve bench bench-pair bench-pair-service figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
 
 all: build test
 
@@ -92,6 +92,54 @@ bench-pair:
 				for (p = 1; p <= 10; p++) a[p] = r[c, p]; \
 				m = median(a, 10); verdict = m > 1.10 ? "FAIL" : "ok"; if (m > 1.10) bad = 1; \
 				printf "median head/base %s: %.3f (limit 1.10) %s\n", cells[c], m, verdict } \
+			exit bad }' "$$T/runs"
+
+# End-to-end paired gate on bench/'s service-mixed workload (an
+# in-process qlecd under 2 closed-loop clients). It unpacks BASE with
+# git archive like bench-pair, then runs `bash bench/run.sh --workload
+# service-mixed --seconds 5` on each side in 3 alternating pairs (each
+# side builds its own benchmark binary) and prints every run's
+# end-to-end metrics and both sides' medians. It fails when a run
+# reports failed operations or no result, or when HEAD's median
+# peak_rss_mb exceeds 1.10x BASE's, the bound BENCHMARK.json sets for
+# peak RSS. Throughput and latency are printed, not gated: 3 pairs of
+# 5 s runs on a shared runner are too few to judge their 0.25 bounds.
+bench-pair-service:
+	@set -e; \
+	REV=$$(git rev-parse --verify "$(BASE)^{commit}"); \
+	T=$$(mktemp -d); trap 'rm -rf "$$T"' EXIT INT TERM; \
+	mkdir "$$T/base"; git archive "$$REV" | tar -x -C "$$T/base"; \
+	run() { \
+		if [ "$$1" = base ]; then D="$$T/base"; else D=.; fi; \
+		(cd "$$D" && bash bench/run.sh --workload service-mixed --seconds 5) >"$$T/out" 2>&1 || true; \
+		J=$$(tail -n 1 "$$T/out"); \
+		val() { echo "$$J" | sed -n "s/.*\"$$1\":{\"value\":\([^,}]*\).*/\1/p"; }; \
+		F=$$(echo "$$J" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p'); \
+		if [ -z "$$F" ] || [ -z "$$(val peak_rss_mb)" ]; then cat "$$T/out" >&2; echo "bench-pair-service: $$1 run of pair $$2 gave no result" >&2; exit 1; fi; \
+		echo "$$2 $$3 $$1 $$F $$(val setup_s) $$(val ops_per_s) $$(val latency_ms_p75) $$(val peak_rss_mb)" >>"$$T/runs"; \
+	}; \
+	for P in 1 2 3; do \
+		if [ $$((P % 2)) = 1 ]; then run base $$P base; run head $$P base; \
+		else run head $$P head; run base $$P head; fi; \
+		echo "bench-pair-service: pair $$P/3 done" >&2; \
+	done; \
+	echo "bench-pair-service: BASE $$(git rev-parse --short "$$REV") vs working tree $$(git describe --always --dirty); nproc $$(nproc); service-mixed, 3 pairs of 5 s runs"; \
+	awk 'function median(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
+			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
+		BEGIN { printf "%-4s %-5s %-4s %6s %9s %9s %9s %11s\n", "pair", "first", "side", "failed", "setup_s", "ops_per_s", "p75_ms", "peak_rss_mb" } \
+		{ printf "%-4d %-5s %-4s %6d %9.4f %9.2f %9.2f %11.2f\n", $$1, $$2, $$3, $$4, $$5, $$6, $$7, $$8; \
+			n[$$3]++; failed += $$4; for (m = 5; m <= 8; m++) v[$$3, m, n[$$3]] = $$(m) } \
+		END { \
+			split("setup_s ops_per_s latency_ms_p75 peak_rss_mb", names, " "); \
+			for (m = 5; m <= 8; m++) { \
+				for (i = 1; i <= n["base"]; i++) a[i] = v["base", m, i]; mb[m] = median(a, n["base"]); \
+				for (i = 1; i <= n["head"]; i++) a[i] = v["head", m, i]; mh[m] = median(a, n["head"]); \
+				printf "median %-15s base %10.4f head %10.4f head/base %.3f\n", names[m - 4], mb[m], mh[m], mh[m] / mb[m] } \
+			bad = 0; \
+			if (failed > 0) { print "bench-pair-service: FAIL, " failed " failed operations"; bad = 1 } \
+			if (mh[8] > 1.10 * mb[8]) { printf "bench-pair-service: FAIL, median peak_rss_mb head/base %.3f exceeds 1.10\n", mh[8] / mb[8]; bad = 1 } \
+			if (!bad) print "bench-pair-service: ok"; \
 			exit bad }' "$$T/runs"
 
 # Regenerate every figure at full scale into ./figs (a few minutes).

@@ -19,7 +19,7 @@
 //	      [-drain-timeout 30s] [-log-level info] [-log-format text]
 //	      [-self http://host:8080] [-peers url,url] [-join url]
 //	      [-cell-workers 0] [-lease-ttl 15s]
-//	      [-trace-history 256] [-audit-history 64]
+//	      [-trace-history 256]
 //	      [-pprof] [-pprof-block] [-pprof-mutex] [-version] [-quiet]
 //
 // API (see README "Running as a service" for curl examples):
@@ -30,8 +30,10 @@
 //	DELETE /v1/jobs/{id}        cancel (idempotent; next round boundary)
 //	GET    /v1/jobs/{id}/events SSE progress stream
 //	GET    /v1/jobs/{id}/trace  Chrome trace_event JSON for the job
-//	GET    /v1/jobs/{id}/audit  flight-recorder artifact (single runs;
-//	                            inspect with cmd/qlecaudit)
+//	GET    /v1/jobs/{id}/audit  flight-recorder artifact of a finished
+//	                            single run, rebuilt on request by
+//	                            replaying the job (inspect with
+//	                            cmd/qlecaudit)
 //	POST   /v1/batches          submit many configs as one batch
 //	GET    /v1/batches          list batches
 //	GET    /v1/batches/{id}     batch state (per-config table)
@@ -101,7 +103,6 @@ func main() {
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
 		traceHistory = flag.Int("trace-history", 256, "traces retained in the span store (FIFO eviction; each keeps up to 20000 spans)")
-		auditHistory = flag.Int("audit-history", 64, "per-job audit artifacts retained (FIFO eviction)")
 	)
 	logCfg := cli.LogFlags(flag.CommandLine)
 	prof := cli.ProfileFlags(flag.CommandLine)
@@ -146,7 +147,6 @@ func main() {
 		Logger:       logger,
 		Pprof:        *enablePprof,
 		TraceHistory: *traceHistory,
-		AuditHistory: *auditHistory,
 		Fleet: service.FleetOptions{
 			Self:        *self,
 			Peers:       peers,

@@ -137,12 +137,3 @@ func newFleetCollectors(r *obs.Registry, s *Server) {
 	r.GaugeFunc("qlecd_batches_open", "Batches not yet in a terminal state.",
 		func() float64 { return float64(s.openBatches()) })
 }
-
-// serviceAuditEntries/serviceAuditDecisions size the per-job recorder
-// rings below the package defaults: every retained artifact can be
-// resident at once, so each is kept to a few megabytes. The summary
-// report still reflects every entry — only the raw streams truncate.
-const (
-	serviceAuditEntries   = 1 << 14
-	serviceAuditDecisions = 1 << 12
-)

@@ -6,6 +6,7 @@ package service_test
 // correlation, and the /version endpoint.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -289,56 +290,43 @@ func TestTraceRetention(t *testing.T) {
 	}
 }
 
-// TestAuditEndpointRealJob runs a real simulation through Execute and
-// fetches its flight-recorder artifact: the ledger and decision streams
-// must be populated, conservation must hold, the SSE stream must have
-// advertised the artifact before the terminal state event, and jobs
-// without an executed single run must 404.
-func TestAuditEndpointRealJob(t *testing.T) {
-	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
-	ctx := context.Background()
-	j, err := cl.Submit(ctx, oneRequest(tinyCfg()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Collect the whole stream; it ends at the terminal state event.
-	var events []service.Event
-	if err := cl.Events(ctx, j.ID, func(e service.Event) bool {
-		events = append(events, e)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	auditIdx, stateIdx := -1, -1
-	for i, e := range events {
-		switch {
-		case e.Type == service.EventAudit:
-			auditIdx = i
-		case e.Type == service.EventState && e.State.Terminal():
-			stateIdx = i
-		}
-	}
-	if auditIdx < 0 {
-		t.Fatalf("stream advertised no audit event: %+v", events)
-	}
-	if stateIdx < auditIdx {
-		t.Errorf("audit event at %d arrived after terminal state at %d", auditIdx, stateIdx)
-	}
-	sum := events[auditIdx].Audit
-	if sum == nil || sum.Entries == 0 || sum.Decisions == 0 || sum.Violations != 0 {
-		t.Fatalf("audit summary %+v, want populated streams and zero violations", sum)
-	}
-
-	resp, err := http.Get(base + "/v1/jobs/" + j.ID + "/audit")
+// auditStatus GETs a job's audit artifact and returns the status code
+// and body.
+func auditStatus(t *testing.T, base, id string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/audit")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET audit = %d, want 200", resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	art, err := audit.ReadArtifact(resp.Body)
+	return resp.StatusCode, body
+}
+
+// TestAuditEndpointRealJob runs a real simulation through Execute and
+// fetches its flight-recorder artifact. Jobs run unrecorded: the
+// audit counters stay out of the exposition until the GET, which
+// rebuilds the artifact by replaying the job's normalized request. The
+// served bytes must equal a library RunOne recorded on that request,
+// the ledger and decision streams must be populated, conservation must
+// hold, a cache-hit twin must be served the same bytes, and a fig3 job
+// or an unknown job must 404.
+func TestAuditEndpointRealJob(t *testing.T) {
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
+	ctx := context.Background()
+	j := runOne(t, cl, tinyCfg())
+
+	if out := scrape(t, base); strings.Contains(out, "qlec_audit_") {
+		t.Fatalf("an executed job moved the audit counters; jobs must run unrecorded:\n%s", out)
+	}
+	status, body := auditStatus(t, base, j.ID)
+	if status != http.StatusOK {
+		t.Fatalf("GET audit = %d (%s), want 200", status, bytes.TrimSpace(body))
+	}
+	art, err := audit.ReadArtifact(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,19 +338,29 @@ func TestAuditEndpointRealJob(t *testing.T) {
 	if rep.ViolationCount != 0 {
 		t.Fatalf("conservation violations on a clean run: %+v", rep.Violations)
 	}
-	if rep.Entries != sum.Entries || rep.Decisions != sum.Decisions {
-		t.Errorf("artifact entries/decisions %d/%d disagree with SSE summary %d/%d",
-			rep.Entries, rep.Decisions, sum.Entries, sum.Decisions)
+	// The replay is the library's recorded run of the stored request.
+	req := j.Request
+	rec := audit.New(audit.Options{})
+	cfg := req.Config
+	cfg.Audit = rec
+	if _, err := cfg.RunOne(ctx, req.Protocols[0], req.Lambda, req.Seed, req.Lifespan); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := audit.WriteArtifact(&want, rec.Artifact()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("served artifact (%d bytes) differs from the library run's (%d bytes)", len(body), want.Len())
 	}
 
-	// The audit counters joined the operational exposition.
-	out := scrape(t, base)
-	if !strings.Contains(out, "qlec_audit_violations_total 0") {
-		t.Errorf("scrape missing qlec_audit_violations_total:\n%s", out)
+	// The audit counters joined the operational exposition with the GET.
+	if out := scrape(t, base); !strings.Contains(out, "qlec_audit_violations_total 0") {
+		t.Errorf("scrape missing qlec_audit_violations_total after the GET:\n%s", out)
 	}
 
-	// A duplicate submission is a cache hit: job exists, never executed,
-	// so it has no artifact.
+	// A duplicate submission is a cache hit: it never executed, but it
+	// carries the same request, so it gets the same artifact.
 	dup, err := cl.Submit(ctx, oneRequest(tinyCfg()))
 	if err != nil {
 		t.Fatal(err)
@@ -370,17 +368,71 @@ func TestAuditEndpointRealJob(t *testing.T) {
 	if !dup.CacheHit {
 		t.Fatalf("duplicate submission was not a cache hit: %+v", dup)
 	}
-	if resp, err := http.Get(base + "/v1/jobs/" + dup.ID + "/audit"); err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("audit for cache-hit job = %d, want 404", resp.StatusCode)
+	if status, dupBody := auditStatus(t, base, dup.ID); status != http.StatusOK || !bytes.Equal(dupBody, body) {
+		t.Errorf("audit for cache-hit job = %d, %d bytes; want 200 and the miss's %d bytes",
+			status, len(dupBody), len(body))
+	}
+
+	fig3 := tinyCfg()
+	fig3.Rounds = 1
+	fj, err := cl.Submit(ctx, service.Request{Kind: service.KindFig3, Config: fig3,
+		Protocols: []experiment.ProtocolID{experiment.QLEC}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fj, err = cl.Wait(ctx, fj.ID, time.Millisecond); err != nil || fj.State != service.StateDone {
+		t.Fatalf("fig3 job: %+v, %v; want done", fj, err)
+	}
+	for what, id := range map[string]string{"fig3": fj.ID, "unknown": "nope"} {
+		if status, _ := auditStatus(t, base, id); status != http.StatusNotFound {
+			t.Errorf("audit for %s job = %d, want 404", what, status)
 		}
 	}
-	if resp, err := http.Get(base + "/v1/jobs/nope/audit"); err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("audit for unknown job = %d, want 404", resp.StatusCode)
+}
+
+// TestAuditEndpointUnfinishedAndStubJobs: a queued or running job has
+// no artifact yet, and a RunFunc that never drives the recorder yields
+// none either — each answers 404, and a replay never counts as a
+// simulation.
+func TestAuditEndpointUnfinishedAndStubJobs(t *testing.T) {
+	running := make(chan struct{}, 1)
+	release := make(chan struct{})
+	run := func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		select {
+		case running <- struct{}{}:
+			<-release
+		default: // the audit replay: return at once
 		}
+		return &service.ResultEnvelope{Kind: req.Kind}, nil
+	}
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, Run: run})
+	ctx := context.Background()
+	first, err := cl.Submit(ctx, oneRequest(tinyCfg()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	cfg := tinyCfg()
+	cfg.Rounds = 3
+	queued, err := cl.Submit(ctx, oneRequest(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, id := range map[string]string{"running": first.ID, "queued": queued.ID} {
+		if status, _ := auditStatus(t, base, id); status != http.StatusNotFound {
+			t.Errorf("audit for %s job = %d, want 404", what, status)
+		}
+	}
+	close(release)
+	done, err := cl.Wait(ctx, first.ID, time.Millisecond)
+	if err != nil || done.State != service.StateDone {
+		t.Fatalf("stub job: %+v, %v; want done", done, err)
+	}
+	if status, _ := auditStatus(t, base, first.ID); status != http.StatusNotFound {
+		t.Errorf("audit for a stub job that recorded nothing = %d, want 404", status)
+	}
+	if got := metricSum(t, cl, "qlecd_simulations_total"); got > 2 {
+		t.Errorf("qlecd_simulations_total = %v after 2 jobs; a replay counted as a simulation", got)
 	}
 }
 

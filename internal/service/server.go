@@ -46,15 +46,15 @@ type Options struct {
 	// TraceHistory bounds the traces the span store retains (FIFO
 	// eviction); default obs.DefaultStoreTraces (256).
 	TraceHistory int
-	// AuditHistory bounds retained per-job audit artifacts (FIFO
-	// eviction); default 64.
-	AuditHistory int
 	// Fleet configures the cell pool, peer-to-peer work stealing and the
 	// shared result cache (DESIGN.md §14). The zero value runs a fleet
 	// of one.
 	Fleet FleetOptions
 
 	// Deprecated: no effect; kept only because bench/daemon.go sets them.
+	// AuditHistory once bounded the per-job audit artifacts qlecd kept;
+	// artifacts are now rebuilt on demand (see handleAudit).
+	AuditHistory          int
 	ProfileHistory        int
 	RuntimeSampleInterval time.Duration
 	AutoProfileMinGap     time.Duration
@@ -84,11 +84,12 @@ type Server struct {
 	simsRun  atomic.Int64
 	draining atomic.Bool
 
-	log    *slog.Logger
-	reg    *obs.Registry
-	om     *serverMetrics
-	httpm  *obs.HTTPMetrics
-	audits *obs.Bounded[string, *audit.Artifact]
+	log   *slog.Logger
+	reg   *obs.Registry
+	om    *serverMetrics
+	httpm *obs.HTTPMetrics
+	// replays admits at most Options.Workers audit replays at once.
+	replays chan struct{}
 
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
@@ -132,13 +133,8 @@ func New(opt Options) (*Server, error) {
 		nextBatchID: 1,
 		log:         opt.Logger,
 		reg:         opt.Metrics,
+		replays:     make(chan struct{}, opt.Workers),
 	}
-	auditMax := opt.AuditHistory
-	if auditMax <= 0 {
-		auditMax = 64
-	}
-	s.audits = obs.NewBounded[string, *audit.Artifact](auditMax, s.reg, "qlecd_audits_held",
-		"Per-job audit artifacts currently retained (FIFO-capped by -audit-history).")
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	prof.RegisterRuntime(s.reg)
 	if opt.DataDir != "" {
@@ -663,25 +659,62 @@ func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 }
 
 // handleAudit implements GET /v1/jobs/{id}/audit: the flight-recorder
-// artifact of an executed KindOne job (energy ledger, decision records,
-// conservation report — cmd/qlecaudit consumes it). Like traces,
-// artifacts exist for executed jobs only (not cache hits or sweeps) and
-// age out FIFO after Options.AuditHistory jobs.
+// artifact of a finished KindOne job (energy ledger, decision records,
+// conservation report; cmd/qlecaudit consumes it). Jobs run unrecorded,
+// so the artifact is built on demand: the job's stored, normalized
+// request runs again with a fresh recorder. Simulations are
+// deterministic, so this is the artifact of the run the job made, as
+// the current binary computes it; a cache-hit job carries the same
+// request and gets the same artifact. The replay feeds no live
+// simulation gauges, stops when the request or a hard shutdown cancels
+// it, and waits for one of Options.Workers replay slots. Sweeps,
+// unknown and unfinished jobs 404.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	_, known := s.jobs[id]
+	j, known := s.jobs[id]
+	var req Request
+	var finished bool
+	if known {
+		req = j.Request
+		finished = req.Kind == KindOne && j.State == StateDone
+	}
 	s.mu.Unlock()
 	if !known {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	art, ok := s.audits.Get(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no audit for job %q (not an executed single run, or aged out)", id)
+	if !finished {
+		writeErr(w, http.StatusNotFound, "no audit for job %q (only finished single runs have one)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, art)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.hardCtx, cancel)()
+	select {
+	case s.replays <- struct{}{}:
+		defer func() { <-s.replays }()
+	case <-ctx.Done():
+		writeErr(w, http.StatusServiceUnavailable, "audit replay for job %q cancelled while waiting", id)
+		return
+	}
+	rec := audit.New(audit.Options{Metrics: s.reg})
+	if _, err := s.opt.Run(contextWithAudit(ctx, rec), req, func(Event) {}); err != nil {
+		status := http.StatusInternalServerError
+		if ctx.Err() != nil {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, "audit replay for job %q: %v", id, err)
+		return
+	}
+	art := rec.Artifact()
+	if art.Report.Rounds == 0 {
+		// The RunFunc never drove the recorder (stub runners in tests).
+		writeErr(w, http.StatusNotFound, "no audit for job %q (its run recorded nothing)", id)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = audit.WriteArtifact(w, art)
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {

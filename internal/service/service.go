@@ -162,8 +162,9 @@ func (r Request) Normalize() Request {
 	}
 	// Hooks never cross the wire (json:"-") but guard against in-process
 	// submitters leaking them into workers. The audit recorder is also a
-	// hook: the worker installs its own per-job recorder (see runJob), and
-	// a submitter's recorder must not leak across jobs — Bind is
+	// hook: jobs run unrecorded, GET /v1/jobs/{id}/audit replays the
+	// stored request with a fresh recorder of its own (see handleAudit),
+	// and a submitter's recorder must not leak into either — Bind is
 	// single-use.
 	n.Config.Tracer = nil
 	n.Config.Observer = nil
@@ -332,10 +333,6 @@ const (
 	// EventState announces a lifecycle transition; the terminal one is
 	// the stream's last event.
 	EventState EventType = "state"
-	// EventAudit announces that a flight-recorder artifact is ready at
-	// GET /v1/jobs/{id}/audit, with its headline figures inline. Emitted
-	// once per executed KindOne job, just before the terminal state event.
-	EventAudit EventType = "audit"
 	// EventConfig announces one config of a batch reaching a terminal
 	// state (batch streams only).
 	EventConfig EventType = "config"
@@ -360,16 +357,6 @@ type SweepProgress struct {
 	Total int `json:"total"`
 }
 
-// AuditSummary is the payload of an EventAudit: the artifact's headline
-// figures, so a streaming client knows whether fetching the full audit
-// is worth it (violations or anomalies > 0) without a second request.
-type AuditSummary struct {
-	Entries    int    `json:"entries"`
-	Decisions  int    `json:"decisions"`
-	Violations uint64 `json:"violations"`
-	Anomalies  uint64 `json:"anomalies"`
-}
-
 // BatchProgress is the payload of an EventBatch.
 type BatchProgress struct {
 	ConfigsDone  int `json:"configsDone"`
@@ -387,7 +374,6 @@ type Event struct {
 	Type   EventType      `json:"type"`
 	Round  *RoundProgress `json:"round,omitempty"`
 	Sweep  *SweepProgress `json:"sweep,omitempty"`
-	Audit  *AuditSummary  `json:"audit,omitempty"`
 	Config *BatchConfig   `json:"config,omitempty"`
 	Batch  *BatchProgress `json:"batch,omitempty"`
 	State  JobState       `json:"state,omitempty"`

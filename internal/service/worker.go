@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"qlec/internal/audit"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 )
@@ -103,18 +102,6 @@ func (s *Server) runJob(id string) {
 	ctx = obs.ContextWithMetrics(ctx, s.reg)
 	ctx = obs.ContextWithTrace(ctx, s.fleet.spans)
 	ctx = obs.ContextWithSpan(ctx, jobSC)
-	var arec *audit.Recorder
-	if req.Kind == KindOne {
-		// Single simulations get a flight recorder (sweeps strip hooks per
-		// cell). A fresh recorder per attempt: Bind is single-use.
-		arec = audit.New(audit.Options{
-			MaxEntries:   serviceAuditEntries,
-			MaxDecisions: serviceAuditDecisions,
-			Metrics:      s.reg,
-		})
-		ctx = contextWithAudit(ctx, arec)
-	}
-
 	log.Info("job started", "attempt", attempt)
 	s.om.busyWorkers.Inc()
 	hub.publish(Event{Type: EventState, State: StateRunning})
@@ -143,28 +130,6 @@ func (s *Server) runJob(id string) {
 	s.om.busyWorkers.Dec()
 	interrupted := ctx.Err() != nil
 	cancel()
-
-	var auditSum *AuditSummary
-	if arec != nil && err == nil && !interrupted {
-		// Rounds == 0 means the RunFunc never drove the recorder (stub
-		// runners in tests): nothing worth serving.
-		if art := arec.Artifact(); art.Report.Rounds > 0 {
-			s.audits.Put(id, art)
-			var anomalies uint64
-			for _, n := range art.Report.AnomalyCounts {
-				anomalies += n
-			}
-			auditSum = &AuditSummary{
-				Entries:    art.Report.Entries,
-				Decisions:  art.Report.Decisions,
-				Violations: art.Report.ViolationCount,
-				Anomalies:  anomalies,
-			}
-			if art.Report.ViolationCount > 0 {
-				log.Error("audit: energy conservation violated", "violations", art.Report.ViolationCount)
-			}
-		}
-	}
 
 	s.mu.Lock()
 	delete(s.cancels, id)
@@ -248,9 +213,6 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	if closeHub {
-		if auditSum != nil && state == StateDone {
-			hub.publish(Event{Type: EventAudit, Audit: auditSum})
-		}
 		hub.publish(Event{Type: EventState, State: state, Error: errMsg, Resources: resources})
 		hub.close()
 		if state == StateDone {

@@ -391,7 +391,12 @@ func (l *lane) afterService(head int, pkt packet.Packet) {
 		e.fused[head].pkts = append(e.fused[head].pkts, pkt)
 		return
 	}
-	// ForwardPerPacket: compress at the first head only, then relay.
+	// ForwardPerPacket: compress at the first head only, then relay —
+	// unless the fusion draw just took the head to the death line.
+	if !e.alive(head) {
+		l.drop(metrics.DropDead, pkt, head)
+		return
+	}
 	bits := pkt.Bits
 	if pkt.Hops <= 1 {
 		bits = compressedBits(bits, e.cfg.Compression)
