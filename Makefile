@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service serve bench bench-pair bench-pair-service figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
+.PHONY: all build test race race-service serve bench bench-pair bench-pair-service bench-pair-large figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
 
 all: build test
 
@@ -94,37 +94,43 @@ bench-pair:
 				printf "median head/base %s: %.3f (limit 1.10) %s\n", cells[c], m, verdict } \
 			exit bad }' "$$T/runs"
 
-# End-to-end paired gate on bench/'s service-mixed workload (an
-# in-process qlecd under 2 closed-loop clients). It unpacks BASE with
-# git archive like bench-pair, then runs `bash bench/run.sh --workload
-# service-mixed --seconds 5` on each side in 3 alternating pairs (each
-# side builds its own benchmark binary) and prints every run's
-# end-to-end metrics and both sides' medians. It fails when a run
-# reports failed operations or no result, or when HEAD's median
-# peak_rss_mb exceeds 1.10x BASE's, the bound BENCHMARK.json sets for
-# peak RSS. Throughput and latency are printed, not gated: 3 pairs of
-# 5 s runs on a shared runner are too few to judge their 0.25 bounds.
-bench-pair-service:
+# End-to-end paired gates on bench/ workloads. Each unpacks BASE with
+# git archive like bench-pair, then runs `bash bench/run.sh --workload W
+# --seconds 5` on each side in 3 alternating pairs (each side builds its
+# own benchmark binary) and prints every run's end-to-end metrics and
+# both sides' medians. Both fail when a run reports failed operations or
+# no result.
+#
+#   - bench-pair-service runs service-mixed (an in-process qlecd under 2
+#     closed-loop clients) and fails when HEAD's median peak_rss_mb
+#     exceeds 1.10x BASE's, the bound BENCHMARK.json sets for peak RSS.
+#     Throughput and latency are printed, not gated: 3 pairs of 5 s
+#     runs on a shared runner are too few to judge their 0.25 bounds.
+#   - bench-pair-large runs large-scale (one Fig. 4 run, 2896 nodes at
+#     k=272) and fails when HEAD's median ops_per_s falls below 0.8x
+#     BASE's, the inverse of BENCHMARK.json's 0.25 bound.
+bench-pair-service bench-pair-large:
 	@set -e; \
+	if [ $@ = bench-pair-service ]; then W=service-mixed; else W=large-scale; fi; \
 	REV=$$(git rev-parse --verify "$(BASE)^{commit}"); \
 	T=$$(mktemp -d); trap 'rm -rf "$$T"' EXIT INT TERM; \
 	mkdir "$$T/base"; git archive "$$REV" | tar -x -C "$$T/base"; \
 	run() { \
 		if [ "$$1" = base ]; then D="$$T/base"; else D=.; fi; \
-		(cd "$$D" && bash bench/run.sh --workload service-mixed --seconds 5) >"$$T/out" 2>&1 || true; \
+		(cd "$$D" && bash bench/run.sh --workload $$W --seconds 5) >"$$T/out" 2>&1 || true; \
 		J=$$(tail -n 1 "$$T/out"); \
 		val() { echo "$$J" | sed -n "s/.*\"$$1\":{\"value\":\([^,}]*\).*/\1/p"; }; \
 		F=$$(echo "$$J" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p'); \
-		if [ -z "$$F" ] || [ -z "$$(val peak_rss_mb)" ]; then cat "$$T/out" >&2; echo "bench-pair-service: $$1 run of pair $$2 gave no result" >&2; exit 1; fi; \
+		if [ -z "$$F" ] || [ -z "$$(val peak_rss_mb)" ] || [ -z "$$(val ops_per_s)" ]; then cat "$$T/out" >&2; echo "$@: $$1 run of pair $$2 gave no result" >&2; exit 1; fi; \
 		echo "$$2 $$3 $$1 $$F $$(val setup_s) $$(val ops_per_s) $$(val latency_ms_p75) $$(val peak_rss_mb)" >>"$$T/runs"; \
 	}; \
 	for P in 1 2 3; do \
 		if [ $$((P % 2)) = 1 ]; then run base $$P base; run head $$P base; \
 		else run head $$P head; run base $$P head; fi; \
-		echo "bench-pair-service: pair $$P/3 done" >&2; \
+		echo "$@: pair $$P/3 done" >&2; \
 	done; \
-	echo "bench-pair-service: BASE $$(git rev-parse --short "$$REV") vs working tree $$(git describe --always --dirty); nproc $$(nproc); service-mixed, 3 pairs of 5 s runs"; \
-	awk 'function median(a, n,   i, j, t) { \
+	echo "$@: BASE $$(git rev-parse --short "$$REV") vs working tree $$(git describe --always --dirty); nproc $$(nproc); $$W, 3 pairs of 5 s runs"; \
+	awk -v gate=$@ 'function median(a, n,   i, j, t) { \
 			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
 			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
 		BEGIN { printf "%-4s %-5s %-4s %6s %9s %9s %9s %11s\n", "pair", "first", "side", "failed", "setup_s", "ops_per_s", "p75_ms", "peak_rss_mb" } \
@@ -137,9 +143,10 @@ bench-pair-service:
 				for (i = 1; i <= n["head"]; i++) a[i] = v["head", m, i]; mh[m] = median(a, n["head"]); \
 				printf "median %-15s base %10.4f head %10.4f head/base %.3f\n", names[m - 4], mb[m], mh[m], mh[m] / mb[m] } \
 			bad = 0; \
-			if (failed > 0) { print "bench-pair-service: FAIL, " failed " failed operations"; bad = 1 } \
-			if (mh[8] > 1.10 * mb[8]) { printf "bench-pair-service: FAIL, median peak_rss_mb head/base %.3f exceeds 1.10\n", mh[8] / mb[8]; bad = 1 } \
-			if (!bad) print "bench-pair-service: ok"; \
+			if (failed > 0) { print gate ": FAIL, " failed " failed operations"; bad = 1 } \
+			if (gate == "bench-pair-service" && mh[8] > 1.10 * mb[8]) { printf "%s: FAIL, median peak_rss_mb head/base %.3f exceeds 1.10\n", gate, mh[8] / mb[8]; bad = 1 } \
+			if (gate == "bench-pair-large" && mh[6] < 0.8 * mb[6]) { printf "%s: FAIL, median ops_per_s head/base %.3f below 0.8\n", gate, mh[6] / mb[6]; bad = 1 } \
+			if (!bad) print gate ": ok"; \
 			exit bad }' "$$T/runs"
 
 # Regenerate every figure at full scale into ./figs (a few minutes).

@@ -35,6 +35,9 @@ func init() {
 		Paper:   "Heinzelman, Chandrakasan, Balakrishnan — HICSS 2000",
 		Summary: "energy-blind head-rotation lottery with nearest-head assignment",
 		Order:   40,
+		// LEACH's head fraction p = k/N must stay below 1, so it needs
+		// a second node.
+		MinNodes: 2,
 		Factory: func(b protocol.BuildContext) (cluster.Protocol, error) {
 			k := b.K
 			// LEACH's head fraction p = k/N must stay below 1.

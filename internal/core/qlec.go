@@ -196,10 +196,11 @@ func (q *QLEC) StartRound(round int) []int {
 	if q.cfg.DisableQLearning {
 		q.nearest = cluster.AssignNearest(q.net, q.heads)
 	} else {
-		// Arm the learner's candidate lists for this head set. StartRound
-		// runs after any inter-round movement, so positions are frozen
-		// for the epoch's lifetime.
-		q.learner.BeginEpoch(q.heads)
+		// Arm the learner's candidate lists for this head set, and build
+		// those of the members above the death line, the round's
+		// senders. StartRound runs after any inter-round movement, so
+		// positions are frozen for the epoch's lifetime.
+		q.learner.BeginEpoch(q.heads, q.cfg.DeathLine)
 	}
 	return q.heads
 }

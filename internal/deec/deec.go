@@ -96,7 +96,6 @@ type Selector struct {
 	headsBuf []int
 	reserve  []candidate
 	ptsBuf   []geom.Vec3
-	nbrBuf   []int
 	grid     *geom.Grid // redundancy-reduction index, rebuilt in place
 	inHeads  []bool     // membership scratch for topUp, cleared after use
 }
@@ -257,8 +256,9 @@ func (s *Selector) reduceRedundancy(heads []int) []int {
 	s.ptsBuf = pts
 	// The grid is built once with the HELLO radius as its cell edge and
 	// re-indexed in place each round; the grid copies pts/ids, so heads
-	// can then be filtered in place (the query result is sorted, hence
-	// independent of cell size — determinism is unaffected).
+	// can then be filtered in place. Whether a richer head is in range
+	// does not depend on the order the grid visits them in, so neither
+	// does the kept set.
 	if s.grid == nil {
 		s.grid = geom.NewGrid(s.net.Box, pts, heads, s.dc)
 	} else {
@@ -267,19 +267,11 @@ func (s *Selector) reduceRedundancy(heads []int) []int {
 	kept := heads[:0]
 	for _, h := range heads {
 		hRes := s.net.Nodes[h].Battery.Residual()
-		quit := false
-		s.nbrBuf = s.grid.WithinRadiusAppend(s.net.Nodes[h].Pos, s.dc, s.nbrBuf[:0])
-		for _, other := range s.nbrBuf {
-			if other == h {
-				continue
-			}
+		richer := s.grid.Any(s.net.Nodes[h].Pos, s.dc, func(other int) bool {
 			oRes := s.net.Nodes[other].Battery.Residual()
-			if oRes > hRes || (oRes == hRes && other < h) {
-				quit = true
-				break
-			}
-		}
-		if !quit {
+			return other != h && (oRes > hRes || (oRes == hRes && other < h))
+		})
+		if !richer {
 			kept = append(kept, h)
 		}
 	}

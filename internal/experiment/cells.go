@@ -48,6 +48,11 @@ func (c Config) Fig3Cells(ids []ProtocolID) ([]CellSpec, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	for _, id := range ids {
+		if err := c.ValidateProtocol(id); err != nil {
+			return nil, err
+		}
+	}
 	base := c.stripHooks()
 	specs := make([]CellSpec, 0, len(ids)*len(c.Lambdas)*len(c.Seeds))
 	for _, id := range ids {
@@ -99,6 +104,9 @@ func AssembleFig3(ids []ProtocolID, lambdas []float64, seeds []uint64, cells []C
 // front, so an invalid k is reported immediately).
 func (c Config) KSweepCells(id ProtocolID, ks []int, lambda float64) ([]CellSpec, error) {
 	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.ValidateProtocol(id); err != nil {
 		return nil, err
 	}
 	if len(ks) == 0 {
@@ -175,6 +183,9 @@ func (c Config) NSweepCells(id ProtocolID, ns []int, lambda float64) ([]CellSpec
 		ncfg.K = k
 		if err := ncfg.Validate(); err != nil {
 			return nil, fmt.Errorf("experiment: N=%d: %w", n, err)
+		}
+		if err := ncfg.ValidateProtocol(id); err != nil {
+			return nil, err
 		}
 		for _, seed := range c.Seeds {
 			specs = append(specs, CellSpec{Protocol: id, Lambda: lambda, Seed: seed, Config: ncfg})

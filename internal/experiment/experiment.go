@@ -206,12 +206,11 @@ func PaperConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	n := c.N
+	n := c.nodes()
 	if c.Topology != nil {
 		if err := c.Topology.Validate(); err != nil {
 			return err
 		}
-		n = len(c.Topology.Positions)
 	} else if c.N <= 0 || c.Side <= 0 || c.InitialEnergy <= 0 {
 		return fmt.Errorf("experiment: invalid deployment (N=%d, side=%v, E0=%v)",
 			c.N, c.Side, c.InitialEnergy)
@@ -240,6 +239,28 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: FCMLevels must be >= 1")
 	}
 	return c.Sim.Validate()
+}
+
+// nodes is the size of the configured network: the topology's when one
+// is set, else N.
+func (c Config) nodes() int {
+	if c.Topology != nil {
+		return len(c.Topology.Positions)
+	}
+	return c.N
+}
+
+// ValidateProtocol checks that protocol id runs on the configured
+// network (protocol.Descriptor.MinNodes). Sweeps and RunOne call it
+// after Validate, so a network too small for a protocol is reported
+// before any cell starts. An unknown id passes: BuildProtocol reports
+// it, for each cell.
+func (c Config) ValidateProtocol(id ProtocolID) error {
+	d, ok := protocol.Lookup(string(id))
+	if n := c.nodes(); ok && n < d.MinNodes {
+		return fmt.Errorf("experiment: %s needs N ≥ %d, got N=%d", d.ID, d.MinNodes, n)
+	}
+	return nil
 }
 
 // BuildProtocol constructs a protocol instance bound to the network by
@@ -278,6 +299,9 @@ func (c Config) BuildProtocol(id ProtocolID, w *network.Network, totalRounds int
 // result accumulated so far is returned alongside ctx's error.
 func (c Config) RunOne(ctx context.Context, id ProtocolID, lambda float64, seed uint64, lifespan bool) (*metrics.Result, error) {
 	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := c.ValidateProtocol(id); err != nil {
 		return nil, err
 	}
 	return c.runOneValidated(ctx, id, lambda, seed, lifespan)

@@ -67,8 +67,13 @@ func FuzzRunOne(f *testing.F) {
 		}
 
 		plain, err := cfg.RunOne(ctx, id, lambda, seed, lifespan)
-		if err != nil && id == LEACH && cfg.N == 1 {
-			return // LEACH's lottery needs k/N < 1: no one-node network
+		if id == LEACH && cfg.N == 1 {
+			// LEACH's lottery needs k/N < 1: RunOne must reject a
+			// one-node network with the validation error.
+			if want := cfg.ValidateProtocol(id); want == nil || err == nil || err.Error() != want.Error() {
+				t.Fatalf("LEACH at N=1: RunOne error %v, want the validation error %v", err, want)
+			}
+			return
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

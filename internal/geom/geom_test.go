@@ -236,6 +236,34 @@ func TestGridWithinRadiusMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGridAnyMatchesBruteForce checks Any against a scan of every
+// point, for predicates that hold on no point, on some and on all.
+func TestGridAnyMatchesBruteForce(t *testing.T) {
+	r := rng.New(8)
+	b := Cube(100)
+	pts := b.SampleUniformN(r, 500)
+	g := NewGrid(b, pts, nil, 0)
+	for trial := 0; trial < 50; trial++ {
+		q := b.SampleUniform(r)
+		d := r.Range(1, 40)
+		for _, m := range []int{1, 7, 1000} {
+			pred := func(id int) bool { return id%m == 0 }
+			want := false
+			for i, p := range pts {
+				if p.Dist(q) <= d && pred(i) {
+					want = true
+				}
+			}
+			if got := g.Any(q, d, pred); got != want {
+				t.Fatalf("Any(%v, %v, id%%%d == 0) = %v, brute force %v", q, d, m, got, want)
+			}
+		}
+	}
+	if g.Any(b.Center(), -1, func(int) bool { return true }) {
+		t.Fatal("Any with a negative radius found a point")
+	}
+}
+
 func TestGridNearestMatchesBruteForce(t *testing.T) {
 	r := rng.New(6)
 	b := Cube(100)

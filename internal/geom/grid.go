@@ -1,16 +1,14 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Grid is a uniform-cell spatial index over points in an AABB. It supports
 // the two queries the simulator needs on its hot path:
 //
-//   - WithinRadius: all points within d of a query point (the HELLO
-//     broadcast of Algorithm 2 reaches every node within the cluster
-//     coverage radius d_c), and
+//   - Any: whether some point within d of a query point satisfies a
+//     predicate (the HELLO broadcast of Algorithm 2 reaches every node
+//     within the cluster coverage radius d_c, and Algorithm 3 asks
+//     whether a richer head is among them), and
 //   - Nearest: the closest indexed point to a query (nearest-cluster-head
 //     assignment used by the DEEC and k-means baselines).
 //
@@ -137,22 +135,14 @@ func clampInt(v, lo, hi int) int {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.points) }
 
-// WithinRadius returns the ids of all indexed points p with
-// dist(p, q) <= d, in ascending id order (deterministic iteration matters
-// for reproducible simulations). The query point itself is included if it
-// is indexed and within range.
-func (g *Grid) WithinRadius(q Vec3, d float64) []int {
-	return g.WithinRadiusAppend(q, d, nil)
-}
-
-// WithinRadiusAppend is WithinRadius appending into buf (which may be
-// nil or a reused buf[:0]), avoiding a per-query allocation on hot
-// paths. The returned slice holds the ids in ascending order.
-func (g *Grid) WithinRadiusAppend(q Vec3, d float64, buf []int) []int {
+// Any reports whether some indexed point p with dist(p, q) <= d has an
+// id for which pred holds. It visits the points within range in no
+// particular order and returns at the first such id, so pred must not
+// depend on the order; a query point that is indexed is visited too.
+func (g *Grid) Any(q Vec3, d float64, pred func(id int) bool) bool {
 	if d < 0 {
-		return buf
+		return false
 	}
-	out := buf
 	d2 := d * d
 	cx, cy, cz := g.cellCoords(q)
 	span := int(math.Ceil(d/g.cell)) + 1
@@ -172,15 +162,14 @@ func (g *Grid) WithinRadiusAppend(q Vec3, d float64, buf []int) []int {
 					continue
 				}
 				for _, i := range g.cells[(z*g.ny+y)*g.nx+x] {
-					if g.points[i].DistSq(q) <= d2 {
-						out = append(out, g.ids[i])
+					if g.points[i].DistSq(q) <= d2 && pred(g.ids[i]) {
+						return true
 					}
 				}
 			}
 		}
 	}
-	sort.Ints(out)
-	return out
+	return false
 }
 
 // Nearest returns the id of the indexed point closest to q and the

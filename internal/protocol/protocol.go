@@ -89,6 +89,10 @@ type Descriptor struct {
 	// DefaultParams are the protocol's tunables with their defaults,
 	// overridable per experiment via Config.ProtocolParams.
 	DefaultParams map[string]float64
+	// MinNodes is the smallest network the protocol runs on; 0 means
+	// any. Configuration checks reject smaller networks up front
+	// instead of letting the factory fail at run time.
+	MinNodes int
 	// Factory builds instances. Required.
 	Factory Factory
 }

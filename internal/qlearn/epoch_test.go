@@ -69,20 +69,20 @@ const fig4Repeats = 16384
 
 // BenchmarkDecideFig4 times one round's worth of routing decisions at
 // the Fig. 4 shape (2896 nodes, 272 heads) through the armed candidate
-// lists. Every op is the same block: arm the epoch, decide once for
-// every member (each call makes that member's list in a full pass) and
-// then make fig4Repeats more decisions over the members (each reads a
-// live list, and falls back to a full pass when its envelope cannot
-// rule the heads left out). fullpass/decide is the share of decisions
-// that ran a full pass.
+// lists. Every op is the same block: arm the epoch (which makes every
+// member's list in a full pass, over GOMAXPROCS workers), decide once
+// for every member and then make fig4Repeats more decisions over the
+// members (each reads a live list, and falls back to a full pass when
+// its envelope cannot rule the heads left out). fullpass/decide is the
+// number of full passes, BeginEpoch's included, per decision.
 func BenchmarkDecideFig4(b *testing.B) {
 	l, heads, members := fig4Learner(b)
-	l.BeginEpoch(heads) // sizes the lists outside the timed loop
+	l.BeginEpoch(heads, 0) // sizes the lists outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	full := l.stats.full
 	for i := 0; i < b.N; i++ {
-		l.BeginEpoch(heads)
+		l.BeginEpoch(heads, 0)
 		for _, m := range members {
 			l.Decide(m, heads)
 		}
@@ -96,25 +96,25 @@ func BenchmarkDecideFig4(b *testing.B) {
 }
 
 // TestDecideAllocs pins Decide at zero allocations: through candidate
-// lists at the Fig. 4 shape — each call a full pass that builds a
-// member's list, each call served by a live list, and each call a
-// rebuild after InvalidateGeometry — and when loosened bounds make the
-// screen evaluate every head; through the scratch row once the first
-// call has sized it; and with a decision observer installed and then
-// removed.
+// lists at the Fig. 4 shape — each call the first of its member's
+// epoch, served by the list BeginEpoch built, each call served by a
+// live list, and each call a rebuild after InvalidateGeometry — and
+// when loosened bounds make the screen evaluate every head; through the
+// scratch row once the first call has sized it; and with a decision
+// observer installed and then removed.
 func TestDecideAllocs(t *testing.T) {
 	l, heads, members := fig4Learner(t)
-	l.BeginEpoch(heads)
-	i := 0
 	full := l.stats.full
+	l.BeginEpoch(heads, 0)
+	if got := l.stats.full - full; got != uint64(len(members)) {
+		t.Fatalf("BeginEpoch ran %d full passes, want one per member (%d)", got, len(members))
+	}
+	i := 0
 	if a := testing.AllocsPerRun(200, func() {
 		l.Decide(members[i%len(members)], heads)
 		i++
 	}); a != 0 {
-		t.Errorf("armed Decide building lists at the Fig. 4 shape: %v allocs/op, want 0", a)
-	}
-	if l.stats.full == full {
-		t.Fatal("no full pass ran")
+		t.Errorf("armed Decide from lists BeginEpoch built at the Fig. 4 shape: %v allocs/op, want 0", a)
 	}
 	m := members[0]
 	full = l.stats.full
@@ -174,6 +174,95 @@ func TestDecideAllocs(t *testing.T) {
 	}
 }
 
+// TestBeginEpochAllocs pins a repeat BeginEpoch at the Fig. 4 shape,
+// which builds 2624 lists in 46 blocks over four workers, at a few
+// allocations for the workers themselves (≈5–6: the goroutines'
+// closures, the block counter and the WaitGroup, and now and then a
+// goroutine the runtime cannot reuse), nothing per node or per block.
+func TestBeginEpochAllocs(t *testing.T) {
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	l, heads, _ := fig4Learner(t)
+	l.BeginEpoch(heads, 0) // sizes the lists and the workers' rows
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reps {
+		l.BeginEpoch(heads, 0)
+	}
+	runtime.ReadMemStats(&after)
+	a := float64(after.Mallocs-before.Mallocs) / reps
+	if a > 3*procs {
+		t.Errorf("BeginEpoch at GOMAXPROCS %d: %v allocs/op, want at most %d", procs, a, 3*procs)
+	}
+	t.Logf("BeginEpoch at GOMAXPROCS %d: %v allocs/op", procs, a)
+}
+
+// TestPrebuiltListsMatchLazy checks the lists BeginEpoch builds, at
+// GOMAXPROCS 1, 2 and 4, bit for bit against the full pass Decide runs
+// for a node whose list is not live, at the same state and D: one list
+// per member above the death line, and none for a head or for a member
+// at or below it. V, batteries and link estimates vary across the
+// nodes, so the lists differ in d0, ranking and envelope.
+func TestPrebuiltListsMatchLazy(t *testing.T) {
+	l, heads, members := fig4Learner(t)
+	l.BeginEpoch(heads, 0)
+	for j, m := range members {
+		l.Decide(m, heads)
+		switch j % 7 {
+		case 0:
+			l.net.Nodes[m].Battery.Draw(l.net.Nodes[m].Battery.Residual()) // dead
+		case 1, 2:
+			l.net.Nodes[m].Battery.Draw(energy.Joules(j%5) / 8)
+		}
+	}
+	for _, h := range heads {
+		l.UpdateHeadValue(h)
+	}
+	isHead := make([]bool, l.net.N())
+	for _, h := range heads {
+		isHead[h] = true
+	}
+	bits := math.Float64bits
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		full := l.stats.full
+		l.BeginEpoch(heads, 0)
+		built := 0
+		for i := range l.cands {
+			c, bat := &l.cands[i], l.net.Nodes[i].Battery
+			if isHead[i] || bat.Depleted(0) {
+				if c.stamp == l.epoch {
+					t.Fatalf("GOMAXPROCS %d: node %d (head %v, residual %v) has a list", procs, i, isHead[i], bat.Residual())
+				}
+				continue
+			}
+			built++
+			var want candRow
+			b := l.bounds(xOf(bat), l.v[i])
+			if !l.fullPass(&want, l.scratch, i, -1, &b) {
+				t.Fatalf("node %d: the lazy full pass failed", i)
+			}
+			same := c.stamp == want.stamp && bits(c.d0) == bits(want.d0) && c.n == want.n &&
+				bits(c.out.b) == bits(want.out.b) && bits(c.out.pmin) == bits(want.out.pmin) &&
+				bits(c.out.pmax) == bits(want.out.pmax) && c.col == want.col
+			for e := range c.row[:c.n+1] {
+				same = same && bits(c.row[e].y) == bits(want.row[e].y) && bits(c.row[e].p) == bits(want.row[e].p)
+			}
+			if !same {
+				t.Fatalf("GOMAXPROCS %d: node %d's list differs from the lazy pass:\nbuilt %+v\nlazy  %+v", procs, i, *c, want)
+			}
+		}
+		if built == 0 || built == len(members) {
+			t.Fatalf("GOMAXPROCS %d: %d of %d members above the death line, want some but not all", procs, built, len(members))
+		}
+		if got := l.stats.full - full; got != uint64(built) {
+			t.Errorf("GOMAXPROCS %d: BeginEpoch counted %d full passes for %d lists", procs, got, built)
+		}
+	}
+}
+
 // TestDecideScreenTies pins the screened argmax's tie-breaking to the
 // exhaustive scan's: between heads with bit-equal Q the lower id wins
 // whatever the column order, and a head whose Q equals the BS's beats
@@ -225,8 +314,8 @@ func TestDecideScreenTies(t *testing.T) {
 		{[]int{5, 4}, 4},
 	} {
 		screened, scanned := learner(false), learner(true)
-		screened.BeginEpoch(c.heads)
-		scanned.BeginEpoch(c.heads)
+		screened.BeginEpoch(c.heads, 0)
+		scanned.BeginEpoch(c.heads, 0)
 		got, ref := screened.Decide(0, c.heads), scanned.Decide(0, c.heads)
 		if got != c.want || ref != c.want {
 			t.Errorf("heads %v: screened Decide = %d, exhaustive %d, want %d", c.heads, got, ref, c.want)
@@ -269,7 +358,7 @@ func TestLinkStoreAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, observe); a != 0 {
 		t.Errorf("Observe on seen links: %v allocs/op, want 0", a)
 	}
-	l.BeginEpoch(heads)
+	l.BeginEpoch(heads, 0)
 	l.Decide(m, heads) // makes m's list live, so Observe updates it too
 	if a := testing.AllocsPerRun(200, observe); a != 0 {
 		t.Errorf("Observe on seen links with a live list: %v allocs/op, want 0", a)
@@ -304,7 +393,9 @@ func FuzzDecideEpoch(f *testing.F) {
 
 // decideEpoch runs the FuzzDecideEpoch input data on three learners:
 // one armed by every BeginEpoch with no decision observer, so its
-// Decide reads candidate lists and evaluates few heads exactly; one
+// Decide reads candidate lists and evaluates few heads exactly (and its
+// BeginEpoch builds every member's list up front, death line 0, when
+// the set has more than candM heads); one
 // armed the same way with a decision observer, so its Decide evaluates
 // every head; and one that is never armed (every Decide fills a scratch
 // row by looking up each link). All share the network, the parameters
@@ -410,8 +501,8 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 					cur[j] = node()
 				}
 			}
-			screened.BeginEpoch(cur)
-			armed.BeginEpoch(cur)
+			screened.BeginEpoch(cur, 0)
+			armed.BeginEpoch(cur, 0)
 		case 1, 2:
 			heads := cur
 			if code == 2 {
@@ -536,6 +627,15 @@ var listSeeds = []struct {
 	{"head-decide-raise", append(append([]byte{0x10, 0x00, 0x02, 0x00, 0x81, 0x00, 0x11,
 		0x04, 0x01, 0x01, 0x01, 0x00, 0x01, 0x01}, decideAndDrain(2, 17)...), 0x01, 0x00),
 		func(s listStats) bool { return s.raised > 0 }},
+	// 20 nodes: member 19 first decides with no heads, which sinks
+	// its V toward −l; BeginEpoch over heads 0..17 then builds its
+	// list at that V. Before its first armed decision its battery is
+	// drawn and UpdateHeadValue(19) raises its V, so D falls below
+	// the list's d0 and the envelope takes the p_min slope: a list
+	// built at epoch start meets a moved D.
+	{"prebuilt-moved-d", []byte{0x12, 0x00, 0x00, 0x01, 0x13, 0x00, 0x81, 0x00, 0x11,
+		0x06, 0x13, 0xff, 0x04, 0x03, 0x13, 0x01, 0x13},
+		func(s listStats) bool { return s.full == 2 && s.falling > 0 }},
 	// ε = 0.3, 20 nodes, heads 0..17; member 19 decides twice, the
 	// second pick exploring a head its list left out, and the ACK for
 	// that pick (target byte 0x83: the last Decide's target) expires

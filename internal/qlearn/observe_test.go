@@ -81,7 +81,7 @@ func TestDecisionObserverPreservesDecisions(t *testing.T) {
 		var vs []float64
 		for i := 0; i < 200; i++ {
 			if arm && i%50 == 0 {
-				l.BeginEpoch(heads)
+				l.BeginEpoch(heads, 0)
 			}
 			if i%30 == 29 {
 				l.UpdateHeadValue(heads[i%len(heads)])

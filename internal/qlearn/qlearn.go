@@ -34,6 +34,9 @@ package qlearn
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"qlec/internal/energy"
 	"qlec/internal/geom"
@@ -159,14 +162,16 @@ type Learner struct {
 	// only change between rounds, and P(i, ·), the link estimate with
 	// the prior already substituted. Beside them it keeps an envelope
 	// that bounds every head left out at once (candRow). A full pass
-	// runs on the node's first Decide of the epoch and whenever its list
-	// has expired or its envelope cannot rule the others out; it fills
-	// a row — y from the geometry, P as the prior overlaid with the
-	// node's observed links that have a column — and ranks it. Observe
-	// keeps the listed P entries current, so most Decide calls read one
-	// node's few hundred bytes instead of a row of k+1 entries. Bumping
-	// epoch expires every list at once. The lists are the learner's
-	// largest state, N·384 B whatever k is (≈1.1 MB at the §5.3 shape).
+	// fills a row — y from the geometry, P as the prior overlaid with
+	// the node's observed links that have a column — and ranks it. For
+	// a set of more than candM heads, BeginEpoch runs the first pass of
+	// every sender's epoch, spread over GOMAXPROCS workers; Decide runs
+	// one whenever a list has expired or its envelope cannot rule the
+	// others out. Observe keeps the listed P entries current, so most
+	// Decide calls read one node's few hundred bytes instead of a row
+	// of k+1 entries. Bumping epoch expires every list at once. The
+	// lists are the learner's largest state, N·384 B whatever k is
+	// (≈1.1 MB at the §5.3 shape).
 	epoch uint64
 	armed bool
 	set   []int     // the caller's head slice, recognized by identity (BeginEpoch)
@@ -180,6 +185,8 @@ type Learner struct {
 	// armed — and scratchCols that unarmed set's columns.
 	scratch     []action
 	scratchCols []headCol
+	// builders holds one scratch row per BeginEpoch worker.
+	builders []builder
 
 	stats listStats
 
@@ -294,9 +301,16 @@ func (e *envelope) leave(s, p float64) {
 	}
 }
 
+// builder is one BeginEpoch worker's scratch: a row of k+1 entries and
+// the full passes it ran.
+type builder struct {
+	row  []action
+	full uint64
+}
+
 // listStats counts candidate-list events for tests and benchmarks.
 type listStats struct {
-	full     uint64 // full passes
+	full     uint64 // full passes, BeginEpoch's included
 	fallback uint64 // full passes forced by the envelope of a live list
 	falling  uint64 // envelope tests on the p_min slope (D below d0)
 	observed uint64 // lists expired by Observe
@@ -384,16 +398,23 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 // round's elected heads — and expires every list built so far. Until
 // the next BeginEpoch, Decide(from, heads) calls passing this same
 // slice (same backing array and length; Decide recognizes the armed set
-// by identity, in O(1)) read their candidates from from's list, built
-// on its first such call. The caller must not modify the slice while it
-// is armed; any other slice, even with equal contents, takes the
-// scratch path. Callers whose node positions can change (a mobility
-// model) must call BeginEpoch or InvalidateGeometry afterwards — QLEC
-// arms every round from StartRound, which runs after any movement.
-// Passing nil, or a head set naming a node twice (one column per node
-// could not hold both), disarms the lists, and every Decide fills a
-// scratch row instead.
-func (l *Learner) BeginEpoch(heads []int) {
+// by identity, in O(1)) read their candidates from from's list. The
+// caller must not modify the slice while it is armed; any other slice,
+// even with equal contents, takes the scratch path. Callers whose node
+// positions can change (a mobility model) must call BeginEpoch or
+// InvalidateGeometry afterwards — QLEC arms every round from
+// StartRound, which runs after any movement. Passing nil, or a head set
+// naming a node twice (one column per node could not hold both),
+// disarms the lists, and every Decide fills a scratch row instead.
+//
+// With more than candM heads and no decision observer, BeginEpoch
+// builds the list of every sender — each node that is not in heads and
+// lies above deathLine — before it returns, spread over GOMAXPROCS
+// goroutines (prebuild). Other nodes, and every node of a smaller or
+// observed set, get their list on their first Decide. Either way the
+// list is a full pass at the node's D of that moment, and the screen
+// returns the same bits from any live list (DESIGN.md §8).
+func (l *Learner) BeginEpoch(heads []int, deathLine energy.Joules) {
 	l.epoch++
 	if l.armed {
 		for _, c := range l.cols {
@@ -432,6 +453,71 @@ func (l *Learner) BeginEpoch(heads []int) {
 	l.armed = true
 	if cap(l.scratch) < len(heads)+1 {
 		l.scratch = make([]action, len(heads)+1)
+	}
+	if len(heads) > candM && l.decObs == nil {
+		l.prebuild(deathLine)
+	}
+}
+
+// prebuildBlock is the number of consecutive node ids a prebuild worker
+// takes at a time.
+const prebuildBlock = 64
+
+// prebuild runs the first full pass of every sender's epoch (see
+// BeginEpoch). Workers take blocks of node ids from a shared counter,
+// since heads cluster by id and fixed shares would be uneven. They
+// read the columns, the links, V, positions and batteries, and write
+// only their own nodes' lists and their builder; prebuild returns after
+// every worker has finished, so no Decide, Observe or setK runs beside
+// them.
+func (l *Learner) prebuild(deathLine energy.Joules) {
+	n, k := len(l.v), len(l.cols)
+	w := min(runtime.GOMAXPROCS(0), (n+prebuildBlock-1)/prebuildBlock)
+	if len(l.builders) < w {
+		l.builders = append(l.builders, make([]builder, w-len(l.builders))...)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for i := range l.builders[:w] {
+		b := &l.builders[i]
+		if cap(b.row) < k+1 {
+			b.row = make([]action, k+1)
+		}
+		b.row, b.full = b.row[:k+1], 0
+		if i > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.build(b, &next, deathLine)
+			}()
+		}
+	}
+	l.build(&l.builders[0], &next, deathLine)
+	wg.Wait()
+	for _, b := range l.builders[:w] {
+		l.stats.full += b.full
+	}
+}
+
+// build is one prebuild worker: it runs the full pass of every sender
+// in the blocks it takes from next, in b's row.
+func (l *Learner) build(b *builder, next *atomic.Int64, deathLine energy.Joules) {
+	n := len(l.v)
+	for {
+		hi := int(next.Add(prebuildBlock))
+		lo := hi - prebuildBlock
+		if lo >= n {
+			return
+		}
+		for i := lo; i < min(hi, n); i++ {
+			bat := l.net.Nodes[i].Battery
+			if l.col[i+1] >= 0 || bat.Depleted(deathLine) {
+				continue
+			}
+			bd := l.bounds(xOf(bat), l.v[i])
+			l.fullPass(&l.cands[i], b.row, i, -1, &bd)
+			b.full++
+		}
 	}
 }
 
@@ -673,25 +759,24 @@ const screenSlack = 1e-9
 // refreshes its column's k. ok is false when a bound or the BS value is
 // not finite; the caller then scans.
 func (l *Learner) screen(from int, xFrom, vFrom float64) (best int, bestQ float64, ok bool) {
-	pr := &l.params
-	b := bounds{g: pr.G, b2: pr.Beta2, a2b2: pr.Alpha2 - pr.Beta2}
-	b.d = (pr.Alpha1-pr.Beta1)*xFrom - pr.Gamma*vFrom
-	b.e = pr.Beta1*xFrom + pr.Gamma*vFrom
-	b.base = 1 + 2*b.g + 4*pr.Alpha1 + 2*pr.Beta1 + 4*math.Abs(b.d) + 2*math.Abs(b.e) +
-		2*pr.Gamma*math.Abs(vFrom) + 4*l.kmax
+	b := l.bounds(xFrom, vFrom)
 	c := &l.cands[from]
 	skip := l.col[from+1] - 1 // from's own column, or below 0
 	full := c.stamp != l.epoch
-	if full && !l.fullPass(c, from, skip, &b) {
-		return 0, 0, false
+	if full {
+		l.stats.full++
+		if !l.fullPass(c, l.scratch, from, skip, &b) {
+			return 0, 0, false
+		}
 	}
 	best, bestQ, rest, ok := l.screenList(c, skip, &b, xFrom, vFrom)
 	if !ok || !rest {
 		return best, bestQ, ok
 	}
 	if !full {
+		l.stats.full++
 		l.stats.fallback++
-		if !l.fullPass(c, from, skip, &b) {
+		if !l.fullPass(c, l.scratch, from, skip, &b) {
 			return 0, 0, false
 		}
 		if best, bestQ, rest, ok = l.screenList(c, skip, &b, xFrom, vFrom); !ok || !rest {
@@ -718,6 +803,18 @@ type bounds struct {
 	base        float64
 }
 
+// bounds returns the screen's terms for a node with residual fraction
+// xFrom and value vFrom.
+func (l *Learner) bounds(xFrom, vFrom float64) bounds {
+	pr := &l.params
+	b := bounds{g: pr.G, b2: pr.Beta2, a2b2: pr.Alpha2 - pr.Beta2}
+	b.d = (pr.Alpha1-pr.Beta1)*xFrom - pr.Gamma*vFrom
+	b.e = pr.Beta1*xFrom + pr.Gamma*vFrom
+	b.base = 1 + 2*b.g + 4*pr.Alpha1 + 2*pr.Beta1 + 4*math.Abs(b.d) + 2*math.Abs(b.e) +
+		2*pr.Gamma*math.Abs(vFrom) + 4*l.kmax
+	return b
+}
+
 // of is the bound s_j of a head with row entry a and column term k.
 func (b *bounds) of(a action, k float64) float64 {
 	return -b.g - (b.b2+a.p*b.a2b2)*a.y + a.p*(b.d+k)
@@ -730,14 +827,13 @@ func (b *bounds) reaches(s, q float64) bool {
 	return s+screenSlack*(b.base+math.Abs(s))+b.e >= q
 }
 
-// fullPass makes from's list c at the call's D. With at most candM
-// heads it fills the list's row directly. Otherwise it fills the
-// scratch row, ranks every head column but from's own (skip) by its
-// bound, and lists the candM highest, folding the rest into the
+// fullPass makes from's list c at b's D. With at most candM heads it
+// fills the list's row directly. Otherwise it fills scratch, a row of
+// at least k+1 entries, ranks every head column but from's own (skip)
+// by its bound, and lists the candM highest, folding the rest into the
 // envelope. It reports false, leaving the list expired, when a bound is
-// not finite.
-func (l *Learner) fullPass(c *candRow, from, skip int, b *bounds) bool {
-	l.stats.full++
+// not finite. The caller counts the pass.
+func (l *Learner) fullPass(c *candRow, scratch []action, from, skip int, b *bounds) bool {
 	c.stamp = 0 // expired until the pass completes
 	c.d0 = b.d
 	out := envelope{b: math.Inf(-1), pmin: math.Inf(1), pmax: math.Inf(-1)}
@@ -748,7 +844,7 @@ func (l *Learner) fullPass(c *candRow, from, skip int, b *bounds) bool {
 		c.stamp = l.epoch
 		return true
 	}
-	row := l.armedRow(l.scratch[:k+1], from)
+	row := l.armedRow(scratch[:k+1], from)
 	hr := row[1:]
 	c.row[0] = row[0]
 	// top holds the listed heads' bounds and columns, highest first.

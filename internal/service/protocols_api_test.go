@@ -75,6 +75,28 @@ func TestSubmitUnknownProtocolSuggestsNearest(t *testing.T) {
 	}
 }
 
+// LEACH's lottery needs k/N < 1, so a one-node LEACH job must be
+// rejected at submit time with a 400 that names the need, not accepted
+// and failed at run time.
+func TestSubmitOneNodeLEACHRejected(t *testing.T) {
+	_, cl := newTestServer(t, service.Options{Workers: 1})
+	cfg := tinyCfg()
+	cfg.N, cfg.K = 1, 1
+	req := oneRequest(cfg)
+	req.Protocols = []experiment.ProtocolID{experiment.LEACH}
+	_, err := cl.Submit(context.Background(), req)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("submit returned %v, want an API error", err)
+	}
+	if apiErr.Status != 400 {
+		t.Fatalf("status = %d, want 400", apiErr.Status)
+	}
+	if !strings.Contains(apiErr.Message, "LEACH needs N ≥ 2") {
+		t.Errorf("error %q does not name LEACH's need for N ≥ 2", apiErr.Message)
+	}
+}
+
 // An alias submission canonicalizes before hashing, so "kmeans" and
 // "k-means" are one experiment: the second submission is a cache hit
 // and no second simulation runs.

@@ -208,6 +208,11 @@ func (r Request) Validate() error {
 	if err := r.Config.Validate(); err != nil {
 		return err
 	}
+	for _, p := range r.Protocols {
+		if err := r.Config.ValidateProtocol(p); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

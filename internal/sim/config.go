@@ -166,7 +166,7 @@ func (c Config) Validate() error {
 	if !(c.Compression > 0 && c.Compression <= 1) {
 		return fmt.Errorf("sim: Compression must be in (0,1], got %v", c.Compression)
 	}
-	if c.DeathLine < 0 {
+	if !(c.DeathLine >= 0) {
 		return fmt.Errorf("sim: DeathLine must be non-negative, got %v", c.DeathLine)
 	}
 	if !(c.BitRate > 0) {
@@ -178,17 +178,17 @@ func (c Config) Validate() error {
 	if !(c.LinkRef > 0) {
 		return fmt.Errorf("sim: LinkRef must be positive, got %v", c.LinkRef)
 	}
-	if c.ContentionGamma < 0 {
+	if !(c.ContentionGamma >= 0) {
 		return fmt.Errorf("sim: ContentionGamma must be non-negative, got %v", c.ContentionGamma)
 	}
-	if c.ShadowSigma < 0 {
+	if !(c.ShadowSigma >= 0) {
 		return fmt.Errorf("sim: ShadowSigma must be non-negative, got %v", c.ShadowSigma)
 	}
-	if c.MobilitySpeedMin < 0 || c.MobilitySpeedMax < c.MobilitySpeedMin {
+	if !(c.MobilitySpeedMin >= 0 && c.MobilitySpeedMax >= c.MobilitySpeedMin) {
 		return fmt.Errorf("sim: invalid mobility speed range [%v, %v]",
 			c.MobilitySpeedMin, c.MobilitySpeedMax)
 	}
-	if c.MobilityPause < 0 {
+	if !(c.MobilityPause >= 0) {
 		return fmt.Errorf("sim: negative mobility pause %v", c.MobilityPause)
 	}
 	if !(c.RetryBackoff >= 0) {

@@ -83,6 +83,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsNaN pins the NaN cases: a `x < 0` check
+// passes NaN, and the engine's `> 0` guards would then switch
+// contention, shadowing or mobility off without a word.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"ContentionGamma", func(c *Config) { c.ContentionGamma = nan }},
+		{"ShadowSigma", func(c *Config) { c.ShadowSigma = nan }},
+		{"MobilitySpeedMin", func(c *Config) { c.MobilitySpeedMin = nan }},
+		{"MobilitySpeedMax", func(c *Config) { c.MobilitySpeedMin, c.MobilitySpeedMax = 1, nan }},
+		{"MobilityPause", func(c *Config) { c.MobilityPause = nan }},
+		{"DeathLine", func(c *Config) { c.DeathLine = energy.Joules(nan) }},
+	} {
+		cfg := DefaultConfig()
+		c.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s = NaN accepted", c.field)
+		}
+	}
+	// The speed range check still holds for numbers.
+	cfg := DefaultConfig()
+	cfg.MobilitySpeedMin, cfg.MobilitySpeedMax = 3, 1
+	if err := cfg.Validate(); err == nil {
+		t.Error("mobility speed range [3, 1] accepted")
+	}
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	w := paperNet(t, 1)
 	if _, err := NewEngine(w, nil, energy.DefaultModel(), DefaultConfig()); err == nil {
