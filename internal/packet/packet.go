@@ -34,12 +34,10 @@ type Packet struct {
 // push and retained across Reset, so a queue recycled round after round
 // (the simulator pools head queues) performs no steady-state allocation.
 type Queue struct {
-	cap     int
-	buf     []Packet // ring storage; len(buf) == cap once allocated
-	head    int      // index of the oldest packet
-	n       int      // number of queued packets
-	dropped int
-	pushed  int
+	cap  int
+	buf  []Packet // ring storage; len(buf) == cap once allocated
+	head int      // index of the oldest packet
+	n    int      // number of queued packets
 }
 
 // NewQueue returns a queue with the given capacity. It panics on negative
@@ -51,27 +49,13 @@ func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
 
-// Cap returns the queue's capacity.
-func (q *Queue) Cap() int { return q.cap }
-
 // Len returns the number of queued packets.
 func (q *Queue) Len() int { return q.n }
 
-// Free returns the remaining space.
-func (q *Queue) Free() int { return q.cap - q.n }
-
-// Dropped returns how many packets were rejected for lack of space.
-func (q *Queue) Dropped() int { return q.dropped }
-
-// Pushed returns how many packets were offered (accepted + dropped).
-func (q *Queue) Pushed() int { return q.pushed }
-
-// Push offers a packet to the queue. It returns false — and counts a
-// drop — when the queue is full.
+// Push offers a packet to the queue. It returns false, leaving the
+// queue as it was, when the queue is full; the caller counts the drop.
 func (q *Queue) Push(p Packet) bool {
-	q.pushed++
 	if q.n >= q.cap {
-		q.dropped++
 		return false
 	}
 	if q.buf == nil {
@@ -100,11 +84,8 @@ func (q *Queue) Pop() (p Packet, ok bool) {
 	return p, true
 }
 
-// Reset empties the queue and clears the drop/push counters, retaining
-// the ring storage for reuse.
+// Reset empties the queue, retaining the ring storage for reuse.
 func (q *Queue) Reset() {
 	q.head = 0
 	q.n = 0
-	q.dropped = 0
-	q.pushed = 0
 }

@@ -30,8 +30,8 @@ func TestQueueDropsWhenFull(t *testing.T) {
 	if q.Push(Packet{ID: 3}) {
 		t.Fatal("push into full queue accepted")
 	}
-	if q.Dropped() != 1 || q.Pushed() != 3 {
-		t.Fatalf("dropped=%d pushed=%d", q.Dropped(), q.Pushed())
+	if q.Len() != 2 {
+		t.Fatalf("len after a rejected push = %d, want 2", q.Len())
 	}
 	// The dropped packet must not displace queued ones.
 	p, _ := q.Pop()
@@ -42,11 +42,13 @@ func TestQueueDropsWhenFull(t *testing.T) {
 
 func TestZeroCapacityDropsAll(t *testing.T) {
 	q := NewQueue(0)
-	if q.Push(Packet{ID: 1}) {
-		t.Fatal("zero-capacity queue accepted a packet")
+	for i := 0; i < 3; i++ {
+		if q.Push(Packet{ID: ID(i)}) {
+			t.Fatal("zero-capacity queue accepted a packet")
+		}
 	}
-	if q.Dropped() != 1 {
-		t.Fatalf("dropped = %d", q.Dropped())
+	if _, ok := q.Pop(); ok || q.Len() != 0 {
+		t.Fatalf("zero-capacity queue holds %d packets", q.Len())
 	}
 }
 
@@ -64,27 +66,44 @@ func TestReset(t *testing.T) {
 	q.Push(Packet{ID: 1})
 	q.Push(Packet{ID: 2}) // dropped
 	q.Reset()
-	if q.Len() != 0 || q.Dropped() != 0 || q.Pushed() != 0 {
+	if q.Len() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 	if !q.Push(Packet{ID: 3}) {
 		t.Fatal("push after reset rejected")
 	}
+	if p, ok := q.Pop(); !ok || p.ID != 3 {
+		t.Fatalf("pop after reset = (%v, %v), want packet 3", p.ID, ok)
+	}
 }
 
+// TestFreeAndLenTrack checks Len, and the free space as the number of
+// further pushes the queue accepts before it rejects one.
 func TestFreeAndLenTrack(t *testing.T) {
+	// free pushes until the queue rejects one, pops those back off and
+	// returns how many it took.
+	free := func(q *Queue) int {
+		n := 0
+		for q.Push(Packet{}) {
+			n++
+		}
+		for range n {
+			q.Pop()
+		}
+		return n
+	}
 	q := NewQueue(4)
-	if q.Free() != 4 || q.Len() != 0 {
+	if free(q) != 4 || q.Len() != 0 {
 		t.Fatal("fresh queue accounting wrong")
 	}
 	q.Push(Packet{})
 	q.Push(Packet{})
-	if q.Free() != 2 || q.Len() != 2 {
-		t.Fatalf("free=%d len=%d", q.Free(), q.Len())
+	if f := free(q); f != 2 || q.Len() != 2 {
+		t.Fatalf("free=%d len=%d", f, q.Len())
 	}
 	q.Pop()
-	if q.Free() != 3 || q.Len() != 1 {
-		t.Fatalf("after pop: free=%d len=%d", q.Free(), q.Len())
+	if f := free(q); f != 3 || q.Len() != 1 {
+		t.Fatalf("after pop: free=%d len=%d", f, q.Len())
 	}
 }
 
@@ -111,27 +130,32 @@ func TestLongChurnKeepsCapacityBound(t *testing.T) {
 	}
 }
 
-// Property: pushed == dropped + still-queued + popped, and Len never
-// exceeds Cap, under arbitrary push/pop interleavings.
+// Property: under arbitrary push/pop interleavings, Len is the
+// accepted pushes minus the pops that returned a packet and never
+// exceeds the capacity, and a push is rejected exactly when the queue
+// is full.
 func TestQueueAccountingQuick(t *testing.T) {
 	g := func(capacity uint8, ops []bool) bool {
-		q := NewQueue(int(capacity % 16))
-		inQueue := 0
-		popped := 0
+		c := int(capacity % 16)
+		q := NewQueue(c)
+		accepted, popped := 0, 0
 		for i, push := range ops {
 			if push {
-				if q.Push(Packet{ID: ID(i)}) {
-					inQueue++
+				full := q.Len() == c
+				if q.Push(Packet{ID: ID(i)}) == full {
+					return false
+				}
+				if !full {
+					accepted++
 				}
 			} else if _, ok := q.Pop(); ok {
-				inQueue--
 				popped++
 			}
-			if q.Len() > q.Cap() || q.Len() != inQueue {
+			if q.Len() > c || q.Len() != accepted-popped {
 				return false
 			}
 		}
-		return q.Pushed() == q.Dropped()+inQueue+popped
+		return true
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)

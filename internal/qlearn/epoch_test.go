@@ -2,9 +2,11 @@ package qlearn
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"qlec/internal/dataset"
 	"qlec/internal/energy"
@@ -199,16 +201,21 @@ func TestBeginEpochAllocs(t *testing.T) {
 }
 
 // TestPrebuiltListsMatchLazy checks the lists BeginEpoch builds, at
-// GOMAXPROCS 1, 2 and 4, bit for bit against the full pass Decide runs
-// for a node whose list is not live, at the same state and D: one list
-// per member above the death line, and none for a head or for a member
-// at or below it. V, batteries and link estimates vary across the
-// nodes, so the lists differ in d0, ranking and envelope.
+// GOMAXPROCS 1, 2 and 4, bit for bit (all but the dirty bits) against
+// the full pass Decide runs for a node whose list is not live, at the
+// same state and D: one list per member above the death line, and none
+// for a head or for a member at or below it. V, batteries and link
+// estimates vary across the nodes, so the lists differ in d0, ranking
+// and envelope. The first BeginEpoch also writes back the estimates
+// the previous epoch's ACKs left in the lists, so its lists are built
+// from them.
 func TestPrebuiltListsMatchLazy(t *testing.T) {
 	l, heads, members := fig4Learner(t)
 	l.BeginEpoch(heads, 0)
 	for j, m := range members {
 		l.Decide(m, heads)
+		l.Observe(m, network.BSID, j%2 == 0)
+		l.Observe(m, heads[j%fig4Heads], j%3 != 0) // listed, or left out
 		switch j % 7 {
 		case 0:
 			l.net.Nodes[m].Battery.Draw(l.net.Nodes[m].Battery.Residual()) // dead
@@ -223,7 +230,10 @@ func TestPrebuiltListsMatchLazy(t *testing.T) {
 	for _, h := range heads {
 		isHead[h] = true
 	}
-	bits := math.Float64bits
+	if !l.dirty {
+		t.Fatal("no list holds an estimate the link store lacks")
+	}
+	fbits := math.Float64bits
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -244,11 +254,11 @@ func TestPrebuiltListsMatchLazy(t *testing.T) {
 			if !l.fullPass(&want, l.scratch, i, -1, &b) {
 				t.Fatalf("node %d: the lazy full pass failed", i)
 			}
-			same := c.stamp == want.stamp && bits(c.d0) == bits(want.d0) && c.n == want.n &&
-				bits(c.out.b) == bits(want.out.b) && bits(c.out.pmin) == bits(want.out.pmin) &&
-				bits(c.out.pmax) == bits(want.out.pmax) && c.col == want.col
+			same := c.stamp == want.stamp && fbits(c.d0) == fbits(want.d0) && c.n == want.n &&
+				fbits(c.out.b) == fbits(want.out.b) && fbits(c.out.pmin) == fbits(want.out.pmin) &&
+				fbits(c.out.pmax) == fbits(want.out.pmax) && c.col == want.col
 			for e := range c.row[:c.n+1] {
-				same = same && bits(c.row[e].y) == bits(want.row[e].y) && bits(c.row[e].p) == bits(want.row[e].p)
+				same = same && fbits(c.row[e].y) == fbits(want.row[e].y) && fbits(c.row[e].p) == fbits(want.row[e].p)
 			}
 			if !same {
 				t.Fatalf("GOMAXPROCS %d: node %d's list differs from the lazy pass:\nbuilt %+v\nlazy  %+v", procs, i, *c, want)
@@ -260,6 +270,91 @@ func TestPrebuiltListsMatchLazy(t *testing.T) {
 		if got := l.stats.full - full; got != uint64(built) {
 			t.Errorf("GOMAXPROCS %d: BeginEpoch counted %d full passes for %d lists", procs, got, built)
 		}
+	}
+}
+
+// TestCandRowSize pins a candidate list at 384 bytes, six 64-byte cache
+// lines: the dirty bits share a word with the entry count.
+func TestCandRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(candRow{}); got != 384 {
+		t.Errorf("candRow is %d bytes, want 384", got)
+	}
+}
+
+// TestWriteBackMatchesEager runs rounds of a QLEC-like sequence — arm a
+// set of 30 heads (wider than a list, so BeginEpoch prebuilds the
+// lists), decide for every member, observe the outcome and two more
+// links, update the heads' V, BeginEpoch over the next set — on a
+// learner with candidate lists and on one whose decision observer
+// keeps it eager (every ACK goes straight to its link store). Decisions
+// and V must match, and after each BeginEpoch every list must be
+// written back and the link store must hold, for every (node, target),
+// the eager learner's estimate.
+func TestWriteBackMatchesEager(t *testing.T) {
+	const n, k = 200, 30
+	w := testNet(t, n, 5)
+	lists, eager := newTestLearner(t, w), newTestLearner(t, w)
+	eager.SetDecisionObserver(func(Decision) {})
+	ls := [...]*Learner{lists, eager}
+	next := func(r int) []int {
+		heads := make([]int, k)
+		for j := range heads {
+			heads[j] = (r*37 + j*6) % n
+		}
+		return heads
+	}
+	heads := next(0)
+	for _, l := range ls {
+		l.BeginEpoch(heads, 0)
+	}
+	for r := 1; r <= 6; r++ {
+		isHead := make([]bool, n)
+		for _, h := range heads {
+			isHead[h] = true
+		}
+		for m := 0; m < n; m++ {
+			if isHead[m] {
+				continue
+			}
+			for rep := range 2 {
+				got, want := lists.Decide(m, heads), eager.Decide(m, heads)
+				if got != want || lists.V(m) != eager.V(m) {
+					t.Fatalf("round %d: Decide(%d) = %d with lists, %d eager", r, m, got, want)
+				}
+				for _, l := range ls {
+					l.Observe(m, got, (m+r+rep)%3 != 0)
+					l.Observe(m, network.BSID, (m+r)%4 != 0)
+					l.Observe(m, heads[(m*7+r+rep)%k], (m+rep)%2 == 0)
+				}
+			}
+		}
+		for _, h := range heads {
+			for _, l := range ls {
+				l.UpdateHeadValue(h)
+			}
+		}
+		if !lists.dirty {
+			t.Fatalf("round %d: no list holds an estimate the link store lacks", r)
+		}
+		heads = next(r)
+		for _, l := range ls {
+			l.BeginEpoch(heads, 0)
+		}
+		for i := range lists.cands {
+			if lists.cands[i].dirty != 0 {
+				t.Fatalf("round %d: node %d's list is dirty after BeginEpoch", r, i)
+			}
+		}
+		for from := 0; from < n; from++ {
+			for to := network.BSID; to < n; to++ {
+				if got, want := lists.linkP(from, to), eager.LinkP(from, to); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("round %d: link (%d, %d) = %v in the store, %v eager", r, from, to, got, want)
+				}
+			}
+		}
+	}
+	if lists.stats.ended == 0 {
+		t.Error("BeginEpoch wrote no list back")
 	}
 }
 
@@ -403,15 +498,21 @@ func FuzzDecideEpoch(f *testing.F) {
 // targets, every V and the two observed learners' Decision records must
 // be bit-equal, and every learner's estimate for every directed link
 // must equal a reference map that applies the same prior-then-EWMA
-// update. It returns the first learner's candidate-list counters.
+// update. The estimates are read with peekLinkP, which writes no
+// candidate list back, so dirty lists live on from one operation to
+// the next. Only the second learner writes every ACK to its link store
+// at once (its Decide builds no lists), so it is the eager reference
+// for the first learner's write-back. At the end every LinkP must equal
+// the map. It returns the first learner's candidate-list counters.
 //
 // The third byte sets ε = 0.3 when odd, and lays the nodes out on a
 // ring around node 0 when bit 1 is set. A head-set byte of 0x80 or
 // more with a nonzero count arms a wide set
 // instead: up to n distinct nodes with consecutive ids, so a set can
-// hold more heads than a candidate list. A target byte of 0x83 or more
-// that selects the fourth case draws the last Decide's return value,
-// so an exploratory pick can be observed.
+// hold more heads than a candidate list. A target byte of 0x83 or
+// more that selects the fourth case draws the last Decide's return
+// value, so an exploratory pick can be observed. An outcome byte of
+// 0x80 or more reads the observed link back with LinkP at once.
 func decideEpoch(t *testing.T, data []byte) listStats {
 	in := fuzzBytes(data)
 	n := 2 + in.next()%39
@@ -446,6 +547,24 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 	screened, armed, plain := ls[0], ls[1], ls[2]
 	names := [...]string{"screened", "armed", "unarmed"}
 	ref := map[[2]int]float64{} // the reference link estimates
+	// checkLinks compares, with read, every learner's estimate for
+	// every link from the senders in [lo, hi) with ref.
+	checkLinks := func(op, lo, hi int, read func(*Learner, int, int) float64) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			for to := network.BSID; to < n; to++ {
+				want, seen := ref[[2]int{i, to}]
+				if !seen {
+					want = p.InitialLinkP
+				}
+				for k, l := range ls {
+					if got := read(l, i, to); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("op %d: estimate of link (%d, %d) = %v %s, want %v", op, i, to, got, names[k], want)
+					}
+				}
+			}
+		}
+	}
 	var decA, decP []Decision
 	armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
 	plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
@@ -515,19 +634,23 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 			}
 			last = s
 		case 3:
-			from, to, ok := node(), target(), in.next()%3 != 0
+			from, to := node(), target()
+			b := in.next()
 			for _, l := range ls {
-				l.Observe(from, to, ok)
+				l.Observe(from, to, b%3 != 0)
 			}
 			q, seen := ref[[2]int{from, to}]
 			if !seen {
 				q = p.InitialLinkP
 			}
 			x := 0.0
-			if ok {
+			if b%3 != 0 {
 				x = 1
 			}
 			ref[[2]int{from, to}] = q + p.LinkAlpha*(x-q)
+			if b >= 0x80 {
+				checkLinks(op, from, from+1, (*Learner).LinkP)
+			}
 		case 4:
 			h := target()
 			if h == network.BSID {
@@ -551,18 +674,8 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 			if math.Float64bits(s) != math.Float64bits(a) || math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("op %d: V(%d) = %v screened, %v armed, %v unarmed", op, i, s, a, b)
 			}
-			for to := network.BSID; to < n; to++ {
-				want, seen := ref[[2]int{i, to}]
-				if !seen {
-					want = p.InitialLinkP
-				}
-				for k, l := range ls {
-					if got := l.LinkP(i, to); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("op %d: LinkP(%d, %d) = %v %s, want %v", op, i, to, got, names[k], want)
-					}
-				}
-			}
 		}
+		checkLinks(op, 0, n, (*Learner).peekLinkP)
 		if len(decA) != len(decP) {
 			t.Fatalf("op %d: %d decisions observed armed, %d unarmed", op, len(decA), len(decP))
 		}
@@ -573,7 +686,23 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 		}
 		decA, decP = decA[:0], decP[:0]
 	}
+	checkLinks(-1, 0, n, (*Learner).LinkP)
 	return screened.stats
+}
+
+// peekLinkP is LinkP without the write-back LinkP makes: the estimate
+// from's candidate list holds for to when Observe left that entry
+// dirty, else the link store's.
+func (l *Learner) peekLinkP(from, to int) float64 {
+	if from < len(l.cands) {
+		c := &l.cands[from]
+		for d := c.dirty; d != 0; d &= d - 1 {
+			if e := bits.TrailingZeros32(d); l.target(c, e) == to {
+				return c.row[e].p
+			}
+		}
+	}
+	return l.linkP(from, to)
 }
 
 // sameDecision reports whether two Decision records are bit-equal.
@@ -649,6 +778,49 @@ var listSeeds = []struct {
 	{"observe-left-out", []byte{0x21, 0xb3, 0x03, 0x00, 0x81, 0x01, 0x21, 0x03, 0x00, 0x01, 0xe7,
 		0x01, 0x01, 0x00, 0x03, 0x00, 0x01, 0x16, 0x07, 0x01},
 		func(s listStats) bool { return s.observed > 0 }},
+	// The rest start alike: 20 nodes, heads 0..17, so BeginEpoch builds
+	// member 19's list (which leaves heads 9 and 11 out), and 19
+	// decides. Then ACKs for listed targets leave the list dirty before
+	// each of the ways the store catches up.
+	//
+	// ACKs for the BS and head 7, then BeginEpoch over heads 1..18:
+	// BeginEpoch writes the list back through the old columns before
+	// it re-arms them.
+	{"dirty-begin", []byte{0x12, 0x00, 0x00, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13,
+		0x03, 0x13, 0x00, 0x01, 0x03, 0x13, 0x01, 0x07, 0x00, 0x00, 0x81, 0x01, 0x11, 0x01, 0x13},
+		func(s listStats) bool { return s.ended > 0 }},
+	// ACKs for the BS and head 7, then a node move and
+	// InvalidateGeometry expire the list; 19's next decision is a full
+	// pass, which writes the list back before it reads the store.
+	{"dirty-invalidate", []byte{0x12, 0x00, 0x00, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13,
+		0x03, 0x13, 0x00, 0x01, 0x03, 0x13, 0x01, 0x07, 0x00, 0x05, 0x03, 0x90, 0x01, 0x13},
+		func(s listStats) bool { return s.settled > 0 && s.ended == 0 }},
+	// An ACK for head 7, then head 7 decides and UpdateHeadValue(7)
+	// raises its k, expiring every list; the next ACK of 19, for head 7
+	// again, finds its list expired and dirty, and must write it back
+	// before it reads the store's estimate for head 7.
+	{"dirty-raise", []byte{0x12, 0x00, 0x00, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13,
+		0x03, 0x13, 0x01, 0x07, 0x01, 0x01, 0x07, 0x04, 0x01, 0x07, 0x03, 0x13, 0x01, 0x07, 0x01, 0x01, 0x13},
+		func(s listStats) bool { return s.raised > 0 && s.settled > 0 }},
+	// An ACK for head 7, then one for the BS read back with LinkP (the
+	// outcome byte 0x82), which writes the list back; an ACK for head 6
+	// dirties it again for the final check's LinkP reads.
+	{"dirty-linkp", []byte{0x12, 0x00, 0x00, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13,
+		0x03, 0x13, 0x01, 0x07, 0x01, 0x03, 0x13, 0x00, 0x82, 0x03, 0x13, 0x01, 0x06, 0x01},
+		func(s listStats) bool { return s.settled > 1 }},
+	// An ACK for head 7, then one for head 9, which the list left out:
+	// the list expires, and is written back before the store takes the
+	// estimate for head 9.
+	{"dirty-left-out", []byte{0x12, 0x00, 0x00, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13,
+		0x03, 0x13, 0x01, 0x07, 0x01, 0x03, 0x13, 0x01, 0x09, 0x00, 0x01, 0x13},
+		func(s listStats) bool { return s.observed > 0 && s.settled > 0 }},
+	// 10 nodes and heads 1, 2 and 3, so node 5's list is its whole row:
+	// ACKs for the BS and head 2, then BeginEpoch over 5 heads
+	// (head-set byte 0x44) writes the list back through the old
+	// columns, whose order is the list's.
+	{"dirty-small-begin", []byte{0x08, 0x00, 0x00, 0x00, 0x03, 0x01, 0x02, 0x03, 0x01, 0x05,
+		0x03, 0x05, 0x00, 0x01, 0x03, 0x05, 0x01, 0x01, 0x02, 0x00, 0x44, 0x04, 0x05, 0x06, 0x07, 0x08, 0x01, 0x09},
+		func(s listStats) bool { return s.ended > 0 }},
 }
 
 // decideAndDrain encodes, for each node from first to last, a Decide

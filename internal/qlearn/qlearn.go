@@ -34,6 +34,7 @@ package qlearn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -144,12 +145,19 @@ type Learner struct {
 
 	v   []float64 // V*(b_i), indexed by node id
 	vBS float64   // V*(h_BS), terminal, stays 0
-	// links is the canonical link state: the EWMA success estimate of
-	// every link its sender has observed, and nothing for the rest — a
-	// missing link reads as the optimistic prior. Observe writes it, and
-	// LinkP and action-row fills read it. Memory is O(N + observed
-	// links) rather than one entry per directed pair (DESIGN.md §8).
+	// links holds the EWMA success estimate of every link its sender has
+	// observed, and nothing for the rest — a missing link reads as the
+	// optimistic prior. Memory is O(N + observed links) rather than one
+	// entry per directed pair (DESIGN.md §8). It is the canonical link
+	// state except for the candidate-list entries Observe has marked
+	// dirty: those are authoritative until written back. The store
+	// catches up on a sender's links before any read or update of them
+	// (settle: full passes, scratch rows, LinkP, and Observe of a target
+	// outside the live list), and on every list when the next epoch
+	// begins (BeginEpoch).
 	links linkStore
+	// dirty is set while some list holds an entry the store lacks.
+	dirty bool
 
 	// yNorm is the Eq. (18) cost of the longest possible in-box hop,
 	// used to normalize y(·) into [0,1].
@@ -167,11 +175,12 @@ type Learner struct {
 	// a set of more than candM heads, BeginEpoch runs the first pass of
 	// every sender's epoch, spread over GOMAXPROCS workers; Decide runs
 	// one whenever a list has expired or its envelope cannot rule the
-	// others out. Observe keeps the listed P entries current, so most
-	// Decide calls read one node's few hundred bytes instead of a row
-	// of k+1 entries. Bumping epoch expires every list at once. The
-	// lists are the learner's largest state, N·384 B whatever k is
-	// (≈1.1 MB at the §5.3 shape).
+	// others out. Observe updates the listed P entries in place (see
+	// links), so most Decide calls read one node's few hundred bytes
+	// instead of a row of k+1 entries. Bumping epoch expires every list
+	// at once; an expired list keeps its dirty entries until they are
+	// written back. The lists are the learner's largest state, N·384 B
+	// whatever k is (≈1.1 MB at the §5.3 shape).
 	epoch uint64
 	armed bool
 	set   []int     // the caller's head slice, recognized by identity (BeginEpoch)
@@ -271,13 +280,16 @@ const candM = 16
 // the node's own column included (the screen skips it), and col is
 // unused. Otherwise the full pass listed the candM heads with the
 // largest bounds s_j(d0), highest first, in columns col[:n], and out
-// describes the heads left out. 48 bytes of header, 17 entries of 16
-// and candM columns of 4.
+// describes the heads left out. Bit e of dirty is set when Observe has
+// updated entry e and the link store does not have the new estimate
+// yet; it outlives the stamp, until the entry is written back. 48
+// bytes of header, 17 entries of 16 and candM columns of 4.
 type candRow struct {
 	stamp uint64
 	d0    float64
 	out   envelope
-	n     int
+	n     int32
+	dirty uint32
 	row   [candM + 1]action
 	col   [candM]int32
 }
@@ -315,6 +327,8 @@ type listStats struct {
 	falling  uint64 // envelope tests on the p_min slope (D below d0)
 	observed uint64 // lists expired by Observe
 	raised   uint64 // epochs ended by a rise in an armed column's k
+	settled  uint64 // dirty lists written back before their node's links were read or written
+	ended    uint64 // dirty lists written back when an epoch begins
 }
 
 // x returns the normalized residual energy of a node, or 1 for the
@@ -349,6 +363,12 @@ func (l *Learner) cost(d float64) float64 {
 // LinkP returns the node's current estimate of the link success
 // probability to target.
 func (l *Learner) LinkP(from, to int) float64 {
+	l.settle(from)
+	return l.linkP(from, to)
+}
+
+// linkP is LinkP from the store alone; the caller has settled from.
+func (l *Learner) linkP(from, to int) float64 {
 	if p, ok := l.links.lookup(from, to); ok {
 		return p
 	}
@@ -414,7 +434,13 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 // observed set, get their list on their first Decide. Either way the
 // list is a full pass at the node's D of that moment, and the screen
 // returns the same bits from any live list (DESIGN.md §8).
+//
+// BeginEpoch first writes every dirty list entry back to the link
+// store, since the columns it re-arms are what map entries to targets.
 func (l *Learner) BeginEpoch(heads []int, deathLine energy.Joules) {
+	if l.dirty {
+		l.writeBack()
+	}
 	l.epoch++
 	if l.armed {
 		for _, c := range l.cols {
@@ -457,6 +483,52 @@ func (l *Learner) BeginEpoch(heads []int, deathLine energy.Joules) {
 	if len(heads) > candM && l.decObs == nil {
 		l.prebuild(deathLine)
 	}
+}
+
+// writeBack writes every dirty list back to the link store, lists that
+// expired mid-epoch included.
+func (l *Learner) writeBack() {
+	for i := range l.cands {
+		if l.cands[i].dirty != 0 {
+			l.flush(i)
+			l.stats.ended++
+		}
+	}
+	l.dirty = false
+}
+
+// settle writes from's list back to the link store if it is dirty,
+// before the store's estimates for from are read or updated.
+func (l *Learner) settle(from int) {
+	if from < len(l.cands) && l.cands[from].dirty != 0 {
+		l.flush(from)
+		l.stats.settled++
+	}
+}
+
+// flush stores each dirty entry of from's list under its target and
+// clears the list's dirty bits.
+func (l *Learner) flush(from int) {
+	c := &l.cands[from]
+	for d := c.dirty; d != 0; d &= d - 1 {
+		e := bits.TrailingZeros32(d)
+		slot, _ := l.links.slot(from, l.target(c, e))
+		*slot = c.row[e].p
+	}
+	c.dirty = 0
+}
+
+// target returns the id of entry e of list c under the armed columns:
+// the BS for entry 0, else the head of the entry's column.
+func (l *Learner) target(c *candRow, e int) int {
+	if e == 0 {
+		return network.BSID
+	}
+	j := e - 1
+	if len(l.cols) > candM {
+		j = int(c.col[j])
+	}
+	return l.cols[j].id
 }
 
 // prebuildBlock is the number of consecutive node ids a prebuild worker
@@ -535,10 +607,11 @@ func (l *Learner) InvalidateGeometry() {
 }
 
 // armedRow fills row, of length k+1, for from over the armed columns
-// and returns it. A sparse link block overlays its entries on a row
-// filled with the prior, in O(k + seen); a direct block is looked up
-// per target, in O(k).
+// and returns it, settling from's list first. A sparse link block
+// overlays its entries on a row filled with the prior, in O(k + seen);
+// a direct block is looked up per target, in O(k).
 func (l *Learner) armedRow(row []action, from int) []action {
+	l.settle(from)
 	targets, off, sparse := l.links.sparse(from)
 	l.fillRow(row, from, l.cols, !sparse)
 	for i, t := range targets {
@@ -552,6 +625,7 @@ func (l *Learner) armedRow(row []action, from int) []action {
 // scratchRow fills the scratch row for from over a head set that is not
 // armed, looking each link up, and returns it with the set's columns.
 func (l *Learner) scratchRow(from int, heads []int) ([]action, []headCol) {
+	l.settle(from)
 	w := len(heads) + 1
 	if cap(l.scratch) < w {
 		l.scratch = make([]action, w)
@@ -565,17 +639,18 @@ func (l *Learner) scratchRow(from int, heads []int) ([]action, []headCol) {
 // fillRow computes row = [a(from, BS), a(from, cols[0].id), ...]: y from
 // the geometry, and P looked up per target when lookup is set, else the
 // prior, for the caller to overlay with the links from has observed.
+// The caller has settled from.
 func (l *Learner) fillRow(row []action, from int, cols []headCol, lookup bool) {
 	p := l.params.InitialLinkP
 	if lookup {
-		p = l.LinkP(from, network.BSID)
+		p = l.linkP(from, network.BSID)
 	}
 	row[0] = action{y: l.y(from, network.BSID), p: p}
 	pos := l.net.Nodes[from].Pos
 	for j := range cols {
 		c := &cols[j]
 		if lookup {
-			p = l.LinkP(from, c.id)
+			p = l.linkP(from, c.id)
 		}
 		row[j+1] = action{y: l.cost(pos.Dist(c.pos)), p: p}
 	}
@@ -596,8 +671,8 @@ func (l *Learner) columns(dst []headCol, heads []int) []headCol {
 }
 
 // QValue evaluates Eq. (15)+(16) for one state-action pair without
-// mutating any state — introspection for tests, debugging and
-// visualization. target may be network.BSID.
+// changing any estimate or value — introspection for tests, debugging
+// and visualization. target may be network.BSID.
 func (l *Learner) QValue(from, target int) float64 {
 	return l.q(from, target)
 }
@@ -840,7 +915,7 @@ func (l *Learner) fullPass(c *candRow, scratch []action, from, skip int, b *boun
 	k := len(l.cols)
 	if k <= candM {
 		l.armedRow(c.row[:k+1], from)
-		c.out, c.n = out, k
+		c.out, c.n = out, int32(k)
 		c.stamp = l.epoch
 		return true
 	}
@@ -879,7 +954,7 @@ func (l *Learner) fullPass(c *candRow, scratch []action, from, skip int, b *boun
 	for i, t := range top[:n] {
 		c.row[i+1], c.col[i] = hr[t.j], int32(t.j)
 	}
-	c.out, c.n = out, n
+	c.out, c.n = out, int32(n)
 	c.stamp = l.epoch
 	return true
 }
@@ -989,24 +1064,35 @@ func better(candidate, incumbent int) bool {
 // the ACK-driven learning step of §4.2. The update is an exponentially
 // weighted moving average, p += LinkAlpha·(outcome − p): first contact
 // seeds the estimate with the prior so one failure does not zero it,
-// then folds the outcome. When from's candidate list is live, a listed
-// target's entry takes the new estimate too, and a new estimate for a
-// head left out expires the list, whose envelope assumed the old one.
+// then folds the outcome. When from's candidate list is live and lists
+// the target (its BS entry, or a listed head), the update applies to
+// that entry alone, which is marked dirty and becomes the authoritative
+// estimate until it is written back (see Learner.links); the link store
+// is not touched. Any other target is updated in the store, after
+// from's dirty entries are written back, and a new estimate for a head
+// the live list left out expires the list, whose envelope assumed the
+// old one.
 func (l *Learner) Observe(from, to int, success bool) {
-	slot, seen := l.links.slot(from, to)
-	p := l.params.InitialLinkP
-	if seen {
-		p = *slot
-	}
 	x := 0.0
 	if success {
 		x = 1
 	}
+	var slot *float64
+	if e := l.entry(from, to); e >= 0 {
+		c := &l.cands[from]
+		slot = &c.row[e].p
+		c.dirty |= 1 << e
+		l.dirty = true
+	} else {
+		l.settle(from)
+		var seen bool
+		if slot, seen = l.links.slot(from, to); !seen {
+			*slot = l.params.InitialLinkP
+		}
+	}
+	p := *slot
 	p += l.params.LinkAlpha * (x - p)
 	*slot = p
-	if l.armed && l.cands[from].stamp == l.epoch {
-		l.observeList(&l.cands[from], to, p)
-	}
 	if l.outObs != nil {
 		r := l.rewardFailure(from, to)
 		if success {
@@ -1016,25 +1102,30 @@ func (l *Learner) Observe(from, to int, success bool) {
 	}
 }
 
-// observeList brings live list c up to date with estimate p for target
-// to.
-func (l *Learner) observeList(c *candRow, to int, p float64) {
+// entry returns the index of target to's entry in from's candidate
+// list when the list is live and holds one, and −1 otherwise. A live
+// list that leaves out the armed head to expires.
+func (l *Learner) entry(from, to int) int {
+	if !l.armed || l.cands[from].stamp != l.epoch {
+		return -1
+	}
+	c := &l.cands[from]
 	j := l.col[to+1]
 	switch {
 	case j == 0:
-		c.row[0].p = p
+		return 0
 	case j > 0 && len(l.cols) <= candM: // the list is the whole row
-		c.row[j].p = p
+		return j
 	case j > 0:
 		for i, cj := range c.col[:c.n] {
 			if int(cj) == j-1 {
-				c.row[i+1].p = p
-				return
+				return i + 1
 			}
 		}
 		c.stamp = 0
 		l.stats.observed++
 	}
+	return -1
 }
 
 // UpdateHeadValue implements Algorithm 1 line 15: after the end-of-round

@@ -18,7 +18,8 @@ import (
 )
 
 // ParseJSONL reads one trace event per line. Blank lines are skipped;
-// malformed lines are errors (a trace is machine-written).
+// malformed lines are errors (a trace is machine-written), and so is a
+// line that is not exactly one JSON object (see decodeLine).
 func ParseJSONL(r io.Reader) ([]sim.TraceEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -31,7 +32,7 @@ func ParseJSONL(r io.Reader) ([]sim.TraceEvent, error) {
 			continue
 		}
 		var ev sim.TraceEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
+		if err := decodeLine(raw, &ev, false); err != nil {
 			return nil, fmt.Errorf("traceio: line %d: %w", line, err)
 		}
 		out = append(out, ev)
@@ -223,9 +224,9 @@ func WriteLedgerJSONL(w io.Writer, entries []sim.EnergyEntry) error {
 // of WriteLedgerJSONL and of audit spill files). Blank lines are
 // skipped; malformed lines are errors with their line number — the
 // stream is machine-written, so corruption means truncation or a mixed
-// stream, not user input. Unknown fields are rejected so a packet-trace
-// line interleaved into a ledger stream fails loudly instead of parsing
-// as a zero-valued entry.
+// stream, not user input. A line must be exactly one JSON object, and
+// unknown fields are rejected so a packet-trace line interleaved into a
+// ledger stream fails loudly instead of parsing as a zero-valued entry.
 func ParseLedgerJSONL(r io.Reader) ([]sim.EnergyEntry, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -238,9 +239,7 @@ func ParseLedgerJSONL(r io.Reader) ([]sim.EnergyEntry, error) {
 			continue
 		}
 		var e sim.EnergyEntry
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&e); err != nil {
+		if err := decodeLine(raw, &e, true); err != nil {
 			return nil, fmt.Errorf("traceio: ledger line %d: %w", line, err)
 		}
 		out = append(out, e)
@@ -250,3 +249,28 @@ func ParseLedgerJSONL(r io.Reader) ([]sim.EnergyEntry, error) {
 	}
 	return out, nil
 }
+
+// decodeLine decodes raw, one line of a JSONL stream, into the record v.
+// The line must hold exactly one JSON object: a second value or any
+// other trailing data is an error, and so is any other value, null
+// included, which json would decode into v as a no-op, leaving a
+// zero-valued record. strict rejects fields v does not have.
+func decodeLine(raw []byte, v any, strict bool) error {
+	if body := bytes.TrimLeft(raw, jsonSpace); len(body) == 0 || body[0] != '{' {
+		return fmt.Errorf("want a JSON object, got %.20q", raw)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(raw[dec.InputOffset():], jsonSpace); len(rest) > 0 {
+		return fmt.Errorf("trailing data after the JSON object: %.20q", rest)
+	}
+	return nil
+}
+
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"

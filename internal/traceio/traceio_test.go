@@ -1,6 +1,7 @@
 package traceio
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -291,4 +292,128 @@ func TestFilter(t *testing.T) {
 	if got := Filter(events, 99, -1); len(got) != 0 {
 		t.Fatalf("impossible filter kept %+v", got)
 	}
+}
+
+// TestParsersTakeOneObjectPerLine pins both parsers to exactly one JSON
+// object per non-blank line: trailing data or a second value after the
+// object, and a line holding null or any other non-object value, are
+// errors naming the line, where they used to parse as a record (the
+// ledger parser read only the first value of a line, and both decoded
+// null as a zero-valued record). JSON whitespace around the object is
+// allowed.
+func TestParsersTakeOneObjectPerLine(t *testing.T) {
+	parsers := []struct {
+		name  string
+		parse func(string) (int, error)
+	}{
+		{"ParseJSONL", func(s string) (int, error) {
+			evs, err := ParseJSONL(strings.NewReader(s))
+			return len(evs), err
+		}},
+		{"ParseLedgerJSONL", func(s string) (int, error) {
+			es, err := ParseLedgerJSONL(strings.NewReader(s))
+			return len(es), err
+		}},
+	}
+	const rec = `{"round":1,"node":2}`
+	for _, c := range []struct {
+		name string
+		line string
+		ok   bool
+	}{
+		{"object", rec, true},
+		{"object in JSON whitespace", " \t" + rec + " \t\r", true},
+		{"trailing garbage", rec + " trailing-garbage", false},
+		{"second object", rec + `{"round":3}`, false},
+		{"second value", rec + " 7", false},
+		{"stray brace", rec + "}", false},
+		{"null", "null", false},
+		{"padded null", " null ", false},
+		{"array", "[" + rec + "]", false},
+		{"number", "7", false},
+		{"string", `"x"`, false},
+		{"whitespace only", " \t", false},
+	} {
+		for _, p := range parsers {
+			n, err := p.parse(rec + "\n" + c.line + "\n")
+			switch {
+			case c.ok && (err != nil || n != 2):
+				t.Errorf("%s, %s: %d records, err %v; want 2 and no error", p.name, c.name, n, err)
+			case !c.ok && err == nil:
+				t.Errorf("%s, %s: %d records and no error, want an error", p.name, c.name, n)
+			case !c.ok && !strings.Contains(err.Error(), "line 2"):
+				t.Errorf("%s, %s: error %q does not name line 2", p.name, c.name, err)
+			}
+		}
+	}
+}
+
+// maxFuzzLine bounds the fuzz inputs the round-trip properties check.
+// Re-encoding escapes a byte into up to six ("<" becomes \u003c), and
+// the parsers refuse lines over 1 MiB, so a longer input could fail the
+// second parse for its length alone.
+const maxFuzzLine = 64 << 10
+
+// FuzzParseJSONL checks that ParseJSONL never panics, and that the
+// events of any input it accepts come back equal after the tracer's
+// encoding (sim.JSONLTracer) and a second parse.
+func FuzzParseJSONL(f *testing.F) {
+	f.Add([]byte(`{"t":0.5,"kind":"send","round":0,"pkt":7,"node":3,"target":9,"attempt":1}` + "\n"))
+	f.Add([]byte(`{"t":1,"kind":"drop","round":1,"pkt":8,"node":4,"reason":"queue"}` + "\r\n\n" + `{"kind":"deliver"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzLine {
+			return
+		}
+		events, err := ParseJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		tracer, flush := sim.JSONLTracer(&buf)
+		for _, ev := range events {
+			tracer(ev)
+		}
+		if err := flush(); err != nil {
+			t.Fatalf("re-encoding accepted events: %v", err)
+		}
+		again, err := ParseJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-parsing the encoded events: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(events, again) {
+			t.Fatalf("round trip changed the events:\nfirst  %+v\nsecond %+v", events, again)
+		}
+	})
+}
+
+// FuzzParseLedgerJSONL checks that ParseLedgerJSONL never panics, and
+// that the entries of any input it accepts come back equal after
+// WriteLedgerJSONL and a second parse.
+func FuzzParseLedgerJSONL(f *testing.F) {
+	var buf strings.Builder
+	if err := WriteLedgerJSONL(&buf, ledgerFixture()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(buf.String()))
+	f.Add([]byte(`{"t":0.25,"round":2,"node":-1,"cause":"rx","j":1e-9}` + "\r\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzLine {
+			return
+		}
+		entries, err := ParseLedgerJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteLedgerJSONL(&buf, entries); err != nil {
+			t.Fatalf("re-encoding accepted entries: %v", err)
+		}
+		again, err := ParseLedgerJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-parsing the encoded entries: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(entries, again) {
+			t.Fatalf("round trip changed the entries:\nfirst  %+v\nsecond %+v", entries, again)
+		}
+	})
 }
