@@ -47,8 +47,6 @@
 //	GET    /v1/fleet            peer roster + work-pool counters
 //	GET    /v1/batches/{id}/trace fleet-merged Chrome trace of a batch
 //	GET    /metrics             Prometheus text exposition
-//	GET    /metrics/federate    fleet-merged exposition (all ready peers;
-//	                            watch it live with cmd/qlecstat)
 //	GET    /version             build/VCS metadata
 //	GET    /debug/pprof/        profiling endpoints (with -pprof; read
 //	                            with go tool pprof)

@@ -45,7 +45,7 @@ type ProtocolID string
 
 // The in-tree protocols. QLEC plus the paper's two baselines are the
 // headline set; LEACH and the QLEC ablations support the extra benches;
-// T-DEEC and Q-LEACH are the related-work competitors (ROADMAP item 4).
+// T-DEEC and Q-LEACH are the related-work competitors.
 const (
 	QLEC        ProtocolID = "QLEC"
 	FCM         ProtocolID = "FCM"

@@ -3,8 +3,8 @@ package experiment
 // The protocol tournament: every registered protocol, one shared
 // engine, a scenario matrix (traffic λ × network size N × heterogeneity
 // tiers), and a ranked report. This is what the plugin registry buys —
-// a new Register call is automatically a tournament entrant, so
-// ROADMAP item 4's "RL controller tournament" is a registration away.
+// a new Register call is automatically a tournament entrant, so an RL
+// controller tournament is a registration away.
 
 import (
 	"context"

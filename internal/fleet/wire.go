@@ -211,23 +211,3 @@ func (c *Client) TraceSpans(ctx context.Context, peer, traceID string) ([]obs.Sp
 	}
 	return spans, nil
 }
-
-// MetricsText fetches a peer's raw Prometheus exposition for the
-// federation endpoint. The body is capped at 8 MiB — far above any real
-// qlecd exposition, low enough to bound a misbehaving peer.
-func (c *Client) MetricsText(ctx context.Context, peer string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(peer, "/")+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("fleet: GET %s/metrics: %d", peer, resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-}

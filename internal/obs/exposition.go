@@ -4,19 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// ExpositionContentType is the Content-Type for the text format this
-// package reads and writes, exported for the federation endpoint.
-const ExpositionContentType = expositionContentType
-
-// InstanceLabel is the label federation adds to per-instance series.
-const InstanceLabel = "instance"
 
 // Label is one exposition label pair; Value is the raw (unescaped)
 // string.
@@ -74,13 +66,13 @@ const maxExpositionLine = 1 << 20
 var histogramSuffixes = []string{"_bucket", "_sum", "_count"}
 
 var (
-	fedSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
-	fedLabelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
+	expSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
+	expLabelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
 
 // ParseExposition parses a Prometheus text exposition into its family
-// and sample structure. It is the read half of federation and the
-// grammar LintExposition checks against: strict on syntax (one # TYPE
+// and sample structure, the way tests and the benchmark read a daemon's
+// /metrics. It is the grammar LintExposition checks against: strict on syntax (one # TYPE
 // line per family, and no family declared under a histogram's
 // _bucket/_sum/_count names) but lenient on semantics (no duplicate-
 // series or cumulative-bucket checking — that is LintExposition's job).
@@ -148,7 +140,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			continue
 		}
 
-		m := fedSampleRe.FindStringSubmatch(line)
+		m := expSampleRe.FindStringSubmatch(line)
 		if m == nil {
 			return nil, fmt.Errorf("line %d: unparseable sample: %s", lineNo, line)
 		}
@@ -174,7 +166,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 		var labels []Label
 		if labelBlock != "" {
 			for _, pair := range splitLabelPairs(labelBlock[1 : len(labelBlock)-1]) {
-				lm := fedLabelRe.FindStringSubmatch(pair)
+				lm := expLabelRe.FindStringSubmatch(pair)
 				if lm == nil {
 					return nil, fmt.Errorf("line %d: malformed label %q", lineNo, pair)
 				}
@@ -189,209 +181,8 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 	return exp, nil
 }
 
-// Instance pairs a peer's name with its parsed exposition for merging.
-type Instance struct {
-	Name string
-	Exp  *Exposition
-}
-
-// MergeExpositions federates the expositions of several instances into
-// one, per the fleet merge rules (DESIGN.md §15):
-//
-//   - counters are summed across instances (same series → one series)
-//   - histograms are summed bucket-by-bucket; since every qlecd runs the
-//     same binary the bucket bounds agree, and summing per-instance
-//     cumulative counts keeps the result cumulative (LintExposition on
-//     the merged output is the backstop if they ever diverge)
-//   - gauges are emitted per-instance with an added `instance` label; a
-//     gauge that already carries one (e.g. a synthetic peer-up series
-//     built by the federation handler) passes through unchanged
-//
-// A metric registered with different TYPEs on different instances is a
-// hard error — the duplicate would poison the whole scrape surface.
-func MergeExpositions(instances []Instance) (*Exposition, error) {
-	out := &Exposition{}
-	byName := make(map[string]*MetricFamily)
-	sums := make(map[string]map[string]*mergedSample) // family -> series key -> sum
-
-	for _, inst := range instances {
-		if inst.Exp == nil {
-			continue
-		}
-		for _, f := range inst.Exp.Families {
-			mf, ok := byName[f.Name]
-			if !ok {
-				mf = &MetricFamily{Name: f.Name, Help: f.Help, Type: f.Type}
-				byName[f.Name] = mf
-				out.Families = append(out.Families, mf)
-			}
-			if mf.Type != f.Type {
-				return nil, fmt.Errorf("metric %q: TYPE %s on instance %q conflicts with earlier TYPE %s",
-					f.Name, f.Type, inst.Name, mf.Type)
-			}
-			switch f.Type {
-			case "gauge":
-				for _, s := range f.Samples {
-					ls := s.Labels
-					if s.Label(InstanceLabel) == "" {
-						ls = append(append([]Label(nil), ls...), Label{InstanceLabel, inst.Name})
-					}
-					mf.Samples = append(mf.Samples, Sample{Name: s.Name, Labels: ls, Value: s.Value})
-				}
-			default: // counter, histogram: sum identical series
-				fam := sums[f.Name]
-				if fam == nil {
-					fam = make(map[string]*mergedSample)
-					sums[f.Name] = fam
-				}
-				for _, s := range f.Samples {
-					k := s.Name + canonicalLabelKey(s.Labels)
-					if a, ok := fam[k]; ok {
-						a.sample.Value += s.Value
-					} else {
-						cp := s
-						cp.Labels = append([]Label(nil), s.Labels...)
-						fam[k] = &mergedSample{sample: cp, key: k}
-					}
-				}
-			}
-		}
-	}
-
-	for _, mf := range out.Families {
-		if fam, ok := sums[mf.Name]; ok {
-			accs := make([]*mergedSample, 0, len(fam))
-			for _, a := range fam {
-				accs = append(accs, a)
-			}
-			if mf.Type == "histogram" {
-				sortHistogramAccs(accs)
-			} else {
-				sort.Slice(accs, func(i, j int) bool { return accs[i].key < accs[j].key })
-			}
-			for _, a := range accs {
-				mf.Samples = append(mf.Samples, a.sample)
-			}
-		} else if mf.Type == "gauge" {
-			ss := mf.Samples
-			sort.SliceStable(ss, func(i, j int) bool {
-				if ss[i].Name != ss[j].Name {
-					return ss[i].Name < ss[j].Name
-				}
-				return canonicalLabelKey(ss[i].Labels) < canonicalLabelKey(ss[j].Labels)
-			})
-		}
-	}
-	sort.SliceStable(out.Families, func(i, j int) bool { return out.Families[i].Name < out.Families[j].Name })
-	return out, nil
-}
-
-// mergedSample accumulates one summed series during federation.
-type mergedSample struct {
-	sample Sample
-	key    string
-}
-
-// sortHistogramAccs orders one histogram family's summed samples into
-// lintable exposition order: children grouped by base labels (le
-// stripped), buckets ascending by le with +Inf last, then _sum, _count.
-func sortHistogramAccs(accs []*mergedSample) {
-	rank := func(name string) int {
-		switch {
-		case strings.HasSuffix(name, "_bucket"):
-			return 0
-		case strings.HasSuffix(name, "_sum"):
-			return 1
-		default:
-			return 2
-		}
-	}
-	baseKey := func(ls []Label) string {
-		kept := make([]Label, 0, len(ls))
-		for _, l := range ls {
-			if l.Name != "le" {
-				kept = append(kept, l)
-			}
-		}
-		return canonicalLabelKey(kept)
-	}
-	leVal := func(ls []Label) float64 {
-		for _, l := range ls {
-			if l.Name == "le" {
-				v, err := strconv.ParseFloat(l.Value, 64)
-				if err != nil {
-					return math.Inf(1)
-				}
-				return v
-			}
-		}
-		return math.Inf(1)
-	}
-	sort.SliceStable(accs, func(i, j int) bool {
-		si, sj := accs[i].sample, accs[j].sample
-		bi, bj := baseKey(si.Labels), baseKey(sj.Labels)
-		if bi != bj {
-			return bi < bj
-		}
-		ri, rj := rank(si.Name), rank(sj.Name)
-		if ri != rj {
-			return ri < rj
-		}
-		if ri == 0 {
-			li, lj := leVal(si.Labels), leVal(sj.Labels)
-			if li != lj {
-				return li < lj
-			}
-		}
-		return accs[i].key < accs[j].key
-	})
-}
-
-// WriteExposition renders a parsed (or merged) exposition back to text.
-// Families are written in their stored order with HELP/TYPE headers;
-// samples keep their stored order, labels their stored order.
-func WriteExposition(w io.Writer, e *Exposition) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range e.Families {
-		if len(f.Samples) == 0 {
-			continue
-		}
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.Help))
-		bw.WriteByte('\n')
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.Type)
-		bw.WriteByte('\n')
-		for _, s := range f.Samples {
-			bw.WriteString(s.Name)
-			if len(s.Labels) > 0 {
-				bw.WriteByte('{')
-				for i, l := range s.Labels {
-					if i > 0 {
-						bw.WriteByte(',')
-					}
-					bw.WriteString(l.Name)
-					bw.WriteString(`="`)
-					bw.WriteString(escapeLabelValue(l.Value))
-					bw.WriteByte('"')
-				}
-				bw.WriteByte('}')
-			}
-			bw.WriteByte(' ')
-			bw.WriteString(formatFloat(s.Value))
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
-}
-
 // canonicalLabelKey renders labels sorted by name into a stable series
-// key (and the exact label block WriteExposition would emit for them
-// once sorted).
+// key.
 func canonicalLabelKey(ls []Label) string {
 	if len(ls) == 0 {
 		return ""

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -94,4 +96,47 @@ func sameFamily(a, b *MetricFamily) bool {
 		}
 	}
 	return true
+}
+
+// WriteExposition renders a parsed exposition back to text for
+// FuzzParseExposition's round trip. Families are written in their
+// stored order with HELP/TYPE headers; samples keep their stored order,
+// labels their stored order.
+func WriteExposition(w io.Writer, e *Exposition) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range e.Families {
+		if len(f.Samples) == 0 {
+			continue
+		}
+		bw.WriteString("# HELP ")
+		bw.WriteString(f.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(escapeHelp(f.Help))
+		bw.WriteByte('\n')
+		bw.WriteString("# TYPE ")
+		bw.WriteString(f.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(f.Type)
+		bw.WriteByte('\n')
+		for _, s := range f.Samples {
+			bw.WriteString(s.Name)
+			if len(s.Labels) > 0 {
+				bw.WriteByte('{')
+				for i, l := range s.Labels {
+					if i > 0 {
+						bw.WriteByte(',')
+					}
+					bw.WriteString(l.Name)
+					bw.WriteString(`="`)
+					bw.WriteString(escapeLabelValue(l.Value))
+					bw.WriteByte('"')
+				}
+				bw.WriteByte('}')
+			}
+			bw.WriteByte(' ')
+			bw.WriteString(formatFloat(s.Value))
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
 }

@@ -25,8 +25,8 @@ type FleetMetrics struct {
 	CacheReplications *Counter
 	// CellsCompleted counts cells whose results this daemon accepted as
 	// coordinator (first completion per cell; late duplicates from lease
-	// races are not counted). Summing it across a federated scrape gives
-	// the fleet's total completed cells exactly once.
+	// races are not counted). Summing it across the peers' /metrics
+	// gives the fleet's total completed cells exactly once.
 	CellsCompleted *Counter
 	// StealStarvation counts executor polls that found no work anywhere:
 	// the local pool was empty and the steal round came back empty-handed.

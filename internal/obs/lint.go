@@ -22,56 +22,33 @@ import (
 // It returns nil when the input is clean, or an error naming the first
 // offence it finds.
 func LintExposition(r io.Reader) error {
-	return LintExpositions(r)
-}
-
-// LintExpositions lints several expositions as one logical scrape
-// surface: each reader is checked like LintExposition, and family and
-// series uniqueness is enforced across all of them. A process exposing
-// two registries (say, a daemon's operational registry and a library's
-// private one) must not let them both claim a metric name — Prometheus
-// would see a duplicate family and reject the merged scrape.
-func LintExpositions(rs ...io.Reader) error {
-	owner := make(map[string]int) // family -> 1-based input that declared it
-	seen := make(map[string]bool) // series keys across every input
-	for i, r := range rs {
-		in := func(err error) error {
-			if len(rs) == 1 {
-				return err
-			}
-			return fmt.Errorf("input %d: %w", i+1, err)
+	exp, err := ParseExposition(r)
+	if err != nil {
+		return err
+	}
+	for _, f := range exp.Families {
+		if f.Type == "" {
+			continue // HELP without TYPE declares nothing
 		}
-		exp, err := ParseExposition(r)
-		if err != nil {
-			return in(err)
-		}
-		for _, f := range exp.Families {
-			if f.Type == "" {
-				continue // HELP without TYPE declares nothing
-			}
-			if prev, dup := owner[f.Name]; dup {
-				return in(fmt.Errorf("family %q already declared by input %d", f.Name, prev))
-			}
-			owner[f.Name] = i + 1
-			if err := lintFamily(f, seen); err != nil {
-				return in(err)
-			}
+		if err := lintFamily(f); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// lintFamily checks one parsed family: no series it holds is in seen
-// (which it extends), and a histogram's children (its series with le
-// stripped) have le on every bucket, cumulative buckets, a +Inf bucket
-// and a _count equal to it.
-func lintFamily(f *MetricFamily, seen map[string]bool) error {
+// lintFamily checks one parsed family: no series it holds appears
+// twice, and a histogram's children (its series with le stripped) have
+// le on every bucket, cumulative buckets, a +Inf bucket and a _count
+// equal to it.
+func lintFamily(f *MetricFamily) error {
 	type child struct {
 		last, inf, count float64
 		hasInf, hasCount bool
 	}
 	children := make(map[string]*child)
 	var order []string
+	seen := make(map[string]bool)
 	for _, s := range f.Samples {
 		key := s.Name + canonicalLabelKey(s.Labels)
 		if seen[key] {

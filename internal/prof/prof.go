@@ -37,8 +37,11 @@ type Usage struct {
 	// WallSeconds is elapsed wall-clock time for the bracket.
 	WallSeconds float64 `json:"wallSeconds"`
 	// AllocBytes is the cumulative heap allocation delta
-	// (/gc/heap/allocs:bytes), which runtime/metrics tracks
-	// accurately between GCs.
+	// (/gc/heap/allocs:bytes). It is approximate: the runtime counts
+	// small objects when a per-P allocation cache takes a fresh span
+	// or flushes, so a short bracket that allocates from an already
+	// cached span can read 0. CPUSeconds is the bill's reliable
+	// non-zero field.
 	AllocBytes uint64 `json:"allocBytes"`
 	// PeakHeapDelta is live heap at End minus live heap at Begin,
 	// floored at zero: endpoint growth, so a lower bound on the peak

@@ -8,7 +8,7 @@
 // experiment harness, the qlecd job service, and the CLIs — resolve
 // protocols exclusively through Lookup/All, so adding a competitor is
 // one new package plus one Register call: no switch statements to edit
-// anywhere (ROADMAP item 4).
+// anywhere.
 //
 // Ordering is explicit, not init-order dependent: All() sorts by each
 // descriptor's Order rank (ties by ID), so listings, report rows and

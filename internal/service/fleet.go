@@ -273,8 +273,9 @@ func (r *fleetRuntime) release(f *cellFuture) {
 // unsolicited completions are no-ops beyond the (idempotent) cache put.
 func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string, usage *prof.Usage) {
 	if r.table.Complete(hash) {
-		// First completion of a live cell under this coordinator: the
-		// federated sum of this counter is the fleet's exact total.
+		// First completion of a live cell under this coordinator: this
+		// counter summed across the peers' /metrics is the fleet's exact
+		// total.
 		r.fm.CellsCompleted.Inc()
 	}
 	if env != nil && errMsg == "" {

@@ -43,9 +43,9 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 		// happens: direct-run jobs on their worker's daemon under their
 		// own kind, sweep cells on the executing daemon (local or thief)
 		// under kind="cell". Distributed sweep jobs add nothing directly
-		// — their cost IS their cells' — so the federated sum over all
-		// label sets is the fleet's exact execution cost, with no double
-		// counting and trivially equal to the per-peer sums.
+		// — their cost IS their cells' — so these counters summed across
+		// the peers' /metrics, over all label sets, are the fleet's exact
+		// execution cost, with no double counting.
 		jobCPU: r.CounterVec("qlecd_job_cpu_seconds_total",
 			"Process CPU seconds attributed to executed jobs and cells, by kind and protocol.",
 			"kind", "protocol"),

@@ -1,7 +1,8 @@
 package service_test
 
 // Fleet observability end-to-end tests: cross-peer trace propagation
-// and the federation endpoint, all over real listeners under the race detector (same harness as fleet_e2e_test.go).
+// and each peer's /metrics, all over real listeners under the race
+// detector (same harness as fleet_e2e_test.go).
 
 import (
 	"bytes"
@@ -9,18 +10,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"qlec/internal/experiment"
 	"qlec/internal/obs"
 	"qlec/internal/service"
-	"qlec/internal/service/client"
 )
 
 // httpGet fetches a URL raw — for the endpoints the typed client does
-// not wrap (fleet-internal trace exchange, federation, merged traces).
+// not wrap (fleet-internal trace exchange, /metrics, merged traces).
 func httpGet(t *testing.T, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -38,12 +37,12 @@ func httpGet(t *testing.T, url string) []byte {
 	return body
 }
 
-// TestFleetTraceAndFederation is the observability headline: one traced
+// TestFleetTraceAndMetrics is the observability headline: one traced
 // sweep across a 3-daemon fleet leaves spans of a single trace ID on at
 // least two peers (visible raw per peer and merged into one multi-lane
-// Chrome trace), and /metrics/federate serves a lint-clean merged
-// exposition whose summed completion counter matches the per-peer sum.
-func TestFleetTraceAndFederation(t *testing.T) {
+// Chrome trace), every peer serves a lint-clean /metrics, and the
+// completion counter summed over the peers equals the sweep's cells.
+func TestFleetTraceAndMetrics(t *testing.T) {
 	req := service.Request{
 		Kind:      service.KindFig3,
 		Config:    fleetSweepCfg(),
@@ -122,81 +121,30 @@ func TestFleetTraceAndFederation(t *testing.T) {
 		t.Errorf("merged trace has %d lanes, want >= 2 (one per contributing daemon)", len(lanes))
 	}
 
-	// Federation: lint-clean merged exposition; the summed completion
-	// counter equals the per-peer sum; every peer is reported up.
-	fed := httpGet(t, n1.url+"/metrics/federate")
-	if err := obs.LintExposition(bytes.NewReader(fed)); err != nil {
-		t.Fatalf("federated exposition fails lint: %v", err)
-	}
-	fexp, err := obs.ParseExposition(bytes.NewReader(fed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := fexp.Family("qlecd_fleet_cells_completed_total")
-	if ff == nil || len(ff.Samples) != 1 {
-		t.Fatalf("federated completion counter = %+v, want one summed series", ff)
-	}
-	perPeerSum := 0.0
+	// Per-peer metrics: each /metrics lints clean, and the coordinator
+	// counts every cell of the sweep exactly once, so the completion
+	// counter summed over the peers is the sweep's cell count.
+	completed := 0.0
 	for _, n := range nodes {
-		exp, err := obs.ParseExposition(bytes.NewReader(httpGet(t, n.url+"/metrics")))
+		body := httpGet(t, n.url+"/metrics")
+		if err := obs.LintExposition(bytes.NewReader(body)); err != nil {
+			t.Fatalf("peer %s /metrics fails lint: %v", n.url, err)
+		}
+		exp, err := obs.ParseExposition(bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f := exp.Family("qlecd_fleet_cells_completed_total"); f != nil {
 			for _, s := range f.Samples {
-				perPeerSum += s.Value
+				completed += s.Value
 			}
 		}
 	}
-	if got := ff.Samples[0].Value; got != perPeerSum || got <= 0 {
-		t.Errorf("federated cells_completed = %g, per-peer sum = %g, want equal and positive", got, perPeerSum)
-	}
-	up := fexp.Family("qlecd_federate_peer_up")
-	if up == nil || len(up.Samples) != len(nodes) {
-		t.Fatalf("peer-up gauge = %+v, want %d instances", up, len(nodes))
-	}
-	for _, s := range up.Samples {
-		if s.Value != 1 {
-			t.Errorf("peer %s reported down in a healthy fleet", s.Label(obs.InstanceLabel))
-		}
-	}
-}
-
-// TestFederateStandalone: a daemon with no fleet configured still
-// serves /metrics/federate — a lint-clean fleet of one.
-func TestFederateStandalone(t *testing.T) {
-	srv, err := service.New(service.Options{Workers: 1})
+	cells, err := req.Config.Fig3Cells(req.Protocols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		ts.Close()
-	})
-	cl := client.New(ts.URL, client.WithRetries(0))
-
-	ctx := context.Background()
-	j, err := cl.Submit(ctx, oneRequest(tinyCfg()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Wait(ctx, j.ID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	fed := httpGet(t, ts.URL+"/metrics/federate")
-	if err := obs.LintExposition(bytes.NewReader(fed)); err != nil {
-		t.Fatalf("standalone federation fails lint: %v", err)
-	}
-	exp, err := obs.ParseExposition(bytes.NewReader(fed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := exp.Family("qlecd_federate_peer_up")
-	if up == nil || len(up.Samples) != 1 {
-		t.Fatalf("standalone peer-up = %+v, want exactly one instance", up)
-	}
-	if g := exp.Family("qlecd_queue_depth"); g == nil || g.Samples[0].Label(obs.InstanceLabel) == "" {
-		t.Error("merged gauges missing their instance label in the standalone case")
+	if completed != float64(len(cells)) {
+		t.Errorf("cells_completed summed over peers = %g, want the sweep's %d cells", completed, len(cells))
 	}
 }

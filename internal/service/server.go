@@ -247,7 +247,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.reg)
-	mux.HandleFunc("GET /metrics/federate", s.handleFederate)
 	mux.HandleFunc("GET /version", s.handleVersion)
 	if s.opt.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
