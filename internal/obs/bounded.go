@@ -5,7 +5,8 @@ import "sync"
 // Bounded is a concurrency-safe map holding at most max entries. When
 // a Put of a new key would exceed the cap, the oldest insertion is
 // evicted (plain FIFO: reads do not refresh an entry, and rewriting a
-// held key keeps its place). It backs qlecd's trace store.
+// held key keeps its place). It backs qlecd's trace store and its
+// event hubs of recently finished jobs.
 type Bounded[K comparable, V any] struct {
 	mu    sync.Mutex
 	byKey map[K]V

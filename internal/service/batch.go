@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -90,8 +89,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sub batchSubmission
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err := dec.Decode(&sub); err != nil {
+	if err := decodeBody(w, r, 256<<20, &sub); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode batch: %v", err)
 		return
 	}

@@ -275,9 +275,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.SaveJob(j); err != nil {
 		t.Fatal(err)
 	}
-	jobs, warns := st.LoadJobs()
-	if len(warns) != 0 {
-		t.Fatalf("warnings: %v", warns)
+	jobs, warns, err := st.LoadJobs()
+	if err != nil || len(warns) != 0 {
+		t.Fatalf("load: %v, warnings: %v", err, warns)
 	}
 	if len(jobs) != 1 || jobs[0].ID != j.ID || jobs[0].State != StateQueued {
 		t.Fatalf("loaded %+v", jobs)
@@ -298,6 +298,75 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, err := st.LoadResult("0000000000000000000000000000000000000000000000000000000000000000"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing result error = %v", err)
+	}
+}
+
+// TestJournalTornLastLine: a crash mid-append leaves a torn last line.
+// Reload skips it with a warning and keeps the last complete record of
+// each job; the boot rewrite leaves one line per job, and later appends
+// reload cleanly without another rewrite.
+func TestJournalTornLastLine(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Job{
+		{ID: "j00000001", State: StateQueued},
+		{ID: "j00000002", State: StateQueued},
+		{ID: "j00000001", State: StateRunning},
+		{ID: "j00000001", State: StateDone},
+	} {
+		if err := st.SaveJob(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"j00000003","state":"que`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, warns, err := st.LoadJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0].Error(), "torn") {
+		t.Fatalf("warnings %v, want one about the torn line", warns)
+	}
+	if len(jobs) != 2 || jobs[0].State != StateDone || jobs[1].State != StateQueued {
+		t.Fatalf("loaded %+v, want j1 done and j2 queued", jobs)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(string(raw), "\n"); len(lines) != 3 || lines[2] != "" {
+		t.Fatalf("rewritten journal %q, want two complete lines", raw)
+	}
+
+	if err := st.SaveJob(&Job{ID: "j00000003", State: StateQueued}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	before, _ := os.ReadFile(path)
+	jobs, warns, err = st.LoadJobs()
+	if err != nil || len(warns) != 0 || len(jobs) != 3 {
+		t.Fatalf("reload after append: %d jobs, warnings %v, err %v", len(jobs), warns, err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatal("a clean journal was rewritten")
 	}
 }
 

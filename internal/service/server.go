@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -71,7 +73,8 @@ type Server struct {
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
-	hubs        map[string]*eventHub
+	hubs        map[string]*eventHub            // queued and running jobs
+	doneHubs    *obs.Bounded[string, *eventHub] // the last maxFinishedHubs finished jobs
 	cancels     map[string]context.CancelFunc
 	inflight    map[string]string // request hash → queued/running job ID
 	nextID      int
@@ -125,6 +128,7 @@ func New(opt Options) (*Server, error) {
 		queue:       newJobQueue(),
 		jobs:        make(map[string]*Job),
 		hubs:        make(map[string]*eventHub),
+		doneHubs:    obs.NewBounded[string, *eventHub](maxFinishedHubs, nil, "", ""),
 		cancels:     make(map[string]context.CancelFunc),
 		inflight:    make(map[string]string),
 		nextID:      1,
@@ -181,12 +185,12 @@ func (s *Server) reload() error {
 	if s.store == nil {
 		return nil
 	}
-	jobs, warns := s.store.LoadJobs()
+	jobs, warns, err := s.store.LoadJobs()
 	for _, w := range warns {
 		s.log.Warn("reload", "err", w)
 	}
-	if warns != nil && jobs == nil {
-		return fmt.Errorf("service: reload failed: %w", warns[0])
+	if err != nil {
+		return fmt.Errorf("service: reload failed: %w", err)
 	}
 	for _, j := range jobs { // sorted by ID = submission order
 		if n, err := strconv.Atoi(j.ID[1:]); err == nil && n >= s.nextID {
@@ -275,6 +279,20 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, httpError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes a request body of at most limit bytes that holds
+// exactly one JSON value into v; anything but whitespace after the
+// value is an error.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 // handleSubmit implements POST /v1/jobs: validate, content-address,
 // dedupe (done → cache hit, in-flight → coalesce), enqueue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -283,8 +301,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, 32<<20, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -435,7 +452,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.FinishedAt = time.Now().UTC()
 		delete(s.inflight, j.Hash)
 		s.persistLocked(j)
-		if hub := s.hubs[id]; hub != nil {
+		if hub := s.retireHubLocked(id); hub != nil {
 			hub.publish(Event{Type: EventState, State: StateCancelled, Error: j.Error})
 			hub.close()
 		}
@@ -453,18 +470,35 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// retireHubLocked moves a job that just reached a terminal state from
+// the live hub table to the bounded store of recently finished ones and
+// returns its hub (nil if it had none); caller holds s.mu.
+func (s *Server) retireHubLocked(id string) *eventHub {
+	hub := s.hubs[id]
+	if hub != nil {
+		delete(s.hubs, id)
+		s.doneHubs.Put(id, hub)
+	}
+	return hub
+}
+
 // handleEvents implements GET /v1/jobs/{id}/events: an SSE stream of
 // the job's progress. The full history replays first (or from
 // Last-Event-ID on reconnect), then live events until the job reaches a
 // terminal state — the final event is always that state transition.
+// History outlives the job only for the last maxFinishedHubs finished
+// jobs; an older one streams its terminal state alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	hub := s.hubs[id]
+	if hub == nil {
+		hub, _ = s.doneHubs.Get(id)
+	}
 	j, known := s.jobs[id]
 	var terminal Event
 	if known {
-		terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error}
+		terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error, Resources: j.Resources}
 	}
 	s.mu.Unlock()
 	if !known {
@@ -477,8 +511,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // serveSSE streams a hub over Server-Sent Events: history replays first
 // (or from Last-Event-ID on reconnect), then live events until the hub
 // closes. A nil hub means the record was terminal before any stream
-// existed (cache hit, reloaded history): the one fallback event the
-// client needs is emitted instead. Shared by job and batch streams.
+// existed (cache hit, reloaded history) or its history has aged out:
+// the one fallback event the client needs is emitted instead. Shared by
+// job and batch streams.
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, hub *eventHub, terminal Event) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -746,6 +781,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// those consumers wait on.
 	s.fleet.stopWork()
 	s.closeHubs()
+	s.closeStore()
 	return err
 }
 
@@ -759,6 +795,16 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.fleet.stopWork()
 	s.closeHubs()
+	s.closeStore()
+}
+
+func (s *Server) closeStore() {
+	if s.store == nil {
+		return
+	}
+	if err := s.store.Close(); err != nil {
+		s.log.Error("close job journal", "err", err)
+	}
 }
 
 func (s *Server) closeHubs() {

@@ -625,20 +625,25 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	ts1.Close()
 	// Strip the trace ID, as on a record persisted before jobs carried
 	// one: the resumed run must mint a trace and still serve it.
-	path := filepath.Join(dir, "jobs", j.ID+".json")
+	path := filepath.Join(dir, "jobs.jsonl")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec map[string]any
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
+	lines := strings.SplitAfter(string(raw), "\n")
+	for i, line := range lines {
+		var rec map[string]any
+		if line == "" || json.Unmarshal([]byte(line), &rec) != nil || rec["id"] != j.ID {
+			continue
+		}
+		delete(rec, "traceId")
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = string(b) + "\n"
 	}
-	delete(rec, "traceId")
-	if raw, err = json.Marshal(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

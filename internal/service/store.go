@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,23 +10,38 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ErrNotFound reports a missing job or result.
 var ErrNotFound = errors.New("service: not found")
 
-// Store is the daemon's crash-safe persistence layer: one JSON file per
-// job under <dir>/jobs and one per result under <dir>/results, written
-// atomically (temp file + rename) so a crash mid-write never corrupts a
-// record. Everything reloads on restart — finished jobs keep their
-// states, interrupted ones re-enter the queue (see Server start-up).
+// journalName is the job journal's file name under the data directory.
+const journalName = "jobs.jsonl"
+
+// Store is the daemon's crash-safe persistence layer. Job records go to
+// one append-only journal, <dir>/jobs.jsonl: each state change appends
+// one JSON line, and on reload the last complete line of each job wins.
+// Results (<dir>/results) and batches (<dir>/batches) are one file per
+// record, written atomically (temp file + rename) so a crash mid-write
+// never corrupts one. Everything reloads on restart — finished jobs
+// keep their states, interrupted ones re-enter the queue (see Server
+// start-up).
 type Store struct {
 	dir string
+
+	mu      sync.Mutex // guards journal and torn
+	journal *os.File   // O_APPEND handle, opened by the first SaveJob
+	// torn marks a journal that may end inside a line (a failed append,
+	// or a torn tail the boot rewrite could not remove): the next
+	// append starts a fresh line so its record is not lost with it.
+	torn bool
 }
 
-// OpenStore creates (if needed) and opens a data directory.
+// OpenStore creates (if needed) and opens a data directory. It creates
+// no journal: that happens on the first SaveJob.
 func OpenStore(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "jobs"), filepath.Join(dir, "results"), filepath.Join(dir, "batches")} {
+	for _, d := range []string{dir, filepath.Join(dir, "results"), filepath.Join(dir, "batches")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("service: open store: %w", err)
 		}
@@ -36,8 +52,20 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the root data directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) jobPath(id string) string {
-	return filepath.Join(s.dir, "jobs", id+".json")
+// Close releases the journal handle; a later SaveJob reopens it.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.journal == nil {
+		return nil
+	}
+	err := s.journal.Close()
+	s.journal = nil
+	return err
+}
+
+func (s *Store) journalPath() string {
+	return filepath.Join(s.dir, journalName)
 }
 
 func (s *Store) resultPath(hash string) string {
@@ -72,50 +100,173 @@ func writeAtomic(path string, data []byte) error {
 	return err
 }
 
-// SaveJob persists one job record.
+// SaveJob appends one job record to the journal as a single write of
+// one line, so a crash can tear at most the journal's last line.
 func (s *Store) SaveJob(j *Job) error {
 	if !validID(j.ID) {
 		return fmt.Errorf("service: refusing to persist job with unsafe id %q", j.ID)
 	}
-	b, err := json.Marshal(j)
+	line, err := json.Marshal(j)
 	if err != nil {
 		return fmt.Errorf("service: marshal job %s: %w", j.ID, err)
 	}
-	if err := writeAtomic(s.jobPath(j.ID), b); err != nil {
+	line = append(line, '\n')
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.torn {
+		line = append([]byte{'\n'}, line...)
+	}
+	if s.journal == nil {
+		f, err := os.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return fmt.Errorf("service: save job %s: %w", j.ID, err)
+		}
+		s.journal = f
+	}
+	n, err := s.journal.Write(line)
+	s.torn = err != nil && (s.torn || n > 0)
+	if err != nil {
 		return fmt.Errorf("service: save job %s: %w", j.ID, err)
 	}
 	return nil
 }
 
-// LoadJobs reads every job record, sorted by ID (IDs are zero-padded
-// sequence numbers, so this is submission order). Unreadable records
-// are skipped, not fatal — one corrupt file must not brick the daemon.
-func (s *Store) LoadJobs() ([]*Job, []error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
+// LoadJobs reads the latest record of every job, sorted by ID (IDs are
+// zero-padded sequence numbers, so this is submission order).
+// Unreadable records are skipped with a warning, not fatal — one
+// corrupt line must not brick the daemon; err reports only a journal
+// or directory that cannot be read at all.
+//
+// It runs once, at boot, before the first SaveJob. A journal holding
+// superseded, unreadable or torn lines is then rewritten through
+// writeAtomic with one line per job, which also bounds its growth
+// across restarts. A data directory in the older one-file-per-job
+// layout (jobs/<id>.json) is folded into the journal the same way, and
+// jobs/ is removed once the journal holds its records.
+func (s *Store) LoadJobs() (jobs []*Job, warns []error, err error) {
+	latest := make(map[string]jobLine)
+	legacyDir := filepath.Join(s.dir, "jobs")
+	legacy, warns, err := loadLegacyJobs(legacyDir, latest)
 	if err != nil {
-		return nil, []error{fmt.Errorf("service: load jobs: %w", err)}
+		return nil, nil, err
 	}
-	var jobs []*Job
-	var warns []error
+	data, err := os.ReadFile(s.journalPath())
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("service: load jobs: %w", err)
+	}
+	clean, jwarns := parseJournal(data, latest)
+	warns = append(warns, jwarns...)
+	for _, r := range latest {
+		jobs = append(jobs, r.job)
+	}
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
+
+	if !clean || legacy {
+		var buf []byte
+		for _, j := range jobs {
+			buf = append(append(buf, latest[j.ID].line...), '\n')
+		}
+		if err := writeAtomic(s.journalPath(), buf); err != nil {
+			// Keep going on the old journal (and jobs/): the next boot
+			// retries. A torn tail stays, so appends start a new line.
+			warns = append(warns, fmt.Errorf("service: rewrite job journal: %w", err))
+			s.mu.Lock()
+			s.torn = len(data) > 0 && data[len(data)-1] != '\n'
+			s.mu.Unlock()
+			return jobs, warns, nil
+		}
+	}
+	if legacy {
+		if err := os.RemoveAll(legacyDir); err != nil {
+			warns = append(warns, fmt.Errorf("service: remove folded job records: %w", err))
+		}
+	}
+	return jobs, warns, nil
+}
+
+// jobLine is one job's latest record: decoded, and as the single JSON
+// line the boot rewrite copies.
+type jobLine struct {
+	job  *Job
+	line []byte
+}
+
+// parseJournal reads journal bytes into latest, keyed by job ID: each
+// newline-terminated line holds one job record, and a later line
+// replaces an earlier one of the same job. A line that is not one job
+// object with a valid ID is skipped with a warning, and so are bytes
+// after the last newline (an append torn by a crash). clean reports a
+// journal with nothing skipped and no job recorded twice.
+func parseJournal(data []byte, latest map[string]jobLine) (clean bool, warns []error) {
+	clean = true
+	for n := 1; len(data) > 0; n++ {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			warns = append(warns, fmt.Errorf("service: job journal line %d: torn record (%d bytes, no newline) skipped", n, len(data)))
+			return false, warns
+		}
+		line := data[:i]
+		data = data[i+1:]
+		j, err := decodeJob(line)
+		if err != nil {
+			warns = append(warns, fmt.Errorf("service: job journal line %d: %w", n, err))
+			clean = false
+			continue
+		}
+		if _, dup := latest[j.ID]; dup {
+			clean = false
+		}
+		latest[j.ID] = jobLine{j, line}
+	}
+	return clean, warns
+}
+
+// decodeJob decodes one job record: a single JSON object carrying a
+// valid job ID.
+func decodeJob(b []byte) (*Job, error) {
+	if b := bytes.TrimLeft(b, " \t\r\n"); len(b) == 0 || b[0] != '{' {
+		return nil, fmt.Errorf("want a JSON object, got %.20q", b)
+	}
+	var j Job
+	if err := json.Unmarshal(b, &j); err != nil {
+		return nil, err
+	}
+	if !validID(j.ID) {
+		return nil, fmt.Errorf("invalid job id %q", j.ID)
+	}
+	return &j, nil
+}
+
+// loadLegacyJobs reads a jobs/ directory in the one-file-per-job layout
+// into latest; found reports whether the directory exists.
+func loadLegacyJobs(dir string, latest map[string]jobLine) (found bool, warns []error, err error) {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil, nil
+	}
+	if err != nil {
+		return false, nil, fmt.Errorf("service: load jobs: %w", err)
+	}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(s.dir, "jobs", name))
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			warns = append(warns, err)
 			continue
 		}
-		var j Job
-		if err := json.Unmarshal(b, &j); err != nil {
+		j, err := decodeJob(b)
+		if err != nil {
 			warns = append(warns, fmt.Errorf("service: job record %s: %w", name, err))
 			continue
 		}
-		jobs = append(jobs, &j)
+		var line bytes.Buffer
+		json.Compact(&line, b) // valid JSON: decodeJob accepted it
+		latest[j.ID] = jobLine{j, line.Bytes()}
 	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
-	return jobs, warns
+	return true, warns, nil
 }
 
 // SaveResult persists one result envelope under its content hash.

@@ -67,6 +67,7 @@ func (s *Server) runJob(id string) {
 		j.StartedAt, j.FinishedAt = now, now
 		delete(s.inflight, j.Hash)
 		s.persistLocked(j)
+		s.retireHubLocked(id)
 		s.mu.Unlock()
 		hub.publish(Event{Type: EventState, State: StateDone})
 		hub.close()
@@ -188,6 +189,9 @@ func (s *Server) runJob(id string) {
 		log.Error("job failed", "err", err)
 	}
 	s.persistLocked(j)
+	if closeHub {
+		s.retireHubLocked(id)
+	}
 	state, errMsg, hash := j.State, j.Error, j.Hash
 	resources := j.Resources // immutable once set; safe to share
 	s.mu.Unlock()
