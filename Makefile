@@ -156,6 +156,7 @@ figs:
 	$(GO) run ./cmd/qlecfig -fig 3a -k 11 | tee figs/fig3_k11.txt
 	$(GO) run ./cmd/qlecfig -fig 4 -out figs | tee figs/fig4.txt
 	$(GO) run ./cmd/qlecfig -fig ablation | tee figs/ablation.txt
+	$(GO) run ./cmd/qlecfig -fig theorem1 | tee figs/theorem1.txt
 
 # Observability demo: boot qlecd with Prometheus metrics and pprof
 # enabled, submit a quick Figure-3 sweep plus a single QLEC run against
@@ -229,7 +230,7 @@ tournament-demo:
 # figs/fleet-profile-3.pprof, uploaded as CI artifacts); and the
 # batch's merged Chrome trace — saved to figs/fleet-trace.json and
 # uploaded as a CI artifact — must span at least two daemon lanes
-# (qlectrace -chrome), proving cross-peer trace propagation through a
+# (qlecaudit trace -chrome), proving cross-peer trace propagation through a
 # real steal. See README "Observing a fleet"/"Profiling a fleet" and
 # DESIGN.md §14-§16.
 FLEET_HOST ?= 127.0.0.1
@@ -239,7 +240,7 @@ FLEET_P3 ?= 8183
 fleet-e2e:
 	mkdir -p figs
 	$(GO) build -race -o figs/.qlecd-fleet ./cmd/qlecd
-	$(GO) build -o figs/.qlectrace-fleet ./cmd/qlectrace
+	$(GO) build -o figs/.qlecaudit-fleet ./cmd/qlecaudit
 	@set -e; \
 	DATA=$$(mktemp -d); trap 'kill $$P1 $$P2 $$P3 2>/dev/null || true; rm -rf $$DATA' EXIT INT TERM; \
 	U1=http://$(FLEET_HOST):$(FLEET_P1); U2=http://$(FLEET_HOST):$(FLEET_P2); U3=http://$(FLEET_HOST):$(FLEET_P3); \
@@ -276,10 +277,10 @@ fleet-e2e:
 	echo "fleet-e2e: mid-batch CPU profiles read from peers 1 and 3 (figs/fleet-profile.pprof, figs/fleet-profile-3.pprof)"; \
 	TRACE_OK=; for i in $$(seq 1 150); do \
 		curl -s $$U1/v1/batches/$$B/trace > figs/fleet-trace.json; \
-		if figs/.qlectrace-fleet -chrome figs/fleet-trace.json 2>/dev/null | grep -Eq '^lanes: ([2-9]|[1-9][0-9]+)$$'; then TRACE_OK=1; break; fi; \
+		if figs/.qlecaudit-fleet trace -chrome figs/fleet-trace.json 2>/dev/null | grep -Eq '^lanes: ([2-9]|[1-9][0-9]+)$$'; then TRACE_OK=1; break; fi; \
 		sleep 0.2; \
 	done; \
-	test -n "$$TRACE_OK" || { echo "fleet-e2e: merged batch trace never spanned 2 daemons" >&2; figs/.qlectrace-fleet -chrome figs/fleet-trace.json || true; exit 1; }; \
+	test -n "$$TRACE_OK" || { echo "fleet-e2e: merged batch trace never spanned 2 daemons" >&2; figs/.qlecaudit-fleet trace -chrome figs/fleet-trace.json || true; exit 1; }; \
 	echo "fleet-e2e: merged trace spans >=2 daemon lanes (figs/fleet-trace.json); killing peer 3"; \
 	kill -9 $$P3; \
 	STATE=; for i in $$(seq 1 300); do \

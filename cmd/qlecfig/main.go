@@ -4,10 +4,26 @@
 //
 //	qlecfig -fig 3a|3b|3c|3|4|latency [-out DIR] [-quick]
 //	        [-timeout 5m] [-workers 0] [-reps 1]
+//	qlecfig -fig theorem1
+//	qlecfig -fig dataset [-quick] [-data FILE] [-out DIR]
 //
 // Each figure is printed as an ASCII chart on stdout and, when -out is
 // given, written as CSV (figures 3*) or x,y,z,value CSV (figure 4) for
 // external plotting. -quick shrinks seeds/rounds for a fast smoke run.
+//
+// -fig theorem1 evaluates Theorem 1 (the optimal cluster count in a 3-D
+// network) at the paper's N=100, 200 m side and 4000-bit packets with a
+// centre BS, cross-checks it against a brute-force argmin of Eq. (6)
+// and prints E_r(k) around the optimum.
+//
+// -fig dataset prints the §5.3 dataset that -fig 4 runs on under the
+// same flags (a summary table and an XY density map) and, with -out,
+// writes it as DIR/dataset.csv. The synthetic generator reproduces the
+// spatial clumping and heavy-tailed energies of the WRI Global Power
+// Plant Database's China subset (see DESIGN.md's substitution table).
+// -data replaces it with an x,y,z,energy_j CSV or with the genuine WRI
+// database file, whose China rows are converted on load; the header row
+// tells the two apart.
 //
 // Sweeps run their cells in parallel (-workers bounds the pool; 0 uses
 // every CPU, 1 forces the serial reference schedule — results are
@@ -16,20 +32,27 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"qlec"
 	"qlec/internal/cli"
 	"qlec/internal/dataset"
+	"qlec/internal/energy"
 	"qlec/internal/experiment"
 	"qlec/internal/geom"
 	"qlec/internal/network"
 	"qlec/internal/plot"
 	"qlec/internal/rng"
+	"qlec/internal/stats"
 )
 
 // workers is the -workers flag, applied to every sweep configuration.
@@ -37,11 +60,11 @@ var workers int
 
 func main() {
 	var (
-		fig     = flag.String("fig", "3", "figure to regenerate: 1, 3a, 3b, 3c, 3 (all), latency, 4, ablation, ksweep, nsweep")
+		fig     = flag.String("fig", "3", "figure to regenerate: 1, 3a, 3b, 3c, 3 (all), latency, 4, ablation, ksweep, nsweep, theorem1, dataset")
 		out     = flag.String("out", "", "directory for CSV output (optional)")
 		quick   = flag.Bool("quick", false, "fast smoke run (fewer seeds/rounds/nodes)")
 		kOver   = flag.Int("k", 0, "override the cluster count (0 = paper default)")
-		data    = flag.String("data", "", "figure 4 only: run over an x,y,z,energy_j CSV instead of the synthetic dataset")
+		data    = flag.String("data", "", "figure 4 and dataset: use an x,y,z,energy_j CSV or a WRI Global Power Plant Database CSV instead of the synthetic dataset")
 		timeout = flag.Duration("timeout", 0, "abort after this long (0 = no limit)")
 		reps    = flag.Int("reps", 1, "figure 4 only: replicate seeds to run and summarize")
 		listP   = flag.Bool("list-protocols", false, "print the protocol registry roster and exit")
@@ -75,7 +98,11 @@ func main() {
 	case "3", "3a", "3b", "3c", "latency":
 		runFig3(ctx, *fig, *out, *quick, *kOver)
 	case "4":
-		runFig4(ctx, *out, *quick, *kOver, *data, *reps)
+		runFig4(ctx, *out, fig4Config(ctx, *quick, *kOver, *data, *reps))
+	case "dataset":
+		runDataset(*out, fig4Config(ctx, *quick, *kOver, *data, *reps))
+	case "theorem1":
+		runTheorem1()
 	case "ablation":
 		runAblation(ctx, *quick, *kOver)
 	case "ksweep":
@@ -136,18 +163,7 @@ func runFig3(ctx context.Context, which, out string, quick bool, kOver int) {
 		}
 		fmt.Println(s)
 		if out != "" {
-			path := filepath.Join(out, "fig"+name+".csv")
-			fh, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			if err := ch.WriteCSV(fh); err != nil {
-				fail(err)
-			}
-			if err := fh.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			writeFile(filepath.Join(out, "fig"+name+".csv"), ch.WriteCSV)
 		}
 	}
 	fmt.Println(experiment.Fig3Table(f.Sweep))
@@ -289,7 +305,10 @@ func runAblation(ctx context.Context, quick bool, kOver int) {
 	fmt.Println(experiment.Fig3Table(sweep))
 }
 
-func runFig4(ctx context.Context, out string, quick bool, kOver int, dataPath string, reps int) {
+// fig4Config is the Figure 4 experiment the flags select; -fig dataset
+// inspects its dataset. With -data the file's nodes replace the
+// synthetic set and, unless -k is given, Theorem 1 picks k.
+func fig4Config(ctx context.Context, quick bool, kOver int, dataPath string, reps int) experiment.Fig4Config {
 	cfg := experiment.PaperFig4Config()
 	if kOver > 0 {
 		cfg.K = kOver
@@ -304,25 +323,53 @@ func runFig4(ctx context.Context, out string, quick bool, kOver int, dataPath st
 			cfg.Seeds = append(cfg.Seeds, cfg.Synth.Seed+uint64(r))
 		}
 	}
-	n := cfg.Synth.N
 	if dataPath != "" {
-		fh, err := os.Open(dataPath)
-		if err != nil {
-			fail(err)
-		}
-		ds, err := dataset.LoadCSV(fh)
-		fh.Close()
+		ds, err := loadData(ctx, dataPath, cfg.Synth)
 		if err != nil {
 			fail(err)
 		}
 		cfg.Data = ds
-		n = len(ds.Positions)
 		if kOver == 0 {
-			cfg.K = 0 // derive from Theorem 1 for foreign datasets
+			cfg.K = 0
 		}
 	}
+	return cfg
+}
+
+// loadData reads an x,y,z,energy_j CSV, whose header starts with x, or
+// else a WRI Global Power Plant Database CSV. WRI rows of China (CHN)
+// map onto synth's footprint, height and mean energy, with heights
+// drawn from a fixed stream whose name predates this command and keeps
+// converted datasets as they were.
+func loadData(ctx context.Context, path string, synth dataset.SynthConfig) (*dataset.Dataset, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fh.Close()
+	raw, err := io.ReadAll(cli.Reader(ctx, fh))
+	if err != nil {
+		return nil, err
+	}
+	if header, _ := csv.NewReader(bytes.NewReader(raw)).Read(); len(header) > 0 &&
+		strings.EqualFold(strings.TrimSpace(header[0]), "x") {
+		return dataset.LoadCSV(bytes.NewReader(raw))
+	}
+	ds, err := dataset.LoadWRICSV(bytes.NewReader(raw), "CHN", synth.Side, synth.MaxHeight, synth.MeanEnergy,
+		rng.NewNamed(synth.Seed, "qlecdata/heights"))
+	if err != nil {
+		return nil, fmt.Errorf("%s: no x,y,z,energy_j header, and as a WRI database CSV: %w", path, err)
+	}
+	return ds, nil
+}
+
+func runFig4(ctx context.Context, out string, cfg experiment.Fig4Config) {
+	n := cfg.Synth.N
+	if cfg.Data != nil {
+		n = len(cfg.Data.Positions)
+	}
 	fmt.Fprintf(os.Stderr, "running Figure 4: %d nodes, k=%d, %d rounds, %d replicate(s)...\n",
-		n, cfg.K, cfg.Rounds, max(reps, 1))
+		n, cfg.K, cfg.Rounds, max(len(cfg.Seeds), 1))
 	m := cli.NewMeter(os.Stderr)
 	cfg.Workers = workers
 	cfg.Progress = m.SweepProgress("fig4 replicates")
@@ -339,17 +386,135 @@ func runFig4(ctx context.Context, out string, quick bool, kOver int, dataPath st
 	fmt.Println(s)
 	fmt.Println(experiment.Fig4Summary(res))
 	if out != "" {
-		path := filepath.Join(out, "fig4.csv")
-		fh, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		if err := hm.WriteCSV(fh); err != nil {
-			fail(err)
-		}
-		if err := fh.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		writeFile(filepath.Join(out, "fig4.csv"), hm.WriteCSV)
 	}
+}
+
+// runDataset prints Figure 4's dataset: a summary table and a node
+// density map over XY. With out set it also writes out/dataset.csv.
+func runDataset(out string, cfg experiment.Fig4Config) {
+	ds := cfg.Data
+	if ds == nil {
+		var err error
+		if ds, err = dataset.Synthesize(cfg.Synth); err != nil {
+			fail(err)
+		}
+	}
+	energies := make([]float64, len(ds.Energies))
+	for i, e := range ds.Energies {
+		energies[i] = float64(e)
+	}
+	s := stats.Summarize(energies)
+	fmt.Println(plot.Table(
+		[]string{"property", "value"},
+		[][]string{
+			{"nodes", fmt.Sprintf("%d", len(ds.Positions))},
+			{"box", fmt.Sprintf("%v – %v", ds.Box.Min, ds.Box.Max)},
+			{"BS", ds.BS.String()},
+			{"energy mean (J)", fmt.Sprintf("%.4f", s.Mean)},
+			{"energy stddev (J)", fmt.Sprintf("%.4f", s.StdDev)},
+			{"energy min/max (J)", fmt.Sprintf("%.4f / %.4f", s.Min, s.Max)},
+			{"energy median (J)", fmt.Sprintf("%.4f", stats.Median(energies))},
+		},
+	))
+
+	// Each node's value is the node count of its cell on a cols×rows
+	// grid over XY.
+	const cols, rows = 64, 20
+	cell := func(p geom.Vec3) [2]int {
+		return [2]int{
+			min(int(float64(cols)*p.X/ds.Box.Max.X), cols-1),
+			min(int(float64(rows)*(ds.Box.Max.Y-p.Y)/ds.Box.Max.Y), rows-1),
+		}
+	}
+	counts := map[[2]int]float64{}
+	for _, p := range ds.Positions {
+		counts[cell(p)]++
+	}
+	density := make([]float64, len(ds.Positions))
+	for i, p := range ds.Positions {
+		density[i] = counts[cell(p)]
+	}
+	hm := &plot.Heatmap{
+		Title: "node density (XY projection)",
+		Box:   ds.Box,
+		Cols:  cols, Rows: rows,
+		Points: ds.Positions,
+		Values: density,
+	}
+	if rendered, err := hm.RenderASCII(); err == nil {
+		fmt.Println(rendered)
+	}
+	if out != "" {
+		writeFile(filepath.Join(out, "dataset.csv"), ds.WriteCSV)
+	}
+}
+
+// runTheorem1 evaluates Theorem 1 at the paper's network (N, side and
+// packet size of PaperConfig, centre BS), cross-checks k_opt against
+// the argmin of Eq. (6) composed with Lemma 1 over every k, and prints
+// E_r(k) from k_opt/3 to 3·k_opt.
+func runTheorem1() {
+	cfg := experiment.PaperConfig()
+	n, side, bits, model := cfg.N, cfg.Side, cfg.Sim.Bits, cfg.Model
+	d := geom.ExpectedMeanDistCubeToCenter(side)
+	kopt := model.OptimalClusterCount(n, side, d)
+	kInt := max(1, int(math.Round(kopt)))
+
+	fmt.Println(plot.Table(
+		[]string{"quantity", "value"},
+		[][]string{
+			{"N", fmt.Sprintf("%d", n)},
+			{"M (side)", fmt.Sprintf("%g m", side)},
+			{"d_toBS", fmt.Sprintf("%.3f m", d)},
+			{"ε_fs", fmt.Sprintf("%g J/bit/m²", float64(model.FreeSpace))},
+			{"ε_mp", fmt.Sprintf("%g J/bit/m⁴", float64(model.MultiPath))},
+			{"d₀ (crossover)", fmt.Sprintf("%.3f m", model.CrossoverDistance())},
+			{"k_opt (Theorem 1)", fmt.Sprintf("%.3f", kopt)},
+			{"k_opt rounded", fmt.Sprintf("%d", int(math.Round(kopt)))},
+			{"d_c at k_opt (Eq. 5)", fmt.Sprintf("%.3f m", geom.CoverageRadius(side, kInt))},
+			{"estimated R ([7], 5 J/node)", fmt.Sprintf("%d rounds", model.EstimatedLifespanRounds(
+				energy.Joules(5*float64(n)), bits, n, kInt, side, d))},
+		},
+	))
+
+	roundEnergy := func(k int) float64 {
+		return float64(model.RoundEnergyAtK(bits, n, float64(k), side, d))
+	}
+	bestK, bestE := 1, math.Inf(1)
+	for k := 1; k <= n; k++ {
+		if e := roundEnergy(k); e < bestE {
+			bestK, bestE = k, e
+		}
+	}
+	fmt.Printf("\nbrute-force argmin of Eq. (6): k=%d (E_r=%.6g J)\n", bestK, bestE)
+	if math.Abs(float64(bestK)-kopt) > 1.5 {
+		fmt.Fprintf(os.Stderr, "warning: closed form %.2f and brute force %d disagree\n", kopt, bestK)
+	}
+
+	var rows [][]string
+	for k := max(1, int(kopt/3)); k <= int(kopt*3); k++ {
+		marker := ""
+		if k == bestK {
+			marker = "← argmin"
+		}
+		rows = append(rows, []string{fmt.Sprintf("%d", k), fmt.Sprintf("%.6g", roundEnergy(k)), marker})
+	}
+	fmt.Println()
+	fmt.Println(plot.Table([]string{"k", "E_r (J/round)", ""}, rows))
+}
+
+// writeFile creates path, fills it with write and reports it on stderr.
+func writeFile(path string, write func(io.Writer) error) {
+	fh, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := write(fh); err != nil {
+		fail(err)
+	}
+	if err := fh.Close(); err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }

@@ -121,9 +121,9 @@ func (m *Meter) SweepProgress(label string) func(done, total int) {
 }
 
 // Reader wraps r so each Read first checks ctx: once the context is
-// cancelled the next Read returns ctx.Err(). It lets tools that stream
-// from a pipe (e.g. qlectrace on stdin) honour Ctrl-C between reads
-// even when the producer stalls mid-stream.
+// cancelled the next Read returns ctx.Err(). It lets tools that read
+// from a file or pipe (e.g. qlecfig's -data) honour Ctrl-C and
+// -timeout between reads even when the producer stalls mid-stream.
 func Reader(ctx context.Context, r io.Reader) io.Reader {
 	return &ctxReader{ctx: ctx, r: r}
 }

@@ -312,8 +312,8 @@ func minMax(xs []float64) (lo, hi float64) {
 }
 
 // LoadCSV reads the x,y,z,energy_j interchange format produced by
-// WriteCSV back into a Dataset (round-trip with cmd/qlecdata, and the
-// format cmd/qlecsim accepts for custom topologies). The bounding box is
+// WriteCSV back into a Dataset (round-trip with qlecfig -fig dataset,
+// and the format cmd/qlecsim accepts for custom topologies). The bounding box is
 // grown to fit the nodes with a 1-unit pad; the base station defaults to
 // the box center.
 func LoadCSV(src io.Reader) (*Dataset, error) {
@@ -370,7 +370,7 @@ func LoadCSV(src io.Reader) (*Dataset, error) {
 }
 
 // WriteCSV emits the dataset as x,y,z,energy rows (with header), the
-// interchange format used by cmd/qlecdata.
+// interchange format qlecfig -fig dataset -out writes.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	if err := d.Validate(); err != nil {
 		return err

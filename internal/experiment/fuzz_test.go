@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"qlec/internal/audit"
 	"qlec/internal/energy"
+	"qlec/internal/sim"
 )
 
 // fuzzPacketBudget caps a fuzzed run's expected packet count,
@@ -16,10 +18,19 @@ import (
 // where a run is a long simulation rather than a new one.
 const fuzzPacketBudget = 2e5
 
+// oddField returns the sim float that odd%7 selects for a non-finite
+// value, or nil (0): ContentionGamma, ShadowSigma, the mobility speeds
+// and pause, DeathLine.
+func oddField(c *sim.Config, odd uint8) *float64 {
+	return [...]*float64{nil, &c.ContentionGamma, &c.ShadowSigma, &c.MobilitySpeedMin,
+		&c.MobilitySpeedMax, &c.MobilityPause, (*float64)(&c.DeathLine)}[odd%7]
+}
+
 // FuzzRunOne runs small randomized simulations (N ≤ 40, ≤ 10 rounds,
 // any λ, k, registered protocol, battery and seed, lifespan on or off,
-// shadowing, contention and mobility toggled) and checks the
-// invariants the code already defines on every one of them:
+// shadowing, contention and mobility toggled, and one sim float
+// optionally forced to NaN or ±Inf) and checks the invariants the code
+// already defines on every one of them:
 //
 //   - the audit recorder finds no energy-conservation violation and no
 //     transmission by a dead node;
@@ -31,10 +42,10 @@ const fuzzPacketBudget = 2e5
 //
 // Configurations that Validate rejects must make RunOne fail, not panic.
 func FuzzRunOne(f *testing.F) {
-	f.Add(uint8(20), uint8(4), 4.0, uint8(3), uint8(0), uint8(99), uint64(1), false, false, false, false)
-	f.Add(uint8(40), uint8(10), 1.0, uint8(6), uint8(1), uint8(0), uint64(7), true, true, true, true)
+	f.Add(uint8(20), uint8(4), 4.0, uint8(3), uint8(0), uint8(99), uint64(1), false, false, false, false, uint8(0))
+	f.Add(uint8(40), uint8(10), 1.0, uint8(6), uint8(1), uint8(0), uint64(7), true, true, true, true, uint8(0))
 	f.Fuzz(func(t *testing.T, n, rounds uint8, lambda float64, k, proto, battery uint8, seed uint64,
-		lifespan, shadow, contend, mobile bool) {
+		lifespan, shadow, contend, mobile bool, odd uint8) {
 		ids := AllProtocols()
 		id := ids[int(proto)%len(ids)]
 		cfg := PaperConfig()
@@ -54,6 +65,9 @@ func FuzzRunOne(f *testing.F) {
 		}
 		if mobile {
 			cfg.Sim.MobilitySpeedMin, cfg.Sim.MobilitySpeedMax, cfg.Sim.MobilityPause = 1, 3, 30
+		}
+		if f := oddField(&cfg.Sim, odd); f != nil {
+			*f = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[odd/7%3]
 		}
 		ctx := context.Background()
 		if err := cfg.Validate(); err != nil {

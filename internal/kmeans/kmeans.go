@@ -226,22 +226,6 @@ func cost(points []geom.Vec3, centroids []geom.Vec3, assign []int) float64 {
 	return total
 }
 
-// NearestIndex returns the index in candidates of the point closest to
-// target (used to pick the head node nearest a centroid). It panics on an
-// empty candidate set.
-func NearestIndex(candidates []geom.Vec3, target geom.Vec3) int {
-	if len(candidates) == 0 {
-		panic("kmeans: NearestIndex over empty candidates")
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, p := range candidates {
-		if d := p.DistSq(target); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // OptimalCost exhaustively solves the k-clustering problem for tiny
 // inputs by enumerating all assignments of n points to k labeled
 // clusters and returns the minimum k-means cost. Exponential (k^n): the

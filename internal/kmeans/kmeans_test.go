@@ -121,22 +121,6 @@ func TestCostDecreasesWithK(t *testing.T) {
 	}
 }
 
-func TestNearestIndex(t *testing.T) {
-	pts := []geom.Vec3{{X: 0}, {X: 10}, {X: 20}}
-	if got := NearestIndex(pts, geom.Vec3{X: 12}); got != 1 {
-		t.Fatalf("NearestIndex = %d", got)
-	}
-}
-
-func TestNearestIndexPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty candidates did not panic")
-		}
-	}()
-	NearestIndex(nil, geom.Vec3{})
-}
-
 func TestOptimalCostTinyExact(t *testing.T) {
 	// Two obvious pairs on a line: optimal 2-clustering splits them.
 	pts := []geom.Vec3{{X: 0}, {X: 1}, {X: 10}, {X: 11}}

@@ -184,9 +184,6 @@ func (r *Result) DroppedTotal() int {
 	return total
 }
 
-// Survived reports whether no node hit the death line during the run.
-func (r *Result) Survived() bool { return r.Lifespan == 0 }
-
 // Validate cross-checks internal consistency; the engine's tests call it
 // on every run.
 func (r *Result) Validate() error {

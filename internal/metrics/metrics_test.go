@@ -43,17 +43,6 @@ func TestDroppedTotal(t *testing.T) {
 	}
 }
 
-func TestSurvived(t *testing.T) {
-	r := validResult()
-	if !r.Survived() {
-		t.Fatal("lifespan 0 should mean survived")
-	}
-	r.Lifespan = 2
-	if r.Survived() {
-		t.Fatal("nonzero lifespan should mean died")
-	}
-}
-
 func TestValidateAcceptsConsistent(t *testing.T) {
 	if err := validResult().Validate(); err != nil {
 		t.Fatal(err)

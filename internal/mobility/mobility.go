@@ -12,6 +12,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 
 	"qlec/internal/geom"
 	"qlec/internal/rng"
@@ -42,7 +43,7 @@ func NewRandomWaypoint(box geom.AABB, n int, speedMin, speedMax, pause float64, 
 	if n <= 0 {
 		return nil, fmt.Errorf("mobility: node count must be positive, got %d", n)
 	}
-	if !(speedMin >= 0) || !(speedMax >= speedMin) {
+	if !(speedMin >= 0) || !(speedMax >= speedMin) || math.IsInf(speedMax, 1) {
 		return nil, fmt.Errorf("mobility: invalid speed range [%v, %v]", speedMin, speedMax)
 	}
 	if pause < 0 {

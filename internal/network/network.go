@@ -222,15 +222,6 @@ func (w *Network) TotalConsumed() energy.Joules {
 	return total
 }
 
-// MeanResidual returns the average residual energy across all nodes
-// (alive or dead).
-func (w *Network) MeanResidual() energy.Joules {
-	if len(w.Nodes) == 0 {
-		return 0
-	}
-	return w.TotalResidual() / energy.Joules(len(w.Nodes))
-}
-
 // EstimatedMeanEnergy evaluates the paper's Eq. (2): the a-priori
 // estimate of the per-node average energy at round r of a planned
 // R-round run,
@@ -249,19 +240,9 @@ func (w *Network) EstimatedMeanEnergy(round, totalRounds int) energy.Joules {
 	return w.initialTotal / energy.Joules(len(w.Nodes)) * energy.Joules(frac)
 }
 
-// AliveIDs returns the ids of nodes above the death line, ascending.
-func (w *Network) AliveIDs(deathLine energy.Joules) []int {
-	ids := make([]int, 0, len(w.Nodes))
-	for _, n := range w.Nodes {
-		if n.Alive(deathLine) {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids
-}
-
-// AliveIDsInto is AliveIDs appending into a caller-owned buffer
-// (truncated first) — the allocation-free form for per-round hot paths.
+// AliveIDsInto appends the ids of nodes above the death line, ascending,
+// into a caller-owned buffer (truncated first), so per-round hot paths
+// allocate nothing.
 func (w *Network) AliveIDsInto(deathLine energy.Joules, dst []int) []int {
 	dst = dst[:0]
 	for _, n := range w.Nodes {

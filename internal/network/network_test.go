@@ -122,9 +122,6 @@ func TestEnergyAccounting(t *testing.T) {
 	if got := w.TotalResidual(); math.Abs(float64(got)-6.5) > 1e-12 {
 		t.Fatalf("TotalResidual = %v", got)
 	}
-	if got := w.MeanResidual(); math.Abs(float64(got)-6.5/4) > 1e-12 {
-		t.Fatalf("MeanResidual = %v", got)
-	}
 }
 
 func TestEstimatedMeanEnergyEq2(t *testing.T) {
@@ -168,8 +165,8 @@ func TestAliveDeadTracking(t *testing.T) {
 	if !dead || id != 1 {
 		t.Fatalf("FirstDead = (%d, %v)", id, dead)
 	}
-	if got := w.AliveIDs(0); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("AliveIDs = %v", got)
+	if got := w.AliveIDsInto(0, nil); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("AliveIDsInto = %v", got)
 	}
 	// A higher death line kills nodes that still hold charge.
 	if got := w.AliveCount(2); got != 0 {

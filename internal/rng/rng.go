@@ -180,34 +180,6 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
-// Poisson returns a Poisson variate with the given mean, using Knuth's
-// multiplication method for small means and the PTRS transformed-rejection
-// method cut-over for large means (approximated here by normal sampling,
-// adequate for mean > 30 in simulation workloads).
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction.
-	v := math.Round(mean + math.Sqrt(mean)*s.NormFloat64())
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // Perm returns a uniformly random permutation of [0, n) via Fisher–Yates.
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)

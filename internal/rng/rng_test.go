@@ -200,37 +200,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		s := NewNamed(12, "poisson")
-		const n = 100000
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			v := float64(s.Poisson(mean))
-			sum += v
-			sumSq += v * v
-		}
-		m := sum / n
-		variance := sumSq/n - m*m
-		if math.Abs(m-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", mean, m)
-		}
-		if math.Abs(variance-mean) > 0.1*mean+0.1 {
-			t.Fatalf("Poisson(%v) variance = %v, want ~mean", mean, variance)
-		}
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	s := New(13)
-	if v := s.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d", v)
-	}
-	if v := s.Poisson(-2); v != 0 {
-		t.Fatalf("Poisson(-2) = %d", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(14)
 	for trial := 0; trial < 50; trial++ {
@@ -340,15 +309,6 @@ func BenchmarkFloat64(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += s.Float64()
-	}
-	_ = sink
-}
-
-func BenchmarkPoissonSmallMean(b *testing.B) {
-	s := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += s.Poisson(4)
 	}
 	_ = sink
 }

@@ -763,7 +763,7 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<16, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode join: %v", err)
 		return
 	}
@@ -781,7 +781,7 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetSteal(w http.ResponseWriter, r *http.Request) {
 	var req fleet.StealRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<16, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode steal: %v", err)
 		return
 	}
@@ -813,7 +813,7 @@ func (s *Server) handleFleetSteal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 	var req fleet.CompleteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 64<<20, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode complete: %v", err)
 		return
 	}
@@ -836,7 +836,7 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetRenew(w http.ResponseWriter, r *http.Request) {
 	var req fleet.RenewRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<20, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode renew: %v", err)
 		return
 	}
@@ -871,7 +871,7 @@ func (s *Server) handleFleetCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env ResultEnvelope
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&env); err != nil {
+	if err := decodeBody(w, r, 64<<20, &env); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode envelope: %v", err)
 		return
 	}

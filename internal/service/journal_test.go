@@ -6,14 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"qlec/internal/fleet"
 	"qlec/internal/service"
 )
 
@@ -152,28 +153,32 @@ func TestReloadFoldsLegacyJobFiles(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsTrailingData: job and batch bodies must hold one
-// JSON value; trailing whitespace is fine, anything else is a 400.
+// TestSubmitRejectsTrailingData: job, batch and fleet peer bodies must
+// hold one JSON value; trailing whitespace is fine, anything else is a
+// 400. The daemon runs with -self so the peer endpoints are live.
 func TestSubmitRejectsTrailingData(t *testing.T) {
-	srv, err := service.New(service.Options{Workers: 1, Run: stubRun(0, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { srv.Close(); ts.Close() })
+	n := startFleetNode(t, service.Options{Workers: 1, Run: stubRun(0, nil)}, service.FleetOptions{})
 
-	job, err := json.Marshal(oneRequest(tinyCfg()))
-	if err != nil {
-		t.Fatal(err)
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	batch, err := json.Marshal(map[string]any{"requests": []service.Request{oneRequest(tinyCfg())}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hash := strings.Repeat("ab", 32)
 	for _, ep := range []struct {
-		path string
-		body []byte
-	}{{"/v1/jobs", job}, {"/v1/batches", batch}} {
+		method, path string
+		body         []byte
+	}{
+		{"POST", "/v1/jobs", mustJSON(oneRequest(tinyCfg()))},
+		{"POST", "/v1/batches", mustJSON(map[string]any{"requests": []service.Request{oneRequest(tinyCfg())}})},
+		{"POST", "/v1/fleet/join", mustJSON(fleet.JoinRequest{Peer: n.url})},
+		{"POST", "/v1/fleet/steal", mustJSON(fleet.StealRequest{Worker: "w"})},
+		{"POST", "/v1/fleet/complete", mustJSON(fleet.CompleteRequest{Hash: hash, Error: "x"})},
+		{"POST", "/v1/fleet/renew", mustJSON(fleet.RenewRequest{Worker: "w"})},
+		{"PUT", "/v1/fleet/cache/" + hash, mustJSON(service.ResultEnvelope{Kind: service.KindOne})},
+	} {
 		for _, tc := range []struct {
 			name   string
 			suffix string
@@ -187,13 +192,18 @@ func TestSubmitRejectsTrailingData(t *testing.T) {
 			{"null", " null", false},
 		} {
 			body := append(append([]byte(nil), ep.body...), tc.suffix...)
-			resp, err := http.Post(ts.URL+ep.path, "application/json", bytes.NewReader(body))
+			req, err := http.NewRequest(ep.method, n.url+ep.path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			if ok := resp.StatusCode < 300; ok != tc.ok || (!ok && resp.StatusCode != http.StatusBadRequest) {
-				t.Errorf("POST %s %s: status %d, want ok=%v (or 400)", ep.path, tc.name, resp.StatusCode, tc.ok)
+				t.Errorf("%s %s %s: status %d, want ok=%v (or 400)", ep.method, ep.path, tc.name, resp.StatusCode, tc.ok)
 			}
 		}
 	}

@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"qlec/internal/energy"
 )
@@ -184,7 +185,9 @@ func (c Config) Validate() error {
 	if !(c.ShadowSigma >= 0) {
 		return fmt.Errorf("sim: ShadowSigma must be non-negative, got %v", c.ShadowSigma)
 	}
-	if !(c.MobilitySpeedMin >= 0 && c.MobilitySpeedMax >= c.MobilitySpeedMin) {
+	// An infinite leg speed never uses up a step: a zero-pause node
+	// would loop over waypoints forever.
+	if !(c.MobilitySpeedMin >= 0 && c.MobilitySpeedMax >= c.MobilitySpeedMin) || math.IsInf(c.MobilitySpeedMax, 1) {
 		return fmt.Errorf("sim: invalid mobility speed range [%v, %v]",
 			c.MobilitySpeedMin, c.MobilitySpeedMax)
 	}

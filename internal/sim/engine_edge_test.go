@@ -97,6 +97,43 @@ func TestForwardChainInstantLoopGuard(t *testing.T) {
 	}
 }
 
+// TestForwardChainInstantDeadHolderRetries is the directed case for the
+// end-of-round relay chain with a holder that dies mid-hop: the head can
+// afford less than one transmit and every attempt fails. Unlike burst,
+// forwardChainInstant checks that the holder is alive once per hop, not
+// per attempt, so all MaxRetries retries still go out from a dead node
+// and the packet ends as a link drop. This test pins that behaviour.
+// Re-checking per attempt changes results, so that fix waits for a
+// model epoch in the content address; it must then expect one attempt
+// and a DropDead, as TestBurstDeadHeadDropsBatch does for burst.
+func TestForwardChainInstantDeadHolderRetries(t *testing.T) {
+	w := paperNet(t, 43)
+	proto := &stubProtocol{net: w, heads: []int{10}, mode: cluster.ForwardPerPacket}
+	cfg := DefaultConfig()
+	cfg.LinkPMax = 0.01 // every attempt essentially always fails
+	cfg.LinkRef = 1
+	e, err := NewEngine(w, proto, energy.DefaultModel(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.setupHeads([]int{10})
+
+	b := w.Nodes[10].Battery
+	b.Draw(b.Residual() - 1e-9)
+	e.main.forwardChainInstant(10, packet.Packet{ID: 1, Bits: cfg.Bits, Hops: 1})
+
+	if e.alive(10) {
+		t.Fatal("head survived a transmit it could not afford")
+	}
+	if proto.outcomes != cfg.MaxRetries+1 {
+		t.Fatalf("OnOutcome called %d times, want %d: the first attempt and %d retries by a dead holder",
+			proto.outcomes, cfg.MaxRetries+1, cfg.MaxRetries)
+	}
+	if got := e.round.Dropped[metrics.DropLink]; got != 1 {
+		t.Fatalf("recorded %d DropLink, want 1 (all drops: %v)", got, e.round.Dropped)
+	}
+}
+
 // TestBurstDeadHeadDropsBatch exercises the mid-retry death break in
 // burst: the head is alive for the first attempt, pays the transmit cost,
 // dies, and the retry loop must break — every buffered packet becomes a

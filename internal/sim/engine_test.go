@@ -73,7 +73,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LinkPMax = 0 },
 		func(c *Config) { c.LinkRef = 0 },
 		func(c *Config) { c.RetryBackoff = -1 },
-		func(c *Config) { c.RetryBackoff = math.NaN() }, // a NaN delay would open an event class per retry
+		func(c *Config) { c.RetryBackoff = math.NaN() },      // a NaN delay would open an event class per retry
+		func(c *Config) { c.MobilitySpeedMax = math.Inf(1) }, // a zero-pause node would never finish a step
 	} {
 		c := DefaultConfig()
 		mut(&c)

@@ -1,7 +1,7 @@
 // Package traceio parses and aggregates the simulator's JSONL packet
 // traces (sim.JSONLTracer) into operational statistics: per-packet
 // lifecycles, retry distributions, per-head load, per-round tallies.
-// cmd/qlectrace is the command-line front end.
+// `qlecaudit trace` is the command-line front end.
 package traceio
 
 import (
