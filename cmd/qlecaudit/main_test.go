@@ -42,8 +42,7 @@ func record(t *testing.T, dir string) {
 		artifact, trace string
 		seed            uint64
 	}{{"a.json", "t.jsonl", 1}, {"a2.json", "", 1}, {"b.json", "", 2}} {
-		c := cfg
-		c.Audit = audit.New(audit.Options{})
+		hooks := experiment.Hooks{Audit: audit.New(audit.Options{})}
 		var trace *os.File
 		var flush func() error
 		if run.trace != "" {
@@ -51,9 +50,9 @@ func record(t *testing.T, dir string) {
 			if trace, err = os.Create(filepath.Join(dir, run.trace)); err != nil {
 				t.Fatal(err)
 			}
-			c.Tracer, flush = sim.JSONLTracer(trace)
+			hooks.Tracer, flush = sim.JSONLTracer(trace)
 		}
-		if _, err := c.RunOne(context.Background(), experiment.QLEC, 4, run.seed, false); err != nil {
+		if _, err := cfg.RunOneWith(context.Background(), experiment.QLEC, 4, run.seed, false, hooks); err != nil {
 			t.Fatal(err)
 		}
 		if trace != nil {
@@ -61,7 +60,7 @@ func record(t *testing.T, dir string) {
 				t.Fatal(err)
 			}
 		}
-		art := c.Audit.Artifact()
+		art := hooks.Audit.Artifact()
 		art.Build = obs.BuildInfo{} // the build stamp varies; the golden must not
 		writeWith(t, filepath.Join(dir, run.artifact), func(fh *os.File) error { return audit.WriteArtifact(fh, art) })
 	}

@@ -33,6 +33,7 @@ func TestGolden(t *testing.T) {
 		{"theorem1", []string{"-fig", "theorem1"}},
 		{"dataset-quick", []string{"-fig", "dataset", "-quick"}},
 		{"dataset-wri", []string{"-fig", "dataset", "-data", "testdata/wri.csv"}},
+		{"fig4-wri", []string{"-fig", "4", "-data", "testdata/wri.csv"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -179,7 +179,7 @@ func main() {
 		}
 		defer fh.Close()
 		tracer, flush := sim.JSONLTracer(fh)
-		s.Config.Tracer = tracer
+		s.Hooks.Tracer = tracer
 		flushTrace = flush
 	}
 
@@ -190,7 +190,7 @@ func main() {
 			os.Exit(1)
 		}
 		auditRec = audit.New(audit.Options{})
-		s.Config.Audit = auditRec
+		s.Hooks.Audit = auditRec
 	}
 
 	meter := cli.NewMeter(os.Stderr)
@@ -217,7 +217,7 @@ func main() {
 		}
 		if !*quiet || spans != nil {
 			prev := time.Now()
-			s.Config.Observer = func(snap sim.RoundSnapshot) {
+			s.Hooks.Observer = func(snap sim.RoundSnapshot) {
 				if spans != nil {
 					now := time.Now()
 					spans.Span(sc, fmt.Sprintf("round %d", snap.Round), "sim", prev, now,

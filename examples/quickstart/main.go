@@ -25,7 +25,7 @@ func main() {
 	// result — and the observer streams per-round progress.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	scenario.Config.Observer = func(snap sim.RoundSnapshot) {
+	scenario.Hooks.Observer = func(snap sim.RoundSnapshot) {
 		fmt.Fprintf(os.Stderr, "\rround %d: %d alive, %.2f J spent", snap.Round+1, snap.Alive, float64(snap.EnergySoFar))
 		if snap.Done {
 			fmt.Fprintln(os.Stderr)

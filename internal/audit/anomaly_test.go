@@ -140,8 +140,7 @@ func TestArtifactRoundTripAndExplain(t *testing.T) {
 	c.N = 30
 	c.Rounds = 4
 	c.Seeds = []uint64{1}
-	c.Audit = rec
-	if _, err := c.RunOne(context.Background(), experiment.QLEC, 4, 1, false); err != nil {
+	if _, err := c.RunOneWith(context.Background(), experiment.QLEC, 4, 1, false, experiment.Hooks{Audit: rec}); err != nil {
 		t.Fatal(err)
 	}
 	art := rec.Artifact()
@@ -198,8 +197,7 @@ func TestDiffIdenticalSeeds(t *testing.T) {
 		c.N = 30
 		c.Rounds = 5
 		c.Seeds = []uint64{seed}
-		c.Audit = rec
-		if _, err := c.RunOne(context.Background(), experiment.QLEC, 4, seed, false); err != nil {
+		if _, err := c.RunOneWith(context.Background(), experiment.QLEC, 4, seed, false, experiment.Hooks{Audit: rec}); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Artifact()

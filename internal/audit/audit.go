@@ -10,14 +10,11 @@
 //
 // A Recorder is single-use and single-goroutine, like the engine it
 // observes: bind it, run the simulation, then snapshot with Artifact.
-// Memory is bounded by the entry/decision rings; the full ledger can
-// additionally be streamed to a spill writer as JSONL.
+// Memory is bounded by the entry/decision rings.
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"qlec/internal/energy"
 	"qlec/internal/network"
@@ -53,16 +50,12 @@ const (
 )
 
 // Options configures a Recorder. The zero value is a sensible default:
-// bounded rings, no spill, no metrics, default thresholds.
+// bounded rings, no metrics, default thresholds.
 type Options struct {
 	// MaxEntries / MaxDecisions cap the in-memory rings; older records
 	// are overwritten first (the report still counts everything seen).
 	MaxEntries   int
 	MaxDecisions int
-	// Spill, when non-nil, receives every ledger entry as one JSON
-	// object per line, before ring eviction. Write errors latch (first
-	// error wins) and surface via Err.
-	Spill io.Writer
 	// Metrics, when non-nil, receives the qlec_audit_violations_total
 	// and qlec_audit_anomalies_total counters.
 	Metrics *obs.Registry
@@ -143,9 +136,6 @@ type Recorder struct {
 	anomalies      []Anomaly
 	anomalyCounts  map[string]uint64
 
-	spillEnc *json.Encoder
-	spillErr error
-
 	violationsMetric *obs.Counter
 	anomaliesMetric  *obs.CounterVec
 }
@@ -174,9 +164,6 @@ func New(opt Options) *Recorder {
 		pktTx:         make(map[packet.ID]int),
 		anomalyCounts: make(map[string]uint64),
 		curRound:      -1,
-	}
-	if opt.Spill != nil {
-		r.spillEnc = json.NewEncoder(opt.Spill)
 	}
 	if opt.Metrics != nil {
 		r.violationsMetric = opt.Metrics.Counter("qlec_audit_violations_total",
@@ -247,11 +234,6 @@ func (r *Recorder) AuditBeginRound(round int, heads []int) {
 
 // AuditEnergy implements sim.Auditor: one ledger entry per draw.
 func (r *Recorder) AuditEnergy(e sim.EnergyEntry) {
-	if r.spillEnc != nil && r.spillErr == nil {
-		if err := r.spillEnc.Encode(e); err != nil {
-			r.spillErr = fmt.Errorf("audit: spill write: %w", err)
-		}
-	}
 	if e.Cause == sim.CauseTx && r.net != nil &&
 		r.baseline[e.Node]-r.spent[e.Node] <= r.deathLine {
 		r.anomaly(Anomaly{
@@ -311,12 +293,12 @@ func (r *Recorder) violate(v Violation) {
 }
 
 // Err returns the structured conservation error, or nil when every
-// invariant held. Spill write failures are reported here too.
+// invariant held.
 func (r *Recorder) Err() error {
 	if r.violationCount > 0 {
 		return &ViolationError{Count: r.violationCount, First: r.violations}
 	}
-	return r.spillErr
+	return nil
 }
 
 // Violations returns how many conservation checks failed.

@@ -6,7 +6,6 @@ package audit_test
 // fire when energy leaks outside the ledger.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,18 +20,16 @@ import (
 	"qlec/internal/sim"
 )
 
-// runAudited runs one QLEC simulation with the recorder installed.
-func runAudited(t *testing.T, rec *audit.Recorder, mut func(*experiment.Config)) *metrics.Result {
+// runAudited runs one QLEC simulation with the recorder installed and
+// observer, when non-nil, called every round.
+func runAudited(t *testing.T, rec *audit.Recorder, observer sim.Observer) *metrics.Result {
 	t.Helper()
 	c := experiment.PaperConfig()
 	c.N = 40
 	c.Rounds = 8
 	c.Seeds = []uint64{1}
-	if mut != nil {
-		mut(&c)
-	}
-	c.Audit = rec
-	res, err := c.RunOne(context.Background(), experiment.QLEC, 4, 1, false)
+	res, err := c.RunOneWith(context.Background(), experiment.QLEC, 4, 1, false,
+		experiment.Hooks{Audit: rec, Observer: observer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +44,7 @@ func TestConservationGoldenRun(t *testing.T) {
 	rec := audit.New(audit.Options{MaxEntries: 1 << 20})
 	c := experiment.PaperConfig()
 	c.Seeds = []uint64{1}
-	c.Audit = rec
-	res, err := c.RunOne(context.Background(), experiment.QLEC, 4, 1, false)
+	res, err := c.RunOneWith(context.Background(), experiment.QLEC, 4, 1, false, experiment.Hooks{Audit: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +103,13 @@ func TestCheckerFiresOnInjectedLeak(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := audit.New(audit.Options{Metrics: reg})
 	leakDone := false
-	runAudited(t, rec, func(c *experiment.Config) {
-		c.Observer = func(snap sim.RoundSnapshot) {
-			if snap.Round == 2 && !leakDone {
-				leakDone = true
-				// Draw directly from a battery on the recorder's bound
-				// network, bypassing the engine's classified draw helpers
-				// — a joule the ledger never sees.
-				rec.Network().Nodes[0].Battery.Draw(1)
-			}
+	runAudited(t, rec, func(snap sim.RoundSnapshot) {
+		if snap.Round == 2 && !leakDone {
+			leakDone = true
+			// Draw directly from a battery on the recorder's bound
+			// network, bypassing the engine's classified draw helpers
+			// — a joule the ledger never sees.
+			rec.Network().Nodes[0].Battery.Draw(1)
 		}
 	})
 	if !leakDone {
@@ -151,11 +145,10 @@ func TestCheckerFiresOnInjectedLeak(t *testing.T) {
 	}
 }
 
-// TestRingBoundsAndSpill: the in-memory ring keeps the newest
-// MaxEntries entries while the spill stream receives everything.
-func TestRingBoundsAndSpill(t *testing.T) {
-	var spill bytes.Buffer
-	rec := audit.New(audit.Options{MaxEntries: 100, Spill: &spill})
+// TestRingBounds: the in-memory ring keeps the newest MaxEntries
+// entries, in order, and the report still counts every entry seen.
+func TestRingBounds(t *testing.T) {
+	rec := audit.New(audit.Options{MaxEntries: 100})
 	runAudited(t, rec, nil)
 	if rec.Entries() <= 100 {
 		t.Fatalf("run produced only %d entries; test needs ring overflow", rec.Entries())
@@ -164,24 +157,14 @@ func TestRingBoundsAndSpill(t *testing.T) {
 	if len(kept) != 100 {
 		t.Fatalf("ring kept %d entries, want 100", len(kept))
 	}
-
-	var all []sim.EnergyEntry
-	sc := bufio.NewScanner(&spill)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e sim.EnergyEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("spill line does not parse: %v", err)
-		}
-		all = append(all, e)
-	}
+	full := audit.New(audit.Options{MaxEntries: 1 << 20})
+	runAudited(t, full, nil)
+	all := full.Ledger()
 	if len(all) != rec.Entries() {
-		t.Fatalf("spill has %d entries, recorder observed %d", len(all), rec.Entries())
+		t.Fatalf("unbounded ring kept %d entries, bounded recorder observed %d", len(all), rec.Entries())
 	}
-	// The ring holds exactly the spill's tail, in order.
-	tail := all[len(all)-100:]
-	if d := audit.DiffLedgers(tail, kept); d != nil {
-		t.Fatalf("ring/spill tail disagree: %v", d)
+	if d := audit.DiffLedgers(all[len(all)-100:], kept); d != nil {
+		t.Fatalf("ring is not the ledger's tail: %v", d)
 	}
 	rep := rec.Report()
 	if rep.EntriesKept != 100 || rep.Entries != len(all) {
@@ -214,8 +197,7 @@ func TestRecorderPreservesResult(t *testing.T) {
 		c.N = 300
 		c.K = 30
 		c.Seeds = []uint64{3}
-		c.Audit = rec
-		res, err := c.RunOne(context.Background(), experiment.QLEC, 4, 3, false)
+		res, err := c.RunOneWith(context.Background(), experiment.QLEC, 4, 3, false, experiment.Hooks{Audit: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,39 +19,24 @@ import (
 //
 // The resulting files load directly into `go tool pprof`.
 type Profile struct {
-	cpuPath   string
-	memPath   string
-	blockPath string
-	mutexPath string
-	goroPath  string
-	cpuFile   *os.File
+	cpuPath string
+	memPath string
+	cpuFile *os.File
 }
 
-// ProfileFlags registers -cpuprofile, -memprofile, -blockprofile,
-// -mutexprofile and -goroutineprofile on fs and returns the Profile
-// that will honour them.
+// ProfileFlags registers -cpuprofile and -memprofile on fs and returns
+// the Profile that will honour them.
 func ProfileFlags(fs *flag.FlagSet) *Profile {
 	p := &Profile{}
 	fs.StringVar(&p.cpuPath, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&p.memPath, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&p.blockPath, "blockprofile", "", "write a blocking profile to this file on exit (enables block profiling)")
-	fs.StringVar(&p.mutexPath, "mutexprofile", "", "write a mutex-contention profile to this file on exit (enables mutex profiling)")
-	fs.StringVar(&p.goroPath, "goroutineprofile", "", "write a goroutine profile to this file on exit")
 	return p
 }
 
-// Start begins CPU profiling when -cpuprofile was given and arms the
-// block/mutex profilers when their flags were given. Call after flag
-// parsing; a failure to open or start is returned so the tool can
+// Start begins CPU profiling when -cpuprofile was given. Call after
+// flag parsing; a failure to open or start is returned so the tool can
 // abort before doing real work with a half-configured profiler.
 func (p *Profile) Start() error {
-	if p.blockPath != "" {
-		// Rate 1 records every blocking event; fine for offline tools.
-		runtime.SetBlockProfileRate(1)
-	}
-	if p.mutexPath != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
 	if p.cpuPath == "" {
 		return nil
 	}
@@ -89,30 +74,5 @@ func (p *Profile) Stop() {
 			}
 			f.Close()
 		}
-	}
-	writeLookup(p.blockPath, "block", "blockprofile")
-	writeLookup(p.mutexPath, "mutex", "mutexprofile")
-	writeLookup(p.goroPath, "goroutine", "goroutineprofile")
-}
-
-// writeLookup snapshots one named runtime profile to path (pprof
-// binary format, debug=0) when path is non-empty.
-func writeLookup(path, kind, flagName string) {
-	if path == "" {
-		return
-	}
-	prof := pprof.Lookup(kind)
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "%s: no %q profile in this runtime\n", flagName, kind)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
-		return
-	}
-	defer f.Close()
-	if err := prof.WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
 	}
 }

@@ -24,10 +24,10 @@ import (
 // round-trip formatting (strconv 'g'), which is deterministic across
 // platforms.
 //
-// Deliberately excluded: Tracer, Observer, Audit, Progress (observation
-// hooks; no effect on results), Workers (scheduling knob; results are
-// schedule-independent by runner.Map's determinism contract) and the
-// unexported enduranceNoStop (set only by the tournament harness).
+// Deliberately excluded: Progress (observation hook; no effect on
+// results) and Workers (scheduling knob; results are schedule-
+// independent by runner.Map's determinism contract). A run's other
+// hooks are not Config fields at all (see Hooks).
 // TestCanonicalMirrorsComplete holds this list and fails on any other
 // field of Config, sim.Config or energy.Model that lacks a mirror.
 

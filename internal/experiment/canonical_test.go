@@ -48,8 +48,6 @@ func TestHashIgnoresExecutionKnobs(t *testing.T) {
 	mod := base
 	mod.Workers = 7
 	mod.Progress = func(done, total int) {}
-	mod.Observer = func(sim.RoundSnapshot) {}
-	mod.Tracer = func(sim.TraceEvent) {}
 	if mod.Hash() != h {
 		t.Fatal("execution knobs leaked into the hash")
 	}
@@ -60,12 +58,8 @@ func TestHashIgnoresExecutionKnobs(t *testing.T) {
 // cannot change results. Keys are "<struct>.<field>" as reported by
 // TestCanonicalMirrorsComplete.
 var canonicalExclusions = map[string]string{
-	"Config.Tracer":          "observation hook; no effect on results",
-	"Config.Observer":        "observation hook; no effect on results",
-	"Config.Audit":           "flight recorder hook; no effect on results",
-	"Config.Workers":         "scheduling knob; runner.Map results are schedule-independent",
-	"Config.Progress":        "observation hook; no effect on results",
-	"Config.enduranceNoStop": "unexported; set only by the tournament harness, never by a submitted job",
+	"Config.Workers":  "scheduling knob; runner.Map results are schedule-independent",
+	"Config.Progress": "observation hook; no effect on results",
 }
 
 // TestCanonicalMirrorsComplete: every field of Config, sim.Config and
@@ -198,11 +192,9 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg.AdvancedFraction = 0.1
 	cfg.AdvancedFactor = 1.5
 	cfg.Workers = 3
-	// Hooks are json:"-": they must neither break marshaling nor
+	// Progress is json:"-": it must neither break marshaling nor
 	// reappear after a round trip.
-	cfg.Observer = func(sim.RoundSnapshot) {}
 	cfg.Progress = func(done, total int) {}
-	cfg.Tracer = func(sim.TraceEvent) {}
 
 	b, err := json.Marshal(cfg)
 	if err != nil {
@@ -212,8 +204,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Observer != nil || back.Progress != nil || back.Tracer != nil {
-		t.Fatal("hooks survived the round trip")
+	if back.Progress != nil {
+		t.Fatal("Progress survived the round trip")
 	}
 	if back.Hash() != cfg.Hash() {
 		t.Fatalf("round trip changed the hash:\n before %s\n after  %s", cfg.Hash(), back.Hash())

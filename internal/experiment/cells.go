@@ -9,13 +9,13 @@ import (
 )
 
 // CellSpec names one independently executable cell of a sweep: a fully
-// derived configuration (per-k, per-N scaling already applied, hooks
-// stripped) plus the (protocol, λ, seed) coordinates. A sweep is a flat
-// ordered list of cells plus a deterministic assembly step — RunFig3,
-// RunKSweep and RunNSweep are exactly "build specs → run each →
-// assemble", so any executor that runs the same specs and feeds the
-// outcomes to the same Assemble* function reproduces the sweep result
-// byte-for-byte, regardless of where or in what order the cells ran.
+// derived configuration (per-k, per-N scaling already applied) plus the
+// (protocol, λ, seed) coordinates. A sweep is a flat ordered list of
+// cells plus a deterministic assembly step — RunFig3, RunKSweep and
+// RunNSweep are exactly "build specs → run each → assemble", so any
+// executor that runs the same specs and feeds the outcomes to the same
+// Assemble* function reproduces the sweep result byte-for-byte,
+// regardless of where or in what order the cells ran.
 // This is the contract the qlecd fleet path relies on (DESIGN.md §14).
 type CellSpec struct {
 	Protocol ProtocolID
@@ -31,17 +31,6 @@ func (s CellSpec) Run(ctx context.Context) (CellOutcome, error) {
 	return s.Config.runCell(ctx, s.Protocol, s.Lambda, s.Seed)
 }
 
-// stripHooks clears the single-run hooks exactly like sweepOptions does
-// for the in-process sweep path: concurrent cells must not interleave
-// tracer/observer callbacks, and hooks never serialize.
-func (c Config) stripHooks() Config {
-	c.Tracer = nil
-	c.Observer = nil
-	c.Audit = nil
-	c.Progress = nil
-	return c
-}
-
 // Fig3Cells derives the ordered cell list of RunFig3: protocol-major,
 // then λ, then seed — the index order AssembleFig3 consumes.
 func (c Config) Fig3Cells(ids []ProtocolID) ([]CellSpec, error) {
@@ -53,12 +42,11 @@ func (c Config) Fig3Cells(ids []ProtocolID) ([]CellSpec, error) {
 			return nil, err
 		}
 	}
-	base := c.stripHooks()
 	specs := make([]CellSpec, 0, len(ids)*len(c.Lambdas)*len(c.Seeds))
 	for _, id := range ids {
 		for _, lambda := range c.Lambdas {
 			for _, seed := range c.Seeds {
-				specs = append(specs, CellSpec{Protocol: id, Lambda: lambda, Seed: seed, Config: base})
+				specs = append(specs, CellSpec{Protocol: id, Lambda: lambda, Seed: seed, Config: c})
 			}
 		}
 	}
@@ -112,10 +100,9 @@ func (c Config) KSweepCells(id ProtocolID, ks []int, lambda float64) ([]CellSpec
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("experiment: no k values")
 	}
-	base := c.stripHooks()
 	specs := make([]CellSpec, 0, len(ks)*len(c.Seeds))
 	for _, k := range ks {
-		kcfg := base
+		kcfg := c
 		kcfg.K = k
 		if err := kcfg.Validate(); err != nil {
 			return nil, fmt.Errorf("experiment: k=%d: %w", k, err)
@@ -162,7 +149,6 @@ func (c Config) NSweepCells(id ProtocolID, ns []int, lambda float64) ([]CellSpec
 	if len(ns) == 0 {
 		return nil, fmt.Errorf("experiment: no N values")
 	}
-	base := c.stripHooks()
 	baseDensity := float64(c.N)
 	baseK := float64(c.K)
 	specs := make([]CellSpec, 0, len(ns)*len(c.Seeds))
@@ -170,7 +156,7 @@ func (c Config) NSweepCells(id ProtocolID, ns []int, lambda float64) ([]CellSpec
 		if n <= 0 {
 			return nil, fmt.Errorf("experiment: N=%d not positive", n)
 		}
-		ncfg := base
+		ncfg := c
 		ncfg.N = n
 		ncfg.Side = c.Side * math.Cbrt(float64(n)/baseDensity)
 		k := int(math.Round(baseK * float64(n) / baseDensity))

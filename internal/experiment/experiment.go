@@ -16,7 +16,9 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"qlec/internal/audit"
 	"qlec/internal/cluster"
@@ -153,38 +155,47 @@ type Config struct {
 	// (e.g. "thresholdFrac" for T-DEEC, "sectors" for Q-LEACH); unset
 	// keys fall back to each descriptor's DefaultParams.
 	ProtocolParams map[string]float64
-	// Tracer, when non-nil, observes every packet transition of every
-	// run (see sim.Tracer). Mostly useful with single runs. Excluded
-	// from JSON (func fields cannot round-trip).
-	Tracer sim.Tracer `json:"-"`
-	// Observer, when non-nil, receives one sim.RoundSnapshot per round
-	// of single runs (RunOne) — live progress, early-stopping hooks.
-	// Like Tracer it is dropped in sweeps, where rounds from unrelated
-	// cells would interleave, and excluded from JSON.
-	Observer sim.Observer `json:"-"`
-	// Audit, when non-nil, is the flight recorder for single runs: the
-	// run binds it to the network, installs it on the engine, and — for
-	// Q-learning protocols — attaches it to the learner's decision
-	// stream. Recorders are single-use, so like Tracer/Observer the
-	// hook is dropped in sweeps and excluded from JSON (and from the
-	// canonical cache key; see canonical.go).
-	Audit *audit.Recorder `json:"-"`
 	// Workers bounds sweep parallelism: 0 fans out across the CPUs,
 	// 1 forces the serial reference schedule (results are identical
-	// either way; see runner.Map).
+	// either way; see runner.Map). Workers and Progress are scheduling
+	// knobs, not data; they stay in Config because bench/ sets Workers.
 	Workers int
 	// Progress, when non-nil, receives sweep completion updates (cells
 	// done out of total). Called from worker goroutines, serialized.
 	// Excluded from JSON.
 	Progress runner.Progress `json:"-"`
-
-	// enduranceNoStop switches lifespan runs to keep going past the
-	// first death (StopOnDeath off) so the full alive-count trajectory
-	// is recorded — the tournament's FND/HND methodology. Unexported:
-	// only the tournament harness sets it, and being invisible to JSON
-	// and the canonical mirrors it cannot perturb cache keys.
-	enduranceNoStop bool
 }
+
+// Hooks are the observation hooks of one run. None of them changes a
+// result, so none belongs in Config (whose result-determining fields
+// are the content address; see canonical.go): a run takes its hooks as
+// an argument, and a sweep's cells run with none.
+type Hooks struct {
+	// Tracer, when non-nil, observes every packet transition (see
+	// sim.Tracer).
+	Tracer sim.Tracer
+	// Observer, when non-nil, receives one sim.RoundSnapshot per round:
+	// live progress, early-stopping hooks.
+	Observer sim.Observer
+	// Audit, when non-nil, is the flight recorder: the run binds it to
+	// the network, installs it on the engine, and, for Q-learning
+	// protocols, attaches it to the learner's decision stream.
+	// Recorders are single-use.
+	Audit *audit.Recorder
+}
+
+// runMode selects a run's round budget and death-line semantics: the
+// fixed and lifespan runs RunOneWith describes, or an endurance run,
+// which is a lifespan run that keeps going past the first death so the
+// full alive-count trajectory is recorded (the tournament's FND/HND
+// methodology). Only the tournament selects endurance; no request can.
+type runMode int
+
+const (
+	fixedRun runMode = iota
+	lifespanRun
+	enduranceRun
+)
 
 // PaperConfig returns the paper's §5.1/Table 2 experiment setup.
 func PaperConfig() Config {
@@ -289,30 +300,42 @@ func (c Config) BuildProtocol(id ProtocolID, w *network.Network, totalRounds int
 	})
 }
 
-// RunOne executes a single simulation: protocol id, traffic λ, seed.
-// When lifespan is true the run uses the lifespan death line, stops on
-// first death and may run up to LifespanMaxRounds; otherwise it runs
-// exactly Rounds rounds with a zero death line (the paper's "lower the
-// energy death line" methodology for PDR/energy measurements).
+// RunOne executes a single simulation without hooks; it is RunOneWith
+// with zero Hooks.
+func (c Config) RunOne(ctx context.Context, id ProtocolID, lambda float64, seed uint64, lifespan bool) (*metrics.Result, error) {
+	return c.RunOneWith(ctx, id, lambda, seed, lifespan, Hooks{})
+}
+
+// RunOneWith executes a single simulation: protocol id, traffic λ, seed,
+// observed through h. When lifespan is true the run uses the lifespan
+// death line, stops on first death and may run up to LifespanMaxRounds;
+// otherwise it runs exactly Rounds rounds with a zero death line (the
+// paper's "lower the energy death line" methodology for PDR/energy
+// measurements).
 //
 // Cancelling ctx stops the run at the next round boundary; the partial
 // result accumulated so far is returned alongside ctx's error.
-func (c Config) RunOne(ctx context.Context, id ProtocolID, lambda float64, seed uint64, lifespan bool) (*metrics.Result, error) {
+func (c Config) RunOneWith(ctx context.Context, id ProtocolID, lambda float64, seed uint64, lifespan bool, h Hooks) (*metrics.Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if err := c.ValidateProtocol(id); err != nil {
 		return nil, err
 	}
-	return c.runOneValidated(ctx, id, lambda, seed, lifespan)
+	mode := fixedRun
+	if lifespan {
+		mode = lifespanRun
+	}
+	return c.run(ctx, id, lambda, seed, mode, h)
 }
 
-// runOneValidated is RunOne minus the Validate call — the sweep entry
-// points validate their (derived) configurations exactly once up front
-// and then run every (protocol, λ, seed) cell through this path, so a
-// bad configuration is reported immediately instead of N times from
-// inside the worker pool.
-func (c Config) runOneValidated(ctx context.Context, id ProtocolID, lambda float64, seed uint64, lifespan bool) (*metrics.Result, error) {
+// run is RunOneWith minus the validation, with the run mode spelled
+// out: every run, hooked or not, reaches the engine here. The sweep
+// entry points validate their (derived) configurations exactly once up
+// front and then run every (protocol, λ, seed) cell through this path,
+// so a bad configuration is reported immediately instead of N times
+// from inside the worker pool.
+func (c Config) run(ctx context.Context, id ProtocolID, lambda float64, seed uint64, mode runMode, h Hooks) (*metrics.Result, error) {
 	var w *network.Network
 	var err error
 	if c.Topology != nil {
@@ -333,11 +356,11 @@ func (c Config) runOneValidated(ctx context.Context, id ProtocolID, lambda float
 	scfg := c.Sim
 	scfg.MeanInterArrival = lambda
 	scfg.Seed = seed
-	if lifespan {
+	if mode != fixedRun {
 		rounds = c.LifespanMaxRounds
 		deathLine = c.LifespanDeathLine
 		scfg.DeathLine = deathLine
-		scfg.StopOnDeath = !c.enduranceNoStop
+		scfg.StopOnDeath = mode == lifespanRun
 	}
 	proto, err := c.BuildProtocol(id, w, rounds, deathLine, seed)
 	if err != nil {
@@ -347,23 +370,23 @@ func (c Config) runOneValidated(ctx context.Context, id ProtocolID, lambda float
 	if err != nil {
 		return nil, err
 	}
-	if c.Tracer != nil {
-		engine.SetTracer(c.Tracer)
+	if h.Tracer != nil {
+		engine.SetTracer(h.Tracer)
 	}
-	if c.Observer != nil {
-		engine.SetObserver(c.Observer)
+	if h.Observer != nil {
+		engine.SetObserver(h.Observer)
 	}
-	if c.Audit != nil {
+	if h.Audit != nil {
 		k := c.K
 		if k > w.N() {
 			k = w.N()
 		}
-		if err := c.Audit.Bind(w, deathLine, k); err != nil {
+		if err := h.Audit.Bind(w, deathLine, k); err != nil {
 			return nil, err
 		}
-		engine.SetAuditor(c.Audit)
+		engine.SetAuditor(h.Audit)
 		if ql, ok := proto.(interface{ Learner() *qlearn.Learner }); ok {
-			c.Audit.ObserveLearner(ql.Learner())
+			h.Audit.ObserveLearner(ql.Learner())
 		}
 	}
 	return engine.Run(ctx, rounds)
@@ -397,16 +420,6 @@ type CellOutcome struct {
 	Lifespan float64 `json:"lifespan"`
 }
 
-// sweepOptions bundles the runner knobs a sweep threads through, and
-// strips the single-run hooks (Tracer, Observer) that would interleave
-// unrelated concurrent cells. Trace or observe single runs via RunOne.
-func (c *Config) sweepOptions() runner.Options {
-	c.Tracer = nil
-	c.Observer = nil
-	c.Audit = nil
-	return runner.Options{Workers: c.Workers, Progress: c.Progress}
-}
-
 // RunFig3 produces the data behind all three panels of Figure 3 for the
 // given protocols: per λ and protocol, PDR and total energy from
 // fixed-R runs and lifespan from death-line runs, each replicated over
@@ -434,8 +447,7 @@ func (c Config) RunFig3(ctx context.Context, ids []ProtocolID) ([]SweepResult, e
 // in-process counterpart of the fleet's distributed cell execution, and
 // both feed the same Assemble* functions.
 func (c Config) runSpecs(ctx context.Context, specs []CellSpec) ([]CellOutcome, error) {
-	opts := c.sweepOptions()
-	return runner.Map(ctx, len(specs), opts,
+	return runner.Map(ctx, len(specs), runner.Options{Workers: c.Workers, Progress: c.Progress},
 		func(ctx context.Context, i int) (CellOutcome, error) {
 			s := specs[i]
 			cell, err := s.Run(ctx)
@@ -448,13 +460,13 @@ func (c Config) runSpecs(ctx context.Context, specs []CellSpec) ([]CellOutcome, 
 
 // runCell executes one replication pair (fixed-round + lifespan run).
 // The configuration must already be validated (sweeps validate once up
-// front; see runOneValidated).
+// front; see run).
 func (c Config) runCell(ctx context.Context, id ProtocolID, lambda float64, seed uint64) (CellOutcome, error) {
-	res, err := c.runOneValidated(ctx, id, lambda, seed, false)
+	res, err := c.run(ctx, id, lambda, seed, fixedRun, Hooks{})
 	if err != nil {
 		return CellOutcome{}, err
 	}
-	lres, err := c.runOneValidated(ctx, id, lambda, seed, true)
+	lres, err := c.run(ctx, id, lambda, seed, lifespanRun, Hooks{})
 	if err != nil {
 		return CellOutcome{}, err
 	}
@@ -576,7 +588,9 @@ type Fig4Result struct {
 	Field stats.SpatialField
 	// BinnedCV, Gini and MoranI quantify the paper's "evenly
 	// distributed" claim (lower = more even; Moran ≈ 0 = no hot-spot
-	// clustering).
+	// clustering). MoranI is NaN where it is undefined (a constant
+	// field, or no node pair within the radius; see
+	// stats.ErrMoranIUndefined).
 	BinnedCV float64
 	Gini     float64
 	MoranI   float64
@@ -588,7 +602,8 @@ type Fig4Result struct {
 	K int
 	// BinnedCVStats, GiniStats and MoranIStats summarize the evenness
 	// statistics across the configured replicate seeds (N=1 without
-	// Fig4Config.Seeds).
+	// Fig4Config.Seeds). MoranIStats counts only the replicates where
+	// Moran's I is defined.
 	BinnedCVStats stats.Summary
 	GiniStats     stats.Summary
 	MoranIStats   stats.Summary
@@ -623,9 +638,12 @@ func RunFig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 	out := reps[0]
 	cvs := make([]float64, len(reps))
 	ginis := make([]float64, len(reps))
-	morans := make([]float64, len(reps))
+	var morans []float64
 	for i, rep := range reps {
-		cvs[i], ginis[i], morans[i] = rep.BinnedCV, rep.Gini, rep.MoranI
+		cvs[i], ginis[i] = rep.BinnedCV, rep.Gini
+		if !math.IsNaN(rep.MoranI) {
+			morans = append(morans, rep.MoranI)
+		}
 	}
 	out.BinnedCVStats = stats.Summarize(cvs)
 	out.GiniStats = stats.Summarize(ginis)
@@ -683,7 +701,9 @@ func runFig4Once(ctx context.Context, cfg Fig4Config, seed uint64) (*Fig4Result,
 	}
 	// Moran's I with a neighbourhood of ~2 coverage radii.
 	radius := w.Box.Size().X / 8
-	if out.MoranI, err = field.MoranI(radius); err != nil {
+	if out.MoranI, err = field.MoranI(radius); errors.Is(err, stats.ErrMoranIUndefined) {
+		out.MoranI = math.NaN()
+	} else if err != nil {
 		return nil, err
 	}
 	return out, nil

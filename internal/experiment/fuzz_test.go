@@ -102,9 +102,7 @@ func FuzzRunOne(f *testing.F) {
 		var artifacts [2][]byte
 		for i := range artifacts {
 			rec := audit.New(audit.Options{})
-			acfg := cfg
-			acfg.Audit = rec
-			res, err := acfg.RunOne(ctx, id, lambda, seed, lifespan)
+			res, err := cfg.RunOneWith(ctx, id, lambda, seed, lifespan, Hooks{Audit: rec})
 			if err != nil {
 				t.Fatalf("%s audited: %v", id, err)
 			}

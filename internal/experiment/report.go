@@ -188,6 +188,10 @@ func Fig4Summary(r *Fig4Result) string {
 		gini = fmt.Sprintf("%.4f ±%.4f (n=%d)", r.GiniStats.Mean, r.GiniStats.CI95HalfWidth(), r.GiniStats.N)
 		moran = fmt.Sprintf("%.4f ±%.4f (n=%d)", r.MoranIStats.Mean, r.MoranIStats.CI95HalfWidth(), r.MoranIStats.N)
 	}
+	moranNote := "≈0 = no hot spots"
+	if r.MoranIStats.N == 0 {
+		moran, moranNote = "undefined", "constant field or no pair within radius"
+	}
 	rows := [][]string{
 		{"nodes", fmt.Sprintf("%d", r.Net.N()), "paper: 2896 (China subset)"},
 		{"clusters k", fmt.Sprintf("%d", r.K), "paper: k_opt = 272"},
@@ -195,7 +199,7 @@ func Fig4Summary(r *Fig4Result) string {
 		{"total energy (J)", fmt.Sprintf("%.2f", float64(r.Run.TotalEnergy)), ""},
 		{"consumption CV (binned)", cv, "lower = spatially even"},
 		{"consumption Gini", gini, "0 = perfectly even"},
-		{"Moran's I", moran, "≈0 = no hot spots"},
+		{"Moran's I", moran, moranNote},
 	}
 	return plot.Table(headers, rows)
 }

@@ -213,9 +213,7 @@ func RunTournament(ctx context.Context, tc TournamentConfig) (*TournamentResult,
 		// on the primary scenario, for the energy-budget columns.
 		for i := range res.Standings {
 			rec := audit.New(audit.Options{})
-			acfg := scenarios[0].cfg
-			acfg.Audit = rec
-			if _, err := acfg.runOneValidated(ctx, res.Standings[i].Protocol, lambdas[0], base.Seeds[0], false); err != nil {
+			if _, err := scenarios[0].cfg.run(ctx, res.Standings[i].Protocol, lambdas[0], base.Seeds[0], fixedRun, Hooks{Audit: rec}); err != nil {
 				return nil, fmt.Errorf("experiment: tournament audit leg %s: %w", res.Standings[i].Protocol, err)
 			}
 			rep := rec.Report()
@@ -255,14 +253,8 @@ func (c Config) scaledTo(n int) (Config, error) {
 
 // runTournamentCell executes one cell's two legs.
 func (c Config) runTournamentCell(ctx context.Context, id ProtocolID, lambda float64, seed uint64) (TournamentCell, error) {
-	// Hooks are single-run, single-owner; cells run concurrently.
-	c.Tracer = nil
-	c.Observer = nil
-	c.Audit = nil
-	c.Progress = nil
-
 	cell := TournamentCell{Protocol: id, N: c.N, Lambda: lambda, Seed: seed}
-	res, err := c.runOneValidated(ctx, id, lambda, seed, false)
+	res, err := c.run(ctx, id, lambda, seed, fixedRun, Hooks{})
 	if err != nil {
 		return TournamentCell{}, err
 	}
@@ -272,17 +264,15 @@ func (c Config) runTournamentCell(ctx context.Context, id ProtocolID, lambda flo
 	// Endurance leg: death line active but no stop-on-death, so the
 	// alive trajectory continues past first death; an observer cancels
 	// once half the field is gone (everything after that is decided).
-	ec := c
-	ec.enduranceNoStop = true
 	ectx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	half := c.N / 2
-	ec.Observer = func(snap sim.RoundSnapshot) {
+	stopAtHalf := func(snap sim.RoundSnapshot) {
 		if snap.Alive <= half {
 			cancel()
 		}
 	}
-	eres, err := ec.runOneValidated(ectx, id, lambda, seed, true)
+	eres, err := c.run(ectx, id, lambda, seed, enduranceRun, Hooks{Observer: stopAtHalf})
 	if err != nil && !(errors.Is(err, context.Canceled) && ctx.Err() == nil) {
 		return TournamentCell{}, err
 	}

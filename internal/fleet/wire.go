@@ -81,12 +81,12 @@ type Client struct {
 	hc *http.Client
 }
 
-// NewClient builds a peer client; timeout <= 0 defaults to 10s.
-func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	return &Client{hc: &http.Client{Timeout: timeout}}
+// peerTimeout bounds each peer HTTP call.
+const peerTimeout = 10 * time.Second
+
+// NewClient builds a peer client.
+func NewClient() *Client {
+	return &Client{hc: &http.Client{Timeout: peerTimeout}}
 }
 
 // ErrNotFound reports a 404 from a peer (no cached result).

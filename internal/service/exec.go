@@ -42,9 +42,9 @@ func auditFromContext(ctx context.Context) *audit.Recorder {
 // When the context carries an obs registry (the qlecd worker installs
 // one, with its span store and the job's span), KindOne rounds
 // additionally feed live simulation gauges and per-round trace spans
-// parented on the job span. Cells run with observers
-// stripped, so round-level gauges are a KindOne feature by design —
-// sweeps report at cell granularity.
+// parented on the job span. Cells run without hooks, so round-level
+// gauges are a KindOne feature by design — sweeps report at cell
+// granularity.
 func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, error) {
 	cfg := req.Config
 	env := &ResultEnvelope{Kind: req.Kind}
@@ -79,18 +79,16 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 				base(snap)
 			}
 		}
-		cfg.Observer = observer
-		cfg.Audit = auditFromContext(ctx)
-		res, err := cfg.RunOne(ctx, req.Protocols[0], req.Lambda, req.Seed, req.Lifespan)
+		res, err := cfg.RunOneWith(ctx, req.Protocols[0], req.Lambda, req.Seed, req.Lifespan,
+			experiment.Hooks{Observer: observer, Audit: auditFromContext(ctx)})
 		if err != nil {
 			return nil, err
 		}
 		env.One = res
 	case KindCell:
 		// One sweep cell: the replication pair exactly as the library's
-		// sweeps run it (hooks are stripped by Normalize, matching the
-		// harness's sweepOptions), so a cell executed here — possibly on
-		// a different daemon — feeds the same Assemble step with the same
+		// sweeps run it, so a cell executed here — possibly on a
+		// different daemon — feeds the same Assemble step with the same
 		// bytes.
 		spec := experiment.CellSpec{
 			Protocol: req.Protocols[0],

@@ -39,8 +39,6 @@ type FleetOptions struct {
 	StealInterval time.Duration
 	// ProbeInterval is the peer health-probe cadence; default 1s.
 	ProbeInterval time.Duration
-	// PeerTimeout bounds each peer HTTP call; default 10s.
-	PeerTimeout time.Duration
 }
 
 // fleetRuntime is the per-daemon fleet engine: the consistent-hash
@@ -119,7 +117,7 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		s:           s,
 		self:        self,
 		table:       fleet.NewTable(),
-		peers:       fleet.NewClient(opt.PeerTimeout),
+		peers:       fleet.NewClient(),
 		ttl:         opt.LeaseTTL,
 		stealEvery:  opt.StealInterval,
 		cellWorkers: opt.CellWorkers,

@@ -341,9 +341,7 @@ func TestAuditEndpointRealJob(t *testing.T) {
 	// The replay is the library's recorded run of the stored request.
 	req := j.Request
 	rec := audit.New(audit.Options{})
-	cfg := req.Config
-	cfg.Audit = rec
-	if _, err := cfg.RunOne(ctx, req.Protocols[0], req.Lambda, req.Seed, req.Lifespan); err != nil {
+	if _, err := req.Config.RunOneWith(ctx, req.Protocols[0], req.Lambda, req.Seed, req.Lifespan, experiment.Hooks{Audit: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer

@@ -160,16 +160,6 @@ func (r Request) Normalize() Request {
 	if n.Config.FCMLevels == 0 {
 		n.Config.FCMLevels = def.FCMLevels
 	}
-	// Hooks never cross the wire (json:"-") but guard against in-process
-	// submitters leaking them into workers. The audit recorder is also a
-	// hook: jobs run unrecorded, GET /v1/jobs/{id}/audit replays the
-	// stored request with a fresh recorder of its own (see handleAudit),
-	// and a submitter's recorder must not leak into either — Bind is
-	// single-use.
-	n.Config.Tracer = nil
-	n.Config.Observer = nil
-	n.Config.Progress = nil
-	n.Config.Audit = nil
 	return n
 }
 

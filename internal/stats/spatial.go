@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -75,6 +76,10 @@ func clampIdx(i, n int) int {
 	return i
 }
 
+// ErrMoranIUndefined marks a field on which Moran's I has no value: a
+// constant field, or one with no neighbour pair inside the radius.
+var ErrMoranIUndefined = errors.New("stats: MoranI undefined")
+
 // MoranI computes Moran's I spatial autocorrelation statistic with
 // inverse-distance weights truncated at the given neighbourhood radius.
 // Values near 0 indicate no spatial autocorrelation (consumption evenly
@@ -88,8 +93,10 @@ func clampIdx(i, n int) int {
 // inside the radius are summed in ascending j, the order of the plain
 // all-pairs loop, so the result is bit-identical to it.
 //
-// It returns an error when the field is degenerate (no variance, no
-// neighbour pairs inside the radius) or a point is not finite.
+// On a degenerate field (no variance, no neighbour pair inside the
+// radius) the statistic has no value, and the error wraps
+// ErrMoranIUndefined. Invalid arguments (a radius that is not positive,
+// a point that is not finite, a length mismatch) are other errors.
 func (f SpatialField) MoranI(radius float64) (float64, error) {
 	if err := f.Validate(); err != nil {
 		return 0, err
@@ -105,7 +112,7 @@ func (f SpatialField) MoranI(radius float64) (float64, error) {
 		denom += d * d
 	}
 	if denom == 0 {
-		return 0, fmt.Errorf("stats: MoranI undefined for constant field")
+		return 0, fmt.Errorf("%w for constant field", ErrMoranIUndefined)
 	}
 	g, err := newPointGrid(f.Points, radius)
 	if err != nil {
@@ -146,7 +153,7 @@ func (f SpatialField) MoranI(radius float64) (float64, error) {
 		}
 	}
 	if wSum == 0 {
-		return 0, fmt.Errorf("stats: MoranI has no neighbour pairs within radius %v", radius)
+		return 0, fmt.Errorf("%w: no neighbour pairs within radius %v", ErrMoranIUndefined, radius)
 	}
 	return float64(n) / wSum * num / denom, nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -92,24 +93,30 @@ func TestMoranIDetectsClustering(t *testing.T) {
 	}
 }
 
+// TestMoranIErrors: the two data-dependent cases are ErrMoranIUndefined;
+// argument errors are not.
 func TestMoranIErrors(t *testing.T) {
 	constant := SpatialField{
 		Points: []geom.Vec3{{X: 1}, {X: 2}},
 		Values: []float64{3, 3},
 	}
-	if _, err := constant.MoranI(10); err == nil {
-		t.Fatal("constant field accepted")
+	if _, err := constant.MoranI(10); !errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("constant field: err = %v, want ErrMoranIUndefined", err)
 	}
 	far := SpatialField{
 		Points: []geom.Vec3{{X: 0}, {X: 1000}},
 		Values: []float64{1, 2},
 	}
-	if _, err := far.MoranI(1); err == nil {
-		t.Fatal("no neighbour pairs accepted")
+	if _, err := far.MoranI(1); !errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("no neighbour pairs: err = %v, want ErrMoranIUndefined", err)
 	}
 	f := uniformField(6, 10, func(geom.Vec3, *rng.Stream) float64 { return 1 })
-	if _, err := f.MoranI(0); err == nil {
-		t.Fatal("zero radius accepted")
+	if _, err := f.MoranI(0); err == nil || errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("zero radius: err = %v, want an argument error", err)
+	}
+	short := SpatialField{Points: far.Points, Values: far.Values[:1]}
+	if _, err := short.MoranI(10); err == nil || errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("length mismatch: err = %v, want an argument error", err)
 	}
 }
 
@@ -254,12 +261,12 @@ func TestMoranIRejectsNonFinitePoints(t *testing.T) {
 		Points: []geom.Vec3{{X: 1}, {X: 2}, {X: math.NaN()}},
 		Values: []float64{1, 2, 3},
 	}
-	if _, err := f.MoranI(10); err == nil {
-		t.Fatal("NaN coordinate accepted")
+	if _, err := f.MoranI(10); err == nil || errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("NaN coordinate: err = %v, want an argument error", err)
 	}
 	f.Points[2] = geom.Vec3{Y: math.Inf(1)}
-	if _, err := f.MoranI(10); err == nil {
-		t.Fatal("infinite coordinate accepted")
+	if _, err := f.MoranI(10); err == nil || errors.Is(err, ErrMoranIUndefined) {
+		t.Fatalf("infinite coordinate: err = %v, want an argument error", err)
 	}
 }
 

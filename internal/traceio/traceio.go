@@ -32,7 +32,7 @@ func ParseJSONL(r io.Reader) ([]sim.TraceEvent, error) {
 			continue
 		}
 		var ev sim.TraceEvent
-		if err := decodeLine(raw, &ev, false); err != nil {
+		if err := decodeLine(raw, &ev); err != nil {
 			return nil, fmt.Errorf("traceio: line %d: %w", line, err)
 		}
 		out = append(out, ev)
@@ -202,67 +202,16 @@ func Filter(events []sim.TraceEvent, node, round int) []sim.TraceEvent {
 	return out
 }
 
-// WriteLedgerJSONL writes audit energy-ledger entries one JSON object
-// per line — the same stream format audit.Options.Spill receives, so a
-// spill file and a written ledger are interchangeable inputs to
-// ParseLedgerJSONL.
-func WriteLedgerJSONL(w io.Writer, entries []sim.EnergyEntry) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("traceio: ledger entry %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("traceio: flushing ledger: %w", err)
-	}
-	return nil
-}
-
-// ParseLedgerJSONL reads one energy-ledger entry per line (the format
-// of WriteLedgerJSONL and of audit spill files). Blank lines are
-// skipped; malformed lines are errors with their line number — the
-// stream is machine-written, so corruption means truncation or a mixed
-// stream, not user input. A line must be exactly one JSON object, and
-// unknown fields are rejected so a packet-trace line interleaved into a
-// ledger stream fails loudly instead of parsing as a zero-valued entry.
-func ParseLedgerJSONL(r io.Reader) ([]sim.EnergyEntry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []sim.EnergyEntry
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e sim.EnergyEntry
-		if err := decodeLine(raw, &e, true); err != nil {
-			return nil, fmt.Errorf("traceio: ledger line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("traceio: reading ledger: %w", err)
-	}
-	return out, nil
-}
-
 // decodeLine decodes raw, one line of a JSONL stream, into the record v.
 // The line must hold exactly one JSON object: a second value or any
 // other trailing data is an error, and so is any other value, null
 // included, which json would decode into v as a no-op, leaving a
-// zero-valued record. strict rejects fields v does not have.
-func decodeLine(raw []byte, v any, strict bool) error {
+// zero-valued record.
+func decodeLine(raw []byte, v any) error {
 	if body := bytes.TrimLeft(raw, jsonSpace); len(body) == 0 || body[0] != '{' {
 		return fmt.Errorf("want a JSON object, got %.20q", raw)
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

@@ -20,8 +20,7 @@ func traceOf(t *testing.T) (string, int, int, int) {
 	cfg.Seeds = []uint64{1}
 	var sb strings.Builder
 	tracer, flush := sim.JSONLTracer(&sb)
-	cfg.Tracer = tracer
-	res, err := cfg.RunOne(context.Background(), experiment.QLEC, 3, 1, false)
+	res, err := cfg.RunOneWith(context.Background(), experiment.QLEC, 3, 1, false, experiment.Hooks{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +119,7 @@ func TestAnalyzeDropReasons(t *testing.T) {
 	cfg.Sim.ServiceTime = 1
 	var sb strings.Builder
 	tracer, flush := sim.JSONLTracer(&sb)
-	cfg.Tracer = tracer
-	if _, err := cfg.RunOne(context.Background(), experiment.KMeans, 1, 1, false); err != nil {
+	if _, err := cfg.RunOneWith(context.Background(), experiment.KMeans, 1, 1, false, experiment.Hooks{Tracer: tracer}); err != nil {
 		t.Fatal(err)
 	}
 	if err := flush(); err != nil {
@@ -137,123 +135,6 @@ func TestAnalyzeDropReasons(t *testing.T) {
 	}
 	if s.DropReasons["queue"] == 0 {
 		t.Fatalf("no queue drops recorded: %v", s.DropReasons)
-	}
-}
-
-// ledgerFixture is a small hand-built ledger covering every cause, the
-// packet/no-packet split and the BS target convention.
-func ledgerFixture() []sim.EnergyEntry {
-	return []sim.EnergyEntry{
-		{Time: 0.1, Round: 0, Node: 3, Cause: sim.CauseControl, Joules: 5e-5},
-		{Time: 0.2, Round: 0, Node: 3, Cause: sim.CauseTx, Joules: 1.2e-4, Packet: 7, HasPacket: true},
-		{Time: 0.3, Round: 0, Node: 9, Cause: sim.CauseRx, Joules: 8e-5, Packet: 7, HasPacket: true},
-		{Time: 1.1, Round: 1, Node: 9, Cause: sim.CauseFusion, Joules: 2e-5},
-	}
-}
-
-func TestLedgerRoundTrip(t *testing.T) {
-	entries := ledgerFixture()
-	var buf strings.Builder
-	if err := WriteLedgerJSONL(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	// The cause serializes as its name, not a bare integer — ledger files
-	// must stay self-describing.
-	for _, name := range []string{`"tx"`, `"rx"`, `"fusion"`, `"control"`} {
-		if !strings.Contains(buf.String(), name) {
-			t.Errorf("ledger stream missing cause name %s:\n%s", name, buf.String())
-		}
-	}
-	got, err := ParseLedgerJSONL(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, entries) {
-		t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, entries)
-	}
-}
-
-func TestParseLedgerJSONLSkipsBlankLines(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteLedgerJSONL(&buf, ledgerFixture()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	padded := "\n" + strings.Join(lines, "\n\n") + "\n\n"
-	got, err := ParseLedgerJSONL(strings.NewReader(padded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(lines) {
-		t.Fatalf("parsed %d entries from padded stream, want %d", len(got), len(lines))
-	}
-}
-
-func TestParseLedgerJSONLErrors(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteLedgerJSONL(&buf, ledgerFixture()); err != nil {
-		t.Fatal(err)
-	}
-	clean := buf.String()
-	lines := strings.SplitAfter(clean, "\n")
-
-	// A corrupt interior line is reported with its line number.
-	corrupt := lines[0] + "{not json}\n" + strings.Join(lines[1:], "")
-	if _, err := ParseLedgerJSONL(strings.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt line accepted")
-	} else if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("corrupt-line error %q does not name line 2", err)
-	}
-
-	// A truncated final line (partial JSON object, e.g. a crash mid-write
-	// of a spill file) is an error, not a silent short read.
-	truncated := clean[:len(clean)-10]
-	if _, err := ParseLedgerJSONL(strings.NewReader(truncated)); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-
-	// A packet-trace event interleaved into the ledger stream fails
-	// loudly: its fields ("kind", …) are unknown to EnergyEntry, and a
-	// silent zero-valued parse would corrupt conservation sums.
-	mixed := lines[0] + `{"kind":"send","t":0.2,"round":0,"node":3,"pkt":7,"target":9}` + "\n" + strings.Join(lines[1:], "")
-	if _, err := ParseLedgerJSONL(strings.NewReader(mixed)); err == nil {
-		t.Fatal("mixed trace/ledger stream accepted")
-	} else if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("mixed-stream error %q does not name line 2", err)
-	}
-
-	// An unknown cause name is rejected by the EnergyCause decoder.
-	badCause := strings.Replace(clean, `"control"`, `"sleep"`, 1)
-	if _, err := ParseLedgerJSONL(strings.NewReader(badCause)); err == nil {
-		t.Fatal("unknown cause name accepted")
-	}
-}
-
-// TestLedgerAlongsidePacketTrace is the integration shape the flight
-// recorder produces: a run emits BOTH a packet trace and an energy
-// ledger. Each stream must parse with its own parser and reject the
-// other's lines when the files are mixed up.
-func TestLedgerAlongsidePacketTrace(t *testing.T) {
-	raw, _, _, _ := traceOf(t)
-	events, err := ParseJSONL(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("empty packet trace")
-	}
-	var ledger strings.Builder
-	if err := WriteLedgerJSONL(&ledger, ledgerFixture()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseLedgerJSONL(strings.NewReader(ledger.String())); err != nil {
-		t.Fatal(err)
-	}
-	// Handing the packet trace to the ledger parser fails on line 1.
-	if _, err := ParseLedgerJSONL(strings.NewReader(raw)); err == nil {
-		t.Fatal("ledger parser accepted a packet trace")
-	} else if !strings.Contains(err.Error(), "line 1") {
-		t.Fatalf("wrong-stream error %q does not name line 1", err)
 	}
 }
 
@@ -294,27 +175,12 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-// TestParsersTakeOneObjectPerLine pins both parsers to exactly one JSON
+// TestParsersTakeOneObjectPerLine pins ParseJSONL to exactly one JSON
 // object per non-blank line: trailing data or a second value after the
 // object, and a line holding null or any other non-object value, are
-// errors naming the line, where they used to parse as a record (the
-// ledger parser read only the first value of a line, and both decoded
-// null as a zero-valued record). JSON whitespace around the object is
-// allowed.
+// errors naming the line, where null used to parse as a zero-valued
+// record. JSON whitespace around the object is allowed.
 func TestParsersTakeOneObjectPerLine(t *testing.T) {
-	parsers := []struct {
-		name  string
-		parse func(string) (int, error)
-	}{
-		{"ParseJSONL", func(s string) (int, error) {
-			evs, err := ParseJSONL(strings.NewReader(s))
-			return len(evs), err
-		}},
-		{"ParseLedgerJSONL", func(s string) (int, error) {
-			es, err := ParseLedgerJSONL(strings.NewReader(s))
-			return len(es), err
-		}},
-	}
 	const rec = `{"round":1,"node":2}`
 	for _, c := range []struct {
 		name string
@@ -334,16 +200,14 @@ func TestParsersTakeOneObjectPerLine(t *testing.T) {
 		{"string", `"x"`, false},
 		{"whitespace only", " \t", false},
 	} {
-		for _, p := range parsers {
-			n, err := p.parse(rec + "\n" + c.line + "\n")
-			switch {
-			case c.ok && (err != nil || n != 2):
-				t.Errorf("%s, %s: %d records, err %v; want 2 and no error", p.name, c.name, n, err)
-			case !c.ok && err == nil:
-				t.Errorf("%s, %s: %d records and no error, want an error", p.name, c.name, n)
-			case !c.ok && !strings.Contains(err.Error(), "line 2"):
-				t.Errorf("%s, %s: error %q does not name line 2", p.name, c.name, err)
-			}
+		evs, err := ParseJSONL(strings.NewReader(rec + "\n" + c.line + "\n"))
+		switch {
+		case c.ok && (err != nil || len(evs) != 2):
+			t.Errorf("%s: %d records, err %v; want 2 and no error", c.name, len(evs), err)
+		case !c.ok && err == nil:
+			t.Errorf("%s: %d records and no error, want an error", c.name, len(evs))
+		case !c.ok && !strings.Contains(err.Error(), "line 2"):
+			t.Errorf("%s: error %q does not name line 2", c.name, err)
 		}
 	}
 }
@@ -382,38 +246,6 @@ func FuzzParseJSONL(f *testing.F) {
 		}
 		if !reflect.DeepEqual(events, again) {
 			t.Fatalf("round trip changed the events:\nfirst  %+v\nsecond %+v", events, again)
-		}
-	})
-}
-
-// FuzzParseLedgerJSONL checks that ParseLedgerJSONL never panics, and
-// that the entries of any input it accepts come back equal after
-// WriteLedgerJSONL and a second parse.
-func FuzzParseLedgerJSONL(f *testing.F) {
-	var buf strings.Builder
-	if err := WriteLedgerJSONL(&buf, ledgerFixture()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte(buf.String()))
-	f.Add([]byte(`{"t":0.25,"round":2,"node":-1,"cause":"rx","j":1e-9}` + "\r\n\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > maxFuzzLine {
-			return
-		}
-		entries, err := ParseLedgerJSONL(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteLedgerJSONL(&buf, entries); err != nil {
-			t.Fatalf("re-encoding accepted entries: %v", err)
-		}
-		again, err := ParseLedgerJSONL(&buf)
-		if err != nil {
-			t.Fatalf("re-parsing the encoded entries: %v\n%s", err, buf.Bytes())
-		}
-		if !reflect.DeepEqual(entries, again) {
-			t.Fatalf("round trip changed the entries:\nfirst  %+v\nsecond %+v", entries, again)
 		}
 	})
 }

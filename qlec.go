@@ -32,7 +32,7 @@
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 //	defer cancel()
 //	s := qlec.DefaultScenario()
-//	s.Config.Observer = func(snap sim.RoundSnapshot) {
+//	s.Hooks.Observer = func(snap sim.RoundSnapshot) {
 //		fmt.Fprintf(os.Stderr, "\rround %d, %d alive", snap.Round, snap.Alive)
 //	}
 //	res, err := qlec.RunContext(ctx, s)
@@ -99,6 +99,10 @@ type Scenario struct {
 	// MeasureLifespan switches single runs to the death-line/stop-on-
 	// death methodology of Figure 3(c).
 	MeasureLifespan bool
+	// Hooks observe single runs (per-round Observer, packet Tracer,
+	// Audit flight recorder); they never change the result. Sweeps
+	// (Compare, ReproduceFigure3) run without them.
+	Hooks experiment.Hooks
 }
 
 // DefaultScenario returns the paper's §5.1 setup with QLEC selected.
@@ -123,9 +127,9 @@ func Run(s Scenario) (*Result, error) {
 // RunContext executes a single simulation for the scenario's protocol.
 // Cancelling ctx stops the simulation at the next round boundary and
 // returns the partial result accumulated so far alongside ctx's error.
-// Set Scenario.Config.Observer for per-round progress.
+// Set Scenario.Hooks.Observer for per-round progress.
 func RunContext(ctx context.Context, s Scenario) (*Result, error) {
-	return s.Config.RunOne(ctx, s.Protocol, s.Lambda, s.Seed, s.MeasureLifespan)
+	return s.Config.RunOneWith(ctx, s.Protocol, s.Lambda, s.Seed, s.MeasureLifespan, s.Hooks)
 }
 
 // ComparisonRow is one protocol's aggregate under Compare.

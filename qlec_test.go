@@ -167,7 +167,7 @@ func TestRunContextCancellation(t *testing.T) {
 	s.Config.Rounds = 100
 	ctx, cancel := context.WithCancel(context.Background())
 	rounds := 0
-	s.Config.Observer = func(snap sim.RoundSnapshot) {
+	s.Hooks.Observer = func(snap sim.RoundSnapshot) {
 		rounds++
 		if snap.Round == 1 {
 			cancel()
