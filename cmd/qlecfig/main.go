@@ -41,6 +41,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"qlec"
@@ -368,8 +369,12 @@ func runFig4(ctx context.Context, out string, cfg experiment.Fig4Config) {
 	if cfg.Data != nil {
 		n = len(cfg.Data.Positions)
 	}
-	fmt.Fprintf(os.Stderr, "running Figure 4: %d nodes, k=%d, %d rounds, %d replicate(s)...\n",
-		n, cfg.K, cfg.Rounds, max(len(cfg.Seeds), 1))
+	k := strconv.Itoa(cfg.K)
+	if cfg.K == 0 {
+		k = "Theorem 1" // runFig4Once picks k per replicate
+	}
+	fmt.Fprintf(os.Stderr, "running Figure 4: %d nodes, k=%s, %d rounds, %d replicate(s)...\n",
+		n, k, cfg.Rounds, max(len(cfg.Seeds), 1))
 	m := cli.NewMeter(os.Stderr)
 	cfg.Workers = workers
 	cfg.Progress = m.SweepProgress("fig4 replicates")

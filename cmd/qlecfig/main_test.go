@@ -2,7 +2,7 @@ package main
 
 // Golden-stdout tests. Each case runs this test binary again as qlecfig
 // (TestMain calls main when QLECFIG_MAIN is set) and compares its stdout
-// with testdata/<name>.golden. testdata/wri.csv is a WRI Global Power
+// with testdata/<name>.golden; a case may also pin a stderr line. testdata/wri.csv is a WRI Global Power
 // Plant Database extract (the schema dataset.LoadWRICSV reads). After an
 // intended output change, regenerate a golden from the repo root with
 // the case's arguments:
@@ -27,13 +27,15 @@ func TestMain(m *testing.M) {
 
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
+		name   string
+		args   []string
+		stderr string // a line stderr must hold, if set
 	}{
-		{"theorem1", []string{"-fig", "theorem1"}},
-		{"dataset-quick", []string{"-fig", "dataset", "-quick"}},
-		{"dataset-wri", []string{"-fig", "dataset", "-data", "testdata/wri.csv"}},
-		{"fig4-wri", []string{"-fig", "4", "-data", "testdata/wri.csv"}},
+		{"theorem1", []string{"-fig", "theorem1"}, ""},
+		{"dataset-quick", []string{"-fig", "dataset", "-quick"}, ""},
+		{"dataset-wri", []string{"-fig", "dataset", "-data", "testdata/wri.csv"}, ""},
+		{"fig4-wri", []string{"-fig", "4", "-data", "testdata/wri.csv"},
+			"running Figure 4: 3 nodes, k=Theorem 1, 20 rounds, 1 replicate(s)...\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)
@@ -50,6 +52,9 @@ func TestGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("qlecfig %q stdout differs from testdata/%s.golden; got:\n%s", tc.args, tc.name, got)
+			}
+			if !bytes.Contains(stderr.Bytes(), []byte(tc.stderr)) {
+				t.Errorf("qlecfig %q stderr lacks %q; got:\n%s", tc.args, tc.stderr, stderr.Bytes())
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"qlec/internal/stats"
 )
@@ -141,7 +140,7 @@ func AssembleKSweep(ks []int, seeds []uint64, cells []CellOutcome) ([]KSweepPoin
 
 // NSweepCells derives the ordered cell list of RunNSweep: N-major, then
 // seed. Each cell's configuration carries the constant-density scaling
-// (Side ∝ ∛N) and the proportionally scaled k.
+// of scaledTo (Side ∝ ∛N, k proportional to N).
 func (c Config) NSweepCells(id ProtocolID, ns []int, lambda float64) ([]CellSpec, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -149,24 +148,12 @@ func (c Config) NSweepCells(id ProtocolID, ns []int, lambda float64) ([]CellSpec
 	if len(ns) == 0 {
 		return nil, fmt.Errorf("experiment: no N values")
 	}
-	baseDensity := float64(c.N)
-	baseK := float64(c.K)
 	specs := make([]CellSpec, 0, len(ns)*len(c.Seeds))
 	for _, n := range ns {
-		if n <= 0 {
-			return nil, fmt.Errorf("experiment: N=%d not positive", n)
+		ncfg, err := c.scaledTo(n)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		ncfg := c
-		ncfg.N = n
-		ncfg.Side = c.Side * math.Cbrt(float64(n)/baseDensity)
-		k := int(math.Round(baseK * float64(n) / baseDensity))
-		if k < 1 {
-			k = 1
-		}
-		if k > n {
-			k = n
-		}
-		ncfg.K = k
 		if err := ncfg.Validate(); err != nil {
 			return nil, fmt.Errorf("experiment: N=%d: %w", n, err)
 		}

@@ -228,8 +228,8 @@ func RunTournament(ctx context.Context, tc TournamentConfig) (*TournamentResult,
 }
 
 // scaledTo derives the constant-density scaling of the configuration to
-// n nodes (side grows with ∛, k keeps the nodes-per-cluster ratio),
-// mirroring RunNSweep's axis.
+// n nodes (side grows with ∛, k keeps the nodes-per-cluster ratio,
+// clamped to [1, n]): RunNSweep's axis and the tournament's.
 func (c Config) scaledTo(n int) (Config, error) {
 	if n <= 0 {
 		return Config{}, fmt.Errorf("N=%d not positive", n)

@@ -23,8 +23,9 @@ type Heatmap struct {
 	Values []float64
 }
 
-// shades orders cells from cold to hot.
-const shades = " .:-=+*#%@"
+// shades orders filled cells from cold to hot. It holds no space: an
+// empty cell is a space, so the coldest filled cell must differ.
+const shades = ".:-=+*#%@"
 
 // Validate checks structural consistency.
 func (h *Heatmap) Validate() error {

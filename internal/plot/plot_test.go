@@ -186,11 +186,21 @@ func TestHeatmapRender(t *testing.T) {
 	}
 }
 
+// TestHeatmapConstantField: a constant field renders, and each filled
+// cell draws the coldest shade, which is not the blank of an empty cell.
 func TestHeatmapConstantField(t *testing.T) {
 	h := sampleHeatmap()
 	h.Values = []float64{0.5, 0.5, 0.5}
-	if _, err := h.RenderASCII(); err != nil {
+	out, err := h.RenderASCII()
+	if err != nil {
 		t.Fatalf("constant field failed: %v", err)
+	}
+	drawn := 0
+	for _, l := range strings.Split(out, "\n")[2:] {
+		drawn += len(strings.Trim(l, "|")) - strings.Count(l, " ")
+	}
+	if drawn != len(h.Points) {
+		t.Fatalf("constant field draws %d cells, want %d:\n%s", drawn, len(h.Points), out)
 	}
 }
 

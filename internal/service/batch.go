@@ -32,9 +32,11 @@ type BatchConfig struct {
 
 // Batch is one POST /v1/batches submission: an ordered list of configs
 // executed through the fleet's cell pool with one aggregate SSE stream.
-// The record persists (requests included) and an interrupted batch
-// resumes on the next start — completed configs answer from the cache,
-// so resumption only re-runs what never finished.
+// The record persists twice: at submit, requests included, and at its
+// terminal state, without them. An interrupted batch resumes from its
+// submit record on the next start; configs the previous process
+// finished answer from the result store, so resumption only re-runs
+// what never finished.
 type Batch struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
@@ -56,8 +58,9 @@ type Batch struct {
 	// Resources rolls the per-config bills up: the batch's total
 	// execution cost across the fleet (this process's resume epoch).
 	Resources *prof.Usage `json:"resources,omitempty"`
-	// Requests holds the normalized submissions; persisted for restart
-	// resume, omitted from API views (fetch results by config hash).
+	// Requests holds the normalized submissions until the batch
+	// finishes; persisted at submit for restart resume, omitted from API
+	// views (fetch results by config hash).
 	Requests []Request `json:"requests,omitempty"`
 }
 
@@ -137,7 +140,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextBatchID++
 	s.batches[b.ID] = b
-	s.batchHubs[b.ID] = newEventHub()
+	s.hubs[b.ID] = newEventHub()
 	s.persistBatchLocked(b)
 	view := b.view(true)
 	s.mu.Unlock()
@@ -175,26 +178,6 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// handleBatchEvents implements GET /v1/batches/{id}/events: one SSE
-// stream rolling the whole batch up — per-config terminal events
-// (EventConfig), aggregate progress (EventBatch), and a final EventState.
-func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	b, known := s.batches[id]
-	hub := s.batchHubs[id]
-	var terminal Event
-	if known {
-		terminal = Event{Seq: 1, Type: EventState, State: b.State}
-	}
-	s.mu.Unlock()
-	if !known {
-		writeErr(w, http.StatusNotFound, "no batch %q", id)
-		return
-	}
-	s.serveSSE(w, r, hub, terminal)
-}
-
 // persistBatchLocked writes the batch record through to the store;
 // caller holds s.mu.
 func (s *Server) persistBatchLocked(b *Batch) {
@@ -229,15 +212,15 @@ type batchEntry struct {
 // runBatch drives one batch to completion: resolve or schedule every
 // config's cells (so the whole batch is in the pool at once and peers
 // can steal across config boundaries), then collect, assemble and
-// publish per config in submission order. On shutdown the batch
-// persists as running and resumes on the next start.
+// publish per config in submission order. A shutdown leaves the submit
+// record as the batch's last, so it resumes on the next start.
 func (s *Server) runBatch(id string) {
 	defer s.wg.Done()
 	ctx := s.hardCtx
 
 	s.mu.Lock()
 	b := s.batches[id]
-	hub := s.batchHubs[id]
+	hub := s.hubs[id]
 	if b == nil || hub == nil || b.State.Terminal() {
 		s.mu.Unlock()
 		return
@@ -251,8 +234,9 @@ func (s *Server) runBatch(id string) {
 		ctx = obs.ContextWithSpan(ctx, batchSC)
 	}
 	trace := batchSC.TraceParent()
-	// Recompute rollups from the config table: on resume the previous
-	// process's cell counts are meaningless (its futures died with it).
+	// Recompute rollups from the config table: a record folded from an
+	// older data dir carries the previous process's progress, whose
+	// cell counts are meaningless (its futures died with it).
 	b.CellsTotal, b.CellsDone, b.ConfigsDone, b.Failed = 0, 0, 0, 0
 	for _, c := range b.Configs {
 		if c.State.Terminal() {
@@ -264,15 +248,6 @@ func (s *Server) runBatch(id string) {
 	}
 	s.mu.Unlock()
 
-	lastPersist := time.Now()
-	persist := func(force bool) {
-		s.mu.Lock()
-		if force || time.Since(lastPersist) > 500*time.Millisecond {
-			s.persistBatchLocked(b)
-			lastPersist = time.Now()
-		}
-		s.mu.Unlock()
-	}
 	progressEvent := func() Event {
 		s.mu.Lock()
 		p := &BatchProgress{
@@ -310,7 +285,6 @@ func (s *Server) runBatch(id string) {
 		s.mu.Unlock()
 		hub.publish(Event{Type: EventConfig, Config: &ev})
 		hub.publish(progressEvent())
-		persist(false)
 	}
 
 	// Phase 1: resolve every config against the shared cache (local,
@@ -323,7 +297,7 @@ func (s *Server) runBatch(id string) {
 		hash := b.Configs[i].Hash
 		s.mu.Unlock()
 		if done {
-			continue // resumed batch: this config finished last time
+			continue // folded batch: this config finished last time
 		}
 		if ctx.Err() != nil {
 			break
@@ -392,59 +366,20 @@ func (s *Server) runBatch(id string) {
 	}
 
 	if ctx.Err() != nil {
-		// Shutdown mid-batch: stay running on disk, resume next start.
-		persist(true)
-		s.log.Info("batch interrupted by shutdown; persisted for resume", "batch", id)
+		// Shutdown mid-batch: the submit record resumes it next start.
+		s.log.Info("batch interrupted by shutdown; resumes on restart", "batch", id)
 		return
 	}
 	s.mu.Lock()
 	b.State = StateDone
 	b.FinishedAt = time.Now().UTC()
-	configs, failed := b.ConfigsDone, b.Failed
+	b.Requests = nil
+	configs, failed, resources := b.ConfigsDone, b.Failed, b.Resources
 	s.persistBatchLocked(b)
+	s.retireHubLocked(id)
 	s.mu.Unlock()
 	hub.publish(progressEvent())
-	hub.publish(Event{Type: EventState, State: StateDone})
+	hub.publish(Event{Type: EventState, State: StateDone, Resources: resources})
 	hub.close()
 	s.log.Info("batch done", "batch", id, "configs", configs, "failed", failed)
-}
-
-// resumeBatches relaunches every non-terminal persisted batch. Called
-// once from New, after the job table reload.
-func (s *Server) resumeBatches() {
-	if s.store == nil {
-		return
-	}
-	batches, warns := s.store.LoadBatches()
-	for _, w := range warns {
-		s.log.Warn("reload batches", "err", w)
-	}
-	for _, b := range batches {
-		if n := batchSeq(b.ID); n >= s.nextBatchID {
-			s.nextBatchID = n + 1
-		}
-		s.batches[b.ID] = b
-		if b.State.Terminal() {
-			continue
-		}
-		s.batchHubs[b.ID] = newEventHub()
-		s.log.Info("reload: resuming interrupted batch", "batch", b.ID, "configs", len(b.Configs))
-		s.wg.Add(1)
-		go s.runBatch(b.ID)
-	}
-}
-
-// batchSeq parses the numeric tail of a batch ID; -1 when malformed.
-func batchSeq(id string) int {
-	if len(id) < 2 || id[0] != 'b' {
-		return -1
-	}
-	n := 0
-	for _, c := range id[1:] {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
 }

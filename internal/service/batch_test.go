@@ -7,14 +7,19 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"qlec/internal/experiment"
 	"qlec/internal/service"
 	"qlec/internal/service/client"
 )
@@ -32,7 +37,7 @@ func TestBatchDedupeAndEvents(t *testing.T) {
 	var runs atomic.Int64
 	_, cl := newTestServer(t, service.Options{
 		Workers: 2,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			runs.Add(1)
 			return &service.ResultEnvelope{Kind: req.Kind}, nil
 		},
@@ -145,7 +150,7 @@ func TestBatchResume(t *testing.T) {
 	srv1, err := service.New(service.Options{
 		DataDir: dir,
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -176,7 +181,7 @@ func TestBatchResume(t *testing.T) {
 	srv2, err := service.New(service.Options{
 		DataDir: dir,
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			runs.Add(1)
 			return &service.ResultEnvelope{Kind: req.Kind}, nil
 		},
@@ -204,5 +209,124 @@ func TestBatchResume(t *testing.T) {
 	}
 	if got := runs.Load(); got != 2 {
 		t.Errorf("resume ran %d simulations, want 2 (nothing finished pre-restart)", got)
+	}
+}
+
+// startAt boots a server over dir with run, as one process of a
+// restart test; stop shuts the process down.
+func startAt(t *testing.T, dir string, run service.RunFunc) (cl *client.Client, url string, stop func()) {
+	t.Helper()
+	srv, err := service.New(service.Options{DataDir: dir, Workers: 1, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	stop = func() {
+		srv.Close()
+		ts.Close()
+	}
+	t.Cleanup(stop)
+	return client.New(ts.URL, client.WithRetries(0)), ts.URL, stop
+}
+
+// TestBatchJournalAndRestart: a batch that runs to completion appends
+// two journal lines, the submit record with its requests and the
+// terminal record without them, and after a restart GET
+// /v1/batches/{id} answers byte for byte what it answered before.
+func TestBatchJournalAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl1, url1, stop1 := startAt(t, dir, stubRun(0, nil))
+	b, err := cl1.SubmitBatch(ctx, []service.Request{batchRequest(3), batchRequest(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		fin, err := cl1.Batch(ctx, b.ID)
+		return err == nil && fin.State == service.StateDone
+	}, "batch never finished")
+	get := func(url string) string {
+		resp, err := http.Get(url + "/v1/batches/" + b.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET batch: %d %s, %v", resp.StatusCode, body, err)
+		}
+		return string(body)
+	}
+	before := get(url1)
+	stop1()
+
+	raw, err := os.ReadFile(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []map[string]json.RawMessage
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		var rec map[string]json.RawMessage
+		if line == "" {
+			continue
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if string(rec["id"]) == `"`+b.ID+`"` {
+			lines = append(lines, rec)
+		}
+	}
+	if len(lines) != 2 || lines[0]["requests"] == nil || lines[1]["requests"] != nil || string(lines[1]["state"]) != `"done"` {
+		t.Fatalf("journal holds %d lines of %s; want the submit record with requests, then the done record without", len(lines), b.ID)
+	}
+
+	_, url2, _ := startAt(t, dir, stubRun(0, nil))
+	if after := get(url2); after != before {
+		t.Fatalf("finished batch after a restart:\n%s\nbefore:\n%s", after, before)
+	}
+}
+
+// TestBatchResumeAnswersFinishedConfigsFromStore: a batch interrupted
+// after one config finished resumes from its submit record. The
+// finished config answers from the result store (a cache hit, no new
+// simulation), and only the interrupted one runs again.
+func TestBatchResumeAnswersFinishedConfigsFromStore(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl1, _, stop1 := startAt(t, dir, func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
+		if req.Config.Rounds == 5 {
+			<-ctx.Done() // hold the second config until shutdown
+			return nil, ctx.Err()
+		}
+		return &service.ResultEnvelope{Kind: req.Kind}, nil
+	})
+	b, err := cl1.SubmitBatch(ctx, []service.Request{batchRequest(3), batchRequest(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		fin, err := cl1.Batch(ctx, b.ID)
+		return err == nil && fin.ConfigsDone == 1
+	}, "first config never finished")
+	stop1()
+
+	var runs atomic.Int64
+	cl2, _, _ := startAt(t, dir, stubRun(0, &runs))
+	waitFor(t, func() bool {
+		fin, err := cl2.Batch(ctx, b.ID)
+		return err == nil && fin.State == service.StateDone
+	}, "interrupted batch never resumed to completion")
+	fin, err := cl2.Batch(ctx, b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.ConfigsDone != 2 || fin.Failed != 0 || !fin.Configs[0].CacheHit || fin.Configs[1].CacheHit {
+		t.Fatalf("resumed batch = %+v, want 2 done, the first a cache hit", fin)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("resume ran %d simulations, want 1 (the interrupted config)", got)
 	}
 }

@@ -3,8 +3,8 @@ package service
 // MaxFinishedHubs exposes maxFinishedHubs to the external tests.
 const MaxFinishedHubs = maxFinishedHubs
 
-// HeldHubs reports the event hubs s holds: live ones (queued and
-// running jobs) and those of recently finished jobs.
+// HeldHubs reports the event hubs s holds: live ones (unfinished jobs
+// and batches) and those of recently finished ones.
 func HeldHubs(s *Server) (live, finished int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

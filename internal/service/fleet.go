@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"qlec/internal/experiment"
 	"qlec/internal/fleet"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
@@ -493,7 +494,7 @@ func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultE
 		return nil, nil, err
 	}
 	bracket := prof.Begin()
-	env, err := r.s.opt.Run(obs.ContextWithMetrics(ctx, r.s.reg), req, func(Event) {})
+	env, err := r.s.opt.Run(ctx, req, experiment.Hooks{})
 	usage := bracket.End()
 	r.s.om.accountUsage("cell", protocolLabel(req), usage)
 	if err != nil {

@@ -268,7 +268,7 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 	// only way its work ever finishes — via lease expiry.
 	victim := startFleetNode(t, service.Options{
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},

@@ -275,7 +275,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.SaveJob(j); err != nil {
 		t.Fatal(err)
 	}
-	jobs, warns, err := st.LoadJobs()
+	jobs, _, warns, err := st.LoadRecords()
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("load: %v, warnings: %v", err, warns)
 	}
@@ -338,7 +338,7 @@ func TestJournalTornLastLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, warns, err := st.LoadJobs()
+	jobs, _, warns, err := st.LoadRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestJournalTornLastLine(t *testing.T) {
 	}
 	st.Close()
 	before, _ := os.ReadFile(path)
-	jobs, warns, err = st.LoadJobs()
+	jobs, _, warns, err = st.LoadRecords()
 	if err != nil || len(warns) != 0 || len(jobs) != 3 {
 		t.Fatalf("reload after append: %d jobs, warnings %v, err %v", len(jobs), warns, err)
 	}

@@ -10,13 +10,15 @@ import (
 	"qlec/internal/prof"
 )
 
-// FuzzLoadJobJournal feeds LoadJobs two kinds of journal: arbitrary
-// bytes, and a journal SaveJob wrote, cut at any byte offset (the shape
-// a crash mid-append leaves). Nothing may panic, every job returned
-// must carry a valid ID, the cut journal must load exactly the last
-// complete record of each job, and the boot rewrite must leave a
-// journal that reloads to the same jobs with no warnings. Seeds live in
-// testdata/fuzz/FuzzLoadJobJournal.
+// FuzzLoadJobJournal feeds LoadRecords two kinds of journal: arbitrary
+// bytes, and a journal of interleaved job and batch records that
+// SaveJob and SaveBatch wrote, cut at any byte offset (the shape a
+// crash mid-append leaves). Nothing may panic, every record returned
+// must carry a valid ID of its type and every unfinished batch one
+// request per config (what its resume indexes), the cut journal must
+// load exactly the last complete record of each ID, and the boot
+// rewrite must leave a journal that reloads to the same records with
+// no warnings. Seeds live in testdata/fuzz/FuzzLoadJobJournal.
 func FuzzLoadJobJournal(f *testing.F) {
 	saved, records := savedJournal(f)
 	f.Add(saved, uint16(len(saved)))
@@ -25,65 +27,76 @@ func FuzzLoadJobJournal(f *testing.F) {
 	f.Add([]byte("null\n{}\n[]\n\n{\"id\":\"../x\"}\n{\"id\":\"j1\"} {\"id\":\"j2\"}\n{\"id\":\"j3\""), uint16(7))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		got := loadJournalBytes(t, dir, data)
-		for id, j := range got {
-			if !validID(id) || j.ID != id {
-				t.Fatalf("loaded job %q under id %q", j.ID, id)
-			}
-		}
+		loadJournalBytes(t, dir, data)
 
 		n := int(cut) % (len(saved) + 1)
-		want := make(map[string][]byte)
+		want := make(map[string]string)
 		end := 0
 		for _, rec := range records {
 			end += len(rec)
 			if end > n {
 				break
 			}
-			var j Job
-			if err := json.Unmarshal(rec, &j); err != nil {
+			var head struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(rec, &head); err != nil {
 				t.Fatal(err)
 			}
-			want[j.ID] = rec[:len(rec)-1]
+			want[head.ID] = string(rec[:len(rec)-1])
 		}
-		got = loadJournalBytes(t, dir, saved[:n])
+		got := loadJournalBytes(t, dir, saved[:n])
 		if len(got) != len(want) {
-			t.Fatalf("journal cut at %d/%d loads %d jobs, want %d", n, len(saved), len(got), len(want))
+			t.Fatalf("journal cut at %d/%d loads %d records, want %d", n, len(saved), len(got), len(want))
 		}
-		for id, j := range got {
-			b, err := json.Marshal(j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(b) != string(want[id]) {
-				t.Fatalf("journal cut at %d: job %s loads as\n%s\nwant\n%s", n, id, b, want[id])
+		for id, line := range got {
+			if line != want[id] {
+				t.Fatalf("journal cut at %d: record %s loads as\n%s\nwant\n%s", n, id, line, want[id])
 			}
 		}
 	})
 }
 
-// savedJournal writes a sequence of job records through SaveJob and
-// returns the journal's bytes and each record's line.
+// savedJournal writes a sequence of job and batch records through
+// SaveJob and SaveBatch and returns the journal's bytes and each
+// record's line.
 func savedJournal(f *testing.F) (journal []byte, lines [][]byte) {
 	st, err := OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
 	t0 := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
-	jobs := []Job{
-		{ID: "j00000001", Hash: "h1", State: StateQueued, CreatedAt: t0, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"},
-		{ID: "j00000002", Hash: "h2", State: StateQueued, CreatedAt: t0, Request: Request{Kind: KindOne, Seed: 7, Lambda: 2}},
-		{ID: "j00000001", Hash: "h1", State: StateRunning, Attempts: 1, CreatedAt: t0, StartedAt: t0},
-		{ID: "j00000003", Hash: "h3", State: StateDone, CacheHit: true, CreatedAt: t0, FinishedAt: t0},
-		{ID: "j00000002", Hash: "h2", State: StateFailed, Attempts: 2, Error: "line one\nline \"two\" é", CreatedAt: t0},
-		{ID: "j00000001", Hash: "h1", State: StateDone, Attempts: 1, CreatedAt: t0, FinishedAt: t0,
-			Resources: &prof.Usage{CPUSeconds: 0.5, WallSeconds: 0.25, AllocBytes: 1 << 20}},
+	req := Request{Kind: KindOne, Seed: 7, Lambda: 2}
+	queued := []BatchConfig{{Index: 0, Kind: KindOne, Hash: "h4", State: StateQueued}, {Index: 1, Kind: KindOne, Hash: "h5", State: StateQueued}}
+	usage := &prof.Usage{CPUSeconds: 0.5, WallSeconds: 0.25, AllocBytes: 1 << 20}
+	records := []any{
+		&Job{ID: "j00000001", Hash: "h1", State: StateQueued, CreatedAt: t0, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"},
+		&Batch{ID: "b00000001", State: StateRunning, TraceID: "4bf92f3577b34da6a3ce929d0e0e4737", Configs: queued,
+			CreatedAt: t0, Requests: []Request{req, {Kind: KindFig3}}},
+		&Job{ID: "j00000002", Hash: "h2", State: StateQueued, CreatedAt: t0, Request: req},
+		&Job{ID: "j00000001", Hash: "h1", State: StateRunning, Attempts: 1, CreatedAt: t0, StartedAt: t0},
+		&Batch{ID: "b00000002", State: StateRunning, Configs: queued[:1], CreatedAt: t0, Requests: []Request{req}},
+		&Job{ID: "j00000003", Hash: "h3", State: StateDone, CacheHit: true, CreatedAt: t0, FinishedAt: t0},
+		&Job{ID: "j00000002", Hash: "h2", State: StateFailed, Attempts: 2, Error: "line one\nline \"two\" é", CreatedAt: t0},
+		&Batch{ID: "b00000001", State: StateDone, TraceID: "4bf92f3577b34da6a3ce929d0e0e4737", CreatedAt: t0, FinishedAt: t0,
+			Configs: []BatchConfig{
+				{Index: 0, Kind: KindOne, Hash: "h4", State: StateDone, CacheHit: true, Proxied: true},
+				{Index: 1, Kind: KindFig3, Hash: "h5", State: StateFailed, Error: "boom", Resources: usage},
+			},
+			ConfigsDone: 2, Failed: 1, CellsTotal: 3, CellsDone: 3, Resources: usage},
+		&Job{ID: "j00000001", Hash: "h1", State: StateDone, Attempts: 1, CreatedAt: t0, FinishedAt: t0, Resources: usage},
 	}
-	for i := range jobs {
-		if err := st.SaveJob(&jobs[i]); err != nil {
+	for _, rec := range records {
+		switch rec := rec.(type) {
+		case *Job:
+			err = st.SaveJob(rec)
+		case *Batch:
+			err = st.SaveBatch(rec)
+		}
+		if err != nil {
 			f.Fatal(err)
 		}
-		line, err := json.Marshal(&jobs[i])
+		line, err := json.Marshal(rec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -98,30 +111,52 @@ func savedJournal(f *testing.F) (journal []byte, lines [][]byte) {
 }
 
 // loadJournalBytes boots a store over dir with data as its journal and
-// returns the jobs LoadJobs reads. The rewrite it may make must reload
-// to the same jobs with no warnings.
-func loadJournalBytes(t *testing.T, dir string, data []byte) map[string]*Job {
+// returns the records LoadRecords reads, as JSON by ID. Each must carry
+// a valid ID of its type, an unfinished batch one request per config,
+// and the rewrite LoadRecords may make must reload to the same records
+// with no warnings.
+func loadJournalBytes(t *testing.T, dir string, data []byte) map[string]string {
 	path := filepath.Join(dir, journalName)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := &Store{dir: dir}
-	jobs, _, err := st.LoadJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, warns, err := st.LoadJobs()
-	if err != nil || len(warns) != 0 || len(again) != len(jobs) {
-		t.Fatalf("rewritten journal reloads %d of %d jobs, warnings %v, err %v", len(again), len(jobs), warns, err)
-	}
-	out := make(map[string]*Job, len(jobs))
-	for i, j := range jobs {
-		a, _ := json.Marshal(j)
-		b, _ := json.Marshal(again[i])
-		if string(a) != string(b) {
-			t.Fatalf("rewrite changed job %s:\n%s\n%s", j.ID, a, b)
+	load := func() (map[string]string, []error) {
+		jobs, batches, warns, err := st.LoadRecords()
+		if err != nil {
+			t.Fatal(err)
 		}
-		out[j.ID] = j
+		out := make(map[string]string, len(jobs)+len(batches))
+		add := func(id string, prefix byte, rec any) {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, dup := out[id]; dup || !validID(id, prefix) {
+				t.Fatalf("loaded record %q twice or under an invalid id", id)
+			}
+			out[id] = string(b)
+		}
+		for _, j := range jobs {
+			add(j.ID, 'j', j)
+		}
+		for _, b := range batches {
+			if !b.State.Terminal() && len(b.Requests) != len(b.Configs) {
+				t.Fatalf("loaded unfinished batch %s with %d requests for %d configs", b.ID, len(b.Requests), len(b.Configs))
+			}
+			add(b.ID, 'b', b)
+		}
+		return out, warns
 	}
-	return out
+	got, _ := load()
+	again, warns := load()
+	if len(warns) != 0 || len(again) != len(got) {
+		t.Fatalf("rewritten journal reloads %d of %d records, warnings %v", len(again), len(got), warns)
+	}
+	for id, rec := range got {
+		if again[id] != rec {
+			t.Fatalf("rewrite changed record %s:\n%s\n%s", id, rec, again[id])
+		}
+	}
+	return got
 }

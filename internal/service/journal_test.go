@@ -14,19 +14,21 @@ import (
 	"testing"
 	"time"
 
+	"qlec/internal/experiment"
 	"qlec/internal/fleet"
 	"qlec/internal/service"
+	"qlec/internal/sim"
 )
 
 // stubRun answers every job at once with an empty envelope after
-// publishing rounds round events.
+// observing rounds rounds (when the run has an observer).
 func stubRun(rounds int, calls *atomic.Int64) service.RunFunc {
-	return func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+	return func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 		if calls != nil {
 			calls.Add(1)
 		}
-		for r := 1; r <= rounds; r++ {
-			publish(service.Event{Type: service.EventRound, Round: &service.RoundProgress{Round: r}})
+		for r := 1; r <= rounds && h.Observer != nil; r++ {
+			h.Observer(sim.RoundSnapshot{Round: r})
 		}
 		return &service.ResultEnvelope{Kind: req.Kind}, nil
 	}
@@ -47,12 +49,12 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestBootEmptyDataDirCreatesNoJournal: boot creates only the result
-// and batch directories; the journal appears with the first job.
+// directory; the journal appears with the first job.
 func TestBootEmptyDataDirCreatesNoJournal(t *testing.T) {
 	dir := t.TempDir()
 	srv, cl := newTestServer(t, service.Options{DataDir: dir, Workers: 1, Run: stubRun(0, nil)})
-	if got := dirNames(t, dir); len(got) != 2 || got[0] != "batches" || got[1] != "results" {
-		t.Fatalf("fresh data dir holds %v, want [batches results]", got)
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != "results" {
+		t.Fatalf("fresh data dir holds %v, want [results]", got)
 	}
 	ctx := context.Background()
 	j, err := cl.Submit(ctx, oneRequest(tinyCfg()))
@@ -68,9 +70,10 @@ func TestBootEmptyDataDirCreatesNoJournal(t *testing.T) {
 	}
 }
 
-// TestReloadFoldsLegacyJobFiles: a data dir in the one-file-per-job
+// TestReloadFoldsLegacyJobFiles: a data dir in the one-file-per-record
 // layout reloads with its queued and interrupted jobs requeued and its
-// done job served from disk, then holds the jobs in the journal alone.
+// done job and batch served from disk, then holds the records in the
+// journal alone.
 func TestReloadFoldsLegacyJobFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := service.OpenStore(dir)
@@ -93,19 +96,25 @@ func TestReloadFoldsLegacyJobFiles(t *testing.T) {
 	if err := st.SaveResult(legacy[0].Hash, &service.ResultEnvelope{Kind: service.KindOne, Hash: legacy[0].Hash}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range legacy {
+	batch := &service.Batch{ID: "b00000001", State: service.StateDone, CreatedAt: now, FinishedAt: now, ConfigsDone: 1,
+		Configs: []service.BatchConfig{{Index: 0, Kind: service.KindOne, Hash: legacy[0].Hash, State: service.StateDone}}}
+	writeLegacy := func(sub, id string, rec any) {
 		// Indented, so the fold must compact each record to one line.
-		b, err := json.MarshalIndent(j, "", "  ")
+		b, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "jobs", j.ID+".json"), append(b, '\n'), 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, id+".json"), append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for _, j := range legacy {
+		writeLegacy("jobs", j.ID, j)
+	}
+	writeLegacy("batches", batch.ID, batch)
 
 	var calls atomic.Int64
 	srv, cl := newTestServer(t, service.Options{DataDir: dir, Workers: 1, Run: stubRun(0, &calls)})
@@ -125,6 +134,9 @@ func TestReloadFoldsLegacyJobFiles(t *testing.T) {
 	if _, err := cl.Result(ctx, legacy[0].Hash); err != nil {
 		t.Fatalf("result of the done job: %v", err)
 	}
+	if b, err := cl.Batch(ctx, batch.ID); err != nil || b.State != service.StateDone || len(b.Configs) != 1 {
+		t.Fatalf("reloaded batch %+v, %v; want done with its config", b, err)
+	}
 	next, err := cl.Submit(ctx, oneRequest(tinyCfg()))
 	if err != nil {
 		t.Fatal(err)
@@ -136,15 +148,15 @@ func TestReloadFoldsLegacyJobFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := os.Stat(filepath.Join(dir, "jobs")); !os.IsNotExist(err) {
-		t.Fatalf("jobs/ still present after the fold (stat err %v)", err)
+	if got := dirNames(t, dir); len(got) != 2 || got[0] != "jobs.jsonl" || got[1] != "results" {
+		t.Fatalf("data dir holds %v after the fold, want [jobs.jsonl results]", got)
 	}
-	jobs, warns, err := st.LoadJobs()
+	jobs, batches, warns, err := st.LoadRecords()
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("journal reload: %v, warnings %v", err, warns)
 	}
-	if len(jobs) != 4 {
-		t.Fatalf("journal holds %d jobs, want 4", len(jobs))
+	if len(jobs) != 4 || len(batches) != 1 || batches[0].State != service.StateDone {
+		t.Fatalf("journal holds %d jobs and %v, want 4 jobs and the done batch", len(jobs), batches)
 	}
 	for _, j := range jobs {
 		if j.State != service.StateDone {
@@ -249,5 +261,57 @@ func TestFinishedHubsBounded(t *testing.T) {
 	oldest := collectEvents(t, cl, ids[0])
 	if len(oldest) != 1 || oldest[0].Type != service.EventState || oldest[0].State != service.StateDone || oldest[0].Resources == nil {
 		t.Fatalf("oldest job streamed %+v; want only its done state with resources", oldest)
+	}
+}
+
+// TestFinishedBatchHubRetires: a finished batch's hub leaves the live
+// table for the same bounded store of finished hubs that jobs use. Once
+// MaxFinishedHubs later jobs have finished, the batch's /events streams
+// its terminal state alone, resources included.
+func TestFinishedBatchHubRetires(t *testing.T) {
+	srv, cl := newTestServer(t, service.Options{Workers: 2, QueueLimit: 4 * service.MaxFinishedHubs, Run: stubRun(0, nil)})
+	ctx := context.Background()
+	b, err := cl.SubmitBatch(ctx, []service.Request{batchRequest(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		fin, err := cl.Batch(ctx, b.ID)
+		return err == nil && fin.State == service.StateDone
+	}, "batch never finished")
+	if live, finished := service.HeldHubs(srv); live != 0 || finished != 1 {
+		t.Fatalf("held hubs after the batch: %d live, %d finished; want 0 and 1", live, finished)
+	}
+	batchEvents := func() []service.Event {
+		var events []service.Event
+		if err := cl.BatchEvents(ctx, b.ID, func(e service.Event) bool {
+			events = append(events, e)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return events
+	}
+	if events := batchEvents(); len(events) < 2 {
+		t.Fatalf("recently finished batch replayed %+v; want its whole history", events)
+	}
+
+	for i := 0; i < service.MaxFinishedHubs; i++ {
+		req := oneRequest(tinyCfg())
+		req.Seed = uint64(i + 1)
+		j, err := cl.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Wait(ctx, j.ID, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live, finished := service.HeldHubs(srv); live != 0 || finished != service.MaxFinishedHubs {
+		t.Fatalf("held hubs: %d live, %d finished; want 0 live and %d finished", live, finished, service.MaxFinishedHubs)
+	}
+	events := batchEvents()
+	if len(events) != 1 || events[0].Type != service.EventState || events[0].State != service.StateDone || events[0].Resources == nil {
+		t.Fatalf("aged-out batch streamed %+v; want only its done state with resources", events)
 	}
 }

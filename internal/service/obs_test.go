@@ -65,26 +65,23 @@ func scrape(t *testing.T, base string) string {
 // TestMetricsScrapeDuringRunningJob is the acceptance-criteria scrape:
 // while a job is mid-flight, /metrics must expose both the operational
 // series and live per-round simulation gauges, and the whole exposition
-// must lint clean. The stub RunFunc publishes sim telemetry through the
-// same context plumbing Execute uses, then parks until released, so the
-// scrape observes a guaranteed-running job without sleeps.
+// must lint clean. The stub RunFunc drives the round observer the
+// worker hands a one job (the hook Execute installs on the engine),
+// then parks until released, so the scrape observes a guaranteed-running
+// job without sleeps.
 func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 	running := make(chan struct{})
 	release := make(chan struct{})
-	run := func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
-		reg := obs.MetricsFromContext(ctx)
-		if reg == nil {
-			t.Error("worker context carries no metrics registry")
+	run := func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
+		if h.Observer == nil {
+			t.Error("worker runs a one job without a round observer")
 			return &service.ResultEnvelope{Kind: req.Kind}, nil
 		}
-		collector := obs.NewSimCollector(reg, "QLEC", 80, 2)
-		snap := sim.RoundSnapshot{
+		h.Observer(sim.RoundSnapshot{
 			Round: 7, Alive: 15, EnergySoFar: 12,
 			Stats: metrics.RoundStats{Heads: 2, Generated: 40, Delivered: 38},
 			MeanQ: 0.3, Epsilon: 0.1, HasQ: true,
-		}
-		collector.Observe(snap)
-		obs.TraceFromContext(ctx).Instant(obs.SpanFromContext(ctx), "stub round", "sim", nil)
+		})
 		close(running)
 		select {
 		case <-release:
@@ -395,7 +392,7 @@ func TestAuditEndpointRealJob(t *testing.T) {
 func TestAuditEndpointUnfinishedAndStubJobs(t *testing.T) {
 	running := make(chan struct{}, 1)
 	release := make(chan struct{})
-	run := func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+	run := func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 		select {
 		case running <- struct{}{}:
 			<-release
@@ -438,7 +435,7 @@ func TestAuditEndpointUnfinishedAndStubJobs(t *testing.T) {
 // on the response and recorded on the job; a client-generated one must
 // exist otherwise.
 func TestRequestIDCorrelation(t *testing.T) {
-	stub := func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+	stub := func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 		return &service.ResultEnvelope{Kind: req.Kind}, nil
 	}
 	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, Run: stub})

@@ -11,11 +11,13 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"qlec/internal/audit"
+	"qlec/internal/experiment"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 	"qlec/internal/protocol"
@@ -73,13 +75,12 @@ type Server struct {
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
-	hubs        map[string]*eventHub            // queued and running jobs
-	doneHubs    *obs.Bounded[string, *eventHub] // the last maxFinishedHubs finished jobs
+	hubs        map[string]*eventHub            // unfinished jobs and batches
+	doneHubs    *obs.Bounded[string, *eventHub] // the last maxFinishedHubs finished records
 	cancels     map[string]context.CancelFunc
 	inflight    map[string]string // request hash → queued/running job ID
 	nextID      int
 	batches     map[string]*Batch
-	batchHubs   map[string]*eventHub
 	nextBatchID int
 
 	fleet *fleetRuntime
@@ -100,7 +101,7 @@ type Server struct {
 }
 
 // New builds and starts a server: opens the store, reloads persisted
-// jobs (interrupted ones re-enter the queue), indexes persisted
+// jobs and batches (interrupted ones resume), indexes persisted
 // results, and launches the worker pool.
 func New(opt Options) (*Server, error) {
 	if opt.Workers <= 0 {
@@ -133,7 +134,6 @@ func New(opt Options) (*Server, error) {
 		inflight:    make(map[string]string),
 		nextID:      1,
 		batches:     make(map[string]*Batch),
-		batchHubs:   make(map[string]*eventHub),
 		nextBatchID: 1,
 		log:         opt.Logger,
 		reg:         opt.Metrics,
@@ -164,7 +164,6 @@ func New(opt Options) (*Server, error) {
 	if err := s.reload(); err != nil {
 		return nil, err
 	}
-	s.resumeBatches()
 	for i := 0; i < opt.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -176,16 +175,17 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// reload restores the job table from the store. Jobs the previous
-// process left queued re-enter the queue; jobs it left running were
-// interrupted mid-flight (crash, hard kill), so they re-enter the queue
-// too — re-execution is safe because simulations are deterministic and
-// results are content-addressed.
+// reload restores the job and batch tables from the store. Jobs the
+// previous process left queued re-enter the queue; jobs it left running
+// were interrupted mid-flight (crash, hard kill), so they re-enter the
+// queue too — re-execution is safe because simulations are
+// deterministic and results are content-addressed. Unfinished batches
+// resume from their submit records.
 func (s *Server) reload() error {
 	if s.store == nil {
 		return nil
 	}
-	jobs, warns, err := s.store.LoadJobs()
+	jobs, batches, warns, err := s.store.LoadRecords()
 	for _, w := range warns {
 		s.log.Warn("reload", "err", w)
 	}
@@ -193,9 +193,7 @@ func (s *Server) reload() error {
 		return fmt.Errorf("service: reload failed: %w", err)
 	}
 	for _, j := range jobs { // sorted by ID = submission order
-		if n, err := strconv.Atoi(j.ID[1:]); err == nil && n >= s.nextID {
-			s.nextID = n + 1
-		}
+		s.nextID = max(s.nextID, idSeq(j.ID)+1)
 		if j.State == StateRunning {
 			s.log.Info("reload: requeueing job interrupted at shutdown", "job", j.ID)
 			j.State = StateQueued
@@ -219,6 +217,20 @@ func (s *Server) reload() error {
 			s.queue.push(j.ID)
 		}
 	}
+	var resume []string
+	for _, b := range batches {
+		s.nextBatchID = max(s.nextBatchID, idSeq(b.ID)+1)
+		s.batches[b.ID] = b
+		if !b.State.Terminal() {
+			s.hubs[b.ID] = newEventHub()
+			resume = append(resume, b.ID)
+		}
+	}
+	for _, id := range resume {
+		s.log.Info("reload: resuming interrupted batch", "batch", id, "configs", len(s.batches[id].Configs))
+		s.wg.Add(1)
+		go s.runBatch(id)
+	}
 	return nil
 }
 
@@ -238,8 +250,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batches", s.handleBatchSubmit)
 	mux.HandleFunc("GET /v1/batches", s.handleBatchList)
 	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchGet)
-	mux.HandleFunc("GET /v1/batches/{id}/events", s.handleBatchEvents)
-	mux.HandleFunc("GET /v1/batches/{id}/trace", s.handleBatchTrace)
+	mux.HandleFunc("GET /v1/batches/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /v1/batches/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleetStatus)
 	mux.HandleFunc("POST /v1/fleet/join", s.handleFleetJoin)
 	mux.HandleFunc("POST /v1/fleet/steal", s.handleFleetSteal)
@@ -470,9 +482,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// retireHubLocked moves a job that just reached a terminal state from
-// the live hub table to the bounded store of recently finished ones and
-// returns its hub (nil if it had none); caller holds s.mu.
+// retireHubLocked moves a job or batch that just reached a terminal
+// state from the live hub table to the bounded store of recently
+// finished ones and returns its hub (nil if it had none); caller holds
+// s.mu.
 func (s *Server) retireHubLocked(id string) *eventHub {
 	hub := s.hubs[id]
 	if hub != nil {
@@ -482,38 +495,63 @@ func (s *Server) retireHubLocked(id string) *eventHub {
 	return hub
 }
 
-// handleEvents implements GET /v1/jobs/{id}/events: an SSE stream of
-// the job's progress. The full history replays first (or from
-// Last-Event-ID on reconnect), then live events until the job reaches a
-// terminal state — the final event is always that state transition.
-// History outlives the job only for the last maxFinishedHubs finished
-// jobs; an older one streams its terminal state alone.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	hub := s.hubs[id]
-	if hub == nil {
-		hub, _ = s.doneHubs.Get(id)
+// recordRef is what the event and trace endpoints serve of one job or
+// batch record.
+type recordRef struct {
+	what, id string
+	// hub is the live or recently finished event hub; nil once the
+	// record's history aged out, or if it never had one.
+	hub *eventHub
+	// terminal is the stream's fallback event: the record's state.
+	terminal Event
+	traceID  string
+}
+
+// lookup resolves the {id} of a /v1/jobs/ or /v1/batches/ route (the
+// route picks the table) to its record, or answers 404.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (rec recordRef, ok bool) {
+	rec.what, rec.id = "job", r.PathValue("id")
+	if strings.HasPrefix(r.URL.Path, "/v1/batches/") {
+		rec.what = "batch"
 	}
-	j, known := s.jobs[id]
-	var terminal Event
-	if known {
-		terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error, Resources: j.Resources}
+	s.mu.Lock()
+	if j, found := s.jobs[rec.id]; found && rec.what == "job" {
+		rec.terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error, Resources: j.Resources}
+		rec.traceID, ok = j.TraceID, true
+	} else if b, found := s.batches[rec.id]; found && rec.what == "batch" {
+		rec.terminal = Event{Seq: 1, Type: EventState, State: b.State, Resources: b.Resources}
+		rec.traceID, ok = b.TraceID, true
+	}
+	if rec.hub = s.hubs[rec.id]; rec.hub == nil {
+		rec.hub, _ = s.doneHubs.Get(rec.id)
 	}
 	s.mu.Unlock()
-	if !known {
-		writeErr(w, http.StatusNotFound, "no job %q", id)
-		return
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no %s %q", rec.what, rec.id)
 	}
-	s.serveSSE(w, r, hub, terminal)
+	return rec, ok
+}
+
+// handleEvents implements GET /v1/jobs/{id}/events and GET
+// /v1/batches/{id}/events: an SSE stream of the record's progress. The
+// full history replays first (or from Last-Event-ID on reconnect), then
+// live events until the record reaches a terminal state — the final
+// event is always that state transition. A batch's stream rolls the
+// whole batch up: per-config terminal events (EventConfig) and
+// aggregate progress (EventBatch). History outlives the record only for
+// the last maxFinishedHubs finished ones; an older one streams its
+// terminal state alone.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if rec, ok := s.lookup(w, r); ok {
+		s.serveSSE(w, r, rec.hub, rec.terminal)
+	}
 }
 
 // serveSSE streams a hub over Server-Sent Events: history replays first
 // (or from Last-Event-ID on reconnect), then live events until the hub
 // closes. A nil hub means the record was terminal before any stream
 // existed (cache hit, reloaded history) or its history has aged out:
-// the one fallback event the client needs is emitted instead. Shared by
-// job and batch streams.
+// the one fallback event the client needs is emitted instead.
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, hub *eventHub, terminal Event) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -618,55 +656,28 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleTrace implements GET /v1/jobs/{id}/trace: the job's span
-// recording as Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto) — every span any peer recorded under the job's trace ID,
-// one lane per daemon. Traces age out FIFO after Options.TraceHistory
+// handleTrace implements GET /v1/jobs/{id}/trace and GET
+// /v1/batches/{id}/trace: the record's span recording as Chrome
+// trace_event JSON (load in chrome://tracing or Perfetto) — every span
+// any peer recorded under its trace ID, one lane per daemon: for a
+// batch, the fan-out, pooling, steals and every cell execution
+// wherever it ran. Traces age out FIFO after Options.TraceHistory
 // traces.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, known := s.jobs[id]
-	var traceID string
-	if known {
-		traceID = j.TraceID
+	if rec, ok := s.lookup(w, r); ok {
+		s.serveTrace(w, rec)
 	}
-	s.mu.Unlock()
-	if !known {
-		writeErr(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	s.serveTrace(w, traceID, "job", id)
-}
-
-// handleBatchTrace implements GET /v1/batches/{id}/trace: the merged
-// fleet-wide Chrome trace of a batch — fan-out, pooling, steals and
-// every cell execution wherever it ran.
-func (s *Server) handleBatchTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	b, known := s.batches[id]
-	var traceID string
-	if known {
-		traceID = b.TraceID
-	}
-	s.mu.Unlock()
-	if !known {
-		writeErr(w, http.StatusNotFound, "no batch %q", id)
-		return
-	}
-	s.serveTrace(w, traceID, "batch", id)
 }
 
 // serveTrace renders one trace's fleet-wide spans as Chrome JSON, or
 // 404s when no daemon holds any (a pre-trace record, or aged out).
-func (s *Server) serveTrace(w http.ResponseWriter, traceID, what, id string) {
+func (s *Server) serveTrace(w http.ResponseWriter, rec recordRef) {
 	var spans []obs.SpanRecord
-	if traceID != "" {
-		spans = s.collectFleetSpans(traceID)
+	if rec.traceID != "" {
+		spans = s.collectFleetSpans(rec.traceID)
 	}
 	if len(spans) == 0 {
-		writeErr(w, http.StatusNotFound, "no trace for %s %q (pre-trace record, or spans aged out)", what, id)
+		writeErr(w, http.StatusNotFound, "no trace for %s %q (pre-trace record, or spans aged out)", rec.what, rec.id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -733,7 +744,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := audit.New(audit.Options{Metrics: s.reg})
-	if _, err := s.opt.Run(contextWithAudit(ctx, rec), req, func(Event) {}); err != nil {
+	if _, err := s.opt.Run(ctx, req, experiment.Hooks{Audit: rec}); err != nil {
 		status := http.StatusInternalServerError
 		if ctx.Err() != nil {
 			status = http.StatusServiceUnavailable
@@ -809,11 +820,8 @@ func (s *Server) closeStore() {
 
 func (s *Server) closeHubs() {
 	s.mu.Lock()
-	hubs := make([]*eventHub, 0, len(s.hubs)+len(s.batchHubs))
+	hubs := make([]*eventHub, 0, len(s.hubs))
 	for _, h := range s.hubs {
-		hubs = append(hubs, h)
-	}
-	for _, h := range s.batchHubs {
 		hubs = append(hubs, h)
 	}
 	s.mu.Unlock()

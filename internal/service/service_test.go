@@ -275,7 +275,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	started := make(chan struct{}, 4)
 	_, cl := newTestServer(t, service.Options{
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			started <- struct{}{}
 			select {
 			case <-release:
@@ -331,7 +331,7 @@ func TestTransientRetry(t *testing.T) {
 	_, cl := newTestServer(t, service.Options{
 		Workers:    1,
 		MaxRetries: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("simulated blip: %w", service.ErrTransient)
 			}
@@ -367,7 +367,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	_, cl := newTestServer(t, service.Options{
 		Workers:    1,
 		MaxRetries: -1, // explicit zero retries
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			return nil, fmt.Errorf("always down: %w", service.ErrTransient)
 		},
 	})
@@ -396,7 +396,7 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	release := make(chan struct{})
 	srv, cl := newTestServer(t, service.Options{
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			close(started)
 			select {
 			case <-release:
@@ -453,7 +453,7 @@ func TestQueueLimit(t *testing.T) {
 	_, cl := newTestServer(t, service.Options{
 		Workers:    1,
 		QueueLimit: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			started <- struct{}{}
 			<-release
 			return &service.ResultEnvelope{Kind: req.Kind}, nil
@@ -548,7 +548,7 @@ func TestRestartServesCachedResults(t *testing.T) {
 	srv2, err := service.New(service.Options{
 		DataDir: dir,
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			calls.Add(1)
 			return nil, errors.New("must not simulate")
 		},
@@ -599,7 +599,7 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	srv1, err := service.New(service.Options{
 		DataDir: dir,
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			close(started)
 			<-ctx.Done() // hold the job until shutdown interrupts it
 			return nil, ctx.Err()
@@ -690,7 +690,7 @@ func TestInflightCoalescing(t *testing.T) {
 	started := make(chan struct{})
 	_, cl := newTestServer(t, service.Options{
 		Workers: 1,
-		Run: func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		Run: func(ctx context.Context, req service.Request, h experiment.Hooks) (*service.ResultEnvelope, error) {
 			close(started)
 			<-release
 			return &service.ResultEnvelope{Kind: req.Kind}, nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -16,22 +17,28 @@ import (
 // ErrNotFound reports a missing job or result.
 var ErrNotFound = errors.New("service: not found")
 
-// journalName is the job journal's file name under the data directory.
+// journalName is the record journal's file name under the data
+// directory (named when it held job records alone).
 const journalName = "jobs.jsonl"
 
-// Store is the daemon's crash-safe persistence layer. Job records go to
-// one append-only journal, <dir>/jobs.jsonl: each state change appends
-// one JSON line, and on reload the last complete line of each job wins.
-// Results (<dir>/results) and batches (<dir>/batches) are one file per
-// record, written atomically (temp file + rename) so a crash mid-write
-// never corrupts one. Everything reloads on restart — finished jobs
-// keep their states, interrupted ones re-enter the queue (see Server
-// start-up).
+// Store is the daemon's crash-safe persistence layer. It has one way to
+// persist a record and one way to persist a blob.
+//
+// Job and batch records go to one append-only journal,
+// <dir>/jobs.jsonl: each save appends one JSON line, and on reload the
+// last complete line of each ID wins. The ID's prefix ("j" or "b") says
+// which record type a line holds. A job appends a line per state
+// change; a batch appends one at submit, carrying its requests, and one
+// at its terminal state, without them. Results are content-addressed
+// blobs, one file each under <dir>/results, written atomically (temp
+// file + rename) so a crash mid-write never corrupts one. Everything
+// reloads on restart: finished records keep their states, interrupted
+// ones resume (see Server.reload).
 type Store struct {
 	dir string
 
 	mu      sync.Mutex // guards journal and torn
-	journal *os.File   // O_APPEND handle, opened by the first SaveJob
+	journal *os.File   // O_APPEND handle, opened by the first append
 	// torn marks a journal that may end inside a line (a failed append,
 	// or a torn tail the boot rewrite could not remove): the next
 	// append starts a fresh line so its record is not lost with it.
@@ -39,12 +46,10 @@ type Store struct {
 }
 
 // OpenStore creates (if needed) and opens a data directory. It creates
-// no journal: that happens on the first SaveJob.
+// only results/; the journal appears with the first saved record.
 func OpenStore(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "results"), filepath.Join(dir, "batches")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("service: open store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		return nil, fmt.Errorf("service: open store: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
@@ -52,7 +57,7 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the root data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the journal handle; a later SaveJob reopens it.
+// Close releases the journal handle; a later save reopens it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,15 +105,22 @@ func writeAtomic(path string, data []byte) error {
 	return err
 }
 
-// SaveJob appends one job record to the journal as a single write of
-// one line, so a crash can tear at most the journal's last line.
-func (s *Store) SaveJob(j *Job) error {
-	if !validID(j.ID) {
-		return fmt.Errorf("service: refusing to persist job with unsafe id %q", j.ID)
+// SaveJob appends one job record to the journal.
+func (s *Store) SaveJob(j *Job) error { return s.appendRecord('j', j.ID, j) }
+
+// SaveBatch appends one batch record to the journal.
+func (s *Store) SaveBatch(b *Batch) error { return s.appendRecord('b', b.ID, b) }
+
+// appendRecord appends rec, whose ID must carry prefix, to the journal
+// as a single write of one line, so a crash can tear at most the
+// journal's last line.
+func (s *Store) appendRecord(prefix byte, id string, rec any) error {
+	if !validID(id, prefix) {
+		return fmt.Errorf("service: refusing to persist record with unsafe id %q", id)
 	}
-	line, err := json.Marshal(j)
+	line, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("service: marshal job %s: %w", j.ID, err)
+		return fmt.Errorf("service: marshal record %s: %w", id, err)
 	}
 	line = append(line, '\n')
 	s.mu.Lock()
@@ -119,133 +131,164 @@ func (s *Store) SaveJob(j *Job) error {
 	if s.journal == nil {
 		f, err := os.OpenFile(s.journalPath(), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
-			return fmt.Errorf("service: save job %s: %w", j.ID, err)
+			return fmt.Errorf("service: save record %s: %w", id, err)
 		}
 		s.journal = f
 	}
 	n, err := s.journal.Write(line)
 	s.torn = err != nil && (s.torn || n > 0)
 	if err != nil {
-		return fmt.Errorf("service: save job %s: %w", j.ID, err)
+		return fmt.Errorf("service: save record %s: %w", id, err)
 	}
 	return nil
 }
 
-// LoadJobs reads the latest record of every job, sorted by ID (IDs are
-// zero-padded sequence numbers, so this is submission order).
-// Unreadable records are skipped with a warning, not fatal — one
-// corrupt line must not brick the daemon; err reports only a journal
-// or directory that cannot be read at all.
+// LoadRecords reads the latest record of every job and batch, each
+// list sorted by ID (IDs are zero-padded sequence numbers, so this is
+// submission order). Unreadable records are skipped with a warning,
+// not fatal — one corrupt line must not brick the daemon; err reports
+// only a journal or directory that cannot be read at all.
 //
-// It runs once, at boot, before the first SaveJob. A journal holding
+// It runs once, at boot, before the first save. A journal holding
 // superseded, unreadable or torn lines is then rewritten through
-// writeAtomic with one line per job, which also bounds its growth
-// across restarts. A data directory in the older one-file-per-job
-// layout (jobs/<id>.json) is folded into the journal the same way, and
-// jobs/ is removed once the journal holds its records.
-func (s *Store) LoadJobs() (jobs []*Job, warns []error, err error) {
-	latest := make(map[string]jobLine)
-	legacyDir := filepath.Join(s.dir, "jobs")
-	legacy, warns, err := loadLegacyJobs(legacyDir, latest)
-	if err != nil {
-		return nil, nil, err
+// writeAtomic with one line per record, which also bounds its growth
+// across restarts. A data directory in an older one-file-per-record
+// layout (jobs/<id>.json, batches/<id>.json) is folded into the
+// journal the same way, and each folded directory is removed once the
+// journal holds its records.
+func (s *Store) LoadRecords() (jobs []*Job, batches []*Batch, warns []error, err error) {
+	latest := make(map[string]record)
+	var legacy []string
+	for _, name := range []string{"jobs", "batches"} {
+		dir := filepath.Join(s.dir, name)
+		found, lwarns, err := loadLegacyDir(dir, latest)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		warns = append(warns, lwarns...)
+		if found {
+			legacy = append(legacy, dir)
+		}
 	}
 	data, err := os.ReadFile(s.journalPath())
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, fmt.Errorf("service: load jobs: %w", err)
+		return nil, nil, nil, fmt.Errorf("service: load records: %w", err)
 	}
 	clean, jwarns := parseJournal(data, latest)
 	warns = append(warns, jwarns...)
-	for _, r := range latest {
-		jobs = append(jobs, r.job)
+	ids := make([]string, 0, len(latest))
+	for id := range latest {
+		ids = append(ids, id)
 	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
+	sort.Strings(ids)
+	for _, id := range ids {
+		if r := latest[id]; r.job != nil {
+			jobs = append(jobs, r.job)
+		} else {
+			batches = append(batches, r.batch)
+		}
+	}
 
-	if !clean || legacy {
+	if !clean || len(legacy) > 0 {
 		var buf []byte
-		for _, j := range jobs {
-			buf = append(append(buf, latest[j.ID].line...), '\n')
+		for _, id := range ids {
+			buf = append(append(buf, latest[id].line...), '\n')
 		}
 		if err := writeAtomic(s.journalPath(), buf); err != nil {
-			// Keep going on the old journal (and jobs/): the next boot
-			// retries. A torn tail stays, so appends start a new line.
-			warns = append(warns, fmt.Errorf("service: rewrite job journal: %w", err))
+			// Keep going on the old journal (and legacy dirs): the next
+			// boot retries. A torn tail stays, so appends start a new line.
+			warns = append(warns, fmt.Errorf("service: rewrite record journal: %w", err))
 			s.mu.Lock()
 			s.torn = len(data) > 0 && data[len(data)-1] != '\n'
 			s.mu.Unlock()
-			return jobs, warns, nil
+			return jobs, batches, warns, nil
 		}
 	}
-	if legacy {
-		if err := os.RemoveAll(legacyDir); err != nil {
-			warns = append(warns, fmt.Errorf("service: remove folded job records: %w", err))
+	for _, dir := range legacy {
+		if err := os.RemoveAll(dir); err != nil {
+			warns = append(warns, fmt.Errorf("service: remove folded records: %w", err))
 		}
 	}
-	return jobs, warns, nil
+	return jobs, batches, warns, nil
 }
 
-// jobLine is one job's latest record: decoded, and as the single JSON
-// line the boot rewrite copies.
-type jobLine struct {
-	job  *Job
-	line []byte
+// record is one ID's latest record: decoded as a job or a batch (the
+// other is nil), and as the single JSON line the boot rewrite copies.
+type record struct {
+	job   *Job
+	batch *Batch
+	line  []byte
 }
 
-// parseJournal reads journal bytes into latest, keyed by job ID: each
-// newline-terminated line holds one job record, and a later line
-// replaces an earlier one of the same job. A line that is not one job
-// object with a valid ID is skipped with a warning, and so are bytes
-// after the last newline (an append torn by a crash). clean reports a
-// journal with nothing skipped and no job recorded twice.
-func parseJournal(data []byte, latest map[string]jobLine) (clean bool, warns []error) {
+// parseJournal reads journal bytes into latest, keyed by record ID:
+// each newline-terminated line holds one record, and a later line
+// replaces an earlier one of the same ID. A line decodeRecord rejects
+// is skipped with a warning, and so are bytes after the last newline
+// (an append torn by a crash). clean reports a journal with nothing
+// skipped and no ID recorded twice.
+func parseJournal(data []byte, latest map[string]record) (clean bool, warns []error) {
 	clean = true
 	for n := 1; len(data) > 0; n++ {
 		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
-			warns = append(warns, fmt.Errorf("service: job journal line %d: torn record (%d bytes, no newline) skipped", n, len(data)))
+			warns = append(warns, fmt.Errorf("service: record journal line %d: torn record (%d bytes, no newline) skipped", n, len(data)))
 			return false, warns
 		}
 		line := data[:i]
 		data = data[i+1:]
-		j, err := decodeJob(line)
+		id, r, err := decodeRecord(line)
 		if err != nil {
-			warns = append(warns, fmt.Errorf("service: job journal line %d: %w", n, err))
+			warns = append(warns, fmt.Errorf("service: record journal line %d: %w", n, err))
 			clean = false
 			continue
 		}
-		if _, dup := latest[j.ID]; dup {
+		if _, dup := latest[id]; dup {
 			clean = false
 		}
-		latest[j.ID] = jobLine{j, line}
+		latest[id] = r
 	}
 	return clean, warns
 }
 
-// decodeJob decodes one job record: a single JSON object carrying a
-// valid job ID.
-func decodeJob(b []byte) (*Job, error) {
+// decodeRecord decodes one record: a single JSON object whose ID picks
+// its type, a job ("j") or a batch ("b"). A batch that has not finished
+// must carry one request per config, or it could not resume.
+func decodeRecord(b []byte) (id string, r record, err error) {
 	if b := bytes.TrimLeft(b, " \t\r\n"); len(b) == 0 || b[0] != '{' {
-		return nil, fmt.Errorf("want a JSON object, got %.20q", b)
+		return "", r, fmt.Errorf("want a JSON object, got %.20q", b)
 	}
-	var j Job
-	if err := json.Unmarshal(b, &j); err != nil {
-		return nil, err
+	var head struct {
+		ID string `json:"id"`
 	}
-	if !validID(j.ID) {
-		return nil, fmt.Errorf("invalid job id %q", j.ID)
+	if err := json.Unmarshal(b, &head); err != nil {
+		return "", r, err
 	}
-	return &j, nil
+	r.line = b
+	switch id = head.ID; {
+	case validID(id, 'j'):
+		r.job = new(Job)
+		err = json.Unmarshal(b, r.job)
+	case validID(id, 'b'):
+		r.batch = new(Batch)
+		err = json.Unmarshal(b, r.batch)
+		if err == nil && !r.batch.State.Terminal() && len(r.batch.Requests) != len(r.batch.Configs) {
+			err = fmt.Errorf("unfinished batch %s has %d requests for %d configs", id, len(r.batch.Requests), len(r.batch.Configs))
+		}
+	default:
+		err = fmt.Errorf("invalid record id %q", id)
+	}
+	return id, r, err
 }
 
-// loadLegacyJobs reads a jobs/ directory in the one-file-per-job layout
+// loadLegacyDir reads a directory in the one-file-per-record layout
 // into latest; found reports whether the directory exists.
-func loadLegacyJobs(dir string, latest map[string]jobLine) (found bool, warns []error, err error) {
+func loadLegacyDir(dir string, latest map[string]record) (found bool, warns []error, err error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil, nil
 	}
 	if err != nil {
-		return false, nil, fmt.Errorf("service: load jobs: %w", err)
+		return false, nil, fmt.Errorf("service: load records: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -257,14 +300,17 @@ func loadLegacyJobs(dir string, latest map[string]jobLine) (found bool, warns []
 			warns = append(warns, err)
 			continue
 		}
-		j, err := decodeJob(b)
-		if err != nil {
-			warns = append(warns, fmt.Errorf("service: job record %s: %w", name, err))
+		var line bytes.Buffer
+		if err := json.Compact(&line, b); err != nil {
+			warns = append(warns, fmt.Errorf("service: record %s: %w", name, err))
 			continue
 		}
-		var line bytes.Buffer
-		json.Compact(&line, b) // valid JSON: decodeJob accepted it
-		latest[j.ID] = jobLine{j, line.Bytes()}
+		id, r, err := decodeRecord(line.Bytes())
+		if err != nil {
+			warns = append(warns, fmt.Errorf("service: record %s: %w", name, err))
+			continue
+		}
+		latest[id] = r
 	}
 	return true, warns, nil
 }
@@ -323,65 +369,6 @@ func (s *Store) ResultHashes() ([]string, error) {
 	return hashes, nil
 }
 
-// SaveBatch persists one batch record (requests included, so an
-// interrupted batch can resume after a restart).
-func (s *Store) SaveBatch(b *Batch) error {
-	if !validBatchID(b.ID) {
-		return fmt.Errorf("service: refusing to persist batch with unsafe id %q", b.ID)
-	}
-	data, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("service: marshal batch %s: %w", b.ID, err)
-	}
-	if err := writeAtomic(filepath.Join(s.dir, "batches", b.ID+".json"), data); err != nil {
-		return fmt.Errorf("service: save batch %s: %w", b.ID, err)
-	}
-	return nil
-}
-
-// LoadBatches reads every batch record, sorted by ID (submission
-// order). Unreadable records are skipped, not fatal.
-func (s *Store) LoadBatches() ([]*Batch, []error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "batches"))
-	if err != nil {
-		return nil, []error{fmt.Errorf("service: load batches: %w", err)}
-	}
-	var batches []*Batch
-	var warns []error
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, "batches", name))
-		if err != nil {
-			warns = append(warns, err)
-			continue
-		}
-		var b Batch
-		if err := json.Unmarshal(data, &b); err != nil {
-			warns = append(warns, fmt.Errorf("service: batch record %s: %w", name, err))
-			continue
-		}
-		batches = append(batches, &b)
-	}
-	sort.Slice(batches, func(i, k int) bool { return batches[i].ID < batches[k].ID })
-	return batches, warns
-}
-
-// validBatchID accepts the server's own "b"-prefixed decimal batch IDs.
-func validBatchID(id string) bool {
-	if len(id) < 2 || len(id) > 32 || id[0] != 'b' {
-		return false
-	}
-	for _, c := range id[1:] {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
-}
-
 // validHash accepts exactly the SHA-256 hex digests Request.Hash emits;
 // anything else (in particular anything with path separators) is
 // rejected before it can touch the filesystem.
@@ -397,9 +384,20 @@ func validHash(h string) bool {
 	return true
 }
 
-// validID accepts the server's own "j"-prefixed decimal job IDs.
-func validID(id string) bool {
-	if len(id) < 2 || len(id) > 32 || id[0] != 'j' {
+// idSeq parses the sequence number of a valid record ID (one prefix
+// letter, then decimal digits); -1 when it does not fit an int.
+func idSeq(id string) int {
+	n, err := strconv.Atoi(id[1:])
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// validID accepts the server's own record IDs: prefix ("j" for jobs,
+// "b" for batches), then decimal digits.
+func validID(id string, prefix byte) bool {
+	if len(id) < 2 || len(id) > 32 || id[0] != prefix {
 		return false
 	}
 	for _, c := range id[1:] {

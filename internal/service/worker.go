@@ -2,10 +2,14 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"time"
 
+	"qlec/internal/energy"
+	"qlec/internal/experiment"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
+	"qlec/internal/sim"
 )
 
 // workerLoop is one pool worker: pop job IDs until the queue closes.
@@ -100,8 +104,6 @@ func (s *Server) runJob(id string) {
 
 	log := s.log.With("job", id, "kind", string(req.Kind), "requestId", rid)
 	ctx = obs.ContextWithRequestID(ctx, rid)
-	ctx = obs.ContextWithMetrics(ctx, s.reg)
-	ctx = obs.ContextWithTrace(ctx, s.fleet.spans)
 	ctx = obs.ContextWithSpan(ctx, jobSC)
 	log.Info("job started", "attempt", attempt)
 	s.om.busyWorkers.Inc()
@@ -120,10 +122,14 @@ func (s *Server) runJob(id string) {
 		// local cell executors and charge this job for its neighbours.
 		env, usage, err = s.fleet.runSweep(ctx, req, hub.publish)
 	default:
+		var h experiment.Hooks
+		if req.Kind == KindOne {
+			h.Observer = s.roundObserver(req, jobSC, hub)
+		}
 		// Direct runs get a process-wide bracket; this daemon burned the
 		// cycles, so it also owns the cost-counter increment.
 		bracket := prof.Begin()
-		env, err = s.opt.Run(ctx, req, hub.publish)
+		env, err = s.opt.Run(ctx, req, h)
 		usage = bracket.End()
 		s.om.accountUsage(string(req.Kind), protocolLabel(req), usage)
 	}
@@ -222,5 +228,33 @@ func (s *Server) runJob(id string) {
 		if state == StateDone {
 			log.Info("job done", "durationMs", float64(elapsed.Microseconds())/1000)
 		}
+	}
+}
+
+// roundObserver is a KindOne job's per-round hook: each round becomes
+// an SSE round event, feeds the live simulation gauges, and records a
+// span parented on the job span. Rounds get no span ID of their own:
+// nothing is parented under a round, and that keeps crypto/rand out of
+// the loop.
+func (s *Server) roundObserver(req Request, jobSC obs.SpanContext, hub *eventHub) sim.Observer {
+	cfg := req.Config
+	collector := obs.NewSimCollector(s.reg, string(req.Protocols[0]),
+		cfg.InitialEnergy*energy.Joules(cfg.N), cfg.K)
+	round := obs.SpanContext{TraceID: jobSC.TraceID, Parent: jobSC.SpanID}
+	prev := time.Now()
+	return func(snap sim.RoundSnapshot) {
+		now := time.Now()
+		collector.Observe(snap)
+		s.fleet.spans.Span(round, fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
+			map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
+		prev = now
+		hub.publish(Event{Type: EventRound, Round: &RoundProgress{
+			Round:     snap.Round,
+			Alive:     snap.Alive,
+			Generated: snap.Stats.Generated,
+			Delivered: snap.Stats.Delivered,
+			EnergyJ:   float64(snap.EnergySoFar),
+			Done:      snap.Done,
+		}})
 	}
 }
