@@ -1,9 +1,7 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"qlec/internal/obs"
@@ -130,7 +128,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	b := &Batch{
-		ID:        fmt.Sprintf("b%08d", s.nextBatchID),
+		ID:        recordID('b', s.nextBatchID),
 		State:     StateRunning,
 		RequestID: rid,
 		TraceID:   sc.TraceID,
@@ -152,30 +150,22 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]*Batch, 0, len(s.batches))
-	for _, b := range s.batches {
-		out = append(out, b.view(false))
+	recs := s.listRecords('b')
+	out := make([]*Batch, len(recs))
+	for i, f := range recs {
+		out[i] = f.batch.view(false)
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	var view *Batch
-	if ok {
-		view = b.view(true)
-	}
-	s.mu.Unlock()
-	if !ok {
+	f := s.record(id)
+	if f.batch == nil {
 		writeErr(w, http.StatusNotFound, "no batch %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, f.batch)
 }
 
 // persistBatchLocked writes the batch record through to the store;
@@ -193,13 +183,7 @@ func (s *Server) persistBatchLocked(b *Batch) {
 func (s *Server) openBatches() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.batches {
-		if !b.State.Terminal() {
-			n++
-		}
-	}
-	return n
+	return len(s.batches)
 }
 
 // batchEntry is one config still executing: its index and its cells
@@ -376,7 +360,7 @@ func (s *Server) runBatch(id string) {
 	b.Requests = nil
 	configs, failed, resources := b.ConfigsDone, b.Failed, b.Resources
 	s.persistBatchLocked(b)
-	s.retireHubLocked(id)
+	s.finishLocked(id)
 	s.mu.Unlock()
 	hub.publish(progressEvent())
 	hub.publish(Event{Type: EventState, State: StateDone, Resources: resources})

@@ -8,12 +8,13 @@ import "sync"
 // advisory — the authoritative record is the job and its result).
 const maxHubHistory = 4096
 
-// maxFinishedHubs bounds the finished jobs whose event history stays
-// replayable (FIFO by finish, like the trace store). A finished hub
-// holds at most maxHubHistory events, so the worst case is 256 × 4,096
-// events; a job past the bound streams only its terminal state, as a
-// cache hit does. Sized like maxCachedEnvelopes.
-const maxFinishedHubs = 256
+// maxFinishedRecords bounds the finished jobs and batches the server
+// keeps in memory, with their event history (FIFO by finish, like the
+// trace store). A finished hub holds at most maxHubHistory events, so
+// the worst case is 256 × 4,096 events. An older record is read back
+// from the journal and streams only its terminal state, as a cache hit
+// does; without a data dir it is gone. Sized like maxCachedEnvelopes.
+const maxFinishedRecords = 256
 
 // subChanBuf is each subscriber's channel depth; a subscriber that lags
 // further behind loses its oldest buffered events, never the stream's

@@ -1,12 +1,12 @@
 package service
 
-// MaxFinishedHubs exposes maxFinishedHubs to the external tests.
-const MaxFinishedHubs = maxFinishedHubs
+// MaxFinishedRecords exposes maxFinishedRecords to the external tests.
+const MaxFinishedRecords = maxFinishedRecords
 
-// HeldHubs reports the event hubs s holds: live ones (unfinished jobs
-// and batches) and those of recently finished ones.
-func HeldHubs(s *Server) (live, finished int) {
+// HeldRecords reports the job and batch records s holds in memory: live
+// ones (unfinished jobs and batches) and recently finished ones.
+func HeldRecords(s *Server) (live, finished int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.hubs), s.doneHubs.Len()
+	return len(s.jobs) + len(s.batches), s.finished.Len()
 }

@@ -18,7 +18,9 @@ import (
 // request per config (what its resume indexes), the cut journal must
 // load exactly the last complete record of each ID, and the boot
 // rewrite must leave a journal that reloads to the same records with
-// no warnings. Seeds live in testdata/fuzz/FuzzLoadJobJournal.
+// no warnings. The offset index must read back every loaded record,
+// and keep doing so after later appends, one of them behind a torn
+// tail. Seeds live in testdata/fuzz/FuzzLoadJobJournal.
 func FuzzLoadJobJournal(f *testing.F) {
 	saved, records := savedJournal(f)
 	f.Add(saved, uint16(len(saved)))
@@ -149,6 +151,7 @@ func loadJournalBytes(t *testing.T, dir string, data []byte) map[string]string {
 		return out, warns
 	}
 	got, _ := load()
+	checkIndex(t, st, got)
 	again, warns := load()
 	if len(warns) != 0 || len(again) != len(got) {
 		t.Fatalf("rewritten journal reloads %d of %d records, warnings %v", len(again), len(got), warns)
@@ -158,5 +161,83 @@ func loadJournalBytes(t *testing.T, dir string, data []byte) map[string]string {
 			t.Fatalf("rewrite changed record %s:\n%s\n%s", id, rec, again[id])
 		}
 	}
+	checkIndex(t, st, got)
+
+	// Later appends: a new job, a new state of a loaded record, then a
+	// tail torn by a failed append and a record after it.
+	want := make(map[string]string, len(got)+2)
+	for id, rec := range got {
+		want[id] = rec
+	}
+	save := func(j *Job) {
+		if err := st.SaveJob(j); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j.ID] = string(b)
+	}
+	next := 1
+	for id := range got {
+		next = max(next, idSeq(id)+1)
+	}
+	save(&Job{ID: recordID('j', next), State: StateQueued})
+	for id := range got {
+		if id[0] == 'j' {
+			save(&Job{ID: id, State: StateFailed, Error: "later"})
+			break
+		}
+	}
+	checkIndex(t, st, want)
+	st.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"j0000`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st.torn = true
+	save(&Job{ID: recordID('j', next+1), State: StateDone})
+	checkIndex(t, st, want)
 	return got
+}
+
+// checkIndex requires the store's offset index to list exactly the
+// records of want (JSON by ID) and to read each one back equal.
+func checkIndex(t *testing.T, st *Store, want map[string]string) {
+	t.Helper()
+	n := 0
+	for _, prefix := range []byte{'j', 'b'} {
+		for _, seq := range st.Seqs(prefix) {
+			id := recordID(prefix, seq)
+			if _, ok := want[id]; !ok {
+				t.Fatalf("index lists %s, which was not loaded", id)
+			}
+			n++
+		}
+	}
+	if n != len(want) {
+		t.Fatalf("index lists %d records, want %d", n, len(want))
+	}
+	for id, rec := range want {
+		j, b, err := st.LoadRecord(id)
+		if err != nil {
+			t.Fatalf("index read of %s: %v", id, err)
+		}
+		var v any = j
+		if b != nil {
+			v = b
+		}
+		got, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != rec {
+			t.Fatalf("index reads %s as\n%s\nwant\n%s", id, got, rec)
+		}
+	}
 }

@@ -221,13 +221,15 @@ func TestSubmitRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// TestFinishedHubsBounded: finished jobs keep their event history only
-// while they are among the last MaxFinishedHubs to finish. An older one
-// streams its terminal state alone, resources included.
+// TestFinishedHubsBounded: finished jobs stay in memory, with their
+// event history, only while they are among the last MaxFinishedRecords
+// to finish. An older one is read back from the journal and streams its
+// terminal state alone, resources included.
 func TestFinishedHubsBounded(t *testing.T) {
-	srv, cl := newTestServer(t, service.Options{Workers: 2, QueueLimit: 4 * service.MaxFinishedHubs, Run: stubRun(3, nil)})
+	srv, cl := newTestServer(t, service.Options{DataDir: t.TempDir(), Workers: 2,
+		QueueLimit: 4 * service.MaxFinishedRecords, Run: stubRun(3, nil)})
 	ctx := context.Background()
-	n := service.MaxFinishedHubs + 8
+	n := service.MaxFinishedRecords + 8
 	ids := make([]string, n)
 	for i := range ids {
 		req := oneRequest(tinyCfg())
@@ -242,8 +244,8 @@ func TestFinishedHubsBounded(t *testing.T) {
 		}
 		ids[i] = j.ID
 	}
-	if live, finished := service.HeldHubs(srv); live != 0 || finished != service.MaxFinishedHubs {
-		t.Fatalf("held hubs: %d live, %d finished; want 0 live and %d finished", live, finished, service.MaxFinishedHubs)
+	if live, finished := service.HeldRecords(srv); live != 0 || finished != service.MaxFinishedRecords {
+		t.Fatalf("held records: %d live, %d finished; want 0 live and %d finished", live, finished, service.MaxFinishedRecords)
 	}
 
 	newest := collectEvents(t, cl, ids[n-1])
@@ -264,12 +266,14 @@ func TestFinishedHubsBounded(t *testing.T) {
 	}
 }
 
-// TestFinishedBatchHubRetires: a finished batch's hub leaves the live
-// table for the same bounded store of finished hubs that jobs use. Once
-// MaxFinishedHubs later jobs have finished, the batch's /events streams
-// its terminal state alone, resources included.
+// TestFinishedBatchHubRetires: a finished batch leaves the live table
+// for the same bounded store of finished records that jobs use. Once
+// MaxFinishedRecords later jobs have finished, it is read back from the
+// journal: GET answers its record and /events streams its terminal
+// state alone, resources included.
 func TestFinishedBatchHubRetires(t *testing.T) {
-	srv, cl := newTestServer(t, service.Options{Workers: 2, QueueLimit: 4 * service.MaxFinishedHubs, Run: stubRun(0, nil)})
+	srv, cl := newTestServer(t, service.Options{DataDir: t.TempDir(), Workers: 2,
+		QueueLimit: 4 * service.MaxFinishedRecords, Run: stubRun(0, nil)})
 	ctx := context.Background()
 	b, err := cl.SubmitBatch(ctx, []service.Request{batchRequest(3)})
 	if err != nil {
@@ -279,8 +283,8 @@ func TestFinishedBatchHubRetires(t *testing.T) {
 		fin, err := cl.Batch(ctx, b.ID)
 		return err == nil && fin.State == service.StateDone
 	}, "batch never finished")
-	if live, finished := service.HeldHubs(srv); live != 0 || finished != 1 {
-		t.Fatalf("held hubs after the batch: %d live, %d finished; want 0 and 1", live, finished)
+	if live, finished := service.HeldRecords(srv); live != 0 || finished != 1 {
+		t.Fatalf("held records after the batch: %d live, %d finished; want 0 and 1", live, finished)
 	}
 	batchEvents := func() []service.Event {
 		var events []service.Event
@@ -296,7 +300,7 @@ func TestFinishedBatchHubRetires(t *testing.T) {
 		t.Fatalf("recently finished batch replayed %+v; want its whole history", events)
 	}
 
-	for i := 0; i < service.MaxFinishedHubs; i++ {
+	for i := 0; i < service.MaxFinishedRecords; i++ {
 		req := oneRequest(tinyCfg())
 		req.Seed = uint64(i + 1)
 		j, err := cl.Submit(ctx, req)
@@ -307,8 +311,11 @@ func TestFinishedBatchHubRetires(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if live, finished := service.HeldHubs(srv); live != 0 || finished != service.MaxFinishedHubs {
-		t.Fatalf("held hubs: %d live, %d finished; want 0 live and %d finished", live, finished, service.MaxFinishedHubs)
+	if live, finished := service.HeldRecords(srv); live != 0 || finished != service.MaxFinishedRecords {
+		t.Fatalf("held records: %d live, %d finished; want 0 live and %d finished", live, finished, service.MaxFinishedRecords)
+	}
+	if fin, err := cl.Batch(ctx, b.ID); err != nil || fin.State != service.StateDone || len(fin.Configs) != 1 {
+		t.Fatalf("evicted batch reads %+v, %v; want done with its config", fin, err)
 	}
 	events := batchEvents()
 	if len(events) != 1 || events[0].Type != service.EventState || events[0].State != service.StateDone || events[0].Resources == nil {

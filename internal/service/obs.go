@@ -16,6 +16,9 @@ type serverMetrics struct {
 	sseSubs     *obs.Gauge
 	jobCPU      *obs.CounterVec // {kind, protocol} attributed CPU seconds
 	jobAlloc    *obs.CounterVec // {kind, protocol} attributed alloc bytes
+	// jobs counts jobs by state, the ones only the journal still holds
+	// included; setStateLocked moves them.
+	jobs map[JobState]*obs.Gauge
 }
 
 // queueWaitBuckets span instant dequeues to long backlogs; job-duration
@@ -70,20 +73,10 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { _, m := s.cache.stats(); return float64(m) })
 	r.CounterFunc("qlecd_simulations_total", "Simulations actually executed (cache hits excluded).",
 		func() float64 { return float64(s.simsRun.Load()) })
+	jobs := r.GaugeVec("qlecd_jobs", "Jobs in the table, by lifecycle state.", "state")
+	m.jobs = make(map[JobState]*obs.Gauge)
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		st := st
-		r.GaugeFunc("qlecd_jobs", "Jobs in the table, by lifecycle state.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				n := 0
-				for _, j := range s.jobs {
-					if j.State == st {
-						n++
-					}
-				}
-				return float64(n)
-			}, "state", string(st))
+		m.jobs[st] = jobs.With(string(st))
 	}
 	return m
 }

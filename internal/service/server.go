@@ -9,7 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,14 +73,17 @@ type Server struct {
 	cache *resultCache
 	queue *jobQueue
 
+	// Memory holds the live (queued or running) jobs and batches and the
+	// last maxFinishedRecords finished ones; the journal holds every
+	// record, and the store's offset index reads the older ones back.
 	mu          sync.Mutex
-	jobs        map[string]*Job
-	hubs        map[string]*eventHub            // unfinished jobs and batches
-	doneHubs    *obs.Bounded[string, *eventHub] // the last maxFinishedHubs finished records
+	jobs        map[string]*Job                // queued and running jobs
+	batches     map[string]*Batch              // running batches
+	hubs        map[string]*eventHub           // event hubs of the live jobs and batches
+	finished    *obs.Bounded[string, finished] // the last maxFinishedRecords finished records
 	cancels     map[string]context.CancelFunc
 	inflight    map[string]string // request hash → queued/running job ID
 	nextID      int
-	batches     map[string]*Batch
 	nextBatchID int
 
 	fleet *fleetRuntime
@@ -128,12 +131,12 @@ func New(opt Options) (*Server, error) {
 		opt:         opt,
 		queue:       newJobQueue(),
 		jobs:        make(map[string]*Job),
+		batches:     make(map[string]*Batch),
 		hubs:        make(map[string]*eventHub),
-		doneHubs:    obs.NewBounded[string, *eventHub](maxFinishedHubs, nil, "", ""),
+		finished:    obs.NewBounded[string, finished](maxFinishedRecords, nil, "", ""),
 		cancels:     make(map[string]context.CancelFunc),
 		inflight:    make(map[string]string),
 		nextID:      1,
-		batches:     make(map[string]*Batch),
 		nextBatchID: 1,
 		log:         opt.Logger,
 		reg:         opt.Metrics,
@@ -180,7 +183,9 @@ func New(opt Options) (*Server, error) {
 // were interrupted mid-flight (crash, hard kill), so they re-enter the
 // queue too — re-execution is safe because simulations are
 // deterministic and results are content-addressed. Unfinished batches
-// resume from their submit records.
+// resume from their submit records. Of the finished records only the
+// last maxFinishedRecords to finish stay in memory; the store's index
+// serves the rest.
 func (s *Server) reload() error {
 	if s.store == nil {
 		return nil
@@ -192,39 +197,49 @@ func (s *Server) reload() error {
 	if err != nil {
 		return fmt.Errorf("service: reload failed: %w", err)
 	}
+	var done []finished
 	for _, j := range jobs { // sorted by ID = submission order
 		s.nextID = max(s.nextID, idSeq(j.ID)+1)
+		if g := s.om.jobs[j.State]; g != nil {
+			g.Inc()
+		}
 		if j.State == StateRunning {
 			s.log.Info("reload: requeueing job interrupted at shutdown", "job", j.ID)
-			j.State = StateQueued
+			s.setStateLocked(j, StateQueued)
 			j.CancelRequested = false
-			if err := s.store.SaveJob(j); err != nil {
-				s.log.Error("reload: persist job", "job", j.ID, "err", err)
-			}
+			s.persistLocked(j)
+		}
+		if j.State != StateQueued {
+			done = append(done, finished{job: j})
+			continue
 		}
 		s.jobs[j.ID] = j
-		if j.State == StateQueued {
-			s.hubs[j.ID] = newEventHub()
-			if prev, dup := s.inflight[j.Hash]; dup {
-				// Two queued jobs with one identity (crash between the
-				// duplicate check and persistence): keep the older one
-				// queued, the younger will coalesce via the cache when
-				// the older finishes.
-				s.log.Warn("reload: queued jobs share a hash", "older", prev, "younger", j.ID, "hash", j.Hash)
-			} else {
-				s.inflight[j.Hash] = j.ID
-			}
-			s.queue.push(j.ID)
+		s.hubs[j.ID] = newEventHub()
+		if prev, dup := s.inflight[j.Hash]; dup {
+			// Two queued jobs with one identity (crash between the
+			// duplicate check and persistence): keep the older one
+			// queued, the younger will coalesce via the cache when
+			// the older finishes.
+			s.log.Warn("reload: queued jobs share a hash", "older", prev, "younger", j.ID, "hash", j.Hash)
+		} else {
+			s.inflight[j.Hash] = j.ID
 		}
+		s.queue.push(j.ID)
 	}
 	var resume []string
 	for _, b := range batches {
 		s.nextBatchID = max(s.nextBatchID, idSeq(b.ID)+1)
-		s.batches[b.ID] = b
-		if !b.State.Terminal() {
-			s.hubs[b.ID] = newEventHub()
-			resume = append(resume, b.ID)
+		if b.State.Terminal() {
+			done = append(done, finished{batch: b})
+			continue
 		}
+		s.batches[b.ID] = b
+		s.hubs[b.ID] = newEventHub()
+		resume = append(resume, b.ID)
+	}
+	slices.SortStableFunc(done, func(a, b finished) int { return a.finishedAt().Compare(b.finishedAt()) })
+	for _, f := range done[max(0, len(done)-maxFinishedRecords):] {
+		s.finished.Put(f.id(), f)
 	}
 	for _, id := range resume {
 		s.log.Info("reload: resuming interrupted batch", "batch", id, "configs", len(s.batches[id].Configs))
@@ -346,11 +361,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j := s.newJobLocked(req, hash)
 		j.RequestID = rid
 		j.TraceID = sc.TraceID
-		j.State = StateDone
+		s.setStateLocked(j, StateDone)
 		j.CacheHit = true
 		j.StartedAt = j.CreatedAt
 		j.FinishedAt = j.CreatedAt
 		s.persistLocked(j)
+		s.finishLocked(j.ID)
 		view := j.clone()
 		s.mu.Unlock()
 		s.fleet.spans.Instant(sc, "submit "+j.ID, "submit",
@@ -379,7 +395,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := s.newJobLocked(req, hash)
 	j.RequestID = rid
 	j.TraceID = sc.TraceID
-	j.State = StateQueued
+	s.setStateLocked(j, StateQueued)
 	s.hubs[j.ID] = newEventHub()
 	s.inflight[hash] = j.ID
 	s.persistLocked(j)
@@ -391,10 +407,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, view)
 }
 
-// newJobLocked allocates the next job record; caller holds s.mu.
+// newJobLocked allocates the next job record into the live table;
+// caller holds s.mu.
 func (s *Server) newJobLocked(req Request, hash string) *Job {
 	j := &Job{
-		ID:        fmt.Sprintf("j%08d", s.nextID),
+		ID:        recordID('j', s.nextID),
 		Hash:      hash,
 		Request:   req,
 		CreatedAt: time.Now().UTC(),
@@ -402,6 +419,16 @@ func (s *Server) newJobLocked(req Request, hash string) *Job {
 	s.nextID++
 	s.jobs[j.ID] = j
 	return j
+}
+
+// setStateLocked moves j to state st and keeps the per-state job
+// counts behind qlecd_jobs; caller holds s.mu.
+func (s *Server) setStateLocked(j *Job, st JobState) {
+	if g := s.om.jobs[j.State]; g != nil {
+		g.Dec()
+	}
+	j.State = st
+	s.om.jobs[st].Inc()
 }
 
 // persistLocked writes the job record through to the store (when one is
@@ -417,30 +444,22 @@ func (s *Server) persistLocked(j *Job) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j.clone())
+	recs := s.listRecords('j')
+	out := make([]*Job, len(recs))
+	for i, f := range recs {
+		out[i] = f.job
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var view *Job
-	if ok {
-		view = j.clone()
-	}
-	s.mu.Unlock()
-	if !ok {
+	f := s.record(id)
+	if f.job == nil {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, f.job)
 }
 
 // handleCancel implements DELETE /v1/jobs/{id}. Cancelling a queued job
@@ -450,21 +469,25 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j, live := s.jobs[id]
+	if !live {
 		s.mu.Unlock()
+		if f := s.record(id); f.job != nil {
+			writeJSON(w, http.StatusOK, f.job)
+			return
+		}
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	switch j.State {
 	case StateQueued:
-		j.State = StateCancelled
+		s.setStateLocked(j, StateCancelled)
 		j.CancelRequested = true
 		j.Error = "cancelled while queued"
 		j.FinishedAt = time.Now().UTC()
 		delete(s.inflight, j.Hash)
 		s.persistLocked(j)
-		if hub := s.retireHubLocked(id); hub != nil {
+		if hub := s.finishLocked(id); hub != nil {
 			hub.publish(Event{Type: EventState, State: StateCancelled, Error: j.Error})
 			hub.close()
 		}
@@ -482,17 +505,128 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// retireHubLocked moves a job or batch that just reached a terminal
-// state from the live hub table to the bounded store of recently
-// finished ones and returns its hub (nil if it had none); caller holds
-// s.mu.
-func (s *Server) retireHubLocked(id string) *eventHub {
-	hub := s.hubs[id]
-	if hub != nil {
-		delete(s.hubs, id)
-		s.doneHubs.Put(id, hub)
+// finished is one entry of the bounded store of recently finished
+// records: a job or a batch (the other is nil) and its event hub (nil
+// for cache hits and reloaded records).
+type finished struct {
+	job   *Job
+	batch *Batch
+	hub   *eventHub
+}
+
+func (f finished) id() string {
+	if f.job != nil {
+		return f.job.ID
 	}
-	return hub
+	return f.batch.ID
+}
+
+func (f finished) finishedAt() time.Time {
+	if f.job != nil {
+		return f.job.FinishedAt
+	}
+	return f.batch.FinishedAt
+}
+
+// finishLocked moves a job or batch that just reached a terminal state,
+// and was persisted in it, from the live tables to the bounded store of
+// recently finished records, and returns its hub (nil if it had none).
+// The store's oldest record leaves memory: the journal serves it from
+// then on, and without a data dir it is gone. Caller holds s.mu.
+func (s *Server) finishLocked(id string) *eventHub {
+	f := finished{job: s.jobs[id], batch: s.batches[id], hub: s.hubs[id]}
+	delete(s.jobs, id)
+	delete(s.batches, id)
+	delete(s.hubs, id)
+	s.finished.Put(id, f)
+	return f.hub
+}
+
+// record returns job or batch id (by its prefix) as the API serves it:
+// a live one copied under s.mu, else a recently finished one, else one
+// read back from the journal. A finished record never changes, so it is
+// served as held. Both job and batch are nil for an unknown ID, and for
+// one past the retention limit of a server without a data dir. Caller
+// must not hold s.mu.
+func (s *Server) record(id string) (f finished) {
+	s.mu.Lock()
+	if j, live := s.jobs[id]; live {
+		f = finished{job: j.clone(), hub: s.hubs[id]}
+	} else if b, live := s.batches[id]; live {
+		f = finished{batch: b.view(true), hub: s.hubs[id]}
+	}
+	s.mu.Unlock()
+	if f.job != nil || f.batch != nil {
+		return f
+	}
+	// A record leaves the live tables for the finished store, and that
+	// store for the journal, only once the journal holds its last state.
+	if f, ok := s.finished.Get(id); ok {
+		if f.batch != nil {
+			f.batch = f.batch.view(true)
+		}
+		return f
+	}
+	if s.store != nil {
+		var err error
+		if f.job, f.batch, err = s.store.LoadRecord(id); err != nil && !errors.Is(err, ErrNotFound) {
+			s.log.Error("read record", "id", id, "err", err)
+		}
+		if f.batch != nil {
+			f.batch = f.batch.view(true)
+		}
+	}
+	return f
+}
+
+// listRecords returns every job or batch (prefix 'j' or 'b') as record
+// serves it, in ID order: the journal's records merged with the live
+// and recently finished ones in memory. Nothing outlives the call.
+func (s *Server) listRecords(prefix byte) []finished {
+	mem := make(map[int]finished)
+	s.mu.Lock()
+	if prefix == 'j' {
+		for id, j := range s.jobs {
+			mem[idSeq(id)] = finished{job: j.clone()}
+		}
+	} else {
+		for id, b := range s.batches {
+			mem[idSeq(id)] = finished{batch: b.view(true)}
+		}
+	}
+	s.mu.Unlock()
+	for _, f := range s.finished.Values() {
+		if id := f.id(); id[0] == prefix {
+			if _, live := mem[idSeq(id)]; !live {
+				mem[idSeq(id)] = f
+			}
+		}
+	}
+	seqs := make([]int, 0, len(mem))
+	for seq := range mem {
+		seqs = append(seqs, seq)
+	}
+	if s.store != nil {
+		for _, seq := range s.store.Seqs(prefix) {
+			if _, held := mem[seq]; !held {
+				seqs = append(seqs, seq)
+			}
+		}
+	}
+	slices.Sort(seqs)
+	out := make([]finished, 0, len(seqs))
+	for _, seq := range seqs {
+		f, held := mem[seq]
+		if !held {
+			var err error
+			if f.job, f.batch, err = s.store.LoadRecord(recordID(prefix, seq)); err != nil {
+				s.log.Error("list: read record", "id", recordID(prefix, seq), "err", err)
+				continue
+			}
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // recordRef is what the event and trace endpoints serve of one job or
@@ -514,18 +648,15 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (rec recordRef, 
 	if strings.HasPrefix(r.URL.Path, "/v1/batches/") {
 		rec.what = "batch"
 	}
-	s.mu.Lock()
-	if j, found := s.jobs[rec.id]; found && rec.what == "job" {
+	f := s.record(rec.id)
+	if j := f.job; j != nil && rec.what == "job" {
 		rec.terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error, Resources: j.Resources}
 		rec.traceID, ok = j.TraceID, true
-	} else if b, found := s.batches[rec.id]; found && rec.what == "batch" {
+	} else if b := f.batch; b != nil && rec.what == "batch" {
 		rec.terminal = Event{Seq: 1, Type: EventState, State: b.State, Resources: b.Resources}
 		rec.traceID, ok = b.TraceID, true
 	}
-	if rec.hub = s.hubs[rec.id]; rec.hub == nil {
-		rec.hub, _ = s.doneHubs.Get(rec.id)
-	}
-	s.mu.Unlock()
+	rec.hub = f.hub
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no %s %q", rec.what, rec.id)
 	}
@@ -539,7 +670,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (rec recordRef, 
 // event is always that state transition. A batch's stream rolls the
 // whole batch up: per-config terminal events (EventConfig) and
 // aggregate progress (EventBatch). History outlives the record only for
-// the last maxFinishedHubs finished ones; an older one streams its
+// the last maxFinishedRecords finished ones; an older one streams its
 // terminal state alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if rec, ok := s.lookup(w, r); ok {
@@ -716,20 +847,13 @@ func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 // unknown and unfinished jobs 404.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, known := s.jobs[id]
-	var req Request
-	var finished bool
-	if known {
-		req = j.Request
-		finished = req.Kind == KindOne && j.State == StateDone
-	}
-	s.mu.Unlock()
-	if !known {
+	f := s.record(id)
+	if f.job == nil {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	if !finished {
+	req := f.job.Request
+	if req.Kind != KindOne || f.job.State != StateDone {
 		writeErr(w, http.StatusNotFound, "no audit for job %q (only finished single runs have one)", id)
 		return
 	}

@@ -66,12 +66,12 @@ func (s *Server) runJob(id string) {
 	// with completion). Content addressing makes the recheck free.
 	if env, ok := s.cache.peek(j.Hash); ok && env != nil {
 		now := time.Now().UTC()
-		j.State = StateDone
+		s.setStateLocked(j, StateDone)
 		j.CacheHit = true
 		j.StartedAt, j.FinishedAt = now, now
 		delete(s.inflight, j.Hash)
 		s.persistLocked(j)
-		s.retireHubLocked(id)
+		s.finishLocked(id)
 		s.mu.Unlock()
 		hub.publish(Event{Type: EventState, State: StateDone})
 		hub.close()
@@ -86,7 +86,7 @@ func (s *Server) runJob(id string) {
 		s.om.queueWait.Observe(time.Since(j.CreatedAt).Seconds())
 		s.fleet.spans.Span(jobSC, "queue wait", "queue", j.CreatedAt, time.Now(), nil)
 	}
-	j.State = StateRunning
+	s.setStateLocked(j, StateRunning)
 	j.Attempts++
 	j.StartedAt = time.Now().UTC()
 	ctx, cancel := context.WithCancel(s.hardCtx)
@@ -161,13 +161,13 @@ func (s *Server) runJob(id string) {
 		if perr := s.cache.put(j.Hash, env, true); perr != nil {
 			log.Error("cache result", "err", perr)
 		}
-		j.State = StateDone
+		s.setStateLocked(j, StateDone)
 		j.Error = ""
 		j.FinishedAt = now
 		delete(s.inflight, j.Hash)
 		closeHub = true
 	case interrupted && j.CancelRequested:
-		j.State = StateCancelled
+		s.setStateLocked(j, StateCancelled)
 		j.Error = "cancelled"
 		j.FinishedAt = now
 		delete(s.inflight, j.Hash)
@@ -177,17 +177,17 @@ func (s *Server) runJob(id string) {
 		// interrupted, not over. It persists as queued and re-enters
 		// the queue on the next start; the aborted attempt doesn't
 		// count against the retry budget.
-		j.State = StateQueued
+		s.setStateLocked(j, StateQueued)
 		j.Attempts--
 		log.Info("job interrupted by shutdown; persisted as queued")
 	case IsTransient(err) && j.Attempts <= s.opt.MaxRetries:
-		j.State = StateQueued
+		s.setStateLocked(j, StateQueued)
 		j.Error = err.Error()
 		requeue = true
 		log.Warn("job transient failure",
 			"attempt", j.Attempts, "maxAttempts", s.opt.MaxRetries+1, "err", err)
 	default:
-		j.State = StateFailed
+		s.setStateLocked(j, StateFailed)
 		j.Error = err.Error()
 		j.FinishedAt = now
 		delete(s.inflight, j.Hash)
@@ -196,7 +196,7 @@ func (s *Server) runJob(id string) {
 	}
 	s.persistLocked(j)
 	if closeHub {
-		s.retireHubLocked(id)
+		s.finishLocked(id)
 	}
 	state, errMsg, hash := j.State, j.Error, j.Hash
 	resources := j.Resources // immutable once set; safe to share
