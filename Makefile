@@ -30,11 +30,15 @@ race-service:
 serve:
 	$(GO) run ./cmd/qlecd -addr :8080 -data-dir qlecd-data
 
-# Everything CI runs (see .github/workflows/ci.yml): build + vet, the
-# full test suite, the race detector, and a short real sweep through the
-# parallel runner under -race to shake out orchestration races that the
-# unit tests' stub protocols cannot reach.
-ci: build test race race-service
+# CI's `test` job (see .github/workflows/ci.yml) runs this target:
+# build + vet, the full test suite, the race detector over every package
+# (which covers the service, runner, obs and protocol packages once),
+# and a short real sweep through the parallel runner under -race to
+# shake out orchestration races that the unit tests' stub protocols
+# cannot reach. The `service-race` job runs `make race-service` (those
+# packages under -race twice more) on its own, so it is not repeated
+# here.
+ci: build test race
 	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestMap' ./internal/experiment ./internal/runner
 	$(GO) run -race ./cmd/qlecfig -fig ksweep -quick -workers 0 >/dev/null
 

@@ -251,19 +251,25 @@ func BenchmarkTheorem1OptimalK(b *testing.B) {
 }
 
 // BenchmarkLemma1MeanSqDist Monte-Carlo-checks Lemma 1's closed form for
-// E[d²_toCH] each iteration.
+// E[d²_toCH] each iteration: uniform points of the cube around a ball of
+// radius d_c, kept when they fall inside the ball.
 func BenchmarkLemma1MeanSqDist(b *testing.B) {
 	r := rng.New(3)
 	const side, k = 200.0, 5
 	closed := energy.ExpectedSqDistToCH(side, k)
 	dc := geom.CoverageRadius(side, k)
 	center := geom.Vec3{X: 100, Y: 100, Z: 100}
+	d := geom.Vec3{X: dc, Y: dc, Z: dc}
+	cube := geom.AABB{Min: center.Sub(d), Max: center.Add(d)}
 	var mc float64
 	for i := 0; i < b.N; i++ {
 		sum := 0.0
 		const samples = 10000
-		for s := 0; s < samples; s++ {
-			sum += geom.SampleBall(r, center, dc).DistSq(center)
+		for s := 0; s < samples; {
+			if d2 := cube.SampleUniform(r).DistSq(center); d2 <= dc*dc {
+				sum += d2
+				s++
+			}
 		}
 		mc = sum / samples
 	}

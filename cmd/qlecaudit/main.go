@@ -234,13 +234,12 @@ func cmdExplain(args []string) {
 			fmt.Sprintf("%d", d.Round),
 			candidateString(d.Candidates, d.QValues),
 			nodeName(d.Greedy),
-			chosenString(d),
-			rollString(d.EpsRoll),
+			nodeName(d.Chosen),
 			rewardString(d),
 		})
 	}
 	fmt.Println(plot.Table(
-		[]string{"round", "candidates (Q)", "greedy", "chosen", "eps roll", "reward"}, rows))
+		[]string{"round", "candidates (Q)", "greedy", "chosen", "reward"}, rows))
 }
 
 func candidateString(cands []int, qs []float64) string {
@@ -262,21 +261,6 @@ func nodeName(id int) string {
 		return "base station"
 	}
 	return fmt.Sprintf("node %d", id)
-}
-
-func chosenString(d audit.DecisionRecord) string {
-	s := nodeName(d.Chosen)
-	if d.Explored {
-		s += " (explored)"
-	}
-	return s
-}
-
-func rollString(roll *float64) string {
-	if roll == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%.3f", *roll)
 }
 
 func rewardString(d audit.DecisionRecord) string {

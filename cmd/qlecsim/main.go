@@ -213,7 +213,7 @@ func main() {
 		var spans *obs.TraceStore
 		sc := obs.SpanContext{TraceID: obs.NewSpanContext().TraceID}
 		if *chromePath != "" {
-			spans = obs.NewTraceStore("qlecsim", 1, 0)
+			spans = obs.NewTraceStore("qlecsim", 1)
 		}
 		if !*quiet || spans != nil {
 			prev := time.Now()

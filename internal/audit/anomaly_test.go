@@ -19,13 +19,13 @@ import (
 	"qlec/internal/sim"
 )
 
-func boundRecorder(t *testing.T, opt audit.Options, n int, initialJ energy.Joules) *audit.Recorder {
+func boundRecorder(t *testing.T, lim audit.Limits, n int, initialJ energy.Joules) *audit.Recorder {
 	t.Helper()
 	w, err := network.Deploy(network.Deployment{N: n, Side: 100, InitialEnergy: initialJ}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := audit.New(opt)
+	rec := audit.NewLimited(lim)
 	if err := rec.Bind(w, 0.5, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -33,81 +33,81 @@ func boundRecorder(t *testing.T, opt audit.Options, n int, initialJ energy.Joule
 }
 
 func TestBindIsSingleUse(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{}, 4, 5)
+	rec := boundRecorder(t, audit.Limits{}, 4, 5)
 	if err := rec.Bind(rec.Network(), 0, 1); err == nil {
 		t.Fatal("second Bind accepted")
 	}
 }
 
 func TestRoutingLoopDetector(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{LoopTxThreshold: 3}, 4, 5)
+	rec := boundRecorder(t, audit.Limits{LoopTxThreshold: 3}, 4, 5)
 	rec.AuditBeginRound(0, []int{0, 1, 2})
 	for i := 0; i < 5; i++ {
 		rec.AuditEnergy(sim.EnergyEntry{Round: 0, Node: i % 2, Cause: sim.CauseTx, Joules: 0.001, Packet: 7, HasPacket: true})
 	}
-	if got := rec.AnomalyCount(audit.AnomalyRoutingLoop); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyRoutingLoop]; got != 1 {
 		t.Fatalf("routing-loop count %d, want 1 (fires once at threshold)", got)
 	}
 	// A fresh round resets per-packet counts.
 	rec.AuditBeginRound(1, []int{0, 1, 2})
 	rec.AuditEnergy(sim.EnergyEntry{Round: 1, Node: 0, Cause: sim.CauseTx, Joules: 0.001, Packet: 7, HasPacket: true})
-	if got := rec.AnomalyCount(audit.AnomalyRoutingLoop); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyRoutingLoop]; got != 1 {
 		t.Fatalf("count %d after round reset, want still 1", got)
 	}
 	// Burst transmissions without a packet id never trip the detector.
 	for i := 0; i < 5; i++ {
 		rec.AuditEnergy(sim.EnergyEntry{Round: 1, Node: 0, Cause: sim.CauseTx, Joules: 0.001})
 	}
-	if got := rec.AnomalyCount(audit.AnomalyRoutingLoop); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyRoutingLoop]; got != 1 {
 		t.Fatalf("packet-less draws tripped the loop detector (count %d)", got)
 	}
 }
 
 func TestCHStarvationDetector(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{StarvationRounds: 2}, 6, 5)
+	rec := boundRecorder(t, audit.Limits{StarvationRounds: 2}, 6, 5)
 	rec.AuditBeginRound(0, []int{0})    // 1 < target 3: streak 1
 	rec.AuditBeginRound(1, []int{0, 1}) // streak 2 → fire
 	rec.AuditBeginRound(2, []int{0})    // streak 3: no re-fire
-	if got := rec.AnomalyCount(audit.AnomalyCHStarvation); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyCHStarvation]; got != 1 {
 		t.Fatalf("starvation count %d, want 1", got)
 	}
 	rec.AuditBeginRound(3, []int{0, 1, 2}) // target met: streak resets
 	rec.AuditBeginRound(4, []int{0})
 	rec.AuditBeginRound(5, []int{1})
-	if got := rec.AnomalyCount(audit.AnomalyCHStarvation); got != 2 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyCHStarvation]; got != 2 {
 		t.Fatalf("starvation count %d after second streak, want 2", got)
 	}
 }
 
 func TestQDivergenceDetector(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{QAbsThreshold: 100}, 4, 5)
+	rec := boundRecorder(t, audit.Limits{QAbsThreshold: 100}, 4, 5)
 	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{-3, -5}, Chosen: 2, Greedy: 2})
-	if got := rec.AnomalyCount(audit.AnomalyQDivergence); got != 0 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyQDivergence]; got != 0 {
 		t.Fatalf("healthy Q-values flagged (%d)", got)
 	}
 	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{math.NaN(), -5}, Chosen: 2, Greedy: 2})
 	rec.RecordDecision(qlearn.Decision{Node: 2, Candidates: []int{-1, 3}, QValues: []float64{-3, -101}, Chosen: 3, Greedy: 3})
-	if got := rec.AnomalyCount(audit.AnomalyQDivergence); got != 2 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyQDivergence]; got != 2 {
 		t.Fatalf("divergence count %d, want 2 (one NaN, one blow-up)", got)
 	}
 }
 
 func TestDeadNodeTxDetector(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{}, 4, 2)
+	rec := boundRecorder(t, audit.Limits{}, 4, 2)
 	rec.AuditBeginRound(0, []int{0, 1, 2})
 	// Drain node 3 to the 0.5 J death line through the ledger itself.
 	rec.AuditEnergy(sim.EnergyEntry{Round: 0, Node: 3, Cause: sim.CauseTx, Joules: 1.5, Packet: 1, HasPacket: true})
-	if got := rec.AnomalyCount(audit.AnomalyDeadNodeTx); got != 0 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyDeadNodeTx]; got != 0 {
 		t.Fatalf("draw down to the line flagged (%d)", got)
 	}
 	// Any further transmission is by a dead node.
 	rec.AuditEnergy(sim.EnergyEntry{Round: 0, Node: 3, Cause: sim.CauseTx, Joules: 0.1, Packet: 2, HasPacket: true})
-	if got := rec.AnomalyCount(audit.AnomalyDeadNodeTx); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyDeadNodeTx]; got != 1 {
 		t.Fatalf("dead-node tx count %d, want 1", got)
 	}
 	// Receives by a dead node are legal radio physics, not a tx bug.
 	rec.AuditEnergy(sim.EnergyEntry{Round: 0, Node: 3, Cause: sim.CauseRx, Joules: 0.01, Packet: 3, HasPacket: true})
-	if got := rec.AnomalyCount(audit.AnomalyDeadNodeTx); got != 1 {
+	if got := rec.Report().AnomalyCounts[audit.AnomalyDeadNodeTx]; got != 1 {
 		t.Fatalf("rx tripped the dead-node detector (count %d)", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestDeadNodeTxDetector(t *testing.T) {
 // decision; outcomes for other links or already-rewarded decisions do
 // not.
 func TestRewardJoin(t *testing.T) {
-	rec := boundRecorder(t, audit.Options{}, 6, 5)
+	rec := boundRecorder(t, audit.Limits{}, 6, 5)
 	rec.AuditBeginRound(0, []int{2, 3})
 	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2, 3}, QValues: []float64{-9, -3, -4}, Greedy: 2, Chosen: 2})
 	rec.RecordOutcome(qlearn.Outcome{From: 1, To: 3, Success: true, Reward: -1}) // wrong link: ignored

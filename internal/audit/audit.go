@@ -24,24 +24,24 @@ import (
 	"qlec/internal/sim"
 )
 
-// Bounds and thresholds applied when the corresponding Options field
-// is zero.
+// A Recorder's bounds and anomaly thresholds.
 const (
-	// DefaultMaxEntries bounds the in-memory ledger ring (~64k entries
-	// ≈ a 20-round, 100-node run with default traffic).
-	DefaultMaxEntries = 1 << 16
-	// DefaultMaxDecisions bounds the decision-record ring.
-	DefaultMaxDecisions = 1 << 14
-	// DefaultLoopTxThreshold: a packet transmitted this many times in
-	// one round is routing in circles (the engine's own chain guard
-	// gives up at 32 hops; retries can only quadruple that).
-	DefaultLoopTxThreshold = 128
-	// DefaultStarvationRounds: consecutive rounds with fewer elected
-	// heads than the K target before CH starvation is flagged.
-	DefaultStarvationRounds = 3
-	// DefaultQAbsThreshold: |Q| beyond this is divergence (well-formed
-	// QLEC values live in roughly [−(g+l)/(1−γ), 0], a few thousand).
-	DefaultQAbsThreshold = 1e6
+	// maxEntries bounds the in-memory ledger ring (~64k entries ≈ a
+	// 20-round, 100-node run with default traffic); older entries are
+	// overwritten first (the report still counts everything seen).
+	maxEntries = 1 << 16
+	// maxDecisions bounds the decision-record ring the same way.
+	maxDecisions = 1 << 14
+	// loopTxThreshold: a packet transmitted this many times in one
+	// round is routing in circles (the engine's own chain guard gives
+	// up at 32 hops; retries can only quadruple that).
+	loopTxThreshold = 128
+	// starvationRounds: consecutive rounds with fewer elected heads
+	// than the K target before CH starvation is flagged.
+	starvationRounds = 3
+	// qAbsThreshold: |Q| beyond this is divergence (well-formed QLEC
+	// values live in roughly [−(g+l)/(1−γ), 0], a few thousand).
+	qAbsThreshold = 1e6
 
 	// maxViolationsKept / maxAnomaliesKept cap the detail lists in the
 	// report; totals keep counting past the cap.
@@ -49,21 +49,12 @@ const (
 	maxAnomaliesKept  = 64
 )
 
-// Options configures a Recorder. The zero value is a sensible default:
-// bounded rings, no metrics, default thresholds.
+// Options configures a Recorder. The zero value records without
+// metrics.
 type Options struct {
-	// MaxEntries / MaxDecisions cap the in-memory rings; older records
-	// are overwritten first (the report still counts everything seen).
-	MaxEntries   int
-	MaxDecisions int
 	// Metrics, when non-nil, receives the qlec_audit_violations_total
 	// and qlec_audit_anomalies_total counters.
 	Metrics *obs.Registry
-
-	// Anomaly thresholds; zero means the package default.
-	LoopTxThreshold  int
-	StarvationRounds int
-	QAbsThreshold    float64
 }
 
 // Violation is one failed conservation check.
@@ -105,7 +96,10 @@ func (e *ViolationError) Error() string {
 // for concurrent use; all methods must be called from the simulation
 // goroutine, and Artifact/Report/Err only after the run.
 type Recorder struct {
-	opt Options
+	// Anomaly thresholds: the package constants (tests lower them).
+	loopTx     int
+	starvation int
+	qAbs       float64
 
 	net        *network.Network
 	deathLine  energy.Joules
@@ -142,25 +136,12 @@ type Recorder struct {
 
 // New builds a Recorder. Call Bind before installing it on an engine.
 func New(opt Options) *Recorder {
-	if opt.MaxEntries <= 0 {
-		opt.MaxEntries = DefaultMaxEntries
-	}
-	if opt.MaxDecisions <= 0 {
-		opt.MaxDecisions = DefaultMaxDecisions
-	}
-	if opt.LoopTxThreshold <= 0 {
-		opt.LoopTxThreshold = DefaultLoopTxThreshold
-	}
-	if opt.StarvationRounds <= 0 {
-		opt.StarvationRounds = DefaultStarvationRounds
-	}
-	if opt.QAbsThreshold <= 0 {
-		opt.QAbsThreshold = DefaultQAbsThreshold
-	}
 	r := &Recorder{
-		opt:           opt,
-		entries:       newRing[sim.EnergyEntry](opt.MaxEntries),
-		decisions:     newRing[DecisionRecord](opt.MaxDecisions),
+		loopTx:        loopTxThreshold,
+		starvation:    starvationRounds,
+		qAbs:          qAbsThreshold,
+		entries:       newRing[sim.EnergyEntry](maxEntries),
+		decisions:     newRing[DecisionRecord](maxDecisions),
 		pktTx:         make(map[packet.ID]int),
 		anomalyCounts: make(map[string]uint64),
 		curRound:      -1,
@@ -200,10 +181,6 @@ func (r *Recorder) Bind(w *network.Network, deathLine energy.Joules, headTarget 
 	return nil
 }
 
-// Network returns the network the recorder is bound to (nil before
-// Bind).
-func (r *Recorder) Network() *network.Network { return r.net }
-
 // ObserveLearner wires the recorder into a learner's decision and
 // outcome streams. Call alongside Bind, before the run.
 func (r *Recorder) ObserveLearner(l *qlearn.Learner) {
@@ -219,7 +196,7 @@ func (r *Recorder) AuditBeginRound(round int, heads []int) {
 	if r.headTarget > 0 {
 		if len(heads) < r.headTarget {
 			r.starveRun++
-			if r.starveRun == r.opt.StarvationRounds {
+			if r.starveRun == r.starvation {
 				r.anomaly(Anomaly{
 					Type: AnomalyCHStarvation, Round: round,
 					Detail: fmt.Sprintf("%d heads elected (target %d) for %d consecutive rounds",
@@ -249,7 +226,7 @@ func (r *Recorder) AuditEnergy(e sim.EnergyEntry) {
 	r.byCause[e.Cause] += e.Joules
 	if e.Cause == sim.CauseTx && e.HasPacket {
 		r.pktTx[e.Packet]++
-		if r.pktTx[e.Packet] == r.opt.LoopTxThreshold {
+		if r.pktTx[e.Packet] == r.loopTx {
 			r.anomaly(Anomaly{
 				Type: AnomalyRoutingLoop, Round: e.Round, Node: e.Node,
 				Packet: e.Packet, HasPacket: true,
@@ -300,13 +277,6 @@ func (r *Recorder) Err() error {
 	}
 	return nil
 }
-
-// Violations returns how many conservation checks failed.
-func (r *Recorder) Violations() uint64 { return r.violationCount }
-
-// Entries returns the total number of ledger entries observed,
-// including any evicted from the ring.
-func (r *Recorder) Entries() int { return r.entries.total }
 
 // Ledger returns the retained ledger entries in emission order.
 func (r *Recorder) Ledger() []sim.EnergyEntry { return r.entries.items() }

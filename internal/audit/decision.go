@@ -19,16 +19,12 @@ type DecisionRecord struct {
 	QValues    []float64 `json:"qValues"`
 	Greedy     int       `json:"greedy"`
 	Chosen     int       `json:"chosen"`
-	Explored   bool      `json:"explored,omitempty"`
-	// EpsRoll is the uniform draw compared against ε; NaN (serialized
-	// as null via the pointer) when exploration was disabled.
-	EpsRoll   *float64 `json:"epsRoll,omitempty"`
-	VBefore   float64  `json:"vBefore"`
-	VAfter    float64  `json:"vAfter"`
-	Success   bool     `json:"success,omitempty"`
-	Reward    float64  `json:"reward,omitempty"`
-	LinkP     float64  `json:"linkP,omitempty"`
-	HasReward bool     `json:"hasReward,omitempty"`
+	VBefore    float64   `json:"vBefore"`
+	VAfter     float64   `json:"vAfter"`
+	Success    bool      `json:"success,omitempty"`
+	Reward     float64   `json:"reward,omitempty"`
+	LinkP      float64   `json:"linkP,omitempty"`
+	HasReward  bool      `json:"hasReward,omitempty"`
 }
 
 // RecordDecision consumes one qlearn.Decision (install via
@@ -37,18 +33,14 @@ func (r *Recorder) RecordDecision(d qlearn.Decision) {
 	rec := DecisionRecord{
 		Round: r.curRound, Node: d.Node,
 		Candidates: d.Candidates, QValues: d.QValues,
-		Greedy: d.Greedy, Chosen: d.Chosen, Explored: d.Explored,
+		Greedy: d.Greedy, Chosen: d.Chosen,
 		VBefore: d.VBefore, VAfter: d.VAfter,
 	}
-	if !math.IsNaN(d.EpsRoll) {
-		roll := d.EpsRoll
-		rec.EpsRoll = &roll
-	}
 	for i, q := range d.QValues {
-		if math.IsNaN(q) || math.IsInf(q, 0) || math.Abs(q) > r.opt.QAbsThreshold {
+		if math.IsNaN(q) || math.IsInf(q, 0) || math.Abs(q) > r.qAbs {
 			r.anomaly(Anomaly{
 				Type: AnomalyQDivergence, Round: r.curRound, Node: d.Node,
-				Detail: fmt.Sprintf("Q(%d→%d) = %g beyond |Q| ≤ %g", d.Node, d.Candidates[i], q, r.opt.QAbsThreshold),
+				Detail: fmt.Sprintf("Q(%d→%d) = %g beyond |Q| ≤ %g", d.Node, d.Candidates[i], q, r.qAbs),
 			})
 			break // one anomaly per decision is enough
 		}
@@ -79,14 +71,14 @@ func (r *Recorder) RecordOutcome(o qlearn.Outcome) {
 
 // Anomaly types detected over the combined ledger/decision stream.
 const (
-	// AnomalyRoutingLoop: one packet transmitted ≥ LoopTxThreshold
+	// AnomalyRoutingLoop: one packet transmitted ≥ loopTxThreshold
 	// times within a single round.
 	AnomalyRoutingLoop = "routing-loop"
 	// AnomalyCHStarvation: fewer heads than the K target for
-	// StarvationRounds consecutive rounds.
+	// starvationRounds consecutive rounds.
 	AnomalyCHStarvation = "ch-starvation"
 	// AnomalyQDivergence: a probed Q-value went NaN/Inf or beyond
-	// QAbsThreshold in magnitude.
+	// qAbsThreshold in magnitude.
 	AnomalyQDivergence = "q-divergence"
 	// AnomalyDeadNodeTx: a transmit draw by a node whose ledger-implied
 	// residual was already at or below the death line.
@@ -112,6 +104,3 @@ func (r *Recorder) anomaly(a Anomaly) {
 		r.anomaliesMetric.With(a.Type).Inc()
 	}
 }
-
-// AnomalyCount returns the total detections of one anomaly type.
-func (r *Recorder) AnomalyCount(kind string) uint64 { return r.anomalyCounts[kind] }

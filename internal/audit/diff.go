@@ -121,10 +121,6 @@ func decisionDiff(a, b DecisionRecord) string {
 		return "greedy"
 	case a.Chosen != b.Chosen:
 		return "chosen"
-	case a.Explored != b.Explored:
-		return "explored"
-	case !rollsEqual(a.EpsRoll, b.EpsRoll):
-		return "epsRoll"
 	case a.VBefore != b.VBefore:
 		return "vBefore"
 	case a.VAfter != b.VAfter:
@@ -159,11 +155,4 @@ func floatsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-func rollsEqual(a, b *float64) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || *a == *b
 }

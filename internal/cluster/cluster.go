@@ -149,18 +149,6 @@ func AssignNearest(w *network.Network, heads []int) Assignment {
 	return a
 }
 
-// Members returns the node ids assigned to the given head, ascending,
-// excluding the head itself.
-func (a Assignment) Members(head int) []int {
-	var out []int
-	for i, h := range a.Head {
-		if h == head && i != head {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Sizes returns cluster sizes keyed by head id (head included).
 func (a Assignment) Sizes() map[int]int {
 	sizes := map[int]int{}

@@ -176,9 +176,6 @@ func (q *QLEC) Name() string {
 	}
 }
 
-// K returns the configured cluster count.
-func (q *QLEC) K() int { return q.cfg.K }
-
 // Learner exposes the Q-learning state for convergence benchmarks
 // (the X of O(kX)).
 func (q *QLEC) Learner() *qlearn.Learner { return q.learner }
@@ -249,12 +246,13 @@ func (q *QLEC) EndRound(round int) {
 // RelayMode implements cluster.Protocol.
 func (q *QLEC) RelayMode() cluster.RelayMode { return cluster.HoldAndBurst }
 
-// QLearningStats implements sim.QLearningStats: the mean V value and
-// effective exploration rate, for per-round telemetry. ok is false in
-// the DEEC ablation modes, where no Q-table exists to report.
-func (q *QLEC) QLearningStats() (meanQ, epsilon float64, ok bool) {
+// QLearningStats implements sim.QLearningStats: the mean V value, for
+// per-round telemetry. Routing is purely greedy, so the middle result
+// is always 0. ok is false in the DEEC ablation modes, where no Q-table
+// exists to report.
+func (q *QLEC) QLearningStats() (meanQ, _ float64, ok bool) {
 	if q.cfg.DisableQLearning {
 		return 0, 0, false
 	}
-	return q.learner.MeanV(), q.cfg.QParams.Epsilon, true
+	return q.learner.MeanV(), 0, true
 }

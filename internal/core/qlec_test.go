@@ -76,8 +76,8 @@ func TestAutoKMatchesTheorem1(t *testing.T) {
 func TestDefaultConfigAutoK(t *testing.T) {
 	w := paperNet(t, 3)
 	q := newQLEC(t, w, DefaultConfig(20))
-	if q.K() != AutoK(w, energy.DefaultModel()) {
-		t.Fatalf("K = %d, want auto", q.K())
+	if q.cfg.K != AutoK(w, energy.DefaultModel()) {
+		t.Fatalf("K = %d, want auto", q.cfg.K)
 	}
 }
 

@@ -23,11 +23,11 @@ func TestSynthesizeDefaults(t *testing.T) {
 		t.Fatalf("N = %d, paper's China subset has 2896", len(d.Positions))
 	}
 	for i, p := range d.Positions {
-		if !d.Box.Contains(p) && p != d.Box.Clamp(p) {
+		if !inBox(d.Box, p) {
 			t.Fatalf("node %d outside box: %v", i, p)
 		}
 	}
-	if !d.Box.Contains(d.BS) {
+	if !inBox(d.Box, d.BS) {
 		t.Fatalf("BS outside box: %v", d.BS)
 	}
 }
@@ -246,11 +246,11 @@ func TestCSVRoundTrip(t *testing.T) {
 		if math.Abs(float64(back.Energies[i]-orig.Energies[i])) > 1e-9 {
 			t.Fatalf("energy %d drifted", i)
 		}
-		if !back.Box.Contains(back.Positions[i]) {
+		if !inBox(back.Box, back.Positions[i]) {
 			t.Fatalf("node %d outside inferred box", i)
 		}
 	}
-	if !back.Box.Contains(back.BS) {
+	if !inBox(back.Box, back.BS) {
 		t.Fatal("BS outside inferred box")
 	}
 }
@@ -356,4 +356,10 @@ func FuzzLoadWRICSV(f *testing.F) {
 			t.Fatalf("accepted dataset fails Validate: %v", err)
 		}
 	})
+}
+
+// inBox reports whether p lies in b, faces included, give or take 1e-9.
+func inBox(b geom.AABB, p geom.Vec3) bool {
+	lo, hi := b.Min.Sub(p), p.Sub(b.Max)
+	return math.Max(lo.X, math.Max(lo.Y, lo.Z)) <= 1e-9 && math.Max(hi.X, math.Max(hi.Y, hi.Z)) <= 1e-9
 }

@@ -69,14 +69,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ImprovedConfig returns the paper's full QLEC head-selection setup.
-func ImprovedConfig(k, totalRounds int, deathLine energy.Joules) Config {
-	return Config{
-		K: k, TotalRounds: totalRounds, DeathLine: deathLine,
-		EnergyFloor: true, ReduceRedundancy: true, TopUp: true,
-	}
-}
-
 // PlainConfig returns classic DEEC: lottery only, no floor, no
 // redundancy reduction, no top-up (used for ablations).
 func PlainConfig(k, totalRounds int, deathLine energy.Joules) Config {
@@ -114,9 +106,6 @@ func NewSelector(w *network.Network, cfg Config, r *rng.Stream) (*Selector, erro
 		dc:  geom.CoverageRadius(side, cfg.K),
 	}, nil
 }
-
-// CoverageRadius returns d_c (Eq. 5) for the configured K.
-func (s *Selector) CoverageRadius() float64 { return s.dc }
 
 // pMin floors p_i so that 1/p_i (the rotating epoch) and Eq. (3) stay
 // well-defined for nearly-drained nodes.

@@ -328,14 +328,6 @@ func TestThresholdPropertiesQuick(t *testing.T) {
 	}
 }
 
-func TestCoverageRadiusExposed(t *testing.T) {
-	w := testNet(t, 100, 12)
-	s, _ := NewSelector(w, ImprovedConfig(5, 20, 0), rng.New(12))
-	if s.CoverageRadius() <= 0 {
-		t.Fatal("non-positive coverage radius")
-	}
-}
-
 // selectRounds is the round block one BenchmarkSelectImproved op
 // times: the length of the §5.3 Fig. 4 run.
 const selectRounds = 20

@@ -18,7 +18,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sel, err := deec.NewSelector(w, deec.ImprovedConfig(5, 20, 0), rng.NewNamed(1, "deec"))
+	cfg := deec.Config{
+		K: 5, TotalRounds: 20,
+		EnergyFloor: true, ReduceRedundancy: true, TopUp: true,
+	}
+	sel, err := deec.NewSelector(w, cfg, rng.NewNamed(1, "deec"))
 	if err != nil {
 		log.Fatal(err)
 	}

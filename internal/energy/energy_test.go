@@ -81,7 +81,7 @@ func TestRxAndAggregate(t *testing.T) {
 	if got := m.Rx(1000); math.Abs(float64(got)-1000*50e-9) > 1e-18 {
 		t.Fatalf("Rx = %v", got)
 	}
-	if got := m.Aggregate(1000); math.Abs(float64(got)-1000*5e-9) > 1e-18 {
+	if got := m.Calc().Aggregate(1000); math.Abs(float64(got)-1000*5e-9) > 1e-18 {
 		t.Fatalf("Aggregate = %v", got)
 	}
 }
@@ -94,7 +94,8 @@ func TestTxZeroBits(t *testing.T) {
 }
 
 // Lemma 1 cross-check: the closed form for E[d²_toCH] must match Monte
-// Carlo sampling of uniform balls of radius d_c.
+// Carlo sampling of uniform balls of radius d_c (uniform points of the
+// enclosing cube, kept when they fall inside the ball).
 func TestExpectedSqDistToCHMatchesMonteCarlo(t *testing.T) {
 	const side = 200.0
 	r := rng.New(11)
@@ -103,12 +104,16 @@ func TestExpectedSqDistToCHMatchesMonteCarlo(t *testing.T) {
 		const n = 100000
 		sum := 0.0
 		center := geom.Vec3{X: 100, Y: 100, Z: 100}
-		for i := 0; i < n; i++ {
-			p := geom.SampleBall(r, center, dc)
-			sum += p.DistSq(center)
+		d := geom.Vec3{X: dc, Y: dc, Z: dc}
+		cube := geom.AABB{Min: center.Sub(d), Max: center.Add(d)}
+		for i := 0; i < n; {
+			if d2 := cube.SampleUniform(r).DistSq(center); d2 <= dc*dc {
+				sum += d2
+				i++
+			}
 		}
 		mc := sum / n
-		closed := ExpectedSqDistToCH(side, k)
+		closed := ExpectedSqDistToCH(side, float64(k))
 		if math.Abs(mc-closed)/closed > 0.02 {
 			t.Fatalf("k=%d: Monte Carlo E[d²]=%v, Lemma 1 closed form %v", k, mc, closed)
 		}
@@ -160,11 +165,14 @@ func TestPaperKoptDiscrepancyPinned(t *testing.T) {
 
 func TestRoundEnergyEq6Manual(t *testing.T) {
 	m := DefaultModel()
-	// Hand-evaluate Eq. (6) for simple arguments.
-	got := float64(m.RoundEnergy(1000, 10, 2, 100, 20))
-	want := 1000 * (2*10*50e-9 + 10*5e-9 + 2*1.3e-15*1e8 + 10*10e-12*400)
+	// Hand-evaluate Eq. (6) for simple arguments: L=1000, N=10, k=2,
+	// d_toBS=100 and, by Lemma 1 in a 200 m cube,
+	// d²_toCH = (4π/5)·(3/(4π))^(5/3)·200²/2^(2/3).
+	got := float64(m.RoundEnergyAtK(1000, 10, 2, 200, 100))
+	dToCH2 := 4 * math.Pi / 5 * math.Pow(3/(4*math.Pi), 5.0/3.0) * 200 * 200 / math.Pow(2, 2.0/3.0)
+	want := 1000 * (2*10*50e-9 + 10*5e-9 + 2*1.3e-15*1e8 + 10*10e-12*dToCH2)
 	if math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("RoundEnergy = %v, want %v", got, want)
+		t.Fatalf("RoundEnergyAtK = %v, want %v", got, want)
 	}
 }
 

@@ -138,39 +138,17 @@ func (c Calc) Rx(bits int) Joules {
 	return Joules(float64(bits)) * c.m.Elec
 }
 
-// Aggregate returns the per-bit aggregation cost; identical to
-// Model.Aggregate.
+// Aggregate returns the energy to aggregate bits at a cluster head.
 func (c Calc) Aggregate(bits int) Joules {
 	return Joules(float64(bits)) * c.m.Aggregation
-}
-
-// Aggregate returns the energy to aggregate bits at a cluster head.
-func (m Model) Aggregate(bits int) Joules {
-	return Joules(float64(bits)) * m.Aggregation
-}
-
-// RoundEnergy evaluates the paper's Eq. (6): the total energy dissipated
-// in one round with N nodes, k clusters, L bits per node, mean CH→BS
-// distance dToBS and mean member→CH distance dToCH:
-//
-//	E_r = L(2N·E_elec + N·E_DA + k·ε_mp·d_toBS⁴ + N·ε_fs·d_toCH²)
-func (m Model) RoundEnergy(bits, n, k int, dToBS, dToCH float64) Joules {
-	l := float64(bits)
-	return Joules(l * (2*float64(n)*float64(m.Elec) +
-		float64(n)*float64(m.Aggregation) +
-		float64(k)*float64(m.MultiPath)*math.Pow(dToBS, 4) +
-		float64(n)*float64(m.FreeSpace)*dToCH*dToCH))
 }
 
 // ExpectedSqDistToCH evaluates Lemma 1's closed form for the expected
 // squared member→CH distance with k clusters in an M-cube:
 //
 //	E[d²_toCH] = (4π/5)·(3/(4π))^(5/3) · M² / k^(2/3)
-func ExpectedSqDistToCH(side float64, k int) float64 {
-	if k <= 0 {
-		panic("energy: ExpectedSqDistToCH requires k > 0")
-	}
-	return 4 * math.Pi / 5 * math.Pow(3/(4*math.Pi), 5.0/3.0) * side * side / math.Pow(float64(k), 2.0/3.0)
+func ExpectedSqDistToCH(side, k float64) float64 {
+	return 4 * math.Pi / 5 * math.Pow(3/(4*math.Pi), 5.0/3.0) * side * side / math.Pow(k, 2.0/3.0)
 }
 
 // OptimalClusterCount evaluates Theorem 1's closed form:
@@ -207,14 +185,20 @@ func (m Model) EstimatedLifespanRounds(totalEnergy Joules, bits, n, k int, side,
 	return r
 }
 
-// RoundEnergyAtK is a convenience composing Eq. (6) with Lemma 1: the
-// expected per-round network energy as a function of the cluster count.
+// RoundEnergyAtK evaluates the paper's Eq. (6), the total energy
+// dissipated in one round with N nodes, k clusters, L bits per node and
+// mean CH→BS distance dToBS,
+//
+//	E_r = L(2N·E_elec + N·E_DA + k·ε_mp·d_toBS⁴ + N·ε_fs·d_toCH²),
+//
+// with Lemma 1's E[d²_toCH] for the member→CH term: the expected
+// per-round network energy as a function of the cluster count.
 // Theorem 1's k_opt is the argmin of this function over real k > 0.
 func (m Model) RoundEnergyAtK(bits, n int, k float64, side, dToBS float64) Joules {
 	if k <= 0 {
 		panic("energy: RoundEnergyAtK requires k > 0")
 	}
-	dToCH2 := 4 * math.Pi / 5 * math.Pow(3/(4*math.Pi), 5.0/3.0) * side * side / math.Pow(k, 2.0/3.0)
+	dToCH2 := ExpectedSqDistToCH(side, k)
 	l := float64(bits)
 	return Joules(l * (2*float64(n)*float64(m.Elec) +
 		float64(n)*float64(m.Aggregation) +

@@ -201,8 +201,10 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 }
 
 // Hash returns the SHA-256 hex digest of CanonicalJSON — the stable
-// identity of the configuration, used as the content-addressed cache
-// key by the job service. It panics on a configuration containing a
+// identity of the configuration. The job service does not key on it:
+// it addresses results by service.Request.Hash, which embeds
+// CanonicalJSON. Hash exists so that TestHashGolden can pin
+// CanonicalJSON's bytes. It panics on a configuration containing a
 // non-finite float (NaN/±Inf), which no meaningful configuration does.
 func (c Config) Hash() string {
 	b, err := c.CanonicalJSON()

@@ -31,10 +31,10 @@ type TierScenario struct {
 	SuperFactor      float64
 }
 
-// DefaultTiers returns the tournament's standard heterogeneity axis:
-// the paper's homogeneous §5.1 deployment plus a three-tier T-DEEC
-// setting (20% advanced at 2·E0, 10% super at 3·E0).
-func DefaultTiers() []TierScenario {
+// tournamentTiers returns the tournament's heterogeneity axis: the
+// paper's homogeneous §5.1 deployment plus a three-tier T-DEEC setting
+// (20% advanced at 2·E0, 10% super at 3·E0).
+func tournamentTiers() []TierScenario {
 	return []TierScenario{
 		{Name: "homogeneous"},
 		{Name: "3-tier", AdvancedFraction: 0.2, AdvancedFactor: 1, SuperFraction: 0.1, SuperFactor: 2},
@@ -55,11 +55,6 @@ type TournamentConfig struct {
 	// the cube side at constant density and k proportionally, like
 	// RunNSweep.
 	Ns []int
-	// Tiers is the heterogeneity axis; empty means DefaultTiers.
-	Tiers []TierScenario
-	// SkipEnergyBudget drops the audited per-protocol energy-budget leg
-	// (one extra instrumented run per protocol).
-	SkipEnergyBudget bool
 }
 
 // TournamentCell is one (protocol, tier, N, λ, seed) measurement.
@@ -89,7 +84,7 @@ type Standing struct {
 	FND            stats.Summary `json:"fnd"`
 	HND            stats.Summary `json:"hnd"`
 	// Budget is the audited energy breakdown from the flight-recorder
-	// leg (nil with SkipEnergyBudget).
+	// leg.
 	Budget *audit.Report `json:"budget,omitempty"`
 }
 
@@ -107,9 +102,17 @@ type TournamentResult struct {
 // RunTournament runs the scenario matrix for every listed protocol and
 // ranks the field. Each cell runs one fixed-round leg (PDR, energy) and
 // one endurance leg (death line active, no stop-on-death, cancelled
-// early once half the nodes die) for FND/HND. Cells fan out through
-// runner.Map under Base.Workers/Progress; cancelling ctx aborts.
+// early once half the nodes die) for FND/HND; the tier axis is
+// tournamentTiers, and one audited run per protocol fills the energy
+// budgets. Cells fan out through runner.Map under Base.Workers/Progress;
+// cancelling ctx aborts.
 func RunTournament(ctx context.Context, tc TournamentConfig) (*TournamentResult, error) {
+	return runTournament(ctx, tc, tournamentTiers(), true)
+}
+
+// runTournament is RunTournament over the given tier axis, with the
+// audited energy-budget leg only when budget is set; tests shrink both.
+func runTournament(ctx context.Context, tc TournamentConfig, tiers []TierScenario, budget bool) (*TournamentResult, error) {
 	protocols := tc.Protocols
 	if len(protocols) == 0 {
 		protocols = CompetitorProtocols()
@@ -129,10 +132,6 @@ func RunTournament(ctx context.Context, tc TournamentConfig) (*TournamentResult,
 	ns := tc.Ns
 	if len(ns) == 0 {
 		ns = []int{tc.Base.N}
-	}
-	tiers := tc.Tiers
-	if len(tiers) == 0 {
-		tiers = DefaultTiers()
 	}
 	base := tc.Base
 	base.Lambdas = lambdas
@@ -208,7 +207,7 @@ func RunTournament(ctx context.Context, tc TournamentConfig) (*TournamentResult,
 	}
 	res.Standings = rankStandings(protocols, cells)
 
-	if !tc.SkipEnergyBudget {
+	if budget {
 		// Flight-recorder leg: one audited fixed-round run per protocol
 		// on the primary scenario, for the energy-budget columns.
 		for i := range res.Standings {

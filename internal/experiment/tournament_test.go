@@ -20,12 +20,17 @@ func tinyTournament() TournamentConfig {
 		Protocols: []ProtocolID{QLEC, KMeans, TDEEC},
 		Lambdas:   []float64{4},
 		Ns:        []int{30},
-		Tiers:     []TierScenario{{Name: "homogeneous"}},
 	}
 }
 
+// runTiny runs tc over the homogeneous tier alone, with the audited
+// energy-budget leg when budget is set.
+func runTiny(tc TournamentConfig, budget bool) (*TournamentResult, error) {
+	return runTournament(context.Background(), tc, []TierScenario{{Name: "homogeneous"}}, budget)
+}
+
 func TestTournamentRanksEveryProtocol(t *testing.T) {
-	res, err := RunTournament(context.Background(), tinyTournament())
+	res, err := runTiny(tinyTournament(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +71,11 @@ func TestTournamentRanksEveryProtocol(t *testing.T) {
 
 func TestTournamentDeterministic(t *testing.T) {
 	tc := tinyTournament()
-	tc.SkipEnergyBudget = true
-	a, err := RunTournament(context.Background(), tc)
+	a, err := runTiny(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTournament(context.Background(), tc)
+	b, err := runTiny(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +84,7 @@ func TestTournamentDeterministic(t *testing.T) {
 	}
 	// And identical under the serial reference schedule.
 	tc.Base.Workers = 1
-	c, err := RunTournament(context.Background(), tc)
+	c, err := runTiny(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +96,8 @@ func TestTournamentDeterministic(t *testing.T) {
 func TestTournamentDefaultsToCompetitorField(t *testing.T) {
 	tc := tinyTournament()
 	tc.Protocols = nil
-	tc.SkipEnergyBudget = true
 	tc.Base.LifespanMaxRounds = 40
-	res, err := RunTournament(context.Background(), tc)
+	res, err := runTiny(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestTournamentDefaultsToCompetitorField(t *testing.T) {
 func TestTournamentUnknownProtocol(t *testing.T) {
 	tc := tinyTournament()
 	tc.Protocols = []ProtocolID{"nope"}
-	if _, err := RunTournament(context.Background(), tc); err == nil {
+	if _, err := runTiny(tc, true); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }
@@ -122,8 +125,7 @@ func TestTournamentUnknownProtocol(t *testing.T) {
 func TestTournamentCanonicalizesAliases(t *testing.T) {
 	tc := tinyTournament()
 	tc.Protocols = []ProtocolID{"kmeans"}
-	tc.SkipEnergyBudget = true
-	res, err := RunTournament(context.Background(), tc)
+	res, err := runTiny(tc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestTournamentCanonicalizesAliases(t *testing.T) {
 }
 
 func TestFormatTournament(t *testing.T) {
-	res, err := RunTournament(context.Background(), tinyTournament())
+	res, err := runTiny(tinyTournament(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

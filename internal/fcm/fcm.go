@@ -81,11 +81,6 @@ type Result struct {
 	Objective float64
 }
 
-// HardAssign returns each point's highest-membership cluster.
-func (r *Result) HardAssign() []int {
-	return r.HardAssignInto(make([]int, len(r.U)))
-}
-
 // HardAssignInto writes each point's highest-membership cluster into
 // dst, growing it if needed, and returns the filled slice. Callers on
 // the per-round hot path pass a reused buffer to avoid the allocation.
@@ -116,17 +111,12 @@ type Scratch struct {
 	inv     []float64 // inverse squared distances (m=2 fast path)
 }
 
-// Cluster runs fuzzy c-means. The stream seeds the initial membership
-// matrix; results are deterministic per stream state.
-func Cluster(points []geom.Vec3, cfg Config, r *rng.Stream) (*Result, error) {
-	var s Scratch
-	return ClusterScratch(points, cfg, r, &s)
-}
-
-// ClusterScratch is Cluster with caller-owned working storage. The
-// returned Result's U and Centers alias the scratch and stay valid only
-// until the next call with the same Scratch; callers who need the
-// clustering to outlive the scratch must copy.
+// ClusterScratch runs fuzzy c-means in caller-owned working storage.
+// The stream seeds the initial membership matrix; results are
+// deterministic per stream state. The returned Result's U and Centers
+// alias the scratch and stay valid only until the next call with the
+// same Scratch; callers who need the clustering to outlive the scratch
+// must copy.
 func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (*Result, error) {
 	if err := cfg.Validate(len(points)); err != nil {
 		return nil, err
@@ -308,16 +298,12 @@ func growInts(dst []int, n int) []int {
 	return dst[:n]
 }
 
-// Tiers partitions head candidates into hierarchy levels by distance to
-// the base station, per the WCNC'18 scheme ("divides the WSN into
-// different hierarchies based on the distance to the BS"). Level 0 is
-// the innermost ring (closest to the BS). levels must be >= 1.
-func Tiers(dists []float64, levels int) ([]int, error) {
-	return TiersInto(dists, levels, make([]int, len(dists)))
-}
-
-// TiersInto is Tiers writing into a caller-owned buffer (grown if
-// needed); the per-round protocol adapters reuse one across rounds.
+// TiersInto partitions head candidates into hierarchy levels by
+// distance to the base station, per the WCNC'18 scheme ("divides the
+// WSN into different hierarchies based on the distance to the BS").
+// Level 0 is the innermost ring (closest to the BS). levels must be
+// >= 1. It writes into dst, grown if needed; the per-round protocol
+// adapters reuse one buffer across rounds.
 func TiersInto(dists []float64, levels int, dst []int) ([]int, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("fcm: levels must be >= 1, got %d", levels)

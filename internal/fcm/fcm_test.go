@@ -24,7 +24,7 @@ func blobs(seed uint64, per int) ([]geom.Vec3, []geom.Vec3) {
 
 func TestClusterFindsBlobCenters(t *testing.T) {
 	pts, centers := blobs(1, 80)
-	res, err := Cluster(pts, Config{K: 2}, rng.New(2))
+	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(2), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestClusterFindsBlobCenters(t *testing.T) {
 
 func TestMembershipRowsSumToOne(t *testing.T) {
 	pts, _ := blobs(3, 40)
-	res, err := Cluster(pts, Config{K: 3}, rng.New(4))
+	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(4), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestMembershipRowsSumToOne(t *testing.T) {
 
 func TestHardAssignSeparatesBlobs(t *testing.T) {
 	pts, _ := blobs(5, 50)
-	res, err := Cluster(pts, Config{K: 2}, rng.New(6))
+	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(6), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := res.HardAssign()
+	assign := res.HardAssignInto(nil)
 	// All of blob 1 in one cluster, all of blob 2 in the other.
 	first := assign[0]
 	for i := 1; i < 50; i++ {
@@ -84,8 +84,8 @@ func TestHardAssignSeparatesBlobs(t *testing.T) {
 
 func TestClusterDeterministic(t *testing.T) {
 	pts, _ := blobs(7, 30)
-	a, _ := Cluster(pts, Config{K: 2}, rng.New(8))
-	b, _ := Cluster(pts, Config{K: 2}, rng.New(8))
+	a, _ := ClusterScratch(pts, Config{K: 2}, rng.New(8), new(Scratch))
+	b, _ := ClusterScratch(pts, Config{K: 2}, rng.New(8), new(Scratch))
 	if a.Objective != b.Objective || a.Iterations != b.Iterations {
 		t.Fatal("FCM not deterministic per stream")
 	}
@@ -93,16 +93,16 @@ func TestClusterDeterministic(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	pts, _ := blobs(9, 5)
-	if _, err := Cluster(pts, Config{K: 0}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 0}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := Cluster(pts, Config{K: 100}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 100}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K>n accepted")
 	}
-	if _, err := Cluster(pts, Config{K: 2, M: 0.5}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 2, M: 0.5}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("M<=1 accepted")
 	}
-	if _, err := Cluster(pts, Config{K: 2, MaxIterations: -1}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 2, MaxIterations: -1}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("negative iterations accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestClusterPointOnCenter(t *testing.T) {
 	// A point exactly on a prototype must get crisp membership without
 	// dividing by zero.
 	pts := []geom.Vec3{{X: 0}, {X: 0}, {X: 0}, {X: 100}, {X: 100}, {X: 100}}
-	res, err := Cluster(pts, Config{K: 2}, rng.New(10))
+	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(10), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestClusterPointOnCenter(t *testing.T) {
 			}
 		}
 	}
-	assign := res.HardAssign()
+	assign := res.HardAssignInto(nil)
 	if assign[0] == assign[3] {
 		t.Fatal("coincident clusters not separated")
 	}
@@ -132,7 +132,7 @@ func TestObjectiveDecreasesWithK(t *testing.T) {
 	pts, _ := blobs(11, 60)
 	prev := math.Inf(1)
 	for _, k := range []int{1, 2, 4} {
-		res, err := Cluster(pts, Config{K: k}, rng.New(12))
+		res, err := ClusterScratch(pts, Config{K: k}, rng.New(12), new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestObjectiveDecreasesWithK(t *testing.T) {
 
 func TestTiers(t *testing.T) {
 	dists := []float64{0, 10, 45, 50, 90, 100}
-	tiers, err := Tiers(dists, 3)
+	tiers, err := TiersInto(dists, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestTiers(t *testing.T) {
 
 func TestTiersMonotone(t *testing.T) {
 	dists := []float64{5, 80, 20, 60, 99}
-	tiers, err := Tiers(dists, 4)
+	tiers, err := TiersInto(dists, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +173,22 @@ func TestTiersMonotone(t *testing.T) {
 }
 
 func TestTiersErrors(t *testing.T) {
-	if _, err := Tiers(nil, 3); err == nil {
+	if _, err := TiersInto(nil, 3, nil); err == nil {
 		t.Fatal("empty dists accepted")
 	}
-	if _, err := Tiers([]float64{1}, 0); err == nil {
+	if _, err := TiersInto([]float64{1}, 0, nil); err == nil {
 		t.Fatal("zero levels accepted")
 	}
-	if _, err := Tiers([]float64{-1}, 3); err == nil {
+	if _, err := TiersInto([]float64{-1}, 3, nil); err == nil {
 		t.Fatal("negative distance accepted")
 	}
-	if _, err := Tiers([]float64{math.NaN()}, 3); err == nil {
+	if _, err := TiersInto([]float64{math.NaN()}, 3, nil); err == nil {
 		t.Fatal("NaN distance accepted")
 	}
 }
 
 func TestTiersAllZeroDistance(t *testing.T) {
-	tiers, err := Tiers([]float64{0, 0}, 3)
+	tiers, err := TiersInto([]float64{0, 0}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func BenchmarkCluster100K5(b *testing.B) {
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(pts, Config{K: 5}, rng.New(uint64(i))); err != nil {
+		if _, err := ClusterScratch(pts, Config{K: 5}, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestCoincidentCentersEndToEnd(t *testing.T) {
 		{X: 0}, {X: 0}, {X: 0}, {X: 0},
 		{X: 50}, {X: 50}, {X: 50}, {X: 50},
 	}
-	res, err := Cluster(points, Config{K: 4}, rng.New(77))
+	res, err := ClusterScratch(points, Config{K: 4}, rng.New(77), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,15 +50,12 @@ func NewMembership(self string, probe ProbeFunc, interval time.Duration) *Member
 		self:     self,
 		probe:    probe,
 		interval: interval,
-		ring:     NewRing(0),
+		ring:     NewRing(),
 		state:    map[string]*PeerState{self: {ID: self, Self: true, Ready: true}},
 	}
 	m.ring.Add(self)
 	return m
 }
-
-// Self returns the local peer ID.
-func (m *Membership) Self() string { return m.self }
 
 // Add inserts a peer into the roster and ring; reports whether it was
 // new. A freshly added peer is unready until probed (or MarkReady),
@@ -76,20 +73,6 @@ func (m *Membership) Add(peer string) bool {
 	m.state[peer] = &PeerState{ID: peer, Ready: m.probe == nil}
 	m.ring.Add(peer)
 	return true
-}
-
-// Remove drops a peer from roster and ring.
-func (m *Membership) Remove(peer string) {
-	if peer == m.self {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.state[peer]; !ok {
-		return
-	}
-	delete(m.state, peer)
-	m.ring.Remove(peer)
 }
 
 // MarkReady records a probe outcome for a known peer.

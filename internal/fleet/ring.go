@@ -17,23 +17,22 @@ import (
 	"sync"
 )
 
-// DefaultReplicas is the virtual-node count per peer. 128 points per
-// peer keeps the expected per-peer load imbalance under ~10% (stddev of
-// the largest arc sum shrinks like 1/√replicas) while the whole ring
-// for a 16-peer fleet stays at 2048 points — binary searches are a few
-// cache lines.
-const DefaultReplicas = 128
+// replicas is the virtual-node count per peer. 128 points per peer
+// keeps the expected per-peer load imbalance under ~10% (stddev of the
+// largest arc sum shrinks like 1/√replicas) while the whole ring for a
+// 16-peer fleet stays at 2048 points — binary searches are a few cache
+// lines.
+const replicas = 128
 
 // Ring is a consistent-hash ring over peer IDs (base URLs). Keys — the
 // sha256 canonical-config hashes that already address the result cache
-// — map to the first virtual node clockwise; adding or removing one
-// peer of n moves only ~1/n of the key space (tested in ring_test.go).
-// Safe for concurrent use.
+// — map to the first virtual node clockwise; adding one peer of n moves
+// only ~1/(n+1) of the key space (tested in ring_test.go). Safe for
+// concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	peers    map[string]struct{}
-	points   []ringPoint // sorted by hash
+	mu     sync.RWMutex
+	peers  map[string]struct{}
+	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -41,12 +40,9 @@ type ringPoint struct {
 	peer string
 }
 
-// NewRing builds an empty ring; replicas <= 0 uses DefaultReplicas.
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, peers: make(map[string]struct{})}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{peers: make(map[string]struct{})}
 }
 
 // ringHash positions a byte string on the ring: the first 8 bytes of
@@ -65,39 +61,10 @@ func (r *Ring) Add(peer string) {
 		return
 	}
 	r.peers[peer] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, ringPoint{h: ringHash(peer + "#" + strconv.Itoa(i)), peer: peer})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })
-}
-
-// Remove deletes a peer and its virtual nodes (idempotent).
-func (r *Ring) Remove(peer string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.peers[peer]; !ok {
-		return
-	}
-	delete(r.peers, peer)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.peer != peer {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Peers returns the member set, sorted.
-func (r *Ring) Peers() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.peers))
-	for p := range r.peers {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Len reports the number of peers.
@@ -105,16 +72,6 @@ func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.peers)
-}
-
-// Owner returns the peer owning key — the first virtual node at or
-// clockwise after the key's ring position — or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	owners := r.Successors(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
 }
 
 // Successors returns up to n distinct peers in clockwise preference

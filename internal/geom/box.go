@@ -35,22 +35,6 @@ func (b AABB) Volume() float64 {
 	return s.X * s.Y * s.Z
 }
 
-// Contains reports whether p lies inside the box (half-open on each axis).
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X < b.Max.X &&
-		p.Y >= b.Min.Y && p.Y < b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z < b.Max.Z
-}
-
-// Clamp returns p clamped into the box.
-func (b AABB) Clamp(p Vec3) Vec3 {
-	return Vec3{
-		X: math.Min(math.Max(p.X, b.Min.X), math.Nextafter(b.Max.X, b.Min.X)),
-		Y: math.Min(math.Max(p.Y, b.Min.Y), math.Nextafter(b.Max.Y, b.Min.Y)),
-		Z: math.Min(math.Max(p.Z, b.Min.Z), math.Nextafter(b.Max.Z, b.Min.Z)),
-	}
-}
-
 // Validate returns an error if the box is degenerate or inverted.
 func (b AABB) Validate() error {
 	if !(b.Min.IsFinite() && b.Max.IsFinite()) {
@@ -78,37 +62,6 @@ func (b AABB) SampleUniformN(r *rng.Stream, n int) []Vec3 {
 		pts[i] = b.SampleUniform(r)
 	}
 	return pts
-}
-
-// SampleBall draws a point uniformly inside the ball of the given radius
-// centered at c, by radial inversion: r = R * u^(1/3) with a uniform
-// direction. This is the distribution assumed by Lemma 1 ("cluster nodes
-// are uniformly distributed in the area of a ball centered on the cluster
-// head").
-func SampleBall(r *rng.Stream, c Vec3, radius float64) Vec3 {
-	dir := sampleUnitDir(r)
-	rad := radius * math.Cbrt(r.Float64())
-	return c.Add(dir.Scale(rad))
-}
-
-// sampleUnitDir draws a uniform direction on the unit sphere using the
-// Marsaglia (1972) rejection method.
-func sampleUnitDir(r *rng.Stream) Vec3 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := 2 * math.Sqrt(1-s)
-		return Vec3{X: u * f, Y: v * f, Z: 1 - 2*s}
-	}
-}
-
-// BallVolume returns the volume of a ball with the given radius.
-func BallVolume(radius float64) float64 {
-	return 4.0 / 3.0 * math.Pi * radius * radius * radius
 }
 
 // CoverageRadius returns the paper's Eq. (5) cluster coverage radius

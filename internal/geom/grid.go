@@ -132,9 +132,6 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.points) }
-
 // Any reports whether some indexed point p with dist(p, q) <= d has an
 // id for which pred holds. It visits the points within range in no
 // particular order and returns at the first such id, so pred must not

@@ -66,16 +66,3 @@ func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
 		v.Z + (w.Z-v.Z)*t,
 	}
 }
-
-// Centroid returns the arithmetic mean of the given points. It returns the
-// zero vector for an empty slice.
-func Centroid(pts []Vec3) Vec3 {
-	if len(pts) == 0 {
-		return Vec3{}
-	}
-	var c Vec3
-	for _, p := range pts {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(pts)))
-}

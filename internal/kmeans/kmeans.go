@@ -83,16 +83,11 @@ type Scratch struct {
 	d2        []float64
 }
 
-// Cluster runs k-means++ seeding followed by Lloyd's algorithm.
-// The stream drives seeding; results are deterministic per stream state.
-func Cluster(points []geom.Vec3, cfg Config, r *rng.Stream) (*Result, error) {
-	var s Scratch
-	return ClusterScratch(points, cfg, r, &s)
-}
-
-// ClusterScratch is Cluster with caller-owned working storage. The
-// returned Result's Assign and Centroids alias the scratch and stay
-// valid only until the next call with the same Scratch.
+// ClusterScratch runs k-means++ seeding followed by Lloyd's algorithm
+// in caller-owned working storage. The stream drives seeding; results
+// are deterministic per stream state. The returned Result's Assign and
+// Centroids alias the scratch and stay valid only until the next call
+// with the same Scratch.
 func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (*Result, error) {
 	if err := cfg.Validate(len(points)); err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ func threeBlobs(seed uint64, per int) ([]geom.Vec3, []geom.Vec3) {
 
 func TestClusterRecoversBlobs(t *testing.T) {
 	pts, centers := threeBlobs(1, 60)
-	res, err := Cluster(pts, Config{K: 3}, rng.New(2))
+	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(2), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestClusterRecoversBlobs(t *testing.T) {
 
 func TestClusterDeterministicPerStream(t *testing.T) {
 	pts, _ := threeBlobs(3, 40)
-	a, _ := Cluster(pts, Config{K: 3}, rng.New(7))
-	b, _ := Cluster(pts, Config{K: 3}, rng.New(7))
+	a, _ := ClusterScratch(pts, Config{K: 3}, rng.New(7), new(Scratch))
+	b, _ := ClusterScratch(pts, Config{K: 3}, rng.New(7), new(Scratch))
 	if a.Cost != b.Cost {
 		t.Fatalf("costs differ across equal streams: %v vs %v", a.Cost, b.Cost)
 	}
@@ -70,20 +70,20 @@ func TestClusterDeterministicPerStream(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	pts, _ := threeBlobs(4, 5)
-	if _, err := Cluster(pts, Config{K: 0}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 0}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := Cluster(pts, Config{K: len(pts) + 1}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: len(pts) + 1}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K>n accepted")
 	}
-	if _, err := Cluster(pts, Config{K: 2, MaxIterations: -1}, rng.New(1)); err == nil {
+	if _, err := ClusterScratch(pts, Config{K: 2, MaxIterations: -1}, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("negative iterations accepted")
 	}
 }
 
 func TestClusterKEqualsN(t *testing.T) {
 	pts := []geom.Vec3{{X: 1}, {X: 5}, {X: 9}}
-	res, err := Cluster(pts, Config{K: 3}, rng.New(5))
+	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(5), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestClusterDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Vec3{X: 3, Y: 3, Z: 3}
 	}
-	res, err := Cluster(pts, Config{K: 3}, rng.New(6))
+	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(6), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCostDecreasesWithK(t *testing.T) {
 	pts, _ := threeBlobs(7, 50)
 	prev := math.Inf(1)
 	for _, k := range []int{1, 2, 3, 6} {
-		res, err := Cluster(pts, Config{K: k}, rng.New(8))
+		res, err := ClusterScratch(pts, Config{K: k}, rng.New(8), new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestLloydNearOptimalOnTinyInstances(t *testing.T) {
 		// Best of a few restarts, as standard.
 		best := math.Inf(1)
 		for restart := 0; restart < 5; restart++ {
-			res, err := Cluster(pts, Config{K: 3}, r.Split(uint64(trial*10+restart)))
+			res, err := ClusterScratch(pts, Config{K: 3}, r.Split(uint64(trial*10+restart)), new(Scratch))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func BenchmarkCluster100(b *testing.B) {
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(pts, Config{K: 5}, rng.New(uint64(i))); err != nil {
+		if _, err := ClusterScratch(pts, Config{K: 5}, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func BenchmarkCluster2896(b *testing.B) {
 	pts := geom.Cube(1000).SampleUniformN(r, 2896)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(pts, Config{K: 272}, rng.New(uint64(i))); err != nil {
+		if _, err := ClusterScratch(pts, Config{K: 272}, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,25 +89,6 @@ type EnergyBreakdown struct {
 	Control energy.Joules
 }
 
-// Total sums the categories.
-func (b EnergyBreakdown) Total() energy.Joules {
-	return b.Tx + b.Rx + b.Fusion + b.Control
-}
-
-// NumEnergyCategories is the number of EnergyBreakdown categories.
-const NumEnergyCategories = 4
-
-// EnergyCategoryNames names the categories in Categories() order —
-// the same lowercase names the audit ledger uses for its causes.
-var EnergyCategoryNames = [NumEnergyCategories]string{"tx", "rx", "fusion", "control"}
-
-// Categories returns the breakdown as an array ordered per
-// EnergyCategoryNames, for callers that iterate categories (the audit
-// report cross-checks ledger per-cause sums against these fields).
-func (b EnergyBreakdown) Categories() [NumEnergyCategories]energy.Joules {
-	return [NumEnergyCategories]energy.Joules{b.Tx, b.Rx, b.Fusion, b.Control}
-}
-
 // Result is a whole-run measurement.
 type Result struct {
 	Protocol string

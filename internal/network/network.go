@@ -203,15 +203,6 @@ func (w *Network) N() int { return len(w.Nodes) }
 // charge of every node.
 func (w *Network) InitialTotalEnergy() energy.Joules { return w.initialTotal }
 
-// TotalResidual returns the current summed residual energy.
-func (w *Network) TotalResidual() energy.Joules {
-	var total energy.Joules
-	for _, n := range w.Nodes {
-		total += n.Battery.Residual()
-	}
-	return total
-}
-
 // TotalConsumed returns the summed energy drawn so far — the quantity on
 // the y-axis of Figure 3(b).
 func (w *Network) TotalConsumed() energy.Joules {

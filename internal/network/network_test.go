@@ -29,7 +29,7 @@ func TestDeployPaperSettings(t *testing.T) {
 		t.Fatalf("initial total = %v, want 500 J", w.InitialTotalEnergy())
 	}
 	for _, n := range w.Nodes {
-		if !w.Box.Contains(n.Pos) {
+		if !inBox(w.Box, n.Pos) {
 			t.Fatalf("node %d outside cube: %v", n.ID, n.Pos)
 		}
 		if n.LastCHRound != -1 {
@@ -270,4 +270,10 @@ func TestNetworkEnergyConservationQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// inBox reports whether p lies in b, faces included, give or take 1e-9.
+func inBox(b geom.AABB, p geom.Vec3) bool {
+	lo, hi := b.Min.Sub(p), p.Sub(b.Max)
+	return math.Max(lo.X, math.Max(lo.Y, lo.Z)) <= 1e-9 && math.Max(hi.X, math.Max(hi.Y, hi.Z)) <= 1e-9
 }

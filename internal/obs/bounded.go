@@ -5,8 +5,10 @@ import "sync"
 // Bounded is a concurrency-safe map holding at most max entries. When
 // a Put of a new key would exceed the cap, the oldest insertion is
 // evicted (plain FIFO: reads do not refresh an entry, and rewriting a
-// held key keeps its place). It backs qlecd's trace store and its
-// event hubs of recently finished jobs.
+// held key keeps its place). It is qlecd's one bounded store: it backs
+// the trace store (TraceStore), the recently finished job and batch
+// records (service.Server), and the in-memory result envelopes in
+// front of the result files (service's result cache).
 type Bounded[K comparable, V any] struct {
 	mu    sync.Mutex
 	byKey map[K]V
@@ -14,17 +16,12 @@ type Bounded[K comparable, V any] struct {
 	max   int
 }
 
-// NewBounded returns a map capped at max entries (min 1). With a
-// non-nil reg it registers a gauge named held reporting Len.
-func NewBounded[K comparable, V any](max int, reg *Registry, held, help string) *Bounded[K, V] {
+// NewBounded returns a map capped at max entries (min 1).
+func NewBounded[K comparable, V any](max int) *Bounded[K, V] {
 	if max < 1 {
 		max = 1
 	}
-	b := &Bounded[K, V]{byKey: make(map[K]V), max: max}
-	if reg != nil {
-		reg.GaugeFunc(held, help, func() float64 { return float64(b.Len()) })
-	}
-	return b
+	return &Bounded[K, V]{byKey: make(map[K]V), max: max}
 }
 
 // Put stores v under k, evicting the oldest entries beyond the cap.

@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 func TestBoundedFIFO(t *testing.T) {
-	reg := NewRegistry()
-	b := NewBounded[string, int](3, reg, "test_held", "Entries held.")
+	b := NewBounded[string, int](3)
 	for i, k := range []string{"a", "b", "c"} {
 		b.Put(k, i)
 	}
@@ -33,12 +30,5 @@ func TestBoundedFIFO(t *testing.T) {
 	}
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "test_held 3\n") {
-		t.Fatalf("exposition missing test_held 3:\n%s", buf.String())
 	}
 }

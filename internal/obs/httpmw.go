@@ -144,6 +144,3 @@ func (w *statusWriter) Flush() {
 		f.Flush()
 	}
 }
-
-// Unwrap supports http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -195,9 +195,6 @@ func (c *Counter) Add(v float64) {
 	addFloat(&c.c.bits, v)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.c.bits.Load()) }
-
 // Gauge is a value that can go up and down.
 type Gauge struct{ c *child }
 
@@ -212,9 +209,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts 1.
 func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
 
 // Histogram samples observations into cumulative buckets with declared
 // upper bounds (le is inclusive, per the exposition format).
@@ -234,9 +228,6 @@ func (h *Histogram) Observe(v float64) {
 	d.count.Add(1)
 	addFloat(&d.sumBits, v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.c.hist.count.Load() }
 
 // Counter registers (or fetches) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {

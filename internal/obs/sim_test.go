@@ -21,9 +21,8 @@ func TestSimCollectorObserve(t *testing.T) {
 			Generated: 50,
 			Delivered: 45,
 		},
-		MeanQ:   0.42,
-		Epsilon: 0.05,
-		HasQ:    true,
+		MeanQ: 0.42,
+		HasQ:  true,
 	}
 	snap.Stats.Dropped[metrics.DropLink] = 3
 	snap.Stats.Dropped[metrics.DropQueue] = 2
@@ -54,9 +53,6 @@ func TestSimCollectorObserve(t *testing.T) {
 	}
 	if got := c.meanQ.Value(); got != 0.42 {
 		t.Errorf("meanQ = %v, want 0.42", got)
-	}
-	if got := c.epsilon.Value(); got != 0.05 {
-		t.Errorf("epsilon = %v, want 0.05", got)
 	}
 
 	var b strings.Builder

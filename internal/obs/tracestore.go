@@ -26,13 +26,13 @@ type SpanRecord struct {
 	Args     map[string]any `json:"args,omitempty"`
 }
 
-// Default TraceStore bounds: traces are evicted FIFO past
-// DefaultStoreTraces, and each trace keeps at most DefaultStoreSpans
-// records. A `one` job records a span per round, so a longer run keeps
-// its first rounds and reports the rest as dropped.
+// TraceStore bounds: traces are evicted FIFO past DefaultStoreTraces
+// (or the instance's own cap), and each trace keeps at most
+// maxStoreSpans records. A `one` job records a span per round, so a
+// longer run keeps its first rounds and reports the rest as dropped.
 const (
 	DefaultStoreTraces = 256
-	DefaultStoreSpans  = 20000
+	maxStoreSpans      = 20000
 )
 
 // TraceStore holds the spans this instance recorded, grouped by trace
@@ -43,7 +43,7 @@ type TraceStore struct {
 	instance string
 	mu       sync.Mutex // guards the traceSpans held in traces
 	traces   *Bounded[string, *traceSpans]
-	maxSpans int
+	maxSpans int // maxStoreSpans; tests lower it
 }
 
 // traceSpans is one trace's records plus the count refused past the
@@ -54,18 +54,15 @@ type traceSpans struct {
 }
 
 // NewTraceStore returns a store labelling every span with instance.
-// maxTraces/maxSpans <= 0 use the defaults.
-func NewTraceStore(instance string, maxTraces, maxSpans int) *TraceStore {
+// maxTraces <= 0 uses DefaultStoreTraces.
+func NewTraceStore(instance string, maxTraces int) *TraceStore {
 	if maxTraces <= 0 {
 		maxTraces = DefaultStoreTraces
 	}
-	if maxSpans <= 0 {
-		maxSpans = DefaultStoreSpans
-	}
 	return &TraceStore{
 		instance: instance,
-		traces:   NewBounded[string, *traceSpans](maxTraces, nil, "", ""),
-		maxSpans: maxSpans,
+		traces:   NewBounded[string, *traceSpans](maxTraces),
+		maxSpans: maxStoreSpans,
 	}
 }
 

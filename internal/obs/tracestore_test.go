@@ -34,7 +34,7 @@ func writeChrome(t *testing.T, spans []SpanRecord) chromeDoc {
 }
 
 func TestTraceStoreChromeEnvelope(t *testing.T) {
-	st := NewTraceStore("d1", 0, 0)
+	st := NewTraceStore("d1", 0)
 	sc := NewSpanContext()
 	start := time.Now()
 	st.Span(sc, "job j1", "job", start, start.Add(50*time.Millisecond), map[string]any{"kind": "one"})
@@ -66,7 +66,8 @@ func TestTraceStoreChromeEnvelope(t *testing.T) {
 // TestTraceStoreDropMarker: spans past the per-trace cap are refused,
 // and the served trace says how many.
 func TestTraceStoreDropMarker(t *testing.T) {
-	st := NewTraceStore("d1", 0, 10)
+	st := NewTraceStore("d1", 0)
+	st.maxSpans = 10
 	sc := NewSpanContext()
 	for i := 0; i < 25; i++ {
 		st.Instant(sc, "ev", "test", nil)
@@ -105,7 +106,8 @@ func TestNilTraceStoreNoops(t *testing.T) {
 // while others read it; under -race this checks the store and its
 // bounded trace map lock together.
 func TestTraceStoreConcurrent(t *testing.T) {
-	st := NewTraceStore("d1", 2, 50)
+	st := NewTraceStore("d1", 2)
+	st.maxSpans = 50
 	traces := []SpanContext{NewSpanContext(), NewSpanContext()}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -201,16 +201,6 @@ func (r *Registry) All() []Descriptor {
 	return out
 }
 
-// IDs returns the canonical ids in All() order.
-func (r *Registry) IDs() []string {
-	all := r.All()
-	out := make([]string, len(all))
-	for i, d := range all {
-		out[i] = d.ID
-	}
-	return out
-}
-
 // Figure3 returns the paper's headline comparison set in Figure3Rank
 // order.
 func (r *Registry) Figure3() []Descriptor {
@@ -335,9 +325,6 @@ func Known(name string) bool { return Default.Known(name) }
 
 // All lists the Default registry's descriptors in deterministic order.
 func All() []Descriptor { return Default.All() }
-
-// IDs lists the Default registry's canonical ids in All() order.
-func IDs() []string { return Default.IDs() }
 
 // Figure3 lists the paper's comparison set from the Default registry.
 func Figure3() []Descriptor { return Default.Figure3() }

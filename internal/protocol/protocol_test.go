@@ -77,8 +77,12 @@ func TestAllDeterministicOrder(t *testing.T) {
 	}
 	want := []string{"a", "b", "d", "c"} // rank 10, 20, 20 (tie → id), 30
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
-		if got := build(order...).IDs(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("IDs() after registration order %v = %v, want %v", order, got, want)
+		var got []string
+		for _, d := range build(order...).All() {
+			got = append(got, d.ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("All() ids after registration order %v = %v, want %v", order, got, want)
 		}
 	}
 }

@@ -126,15 +126,6 @@ func New(w *network.Network, cfg Config) (*Protocol, error) {
 	}, nil
 }
 
-// Sector returns node id's fixed sector index (tests and telemetry).
-func (p *Protocol) Sector(id int) int { return p.sector[id] }
-
-// Sectors returns the configured sector count after clamping.
-func (p *Protocol) Sectors() int { return p.cfg.Sectors }
-
-// Quota returns sector s's head allotment.
-func (p *Protocol) Quota(s int) int { return p.quota[s] }
-
 // Name implements cluster.Protocol.
 func (p *Protocol) Name() string { return "Q-LEACH" }
 

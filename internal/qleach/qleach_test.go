@@ -30,20 +30,20 @@ func TestPerSectorHeadCountBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sectors() != DefaultSectors {
-		t.Fatalf("Sectors() = %d, want %d", p.Sectors(), DefaultSectors)
+	if p.cfg.Sectors != DefaultSectors {
+		t.Fatalf("sectors = %d, want %d", p.cfg.Sectors, DefaultSectors)
 	}
 	for round := 0; round < 60; round++ {
 		heads := p.StartRound(round)
 		if len(heads) != k {
 			t.Fatalf("round %d: %d heads, want %d", round, len(heads), k)
 		}
-		perSector := make([]int, p.Sectors())
+		perSector := make([]int, p.cfg.Sectors)
 		for _, h := range heads {
-			perSector[p.Sector(h)]++
+			perSector[p.sector[h]]++
 		}
 		for s, got := range perSector {
-			if want := p.Quota(s); got != want {
+			if want := p.quota[s]; got != want {
 				t.Fatalf("round %d: sector %d fielded %d heads, want %d (all %v)",
 					round, s, got, want, perSector)
 			}
@@ -62,8 +62,8 @@ func TestQuotaSplit(t *testing.T) {
 	}
 	want := []int{2, 2, 2, 1}
 	var got []int
-	for s := 0; s < p.Sectors(); s++ {
-		got = append(got, p.Quota(s))
+	for s := 0; s < p.cfg.Sectors; s++ {
+		got = append(got, p.quota[s])
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("quotas = %v, want %v", got, want)
@@ -78,8 +78,8 @@ func TestSectorsClampedToK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sectors() != 2 {
-		t.Fatalf("Sectors() = %d, want 2", p.Sectors())
+	if p.cfg.Sectors != 2 {
+		t.Fatalf("sectors = %d, want 2", p.cfg.Sectors)
 	}
 }
 

@@ -493,8 +493,8 @@ func FuzzDecideEpoch(f *testing.F) {
 // the set has more than candM heads); one
 // armed the same way with a decision observer, so its Decide evaluates
 // every head; and one that is never armed (every Decide fills a scratch
-// row by looking up each link). All share the network, the parameters
-// and triplet exploration streams. After every operation the chosen
+// row by looking up each link). All share the network and the
+// parameters. After every operation the chosen
 // targets, every V and the two observed learners' Decision records must
 // be bit-equal, and every learner's estimate for every directed link
 // must equal a reference map that applies the same prior-then-EWMA
@@ -505,13 +505,13 @@ func FuzzDecideEpoch(f *testing.F) {
 // for the first learner's write-back. At the end every LinkP must equal
 // the map. It returns the first learner's candidate-list counters.
 //
-// The third byte sets ε = 0.3 when odd, and lays the nodes out on a
-// ring around node 0 when bit 1 is set. A head-set byte of 0x80 or
+// The third byte lays the nodes out on a ring around node 0 when bit 1
+// is set; its other bits are unused. A head-set byte of 0x80 or
 // more with a nonzero count arms a wide set
 // instead: up to n distinct nodes with consecutive ids, so a set can
 // hold more heads than a candidate list. A target byte of 0x83 or
 // more that selects the fourth case draws the last Decide's return
-// value, so an exploratory pick can be observed. An outcome byte of
+// value. An outcome byte of
 // 0x80 or more reads the observed link back with LinkP at once.
 func decideEpoch(t *testing.T, data []byte) listStats {
 	in := fuzzBytes(data)
@@ -522,11 +522,7 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	layout := in.next()
-	if layout%2 == 1 {
-		p.Epsilon = 0.3
-	}
-	if layout&2 != 0 {
+	if in.next()&2 != 0 {
 		// A ring: node 0 at the center and the others evenly spaced
 		// around it, so node 0 sees every head at one distance, and
 		// the heads its candidate list leaves out are all but tied
@@ -568,11 +564,6 @@ func decideEpoch(t *testing.T, data []byte) listStats {
 	var decA, decP []Decision
 	armed.SetDecisionObserver(func(d Decision) { decA = append(decA, d) })
 	plain.SetDecisionObserver(func(d Decision) { decP = append(decP, d) })
-	if p.Epsilon > 0 {
-		for _, l := range ls {
-			l.SetExploration(rng.NewNamed(seed, "explore"))
-		}
-	}
 
 	// node draws an id; target draws the BS, a current or previous
 	// head, the last Decide's target, or any node.
@@ -708,8 +699,8 @@ func (l *Learner) peekLinkP(from, to int) float64 {
 // sameDecision reports whether two Decision records are bit-equal.
 func sameDecision(a, b Decision) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if a.Node != b.Node || a.Greedy != b.Greedy || a.Chosen != b.Chosen || a.Explored != b.Explored ||
-		!same(a.EpsRoll, b.EpsRoll) || !same(a.VBefore, b.VBefore) || !same(a.VAfter, b.VAfter) ||
+	if a.Node != b.Node || a.Greedy != b.Greedy || a.Chosen != b.Chosen ||
+		!same(a.VBefore, b.VBefore) || !same(a.VAfter, b.VAfter) ||
 		len(a.Candidates) != len(b.Candidates) || len(a.QValues) != len(b.QValues) {
 		return false
 	}
@@ -728,7 +719,7 @@ var listSeeds = []struct {
 	data  []byte
 	reach func(listStats) bool
 }{
-	// ε = 0.3 on a ring of 22: node 0 decides among heads 21..1, its
+	// A ring of 22: node 0 decides among heads 21..1, its
 	// ACK for the pick is a failure, and its next decision finds the
 	// envelope reaching the best Q and rebuilds; without that full pass
 	// it would return the wrong head.
@@ -765,14 +756,7 @@ var listSeeds = []struct {
 	{"prebuilt-moved-d", []byte{0x12, 0x00, 0x00, 0x01, 0x13, 0x00, 0x81, 0x00, 0x11,
 		0x06, 0x13, 0xff, 0x04, 0x03, 0x13, 0x01, 0x13},
 		func(s listStats) bool { return s.full == 2 && s.falling > 0 }},
-	// ε = 0.3, 20 nodes, heads 0..17; member 19 decides twice, the
-	// second pick exploring a head its list left out, and the ACK for
-	// that pick (target byte 0x83: the last Decide's target) expires
-	// the list.
-	{"explore-outside-list", []byte{0x12, 0x09, 0x01, 0x00, 0x81, 0x00, 0x11, 0x01, 0x13, 0x01, 0x13,
-		0x03, 0x13, 0x83, 0x01},
-		func(s listStats) bool { return s.observed > 0 }},
-	// ε = 0.3 on a ring of 35: an ACK from node 0 for a head its list
+	// A ring of 35: an ACK from node 0 for a head its list
 	// left out must expire the list, or node 0's next decision misses
 	// that head.
 	{"observe-left-out", []byte{0x21, 0xb3, 0x03, 0x00, 0x81, 0x01, 0x21, 0x03, 0x00, 0x01, 0xe7,

@@ -1,7 +1,7 @@
 package qlearn
 
 // Decision explainability: observer hooks that expose what each
-// ε-greedy Decide call saw and chose, and what reward the next ACK
+// Decide call saw and chose, and what reward the next ACK
 // observation realized. Both observers follow the engine's tracer
 // discipline — nil by default, one branch on the unobserved path, and
 // called synchronously from the simulation goroutine — so the bench
@@ -10,9 +10,8 @@ package qlearn
 // Decision records one Decide call: the probed action set (the base
 // station first, then each candidate head in probe order, aligned
 // index-for-index with QValues), the greedy argmax, what was actually
-// returned, and the V refresh the call applied. EpsRoll is the uniform
-// draw compared against ε, or NaN when exploration is disabled (no
-// draw was consumed). The Candidates/QValues slices are freshly
+// returned (Decide is greedy, so Chosen is Greedy), and the V refresh
+// the call applied. The Candidates/QValues slices are freshly
 // allocated per call; observers may retain them.
 type Decision struct {
 	Node       int
@@ -20,8 +19,6 @@ type Decision struct {
 	QValues    []float64
 	Greedy     int
 	Chosen     int
-	Explored   bool
-	EpsRoll    float64
 	VBefore    float64
 	VAfter     float64
 }

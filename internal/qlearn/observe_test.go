@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"qlec/internal/energy"
 	"qlec/internal/network"
-	"qlec/internal/rng"
 )
 
 // TestDecisionObserverCapture: a Decide under observation must report
@@ -24,7 +22,7 @@ func TestDecisionObserverCapture(t *testing.T) {
 		t.Fatalf("observer fired %d times, want 1", len(got))
 	}
 	d := got[0]
-	if d.Node != 0 || d.Chosen != chosen || d.Greedy != chosen || d.Explored {
+	if d.Node != 0 || d.Chosen != chosen || d.Greedy != chosen {
 		t.Fatalf("decision %+v inconsistent with Decide() = %d", d, chosen)
 	}
 	wantCands := []int{network.BSID, 2, 5, 7}
@@ -43,9 +41,6 @@ func TestDecisionObserverCapture(t *testing.T) {
 	if d.VAfter != bestQ || l.V(0) != bestQ {
 		t.Fatalf("VAfter = %v, max Q = %v, V(0) = %v; all must agree", d.VAfter, bestQ, l.V(0))
 	}
-	if !math.IsNaN(d.EpsRoll) {
-		t.Fatalf("EpsRoll = %v without exploration, want NaN", d.EpsRoll)
-	}
 
 	// Detaching stops capture.
 	l.SetDecisionObserver(nil)
@@ -56,8 +51,7 @@ func TestDecisionObserverCapture(t *testing.T) {
 }
 
 // TestDecisionObserverPreservesDecisions: installing the observer must
-// not perturb decisions, V updates, or the exploration RNG stream —
-// observed and unobserved learners given identical histories must make
+// not perturb decisions or V updates — observed and unobserved learners given identical histories must make
 // byte-identical choices. That holds unarmed, and armed, where the
 // observer also switches Decide from the screened argmax to the
 // exhaustive scan; epochs re-arm every 50 steps, and head values
@@ -65,13 +59,7 @@ func TestDecisionObserverCapture(t *testing.T) {
 func TestDecisionObserverPreservesDecisions(t *testing.T) {
 	run := func(observe, arm bool) ([]int, []float64) {
 		w := testNet(t, 20, 11)
-		p := DefaultParams()
-		p.Epsilon = 0.3
-		l, err := NewLearner(w, energy.DefaultModel(), 4000, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.SetExploration(rng.NewNamed(99, "explore"))
+		l := newTestLearner(t, w)
 		if observe {
 			l.SetDecisionObserver(func(Decision) {})
 			l.SetOutcomeObserver(func(Outcome) {})
@@ -103,42 +91,6 @@ func TestDecisionObserverPreservesDecisions(t *testing.T) {
 					c.observe, c.arm, i, picks[i], vs[i], basePicks[i], baseVs[i])
 			}
 		}
-	}
-}
-
-// TestDecisionObserverEpsRoll: under exploration every decision carries
-// the consumed roll, and explored decisions are flagged.
-func TestDecisionObserverEpsRoll(t *testing.T) {
-	w := testNet(t, 20, 5)
-	p := DefaultParams()
-	p.Epsilon = 0.5
-	l, err := NewLearner(w, energy.DefaultModel(), 4000, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetExploration(rng.NewNamed(5, "explore"))
-	heads := []int{1, 2, 3, 4}
-	explored, greedy := 0, 0
-	l.SetDecisionObserver(func(d Decision) {
-		if math.IsNaN(d.EpsRoll) {
-			t.Error("exploration enabled but EpsRoll is NaN")
-		}
-		if d.Explored != (d.EpsRoll < p.Epsilon) {
-			t.Errorf("Explored = %v with roll %v vs ε %v", d.Explored, d.EpsRoll, p.Epsilon)
-		}
-		if d.Explored {
-			explored++
-		} else if d.Chosen != d.Greedy {
-			t.Errorf("greedy decision chose %d, argmax %d", d.Chosen, d.Greedy)
-		} else {
-			greedy++
-		}
-	})
-	for i := 0; i < 200; i++ {
-		l.Decide(10, heads)
-	}
-	if explored == 0 || greedy == 0 {
-		t.Fatalf("explored %d / greedy %d decisions, want both > 0", explored, greedy)
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"qlec/internal/energy"
 	"qlec/internal/geom"
 	"qlec/internal/network"
-	"qlec/internal/rng"
 )
 
 // Params collects the reward weights and learning constants of Table 2.
@@ -70,15 +69,6 @@ type Params struct {
 	// InitialLinkP is the optimistic prior success probability for a
 	// link with no history yet; optimism makes nodes try every head.
 	InitialLinkP float64
-	// Epsilon enables ε-greedy exploration, an extension beyond the
-	// paper's purely greedy Algorithm 4: with probability Epsilon a
-	// Decide call picks a uniformly random head instead of the argmax.
-	// Exploration requires a stream via Learner.SetExploration; with the
-	// paper's optimistic link priors it is rarely needed (untried
-	// actions already look good), but it protects against premature
-	// convergence when priors are pessimistic. Zero (the default)
-	// reproduces the paper exactly.
-	Epsilon float64
 }
 
 // DefaultParams returns Table 2's weights with sensible values for the
@@ -123,9 +113,6 @@ func (p Params) Validate() error {
 		if w < 0 || math.IsNaN(w) {
 			return fmt.Errorf("qlearn: reward weights must be non-negative, got %v", w)
 		}
-	}
-	if p.Epsilon < 0 || p.Epsilon >= 1 || math.IsNaN(p.Epsilon) {
-		return fmt.Errorf("qlearn: epsilon %v outside [0,1)", p.Epsilon)
 	}
 	return nil
 }
@@ -202,9 +189,6 @@ type Learner struct {
 	updates   uint64
 	lastDelta float64
 	maxDelta  *deltaWindow
-
-	// explore drives ε-greedy action selection when params.Epsilon > 0.
-	explore *rng.Stream
 
 	// decObs/outObs, when installed, observe Decide calls and ACK
 	// outcomes for the audit flight recorder (see observe.go).
@@ -389,24 +373,16 @@ func (l *Learner) rewardFailure(from, to int) float64 {
 	return -l.params.G + l.params.Beta1*l.x(from) - l.params.Beta2*l.y(from, to)
 }
 
-// q evaluates Eq. (15)+(16) for one state-action pair.
-func (l *Learner) q(from, to int) float64 {
-	a := action{y: l.y(from, to), p: l.LinkP(from, to)}
-	if to == network.BSID {
-		return l.qAction(a, l.x(from), l.v[from], 1, l.vBS, l.params.L)
-	}
-	return l.qAction(a, l.x(from), l.v[from], l.x(to), l.v[to], 0)
-}
-
-// qAction is q for one action-row entry: the from-side invariants —
-// x(from) and V*(from), identical for every action probed by one Decide
-// call — and the target's x and V are supplied by the caller, and
-// penalty is Eq. (19)'s l for the BS action and 0 for a head. The
-// arithmetic is term-for-term the same expression as the
-// rewardSuccess/rewardFailure/q composition (subtracting a zero penalty
-// leaves every value's bits unchanged), so results stay byte-identical
-// (the determinism-preservation rule of DESIGN.md §8); the transmission
-// cost y is evaluated once instead of once per reward term.
+// qAction evaluates Eq. (15)+(16) for one action-row entry: the
+// from-side invariants — x(from) and V*(from), identical for every
+// action probed by one Decide call — and the target's x and V are
+// supplied by the caller, and penalty is Eq. (19)'s l for the BS action
+// and 0 for a head. The arithmetic is term-for-term the same expression
+// as composing rewardSuccess and rewardFailure (subtracting a zero
+// penalty leaves every value's bits unchanged), so results stay
+// byte-identical (the determinism-preservation rule of DESIGN.md §8);
+// the transmission cost y is evaluated once instead of once per reward
+// term.
 func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) float64 {
 	rs := -l.params.G + l.params.Alpha1*(xFrom+xTo) - l.params.Alpha2*a.y - penalty
 	rf := -l.params.G + l.params.Beta1*xFrom - l.params.Beta2*a.y
@@ -670,17 +646,6 @@ func (l *Learner) columns(dst []headCol, heads []int) []headCol {
 	return dst
 }
 
-// QValue evaluates Eq. (15)+(16) for one state-action pair without
-// changing any estimate or value — introspection for tests, debugging
-// and visualization. target may be network.BSID.
-func (l *Learner) QValue(from, target int) float64 {
-	return l.q(from, target)
-}
-
-// SetExploration installs the stream driving ε-greedy exploration.
-// Required when Params.Epsilon > 0; a nil stream disables exploration.
-func (l *Learner) SetExploration(s *rng.Stream) { l.explore = s }
-
 // Decide implements Algorithm 4 for node from: it finds the max of Q
 // over the action set (every head plus the base station), refreshes
 // V*(from) to it, and returns the argmax target (a head id or
@@ -688,14 +653,8 @@ func (l *Learner) SetExploration(s *rng.Stream) { l.explore = s }
 // determinism. On the armed head set with no decision observer, the
 // node's candidate list and a cheap upper bound rule most heads out
 // before any exact evaluation (screen); the target and V are
-// bit-identical to evaluating every head. With
-// Epsilon > 0 and an exploration stream installed, it instead returns a
-// head sampled uniformly from the heads other than from itself with
-// probability ε (V is still refreshed from the greedy max, as in
-// standard ε-greedy value iteration). Excluding from keeps the
-// realized exploration rate at ε for heads too — sampling the full
-// list and falling back to greedy when the draw landed on from would
-// silently depress it.
+// bit-identical to evaluating every head. Like the paper's Algorithm
+// 4, it is purely greedy.
 func (l *Learner) Decide(from int, heads []int) int {
 	// Invariants of the from side — its normalized residual energy and
 	// current V — are identical for every probed action; hoist them out
@@ -708,7 +667,7 @@ func (l *Learner) Decide(from int, heads []int) int {
 	vFrom := l.v[from]
 	var rec *Decision
 	if l.decObs != nil {
-		rec = &Decision{Node: from, VBefore: vFrom, EpsRoll: math.NaN()}
+		rec = &Decision{Node: from, VBefore: vFrom}
 	}
 	armed := l.armed && len(heads) == len(l.set) && (len(heads) == 0 || &heads[0] == &l.set[0])
 	best, bestQ, ok := 0, 0.0, false
@@ -726,44 +685,13 @@ func (l *Learner) Decide(from int, heads []int) int {
 		best, bestQ = l.scan(from, row, cols, xFrom, vFrom, rec)
 	}
 	l.setV(from, bestQ)
-	chosen := best
-	explored := false
-	if l.params.Epsilon > 0 && l.explore != nil && len(heads) > 0 {
-		roll := l.explore.Float64()
-		if rec != nil {
-			rec.EpsRoll = roll
-		}
-		if roll < l.params.Epsilon {
-			others := 0
-			for _, h := range heads {
-				if h != from {
-					others++
-				}
-			}
-			if others > 0 {
-				j := l.explore.Intn(others)
-				for _, h := range heads {
-					if h == from {
-						continue
-					}
-					if j == 0 {
-						chosen = h
-						explored = true
-						break
-					}
-					j--
-				}
-			}
-		}
-	}
 	if rec != nil {
 		rec.Greedy = best
-		rec.Chosen = chosen
-		rec.Explored = explored
+		rec.Chosen = best
 		rec.VAfter = bestQ
 		l.decObs(*rec)
 	}
-	return chosen
+	return best
 }
 
 // scan is the exhaustive argmax of Decide: Eq. (15) evaluated for the
@@ -1159,15 +1087,6 @@ func (l *Learner) setV(id int, v float64) {
 			l.setK(c, xOf(c.bat), v)
 		}
 	}
-}
-
-// V returns the current V*(id) (or the BS terminal value for
-// network.BSID).
-func (l *Learner) V(id int) float64 {
-	if id == network.BSID {
-		return l.vBS
-	}
-	return l.v[id]
 }
 
 // Updates returns the number of V updates so far — the "X" in the

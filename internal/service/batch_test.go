@@ -110,10 +110,7 @@ func TestBatchDedupeAndEvents(t *testing.T) {
 		t.Errorf("simulations ran %d times, want 3 (dedupe failed)", got)
 	}
 
-	list, err := cl.Batches(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	list := getList[*service.Batch](t, cl, "/v1/batches")
 	if len(list) != 1 || list[0].ID != b.ID {
 		t.Fatalf("batch list = %+v, want exactly %s", list, b.ID)
 	}

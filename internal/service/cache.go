@@ -1,8 +1,9 @@
 package service
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"qlec/internal/obs"
 )
 
 // maxCachedEnvelopes bounds the in-memory layer of the result cache;
@@ -11,37 +12,25 @@ import (
 const maxCachedEnvelopes = 256
 
 // resultCache is the content-addressed result index: hash → envelope,
-// an in-memory map write-through-backed by the disk store (when one is
-// configured). hits/misses count submission-time lookups only — the
-// numbers behind /metrics' cache hit rate — not /v1/results fetches.
+// a bounded in-memory layer write-through-backed by the disk store
+// (when one is configured). A memory miss asks the store, so results a
+// previous process left behind hit without being indexed at boot.
+// hits/misses count submission-time lookups only — the numbers behind
+// /metrics' cache hit rate — not /v1/results fetches.
 type resultCache struct {
-	mu    sync.Mutex
-	mem   map[string]*ResultEnvelope
-	known map[string]bool // hashes with a persisted result (superset of mem)
-	store *Store          // nil = memory-only
+	mem   *obs.Bounded[string, *ResultEnvelope]
+	store *Store // nil = memory-only
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// newResultCache builds the cache over an optional store, indexing any
-// results a previous process left behind.
-func newResultCache(store *Store) (*resultCache, error) {
-	c := &resultCache{
-		mem:   make(map[string]*ResultEnvelope),
-		known: make(map[string]bool),
+// newResultCache builds the cache over an optional store.
+func newResultCache(store *Store) *resultCache {
+	return &resultCache{
+		mem:   obs.NewBounded[string, *ResultEnvelope](maxCachedEnvelopes),
 		store: store,
 	}
-	if store != nil {
-		hashes, err := store.ResultHashes()
-		if err != nil {
-			return nil, err
-		}
-		for _, h := range hashes {
-			c.known[h] = true
-		}
-	}
-	return c, nil
 }
 
 // peek fetches without touching the counters (the submission path
@@ -49,46 +38,31 @@ func newResultCache(store *Store) (*resultCache, error) {
 // internal checks don't count). A disk hit repopulates the memory
 // layer.
 func (c *resultCache) peek(hash string) (*ResultEnvelope, bool) {
-	c.mu.Lock()
-	if env, ok := c.mem[hash]; ok {
-		c.mu.Unlock()
+	if env, ok := c.mem.Get(hash); ok {
 		return env, true
 	}
-	onDisk := c.known[hash] && c.store != nil
-	c.mu.Unlock()
-	if !onDisk {
+	if c.store == nil {
 		return nil, false
 	}
 	env, err := c.store.LoadResult(hash)
 	if err != nil {
 		return nil, false
 	}
-	c.put(hash, env, false)
+	c.mem.Put(hash, env)
 	return env, true
 }
 
 // put records a result, optionally persisting it. The returned error is
 // the persistence outcome; the in-memory record is installed either
-// way, so a full disk degrades durability, not correctness.
+// way, so a full disk degrades durability, not correctness. Past the
+// memory bound the oldest entry leaves memory; the disk layer still has
+// it (or the re-simulation cost is bounded for memory-only servers).
 func (c *resultCache) put(hash string, env *ResultEnvelope, persist bool) error {
 	var err error
 	if persist && c.store != nil {
 		err = c.store.SaveResult(hash, env)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.mem) >= maxCachedEnvelopes {
-		// Evict an arbitrary entry; the disk layer still has it (or the
-		// re-simulation cost is bounded for memory-only servers).
-		for k := range c.mem {
-			delete(c.mem, k)
-			break
-		}
-	}
-	c.mem[hash] = env
-	if err == nil && persist && c.store != nil {
-		c.known[hash] = true
-	}
+	c.mem.Put(hash, env)
 	return err
 }
 

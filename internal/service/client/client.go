@@ -24,7 +24,6 @@ import (
 
 	"qlec/internal/metrics"
 	"qlec/internal/obs"
-	"qlec/internal/protocol"
 	"qlec/internal/service"
 )
 
@@ -36,50 +35,16 @@ type Client struct {
 	backoff time.Duration
 	log     *slog.Logger
 
-	stats clientStats
-}
-
-// clientStats holds the client's telemetry counters (atomics: clients
-// are used concurrently).
-type clientStats struct {
-	requests         atomic.Int64
-	retries          atomic.Int64
-	streamConnects   atomic.Int64
-	streamReconnects atomic.Int64
-}
-
-// Stats is a point-in-time snapshot of a client's transport telemetry.
-type Stats struct {
-	// Requests counts HTTP attempts, first tries and retries alike
-	// (SSE connections excluded — see StreamConnects).
-	Requests int64 `json:"requests"`
-	// Retries counts re-attempts after a retryable failure; a nonzero
-	// rate against a healthy daemon means the transport or the daemon is
-	// struggling.
-	Retries int64 `json:"retries"`
-	// StreamConnects counts SSE connections opened (including
-	// reconnects).
-	StreamConnects int64 `json:"streamConnects"`
-	// StreamReconnects counts SSE connections that had to be resumed
-	// with Last-Event-ID after a dropped stream.
-	StreamReconnects int64 `json:"streamReconnects"`
+	// Cumulative re-attempts after a retryable failure, and SSE
+	// connections resumed with Last-Event-ID after a dropped stream;
+	// WithLogger's debug lines carry them (atomics: clients are used
+	// concurrently).
+	retried    atomic.Int64
+	reconnects atomic.Int64
 }
 
 // BaseURL reports the daemon base URL this client targets.
 func (c *Client) BaseURL() string { return c.base }
-
-// Stats snapshots the client's cumulative transport telemetry: how many
-// requests it sent, how often it had to retry, and how often event
-// streams dropped and resumed. Logged fields on WithLogger debug lines
-// carry the same counters as they change.
-func (c *Client) Stats() Stats {
-	return Stats{
-		Requests:         c.stats.requests.Load(),
-		Retries:          c.stats.retries.Load(),
-		StreamConnects:   c.stats.streamConnects.Load(),
-		StreamReconnects: c.stats.streamReconnects.Load(),
-	}
-}
 
 // Option customizes a Client.
 type Option func(*Client)
@@ -153,17 +118,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
-			c.stats.retries.Add(1)
 			c.log.Debug("retrying request",
 				"method", method, "path", path, "attempt", attempt, "requestId", rid,
-				"totalRetries", c.stats.retries.Load(), "err", lastErr)
+				"totalRetries", c.retried.Add(1), "err", lastErr)
 			select {
 			case <-time.After(c.jitterBackoff(attempt - 1)):
 			case <-ctx.Done():
 				return errors.Join(ctx.Err(), lastErr)
 			}
 		}
-		c.stats.requests.Add(1)
 		lastErr = c.once(ctx, method, path, rid, body, out)
 		if lastErr == nil || !retryable(lastErr) {
 			return lastErr
@@ -255,15 +218,6 @@ func (c *Client) Job(ctx context.Context, id string) (*service.Job, error) {
 	return &j, nil
 }
 
-// Jobs lists every job the daemon knows.
-func (c *Client) Jobs(ctx context.Context) ([]*service.Job, error) {
-	var js []*service.Job
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &js); err != nil {
-		return nil, err
-	}
-	return js, nil
-}
-
 // Cancel requests cancellation; idempotent. A running job stops at its
 // next round boundary — poll or stream events for the terminal state.
 func (c *Client) Cancel(ctx context.Context, id string) (*service.Job, error) {
@@ -281,16 +235,6 @@ func (c *Client) Result(ctx context.Context, hash string) (*service.ResultEnvelo
 		return nil, err
 	}
 	return &env, nil
-}
-
-// Protocols lists the daemon's registered protocol roster: canonical
-// ids, aliases, paper references and default parameters.
-func (c *Client) Protocols(ctx context.Context) ([]protocol.Info, error) {
-	var infos []protocol.Info
-	if err := c.do(ctx, http.MethodGet, "/v1/protocols", nil, &infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
 // Health probes /healthz (process liveness; stays 200 while draining).
@@ -328,16 +272,6 @@ func (c *Client) Batch(ctx context.Context, id string) (*service.Batch, error) {
 	return &b, nil
 }
 
-// Batches lists every batch the daemon knows (summaries, no per-config
-// tables).
-func (c *Client) Batches(ctx context.Context) ([]*service.Batch, error) {
-	var bs []*service.Batch
-	if err := c.do(ctx, http.MethodGet, "/v1/batches", nil, &bs); err != nil {
-		return nil, err
-	}
-	return bs, nil
-}
-
 // Events streams a job's SSE progress, invoking fn per event until fn
 // returns false, the stream ends (terminal state), or ctx is done.
 // Dropped connections reconnect with Last-Event-ID, so no terminal
@@ -359,9 +293,8 @@ func (c *Client) stream(ctx context.Context, path string, fn func(service.Event)
 	lastSeq := 0
 	attempts := 0
 	for {
-		c.stats.streamConnects.Add(1)
 		if attempts > 0 {
-			c.stats.streamReconnects.Add(1)
+			c.reconnects.Add(1)
 		}
 		terminal, err := c.streamOnce(ctx, path, rid, &lastSeq, fn)
 		if terminal {
@@ -377,7 +310,7 @@ func (c *Client) stream(ctx context.Context, path string, fn func(service.Event)
 		}
 		c.log.Debug("reconnecting event stream",
 			"path", path, "attempt", attempts+1, "lastSeq", lastSeq, "requestId", rid,
-			"totalReconnects", c.stats.streamReconnects.Load()+1, "err", err)
+			"totalReconnects", c.reconnects.Load()+1, "err", err)
 		select {
 		case <-time.After(c.jitterBackoff(attempts)):
 		case <-ctx.Done():

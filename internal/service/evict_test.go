@@ -37,6 +37,17 @@ func rawGet(t *testing.T, method, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// getList decodes the JSON array a daemon serves at path: the job,
+// batch and protocol listings.
+func getList[T any](t *testing.T, cl *client.Client, path string) []T {
+	t.Helper()
+	var out []T
+	if err := json.Unmarshal(httpGet(t, cl.BaseURL()+path), &out); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return out
+}
+
 // fillFinished pushes every earlier finished record out of memory:
 // MaxFinishedRecords submissions of req, answered as cache hits once
 // its result exists.
@@ -187,12 +198,12 @@ func TestEvictedRecordMemoryOnly404(t *testing.T) {
 			t.Errorf("%s %s = %d (%s), want 404", r.method, r.path, status, bytes.TrimSpace(body))
 		}
 	}
-	jobs, err := cl.Jobs(ctx)
-	if err != nil || len(jobs) != service.MaxFinishedRecords || jobs[0].ID == j.ID {
-		t.Fatalf("job list holds %d jobs, first %v, err %v; want the %d retained ones", len(jobs), jobs[0].ID, err, service.MaxFinishedRecords)
+	jobs := getList[*service.Job](t, cl, "/v1/jobs")
+	if len(jobs) != service.MaxFinishedRecords || jobs[0].ID == j.ID {
+		t.Fatalf("job list holds %d jobs, first %v; want the %d retained ones", len(jobs), jobs[0].ID, service.MaxFinishedRecords)
 	}
-	if batches, err := cl.Batches(ctx); err != nil || len(batches) != 0 {
-		t.Fatalf("batch list %v, %v; want empty", batches, err)
+	if batches := getList[*service.Batch](t, cl, "/v1/batches"); len(batches) != 0 {
+		t.Fatalf("batch list %v; want empty", batches)
 	}
 }
 
@@ -261,10 +272,7 @@ func TestJobGaugesCountEvictedJobs(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		got := jobGauges(t, cl)
-		jobs, err := cl.Jobs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jobs := getList[*service.Job](t, cl, "/v1/jobs")
 		listed := map[string]float64{"queued": 0, "running": 0, "done": 0, "failed": 0, "cancelled": 0}
 		for _, j := range jobs {
 			listed[string(j.State)]++

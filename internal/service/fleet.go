@@ -126,7 +126,7 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		futures:     make(map[string]*cellFuture),
 		wake:        make(chan struct{}, opt.CellWorkers),
 		fm:          obs.NewFleetMetrics(s.reg),
-		spans:       obs.NewTraceStore(self, s.opt.TraceHistory, 0),
+		spans:       obs.NewTraceStore(self, s.opt.TraceHistory),
 		stop:        make(chan struct{}),
 	}
 	r.members = fleet.NewMembership(self, r.peers.Ready, opt.ProbeInterval)

@@ -292,9 +292,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil || back.Kind != KindOne {
 		t.Fatalf("load result: %+v, %v", back, err)
 	}
-	hashes, err := st.ResultHashes()
-	if err != nil || len(hashes) != 1 || hashes[0] != hash {
-		t.Fatalf("hashes = %v, %v", hashes, err)
+	entries, err := os.ReadDir(filepath.Join(st.dir, "results"))
+	if err != nil || len(entries) != 1 || entries[0].Name() != hash+".json" {
+		t.Fatalf("results dir = %v, %v; want only %s.json", entries, err, hash)
 	}
 	if _, err := st.LoadResult("0000000000000000000000000000000000000000000000000000000000000000"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing result error = %v", err)
@@ -404,7 +404,7 @@ func TestStoreConcurrentSavesOfOneResult(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), "results"))
+	entries, err := os.ReadDir(filepath.Join(st.dir, "results"))
 	if err != nil {
 		t.Fatal(err)
 	}

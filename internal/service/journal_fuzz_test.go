@@ -105,7 +105,7 @@ func savedJournal(f *testing.F) (journal []byte, lines [][]byte) {
 		lines = append(lines, append(line, '\n'))
 	}
 	st.Close()
-	journal, err = os.ReadFile(filepath.Join(st.Dir(), journalName))
+	journal, err = os.ReadFile(filepath.Join(st.dir, journalName))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 		h.Observer(sim.RoundSnapshot{
 			Round: 7, Alive: 15, EnergySoFar: 12,
 			Stats: metrics.RoundStats{Heads: 2, Generated: 40, Delivered: 38},
-			MeanQ: 0.3, Epsilon: 0.1, HasQ: true,
+			MeanQ: 0.3, HasQ: true,
 		})
 		close(running)
 		select {
@@ -110,7 +110,6 @@ func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 		`qlec_sim_alive_nodes{protocol="QLEC"} 15`,
 		`qlec_sim_residual_energy_joules{protocol="QLEC"} 68`,
 		`qlec_sim_mean_q_value{protocol="QLEC"} 0.3`,
-		`qlec_sim_epsilon{protocol="QLEC"} 0.1`,
 		`qlec_sim_packets_delivered_total{protocol="QLEC"} 38`,
 	} {
 		if !strings.Contains(out, want) {

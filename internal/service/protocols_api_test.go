@@ -13,16 +13,14 @@ import (
 	"time"
 
 	"qlec/internal/experiment"
+	"qlec/internal/protocol"
 	"qlec/internal/service"
 	"qlec/internal/service/client"
 )
 
 func TestProtocolsEndpoint(t *testing.T) {
 	_, cl := newTestServer(t, service.Options{Workers: 1})
-	infos, err := cl.Protocols(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	infos := getList[protocol.Info](t, cl, "/v1/protocols")
 	if len(infos) < 9 {
 		t.Fatalf("registry served %d protocols, want >= 9", len(infos))
 	}

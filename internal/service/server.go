@@ -133,7 +133,7 @@ func New(opt Options) (*Server, error) {
 		jobs:        make(map[string]*Job),
 		batches:     make(map[string]*Batch),
 		hubs:        make(map[string]*eventHub),
-		finished:    obs.NewBounded[string, finished](maxFinishedRecords, nil, "", ""),
+		finished:    obs.NewBounded[string, finished](maxFinishedRecords),
 		cancels:     make(map[string]context.CancelFunc),
 		inflight:    make(map[string]string),
 		nextID:      1,
@@ -151,11 +151,7 @@ func New(opt Options) (*Server, error) {
 		}
 		s.store = store
 	}
-	cache, err := newResultCache(s.store)
-	if err != nil {
-		return nil, err
-	}
-	s.cache = cache
+	s.cache = newResultCache(s.store)
 	s.om = newServerMetrics(s.reg, s)
 	s.httpm = obs.NewHTTPMetrics(s.reg)
 	fr, err := newFleetRuntime(s, opt.Fleet)

@@ -561,10 +561,7 @@ func TestRestartServesCachedResults(t *testing.T) {
 	cl2 := client.New(ts2.URL, client.WithRetries(0))
 
 	// The job history survived the restart.
-	jobs, err := cl2.Jobs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := getList[*service.Job](t, cl2, "/v1/jobs")
 	if len(jobs) != 1 || jobs[0].ID != j1.ID || jobs[0].State != service.StateDone {
 		t.Fatalf("reloaded jobs = %+v", jobs)
 	}

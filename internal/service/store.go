@@ -66,9 +66,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the root data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the journal handle; a later save or read reopens it.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -534,26 +531,6 @@ func (s *Store) LoadResult(hash string) (*ResultEnvelope, error) {
 		return nil, fmt.Errorf("service: result record %s: %w", hash, err)
 	}
 	return &env, nil
-}
-
-// ResultHashes lists every persisted result's content hash.
-func (s *Store) ResultHashes() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "results"))
-	if err != nil {
-		return nil, fmt.Errorf("service: list results: %w", err)
-	}
-	var hashes []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		h := strings.TrimSuffix(name, ".json")
-		if validHash(h) {
-			hashes = append(hashes, h)
-		}
-	}
-	return hashes, nil
 }
 
 // validHash accepts exactly the SHA-256 hex digests Request.Hash emits;

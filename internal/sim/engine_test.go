@@ -184,7 +184,7 @@ func TestEnergyBookkeepingConsistent(t *testing.T) {
 		t.Fatal("no energy consumed by a 10-round run")
 	}
 	// Conservation: initial = residual + consumed.
-	total := float64(w.TotalResidual() + w.TotalConsumed())
+	total := float64(totalResidual(w) + w.TotalConsumed())
 	if math.Abs(total-float64(w.InitialTotalEnergy())) > 1e-9 {
 		t.Fatal("network energy not conserved")
 	}
@@ -526,7 +526,7 @@ func TestEnergyBreakdownSumsToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := float64(res.Energy.Total())
+	sum := float64(res.Energy.Tx + res.Energy.Rx + res.Energy.Fusion + res.Energy.Control)
 	if math.Abs(sum-float64(res.TotalEnergy)) > 1e-9 {
 		t.Fatalf("breakdown sums to %v, total %v — an unclassified draw site exists",
 			sum, float64(res.TotalEnergy))
@@ -553,4 +553,13 @@ func TestTxDelay(t *testing.T) {
 	if got := cfg.TxDelay(250e3); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("TxDelay = %v, want 1s", got)
 	}
+}
+
+// totalResidual returns the summed residual energy of w's nodes.
+func totalResidual(w *network.Network) energy.Joules {
+	var total energy.Joules
+	for _, n := range w.Nodes {
+		total += n.Battery.Residual()
+	}
+	return total
 }

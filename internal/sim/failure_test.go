@@ -11,6 +11,7 @@ import (
 
 	"qlec/internal/cluster"
 	"qlec/internal/energy"
+	"qlec/internal/geom"
 	"qlec/internal/network"
 	"qlec/internal/rng"
 )
@@ -34,7 +35,7 @@ func TestTerribleLinksLoseMostPacketsButConserveEnergy(t *testing.T) {
 	if res.Dropped[0] == 0 { // DropLink
 		t.Fatal("no link drops recorded")
 	}
-	total := float64(w.TotalResidual() + w.TotalConsumed())
+	total := float64(totalResidual(w) + w.TotalConsumed())
 	if math.Abs(total-float64(w.InitialTotalEnergy())) > 1e-9 {
 		t.Fatal("energy not conserved under failure storm")
 	}
@@ -236,7 +237,7 @@ func TestRandomConfigsKeepInvariants(t *testing.T) {
 		if err := res.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		total := float64(w.TotalResidual() + w.TotalConsumed())
+		total := float64(totalResidual(w) + w.TotalConsumed())
 		if math.Abs(total-float64(w.InitialTotalEnergy())) > 1e-9 {
 			t.Fatalf("trial %d: energy not conserved", trial)
 		}
@@ -380,7 +381,7 @@ func TestMobilityMovesNodesBetweenRounds(t *testing.T) {
 	}
 	// Everyone stays deployable.
 	for i, p := range w.Positions() {
-		if !w.Box.Contains(p) && w.Box.Clamp(p).Dist(p) > 1e-9 {
+		if !inBox(w.Box, p) {
 			t.Fatalf("node %d left the box: %v", i, p)
 		}
 	}
@@ -431,4 +432,10 @@ func dedupe(xs []int) []int {
 		}
 	}
 	return out
+}
+
+// inBox reports whether p lies in b, faces included, give or take 1e-9.
+func inBox(b geom.AABB, p geom.Vec3) bool {
+	lo, hi := b.Min.Sub(p), p.Sub(b.Max)
+	return math.Max(lo.X, math.Max(lo.Y, lo.Z)) <= 1e-9 && math.Max(hi.X, math.Max(hi.Y, hi.Z)) <= 1e-9
 }

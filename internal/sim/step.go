@@ -39,20 +39,20 @@ type RoundSnapshot struct {
 	FirstDead int
 	// Done reports that this was the run's final round.
 	Done bool
-	// MeanQ and Epsilon summarize the protocol's Q-learning state when
-	// HasQ is true. They are filled only while an Observer is installed
-	// (computing MeanQ walks the V table) and only for protocols
-	// implementing QLearningStats.
-	MeanQ   float64
-	Epsilon float64
-	HasQ    bool
+	// MeanQ summarizes the protocol's Q-learning state when HasQ is
+	// true. It is filled only while an Observer is installed (computing
+	// MeanQ walks the V table) and only for protocols implementing
+	// QLearningStats.
+	MeanQ float64
+	HasQ  bool
 }
 
 // QLearningStats is the optional protocol interface behind
-// RoundSnapshot's MeanQ/Epsilon fields. ok reports whether the protocol
-// is actually learning (e.g. false in DEEC ablation modes).
+// RoundSnapshot's MeanQ field. ok reports whether the protocol is
+// actually learning (e.g. false in DEEC ablation modes). The middle
+// result is unused: routing is purely greedy, so it is always 0.
 type QLearningStats interface {
-	QLearningStats() (meanQ, epsilon float64, ok bool)
+	QLearningStats() (meanQ, _ float64, ok bool)
 }
 
 // Observer receives one RoundSnapshot per executed round, after the
@@ -130,7 +130,7 @@ func (e *Engine) Step(ctx context.Context) (RoundSnapshot, error) {
 		// Q stats are observer-only: walking the V table every round
 		// would tax the unobserved benchmark path for data nobody reads.
 		if qs, ok := e.proto.(QLearningStats); ok {
-			snap.MeanQ, snap.Epsilon, snap.HasQ = qs.QLearningStats()
+			snap.MeanQ, _, snap.HasQ = qs.QLearningStats()
 		}
 		e.observer(snap)
 	}

@@ -29,25 +29,8 @@ func (a *Accumulator) Observe(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N returns the observation count.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the running mean, or 0 before any observation.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// StdDev returns the sample standard deviation, or 0 for n < 2.
-func (a *Accumulator) StdDev() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}
-
-// Min returns the smallest observation, or 0 before any observation.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Summary converts the accumulator into a Summary.
 func (a *Accumulator) Summary() Summary {

@@ -19,30 +19,26 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 		got.Min != want.Min || got.Max != want.Max {
 		t.Fatalf("accumulator %+v vs summarize %+v", got, want)
 	}
-	if a.N() != 8 || a.Min() != 1 || a.Max() != 9 {
-		t.Fatalf("accessors: n=%d min=%v max=%v", a.N(), a.Min(), a.Max())
+	if got.N != 8 || got.Min != 1 || got.Max != 9 {
+		t.Fatalf("summary: n=%d min=%v max=%v", got.N, got.Min, got.Max)
 	}
-	if math.Abs(a.StdDev()-want.StdDev) > 1e-12 {
-		t.Fatalf("stddev %v vs %v", a.StdDev(), want.StdDev)
+	if math.Abs(got.StdDev-want.StdDev) > 1e-12 {
+		t.Fatalf("stddev %v vs %v", got.StdDev, want.StdDev)
 	}
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 || a.Min() != 0 || a.Max() != 0 {
-		t.Fatal("zero-value accumulator not neutral")
-	}
-	s := a.Summary()
-	if s.N != 0 {
-		t.Fatalf("empty summary: %+v", s)
+	if s := a.Summary(); a.Mean() != 0 || s != (Summary{}) {
+		t.Fatalf("zero-value accumulator not neutral: mean %v, summary %+v", a.Mean(), s)
 	}
 }
 
 func TestAccumulatorSingle(t *testing.T) {
 	var a Accumulator
 	a.Observe(-7)
-	if a.Mean() != -7 || a.Min() != -7 || a.Max() != -7 || a.StdDev() != 0 {
-		t.Fatalf("single observation: mean=%v min=%v max=%v", a.Mean(), a.Min(), a.Max())
+	if s := a.Summary(); a.Mean() != -7 || s.Min != -7 || s.Max != -7 || s.StdDev != 0 {
+		t.Fatalf("single observation: mean=%v summary %+v", a.Mean(), s)
 	}
 }
 

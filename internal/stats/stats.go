@@ -55,9 +55,6 @@ func Summarize(xs []float64) Summary {
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
-// StdDev returns the sample standard deviation, or 0 for n < 2.
-func StdDev(xs []float64) float64 { return Summarize(xs).StdDev }
-
 // CoefficientOfVariation returns stddev/mean. It returns NaN when the
 // mean is zero (undefined), matching statistical convention.
 func CoefficientOfVariation(xs []float64) float64 {

@@ -107,11 +107,6 @@ func New(w *network.Network, cfg Config) (*Protocol, error) {
 	}, nil
 }
 
-// Weights exposes the per-node tier weights w_i (tests and telemetry).
-func (p *Protocol) Weights() []float64 {
-	return append([]float64(nil), p.weights...)
-}
-
 // Name implements cluster.Protocol.
 func (p *Protocol) Name() string { return "T-DEEC" }
 

@@ -32,7 +32,7 @@ func TestTierWeightsMatchProvisioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := p.Weights()
+	weights := p.weights
 	meanInit := float64(w.InitialTotalEnergy()) / float64(w.N())
 	var sum float64
 	levels := map[float64]int{}

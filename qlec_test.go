@@ -123,8 +123,8 @@ func TestNewTopologyAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !topo.Box.Contains(topo.BS) {
-		t.Fatal("box does not contain BS")
+	if b, bs := topo.Box, topo.BS; bs.X < b.Min.X || bs.X > b.Max.X || bs.Y < b.Min.Y || bs.Y > b.Max.Y || bs.Z < b.Min.Z || bs.Z > b.Max.Z {
+		t.Fatalf("box %v does not contain BS %v", b, bs)
 	}
 	s := quickScenario()
 	s.Config.Topology = topo
