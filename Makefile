@@ -35,12 +35,16 @@ serve:
 # (which covers the service, runner, obs and protocol packages once),
 # and a short real sweep through the parallel runner under -race to
 # shake out orchestration races that the unit tests' stub protocols
-# cannot reach. The `service-race` job runs `make race-service` (those
+# cannot reach. The Fig. 4 run under -race covers the learner at the
+# §5.3 shape (2896 nodes, 272 heads): the candidate-list prebuild on
+# GOMAXPROCS goroutines and the list write-back beside the DEEC
+# election. The `service-race` job runs `make race-service` (those
 # packages under -race twice more) on its own, so it is not repeated
 # here.
 ci: build test race
 	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestMap' ./internal/experiment ./internal/runner
 	$(GO) run -race ./cmd/qlecfig -fig ksweep -quick -workers 0 >/dev/null
+	$(GO) run -race ./cmd/qlecfig -fig 4 >/dev/null
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

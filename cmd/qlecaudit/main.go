@@ -233,13 +233,12 @@ func cmdExplain(args []string) {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", d.Round),
 			candidateString(d.Candidates, d.QValues),
-			nodeName(d.Greedy),
 			nodeName(d.Chosen),
 			rewardString(d),
 		})
 	}
 	fmt.Println(plot.Table(
-		[]string{"round", "candidates (Q)", "greedy", "chosen", "reward"}, rows))
+		[]string{"round", "candidates (Q)", "chosen", "reward"}, rows))
 }
 
 func candidateString(cands []int, qs []float64) string {

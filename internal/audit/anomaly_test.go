@@ -7,6 +7,7 @@ package audit_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -81,12 +82,12 @@ func TestCHStarvationDetector(t *testing.T) {
 
 func TestQDivergenceDetector(t *testing.T) {
 	rec := boundRecorder(t, audit.Limits{QAbsThreshold: 100}, 4, 5)
-	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{-3, -5}, Chosen: 2, Greedy: 2})
+	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{-3, -5}, Chosen: 2})
 	if got := rec.Report().AnomalyCounts[audit.AnomalyQDivergence]; got != 0 {
 		t.Fatalf("healthy Q-values flagged (%d)", got)
 	}
-	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{math.NaN(), -5}, Chosen: 2, Greedy: 2})
-	rec.RecordDecision(qlearn.Decision{Node: 2, Candidates: []int{-1, 3}, QValues: []float64{-3, -101}, Chosen: 3, Greedy: 3})
+	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2}, QValues: []float64{math.NaN(), -5}, Chosen: 2})
+	rec.RecordDecision(qlearn.Decision{Node: 2, Candidates: []int{-1, 3}, QValues: []float64{-3, -101}, Chosen: 3})
 	if got := rec.Report().AnomalyCounts[audit.AnomalyQDivergence]; got != 2 {
 		t.Fatalf("divergence count %d, want 2 (one NaN, one blow-up)", got)
 	}
@@ -118,7 +119,7 @@ func TestDeadNodeTxDetector(t *testing.T) {
 func TestRewardJoin(t *testing.T) {
 	rec := boundRecorder(t, audit.Limits{}, 6, 5)
 	rec.AuditBeginRound(0, []int{2, 3})
-	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2, 3}, QValues: []float64{-9, -3, -4}, Greedy: 2, Chosen: 2})
+	rec.RecordDecision(qlearn.Decision{Node: 1, Candidates: []int{-1, 2, 3}, QValues: []float64{-9, -3, -4}, Chosen: 2})
 	rec.RecordOutcome(qlearn.Outcome{From: 1, To: 3, Success: true, Reward: -1}) // wrong link: ignored
 	rec.RecordOutcome(qlearn.Outcome{From: 1, To: 2, Success: false, Reward: -2, LinkP: 0.7})
 	rec.RecordOutcome(qlearn.Outcome{From: 1, To: 2, Success: true, Reward: -3}) // already rewarded
@@ -176,7 +177,7 @@ func TestArtifactRoundTripAndExplain(t *testing.T) {
 		}
 	}
 
-	bad := bytes.Replace(buf.Bytes(), []byte(`"version": 1`), []byte(`"version": 99`), 1)
+	bad := bytes.Replace(buf.Bytes(), fmt.Appendf(nil, `"version": %d`, audit.ArtifactVersion), []byte(`"version": 99`), 1)
 	if !bytes.Equal(bad, buf.Bytes()) {
 		if _, err := audit.ReadArtifact(bytes.NewReader(bad)); err == nil {
 			t.Fatal("version 99 artifact accepted")

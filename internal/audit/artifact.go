@@ -10,8 +10,9 @@ import (
 )
 
 // ArtifactVersion is the schema version WriteArtifact stamps and
-// ReadArtifact requires.
-const ArtifactVersion = 1
+// ReadArtifact requires. Version 2 dropped the decision records'
+// "greedy" field, which always equaled "chosen".
+const ArtifactVersion = 2
 
 // Artifact is the self-contained audit file: the summary report plus
 // the retained ledger and decision records, stamped with the build

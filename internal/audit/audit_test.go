@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,8 +91,8 @@ func TestConservationGoldenRun(t *testing.T) {
 	for _, d := range rec.Decisions() {
 		if d.HasReward {
 			rewarded++
-			if d.Chosen != d.Greedy {
-				t.Fatalf("decision %+v chose a target other than the greedy argmax", d)
+			if q := d.QValues[slices.Index(d.Candidates, d.Chosen)]; q != slices.Max(d.QValues) {
+				t.Fatalf("decision %+v chose a target whose Q %v is not the largest", d, q)
 			}
 		}
 	}

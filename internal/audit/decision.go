@@ -17,7 +17,6 @@ type DecisionRecord struct {
 	Node       int       `json:"node"`
 	Candidates []int     `json:"candidates"`
 	QValues    []float64 `json:"qValues"`
-	Greedy     int       `json:"greedy"`
 	Chosen     int       `json:"chosen"`
 	VBefore    float64   `json:"vBefore"`
 	VAfter     float64   `json:"vAfter"`
@@ -33,8 +32,7 @@ func (r *Recorder) RecordDecision(d qlearn.Decision) {
 	rec := DecisionRecord{
 		Round: r.curRound, Node: d.Node,
 		Candidates: d.Candidates, QValues: d.QValues,
-		Greedy: d.Greedy, Chosen: d.Chosen,
-		VBefore: d.VBefore, VAfter: d.VAfter,
+		Chosen: d.Chosen, VBefore: d.VBefore, VAfter: d.VAfter,
 	}
 	for i, q := range d.QValues {
 		if math.IsNaN(q) || math.IsInf(q, 0) || math.Abs(q) > r.qAbs {

@@ -117,8 +117,6 @@ func decisionDiff(a, b DecisionRecord) string {
 		return "candidates"
 	case !floatsEqual(a.QValues, b.QValues):
 		return "qValues"
-	case a.Greedy != b.Greedy:
-		return "greedy"
 	case a.Chosen != b.Chosen:
 		return "chosen"
 	case a.VBefore != b.VBefore:

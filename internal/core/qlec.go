@@ -183,7 +183,13 @@ func (q *QLEC) Learner() *qlearn.Learner { return q.learner }
 // StartRound implements cluster.Protocol: the Cluster Head Selection
 // Phase.
 func (q *QLEC) StartRound(round int) []int {
-	q.heads = q.sel.Select(round)
+	if q.cfg.DisableQLearning {
+		q.heads = q.sel.Select(round)
+	} else {
+		// The election reads and writes only the network, so the learner
+		// writes the last round's candidate lists back beside it.
+		q.learner.WriteBackBeside(func() { q.heads = q.sel.Select(round) })
+	}
 	for i := range q.isHead {
 		q.isHead[i] = false
 	}

@@ -21,6 +21,7 @@
 package deec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -159,10 +160,24 @@ func (s *Selector) energyFloor(n *network.Node, round int) energy.Joules {
 	return energy.Joules(f) * n.Battery.Initial()
 }
 
-// candidate is a node eligible for head duty this round.
+// candidate is a node eligible for head duty this round; at is its
+// place in a shuffled slice, set by byResidual.
 type candidate struct {
 	id       int
 	residual energy.Joules
+	at       int
+}
+
+// byResidual sorts c by residual energy, highest first, and equal
+// residuals by their place in c: the order a stable sort by residual
+// gives, from one unstable sort on a key no two candidates share.
+func byResidual(c []candidate) {
+	for i := range c {
+		c[i].at = i
+	}
+	slices.SortFunc(c, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.residual, a.residual), cmp.Compare(a.at, b.at))
+	})
 }
 
 // Select runs one round of head selection (Algorithms 2+3) and returns
@@ -170,7 +185,7 @@ type candidate struct {
 // nodes.
 func (s *Selector) Select(round int) []int {
 	heads := s.headsBuf[:0]
-	reserve := s.reserve[:0] // eligible-by-epoch nodes for top-up
+	reserve := s.reserve[:0] // eligible-by-epoch nodes for top-up (or the trim's scratch)
 
 	mean := float64(s.net.EstimatedMeanEnergy(round, s.cfg.TotalRounds))
 	popt := float64(s.cfg.K) / float64(s.net.N())
@@ -187,7 +202,7 @@ func (s *Selector) Select(round int) []int {
 		if n.LastCHRound >= 0 && round-n.LastCHRound < epoch {
 			continue
 		}
-		reserve = append(reserve, candidate{n.ID, n.Battery.Residual()})
+		reserve = append(reserve, candidate{id: n.ID, residual: n.Battery.Residual()})
 		// Improvement 1: Eq. (4) energy floor.
 		if s.cfg.EnergyFloor && n.Battery.Residual() <= s.energyFloor(n, round) {
 			continue
@@ -206,20 +221,19 @@ func (s *Selector) Select(round int) []int {
 	// from the reserve when under.
 	if len(heads) > s.cfg.K {
 		// Shuffle first so equal-residual ties are drawn uniformly
-		// rather than biased toward low ids.
+		// rather than biased toward low ids. Every head is in the
+		// reserve, which a trimmed round no longer needs, so the
+		// reserve's array holds the sort's keys.
 		s.rnd.Shuffle(len(heads), func(i, j int) { heads[i], heads[j] = heads[j], heads[i] })
-		slices.SortStableFunc(heads, func(a, b int) int {
-			ra := s.net.Nodes[a].Battery.Residual()
-			rb := s.net.Nodes[b].Battery.Residual()
-			switch {
-			case ra > rb:
-				return -1
-			case ra < rb:
-				return 1
-			}
-			return 0
-		})
+		keyed := reserve[:0]
+		for _, h := range heads {
+			keyed = append(keyed, candidate{id: h, residual: s.net.Nodes[h].Battery.Residual()})
+		}
+		byResidual(keyed)
 		heads = heads[:s.cfg.K]
+		for i := range heads {
+			heads[i] = keyed[i].id
+		}
 	}
 	if s.cfg.TopUp && len(heads) < s.cfg.K {
 		heads = s.topUp(heads, reserve)
@@ -285,19 +299,11 @@ func (s *Selector) topUp(heads []int, reserve []candidate) []int {
 			inHeads[h] = false
 		}
 	}()
-	// Shuffle before the stable sort so equal-residual candidates are
-	// drawn uniformly instead of biasing toward low ids; the stream makes
-	// the draw reproducible per seed.
+	// Shuffle before the sort so equal-residual candidates are drawn
+	// uniformly instead of biasing toward low ids; the stream makes the
+	// draw reproducible per seed.
 	s.rnd.Shuffle(len(reserve), func(i, j int) { reserve[i], reserve[j] = reserve[j], reserve[i] })
-	slices.SortStableFunc(reserve, func(a, b candidate) int {
-		switch {
-		case a.residual > b.residual:
-			return -1
-		case a.residual < b.residual:
-			return 1
-		}
-		return 0
-	})
+	byResidual(reserve)
 	// Pass 1: spread-respecting candidates.
 	for _, pass := range []bool{true, false} {
 		for _, c := range reserve {

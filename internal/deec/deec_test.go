@@ -1,11 +1,14 @@
 package deec
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"qlec/internal/cluster"
+	"qlec/internal/energy"
 	"qlec/internal/network"
 	"qlec/internal/rng"
 )
@@ -328,18 +331,47 @@ func TestThresholdPropertiesQuick(t *testing.T) {
 	}
 }
 
+// TestByResidualMatchesStableSort pins byResidual to the stable sort by
+// residual it replaced in Select and topUp, on shuffled candidates
+// whose residuals take one to eight values, so that most of them tie.
+func TestByResidualMatchesStableSort(t *testing.T) {
+	r := rng.New(7)
+	for trial := range 200 {
+		c := make([]candidate, r.Intn(300))
+		for i := range c {
+			c[i] = candidate{id: i, residual: energy.Joules(r.Intn(1 + trial%8))}
+		}
+		r.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
+		want := slices.Clone(c)
+		slices.SortStableFunc(want, func(a, b candidate) int { return cmp.Compare(b.residual, a.residual) })
+		byResidual(c)
+		for i := range c {
+			if c[i].id != want[i].id {
+				t.Fatalf("trial %d: place %d holds candidate %d, the stable sort %d", trial, i, c[i].id, want[i].id)
+			}
+		}
+	}
+}
+
 // selectRounds is the round block one BenchmarkSelectImproved op
 // times: the length of the §5.3 Fig. 4 run.
 const selectRounds = 20
 
 // BenchmarkSelectImproved times improved-DEEC head selection at the §5.3
-// scale (2896 nodes, k=272). Every op is the same block: rounds
-// 0..selectRounds−1 from a fresh lottery stream and no head history,
-// reset outside the timer. ns/round is the per-round cost.
+// scale (2896 nodes, k=272). Every battery is first drained by its own
+// amount, up to 2% of its charge, as the rounds before a selection
+// drain them: with fresh batteries every residual ties, and the sorts
+// by residual have next to nothing to do. Every op is the same block:
+// rounds 0..selectRounds−1 from a fresh lottery stream and no head
+// history, reset outside the timer. ns/round is the per-round cost.
 func BenchmarkSelectImproved(b *testing.B) {
 	w, err := network.Deploy(network.Deployment{N: 2896, Side: 1000, InitialEnergy: 5}, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
+	}
+	r := rng.New(3)
+	for _, n := range w.Nodes {
+		n.Battery.Draw(energy.Joules(0.1 * r.Float64()))
 	}
 	s, err := NewSelector(w, ImprovedConfig(272, 1000, 0), rng.New(2))
 	if err != nil {

@@ -9,15 +9,14 @@ package qlearn
 
 // Decision records one Decide call: the probed action set (the base
 // station first, then each candidate head in probe order, aligned
-// index-for-index with QValues), the greedy argmax, what was actually
-// returned (Decide is greedy, so Chosen is Greedy), and the V refresh
-// the call applied. The Candidates/QValues slices are freshly
-// allocated per call; observers may retain them.
+// index-for-index with QValues), the target returned (Decide is
+// greedy, so it is the argmax), and the V refresh the call applied.
+// The Candidates/QValues slices are freshly allocated per call;
+// observers may retain them.
 type Decision struct {
 	Node       int
 	Candidates []int
 	QValues    []float64
-	Greedy     int
 	Chosen     int
 	VBefore    float64
 	VAfter     float64

@@ -22,7 +22,7 @@ func TestDecisionObserverCapture(t *testing.T) {
 		t.Fatalf("observer fired %d times, want 1", len(got))
 	}
 	d := got[0]
-	if d.Node != 0 || d.Chosen != chosen || d.Greedy != chosen {
+	if d.Node != 0 || d.Chosen != chosen {
 		t.Fatalf("decision %+v inconsistent with Decide() = %d", d, chosen)
 	}
 	wantCands := []int{network.BSID, 2, 5, 7}

@@ -32,10 +32,12 @@
 package qlearn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -157,8 +159,10 @@ type Learner struct {
 	// only change between rounds, and P(i, ·), the link estimate with
 	// the prior already substituted. Beside them it keeps an envelope
 	// that bounds every head left out at once (candRow). A full pass
-	// fills a row — y from the geometry, P as the prior overlaid with
-	// the node's observed links that have a column — and ranks it. For
+	// fills a row — P as the prior overlaid with the node's observed
+	// links that have a column, y from the geometry — and ranks its
+	// heads, visiting them in order of k until none left can reach the
+	// list (fullPass). For
 	// a set of more than candM heads, BeginEpoch runs the first pass of
 	// every sender's epoch, spread over GOMAXPROCS workers; Decide runs
 	// one whenever a list has expired or its envelope cannot rule the
@@ -175,6 +179,18 @@ type Learner struct {
 	kmax  float64   // at least |k| of every armed column
 	col   []int     // target id+1 → its column in a row (BS 0, heads 1..k), −1 for the rest
 	cands []candRow // one per node
+
+	// ord is the order in which a full pass over more than candM heads
+	// visits them: the armed columns by their k when BeginEpoch armed
+	// them (k*), highest first, ties by column. at[j] is column j's place
+	// in ord, and reach the largest coordinate magnitude of the armed
+	// heads. While ordered holds, k* bounds the k of every column, and a
+	// pass may stop before the last head (fullPass); a rise in a k, or a
+	// k that is not finite, voids the order until the next BeginEpoch.
+	ord     []ranked
+	at      []int32
+	reach   float64
+	ordered bool
 
 	// scratch holds the row of the current Decide call when it needs
 	// one — a full pass, an observed call, or a head set that is not
@@ -284,35 +300,40 @@ type candRow struct {
 type envelope struct{ b, pmin, pmax float64 }
 
 // leave folds a head left out, with finite bound s and link estimate
-// p, into e.
+// p, into e. The built-in min and max order −0 below +0, so e does not
+// depend on the order in which heads are folded.
 func (e *envelope) leave(s, p float64) {
-	if s > e.b {
-		e.b = s
-	}
-	if p < e.pmin {
-		e.pmin = p
-	}
-	if p > e.pmax {
-		e.pmax = p
-	}
+	e.b = max(e.b, s)
+	e.pmin = min(e.pmin, p)
+	e.pmax = max(e.pmax, p)
+}
+
+// ranked is one place of the order of a full pass: column j, and its k
+// when the order was made.
+type ranked struct {
+	k float64
+	j int32
 }
 
 // builder is one BeginEpoch worker's scratch: a row of k+1 entries and
-// the full passes it ran.
+// the counts of the full passes it ran.
 type builder struct {
-	row  []action
-	full uint64
+	row   []action
+	stats listStats
 }
 
 // listStats counts candidate-list events for tests and benchmarks.
 type listStats struct {
-	full     uint64 // full passes, BeginEpoch's included
-	fallback uint64 // full passes forced by the envelope of a live list
-	falling  uint64 // envelope tests on the p_min slope (D below d0)
-	observed uint64 // lists expired by Observe
-	raised   uint64 // epochs ended by a rise in an armed column's k
-	settled  uint64 // dirty lists written back before their node's links were read or written
-	ended    uint64 // dirty lists written back when an epoch begins
+	full      uint64 // full passes, BeginEpoch's included
+	fallback  uint64 // full passes forced by the envelope of a live list
+	falling   uint64 // envelope tests on the p_min slope (D below d0)
+	observed  uint64 // lists expired by Observe
+	raised    uint64 // epochs ended by a rise in an armed column's k
+	settled   uint64 // dirty lists written back before their node's links were read or written
+	ended     uint64 // dirty lists written back when an epoch begins, or just before (WriteBackBeside)
+	visited   uint64 // heads whose bound a full pass over more than candM heads computed
+	stopped   uint64 // such passes that stopped before the last place of ord
+	unordered uint64 // such passes that could not stop early (see fullPass)
 }
 
 // x returns the normalized residual energy of a node, or 1 for the
@@ -403,9 +424,10 @@ func (l *Learner) qAction(a action, xFrom, vFrom, xTo, vTo, penalty float64) flo
 // naming a node twice (one column per node could not hold both),
 // disarms the lists, and every Decide fills a scratch row instead.
 //
-// With more than candM heads and no decision observer, BeginEpoch
-// builds the list of every sender — each node that is not in heads and
-// lies above deathLine — before it returns, spread over GOMAXPROCS
+// With more than candM heads BeginEpoch orders the columns for the
+// full passes (order), and with no decision observer it also builds
+// the list of every sender — each node that is not in heads and lies
+// above deathLine — before it returns, spread over GOMAXPROCS
 // goroutines (prebuild). Other nodes, and every node of a smaller or
 // observed set, get their list on their first Decide. Either way the
 // list is a full pass at the node's D of that moment, and the screen
@@ -456,9 +478,55 @@ func (l *Learner) BeginEpoch(heads []int, deathLine energy.Joules) {
 	if cap(l.scratch) < len(heads)+1 {
 		l.scratch = make([]action, len(heads)+1)
 	}
-	if len(heads) > candM && l.decObs == nil {
-		l.prebuild(deathLine)
+	if len(heads) > candM {
+		l.order()
+		if l.decObs == nil {
+			l.prebuild(deathLine)
+		}
 	}
+}
+
+// order fills ord and at for the armed columns, sorted by k when every
+// k is finite, and sets ordered to whether they are; it also sets reach.
+func (l *Learner) order() {
+	k := len(l.cols)
+	if cap(l.ord) < k {
+		l.ord, l.at = make([]ranked, k), make([]int32, k)
+	}
+	l.ord, l.at = l.ord[:k], l.at[:k]
+	l.ordered = true
+	for j := range l.cols {
+		kj := l.cols[j].k
+		l.ord[j] = ranked{k: kj, j: int32(j)}
+		l.ordered = l.ordered && kj-kj == 0
+	}
+	if l.ordered {
+		slices.SortFunc(l.ord, func(a, b ranked) int {
+			return cmp.Or(cmp.Compare(b.k, a.k), cmp.Compare(a.j, b.j))
+		})
+	}
+	for i, o := range l.ord {
+		l.at[o.j] = int32(i)
+	}
+	l.reachHeads()
+}
+
+// reachHeads sets reach to the largest coordinate magnitude of the
+// armed heads (NaN when one is NaN).
+func (l *Learner) reachHeads() {
+	l.reach = 0
+	for j := range l.cols {
+		p := l.cols[j].pos
+		l.reach = max(l.reach, math.Abs(p.X), math.Abs(p.Y), math.Abs(p.Z))
+	}
+}
+
+// finiteHops reports whether every hop from a node at pos to an armed
+// head costs a finite y: no coordinate exceeds r in magnitude, so no
+// hop is longer than 4r, and the cost only grows with the distance.
+func (l *Learner) finiteHops(pos geom.Vec3) bool {
+	r := max(l.reach, math.Abs(pos.X), math.Abs(pos.Y), math.Abs(pos.Z))
+	return l.cost(4*r) < math.Inf(1)
 }
 
 // writeBack writes every dirty list back to the link store, lists that
@@ -471,6 +539,26 @@ func (l *Learner) writeBack() {
 		}
 	}
 	l.dirty = false
+}
+
+// WriteBackBeside runs f on the calling goroutine and meanwhile, when a
+// candidate list is dirty and the head set armed last was wider than a
+// list, writes the lists back to the link store on a goroutine of its
+// own, as the next BeginEpoch would do first; it returns when both are
+// done. f must not use the learner. QLEC runs its head election as f.
+func (l *Learner) WriteBackBeside(f func()) {
+	if !l.dirty || len(l.cols) <= candM {
+		f()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		l.writeBack()
+	}()
+	f()
+	wg.Wait()
 }
 
 // settle writes from's list back to the link store if it is dirty,
@@ -531,7 +619,7 @@ func (l *Learner) prebuild(deathLine energy.Joules) {
 		if cap(b.row) < k+1 {
 			b.row = make([]action, k+1)
 		}
-		b.row, b.full = b.row[:k+1], 0
+		b.row, b.stats = b.row[:k+1], listStats{}
 		if i > 0 {
 			wg.Add(1)
 			go func() {
@@ -542,8 +630,12 @@ func (l *Learner) prebuild(deathLine energy.Joules) {
 	}
 	l.build(&l.builders[0], &next, deathLine)
 	wg.Wait()
-	for _, b := range l.builders[:w] {
+	for i := range l.builders[:w] {
+		b := &l.builders[i].stats
 		l.stats.full += b.full
+		l.stats.visited += b.visited
+		l.stats.stopped += b.stopped
+		l.stats.unordered += b.unordered
 	}
 }
 
@@ -563,8 +655,7 @@ func (l *Learner) build(b *builder, next *atomic.Int64, deathLine energy.Joules)
 				continue
 			}
 			bd := l.bounds(xOf(bat), l.v[i])
-			l.fullPass(&l.cands[i], b.row, i, -1, &bd)
-			b.full++
+			l.fullPass(&l.cands[i], b.row, i, -1, &bd, &b.stats)
 		}
 	}
 }
@@ -579,23 +670,52 @@ func (l *Learner) InvalidateGeometry() {
 		for j := range l.cols {
 			l.cols[j].pos = l.net.Nodes[l.cols[j].id].Pos
 		}
+		l.reachHeads()
 	}
 }
 
 // armedRow fills row, of length k+1, for from over the armed columns
-// and returns it, settling from's list first. A sparse link block
-// overlays its entries on a row filled with the prior, in O(k + seen);
-// a direct block is looked up per target, in O(k).
+// and returns it, settling from's list first.
 func (l *Learner) armedRow(row []action, from int) []action {
-	l.settle(from)
-	targets, off, sparse := l.links.sparse(from)
-	l.fillRow(row, from, l.cols, !sparse)
-	for i, t := range targets {
-		if c := l.col[t+1]; c >= 0 {
-			row[c].p = l.links.p[off+i]
-		}
+	l.fillP(row, from)
+	row[0].y = l.y(from, network.BSID)
+	pos := l.net.Nodes[from].Pos
+	for j := range l.cols {
+		row[j+1].y = l.cost(pos.Dist(l.cols[j].pos))
 	}
 	return row
+}
+
+// fillP sets the P of every entry of row, of length k+1, for from over
+// the armed columns, settling from's list first. A sparse link block
+// overlays its entries on the prior, in O(k + seen), and fillP returns
+// its targets and slab offset as linkStore.sparse does; a direct block
+// is looked up per target, in O(k). inRange is false when an observed
+// link to an armed target holds a P outside [0,1].
+func (l *Learner) fillP(row []action, from int) (targets []int32, off int, sparse, inRange bool) {
+	l.settle(from)
+	targets, off, sparse = l.links.sparse(from)
+	inRange = true
+	if !sparse {
+		row[0].p = l.linkP(from, network.BSID)
+		for j := range l.cols {
+			p := l.linkP(from, l.cols[j].id)
+			row[j+1].p = p
+			inRange = inRange && p >= 0 && p <= 1
+		}
+		return targets, off, sparse, inRange
+	}
+	for j := range row {
+		row[j].p = l.params.InitialLinkP
+	}
+	for i, t := range targets {
+		if c := l.col[t+1]; c >= 0 {
+			p := l.links.p[off+i]
+			row[c].p = p
+			inRange = inRange && p >= 0 && p <= 1
+		}
+	}
+	return targets, off, sparse, inRange
 }
 
 // scratchRow fills the scratch row for from over a head set that is not
@@ -608,27 +728,18 @@ func (l *Learner) scratchRow(from int, heads []int) ([]action, []headCol) {
 	}
 	row := l.scratch[:w]
 	l.scratchCols = l.columns(l.scratchCols, heads)
-	l.fillRow(row, from, l.scratchCols, true)
+	l.fillRow(row, from, l.scratchCols)
 	return row, l.scratchCols
 }
 
 // fillRow computes row = [a(from, BS), a(from, cols[0].id), ...]: y from
-// the geometry, and P looked up per target when lookup is set, else the
-// prior, for the caller to overlay with the links from has observed.
-// The caller has settled from.
-func (l *Learner) fillRow(row []action, from int, cols []headCol, lookup bool) {
-	p := l.params.InitialLinkP
-	if lookup {
-		p = l.linkP(from, network.BSID)
-	}
-	row[0] = action{y: l.y(from, network.BSID), p: p}
+// the geometry, and P looked up per target. The caller has settled from.
+func (l *Learner) fillRow(row []action, from int, cols []headCol) {
+	row[0] = action{y: l.y(from, network.BSID), p: l.linkP(from, network.BSID)}
 	pos := l.net.Nodes[from].Pos
 	for j := range cols {
 		c := &cols[j]
-		if lookup {
-			p = l.linkP(from, c.id)
-		}
-		row[j+1] = action{y: l.cost(pos.Dist(c.pos)), p: p}
+		row[j+1] = action{y: l.cost(pos.Dist(c.pos)), p: l.linkP(from, c.id)}
 	}
 }
 
@@ -686,7 +797,6 @@ func (l *Learner) Decide(from int, heads []int) int {
 	}
 	l.setV(from, bestQ)
 	if rec != nil {
-		rec.Greedy = best
 		rec.Chosen = best
 		rec.VAfter = bestQ
 		l.decObs(*rec)
@@ -766,9 +876,9 @@ func (l *Learner) screen(from int, xFrom, vFrom float64) (best int, bestQ float6
 	c := &l.cands[from]
 	skip := l.col[from+1] - 1 // from's own column, or below 0
 	full := c.stamp != l.epoch
+	var m int // the places of ord the last full pass visited
 	if full {
-		l.stats.full++
-		if !l.fullPass(c, l.scratch, from, skip, &b) {
+		if m, ok = l.fullPass(c, l.scratch, from, skip, &b, &l.stats); !ok {
 			return 0, 0, false
 		}
 	}
@@ -777,21 +887,29 @@ func (l *Learner) screen(from int, xFrom, vFrom float64) (best int, bestQ float6
 		return best, bestQ, ok
 	}
 	if !full {
-		l.stats.full++
 		l.stats.fallback++
-		if !l.fullPass(c, l.scratch, from, skip, &b) {
+		if m, ok = l.fullPass(c, l.scratch, from, skip, &b, &l.stats); !ok {
 			return 0, 0, false
 		}
 		if best, bestQ, rest, ok = l.screenList(c, skip, &b, xFrom, vFrom); !ok || !rest {
 			return best, bestQ, ok
 		}
 	}
-	// Only a list that leaves heads out gets here, and its full pass
-	// filled the scratch row.
+	// Only a list that leaves heads out gets here. Its full pass filled
+	// the scratch row's P, and y for the heads at the first m places of
+	// ord; the loop fills in the y of the others.
 	hr := l.scratch[1 : len(l.cols)+1]
+	pos := l.net.Nodes[from].Pos
 	for j := range l.cols {
-		if j != skip && b.reaches(b.of(hr[j], l.cols[j].k), bestQ) {
-			best, bestQ = l.verify(&l.cols[j], hr[j], xFrom, vFrom, best, bestQ)
+		if j == skip {
+			continue
+		}
+		a := hr[j]
+		if int(l.at[j]) >= m {
+			a.y = l.cost(pos.Dist(l.cols[j].pos))
+		}
+		if b.reaches(b.of(a, l.cols[j].k), bestQ) {
+			best, bestQ = l.verify(&l.cols[j], a, xFrom, vFrom, best, bestQ)
 		}
 	}
 	return best, bestQ, true
@@ -830,13 +948,33 @@ func (b *bounds) reaches(s, q float64) bool {
 	return s+screenSlack*(b.base+math.Abs(s))+b.e >= q
 }
 
-// fullPass makes from's list c at b's D. With at most candM heads it
-// fills the list's row directly. Otherwise it fills scratch, a row of
-// at least k+1 entries, ranks every head column but from's own (skip)
-// by its bound, and lists the candM highest, folding the rest into the
-// envelope. It reports false, leaving the list expired, when a bound is
-// not finite. The caller counts the pass.
-func (l *Learner) fullPass(c *candRow, scratch []action, from, skip int, b *bounds) bool {
+// yBatch is the number of heads whose y a full pass computes ahead of
+// ranking them, so that the square roots and divisions of a batch
+// overlap.
+const yBatch = 8
+
+// fullPass makes from's list c at b's D, counts the pass in st, and
+// returns how many places of ord it visited. With at most candM heads it
+// fills the list's row directly. Otherwise it fills row, of at least
+// k+1 entries, with every P and with the y of the heads it visits. It
+// visits the head columns but from's own (skip) in ord order and lists
+// the candM with the highest bounds, ranked by (s descending, column
+// ascending) — the order a scan in column order makes — folding the
+// rest into the envelope. It stops at the first place m where
+//
+//	fl(−G + max(0, fl(D + k*_m))) < b
+//
+// with b the envelope's so far. Every head at m or later has c·y ≥ 0,
+// P in [0,1] and k ≤ k*_m, and IEEE rounding is monotone, so its bound
+// is at most the left side: it could neither enter the list nor raise
+// b. Their P still widen the envelope (foldRest). So the list and its
+// envelope are bit-identical to a pass over every head. The stop is off
+// (st.unordered) unless ordered holds, D is finite, every observed P
+// is in [0,1] and no hop from from costs a non-finite y. It reports
+// false, leaving the list expired, when a bound it computes is not
+// finite.
+func (l *Learner) fullPass(c *candRow, row []action, from, skip int, b *bounds, st *listStats) (int, bool) {
+	st.full++
 	c.stamp = 0 // expired until the pass completes
 	c.d0 = b.d
 	out := envelope{b: math.Inf(-1), pmin: math.Inf(1), pmax: math.Inf(-1)}
@@ -845,46 +983,100 @@ func (l *Learner) fullPass(c *candRow, scratch []action, from, skip int, b *boun
 		l.armedRow(c.row[:k+1], from)
 		c.out, c.n = out, int32(k)
 		c.stamp = l.epoch
-		return true
+		return k, true
 	}
-	row := l.armedRow(scratch[:k+1], from)
-	hr := row[1:]
+	row = row[:k+1]
+	targets, off, sparse, inRange := l.fillP(row, from)
+	row[0].y = l.y(from, network.BSID)
 	c.row[0] = row[0]
+	hr := row[1:]
+	pos := l.net.Nodes[from].Pos
+	stop := l.ordered && inRange && b.d-b.d == 0 && l.finiteHops(pos)
+	if !stop {
+		st.unordered++
+	}
 	// top holds the listed heads' bounds and columns, highest first.
 	var top [candM]struct {
 		s float64
 		j int
 	}
-	n := 0
-	for j := range l.cols {
-		if j == skip {
-			continue
+	n, m := 0, k
+visit:
+	for lo := 0; lo < k; lo += yBatch {
+		batch := l.ord[lo:min(lo+yBatch, k)]
+		for _, o := range batch {
+			hr[o.j].y = l.cost(pos.Dist(l.cols[o.j].pos))
 		}
-		s := b.of(hr[j], l.cols[j].k)
-		if s-s != 0 { // NaN or ±Inf
-			return false
-		}
-		if n == candM {
-			if !(s > top[n-1].s) {
-				out.leave(s, hr[j].p)
+		for i, o := range batch {
+			if stop && -b.g+max(0, b.d+o.k) < out.b {
+				m = lo + i
+				break visit
+			}
+			j := int(o.j)
+			if j == skip {
 				continue
 			}
-			n-- // the lowest listed head is left out instead
-			out.leave(top[n].s, hr[top[n].j].p)
+			s := b.of(hr[j], l.cols[j].k)
+			if s-s != 0 { // NaN or ±Inf
+				return 0, false
+			}
+			st.visited++
+			if n == candM {
+				if t := top[n-1]; !(s > t.s || s == t.s && j < t.j) {
+					out.leave(s, hr[j].p)
+					continue
+				}
+				n-- // the lowest listed head is left out instead
+				out.leave(top[n].s, hr[top[n].j].p)
+			}
+			i := n
+			for ; i > 0 && (s > top[i-1].s || s == top[i-1].s && j < top[i-1].j); i-- {
+				top[i] = top[i-1]
+			}
+			top[i].s, top[i].j = s, j
+			n++
 		}
-		i := n
-		for ; i > 0 && s > top[i-1].s; i-- {
-			top[i] = top[i-1]
-		}
-		top[i].s, top[i].j = s, j
-		n++
+	}
+	if m < k {
+		st.stopped++
+		l.foldRest(&out, hr, m, skip, targets, off, sparse)
 	}
 	for i, t := range top[:n] {
 		c.row[i+1], c.col[i] = hr[t.j], int32(t.j)
 	}
 	c.out, c.n = out, int32(n)
 	c.stamp = l.epoch
-	return true
+	return m, true
+}
+
+// foldRest widens out's range of P by the heads at places m and later of
+// ord but from's own column skip, which a pass did not visit. From a
+// sparse block (targets at slab offset off) it takes each observed link
+// to such a head, and the prior when some such head has none; from a
+// direct one, each such head's entry of hr.
+func (l *Learner) foldRest(out *envelope, hr []action, m, skip int, targets []int32, off int, sparse bool) {
+	none := math.Inf(-1) // a head not visited leaves b as it is
+	if !sparse {
+		for _, o := range l.ord[m:] {
+			if int(o.j) != skip {
+				out.leave(none, hr[o.j].p)
+			}
+		}
+		return
+	}
+	left := len(l.ord) - m
+	if skip >= 0 && int(l.at[skip]) >= m {
+		left--
+	}
+	for i, t := range targets {
+		if j := l.col[t+1] - 1; j >= 0 && j != skip && int(l.at[j]) >= m {
+			out.leave(none, l.links.p[off+i])
+			left--
+		}
+	}
+	if left > 0 {
+		out.leave(none, l.params.InitialLinkP)
+	}
 }
 
 // screenList screens list c for an armed call (see screen), skipping
@@ -965,13 +1157,17 @@ func (l *Learner) verify(c *headCol, a action, xFrom, vFrom float64, best int, b
 // setK sets column c's k to K for residual fraction x and value v, and
 // keeps kmax at or above |k| of every armed column. A rise in an armed
 // column's k ends the epoch: the candidate lists' envelopes assume no
-// left-out head's k grows. QLEC raises none mid-round (heads route
-// straight to the BS, and UpdateHeadValue runs after the round).
+// left-out head's k grows. It also voids the order of the full passes,
+// as does a k that is not finite. QLEC raises none mid-round (heads
+// route straight to the BS, and UpdateHeadValue runs after the round).
 func (l *Learner) setK(c *headCol, x, v float64) {
 	k := l.params.Alpha1*x + l.params.Gamma*v
-	if l.armed && k > c.k {
-		l.epoch++
-		l.stats.raised++
+	if l.armed && !(k <= c.k) {
+		if k > c.k {
+			l.epoch++
+			l.stats.raised++
+		}
+		l.ordered = false
 	}
 	c.k = k
 	if k := math.Abs(k); !(k <= l.kmax) {
