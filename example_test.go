@@ -6,18 +6,19 @@ package qlec_test
 // these examples fail and the change must be acknowledged deliberately.
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"qlec"
 )
 
-// ExampleRun shows the minimal happy path: the paper's §5.1 scenario,
-// shrunk to 3 rounds for a fast, deterministic example.
-func ExampleRun() {
+// ExampleRunContext shows the minimal happy path: the paper's §5.1
+// scenario, shrunk to 3 rounds for a fast, deterministic example.
+func ExampleRunContext() {
 	s := qlec.DefaultScenario()
 	s.Config.Rounds = 3
-	res, err := qlec.Run(s)
+	res, err := qlec.RunContext(context.Background(), s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,15 +28,15 @@ func ExampleRun() {
 	// protocol=QLEC rounds=3 generated=1510 pdr=1.0000
 }
 
-// ExampleCompare runs QLEC against classic k-means on one small,
+// ExampleCompareContext runs QLEC against classic k-means on one small,
 // deterministic configuration.
-func ExampleCompare() {
+func ExampleCompareContext() {
 	s := qlec.DefaultScenario()
 	s.Config.Rounds = 3
 	s.Config.Seeds = []uint64{1}
 	s.Config.LifespanDeathLine = 4.95
 	s.Config.LifespanMaxRounds = 60
-	rows, err := qlec.Compare(s, []qlec.Protocol{qlec.QLEC, qlec.KMeans})
+	rows, err := qlec.CompareContext(context.Background(), s, []qlec.Protocol{qlec.QLEC, qlec.KMeans})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func ExampleNewTopology() {
 	s.Config.Topology = topo
 	s.Config.K = 3
 	s.Config.Rounds = 2
-	res, err := qlec.Run(s)
+	res, err := qlec.RunContext(context.Background(), s)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,13 +77,4 @@ func ExampleNewTopology() {
 		len(res.ConsumptionRates), res.Delivered, res.Generated)
 	// Output:
 	// nodes=30 delivered=284 of 284
-}
-
-// ExampleOptimalClusterCount evaluates Theorem 1 for the paper's
-// deployment parameters.
-func ExampleOptimalClusterCount() {
-	k := qlec.OptimalClusterCount(100, 200, 134)
-	fmt.Printf("k_opt = %.2f\n", k)
-	// Output:
-	// k_opt = 5.01
 }

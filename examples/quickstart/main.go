@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("mean hops:           %.2f\n", res.Hops.Mean)
 
 	// Compare against the paper's baselines at the same traffic level.
-	rows, err := qlec.Compare(scenario, qlec.Protocols())
+	rows, err := qlec.CompareContext(ctx, scenario, qlec.Protocols())
 	if err != nil {
 		log.Fatal(err)
 	}

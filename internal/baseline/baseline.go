@@ -96,7 +96,7 @@ func (p *KMeans) StartRound(round int) []int {
 		pts = append(pts, p.net.Nodes[id].Pos)
 	}
 	p.pts = pts
-	res, err := kmeans.ClusterScratch(pts, kmeans.Config{K: k}, p.rnd, &p.scratch)
+	res, err := kmeans.ClusterScratch(pts, k, p.rnd, &p.scratch)
 	if err != nil {
 		// Unreachable given the k clamp above; fail safe to direct-BS.
 		return nil
@@ -218,7 +218,7 @@ func (p *FCM) StartRound(round int) []int {
 		pts = append(pts, p.net.Nodes[id].Pos)
 	}
 	p.pts = pts
-	res, err := fcm.ClusterScratch(pts, fcm.Config{K: k}, p.rnd, &p.scratch)
+	res, err := fcm.ClusterScratch(pts, k, p.rnd, &p.scratch)
 	if err != nil {
 		return nil
 	}
@@ -320,9 +320,8 @@ func (p *FCM) RelayMode() cluster.RelayMode { return cluster.ForwardPerPacket }
 // LEACH is the classic LEACH baseline: the energy-blind rotation lottery
 // with nearest-head assignment.
 type LEACH struct {
-	deathLine energy.Joules
-	net       *network.Network
-	sel       *leach.Selector
+	net *network.Network
+	sel *leach.Selector
 
 	isHead  []bool
 	nearest cluster.Assignment
@@ -342,7 +341,7 @@ func NewLEACH(w *network.Network, k int, deathLine energy.Joules, seed uint64) (
 		return nil, err
 	}
 	return &LEACH{
-		deathLine: deathLine, net: w, sel: sel,
+		net: w, sel: sel,
 		isHead: make([]bool, w.N()),
 		hop:    make([]int, w.N()),
 	}, nil

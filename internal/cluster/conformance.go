@@ -11,8 +11,6 @@ import (
 // An empty Violations slice means the protocol honours the Protocol
 // contract over the exercised rounds.
 type ConformanceReport struct {
-	Protocol   string
-	Rounds     int
 	Violations []string
 }
 
@@ -33,7 +31,7 @@ func (r *ConformanceReport) Ok() bool { return len(r.Violations) == 0 }
 // protocols advance. The kit powers the cross-protocol conformance test
 // and is exported for downstream Protocol implementations to reuse.
 func CheckConformance(w *network.Network, p Protocol, rounds int, deathLine energy.Joules) *ConformanceReport {
-	report := &ConformanceReport{Protocol: p.Name(), Rounds: rounds}
+	report := &ConformanceReport{}
 	addf := func(format string, args ...any) {
 		report.Violations = append(report.Violations, fmt.Sprintf(format, args...))
 	}

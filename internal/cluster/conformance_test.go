@@ -77,9 +77,6 @@ func TestCheckConformancePassesGoodProtocol(t *testing.T) {
 	if !report.Ok() {
 		t.Fatalf("well-behaved protocol flagged: %v", report.Violations)
 	}
-	if report.Rounds != 5 || report.Protocol != "broken-good" {
-		t.Fatalf("report metadata: %+v", report)
-	}
 }
 
 func TestCheckConformanceCatchesViolations(t *testing.T) {

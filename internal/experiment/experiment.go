@@ -45,9 +45,10 @@ import (
 // conveniences for the in-tree protocols, not an exhaustive list.
 type ProtocolID string
 
-// The in-tree protocols. QLEC plus the paper's two baselines are the
-// headline set; LEACH and the QLEC ablations support the extra benches;
-// T-DEEC and Q-LEACH are the related-work competitors.
+// The in-tree protocols the commands name. QLEC plus the paper's two
+// baselines are the headline set; LEACH and the QLEC ablations support
+// the extra benches. The related-work competitors (T-DEEC, Q-LEACH) are
+// named by their registry ids.
 const (
 	QLEC        ProtocolID = "QLEC"
 	FCM         ProtocolID = "FCM"
@@ -58,21 +59,12 @@ const (
 	QLECNoRR    ProtocolID = "QLEC-norr"    // QLEC minus Algorithm 3
 	DEECPlain   ProtocolID = "DEEC-plain"   // classic DEEC (Qing et al. 2006)
 	Direct      ProtocolID = "direct-to-BS" // no clustering at all
-	TDEEC       ProtocolID = "T-DEEC"       // heterogeneous-tier DEEC (arXiv 1408.4112)
-	QLEACH      ProtocolID = "Q-LEACH"      // sectored LEACH (arXiv 1303.5240)
 )
 
 // PaperProtocols returns the protocols of Figure 3, in the paper's
 // order, from the registry's Figure3Rank marks.
 func PaperProtocols() []ProtocolID {
 	return toIDs(protocol.Figure3())
-}
-
-// AllProtocols returns every registered protocol id, ablations
-// included — the authority the job service validates requests against.
-// Ordering is the registry's deterministic (Order, ID) rank.
-func AllProtocols() []ProtocolID {
-	return toIDs(protocol.All())
 }
 
 // CompetitorProtocols returns the registered non-ablation protocols —

@@ -17,7 +17,7 @@ func Example() {
 		{X: 0}, {X: 2}, {X: 4},
 		{X: 100}, {X: 102}, {X: 104},
 	}
-	res, err := fcm.ClusterScratch(points, fcm.Config{K: 2}, rng.New(1), new(fcm.Scratch))
+	res, err := fcm.ClusterScratch(points, 2, rng.New(1), new(fcm.Scratch))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,62 +23,19 @@ import (
 	"qlec/internal/rng"
 )
 
-// Config parameterizes fuzzy c-means.
-type Config struct {
-	// K is the cluster count.
-	K int
-	// M is the fuzzifier exponent, > 1. The standard choice (and our
-	// default when zero) is 2.
-	M float64
-	// MaxIterations caps the update loop; zero means 150.
-	MaxIterations int
-	// Tolerance stops iteration when the largest membership change falls
-	// below it; zero means 1e-6.
-	Tolerance float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.M == 0 {
-		c.M = 2
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 150
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-6
-	}
-	return c
-}
-
-// Validate checks the configuration against the point count.
-func (c Config) Validate(n int) error {
-	c = c.withDefaults()
-	if c.K <= 0 {
-		return fmt.Errorf("fcm: K must be positive, got %d", c.K)
-	}
-	if c.K > n {
-		return fmt.Errorf("fcm: K=%d exceeds point count %d", c.K, n)
-	}
-	if !(c.M > 1) {
-		return fmt.Errorf("fcm: fuzzifier M must exceed 1, got %v", c.M)
-	}
-	if c.MaxIterations < 0 || c.Tolerance < 0 {
-		return fmt.Errorf("fcm: negative iteration cap or tolerance")
-	}
-	return nil
-}
+// Clustering uses the standard fuzzifier m=2, built into both update
+// steps. The update loop runs at most maxIterations times and stops
+// once the largest membership change falls below tolerance.
+const (
+	maxIterations = 150
+	tolerance     = 1e-6
+)
 
 // Result is a fuzzy clustering.
 type Result struct {
-	// Centers are the cluster prototypes.
-	Centers []geom.Vec3
 	// U is the membership matrix: U[i][c] ∈ [0,1] is point i's degree of
 	// membership in cluster c; rows sum to 1.
 	U [][]float64
-	// Iterations performed.
-	Iterations int
-	// Objective is the final FCM objective Σᵢ Σ_c u_ic^m ‖xᵢ−v_c‖².
-	Objective float64
 }
 
 // HardAssignInto writes each point's highest-membership cluster into
@@ -108,22 +65,23 @@ type Scratch struct {
 	u       [][]float64
 	centers []geom.Vec3
 	d       []float64 // point→center distances
-	inv     []float64 // inverse squared distances (m=2 fast path)
+	inv     []float64 // inverse squared distances
 }
 
-// ClusterScratch runs fuzzy c-means in caller-owned working storage.
-// The stream seeds the initial membership matrix; results are
-// deterministic per stream state. The returned Result's U and Centers
-// alias the scratch and stay valid only until the next call with the
-// same Scratch; callers who need the clustering to outlive the scratch
-// must copy.
-func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (*Result, error) {
-	if err := cfg.Validate(len(points)); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
+// ClusterScratch runs fuzzy c-means with k clusters in caller-owned
+// working storage. The stream seeds the initial membership matrix;
+// results are deterministic per stream state. The returned Result's U
+// aliases the scratch and stays valid only until the next call with
+// the same Scratch; callers who need the clustering to outlive the
+// scratch must copy.
+func ClusterScratch(points []geom.Vec3, k int, r *rng.Stream, s *Scratch) (*Result, error) {
 	n := len(points)
-	k := cfg.K
+	if k <= 0 {
+		return nil, fmt.Errorf("fcm: K must be positive, got %d", k)
+	}
+	if k > n {
+		return nil, fmt.Errorf("fcm: K=%d exceeds point count %d", k, n)
+	}
 
 	// Random row-stochastic initial memberships, in one flat backing
 	// array: row i is uBack[i*k : (i+1)*k], so the whole matrix is two
@@ -162,60 +120,35 @@ func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (
 	for c := range centers {
 		centers[c] = geom.Vec3{}
 	}
-	res := &Result{U: u, Centers: centers}
 
-	// The standard fuzzifier m=2 turns both update steps into plain
+	// The fuzzifier m=2 turns both update steps into plain
 	// multiplications: u^m = u·u and (d_c/d_j)^(2/(m−1)) = (d_c/d_j)².
-	// That removes every math.Pow call from the hot loop, and the
-	// membership update collapses from O(k²) ratio terms per point to
-	// O(k) precomputed inverse squared distances.
-	fast := cfg.M == 2
-	exp := 2 / (cfg.M - 1)
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		res.Iterations = iter + 1
-		updateCenters(points, u, centers, cfg.M, fast, r)
-		maxDelta := updateMemberships(points, u, centers, s.d, s.inv, exp, fast)
-		if maxDelta < cfg.Tolerance {
+	// The membership update needs no math.Pow, and it collapses from
+	// O(k²) ratio terms per point to O(k) precomputed inverse squared
+	// distances.
+	for range maxIterations {
+		updateCenters(points, u, centers, r)
+		if updateMemberships(points, u, centers, s.d, s.inv) < tolerance {
 			break
 		}
 	}
-	// Final objective.
-	obj := 0.0
-	for i, p := range points {
-		for c := range centers {
-			w := u[i][c] * u[i][c]
-			if !fast {
-				w = math.Pow(u[i][c], cfg.M)
-			}
-			obj += w * p.DistSq(centers[c])
-		}
-	}
-	res.Objective = obj
-	return res, nil
+	return &Result{U: u}, nil
 }
 
-// updateCenters recomputes each prototype v_c = Σ u^m x / Σ u^m. A
+// updateCenters recomputes each prototype v_c = Σ u² x / Σ u². A
 // center whose membership mass underflows to den == 0 (possible once
 // crisp memberships appear) is re-seeded on a point drawn uniformly
 // from the stream — leaving it at its stale (or zero-value) position
 // would freeze a dead prototype in place forever.
-func updateCenters(points []geom.Vec3, u [][]float64, centers []geom.Vec3, m float64, fast bool, r *rng.Stream) {
+func updateCenters(points []geom.Vec3, u [][]float64, centers []geom.Vec3, r *rng.Stream) {
 	for c := range centers {
 		var num geom.Vec3
 		den := 0.0
-		if fast {
-			for i, p := range points {
-				uv := u[i][c]
-				w := uv * uv
-				num = num.Add(p.Scale(w))
-				den += w
-			}
-		} else {
-			for i, p := range points {
-				w := math.Pow(u[i][c], m)
-				num = num.Add(p.Scale(w))
-				den += w
-			}
+		for i, p := range points {
+			uv := u[i][c]
+			w := uv * uv
+			num = num.Add(p.Scale(w))
+			den += w
 		}
 		if den > 0 {
 			centers[c] = num.Scale(1 / den)
@@ -225,13 +158,13 @@ func updateCenters(points []geom.Vec3, u [][]float64, centers []geom.Vec3, m flo
 	}
 }
 
-// updateMemberships recomputes u_ic = 1 / Σ_j (d_ic/d_ij)^(2/(m−1)) and
+// updateMemberships recomputes u_ic = (1/d_ic²) / Σ_j (1/d_ij²) and
 // returns the largest membership change. A point coincident with one or
 // more centers gets crisp membership split uniformly across all
 // coincident centers (several prototypes can collapse onto the same
 // position; giving the whole mass to one of them is order-dependent and
 // starves the others' mass to zero).
-func updateMemberships(points []geom.Vec3, u [][]float64, centers []geom.Vec3, d, inv []float64, exp float64, fast bool) float64 {
+func updateMemberships(points []geom.Vec3, u [][]float64, centers []geom.Vec3, d, inv []float64) float64 {
 	k := len(centers)
 	maxDelta := 0.0
 	for i, p := range points {
@@ -258,30 +191,14 @@ func updateMemberships(points []geom.Vec3, u [][]float64, centers []geom.Vec3, d
 			}
 			continue
 		}
-		if fast {
-			// m=2: u_ic = (1/d_ic²) / Σ_j (1/d_ij²).
-			total := 0.0
-			for c := 0; c < k; c++ {
-				v := 1 / (d[c] * d[c])
-				inv[c] = v
-				total += v
-			}
-			for c := 0; c < k; c++ {
-				next := inv[c] / total
-				if delta := math.Abs(next - row[c]); delta > maxDelta {
-					maxDelta = delta
-				}
-				row[c] = next
-			}
-			continue
+		total := 0.0
+		for c := 0; c < k; c++ {
+			v := 1 / (d[c] * d[c])
+			inv[c] = v
+			total += v
 		}
 		for c := 0; c < k; c++ {
-			sum := 0.0
-			dc := d[c]
-			for j := 0; j < k; j++ {
-				sum += math.Pow(dc/d[j], exp)
-			}
-			next := 1 / sum
+			next := inv[c] / total
 			if delta := math.Abs(next - row[c]); delta > maxDelta {
 				maxDelta = delta
 			}

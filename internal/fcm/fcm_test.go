@@ -24,13 +24,13 @@ func blobs(seed uint64, per int) ([]geom.Vec3, []geom.Vec3) {
 
 func TestClusterFindsBlobCenters(t *testing.T) {
 	pts, centers := blobs(1, 80)
-	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(2), new(Scratch))
+	res, err := ClusterScratch(pts, 2, rng.New(2), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range centers {
 		best := math.Inf(1)
-		for _, v := range res.Centers {
+		for _, v := range centersOf(pts, res.U) {
 			if d := v.Dist(c); d < best {
 				best = d
 			}
@@ -43,7 +43,7 @@ func TestClusterFindsBlobCenters(t *testing.T) {
 
 func TestMembershipRowsSumToOne(t *testing.T) {
 	pts, _ := blobs(3, 40)
-	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(4), new(Scratch))
+	res, err := ClusterScratch(pts, 3, rng.New(4), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMembershipRowsSumToOne(t *testing.T) {
 
 func TestHardAssignSeparatesBlobs(t *testing.T) {
 	pts, _ := blobs(5, 50)
-	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(6), new(Scratch))
+	res, err := ClusterScratch(pts, 2, rng.New(6), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,26 +84,24 @@ func TestHardAssignSeparatesBlobs(t *testing.T) {
 
 func TestClusterDeterministic(t *testing.T) {
 	pts, _ := blobs(7, 30)
-	a, _ := ClusterScratch(pts, Config{K: 2}, rng.New(8), new(Scratch))
-	b, _ := ClusterScratch(pts, Config{K: 2}, rng.New(8), new(Scratch))
-	if a.Objective != b.Objective || a.Iterations != b.Iterations {
-		t.Fatal("FCM not deterministic per stream")
+	a, _ := ClusterScratch(pts, 2, rng.New(8), new(Scratch))
+	b, _ := ClusterScratch(pts, 2, rng.New(8), new(Scratch))
+	for i := range a.U {
+		for c := range a.U[i] {
+			if a.U[i][c] != b.U[i][c] {
+				t.Fatal("FCM not deterministic per stream")
+			}
+		}
 	}
 }
 
 func TestClusterValidation(t *testing.T) {
 	pts, _ := blobs(9, 5)
-	if _, err := ClusterScratch(pts, Config{K: 0}, rng.New(1), new(Scratch)); err == nil {
+	if _, err := ClusterScratch(pts, 0, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := ClusterScratch(pts, Config{K: 100}, rng.New(1), new(Scratch)); err == nil {
+	if _, err := ClusterScratch(pts, 100, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K>n accepted")
-	}
-	if _, err := ClusterScratch(pts, Config{K: 2, M: 0.5}, rng.New(1), new(Scratch)); err == nil {
-		t.Fatal("M<=1 accepted")
-	}
-	if _, err := ClusterScratch(pts, Config{K: 2, MaxIterations: -1}, rng.New(1), new(Scratch)); err == nil {
-		t.Fatal("negative iterations accepted")
 	}
 }
 
@@ -111,7 +109,7 @@ func TestClusterPointOnCenter(t *testing.T) {
 	// A point exactly on a prototype must get crisp membership without
 	// dividing by zero.
 	pts := []geom.Vec3{{X: 0}, {X: 0}, {X: 0}, {X: 100}, {X: 100}, {X: 100}}
-	res, err := ClusterScratch(pts, Config{K: 2}, rng.New(10), new(Scratch))
+	res, err := ClusterScratch(pts, 2, rng.New(10), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +130,15 @@ func TestObjectiveDecreasesWithK(t *testing.T) {
 	pts, _ := blobs(11, 60)
 	prev := math.Inf(1)
 	for _, k := range []int{1, 2, 4} {
-		res, err := ClusterScratch(pts, Config{K: k}, rng.New(12), new(Scratch))
+		res, err := ClusterScratch(pts, k, rng.New(12), new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Objective > prev+1e-6 {
-			t.Fatalf("objective rose from %v to %v at k=%d", prev, res.Objective, k)
+		obj := objective(pts, res.U)
+		if obj > prev+1e-6 {
+			t.Fatalf("objective rose from %v to %v at k=%d", prev, obj, k)
 		}
-		prev = res.Objective
+		prev = obj
 	}
 }
 
@@ -202,7 +201,7 @@ func BenchmarkCluster100K5(b *testing.B) {
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterScratch(pts, Config{K: 5}, rng.New(uint64(i)), new(Scratch)); err != nil {
+		if _, err := ClusterScratch(pts, 5, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +217,7 @@ func TestCoincidentCentersSplitMembership(t *testing.T) {
 	u := [][]float64{{1, 0, 0}, {0, 0, 1}}
 	d := make([]float64, 3)
 	inv := make([]float64, 3)
-	updateMemberships(points, u, centers, d, inv, 2, true)
+	updateMemberships(points, u, centers, d, inv)
 	if u[0][0] != 0.5 || u[0][1] != 0.5 || u[0][2] != 0 {
 		t.Fatalf("coincident membership row = %v, want [0.5 0.5 0]", u[0])
 	}
@@ -236,7 +235,7 @@ func TestCoincidentCentersEndToEnd(t *testing.T) {
 		{X: 0}, {X: 0}, {X: 0}, {X: 0},
 		{X: 50}, {X: 50}, {X: 50}, {X: 50},
 	}
-	res, err := ClusterScratch(points, Config{K: 4}, rng.New(77), new(Scratch))
+	res, err := ClusterScratch(points, 4, rng.New(77), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestDeadCenterReseededFromStream(t *testing.T) {
 	u := [][]float64{{1, 0}, {1, 0}, {1, 0}, {1, 0}} // center 1 has no mass
 	run := func() geom.Vec3 {
 		centers := []geom.Vec3{{}, {X: -99}}
-		updateCenters(points, u, centers, 2, true, rng.New(5))
+		updateCenters(points, u, centers, rng.New(5))
 		return centers[1]
 	}
 	got := run()
@@ -280,11 +279,11 @@ func TestClusterScratchAllocs(t *testing.T) {
 	r := rng.New(13)
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	var s Scratch
-	if _, err := ClusterScratch(pts, Config{K: 5}, r, &s); err != nil {
+	if _, err := ClusterScratch(pts, 5, r, &s); err != nil {
 		t.Fatal(err) // warm the scratch
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ClusterScratch(pts, Config{K: 5}, r, &s); err != nil {
+		if _, err := ClusterScratch(pts, 5, r, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -292,4 +291,36 @@ func TestClusterScratchAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("ClusterScratch allocates %.1f objects per call, want <= 1", allocs)
 	}
+}
+
+// centersOf computes the prototypes v_c = Σᵢ u_ic² xᵢ / Σᵢ u_ic² of a
+// membership matrix under the fuzzifier m=2.
+func centersOf(points []geom.Vec3, u [][]float64) []geom.Vec3 {
+	centers := make([]geom.Vec3, len(u[0]))
+	for c := range centers {
+		var num geom.Vec3
+		den := 0.0
+		for i, p := range points {
+			w := u[i][c] * u[i][c]
+			num = num.Add(p.Scale(w))
+			den += w
+		}
+		if den > 0 {
+			centers[c] = num.Scale(1 / den)
+		}
+	}
+	return centers
+}
+
+// objective is the FCM objective Σᵢ Σ_c u_ic² ‖xᵢ−v_c‖² (m=2) of a
+// membership matrix, with the prototypes it implies.
+func objective(points []geom.Vec3, u [][]float64) float64 {
+	centers := centersOf(points, u)
+	obj := 0.0
+	for i, p := range points {
+		for c, v := range centers {
+			obj += u[i][c] * u[i][c] * p.DistSq(v)
+		}
+	}
+	return obj
 }

@@ -51,7 +51,6 @@ type Table struct {
 
 type lease struct {
 	hash    string
-	holder  string
 	expires time.Time
 }
 
@@ -105,7 +104,7 @@ func (t *Table) Acquire(holder string, max int, ttl time.Duration, now time.Time
 			Expires: now.Add(ttl),
 			Waited:  waited,
 		}
-		t.leases[l.ID] = lease{hash: hash, holder: holder, expires: l.Expires}
+		t.leases[l.ID] = lease{hash: hash, expires: l.Expires}
 		t.byHash[hash] = l.ID
 		out = append(out, l)
 	}

@@ -15,7 +15,7 @@ func Example() {
 		{X: 0}, {X: 1}, {X: 2}, // group A
 		{X: 100}, {X: 101}, {X: 102}, // group B
 	}
-	res, err := kmeans.ClusterScratch(points, kmeans.Config{K: 2}, rng.New(1), new(kmeans.Scratch))
+	res, err := kmeans.ClusterScratch(points, 2, rng.New(1), new(kmeans.Scratch))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,49 +26,14 @@ type Result struct {
 	Centroids []geom.Vec3
 	// Assign maps each input point to its centroid index.
 	Assign []int
-	// Cost is the sum of squared point→centroid distances (the k-means
-	// objective; Definition 2's "average distance to the nearest center"
-	// scales it by 1/n).
-	Cost float64
-	// Iterations is the number of Lloyd iterations performed.
-	Iterations int
 }
 
-// Config parameterizes Cluster.
-type Config struct {
-	// K is the cluster count.
-	K int
-	// MaxIterations caps Lloyd's loop; convergence usually happens far
-	// earlier. Zero means the default of 100.
-	MaxIterations int
-	// Tolerance stops iteration when no centroid moves more than this
-	// distance. Zero means 1e-9.
-	Tolerance float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 100
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-9
-	}
-	return c
-}
-
-// Validate checks the configuration against the point count.
-func (c Config) Validate(n int) error {
-	if c.K <= 0 {
-		return fmt.Errorf("kmeans: K must be positive, got %d", c.K)
-	}
-	if c.K > n {
-		return fmt.Errorf("kmeans: K=%d exceeds point count %d", c.K, n)
-	}
-	if c.MaxIterations < 0 || c.Tolerance < 0 {
-		return fmt.Errorf("kmeans: negative iteration cap or tolerance")
-	}
-	return nil
-}
+// Lloyd's loop runs at most maxIterations times; it stops earlier once
+// no assignment changes and no centroid moves more than tolerance.
+const (
+	maxIterations = 100
+	tolerance     = 1e-9
+)
 
 // Scratch holds the reusable working storage of ClusterScratch: the
 // assignment and centroid slices plus the update-step and seeding
@@ -84,29 +49,30 @@ type Scratch struct {
 }
 
 // ClusterScratch runs k-means++ seeding followed by Lloyd's algorithm
-// in caller-owned working storage. The stream drives seeding; results
-// are deterministic per stream state. The returned Result's Assign and
-// Centroids alias the scratch and stay valid only until the next call
-// with the same Scratch.
-func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (*Result, error) {
-	if err := cfg.Validate(len(points)); err != nil {
-		return nil, err
+// with k clusters in caller-owned working storage. The stream drives
+// seeding; results are deterministic per stream state. The returned
+// Result's Assign and Centroids alias the scratch and stay valid only
+// until the next call with the same Scratch.
+func ClusterScratch(points []geom.Vec3, k int, r *rng.Stream, s *Scratch) (*Result, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("kmeans: K must be positive, got %d", k)
 	}
-	cfg = cfg.withDefaults()
-	centroids := seedPlusPlus(points, cfg.K, r, s)
+	if k > len(points) {
+		return nil, fmt.Errorf("kmeans: K=%d exceeds point count %d", k, len(points))
+	}
+	centroids := seedPlusPlus(points, k, r, s)
 	if cap(s.assign) < len(points) {
 		s.assign = make([]int, len(points))
 	}
 	assign := s.assign[:len(points)]
 	res := &Result{Centroids: centroids, Assign: assign}
 
-	if cap(s.sums) < cfg.K {
-		s.sums = make([]geom.Vec3, cfg.K)
-		s.counts = make([]int, cfg.K)
+	if cap(s.sums) < k {
+		s.sums = make([]geom.Vec3, k)
+		s.counts = make([]int, k)
 	}
-	sums, counts := s.sums[:cfg.K], s.counts[:cfg.K]
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		res.Iterations = iter + 1
+	sums, counts := s.sums[:k], s.counts[:k]
+	for range maxIterations {
 		// Assignment step.
 		changed := assignNearest(points, centroids, assign)
 		// Update step.
@@ -133,12 +99,11 @@ func ClusterScratch(points []geom.Vec3, cfg Config, r *rng.Stream, s *Scratch) (
 			}
 			centroids[c] = next
 		}
-		if !changed && maxMove <= cfg.Tolerance {
+		if !changed && maxMove <= tolerance {
 			break
 		}
 	}
 	assignNearest(points, centroids, assign)
-	res.Cost = cost(points, centroids, assign)
 	return res, nil
 }
 
@@ -211,14 +176,6 @@ func farthestPoint(points []geom.Vec3, centroids []geom.Vec3, assign []int) int 
 		}
 	}
 	return worst
-}
-
-func cost(points []geom.Vec3, centroids []geom.Vec3, assign []int) float64 {
-	total := 0.0
-	for i, p := range points {
-		total += p.DistSq(centroids[assign[i]])
-	}
-	return total
 }
 
 // OptimalCost exhaustively solves the k-clustering problem for tiny

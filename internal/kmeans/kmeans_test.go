@@ -27,7 +27,7 @@ func threeBlobs(seed uint64, per int) ([]geom.Vec3, []geom.Vec3) {
 
 func TestClusterRecoversBlobs(t *testing.T) {
 	pts, centers := threeBlobs(1, 60)
-	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(2), new(Scratch))
+	res, err := ClusterScratch(pts, 3, rng.New(2), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestClusterRecoversBlobs(t *testing.T) {
 
 func TestClusterDeterministicPerStream(t *testing.T) {
 	pts, _ := threeBlobs(3, 40)
-	a, _ := ClusterScratch(pts, Config{K: 3}, rng.New(7), new(Scratch))
-	b, _ := ClusterScratch(pts, Config{K: 3}, rng.New(7), new(Scratch))
-	if a.Cost != b.Cost {
-		t.Fatalf("costs differ across equal streams: %v vs %v", a.Cost, b.Cost)
+	a, _ := ClusterScratch(pts, 3, rng.New(7), new(Scratch))
+	b, _ := ClusterScratch(pts, 3, rng.New(7), new(Scratch))
+	if costOf(pts, a) != costOf(pts, b) {
+		t.Fatalf("costs differ across equal streams: %v vs %v", costOf(pts, a), costOf(pts, b))
 	}
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
@@ -70,25 +70,22 @@ func TestClusterDeterministicPerStream(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	pts, _ := threeBlobs(4, 5)
-	if _, err := ClusterScratch(pts, Config{K: 0}, rng.New(1), new(Scratch)); err == nil {
+	if _, err := ClusterScratch(pts, 0, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := ClusterScratch(pts, Config{K: len(pts) + 1}, rng.New(1), new(Scratch)); err == nil {
+	if _, err := ClusterScratch(pts, len(pts)+1, rng.New(1), new(Scratch)); err == nil {
 		t.Fatal("K>n accepted")
-	}
-	if _, err := ClusterScratch(pts, Config{K: 2, MaxIterations: -1}, rng.New(1), new(Scratch)); err == nil {
-		t.Fatal("negative iterations accepted")
 	}
 }
 
 func TestClusterKEqualsN(t *testing.T) {
 	pts := []geom.Vec3{{X: 1}, {X: 5}, {X: 9}}
-	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(5), new(Scratch))
+	res, err := ClusterScratch(pts, 3, rng.New(5), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost > 1e-9 {
-		t.Fatalf("K=n cost = %v, want 0", res.Cost)
+	if costOf(pts, res) > 1e-9 {
+		t.Fatalf("K=n cost = %v, want 0", costOf(pts, res))
 	}
 }
 
@@ -97,12 +94,12 @@ func TestClusterDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Vec3{X: 3, Y: 3, Z: 3}
 	}
-	res, err := ClusterScratch(pts, Config{K: 3}, rng.New(6), new(Scratch))
+	res, err := ClusterScratch(pts, 3, rng.New(6), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != 0 {
-		t.Fatalf("identical points cost = %v", res.Cost)
+	if costOf(pts, res) != 0 {
+		t.Fatalf("identical points cost = %v", costOf(pts, res))
 	}
 }
 
@@ -110,14 +107,14 @@ func TestCostDecreasesWithK(t *testing.T) {
 	pts, _ := threeBlobs(7, 50)
 	prev := math.Inf(1)
 	for _, k := range []int{1, 2, 3, 6} {
-		res, err := ClusterScratch(pts, Config{K: k}, rng.New(8), new(Scratch))
+		res, err := ClusterScratch(pts, k, rng.New(8), new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cost > prev+1e-6 {
-			t.Fatalf("cost rose from %v to %v at k=%d", prev, res.Cost, k)
+		if costOf(pts, res) > prev+1e-6 {
+			t.Fatalf("cost rose from %v to %v at k=%d", prev, costOf(pts, res), k)
 		}
-		prev = res.Cost
+		prev = costOf(pts, res)
 	}
 }
 
@@ -161,11 +158,11 @@ func TestLloydNearOptimalOnTinyInstances(t *testing.T) {
 		// Best of a few restarts, as standard.
 		best := math.Inf(1)
 		for restart := 0; restart < 5; restart++ {
-			res, err := ClusterScratch(pts, Config{K: 3}, r.Split(uint64(trial*10+restart)), new(Scratch))
+			res, err := ClusterScratch(pts, 3, r.Split(uint64(trial*10+restart)), new(Scratch))
 			if err != nil {
 				t.Fatal(err)
 			}
-			best = math.Min(best, res.Cost)
+			best = math.Min(best, costOf(pts, res))
 		}
 		if best > opt*1.25+1e-9 {
 			t.Fatalf("trial %d: Lloyd cost %v vs optimal %v (ratio %v)",
@@ -179,7 +176,7 @@ func BenchmarkCluster100(b *testing.B) {
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterScratch(pts, Config{K: 5}, rng.New(uint64(i)), new(Scratch)); err != nil {
+		if _, err := ClusterScratch(pts, 5, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +187,7 @@ func BenchmarkCluster2896(b *testing.B) {
 	pts := geom.Cube(1000).SampleUniformN(r, 2896)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterScratch(pts, Config{K: 272}, rng.New(uint64(i)), new(Scratch)); err != nil {
+		if _, err := ClusterScratch(pts, 272, rng.New(uint64(i)), new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,11 +197,11 @@ func TestClusterScratchAllocs(t *testing.T) {
 	r := rng.New(17)
 	pts := geom.Cube(200).SampleUniformN(r, 100)
 	var s Scratch
-	if _, err := ClusterScratch(pts, Config{K: 5}, r, &s); err != nil {
+	if _, err := ClusterScratch(pts, 5, r, &s); err != nil {
 		t.Fatal(err) // warm the scratch
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ClusterScratch(pts, Config{K: 5}, r, &s); err != nil {
+		if _, err := ClusterScratch(pts, 5, r, &s); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -212,4 +209,14 @@ func TestClusterScratchAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("ClusterScratch allocates %.1f objects per call, want <= 1", allocs)
 	}
+}
+
+// costOf is the k-means objective of a clustering: the sum of squared
+// point→centroid distances over the returned assignment.
+func costOf(points []geom.Vec3, res *Result) float64 {
+	total := 0.0
+	for i, p := range points {
+		total += p.DistSq(res.Centroids[res.Assign[i]])
+	}
+	return total
 }

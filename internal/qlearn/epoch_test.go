@@ -116,15 +116,15 @@ const fig4Repeats = 16384
 
 // BenchmarkDecideFig4 times one round's worth of routing decisions at
 // the Fig. 4 shape (2896 nodes, 272 heads) through the armed candidate
-// lists. Every op is the same block: arm the epoch (which makes every
-// member's list in a full pass, over GOMAXPROCS workers), decide once
-// for every member and then make fig4Repeats more decisions over the
-// members (each reads a live list, and falls back to a full pass when
-// its envelope cannot rule the heads left out). fullpass/decide is the
+// lists, on fig4Spread's state, where a full pass can stop early. Every
+// op is the same block: arm the epoch (which makes every member's list
+// in a full pass, over GOMAXPROCS workers), decide once for every
+// member and then make fig4Repeats more decisions over the members
+// (each reads a live list, and falls back to a full pass when its
+// envelope cannot rule the heads left out). fullpass/decide is the
 // number of full passes, BeginEpoch's included, per decision.
 func BenchmarkDecideFig4(b *testing.B) {
-	l, heads, members := fig4Learner(b)
-	l.BeginEpoch(heads, 0) // sizes the lists outside the timed loop
+	l, heads, members := fig4Spread(b) // armed: the lists are sized outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	full := l.stats.full
@@ -143,14 +143,14 @@ func BenchmarkDecideFig4(b *testing.B) {
 }
 
 // TestDecideAllocs pins Decide at zero allocations: through candidate
-// lists at the Fig. 4 shape — each call the first of its member's
+// lists at the Fig. 4 shape, on fig4Spread's state — each call the first of its member's
 // epoch, served by the list BeginEpoch built, each call served by a
 // live list, and each call a rebuild after InvalidateGeometry — and
 // when loosened bounds make the screen evaluate every head; through the
 // scratch row once the first call has sized it; and with a decision
 // observer installed and then removed.
 func TestDecideAllocs(t *testing.T) {
-	l, heads, members := fig4Learner(t)
+	l, heads, members := fig4Spread(t)
 	full := l.stats.full
 	l.BeginEpoch(heads, 0)
 	if got := l.stats.full - full; got != uint64(len(members)) {

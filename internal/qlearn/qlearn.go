@@ -202,9 +202,8 @@ type Learner struct {
 
 	stats listStats
 
-	updates   uint64
-	lastDelta float64
-	maxDelta  *deltaWindow
+	updates  uint64
+	maxDelta *deltaWindow
 
 	// decObs/outObs, when installed, observe Decide calls and ACK
 	// outcomes for the audit flight recorder (see observe.go).
@@ -1275,7 +1274,6 @@ func (l *Learner) setV(id int, v float64) {
 	delta := math.Abs(v - l.v[id])
 	l.v[id] = v
 	l.updates++
-	l.lastDelta = delta
 	l.maxDelta.push(delta)
 	if l.armed {
 		if j := l.col[id+1] - 1; j >= 0 { // an armed head: keep its k exact

@@ -38,39 +38,6 @@ func newFixedProto(w *network.Network, heads []int) *fixedProto {
 	return p
 }
 
-// TestSnapshotHeadsLazyCopy pins the stepper's Heads policy: without an
-// observer the snapshot reuses one buffer (zero allocations per Step for
-// it); with an observer each snapshot gets a private copy it may keep.
-func TestSnapshotHeadsLazyCopy(t *testing.T) {
-	w := paperNet(t, 50)
-	proto := newFixedProto(w, []int{10, 30, 50})
-	e, err := NewEngine(w, proto, energy.DefaultModel(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := []int{10, 30, 50}
-	e.snapshotHeads(heads) // size the buffer
-	if allocs := testing.AllocsPerRun(100, func() { e.snapshotHeads(heads) }); allocs != 0 {
-		t.Fatalf("unobserved snapshotHeads allocates %.1f objects per call, want 0", allocs)
-	}
-	s1 := e.snapshotHeads(heads)
-	s2 := e.snapshotHeads(heads)
-	if &s1[0] != &s2[0] {
-		t.Fatal("unobserved snapshots must share the reused buffer")
-	}
-
-	e.SetObserver(func(RoundSnapshot) {})
-	o1 := e.snapshotHeads(heads)
-	o2 := e.snapshotHeads(heads)
-	if &o1[0] == &o2[0] {
-		t.Fatal("observed snapshots must be private copies")
-	}
-	o1[0] = -1
-	if s1[0] == -1 {
-		t.Fatal("observed snapshot aliases the reused buffer")
-	}
-}
-
 // TestRoundKernelAllocs puts a ceiling on the batched round kernel's
 // steady-state allocation rate: after the first round has sized every
 // reusable buffer (event slab, generation schedule, lane node list,

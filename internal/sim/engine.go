@@ -89,11 +89,8 @@ type Engine struct {
 	nextRound    int
 	finished     bool
 
-	// posBuf is the reusable position scratch buffer for moveNodes;
-	// headsBuf is the reusable RoundSnapshot.Heads buffer of the
-	// unobserved stepper path (see step.go).
-	posBuf   []geom.Vec3
-	headsBuf []int
+	// posBuf is the reusable position scratch buffer for moveNodes.
+	posBuf []geom.Vec3
 
 	// Per-sender link-geometry memo. The hop distance and the base
 	// channel probability LinkPMax·exp(−(d/LinkRef)²) are pure functions
@@ -267,8 +264,8 @@ func (e *Engine) moveNodes() {
 }
 
 // runRound executes one full round: head selection, event loop, drain,
-// end-of-round delivery. Returns the round's cluster-head ids.
-func (e *Engine) runRound(r int) []int {
+// end-of-round delivery.
+func (e *Engine) runRound(r int) {
 	roundStart := float64(r) * e.cfg.RoundDuration
 	roundEnd := roundStart + e.cfg.RoundDuration
 	e.now = roundStart
@@ -303,7 +300,6 @@ func (e *Engine) runRound(r int) []int {
 	if e.auditor != nil {
 		e.auditor.AuditEndRound(r, e.round.Energy, e.res.TotalEnergy)
 	}
-	return heads
 }
 
 // runEvents executes the round's event loop: every alive node on one

@@ -14,7 +14,7 @@ import (
 var ErrRunComplete = errors.New("sim: run already complete")
 
 // RoundSnapshot is the per-round observation the stepper API exposes:
-// what just happened (Stats, Heads) and where the run stands (Alive,
+// what just happened (Stats) and where the run stands (Alive,
 // EnergySoFar, Done). Orchestration layers use it for live progress,
 // early stopping and — in the RL framing of PAPERS.md — as the
 // per-episode observation of a training loop.
@@ -24,19 +24,11 @@ type RoundSnapshot struct {
 	// Stats are the round's measurements (traffic, drops, energy,
 	// latency).
 	Stats metrics.RoundStats
-	// Heads lists the cluster-head node ids that served this round.
-	// Without an Observer installed the slice aliases a buffer the
-	// engine reuses on the next Step — copy it to keep it across rounds.
-	// With an Observer installed it is a fresh private copy.
-	Heads []int
 	// Alive counts nodes above the death line at round end.
 	Alive int
 	// EnergySoFar is the cumulative network-wide consumption through
 	// this round.
 	EnergySoFar energy.Joules
-	// FirstDead is the id of the first node to cross the death line, or
-	// -1 while every node lives.
-	FirstDead int
 	// Done reports that this was the run's final round.
 	Done bool
 	// MeanQ summarizes the protocol's Q-learning state when HasQ is
@@ -58,9 +50,7 @@ type QLearningStats interface {
 // Observer receives one RoundSnapshot per executed round, after the
 // round completes. Unlike Tracer (per-packet, hot path) an Observer is
 // per-round and may do real work — progress meters, adaptive stopping,
-// metric streaming. With an Observer installed the snapshot's Heads is
-// a fresh copy the observer may keep; without one, Step reuses a
-// buffer so the unobserved hot loop allocates nothing for it.
+// metric streaming.
 type Observer func(RoundSnapshot)
 
 // SetObserver installs a per-round observer. Call before Start/Run;
@@ -100,7 +90,7 @@ func (e *Engine) Step(ctx context.Context) (RoundSnapshot, error) {
 		return RoundSnapshot{}, err
 	}
 	r := e.nextRound
-	heads := e.runRound(r)
+	e.runRound(r)
 	e.res.Rounds++
 	e.res.PerRound = append(e.res.PerRound, e.round)
 	if e.mover != nil {
@@ -120,10 +110,8 @@ func (e *Engine) Step(ctx context.Context) (RoundSnapshot, error) {
 	snap := RoundSnapshot{
 		Round:       r,
 		Stats:       e.round,
-		Heads:       e.snapshotHeads(heads),
 		Alive:       e.round.AliveAtEnd,
 		EnergySoFar: e.res.TotalEnergy,
-		FirstDead:   e.res.FirstDead,
 		Done:        e.finished,
 	}
 	if e.observer != nil {
@@ -135,18 +123,6 @@ func (e *Engine) Step(ctx context.Context) (RoundSnapshot, error) {
 		e.observer(snap)
 	}
 	return snap, nil
-}
-
-// snapshotHeads prepares the Heads slice for a RoundSnapshot. Observers
-// are allowed to retain the slice, so they get a private copy; the
-// unobserved stepper path instead reuses one buffer across rounds,
-// keeping per-Step allocations flat.
-func (e *Engine) snapshotHeads(heads []int) []int {
-	if e.observer != nil {
-		return append([]int(nil), heads...)
-	}
-	e.headsBuf = append(e.headsBuf[:0], heads...)
-	return e.headsBuf
 }
 
 // Result finalizes and returns the measurements accumulated so far.

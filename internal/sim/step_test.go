@@ -62,8 +62,8 @@ func TestStepLoopMatchesRun(t *testing.T) {
 		if snap.Round != i {
 			t.Fatalf("snapshot %d has Round %d", i, snap.Round)
 		}
-		if len(snap.Heads) != 3 {
-			t.Fatalf("round %d: %d heads", i, len(snap.Heads))
+		if snap.Stats.Heads != 3 {
+			t.Fatalf("round %d: %d heads", i, snap.Stats.Heads)
 		}
 		if snap.Stats != ran.PerRound[i] {
 			t.Fatalf("round %d stats diverge: %+v vs %+v", i, snap.Stats, ran.PerRound[i])

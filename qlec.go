@@ -15,22 +15,23 @@
 //   - and the experiment harness regenerating every figure in the
 //     paper's evaluation.
 //
+// There is one entry point per operation, and each takes a context for
+// timeouts and Ctrl-C cancellation (pass context.Background() for
+// none).
+//
 // # Quick start
 //
-//	cfg := qlec.DefaultScenario()
-//	res, err := qlec.Run(cfg)
+//	ctx := context.Background()
+//	res, err := qlec.RunContext(ctx, qlec.DefaultScenario())
 //	if err != nil { ... }
 //	fmt.Printf("PDR %.3f, energy %.2f J\n", res.PDR(), float64(res.TotalEnergy))
 //
 // Compare protocols under the paper's settings:
 //
-//	table, err := qlec.Compare(qlec.DefaultScenario(), qlec.Protocols())
+//	table, err := qlec.CompareContext(ctx, qlec.DefaultScenario(), qlec.Protocols())
 //
-// Long runs take a context for timeouts and Ctrl-C cancellation, and an
-// observer for live progress:
+// An observer streams live progress from a single run:
 //
-//	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-//	defer cancel()
 //	s := qlec.DefaultScenario()
 //	s.Hooks.Observer = func(snap sim.RoundSnapshot) {
 //		fmt.Fprintf(os.Stderr, "\rround %d, %d alive", snap.Round, snap.Alive)
@@ -38,8 +39,8 @@
 //	res, err := qlec.RunContext(ctx, s)
 //
 // Regenerate the paper's figures programmatically through
-// ReproduceFigure3 and ReproduceFigure4, or from the command line with
-// cmd/qlecfig.
+// ReproduceFigure3Context and ReproduceFigure4Context, or from the
+// command line with cmd/qlecfig.
 package qlec
 
 import (
@@ -58,11 +59,10 @@ import (
 // Protocol identifies one of the implemented protocols.
 type Protocol = experiment.ProtocolID
 
-// The available protocols: QLEC and the paper's baselines, the
-// ablation variants used by the benchmark suite, and the
-// heterogeneity-aware entrants of the tournament harness. The full
-// roster — including aliases and default parameters — lives in the
-// protocol registry; AllProtocols enumerates it.
+// The named protocols: QLEC, the paper's baselines and the ablation
+// variants. Any other
+// registered protocol (the related-work competitors, aliases) is a
+// Protocol by its id string; `qlecsim -list-protocols` prints the roster.
 const (
 	QLEC        = experiment.QLEC
 	FCM         = experiment.FCM
@@ -71,17 +71,10 @@ const (
 	DEECNearest = experiment.DEECNearest
 	QLECNoFloor = experiment.QLECNoFloor
 	QLECNoRR    = experiment.QLECNoRR
-	DEECPlain   = experiment.DEECPlain
-	Direct      = experiment.Direct
-	TDEEC       = experiment.TDEEC
-	QLEACH      = experiment.QLEACH
 )
 
 // Protocols returns the three protocols of the paper's Figure 3.
 func Protocols() []Protocol { return experiment.PaperProtocols() }
-
-// AllProtocols returns every implemented protocol, ablations included.
-func AllProtocols() []Protocol { return experiment.AllProtocols() }
 
 // Scenario is a runnable experiment configuration. The zero value is not
 // valid; start from DefaultScenario.
@@ -101,7 +94,7 @@ type Scenario struct {
 	MeasureLifespan bool
 	// Hooks observe single runs (per-round Observer, packet Tracer,
 	// Audit flight recorder); they never change the result. Sweeps
-	// (Compare, ReproduceFigure3) run without them.
+	// (CompareContext, ReproduceFigure3Context) run without them.
 	Hooks experiment.Hooks
 }
 
@@ -118,12 +111,6 @@ func DefaultScenario() Scenario {
 // Result re-exports the simulation result type.
 type Result = metrics.Result
 
-// Run executes a single simulation for the scenario's protocol. It is
-// RunContext with context.Background().
-func Run(s Scenario) (*Result, error) {
-	return RunContext(context.Background(), s)
-}
-
 // RunContext executes a single simulation for the scenario's protocol.
 // Cancelling ctx stops the simulation at the next round boundary and
 // returns the partial result accumulated so far alongside ctx's error.
@@ -132,31 +119,23 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	return s.Config.RunOneWith(ctx, s.Protocol, s.Lambda, s.Seed, s.MeasureLifespan, s.Hooks)
 }
 
-// ComparisonRow is one protocol's aggregate under Compare.
+// ComparisonRow is one protocol's aggregate under CompareContext.
 type ComparisonRow struct {
 	Protocol Protocol
 	PDR      stats.Summary
 	EnergyJ  stats.Summary
 	Lifespan stats.Summary
-	// Latency is end-to-end delivery latency (round-length dominated for
-	// hold-and-burst protocols); Access is member→head acceptance
-	// latency, the cross-protocol-comparable component.
-	Latency stats.Summary
-	Access  stats.Summary
+	// Access is member→head acceptance latency, the cross-protocol-
+	// comparable component of delivery latency.
+	Access stats.Summary
 }
 
-// Compare runs every listed protocol at the scenario's λ across the
-// configured seeds and returns per-protocol aggregates (fixed-round runs
-// for PDR/energy/latency, death-line runs for lifespan). It is
-// CompareContext with context.Background().
-func Compare(s Scenario, protocols []Protocol) ([]ComparisonRow, error) {
-	return CompareContext(context.Background(), s, protocols)
-}
-
-// CompareContext is Compare with cancellation: the per-cell runs fan out
-// through the bounded runner (Scenario.Config.Workers, Progress) and a
-// cancelled ctx stops launching cells and returns promptly with ctx's
-// error.
+// CompareContext runs every listed protocol at the scenario's λ across
+// the configured seeds and returns per-protocol aggregates (fixed-round
+// runs for PDR/energy/latency, death-line runs for lifespan). The
+// per-cell runs fan out through the bounded runner
+// (Scenario.Config.Workers, Progress), and a cancelled ctx stops
+// launching cells and returns promptly with ctx's error.
 func CompareContext(ctx context.Context, s Scenario, protocols []Protocol) ([]ComparisonRow, error) {
 	if len(protocols) == 0 {
 		return nil, fmt.Errorf("qlec: no protocols to compare")
@@ -175,7 +154,6 @@ func CompareContext(ctx context.Context, s Scenario, protocols []Protocol) ([]Co
 			PDR:      p.PDR,
 			EnergyJ:  p.EnergyJ,
 			Lifespan: p.Lifespan,
-			Latency:  p.Latency,
 			Access:   p.Access,
 		}
 	}
@@ -192,15 +170,10 @@ type Figure3 struct {
 	Latency *plot.Chart
 }
 
-// ReproduceFigure3 runs the full λ sweep for the given protocols (nil
-// means the paper's three) and assembles the panels. It is
-// ReproduceFigure3Context with context.Background().
-func ReproduceFigure3(cfg experiment.Config, protocols []Protocol) (*Figure3, error) {
-	return ReproduceFigure3Context(context.Background(), cfg, protocols)
-}
-
-// ReproduceFigure3Context is ReproduceFigure3 with cancellation and, via
-// cfg.Workers/cfg.Progress, bounded parallelism and sweep progress.
+// ReproduceFigure3Context runs the full λ sweep for the given protocols
+// (nil means the paper's three) and assembles the panels, with
+// cancellation and, via cfg.Workers/cfg.Progress, bounded parallelism
+// and sweep progress.
 func ReproduceFigure3Context(ctx context.Context, cfg experiment.Config, protocols []Protocol) (*Figure3, error) {
 	if protocols == nil {
 		protocols = Protocols()
@@ -225,15 +198,9 @@ func ReproduceFigure3Context(ctx context.Context, cfg experiment.Config, protoco
 	return f, nil
 }
 
-// ReproduceFigure4 runs the large-scale dataset experiment (§5.3). It is
-// ReproduceFigure4Context with context.Background().
-func ReproduceFigure4(cfg experiment.Fig4Config) (*experiment.Fig4Result, error) {
-	return ReproduceFigure4Context(context.Background(), cfg)
-}
-
-// ReproduceFigure4Context is ReproduceFigure4 with cancellation; with
-// cfg.Seeds set the replicates run in parallel through the bounded
-// runner.
+// ReproduceFigure4Context runs the large-scale dataset experiment
+// (§5.3) with cancellation; with cfg.Seeds set the replicates run in
+// parallel through the bounded runner.
 func ReproduceFigure4Context(ctx context.Context, cfg experiment.Fig4Config) (*experiment.Fig4Result, error) {
 	return experiment.RunFig4(ctx, cfg)
 }
@@ -299,11 +266,4 @@ func NewTopology(positions []Vec3, energiesJ []float64, bs Vec3) (*Topology, err
 		BS:        bs,
 	}
 	return t, t.Validate()
-}
-
-// OptimalClusterCount exposes Theorem 1: the energy-optimal k for a
-// network of n nodes in a cube of the given side with mean node→BS
-// distance dToBS, under the default radio model.
-func OptimalClusterCount(n int, side, dToBS float64) float64 {
-	return energy.DefaultModel().OptimalClusterCount(n, side, dToBS)
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"qlec/internal/energy"
 	"qlec/internal/experiment"
+	"qlec/internal/protocol"
 	"qlec/internal/sim"
 )
 
@@ -21,7 +23,7 @@ func quickScenario() Scenario {
 }
 
 func TestRunQuickstart(t *testing.T) {
-	res, err := Run(quickScenario())
+	res, err := RunContext(context.Background(), quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +39,11 @@ func TestRunQuickstart(t *testing.T) {
 }
 
 func TestRunEveryPublicProtocol(t *testing.T) {
-	for _, p := range AllProtocols() {
+	for _, d := range protocol.All() {
+		p := Protocol(d.ID)
 		s := quickScenario()
 		s.Protocol = p
-		res, err := Run(s)
+		res, err := RunContext(context.Background(), s)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -52,7 +55,7 @@ func TestRunEveryPublicProtocol(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	s := quickScenario()
-	rows, err := Compare(s, Protocols())
+	rows, err := CompareContext(context.Background(), s, Protocols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +73,14 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareNoProtocols(t *testing.T) {
-	if _, err := Compare(quickScenario(), nil); err == nil {
+	if _, err := CompareContext(context.Background(), quickScenario(), nil); err == nil {
 		t.Fatal("empty protocol list accepted")
 	}
 }
 
 func TestReproduceFigure3Quick(t *testing.T) {
 	s := quickScenario()
-	f, err := ReproduceFigure3(s.Config, []Protocol{QLEC, KMeans})
+	f, err := ReproduceFigure3Context(context.Background(), s.Config, []Protocol{QLEC, KMeans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestReproduceFigure4Quick(t *testing.T) {
 	cfg.Synth.N = 250
 	cfg.K = 16
 	cfg.Rounds = 2
-	res, err := ReproduceFigure4(cfg)
+	res, err := ReproduceFigure4Context(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestNewTopologyAndRun(t *testing.T) {
 	s := quickScenario()
 	s.Config.Topology = topo
 	s.Config.K = 4
-	res, err := Run(s)
+	res, err := RunContext(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestNewTopologyValidation(t *testing.T) {
 func TestOptimalClusterCount(t *testing.T) {
 	// Theorem 1 with the paper's parameters and d_toBS = 134 m rounds
 	// to the paper's k_opt ≈ 5 (see DESIGN.md §6.2).
-	k := OptimalClusterCount(100, 200, 134)
+	k := energy.DefaultModel().OptimalClusterCount(100, 200, 134)
 	if k < 4.5 || k >= 5.5 {
 		t.Fatalf("k_opt = %v", k)
 	}
@@ -190,22 +193,5 @@ func TestCompareContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := CompareContext(ctx, quickScenario(), Protocols()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// Context facade entry points agree exactly with their Background
-// wrappers.
-func TestContextFacadeMatchesWrappers(t *testing.T) {
-	s := quickScenario()
-	a, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunContext(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PDR() != b.PDR() || a.TotalEnergy != b.TotalEnergy || a.Generated != b.Generated {
-		t.Fatal("RunContext diverged from Run")
 	}
 }

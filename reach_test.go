@@ -12,23 +12,25 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// reachExempt is every exported function or method that may stay
-// without a non-test reference. A key is an import path (the whole
-// package), "path.Func" or "path.Type.Method"; the value names the
-// entry's category. Nothing else belongs here: code that only tests
-// reach is deleted, or moved into its package's export_test.go.
+// reachExempt is everything that may stay without a non-test reader. A
+// key is an import path (the whole package), "path.Name" (a
+// package-level function, type, constant or variable),
+// "path.Type.Method", or "path.Type.Field" (a struct field; a field of
+// a nested anonymous struct adds its own name, and a struct declared
+// inside a function takes the function's name in place of the type's).
+// The value names the entry's reason. Nothing else belongs here: what
+// only tests reach is deleted, or moved into its package's
+// export_test.go.
 var reachExempt = map[string]string{
-	// The public facade: README's library API, used by callers outside
-	// this repository.
-	"qlec": "public API",
-
 	// Packages kept whole until their ROADMAP items decide their fate.
-	"qlec/internal/analysis": "waits on ROADMAP item 7",
-	"qlec/internal/eecp":     "waits on ROADMAP item 13",
+	"qlec/internal/analysis": "waits on ROADMAP item 13(b)",
+	"qlec/internal/eecp":     "waits on ROADMAP item 7",
 
 	// Fixed points: the tests that pin the reproduction call these.
 	"qlec/internal/kmeans.OptimalCost":            "fixed point: Lloyd cost oracle of the k-means tests",
@@ -39,6 +41,22 @@ var reachExempt = map[string]string{
 	"qlec/internal/service/client.Client.Health":  "fixed point: client API of the service tests",
 	"qlec/internal/service/client.Client.BaseURL": "fixed point: client API of the service tests",
 	"qlec/internal/experiment.Config.Hash":        "fixed point: TestHashGolden pins CanonicalJSON through it",
+
+	// Test pins: the candidate-list path counters that
+	// TestListSeedsReachPaths and the epoch tests read.
+	"qlec/internal/qlearn.listStats.fallback": "test pin: candidate-list path counter",
+	"qlec/internal/qlearn.listStats.falling":  "test pin: candidate-list path counter",
+	"qlec/internal/qlearn.listStats.observed": "test pin: candidate-list path counter",
+	"qlec/internal/qlearn.listStats.raised":   "test pin: candidate-list path counter",
+	"qlec/internal/qlearn.listStats.settled":  "test pin: candidate-list path counter",
+	"qlec/internal/qlearn.listStats.ended":    "test pin: candidate-list path counter",
+
+	// Inert options that bench/daemon.go still sets; they go with the
+	// bench/ change of ROADMAP item 1.
+	"qlec/internal/service.Options.AuditHistory":          "inert, set by bench/daemon.go (ROADMAP item 1)",
+	"qlec/internal/service.Options.ProfileHistory":        "inert, set by bench/daemon.go (ROADMAP item 1)",
+	"qlec/internal/service.Options.RuntimeSampleInterval": "inert, set by bench/daemon.go (ROADMAP item 1)",
+	"qlec/internal/service.Options.AutoProfileMinGap":     "inert, set by bench/daemon.go (ROADMAP item 1)",
 
 	// Cross-package test seams: tests in the packages named need them,
 	// and no production function serves them.
@@ -82,31 +100,18 @@ func goListDeps(t *testing.T, dir, pattern string) []listedPkg {
 	return pkgs
 }
 
-// declKey names a package-level function or a method the way
-// reachExempt does.
-func declKey(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
+// checkedPkg is one type-checked package of the module or of bench/.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+	// own is set for the module's packages; bench/ only reads them.
+	own bool
 }
 
-// TestNoTestOnlyExports type-checks every non-test file of the module
-// and of bench/ and fails on an exported function or method that no
-// non-test file references outside its own declaration. A method that
-// matches, by name and signature, a method of an interface the program
-// uses (declared or imported, named or literal) counts as reached.
-func TestNoTestOnlyExports(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go command not found")
-	}
+// loadProgram type-checks every non-test file of the module and of
+// bench/, importing the standard library from its export data.
+func loadProgram(t *testing.T) (*token.FileSet, []checkedPkg) {
 	pkgs := goListDeps(t, ".", "./...")
 	seen := map[string]bool{}
 	for _, p := range pkgs {
@@ -135,21 +140,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		return std.Import(path)
 	})
 
-	type decl struct {
-		fn       *types.Func
-		pos, end token.Pos
-	}
-	var decls []decl
-	declOf := map[*types.Func]decl{}
-	used := map[*types.Func]bool{}
-	var ifaces []*types.Interface
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			ifaces = append(ifaces, it)
-		}
-	}
-	var uses []map[*ast.Ident]types.Object
-
+	var out []checkedPkg
 	for _, p := range pkgs {
 		if p.Standard || p.Module == nil {
 			continue
@@ -163,9 +154,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
@@ -173,24 +165,122 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		for _, f := range files {
+		out = append(out, checkedPkg{pkg, files, info, p.Module.Path == "qlec"})
+	}
+	return fset, out
+}
+
+// declKey names a package-level function or a method the way
+// reachExempt does.
+func declKey(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	if recv := sig.Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Pkg().Path() + "." + fn.Name()
+}
+
+// TestNoTestOnlyExports type-checks every non-test file of the module
+// and of bench/ and fails on what no non-test file reads:
+//
+//   - an exported function or method that no non-test file references
+//     outside its own declaration. A method that matches, by name and
+//     signature, a method of an interface the program uses (declared or
+//     imported, named or literal) counts as reached. bench/'s own
+//     functions are checked too.
+//   - a struct field of the module that no non-test file reads through
+//     a selector. Composite-literal keys, assignment targets and
+//     `++`/`--` are writes. A field with a json tag counts as read, and
+//     so does every field of a struct type that is passed to
+//     encoding/json or fmt, and of the struct types it holds.
+//   - an exported package-level type, constant or variable of the
+//     module that no non-test file references outside its own
+//     declaration and, for a type, its methods' receivers.
+//
+// bench/ counts as a reader of the module, as the command and example
+// programs do.
+func TestNoTestOnlyExports(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go command not found")
+	}
+	fset, pkgs := loadProgram(t)
+	reached := map[string]bool{}
+	var found []string
+	report := func(pkg *types.Package, pos token.Pos, key, what string) {
+		_, exempt := reachExempt[key]
+		_, exemptPkg := reachExempt[pkg.Path()]
+		if !reached[key] && !exempt && !exemptPkg {
+			found = append(found, fset.Position(pos).String()+": "+what+" "+key)
+		}
+	}
+
+	nFuncs := funcPass(pkgs, reached, report)
+	nFields := fieldPass(pkgs, reached, report)
+	nNames := namePass(pkgs, reached, report)
+
+	sort.Strings(found)
+	t.Logf("%d exported functions and methods, %d struct fields, %d exported types, constants and variables; %d without a non-test reader",
+		nFuncs, nFields, nNames, len(found))
+	for _, f := range found {
+		t.Error(f)
+	}
+	// A stale entry would let its name come back unnoticed.
+	isPkg := map[string]bool{}
+	for _, p := range pkgs {
+		isPkg[p.pkg.Path()] = true
+	}
+	for k := range reachExempt {
+		r, declared := reached[k]
+		switch {
+		case isPkg[k]:
+		case !declared:
+			t.Errorf("reachExempt names %s, which is neither a package nor a declaration the scan checks", k)
+		case r:
+			t.Errorf("reachExempt names %s, which a non-test file now reads", k)
+		}
+	}
+}
+
+// funcPass checks exported functions and methods. It records each one
+// in reached and reports those without a reference.
+func funcPass(pkgs []checkedPkg, reached map[string]bool, report func(*types.Package, token.Pos, string, string)) int {
+	type decl struct {
+		fn       *types.Func
+		pos, end token.Pos
+	}
+	var decls []decl
+	declOf := map[*types.Func]decl{}
+	used := map[*types.Func]bool{}
+	var ifaces []*types.Interface
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				fn := info.Defs[fd.Name].(*types.Func)
+				fn := p.info.Defs[fd.Name].(*types.Func)
 				dc := decl{fn, fd.Pos(), fd.End()}
 				decls = append(decls, dc)
 				declOf[fn] = dc
 			}
 		}
-		for _, tv := range info.Types {
+		for _, tv := range p.info.Types {
 			if tv.IsType() {
 				addIface(tv.Type)
 			}
 		}
-		uses = append(uses, info.Uses)
 	}
 
 	// Interfaces the program can see: its own (above) and every named
@@ -214,8 +304,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 			walk(q)
 		}
 	}
-	for _, pkg := range checked {
-		walk(pkg)
+	for _, p := range pkgs {
+		walk(p.pkg)
 	}
 	ifaceMethods := map[string][]*types.Signature{}
 	for _, it := range ifaces {
@@ -225,8 +315,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	for _, u := range uses {
-		for id, obj := range u {
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
@@ -252,34 +342,269 @@ func TestNoTestOnlyExports(t *testing.T) {
 		return false
 	}
 
-	var found []string
-	reached := map[string]bool{}
 	for _, d := range decls {
 		key := declKey(d.fn)
 		reached[key] = used[d.fn] || implements(d.fn)
-		_, exempt := reachExempt[key]
-		_, exemptPkg := reachExempt[d.fn.Pkg().Path()]
-		if reached[key] || exempt || exemptPkg {
+		report(d.fn.Pkg(), d.pos, key, "only tests reach")
+	}
+	return len(decls)
+}
+
+// fieldPass checks every struct field the module declares, embedded
+// fields aside. Fields are matched by key, so that two spellings of one
+// anonymous struct type count as one.
+func fieldPass(pkgs []checkedPkg, reached map[string]bool, report func(*types.Package, token.Pos, string, string)) int {
+	keyOf := map[*types.Var]string{}
+	type field struct {
+		pkg *types.Package
+		key string
+		pos token.Pos
+	}
+	var fields []field
+	for _, p := range pkgs {
+		if !p.own {
 			continue
 		}
-		found = append(found, fset.Position(d.pos).String()+": "+key)
-	}
-	sort.Strings(found)
-	t.Logf("%d exported functions and methods, %d without a non-test reference", len(decls), len(found))
-	for _, f := range found {
-		t.Errorf("only tests reach %s", f)
-	}
-	// A stale entry would let its name come back unnoticed.
-	for k := range reachExempt {
-		r, isDecl := reached[k]
-		switch {
-		case checked[k] != nil:
-		case !isDecl:
-			t.Errorf("reachExempt names %s, which is not an exported function or method", k)
-		case r:
-			t.Errorf("reachExempt names %s, which a non-test file now references", k)
+		prefix := p.pkg.Path()
+		var structs func(n ast.Node, name string)
+		structs = func(n ast.Node, name string) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					structs(n.Type, name+"."+n.Name.Name)
+					return false
+				case *ast.StructType:
+					for _, f := range n.Fields.List {
+						var tag string
+						if f.Tag != nil {
+							tag = reflect.StructTag(strings.Trim(f.Tag.Value, "`")).Get("json")
+						}
+						for _, id := range f.Names {
+							key := name + "." + id.Name
+							keyOf[p.info.Defs[id].(*types.Var)] = key
+							if _, dup := reached[key]; !dup {
+								fields = append(fields, field{p.pkg, key, id.Pos()})
+							}
+							reached[key] = reached[key] || tag != "" && tag != "-"
+						}
+						structs(f.Type, name+"."+fieldName(f))
+					}
+					return false
+				}
+				return true
+			})
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						name = recvName(d.Recv.List[0].Type) + "." + name
+					}
+					structs(d, prefix+"."+name)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							structs(s.Type, prefix+"."+s.Name.Name)
+						case *ast.ValueSpec:
+							structs(s, prefix+"."+s.Names[0].Name)
+						}
+					}
+				}
+			}
 		}
 	}
+
+	read := func(v *types.Var) {
+		if key, ok := keyOf[v.Origin()]; ok {
+			reached[key] = true
+		}
+	}
+	// Everything encoding/json or fmt can see of a value: the fields of
+	// its struct types, through pointers, containers and nested fields.
+	seen := map[types.Type]bool{}
+	var reflected func(types.Type)
+	reflected = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			reflected(u.Elem())
+		case *types.Slice:
+			reflected(u.Elem())
+		case *types.Array:
+			reflected(u.Elem())
+		case *types.Map:
+			reflected(u.Key())
+			reflected(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read(u.Field(i))
+				reflected(u.Field(i).Type())
+			}
+		}
+	}
+
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			writes := map[*ast.SelectorExpr]bool{}
+			target := func(e ast.Expr) {
+				if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					writes[s] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.CallExpr:
+					fn, ok := callee(p.info, n).(*types.Func)
+					if ok && fn.Pkg() != nil && (fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "fmt") {
+						for _, a := range n.Args {
+							if tv, ok := p.info.Types[a]; ok {
+								reflected(tv.Type)
+							}
+						}
+					}
+				case *ast.SelectorExpr:
+					if sel := p.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !writes[n] {
+						read(sel.Obj().(*types.Var))
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	for _, f := range fields {
+		report(f.pkg, f.pos, f.key, "no non-test file reads field")
+	}
+	return len(fields)
+}
+
+// callee returns the function or method a call names, or nil.
+func callee(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return info.Uses[fun]
+	case *ast.SelectorExpr:
+		return info.Uses[fun.Sel]
+	}
+	return nil
+}
+
+// fieldName is the name a nested anonymous struct's fields are keyed
+// under: the field's first name, or its type's for an embedded field.
+func fieldName(f *ast.Field) string {
+	if len(f.Names) > 0 {
+		return f.Names[0].Name
+	}
+	return recvName(f.Type)
+}
+
+// recvName is the type name in a receiver or embedded-field
+// expression.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
+
+// namePass checks the module's exported package-level types,
+// constants and variables.
+func namePass(pkgs []checkedPkg, reached map[string]bool, report func(*types.Package, token.Pos, string, string)) int {
+	type span struct{ pos, end token.Pos }
+	type name struct {
+		obj   types.Object
+		key   string
+		spans []span
+	}
+	var names []*name
+	byObj := map[types.Object]*name{}
+	for _, p := range pkgs {
+		if !p.own {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					var ids []*ast.Ident
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						ids = []*ast.Ident{s.Name}
+					case *ast.ValueSpec:
+						ids = s.Names
+					}
+					for _, id := range ids {
+						if !id.IsExported() {
+							continue
+						}
+						n := &name{obj: p.info.Defs[id], key: p.pkg.Path() + "." + id.Name, spans: []span{{s.Pos(), s.End()}}}
+						names = append(names, n)
+						byObj[n.obj] = n
+						reached[n.key] = false
+					}
+				}
+			}
+		}
+		// A type's own receivers do not reach it.
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					r := fd.Recv.List[0].Type
+					if n := byObj[p.pkg.Scope().Lookup(recvName(r))]; n != nil {
+						n.spans = append(n.spans, span{r.Pos(), r.End()})
+					}
+				}
+			}
+		}
+	}
+
+	for _, p := range pkgs {
+	uses:
+		for id, obj := range p.info.Uses {
+			n := byObj[obj]
+			if n == nil {
+				continue
+			}
+			for _, s := range n.spans {
+				if id.Pos() >= s.pos && id.Pos() < s.end {
+					continue uses
+				}
+			}
+			reached[n.key] = true
+		}
+	}
+
+	for _, n := range names {
+		report(n.obj.Pkg(), n.obj.Pos(), n.key, "no non-test file references")
+	}
+	return len(names)
 }
 
 type importerFunc func(path string) (*types.Package, error)
