@@ -235,7 +235,9 @@ tournament-demo:
 # peers 1 and 3 through the stdlib /debug/pprof/profile endpoint (the
 # daemons run with -pprof) must read as CPU profiles under
 # `go tool pprof -top` (saved to figs/fleet-profile.pprof and
-# figs/fleet-profile-3.pprof, uploaded as CI artifacts); and the
+# figs/fleet-profile-3.pprof, uploaded as CI artifacts), and peer 1's
+# must list `cell` under the `kind` label in `go tool pprof -tags`,
+# proving that the profile labels reach pooled cells; and the
 # batch's merged Chrome trace — saved to figs/fleet-trace.json and
 # uploaded as a CI artifact — must span at least two daemon lanes
 # (qlecaudit trace -chrome), proving cross-peer trace propagation through a
@@ -282,7 +284,10 @@ fleet-e2e:
 		$(GO) tool pprof -top $$F 2>/dev/null | grep -q '^Type: cpu' \
 			|| { echo "fleet-e2e: $$F does not read as a CPU profile" >&2; exit 1; }; \
 	done; \
-	echo "fleet-e2e: mid-batch CPU profiles read from peers 1 and 3 (figs/fleet-profile.pprof, figs/fleet-profile-3.pprof)"; \
+	$(GO) tool pprof -tags figs/fleet-profile.pprof 2>/dev/null \
+		| awk '/^ *[A-Za-z_]+: Total/ { k = ($$1 == "kind:") } k && $$NF == "cell" { f = 1 } END { exit !f }' \
+		|| { echo "fleet-e2e: peer 1's CPU profile has no kind=cell samples" >&2; $(GO) tool pprof -tags figs/fleet-profile.pprof >&2 || true; exit 1; }; \
+	echo "fleet-e2e: mid-batch CPU profiles read from peers 1 and 3 (figs/fleet-profile.pprof, figs/fleet-profile-3.pprof); peer 1's carries kind=cell labels"; \
 	TRACE_OK=; for i in $$(seq 1 150); do \
 		curl -s $$U1/v1/batches/$$B/trace > figs/fleet-trace.json; \
 		if figs/.qlecaudit-fleet trace -chrome figs/fleet-trace.json 2>/dev/null | grep -Eq '^lanes: ([2-9]|[1-9][0-9]+)$$'; then TRACE_OK=1; break; fi; \

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"qlec/internal/audit"
@@ -184,6 +185,28 @@ func TestArtifactRoundTripAndExplain(t *testing.T) {
 		}
 	} else {
 		t.Fatal("version field not found in serialized artifact")
+	}
+}
+
+// TestReadArtifactRejectsTrailingData: an artifact is one JSON value.
+// A second artifact, or garbage, after it is an error, while trailing
+// whitespace is not.
+func TestReadArtifactRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := audit.WriteArtifact(&buf, audit.New(audit.Options{}).Artifact()); err != nil {
+		t.Fatal(err)
+	}
+	one := buf.Bytes()
+	if _, err := audit.ReadArtifact(bytes.NewReader(append(slices.Clip(one), " \n\t"...))); err != nil {
+		t.Fatalf("artifact with trailing whitespace rejected: %v", err)
+	}
+	for name, in := range map[string][]byte{
+		"two artifacts":    append(slices.Clip(one), one...),
+		"trailing garbage": append(slices.Clip(one), "garbage"...),
+	} {
+		if _, err := audit.ReadArtifact(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted, want an error", name)
+		}
 	}
 }
 

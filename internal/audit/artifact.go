@@ -2,6 +2,7 @@ package audit
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -47,12 +48,17 @@ func WriteArtifact(w io.Writer, a *Artifact) error {
 	return nil
 }
 
-// ReadArtifact parses an artifact, rejecting unknown schema versions.
+// ReadArtifact parses an artifact: exactly one JSON value, of the
+// schema version this build writes. Anything but whitespace after the
+// value is an error.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
 	var a Artifact
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("audit: parse artifact: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("audit: parse artifact: trailing data after the JSON value")
 	}
 	if a.Version != ArtifactVersion {
 		return nil, fmt.Errorf("audit: artifact version %d, this build reads %d", a.Version, ArtifactVersion)

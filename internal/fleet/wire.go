@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 )
 
 // Wire types of the peer-to-peer cell protocol, mounted by
@@ -40,10 +39,6 @@ type CompleteRequest struct {
 	Hash    string          `json:"hash"`
 	Result  json.RawMessage `json:"result,omitempty"`
 	Error   string          `json:"error,omitempty"`
-	// Usage is the executing daemon's resource bill for the cell, so
-	// the coordinator can roll true cost up into its job and batch
-	// records no matter where the cell ran.
-	Usage *prof.Usage `json:"usage,omitempty"`
 }
 
 // RenewRequest extends held leases.

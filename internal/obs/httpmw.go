@@ -3,6 +3,7 @@ package obs
 import (
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -59,7 +60,7 @@ func Middleware(logger *slog.Logger, m *HTTPMetrics, next http.Handler) http.Han
 		elapsed := time.Since(start)
 		if m != nil {
 			m.inflight.Dec()
-			m.requests.With(req.Method, statusText(sw.code)).Inc()
+			m.requests.With(req.Method, strconv.Itoa(sw.code)).Inc()
 			m.duration.With(req.Method).Observe(elapsed.Seconds())
 		}
 		if logger != nil {
@@ -73,48 +74,6 @@ func Middleware(logger *slog.Logger, m *HTTPMetrics, next http.Handler) http.Han
 			)
 		}
 	})
-}
-
-func statusText(code int) string {
-	// Small fixed set keeps the code label cheap without fmt.
-	switch code {
-	case 200:
-		return "200"
-	case 201:
-		return "201"
-	case 202:
-		return "202"
-	case 204:
-		return "204"
-	case 400:
-		return "400"
-	case 404:
-		return "404"
-	case 409:
-		return "409"
-	case 429:
-		return "429"
-	case 500:
-		return "500"
-	case 503:
-		return "503"
-	default:
-		return itoa(code)
-	}
-}
-
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // statusWriter captures the response status code while preserving the

@@ -44,14 +44,18 @@ func TestMiddlewareMetricsAndLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
 	h := Middleware(logger, m, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/missing" {
+		switch req.URL.Path {
+		case "/missing":
 			w.WriteHeader(http.StatusNotFound)
+			return
+		case "/large":
+			w.WriteHeader(http.StatusRequestEntityTooLarge)
 			return
 		}
 		w.Write([]byte("ok"))
 	}))
 
-	for _, path := range []string{"/a", "/a", "/missing"} {
+	for _, path := range []string{"/a", "/a", "/missing", "/large"} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
 	}
@@ -62,8 +66,11 @@ func TestMiddlewareMetricsAndLog(t *testing.T) {
 	if got := m.requests.With("GET", "404").Value(); got != 1 {
 		t.Errorf(`requests{GET,404} = %v, want 1`, got)
 	}
-	if got := m.duration.With("GET").Count(); got != 3 {
-		t.Errorf("duration count = %d, want 3", got)
+	if got := m.requests.With("GET", "413").Value(); got != 1 {
+		t.Errorf(`requests{GET,413} = %v, want 1`, got)
+	}
+	if got := m.duration.With("GET").Count(); got != 4 {
+		t.Errorf("duration count = %d, want 4", got)
 	}
 	if got := m.inflight.Value(); got != 0 {
 		t.Errorf("inflight = %v, want 0 after completion", got)

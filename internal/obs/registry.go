@@ -4,9 +4,9 @@
 // log/slog with X-Request-ID propagation, an HTTP middleware that ties
 // the two together, a bounded span store exporting Chrome
 // trace_event JSON (loadable in chrome://tracing / Perfetto), the
-// FIFO-bounded map that store and qlecd's artifact tables share, and an
+// FIFO-bounded map that store and qlecd's artifact tables share, an
 // adapter that turns the simulation engine's per-round Observer stream
-// into live protocol gauges.
+// into live protocol gauges, and the scrape-time runtime gauges.
 //
 // Everything is concurrency-safe and deliberately dependency-free: the
 // registry writes the Prometheus exposition format directly (golden-

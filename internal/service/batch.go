@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 )
 
 // maxBatchConfigs bounds one submission; thousands are the design
@@ -23,9 +22,6 @@ type BatchConfig struct {
 	// Proxied marks a cache hit served by the hash's ring owner.
 	Proxied bool   `json:"proxied,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Resources sums the config's cell bills wherever they executed;
-	// nil for cache hits (a hit costs nothing new).
-	Resources *prof.Usage `json:"resources,omitempty"`
 }
 
 // Batch is one POST /v1/batches submission: an ordered list of configs
@@ -53,9 +49,6 @@ type Batch struct {
 	CellsDone  int       `json:"cellsDone"`
 	CreatedAt  time.Time `json:"createdAt"`
 	FinishedAt time.Time `json:"finishedAt"`
-	// Resources rolls the per-config bills up: the batch's total
-	// execution cost across the fleet (this process's resume epoch).
-	Resources *prof.Usage `json:"resources,omitempty"`
 	// Requests holds the normalized submissions until the batch
 	// finishes; persisted at submit for restart resume, omitted from API
 	// views (fetch results by config hash).
@@ -244,23 +237,13 @@ func (s *Server) runBatch(id string) {
 		s.mu.Unlock()
 		return Event{Type: EventBatch, Batch: p}
 	}
-	finishConfig := func(i int, state JobState, cacheHit, proxied bool, errMsg string, usage *prof.Usage) {
+	finishConfig := func(i int, state JobState, cacheHit, proxied bool, errMsg string) {
 		s.mu.Lock()
 		c := &b.Configs[i]
 		c.State = state
 		c.CacheHit = cacheHit
 		c.Proxied = proxied
 		c.Error = errMsg
-		if usage != nil && !usage.IsZero() {
-			c.Resources = usage
-			// Copy on write: batch views handed out earlier share the
-			// old rollup.
-			total := *usage
-			if b.Resources != nil {
-				total.Add(*b.Resources)
-			}
-			b.Resources = &total
-		}
 		b.ConfigsDone++
 		if state == StateFailed {
 			b.Failed++
@@ -293,17 +276,17 @@ func (s *Server) runBatch(id string) {
 			proxied = hit
 		}
 		if hit && env != nil {
-			finishConfig(i, StateDone, true, proxied, "", nil)
+			finishConfig(i, StateDone, true, proxied, "")
 			continue
 		}
 		plan, err := planCells(reqs[i])
 		if err != nil {
-			finishConfig(i, StateFailed, false, false, err.Error(), nil)
+			finishConfig(i, StateFailed, false, false, err.Error())
 			continue
 		}
 		cells, err := s.fleet.poolCells(plan, trace)
 		if err != nil {
-			finishConfig(i, StateFailed, false, false, err.Error(), nil)
+			finishConfig(i, StateFailed, false, false, err.Error())
 			continue
 		}
 		s.mu.Lock()
@@ -335,7 +318,7 @@ func (s *Server) runBatch(id string) {
 			continue // shutdown: the config resumes on the next start
 		}
 		if err != nil {
-			finishConfig(e.idx, StateFailed, false, false, err.Error(), &e.cells.usage)
+			finishConfig(e.idx, StateFailed, false, false, err.Error())
 			continue
 		}
 		s.mu.Lock()
@@ -346,7 +329,7 @@ func (s *Server) runBatch(id string) {
 			s.log.Error("batch: cache config result", "batch", id, "hash", hash, "err", perr)
 		}
 		s.fleet.replicateToOwner(ctx, hash, env)
-		finishConfig(e.idx, StateDone, false, false, "", &e.cells.usage)
+		finishConfig(e.idx, StateDone, false, false, "")
 	}
 
 	if ctx.Err() != nil {
@@ -358,12 +341,12 @@ func (s *Server) runBatch(id string) {
 	b.State = StateDone
 	b.FinishedAt = time.Now().UTC()
 	b.Requests = nil
-	configs, failed, resources := b.ConfigsDone, b.Failed, b.Resources
+	configs, failed := b.ConfigsDone, b.Failed
 	s.persistBatchLocked(b)
 	s.finishLocked(id)
 	s.mu.Unlock()
 	hub.publish(progressEvent())
-	hub.publish(Event{Type: EventState, State: StateDone, Resources: resources})
+	hub.publish(Event{Type: EventState, State: StateDone})
 	hub.close()
 	s.log.Info("batch done", "batch", id, "configs", configs, "failed", failed)
 }

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"runtime/pprof"
 
 	"qlec/internal/experiment"
+	"qlec/internal/obs"
 )
 
 // RunFunc executes one normalized, validated request and returns its
@@ -50,6 +52,23 @@ func Execute(ctx context.Context, req Request, h experiment.Hooks) (*ResultEnvel
 		return nil, &badKindError{kind: req.Kind}
 	}
 	return env, nil
+}
+
+// run calls Options.Run under CPU-profile labels, so a profile read
+// from the -pprof endpoint splits by what ran (DESIGN.md §16): kind is
+// "cell" for a pooled sweep cell, "audit" for a replay and the request
+// kind for a direct run; protocol is protocolLabel(req); trace is the
+// job's trace ID when ctx carries one. Goroutines the run starts
+// inherit the labels.
+func (s *Server) run(ctx context.Context, kind string, req Request, h experiment.Hooks) (env *ResultEnvelope, err error) {
+	labels := []string{"kind", kind, "protocol", protocolLabel(req)}
+	if trace := obs.SpanFromContext(ctx).TraceID; trace != "" {
+		labels = append(labels, "trace", trace)
+	}
+	pprof.Do(ctx, pprof.Labels(labels...), func(ctx context.Context) {
+		env, err = s.opt.Run(ctx, req, h)
+	})
+	return env, err
 }
 
 type badKindError struct{ kind JobKind }

@@ -13,7 +13,6 @@ import (
 	"qlec/internal/experiment"
 	"qlec/internal/fleet"
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 )
 
 // FleetOptions configures a daemon's membership in a qlecd fleet
@@ -88,10 +87,7 @@ type cellFuture struct {
 	done chan struct{}
 	env  *ResultEnvelope
 	err  error
-	// usage is the executing daemon's resource bill for the cell (nil
-	// when it resolved from a cache); set before done closes.
-	usage *prof.Usage
-	refs  int // guarded by runtime mu
+	refs int // guarded by runtime mu
 }
 
 func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
@@ -270,7 +266,7 @@ func (r *fleetRuntime) release(f *cellFuture) {
 // (content-addressed, persisted), the pool entry removed, and every
 // waiter woken. errMsg reports execution failure; duplicate and
 // unsolicited completions are no-ops beyond the (idempotent) cache put.
-func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string, usage *prof.Usage) {
+func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string) {
 	if r.table.Complete(hash) {
 		// First completion of a live cell under this coordinator: this
 		// counter summed across the peers' /metrics is the fleet's exact
@@ -291,7 +287,6 @@ func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string,
 		return
 	}
 	f.env = env
-	f.usage = usage
 	if errMsg != "" {
 		f.err = errors.New(errMsg)
 	}
@@ -388,7 +383,7 @@ func (r *fleetRuntime) executeLocal(l fleet.Lease) {
 	sc := cellSpan(l.Cell)
 	ctx := obs.ContextWithSpan(r.s.hardCtx, sc)
 	start := time.Now()
-	env, usage, err := r.resolveOrRun(ctx, l.Cell)
+	env, err := r.resolveOrRun(ctx, l.Cell)
 	state := "done"
 	if err != nil {
 		state = "failed"
@@ -399,10 +394,10 @@ func (r *fleetRuntime) executeLocal(l fleet.Lease) {
 		if r.s.hardCtx.Err() != nil {
 			return // shutdown: leave the cell to expiry/restart, not failure
 		}
-		r.complete(hash, nil, err.Error(), usage)
+		r.complete(hash, nil, err.Error())
 		return
 	}
-	r.complete(hash, env, "", usage)
+	r.complete(hash, env, "")
 	r.replicateToOwner(ctx, hash, env)
 }
 
@@ -426,7 +421,7 @@ func (r *fleetRuntime) executeStolen(peer string, l fleet.Lease) {
 	defer stopRenew()
 	hash := l.Cell.Hash
 	start := time.Now()
-	env, usage, err := r.resolveOrRun(spanCtx, l.Cell)
+	env, err := r.resolveOrRun(spanCtx, l.Cell)
 	state := "done"
 	if err != nil {
 		state = "failed"
@@ -436,9 +431,7 @@ func (r *fleetRuntime) executeStolen(peer string, l fleet.Lease) {
 	if err != nil && r.s.hardCtx.Err() != nil {
 		return // shutdown: the peer's lease expires and the cell re-pools
 	}
-	// The thief's bill travels back so the coordinator's job/batch
-	// rollups reflect true cost no matter where the cell ran.
-	creq := fleet.CompleteRequest{Worker: r.self, LeaseID: l.ID, Hash: hash, Usage: usage}
+	creq := fleet.CompleteRequest{Worker: r.self, LeaseID: l.ID, Hash: hash}
 	if err != nil {
 		creq.Error = err.Error()
 	} else {
@@ -473,38 +466,33 @@ func (r *fleetRuntime) executeStolen(peer string, l fleet.Lease) {
 
 // resolveOrRun answers a cell from the local cache, the ring owner's
 // cache, or by executing it. ctx carries the cell's span context so
-// downstream peer calls (proxy fetch, replication) stay on-trace.
-// The usage bill is non-nil only when the cell actually executed here
-// (cache and proxy resolutions cost nothing new); execution is
-// bracketed and accounted to the kind="cell" cost counters on this
-// daemon — the one that burned the cycles.
-func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultEnvelope, *prof.Usage, error) {
+// downstream peer calls (proxy fetch, replication) stay on-trace. An
+// executed cell runs under kind="cell" profile labels on this daemon,
+// the one that burns the cycles.
+func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultEnvelope, error) {
 	if env, ok := r.s.cache.peek(c.Hash); ok {
-		return env, nil, nil
+		return env, nil
 	}
 	if env, ok := r.proxyFetch(ctx, c.Hash); ok {
-		return env, nil, nil
+		return env, nil
 	}
 	var req Request
 	if err := json.Unmarshal(c.Spec, &req); err != nil {
-		return nil, nil, fmt.Errorf("decode cell spec: %w", err)
+		return nil, fmt.Errorf("decode cell spec: %w", err)
 	}
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	bracket := prof.Begin()
-	env, err := r.s.opt.Run(ctx, req, experiment.Hooks{})
-	usage := bracket.End()
-	r.s.om.accountUsage("cell", protocolLabel(req), usage)
+	env, err := r.s.run(ctx, "cell", req, experiment.Hooks{})
 	if err != nil {
-		return nil, &usage, err
+		return nil, err
 	}
 	if env == nil {
 		env = &ResultEnvelope{Kind: req.Kind}
 	}
 	env.Hash = c.Hash
-	return env, &usage, nil
+	return env, nil
 }
 
 // keepRenewed renews a lease at ttl/3 cadence until the returned stop
@@ -626,14 +614,12 @@ func (r *fleetRuntime) replicateToOwner(ctx context.Context, hash string, env *R
 }
 
 // pooledCells is one plan's cells on their way through the pool: the
-// outcomes known so far, the futures of the rest, and the summed
-// execution bills of the cells that have resolved.
+// outcomes known so far and the futures of the rest.
 type pooledCells struct {
 	plan     *cellPlan
 	outcomes []*ResultEnvelope
 	futures  []*cellFuture // nil where the outcome is known
 	pending  int           // non-nil futures at pooling time
-	usage    prof.Usage
 }
 
 // poolCells resolves each of plan's cells from the local cache or
@@ -660,8 +646,8 @@ func (r *fleetRuntime) poolCells(plan *cellPlan, trace string) (*pooledCells, er
 	return p, nil
 }
 
-// awaitCells waits for the pooled cells in assembly order, adding up
-// their bills and calling onCell after each, then folds the outcomes.
+// awaitCells waits for the pooled cells in assembly order, calling
+// onCell after each, then folds the outcomes.
 // It stops at the first failed cell or when ctx ends; either way the
 // cells still unresolved are released (pending ones leave the pool,
 // leased ones run on and are cached).
@@ -677,9 +663,6 @@ func (r *fleetRuntime) awaitCells(ctx context.Context, p *pooledCells, onCell fu
 			return nil, ctx.Err()
 		}
 		p.futures[i] = nil
-		if f.usage != nil {
-			p.usage.Add(*f.usage)
-		}
 		if f.err != nil {
 			return nil, fmt.Errorf("service: cell %s: %w", shortHash(f.hash), f.err)
 		}
@@ -703,13 +686,11 @@ func (r *fleetRuntime) releaseCells(p *pooledCells) {
 // pool every cell, wait in assembly order while publishing per-cell
 // progress, then fold. The plan and the fold are the library's own
 // cell builders and Assemble steps, so the result is byte-identical to
-// Config.RunFig3/RunKSweep/RunNSweep no matter where the cells ran. The
-// returned usage sums the cells' execution bills wherever they ran
-// (cache hits contribute zero).
-func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, prof.Usage, error) {
+// Config.RunFig3/RunKSweep/RunNSweep no matter where the cells ran.
+func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, error) {
 	plan, err := planCells(req)
 	if err != nil {
-		return nil, prof.Usage{}, err
+		return nil, err
 	}
 	// Cells inherit the sweep's trace: every executor (local or thief)
 	// parses this traceparent and records its spans under one trace ID.
@@ -717,7 +698,7 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 	fanStart := time.Now()
 	p, err := r.poolCells(plan, sweepSC.TraceParent())
 	if err != nil {
-		return nil, prof.Usage{}, err
+		return nil, err
 	}
 	total := len(plan.cells)
 	if sweepSC.Valid() {
@@ -729,11 +710,10 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
 	}
 	progress()
-	env, err := r.awaitCells(ctx, p, func() {
+	return r.awaitCells(ctx, p, func() {
 		done++
 		progress()
 	})
-	return env, p.usage, err
 }
 
 // --- HTTP handlers (mounted by Server.Handler under /v1/fleet) ---
@@ -821,14 +801,14 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Error != "" {
-		s.fleet.complete(req.Hash, nil, req.Error, req.Usage)
+		s.fleet.complete(req.Hash, nil, req.Error)
 	} else {
 		var env ResultEnvelope
 		if err := json.Unmarshal(req.Result, &env); err != nil {
 			writeErr(w, http.StatusBadRequest, "complete: decode result: %v", err)
 			return
 		}
-		s.fleet.complete(req.Hash, &env, "", req.Usage)
+		s.fleet.complete(req.Hash, &env, "")
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

@@ -301,6 +301,32 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalReadsRetiredBillFields: journals written before the
+// per-job bills were removed carry "resources" on job, batch and config
+// records. Those lines still load, whole and without a warning.
+func TestJournalReadsRetiredBillFields(t *testing.T) {
+	dir := t.TempDir()
+	bill := `"resources":{"cpuSeconds":0.5,"wallSeconds":0.25,"allocBytes":1024,"peakHeapDelta":0,"gcCount":1}`
+	journal := `{"id":"j00000001","hash":"h1","state":"done",` + bill + "}\n" +
+		`{"id":"b00000001","state":"done","configs":[{"index":0,"kind":"fig3","hash":"h2","state":"done",` + bill + `}],"configsDone":1,` + bill + "}\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	jobs, batches, warns, err := st.LoadRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) != 0 || len(jobs) != 1 || jobs[0].State != StateDone || jobs[0].Hash != "h1" ||
+		len(batches) != 1 || batches[0].ConfigsDone != 1 || len(batches[0].Configs) != 1 || batches[0].Configs[0].Hash != "h2" {
+		t.Fatalf("loaded jobs %+v, batches %+v, warnings %v; want both records whole and no warning", jobs, batches, warns)
+	}
+}
+
 // TestJournalTornLastLine: a crash mid-append leaves a torn last line.
 // Reload skips it with a warning and keeps the last complete record of
 // each job; the boot rewrite leaves one line per job, and later appends

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"qlec/internal/prof"
 )
 
 // FuzzLoadJobJournal feeds LoadRecords two kinds of journal: arbitrary
@@ -70,7 +68,6 @@ func savedJournal(f *testing.F) (journal []byte, lines [][]byte) {
 	t0 := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
 	req := Request{Kind: KindOne, Seed: 7, Lambda: 2}
 	queued := []BatchConfig{{Index: 0, Kind: KindOne, Hash: "h4", State: StateQueued}, {Index: 1, Kind: KindOne, Hash: "h5", State: StateQueued}}
-	usage := &prof.Usage{CPUSeconds: 0.5, WallSeconds: 0.25, AllocBytes: 1 << 20}
 	records := []any{
 		&Job{ID: "j00000001", Hash: "h1", State: StateQueued, CreatedAt: t0, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"},
 		&Batch{ID: "b00000001", State: StateRunning, TraceID: "4bf92f3577b34da6a3ce929d0e0e4737", Configs: queued,
@@ -83,10 +80,10 @@ func savedJournal(f *testing.F) (journal []byte, lines [][]byte) {
 		&Batch{ID: "b00000001", State: StateDone, TraceID: "4bf92f3577b34da6a3ce929d0e0e4737", CreatedAt: t0, FinishedAt: t0,
 			Configs: []BatchConfig{
 				{Index: 0, Kind: KindOne, Hash: "h4", State: StateDone, CacheHit: true, Proxied: true},
-				{Index: 1, Kind: KindFig3, Hash: "h5", State: StateFailed, Error: "boom", Resources: usage},
+				{Index: 1, Kind: KindFig3, Hash: "h5", State: StateFailed, Error: "boom"},
 			},
-			ConfigsDone: 2, Failed: 1, CellsTotal: 3, CellsDone: 3, Resources: usage},
-		&Job{ID: "j00000001", Hash: "h1", State: StateDone, Attempts: 1, CreatedAt: t0, FinishedAt: t0, Resources: usage},
+			ConfigsDone: 2, Failed: 1, CellsTotal: 3, CellsDone: 3},
+		&Job{ID: "j00000001", Hash: "h1", State: StateDone, Attempts: 1, CreatedAt: t0, FinishedAt: t0},
 	}
 	for _, rec := range records {
 		switch rec := rec.(type) {

@@ -224,7 +224,7 @@ func TestSubmitRejectsTrailingData(t *testing.T) {
 // TestFinishedHubsBounded: finished jobs stay in memory, with their
 // event history, only while they are among the last MaxFinishedRecords
 // to finish. An older one is read back from the journal and streams its
-// terminal state alone, resources included.
+// terminal state alone.
 func TestFinishedHubsBounded(t *testing.T) {
 	srv, cl := newTestServer(t, service.Options{DataDir: t.TempDir(), Workers: 2,
 		QueueLimit: 4 * service.MaxFinishedRecords, Run: stubRun(3, nil)})
@@ -256,13 +256,13 @@ func TestFinishedHubsBounded(t *testing.T) {
 		}
 	}
 	last := newest[len(newest)-1]
-	if rounds != 3 || last.State != service.StateDone || last.Resources == nil {
-		t.Fatalf("newest job replayed %d round events, final %+v; want 3 rounds and done with resources", rounds, last)
+	if rounds != 3 || last.State != service.StateDone {
+		t.Fatalf("newest job replayed %d round events, final %+v; want 3 rounds and done", rounds, last)
 	}
 
 	oldest := collectEvents(t, cl, ids[0])
-	if len(oldest) != 1 || oldest[0].Type != service.EventState || oldest[0].State != service.StateDone || oldest[0].Resources == nil {
-		t.Fatalf("oldest job streamed %+v; want only its done state with resources", oldest)
+	if len(oldest) != 1 || oldest[0].Type != service.EventState || oldest[0].State != service.StateDone {
+		t.Fatalf("oldest job streamed %+v; want only its done state", oldest)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestFinishedHubsBounded(t *testing.T) {
 // for the same bounded store of finished records that jobs use. Once
 // MaxFinishedRecords later jobs have finished, it is read back from the
 // journal: GET answers its record and /events streams its terminal
-// state alone, resources included.
+// state alone.
 func TestFinishedBatchHubRetires(t *testing.T) {
 	srv, cl := newTestServer(t, service.Options{DataDir: t.TempDir(), Workers: 2,
 		QueueLimit: 4 * service.MaxFinishedRecords, Run: stubRun(0, nil)})
@@ -318,7 +318,7 @@ func TestFinishedBatchHubRetires(t *testing.T) {
 		t.Fatalf("evicted batch reads %+v, %v; want done with its config", fin, err)
 	}
 	events := batchEvents()
-	if len(events) != 1 || events[0].Type != service.EventState || events[0].State != service.StateDone || events[0].Resources == nil {
-		t.Fatalf("aged-out batch streamed %+v; want only its done state with resources", events)
+	if len(events) != 1 || events[0].Type != service.EventState || events[0].State != service.StateDone {
+		t.Fatalf("aged-out batch streamed %+v; want only its done state", events)
 	}
 }

@@ -1,9 +1,6 @@
 package service
 
-import (
-	"qlec/internal/obs"
-	"qlec/internal/prof"
-)
+import "qlec/internal/obs"
 
 // serverMetrics holds qlecd's operational instruments. Scrape-time
 // state (queue depth, job-table counts, cache counters) is exported via
@@ -14,8 +11,6 @@ type serverMetrics struct {
 	jobsTotal   *obs.CounterVec   // {state} terminal transitions
 	busyWorkers *obs.Gauge
 	sseSubs     *obs.Gauge
-	jobCPU      *obs.CounterVec // {kind, protocol} attributed CPU seconds
-	jobAlloc    *obs.CounterVec // {kind, protocol} attributed alloc bytes
 	// jobs counts jobs by state, the ones only the journal still holds
 	// included; setStateLocked moves them.
 	jobs map[JobState]*obs.Gauge
@@ -42,19 +37,6 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 			"Workers currently executing a job."),
 		sseSubs: r.Gauge("qlecd_sse_subscribers",
 			"Open SSE event streams."),
-		// The job-cost counters increment where execution actually
-		// happens: direct-run jobs on their worker's daemon under their
-		// own kind, sweep cells on the executing daemon (local or thief)
-		// under kind="cell". Distributed sweep jobs add nothing directly
-		// — their cost IS their cells' — so these counters summed across
-		// the peers' /metrics, over all label sets, are the fleet's exact
-		// execution cost, with no double counting.
-		jobCPU: r.CounterVec("qlecd_job_cpu_seconds_total",
-			"Process CPU seconds attributed to executed jobs and cells, by kind and protocol.",
-			"kind", "protocol"),
-		jobAlloc: r.CounterVec("qlecd_job_alloc_bytes_total",
-			"Heap bytes allocated during executed jobs and cells, by kind and protocol.",
-			"kind", "protocol"),
 	}
 	r.GaugeFunc("qlecd_queue_depth", "Jobs waiting in the dispatch queue.",
 		func() float64 { return float64(s.queue.depth()) })
@@ -81,18 +63,8 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 	return m
 }
 
-// accountUsage feeds one execution bill into the job-cost counters.
-func (m *serverMetrics) accountUsage(kind, protocol string, u prof.Usage) {
-	if u.CPUSeconds > 0 {
-		m.jobCPU.With(kind, protocol).Add(u.CPUSeconds)
-	}
-	if u.AllocBytes > 0 {
-		m.jobAlloc.With(kind, protocol).Add(float64(u.AllocBytes))
-	}
-}
-
 // protocolLabel folds a request's protocol list into one bounded
-// label value: the protocol for single-protocol runs, "multi" for
+// profile-label value: the protocol for single-protocol runs, "multi" for
 // comparison figures that run several.
 func protocolLabel(req Request) string {
 	switch len(req.Protocols) {

@@ -19,7 +19,6 @@ import (
 	"qlec/internal/audit"
 	"qlec/internal/experiment"
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 	"qlec/internal/protocol"
 )
 
@@ -143,7 +142,7 @@ func New(opt Options) (*Server, error) {
 		replays:     make(chan struct{}, opt.Workers),
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	prof.RegisterRuntime(s.reg)
+	obs.RegisterRuntime(s.reg)
 	if opt.DataDir != "" {
 		store, err := OpenStore(opt.DataDir)
 		if err != nil {
@@ -646,10 +645,10 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (rec recordRef, 
 	}
 	f := s.record(rec.id)
 	if j := f.job; j != nil && rec.what == "job" {
-		rec.terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error, Resources: j.Resources}
+		rec.terminal = Event{Seq: 1, Type: EventState, State: j.State, Error: j.Error}
 		rec.traceID, ok = j.TraceID, true
 	} else if b := f.batch; b != nil && rec.what == "batch" {
-		rec.terminal = Event{Seq: 1, Type: EventState, State: b.State, Resources: b.Resources}
+		rec.terminal = Event{Seq: 1, Type: EventState, State: b.State}
 		rec.traceID, ok = b.TraceID, true
 	}
 	rec.hub = f.hub
@@ -864,7 +863,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := audit.New(audit.Options{Metrics: s.reg})
-	if _, err := s.opt.Run(ctx, req, experiment.Hooks{Audit: rec}); err != nil {
+	if _, err := s.run(ctx, "audit", req, experiment.Hooks{Audit: rec}); err != nil {
 		status := http.StatusInternalServerError
 		if ctx.Err() != nil {
 			status = http.StatusServiceUnavailable

@@ -27,7 +27,6 @@ import (
 	"qlec/internal/energy"
 	"qlec/internal/experiment"
 	"qlec/internal/metrics"
-	"qlec/internal/prof"
 	"qlec/internal/protocol"
 	"qlec/internal/sim"
 )
@@ -286,11 +285,6 @@ type Job struct {
 	CreatedAt       time.Time `json:"createdAt"`
 	StartedAt       time.Time `json:"startedAt"`
 	FinishedAt      time.Time `json:"finishedAt"`
-	// Resources is the job's accumulated execution bill (CPU, allocs,
-	// heap growth, GC cycles) across every attempt — for distributed
-	// sweeps, the sum of its cells' bills wherever they ran. Nil for
-	// cache hits and jobs that never executed.
-	Resources *prof.Usage `json:"resources,omitempty"`
 }
 
 // clone returns a shallow copy safe to serialize outside the server
@@ -373,9 +367,6 @@ type Event struct {
 	Batch  *BatchProgress `json:"batch,omitempty"`
 	State  JobState       `json:"state,omitempty"`
 	Error  string         `json:"error,omitempty"`
-	// Resources rides the terminal state event of an executed job so
-	// SSE consumers get the bill without a follow-up GET.
-	Resources *prof.Usage `json:"resources,omitempty"`
 }
 
 // ErrTransient marks an error as retryable: a job failing with it goes

@@ -8,7 +8,6 @@ import (
 	"qlec/internal/energy"
 	"qlec/internal/experiment"
 	"qlec/internal/obs"
-	"qlec/internal/prof"
 	"qlec/internal/sim"
 )
 
@@ -111,27 +110,19 @@ func (s *Server) runJob(id string) {
 	runStart := time.Now()
 	var env *ResultEnvelope
 	var err error
-	var usage prof.Usage
 	switch req.Kind {
 	case KindFig3, KindKSweep, KindNSweep:
 		// Sweeps decompose into content-addressed cells that local
 		// executors (and, in a fleet, stealing peers) drain in parallel;
 		// the reassembled result is byte-identical to the library's. The
-		// usage bill is the sum of the cells' bills wherever they executed
-		// — NOT a process-wide bracket here, which would double-count the
-		// local cell executors and charge this job for its neighbours.
-		env, usage, err = s.fleet.runSweep(ctx, req, hub.publish)
+		// cells carry the kind="cell" profile labels where they execute.
+		env, err = s.fleet.runSweep(ctx, req, hub.publish)
 	default:
 		var h experiment.Hooks
 		if req.Kind == KindOne {
 			h.Observer = s.roundObserver(req, jobSC, hub)
 		}
-		// Direct runs get a process-wide bracket; this daemon burned the
-		// cycles, so it also owns the cost-counter increment.
-		bracket := prof.Begin()
-		env, err = s.opt.Run(ctx, req, h)
-		usage = bracket.End()
-		s.om.accountUsage(string(req.Kind), protocolLabel(req), usage)
+		env, err = s.run(ctx, string(req.Kind), req, h)
 	}
 	elapsed := time.Since(runStart)
 	s.om.busyWorkers.Dec()
@@ -141,15 +132,6 @@ func (s *Server) runJob(id string) {
 	s.mu.Lock()
 	delete(s.cancels, id)
 	now := time.Now().UTC()
-	if !usage.IsZero() {
-		// Accumulate across attempts: a retried job's bill includes the
-		// failed attempts that preceded success. Copy on write — job views
-		// handed out earlier share the old pointer.
-		if j.Resources != nil {
-			usage.Add(*j.Resources)
-		}
-		j.Resources = &usage
-	}
 	var requeue, closeHub bool
 	switch {
 	case err == nil:
@@ -199,7 +181,6 @@ func (s *Server) runJob(id string) {
 		s.finishLocked(id)
 	}
 	state, errMsg, hash := j.State, j.Error, j.Hash
-	resources := j.Resources // immutable once set; safe to share
 	s.mu.Unlock()
 
 	if state == StateDone && env != nil {
@@ -223,7 +204,7 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	if closeHub {
-		hub.publish(Event{Type: EventState, State: state, Error: errMsg, Resources: resources})
+		hub.publish(Event{Type: EventState, State: state, Error: errMsg})
 		hub.close()
 		if state == StateDone {
 			log.Info("job done", "durationMs", float64(elapsed.Microseconds())/1000)
